@@ -1,11 +1,11 @@
 //! Scaled run parameters and a tiny `--flag=value` parser for the
-//! reproduction binaries (no CLI dependency needed).
+//! `repro` binary (no CLI dependency needed).
 
 use anker_core::BackendKind;
 use std::time::Duration;
 
 /// Scale knobs of a reproduction run. Defaults are laptop-scale; pass
-/// `--paper-scale` to a `repro_*` binary for the paper's original numbers
+/// `--paper-scale` to `repro` for the paper's original numbers
 /// (slow!).
 #[derive(Debug, Clone)]
 pub struct RunScale {
@@ -56,6 +56,10 @@ impl Default for RunScale {
         }
     }
 }
+
+/// The flags [`RunScale::from_args`] accepts, for usage messages.
+pub const FLAGS: &str = "--sf= --oltp= --snapshot-every= --threads= --gc-ms= --seed= \
+                         --pages-per-col= --cols= --think-us= --backend=sim|os --paper-scale --smoke";
 
 impl RunScale {
     /// The paper's original scale (hours of runtime on this simulator).
@@ -135,61 +139,25 @@ impl RunScale {
         }
         Ok(scale)
     }
-
-    /// Parse from the process arguments, exiting with a message on error.
-    pub fn from_env() -> RunScale {
-        match Self::from_args(std::env::args().skip(1)) {
-            Ok(s) => s,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "flags: --sf= --oltp= --snapshot-every= --threads= --gc-ms= --seed= \
-                     --pages-per-col= --cols= --think-us= --backend=sim|os --paper-scale --smoke"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
 }
 
-/// Append one pre-formatted JSON line to the `ANKER_BENCH_JSON` file, next
-/// to the timing records the criterion shim writes (best effort; no-op when
-/// the variable is unset). Benches use this to record non-timing counters —
-/// e.g. the `blocks_skipped`/`rows_filtered` scan statistics — alongside
-/// their wall-clock entries. A relative path resolves against the workspace
-/// root, mirroring the shim's behaviour.
-pub fn append_bench_json_line(line: &str) {
-    let Ok(path) = std::env::var("ANKER_BENCH_JSON") else {
-        return;
-    };
-    let p = std::path::PathBuf::from(&path);
-    let p = if p.is_absolute() {
-        p
-    } else {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(p)
-    };
-    use std::io::Write as _;
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&p)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    if let Err(e) = written {
-        eprintln!(
-            "warning: could not append bench JSON to {}: {e}",
-            p.display()
-        );
-    }
+/// Hardware threads of this host (wall-clock tables print it: a number
+/// taken on one core is an overhead bound, not a scaling result).
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// The workspace root (where `results/` and `METRICS.md` live).
+pub fn repo_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Write `contents` to `results/<name>` relative to the workspace root
 /// (best effort; prints the path on success).
 pub fn write_results_file(name: &str, contents: &str) {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     if std::fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(name);
         if std::fs::write(&path, contents).is_ok() {

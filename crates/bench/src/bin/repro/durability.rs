@@ -1,4 +1,4 @@
-//! Durability driver: WAL-overhead measurement and the crash-consistency
+//! `repro durability`: WAL-overhead measurement and the crash-consistency
 //! harness.
 //!
 //! Three modes:
@@ -7,7 +7,7 @@
 //!   [`DurabilityLevel`] (`off` → no WAL, `buffered` → append only,
 //!   `fsync` → group commit) and report throughput plus the
 //!   commit-latency distribution and WAL counters. CSV to
-//!   `results/durability.csv`, JSON lines via `ANKER_BENCH_JSON`.
+//!   `results/durability.csv`.
 //! * `--mode=run --dir=D` — build a durable TPC-H database in `D`
 //!   (fsync level), checkpoint away the bulk loads, then run a mixed
 //!   stream of fig-style OLTP transactions and **audit transactions**
@@ -21,7 +21,7 @@
 //!   a second recovery reproduces the identical Q6 revenue fold
 //!   (determinism). Exits non-zero on any violation.
 
-use anker_bench::args::{append_bench_json_line, write_results_file};
+use anker_bench::args::{host_cpus, write_results_file};
 use anker_core::{
     AnkerDb, ColumnDef, DbConfig, DurabilityLevel, LogicalType, Schema, TxnKind, Value,
 };
@@ -42,7 +42,7 @@ struct Args {
     ckpt_every: u64,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, String> {
     let mut args = Args {
         mode: "bench".into(),
         dir: None,
@@ -52,29 +52,27 @@ fn parse_args() -> Args {
         seed: 23,
         ckpt_every: 5_000,
     };
-    for arg in std::env::args().skip(1) {
+    fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+        value.parse().map_err(|_| format!("bad {key} {value:?}"))
+    }
+    for arg in argv {
         let Some((key, value)) = arg.split_once('=') else {
-            eprintln!("unrecognised argument {arg:?} (expected --key=value)");
-            std::process::exit(2);
+            return Err(format!(
+                "unrecognised argument {arg:?} (expected --key=value)"
+            ));
         };
         match key {
             "--mode" => args.mode = value.to_string(),
             "--dir" => args.dir = Some(PathBuf::from(value)),
-            "--sf" => args.sf = value.parse().expect("bad --sf"),
-            "--txns" => args.txns = value.parse().expect("bad --txns"),
-            "--threads" => args.threads = value.parse().expect("bad --threads"),
-            "--seed" => args.seed = value.parse().expect("bad --seed"),
-            "--ckpt-every" => args.ckpt_every = value.parse().expect("bad --ckpt-every"),
-            other => {
-                eprintln!(
-                    "unknown flag {other:?}; flags: --mode=bench|run|verify --dir= --sf= \
-                     --txns= --threads= --seed= --ckpt-every="
-                );
-                std::process::exit(2);
-            }
+            "--sf" => args.sf = num(key, value)?,
+            "--txns" => args.txns = num(key, value)?,
+            "--threads" => args.threads = num(key, value)?,
+            "--seed" => args.seed = num(key, value)?,
+            "--ckpt-every" => args.ckpt_every = num(key, value)?,
+            other => return Err(format!("unknown durability flag {other:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn base_config() -> DbConfig {
@@ -84,12 +82,6 @@ fn base_config() -> DbConfig {
 }
 
 const AUDIT_ROWS: u32 = 1024;
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 fn mode_bench(args: &Args) {
     let mut csv = String::from(
@@ -173,24 +165,6 @@ fn mode_bench(args: &Args) {
             commits,
             batching
         ));
-        append_bench_json_line(&format!(
-            "{{\"bench\":\"repro_durability/oltp/level={}\",\"tps\":{:.1},\
-             \"p50_us\":{:.2},\"p95_us\":{:.2},\"p99_us\":{:.2},\"max_us\":{:.2},\
-             \"committed\":{},\"aborted\":{},\"wal_syncs\":{},\"wal_commits\":{},\
-             \"batching\":{:.3},\"host_cpus\":{}}}",
-            level.name(),
-            res.tps,
-            res.p50_us,
-            res.p95_us,
-            res.p99_us,
-            res.max_us,
-            res.committed,
-            res.aborted,
-            syncs,
-            commits,
-            batching,
-            host_cpus()
-        ));
         t.db.shutdown();
         drop(t);
         let _ = std::fs::remove_dir_all(&dir);
@@ -198,12 +172,11 @@ fn mode_bench(args: &Args) {
     write_results_file("durability.csv", &csv);
 }
 
-fn mode_run(args: &Args) {
-    let dir = args.dir.clone().expect("--mode=run requires --dir=");
-    let _ = std::fs::remove_dir_all(&dir);
+fn mode_run(args: &Args, dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
     let config = base_config()
         .with_durability(DurabilityLevel::Fsync)
-        .with_durability_dir(&dir);
+        .with_durability_dir(dir);
     println!(
         "loading TPC-H sf {} into {} (fsync WAL)...",
         args.sf,
@@ -342,11 +315,10 @@ fn verify_once(dir: &Path) -> (f64, u64) {
     (revenue, nonzero)
 }
 
-fn mode_verify(args: &Args) {
-    let dir = args.dir.clone().expect("--mode=verify requires --dir=");
-    let (revenue_a, nonzero) = verify_once(&dir);
+fn mode_verify(dir: &Path) {
+    let (revenue_a, nonzero) = verify_once(dir);
     // Determinism: a second recovery reproduces the identical fold.
-    let (revenue_b, _) = verify_once(&dir);
+    let (revenue_b, _) = verify_once(dir);
     assert_eq!(
         revenue_a.to_bits(),
         revenue_b.to_bits(),
@@ -358,15 +330,18 @@ fn mode_verify(args: &Args) {
     );
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(argv: Vec<String>) -> Result<(), String> {
+    let args = parse_args(argv)?;
+    let dir = || {
+        args.dir
+            .as_deref()
+            .ok_or_else(|| format!("--mode={} requires --dir=", args.mode))
+    };
     match args.mode.as_str() {
         "bench" => mode_bench(&args),
-        "run" => mode_run(&args),
-        "verify" => mode_verify(&args),
-        other => {
-            eprintln!("unknown --mode={other} (bench|run|verify)");
-            std::process::exit(2);
-        }
+        "run" => mode_run(&args, dir()?),
+        "verify" => mode_verify(dir()?),
+        other => return Err(format!("unknown --mode={other} (bench|run|verify)")),
     }
+    Ok(())
 }

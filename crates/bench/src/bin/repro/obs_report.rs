@@ -1,4 +1,4 @@
-//! The observability reproduction driver: run the HTAP workload with the
+//! `repro obs` — the observability report: run the HTAP workload with the
 //! `anker-obs` tracer live and print the per-component overhead breakdown
 //! the paper's evaluation narrates informally — commit-pipeline stage
 //! latencies (latch → validate → wal → install → fsync), the
@@ -16,59 +16,31 @@
 //!   ([`anker_core::obs_register_all`]) and exit; CI diffs the result
 //!   against the committed file so metric renames/removals are loud.
 //! * `--overhead` — measure the tracer's commit-path cost: a
-//!   single-threaded commit loop whose ns/commit lands in
-//!   `BENCH_obs_overhead.json` under `obs_on_ns_per_commit` or (when
-//!   built with `--features obs-off`) `obs_off_ns_per_commit`; when both
-//!   keys are present the file also carries `overhead_pct`.
+//!   single-threaded commit loop whose ns/commit is printed as
+//!   `obs_on_ns_per_commit` or (when built with `--features obs-off`)
+//!   `obs_off_ns_per_commit`; the tracer overhead is the difference
+//!   between the two builds' lines.
 
-use anker_bench::args::{write_results_file, RunScale};
+use anker_bench::args::{host_cpus, repo_root, write_results_file, RunScale};
 use anker_core::obs::{HistogramSnapshot, MetricValue, MetricsSnapshot, BUCKETS};
 use anker_core::{AnkerDb, ColumnDef, DbConfig, DurabilityLevel, LogicalType, Schema, TxnKind};
 use anker_tpch::driver::{run_htap, run_workload, HtapConfig, WorkloadConfig};
 use anker_tpch::{gen, TpchConfig};
 use anker_util::TableBuilder;
 
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn repo_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn main() {
-    let mut audit = false;
-    let mut overhead = false;
-    let mut prom = false;
-    let mut trace = false;
-    let rest: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| match a.as_str() {
-            "--audit" => {
-                audit = true;
-                false
-            }
-            "--overhead" => {
-                overhead = true;
-                false
-            }
-            "--prom" => {
-                prom = true;
-                false
-            }
-            "--trace" => {
-                trace = true;
-                false
-            }
-            _ => true,
-        })
-        .collect();
-    let scale = RunScale::from_args(rest).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+pub fn run(args: Vec<String>) -> Result<(), String> {
+    let (mut audit, mut overhead, mut prom, mut trace) = (false, false, false, false);
+    let mut rest = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--audit" => audit = true,
+            "--overhead" => overhead = true,
+            "--prom" => prom = true,
+            "--trace" => trace = true,
+            _ => rest.push(arg),
+        }
+    }
+    let scale = RunScale::from_args(rest)?;
     if audit {
         run_audit();
     } else if overhead {
@@ -76,6 +48,7 @@ fn main() {
     } else {
         run_report(&scale, prom, trace);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -304,7 +277,7 @@ fn run_audit() {
     let mut md = String::from(
         "# Metrics\n\n\
          Every metric the engine can emit, by name. **Generated** by\n\
-         `cargo run -p anker-bench --bin repro_obs -- --audit` from the metric\n\
+         `cargo run -p anker-bench --bin repro -- obs --audit` from the metric\n\
          manifest (`anker_core::obs_register_all`) plus the namespaces\n\
          `AnkerDb::metrics` absorbs from the legacy stats structs — do not edit\n\
          by hand; CI fails when this file drifts from the registry.\n\n\
@@ -381,48 +354,6 @@ fn run_overhead() {
          single-threaded commits)"
     );
     if cfg!(debug_assertions) {
-        println!("debug build — not recorded; measure with --release");
-        return;
+        println!("debug build — measure with --release");
     }
-
-    // Merge into BENCH_obs_overhead.json, preserving the other build's
-    // key so two runs (default and `--features obs-off`) fill one record.
-    let path = repo_root().join("BENCH_obs_overhead.json");
-    let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    let (on, off) = if cfg!(feature = "obs-off") {
-        (
-            extract_num(&existing, "obs_on_ns_per_commit"),
-            Some(ns_per_commit),
-        )
-    } else {
-        (
-            Some(ns_per_commit),
-            extract_num(&existing, "obs_off_ns_per_commit"),
-        )
-    };
-    let mut record = format!("{{\"bench\":\"obs_overhead\",\"commits\":{OVERHEAD_COMMITS}");
-    if let Some(v) = on {
-        record.push_str(&format!(",\"obs_on_ns_per_commit\":{v:.1}"));
-    }
-    if let Some(v) = off {
-        record.push_str(&format!(",\"obs_off_ns_per_commit\":{v:.1}"));
-    }
-    if let (Some(on), Some(off)) = (on, off) {
-        let pct = (on - off) / off * 100.0;
-        record.push_str(&format!(",\"overhead_pct\":{pct:.1}"));
-        println!("tracer overhead: {pct:.1}% (on {on:.1} ns vs off {off:.1} ns per commit)");
-    }
-    record.push_str(&format!(",\"host_cpus\":{}}}", host_cpus()));
-    std::fs::write(&path, record + "\n").expect("writing BENCH_obs_overhead.json");
-    println!("(recorded in {})", path.display());
-}
-
-/// Extract a bare JSON number field from a flat object (no nesting in
-/// `BENCH_obs_overhead.json`).
-fn extract_num(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = &json[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }

@@ -1,19 +1,22 @@
-//! # anker-bench — benchmark and reproduction harness
+//! # anker-bench — reproduction harness
 //!
-//! One driver per table/figure of the paper's evaluation, shared between
-//! the criterion benches (`benches/`) and the `repro_*` binaries
-//! (`src/bin/`), which print paper-style tables and CSV files.
+//! One driver and one renderer per table/figure of the paper's evaluation,
+//! behind one binary: `repro <id>` prints the paper-style table and writes
+//! `results/<id>.csv`; `repro all` renders all seven. (Performance numbers
+//! live in the ledger under `benchmark/`, not here.)
 //!
-//! | Paper artifact | Driver | Binary | Criterion bench |
+//! | Paper artifact | Driver | Renderer | Command |
 //! |---|---|---|---|
-//! | Table 1  | [`anker_snapshot::table1_run`] | `repro_table1` | `table1_snapshot_creation` |
-//! | Figure 5 | [`anker_snapshot::fig5_run`] | `repro_fig5` | `fig5_vmsnapshot_vs_rewiring` |
-//! | Figure 7 | [`experiments::fig7_run`] | `repro_fig7` | `fig7_olap_latency` |
-//! | Figure 8 | [`experiments::fig8_run`] | `repro_fig8` | `fig8_throughput` |
-//! | Figure 9 | [`experiments::fig9_run`] | `repro_fig9` | `fig9_versioned_scan` |
-//! | Figure 10 | [`experiments::fig10_run`] | `repro_fig10` | `fig10_column_snapshot` |
-//! | Figure 11 | [`experiments::fig11_run`] | `repro_fig11` | `fig11_scaling` |
-//! | Ablations | — | — | `ablations` |
+//! | Table 1  | [`anker_snapshot::table1_run`] | [`render::render_table1`] | `repro table1` |
+//! | Figure 5 | [`anker_snapshot::fig5_run`] | [`render::render_fig5`] | `repro fig5` |
+//! | Figure 7 | [`experiments::fig7_run`] | [`render::render_fig7`] | `repro fig7` |
+//! | Figure 8 | [`experiments::fig8_run`] | [`render::render_fig8`] | `repro fig8` |
+//! | Figure 9 | [`experiments::fig9_run`] | [`render::render_fig9`] | `repro fig9` |
+//! | Figure 10 | [`experiments::fig10_run`] | [`render::render_fig10`] | `repro fig10` |
+//! | Figure 11 | [`experiments::fig11_run`] | [`render::render_fig11`] | `repro fig11` |
+//!
+//! The binary also carries the crash-consistency harness
+//! (`repro durability`) and the observability report (`repro obs`).
 //!
 //! ## Example
 //!
@@ -26,13 +29,11 @@
 //! let custom = RunScale::from_args(["--sf=0.1".to_string()]).unwrap();
 //! assert_eq!(custom.sf, 0.1);
 //! ```
-// No unsafe in the library or the repro binaries; the one unsafe block of
-// this package (a zero-copy slice in `benches/ablations.rs`) lives in a
-// bench target outside this attribute's scope.
 #![forbid(unsafe_code)]
 
 pub mod args;
 pub mod experiments;
+pub mod render;
 
 pub use args::RunScale;
 pub use experiments::{

@@ -5,7 +5,7 @@
 //! whatever that run didn't exercise — the fsync stage without
 //! durability, recycling counters without spare areas, and so on.
 //! [`obs_register_all`] touches every registration site's name up front;
-//! `repro_obs --audit` calls it **before** its workload so the helps
+//! `repro obs --audit` calls it **before** its workload so the helps
 //! below are the canonical metadata `METRICS.md` is generated from (the
 //! registry is first-wins), and the CI clean-diff gate on that file turns
 //! any rename or drift into a build failure.

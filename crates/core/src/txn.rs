@@ -804,8 +804,8 @@ impl Txn {
 /// Commit tracing samples 1-in-2^5 attempts per thread: the pipeline is
 /// sub-microsecond, so even two clock reads plus a histogram record on
 /// *every* attempt measurably tax the commit itself (the unsampled
-/// variants cost 10–30% — measured by `repro_obs --overhead`, recorded
-/// in `BENCH_obs_overhead.json`). An unsampled attempt pays one counter
+/// variants cost 10–30% — measured by `repro obs --overhead`, one run
+/// per build). An unsampled attempt pays one counter
 /// increment and one thread-local tick; a sampled attempt records every
 /// stage, the end-to-end total, and the journal events, keeping the
 /// distributions statistically faithful while `commit_attempts_total`

@@ -322,7 +322,7 @@ fn checkpoint_requires_heterogeneous_mode_and_a_directory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The acceptance criterion's non-blocking guarantee: while a checkpoint
+/// The non-blocking guarantee the durability work was accepted on: while a checkpoint
 /// streams hundreds of thousands of words, concurrent commits keep
 /// completing, and no single commit stalls for anything near the
 /// checkpoint's duration (it only ever pays its own WAL append).

@@ -7,9 +7,11 @@
 //! summed per-scan `ScanStats`, and the morsel histogram counts exactly
 //! one span per morsel.
 //!
-//! This file is its own test binary — and therefore its own
-//! process-global obs registry — so the arithmetic below cannot be
-//! polluted by other test files' scans and commits.
+//! This file is its own test binary, so other test *files* cannot touch
+//! its process-global obs registry — but the tests below run as threads
+//! of that one process and share it. Every test that reads registry
+//! deltas or balances therefore holds [`OBS_SERIAL`] for its whole body
+//! (the pattern `tests/parallel_scan.rs` uses).
 
 // Under `obs-off` every counter update compiles to a no-op, so the
 // registry arithmetic this file asserts is intentionally all-zero.
@@ -18,8 +20,17 @@
 mod common;
 
 use anker_core::obs;
-use anker_core::{BackendKind, DbConfig, ScanStats, TxnKind, Value};
+use anker_core::{AnkerDb, BackendKind, DbConfig, ScanStats, TxnKind, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Serialises the tests of this file: they share one obs registry, and a
+/// neighbour's scan or in-flight sampled commit would skew the exact
+/// deltas and balances asserted at quiescence.
+static OBS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
+    OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Metrics whose values must never decrease while the engine runs.
 const MONOTONE_COUNTERS: [&str; 7] = [
@@ -47,65 +58,25 @@ fn hist_count(m: &obs::MetricsSnapshot, name: &str) -> u64 {
     m.histogram(name).map_or(0, |h| h.count())
 }
 
-/// Writers, scanners, and a metrics poller in parallel: every snapshot
-/// the poller takes must be monotone w.r.t. the previous one, and the
-/// quiescent end state must satisfy the engine's exact invariants.
-#[test]
-fn snapshots_stay_consistent_under_concurrent_load() {
-    let rows = 4_096u32;
-    let config = DbConfig::heterogeneous_serializable()
-        .with_snapshot_every(64)
-        .with_backend(BackendKind::Sim);
-    let (db, t, c) = common::one_col_db(config, rows);
-    let baseline = db.metrics();
+/// Sets the flag when dropped, i.e. however its scope exits — including
+/// by unwinding.
+struct StopOnDrop<'a>(&'a AtomicBool);
 
-    const WRITERS: usize = 3;
-    const COMMITS_PER_WRITER: usize = 400;
-    const SCANNERS: usize = 2;
-    const SCANS_PER_SCANNER: usize = 12;
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
+/// Run `work` while a poller thread takes successive registry snapshots
+/// and asserts each is monotone w.r.t. the previous one. Returns `work`'s
+/// result and the number of polls. The poller is stopped by a drop guard:
+/// if `work` panics (say, a worker it joins panicked), the poller still
+/// ends, the scope returns and the panic reaches the test — instead of
+/// the scope waiting forever on a poller nobody told to stop.
+fn poll_while<R>(db: &AnkerDb, work: impl FnOnce() -> R) -> (R, u64) {
     let stop = AtomicBool::new(false);
-    let mut scan_sums: Vec<ScanStats> = Vec::new();
     std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            let db = &db;
-            s.spawn(move || {
-                for i in 0..COMMITS_PER_WRITER {
-                    let row = ((w * COMMITS_PER_WRITER + i * 7) % rows as usize) as u32;
-                    let mut txn = db.begin(TxnKind::Oltp);
-                    txn.update_value(t, c, row, Value::Int((w * 1000 + i) as i64))
-                        .unwrap();
-                    // First-updater-wins aborts are part of the workload;
-                    // the registry must count the attempt either way.
-                    let _ = txn.commit();
-                }
-            });
-        }
-        let scan_handles: Vec<_> = (0..SCANNERS)
-            .map(|n| {
-                let db = &db;
-                s.spawn(move || {
-                    let mut merged = ScanStats::default();
-                    for _ in 0..SCANS_PER_SCANNER {
-                        let reader = db.snapshot_reader().unwrap();
-                        let (_, stats) = reader
-                            .scan(t)
-                            .range_i64(c, 0, i64::MAX)
-                            .project(&[c])
-                            .parallel(n + 1)
-                            .fold(
-                                0i64,
-                                |a, _, v| a.wrapping_add(v[0].as_int()),
-                                |a, b| a.wrapping_add(b),
-                            )
-                            .unwrap();
-                        merged.merge(&stats);
-                    }
-                    merged
-                })
-            })
-            .collect();
-        // The poller: successive snapshots while the engine is hot.
         let poller = s.spawn(|| {
             let mut prev = db.metrics();
             let mut polls = 0u64;
@@ -129,12 +100,78 @@ fn snapshots_stay_consistent_under_concurrent_load() {
             }
             polls
         });
-        for h in scan_handles {
-            scan_sums.push(h.join().unwrap());
-        }
-        stop.store(true, Ordering::Relaxed);
-        assert!(poller.join().unwrap() > 0, "the poller never sampled");
+        let stop_guard = StopOnDrop(&stop);
+        let out = work();
+        drop(stop_guard);
+        (out, poller.join().unwrap())
+    })
+}
+
+/// Writers, scanners, and a metrics poller in parallel: every snapshot
+/// the poller takes must be monotone w.r.t. the previous one, and the
+/// quiescent end state must satisfy the engine's exact invariants.
+#[test]
+fn snapshots_stay_consistent_under_concurrent_load() {
+    let _serial = obs_serial();
+    let rows = 4_096u32;
+    let config = DbConfig::heterogeneous_serializable()
+        .with_snapshot_every(64)
+        .with_backend(BackendKind::Sim);
+    let (db, t, c) = common::one_col_db(config, rows);
+    let baseline = db.metrics();
+
+    const WRITERS: usize = 3;
+    const COMMITS_PER_WRITER: usize = 400;
+    const SCANNERS: usize = 2;
+    const SCANS_PER_SCANNER: usize = 12;
+
+    let (scan_sums, polls) = poll_while(&db, || {
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let db = &db;
+                s.spawn(move || {
+                    for i in 0..COMMITS_PER_WRITER {
+                        let row = ((w * COMMITS_PER_WRITER + i * 7) % rows as usize) as u32;
+                        let mut txn = db.begin(TxnKind::Oltp);
+                        txn.update_value(t, c, row, Value::Int((w * 1000 + i) as i64))
+                            .unwrap();
+                        // First-updater-wins aborts are part of the workload;
+                        // the registry must count the attempt either way.
+                        let _ = txn.commit();
+                    }
+                });
+            }
+            let scan_handles: Vec<_> = (0..SCANNERS)
+                .map(|n| {
+                    let db = &db;
+                    s.spawn(move || {
+                        let mut merged = ScanStats::default();
+                        for _ in 0..SCANS_PER_SCANNER {
+                            let reader = db.snapshot_reader().unwrap();
+                            let (_, stats) = reader
+                                .scan(t)
+                                .range_i64(c, 0, i64::MAX)
+                                .project(&[c])
+                                .parallel(n + 1)
+                                .fold(
+                                    0i64,
+                                    |a, _, v| a.wrapping_add(v[0].as_int()),
+                                    |a, b| a.wrapping_add(b),
+                                )
+                                .unwrap();
+                            merged.merge(&stats);
+                        }
+                        merged
+                    })
+                })
+                .collect();
+            scan_handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<ScanStats>>()
+        })
     });
+    assert!(polls > 0, "the poller never sampled");
 
     let m = db.metrics();
 
@@ -212,36 +249,15 @@ fn snapshots_stay_consistent_under_concurrent_load() {
 /// oracle replayed.
 #[test]
 fn stress_driver_metrics_stay_consistent() {
+    let _serial = obs_serial();
     let config = DbConfig::heterogeneous_serializable()
         .with_snapshot_every(32)
         .with_backend(BackendKind::Sim);
     let (db, t, c) = common::one_col_db(config, 256);
     let baseline = db.metrics();
 
-    let stop = AtomicBool::new(false);
-    let mut outcome = None;
-    std::thread::scope(|s| {
-        let poller = s.spawn(|| {
-            let mut prev = db.metrics();
-            while !stop.load(Ordering::Relaxed) {
-                let cur = db.metrics();
-                for name in MONOTONE_COUNTERS {
-                    assert!(
-                        counter(&cur, name) >= counter(&prev, name),
-                        "counter `{name}` went backwards under stress"
-                    );
-                }
-                for name in MONOTONE_HISTOGRAMS {
-                    assert!(
-                        hist_count(&cur, name) >= hist_count(&prev, name),
-                        "histogram `{name}` count went backwards under stress"
-                    );
-                }
-                prev = cur;
-                std::thread::yield_now();
-            }
-        });
-        outcome = Some(common::run_commit_stress(
+    let (outcome, _polls) = poll_while(&db, || {
+        common::run_commit_stress(
             &db,
             t,
             c,
@@ -254,11 +270,8 @@ fn stress_driver_metrics_stay_consistent() {
                 repair_rounds: 1,
                 seed: 0xC0FFEE,
             },
-        ));
-        stop.store(true, Ordering::Relaxed);
-        poller.join().unwrap();
+        )
     });
-    let outcome = outcome.unwrap();
 
     let m = db.metrics();
     let attempts =
@@ -286,6 +299,7 @@ fn stress_driver_metrics_stay_consistent() {
 /// snapshot; the two surfaces must agree on the shared quantities.
 #[test]
 fn absorbed_stats_agree_with_their_structs() {
+    let _serial = obs_serial();
     let config = DbConfig::heterogeneous_serializable()
         .with_snapshot_every(8)
         .with_backend(BackendKind::Sim);
@@ -321,4 +335,33 @@ fn absorbed_stats_agree_with_their_structs() {
     for name in ["db_committed_total", "kernel_vm_snapshot_calls_total"] {
         assert!(text.contains(name), "rendered text must list `{name}`");
     }
+}
+
+/// A worker that panics inside `poll_while` must fail the caller with
+/// its message, not park it: the drop guard stops the poller during the
+/// unwind. The helper runs on its own thread so a regression shows up as
+/// a timeout here instead of a hung test binary.
+#[test]
+fn poll_while_returns_when_a_worker_panics() {
+    let (db, _, _) = common::one_col_db(
+        DbConfig::heterogeneous_serializable().with_backend(BackendKind::Sim),
+        16,
+    );
+    let (done, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            poll_while(&db, || {
+                std::thread::scope(|s| {
+                    s.spawn(|| panic!("worker panics on purpose"))
+                        .join()
+                        .unwrap()
+                })
+            })
+        }));
+        let _ = done.send(result.is_err());
+    });
+    let panicked = returned
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("poll_while hung after its worker panicked");
+    assert!(panicked, "the worker's panic must reach the caller");
 }

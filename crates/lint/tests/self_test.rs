@@ -203,7 +203,7 @@ fn clean_fixture_passes_every_check() {
     );
 }
 
-/// The acceptance criterion: the actual workspace is clean, with the full
+/// The acceptance test: the actual workspace is clean, with the full
 /// declared hierarchy loaded and the sync-point registry populated.
 #[test]
 fn workspace_is_clean() {

@@ -59,7 +59,6 @@
 // `anker-lint -- audit` (results/unsafe_audit.json records zero sites).
 #![forbid(unsafe_code)]
 
-pub mod chain_order;
 pub mod commit;
 pub mod predicate;
 pub mod timestamp;

@@ -128,25 +128,3 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The newest-first and oldest-first ablation chains agree with each
-    /// other and with a brute-force oracle on arbitrary histories.
-    #[test]
-    fn chain_orders_agree(
-        n_versions in 1usize..60,
-        probes in proptest::collection::vec(0u64..80, 1..20),
-    ) {
-        use anker_mvcc::chain_order::build_both;
-        let history: Vec<(u64, u64)> =
-            (1..=n_versions as u64).map(|i| (i * 11, i)).collect();
-        let (nf, of) = build_both(&history);
-        for &p in &probes {
-            let expected = history.iter().rev().find(|(_, ts)| *ts <= p).map(|(v, _)| *v);
-            prop_assert_eq!(nf.find(p).0, expected);
-            prop_assert_eq!(of.find(p).0, expected);
-        }
-    }
-}

@@ -24,8 +24,8 @@
 //! `mvcc` and friends can all emit into one registry. The `obs-off`
 //! feature compiles every hot-path operation to an empty inline body
 //! while keeping the API intact — the overhead harness
-//! (`repro_obs --overhead`) builds the engine both ways and records the
-//! delta in `BENCH_obs_overhead.json`.
+//! (`repro obs --overhead`) prints ns/commit for whichever way the engine
+//! was built; the delta between the two builds is the tracer's cost.
 //!
 //! ## Example
 //!

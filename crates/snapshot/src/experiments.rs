@@ -1,6 +1,6 @@
 //! Reusable drivers for the paper's snapshotting micro-benchmarks
-//! (Table 1 and Figure 5). The criterion benches and the `repro_*`
-//! binaries in `anker-bench` both call into these, and the unit tests run
+//! (Table 1 and Figure 5). The `repro` binary in `anker-bench` and the
+//! ledger's probes (`benchmark/`) call into these, and the unit tests run
 //! them at small scale to validate the experimental shapes.
 
 use crate::{

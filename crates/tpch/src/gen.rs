@@ -26,9 +26,10 @@ pub const CUTOFF_1995_06_17: i32 = 1263;
 /// Generator configuration.
 #[derive(Debug, Clone)]
 pub struct TpchConfig {
-    /// TPC-H scale factor: SF 1 ≈ 1.5 M orders / 6 M lineitems / 200 k
-    /// parts. The paper's experiments fit SF ≈ 0.25 (1.5 GB of tables); the
-    /// scaled default here is 0.05.
+    /// Scale factor of this generator, a tenth of TPC-H's row counts: SF 1
+    /// is 150 000 orders rows, ≈ 600 000 lineitem rows (1–7 per order) and
+    /// 200 000 part rows. The paper's experiments fit SF ≈ 0.25 of real
+    /// TPC-H (1.5 GB of tables); the scaled default here is 0.05.
     pub scale_factor: f64,
     /// RNG seed; identical seeds generate identical databases.
     pub seed: u64,

@@ -2,7 +2,7 @@
 //!
 //! Deliberately tiny: a fast non-cryptographic hasher (so we do not need an
 //! external hashing crate), small statistics helpers for the benchmark
-//! harness, a fixed-width table printer used by the `repro_*` binaries to
+//! harness, a fixed-width table printer used by the `repro` binary to
 //! print paper-style result tables, the reusable [`WorkerPool`] behind
 //! morsel-parallel snapshot scans, the [`sched`] deterministic-
 //! interleaving sync points the commit-pipeline race tests drive, and the

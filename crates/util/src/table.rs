@@ -1,6 +1,6 @@
 //! Fixed-width ASCII table printer for the reproduction binaries.
 //!
-//! The `repro_*` binaries print tables shaped like the paper's (e.g. Table 1),
+//! The `repro` binary prints tables shaped like the paper's (e.g. Table 1),
 //! so that `EXPERIMENTS.md` can show paper-vs-measured side by side.
 
 /// Incrementally builds an aligned ASCII table.
