@@ -130,10 +130,7 @@ fn mode_bench(args: &Args) {
                 think_us: 0.0,
             },
         );
-        let (syncs, commits) = res
-            .wal
-            .map(|w| (w.syncs, w.commit_records))
-            .unwrap_or((0, 0));
+        let (syncs, commits) = (res.wal_syncs, res.wal_commit_records);
         let batching = if syncs > 0 {
             commits as f64 / syncs as f64
         } else {

@@ -12,9 +12,9 @@
 //! * `--prom` — additionally dump the full Prometheus text exposition.
 //! * `--trace` — additionally write the Chrome-tracing span journal to
 //!   `results/obs_trace.json` (load in `chrome://tracing` / Perfetto).
-//! * `--audit` — regenerate `METRICS.md` from the metric manifest
-//!   ([`anker_core::obs_register_all`]) and exit; CI diffs the result
-//!   against the committed file so metric renames/removals are loud.
+//! * `--audit` — regenerate `METRICS.md` from the registry of a freshly
+//!   booted database and exit; CI diffs the result against the committed
+//!   file so metric renames/removals are loud.
 //! * `--overhead` — measure the tracer's commit-path cost: a
 //!   single-threaded commit loop whose ns/commit is printed as
 //!   `obs_on_ns_per_commit` or (when built with `--features obs-off`)
@@ -23,7 +23,9 @@
 
 use anker_bench::args::{host_cpus, repo_root, write_results_file, RunScale};
 use anker_core::obs::{HistogramSnapshot, MetricValue, MetricsSnapshot, BUCKETS};
-use anker_core::{AnkerDb, ColumnDef, DbConfig, DurabilityLevel, LogicalType, Schema, TxnKind};
+use anker_core::{
+    AnkerDb, BackendKind, ColumnDef, DbConfig, DurabilityLevel, LogicalType, Schema, TxnKind,
+};
 use anker_tpch::driver::{run_htap, run_workload, HtapConfig, WorkloadConfig};
 use anker_tpch::{gen, TpchConfig};
 use anker_util::TableBuilder;
@@ -226,61 +228,38 @@ fn hist_row(table: &mut TableBuilder, m: &MetricsSnapshot, name: &str) {
 }
 
 // ---------------------------------------------------------------------
-// --audit: regenerate METRICS.md from the manifest
+// --audit: regenerate METRICS.md from a booted database's registry
 // ---------------------------------------------------------------------
 
 fn run_audit() {
-    // The manifest registers first, so its helps are canonical for the
-    // generated file (the registry is first-wins).
-    anker_core::obs_register_all();
-    // A durability-enabled database absorbs the `db_*`, `kernel_*`, and
-    // `wal_*` namespaces through `AnkerDb::metrics`; the values are
-    // irrelevant (only names/kinds/helps are emitted).
+    // Every metric exists from boot, so nothing has to run: the OS
+    // backend brings the `os_*` namespace, the durability directory
+    // `wal_*`, the first column `mvcc_*` (values are irrelevant — only
+    // names, kinds and helps are emitted).
     let dir = std::env::temp_dir().join(format!("anker-obs-audit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = AnkerDb::new(
         DbConfig::heterogeneous_serializable()
             .with_gc_interval(None)
+            .with_backend(BackendKind::Os)
             .with_durability(DurabilityLevel::Buffered)
             .with_durability_dir(&dir),
     );
-    let mut m = db.metrics();
-    // The `os_*` namespace only exists on the Linux OS backend; register
-    // it by hand so METRICS.md is identical on every platform. Helps must
-    // match the absorb site in `anker-core`'s `AnkerDb::metrics`.
-    m.set_counter(
-        "os_snapshots_total",
-        "vm_snapshot rewires served by the OS backend",
-        0,
+    db.create_table(
+        "t",
+        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+        1,
     );
-    m.set_counter(
-        "os_recycled_total",
-        "OS-backend snapshots that reused a caller-provided destination",
-        0,
-    );
-    m.set_counter("os_cow_copies_total", "Copy-on-write block splits", 0);
-    m.set_counter(
-        "os_cow_reclaims_total",
-        "Copy-on-write blocks folded back on unmap",
-        0,
-    );
-    m.set_counter(
-        "os_huge_page_advices_total",
-        "MADV_HUGEPAGE hints issued",
-        0,
-    );
-    m.set_counter(
-        "os_sequential_advices_total",
-        "MADV_SEQUENTIAL hints issued",
-        0,
-    );
+    let m = db.metrics();
     let mut md = String::from(
         "# Metrics\n\n\
          Every metric the engine can emit, by name. **Generated** by\n\
-         `cargo run -p anker-bench --bin repro -- obs --audit` from the metric\n\
-         manifest (`anker_core::obs_register_all`) plus the namespaces\n\
-         `AnkerDb::metrics` absorbs from the legacy stats structs — do not edit\n\
-         by hand; CI fails when this file drifts from the registry.\n\n\
+         `cargo run -p anker-bench --bin repro -- obs --audit` from\n\
+         `AnkerDb::metrics()` of a freshly booted database (OS backend plus a\n\
+         durability directory, so every namespace is present) — do not edit by\n\
+         hand; CI fails when this file drifts from the registry. Every value is\n\
+         per database; `os_*` and `kernel_*` are the two ledgers `anker-vmem`\n\
+         keeps itself and `metrics()` folds in.\n\n\
          Span-derived `*_ns` histograms use log\u{2082} buckets (see\n\
          `crates/obs`); `render_text` exposes them in Prometheus exposition\n\
          format, `render_json` as one JSON document.\n\n\

@@ -85,7 +85,7 @@ pub struct DbConfig {
     /// (fewer TLB misses on large scans; whether the hint is honoured
     /// depends on the system's shmem THP policy). Defaults to the
     /// `ANKER_HUGE_PAGES=1` environment variable; ignored by the
-    /// simulated backend. `OsStats::huge_page_advices` counts the hints
+    /// simulated backend. `os_huge_page_advices_total` counts the hints
     /// actually issued.
     pub os_huge_pages: bool,
     /// Run scan predicates through the pre-vectorized row-at-a-time

@@ -4,6 +4,7 @@
 use crate::config::{BackendKind, DbConfig, ProcessingMode};
 use crate::durability::DuraState;
 use crate::error::Result;
+use crate::metrics::Metrics;
 use crate::reader::SnapshotReader;
 use crate::snapman::{Epoch, SnapshotManager};
 use crate::table::{ColumnState, TableId, TableState};
@@ -13,7 +14,7 @@ use anker_mvcc::{ActiveTxns, RecentCommits, TsOracle, VersionedColumn};
 use anker_storage::{ColumnArea, Schema};
 use anker_util::lockcheck::{self, classes};
 use anker_util::{sched, WorkerPool};
-use anker_vmem::{Kernel, OsBackend, OsStatsSnapshot, Space, VmBackend};
+use anker_vmem::{Kernel, OsBackend, Space, VmBackend};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -110,44 +111,6 @@ impl Drop for CommitGuard<'_> {
     }
 }
 
-/// Monotonic database statistics.
-#[derive(Debug, Default)]
-pub(crate) struct DbStats {
-    pub committed: AtomicU64,
-    pub committed_read_only: AtomicU64,
-    pub aborted_ww: AtomicU64,
-    pub aborted_validation: AtomicU64,
-    pub repaired_commits: AtomicU64,
-    pub repair_rounds: AtomicU64,
-    pub gc_passes: AtomicU64,
-    pub versions_collected: AtomicU64,
-}
-
-/// A point-in-time copy of the database statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbStatsSnapshot {
-    pub committed: u64,
-    pub committed_read_only: u64,
-    pub aborted_ww: u64,
-    pub aborted_validation: u64,
-    /// Transactions that failed validation at least once and then
-    /// committed through the bounded conflict-repair path.
-    pub repaired_commits: u64,
-    /// Total repair rounds run across all transactions.
-    pub repair_rounds: u64,
-    pub gc_passes: u64,
-    pub versions_collected: u64,
-    pub epochs_triggered: u64,
-    pub epochs_retired: u64,
-    pub columns_materialized: u64,
-    pub live_epochs: u64,
-    /// Simulated-kernel cost counters (mmap/mprotect/vm_snapshot calls,
-    /// faults, PTE/page copies, virtual nanoseconds). Previously only
-    /// reachable through [`AnkerDb::kernel`]; all zeros on the OS backend,
-    /// whose real-kernel counters are in [`AnkerDb::os_stats`].
-    pub kernel: anker_vmem::KernelStats,
-}
-
 /// A stoppable background thread (GC, checkpointer): a stop flag +
 /// condvar pair and the join handle.
 struct BgThread {
@@ -235,7 +198,11 @@ pub(crate) struct DbInner {
     /// install path is lock-free, so its cadence lives here).
     pub prune_tick: AtomicU64,
     pub snapman: SnapshotManager,
-    pub stats: DbStats,
+    /// This database's metric registry: every engine event is counted
+    /// here and nowhere else ([`AnkerDb::metrics`] snapshots it).
+    pub registry: obs::Registry,
+    /// The handles `anker-core` bumps, resolved in `registry` at boot.
+    pub m: Arc<Metrics>,
     /// The reusable worker pool behind morsel-parallel reader scans,
     /// created on first use and grown (replaced) when a scan asks for
     /// more threads than it has. See [`AnkerDb::scan_pool`].
@@ -327,10 +294,13 @@ impl AnkerDb {
             ),
         };
         let active = Arc::new(ActiveTxns::new());
+        let registry = obs::Registry::new();
+        let m = Arc::new(Metrics::new(&registry));
         let snapman = SnapshotManager::new(
             Arc::clone(&backend),
             Arc::clone(&active),
             config.recycle_snapshot_areas,
+            Arc::clone(&m),
         );
         let inner = Arc::new(DbInner {
             kernel,
@@ -343,7 +313,8 @@ impl AnkerDb {
             commit_mx: CommitLock::new(),
             prune_tick: AtomicU64::new(0),
             snapman,
-            stats: DbStats::default(),
+            registry,
+            m,
             scan_pool: Mutex::new(None),
             gc: Mutex::new(None),
             dura: OnceLock::new(),
@@ -435,7 +406,10 @@ impl AnkerDb {
             .map(|(_, def)| {
                 let area = ColumnArea::alloc_on(Arc::clone(&self.inner.backend), rows)
                     .expect("column allocation failed (backing memory exhausted)");
-                ColumnState::new(VersionedColumn::new(rows, def.ty), area)
+                ColumnState::new(
+                    VersionedColumn::new_in(rows, def.ty, &self.inner.registry),
+                    area,
+                )
             })
             .collect();
         let state = Arc::new(TableState {
@@ -689,106 +663,20 @@ impl AnkerDb {
         }
     }
 
-    /// Counters of the real-OS memory backend (`None` on the simulated
-    /// kernel): snapshots served, copy-on-write splits/reclaims, and the
-    /// `madvise` hints issued for huge pages and sequential scans.
-    pub fn os_stats(&self) -> Option<OsStatsSnapshot> {
-        self.inner.backend.os_stats()
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> DbStatsSnapshot {
-        let s = &self.inner.stats;
-        let o = Ordering::Relaxed;
-        DbStatsSnapshot {
-            committed: s.committed.load(o),
-            committed_read_only: s.committed_read_only.load(o),
-            aborted_ww: s.aborted_ww.load(o),
-            aborted_validation: s.aborted_validation.load(o),
-            repaired_commits: s.repaired_commits.load(o),
-            repair_rounds: s.repair_rounds.load(o),
-            gc_passes: s.gc_passes.load(o),
-            versions_collected: s.versions_collected.load(o),
-            epochs_triggered: self.inner.snapman.stats.epochs_triggered.load(o),
-            epochs_retired: self.inner.snapman.stats.epochs_retired.load(o),
-            columns_materialized: self.inner.snapman.stats.columns_materialized.load(o),
-            live_epochs: self.inner.snapman.live_epochs() as u64,
-            kernel: self.inner.kernel.stats(),
-        }
-    }
-
-    /// The unified observability surface: every metric the `obs` registry
-    /// has seen so far — commit-stage and snapshot histograms, scan and
-    /// GC counters, span-derived `*_ns` distributions — plus the legacy
-    /// stats structs absorbed as namespaced values (`db_*`, `kernel_*`,
-    /// and `os_*`/`wal_*` when the OS backend / a durability directory is
-    /// in play). Render with [`obs::MetricsSnapshot::render_text`]
-    /// (Prometheus exposition) or
+    /// The observability surface: a point-in-time copy of this database's
+    /// own metric registry — every `db_*`, `commit_*`, `snapshot_*`,
+    /// `scan_*`, `mvcc_*` and (with a durability directory) `wal_*`
+    /// counter and gauge plus the span-derived `*_ns` histograms, each
+    /// counted once, here, by the layer the event happens in. Two
+    /// databases in one process never see each other's values. The only
+    /// values folded in at snapshot time are the two ledgers `anker-vmem`
+    /// keeps for itself: `kernel_*` (the simulated kernel, all zeros on
+    /// the OS backend) and `os_*` (the OS backend only). Render with
+    /// [`obs::MetricsSnapshot::render_text`] (Prometheus exposition) or
     /// [`obs::MetricsSnapshot::render_json`].
     pub fn metrics(&self) -> obs::MetricsSnapshot {
-        let mut m = obs::snapshot();
-        let s = self.stats();
-        m.set_counter(
-            "db_committed_total",
-            "Committed read-write transactions",
-            s.committed,
-        );
-        m.set_counter(
-            "db_committed_read_only_total",
-            "Committed read-only transactions",
-            s.committed_read_only,
-        );
-        m.set_counter(
-            "db_aborted_ww_total",
-            "Transactions aborted on a write-write conflict",
-            s.aborted_ww,
-        );
-        m.set_counter(
-            "db_aborted_validation_total",
-            "Transactions aborted in read-set validation",
-            s.aborted_validation,
-        );
-        m.set_counter(
-            "db_repaired_commits_total",
-            "Transactions that committed through conflict repair",
-            s.repaired_commits,
-        );
-        m.set_counter(
-            "db_repair_rounds_total",
-            "Conflict-repair rounds run across all transactions",
-            s.repair_rounds,
-        );
-        m.set_counter(
-            "db_gc_passes_total",
-            "Garbage-collection passes",
-            s.gc_passes,
-        );
-        m.set_counter(
-            "db_versions_collected_total",
-            "Version-chain entries reclaimed by GC",
-            s.versions_collected,
-        );
-        m.set_counter(
-            "db_epochs_triggered_total",
-            "Snapshot epochs registered",
-            s.epochs_triggered,
-        );
-        m.set_counter(
-            "db_epochs_retired_total",
-            "Snapshot epochs retired",
-            s.epochs_retired,
-        );
-        m.set_counter(
-            "db_columns_materialized_total",
-            "Columns frozen into an epoch via vm_snapshot",
-            s.columns_materialized,
-        );
-        m.set_gauge(
-            "db_live_epochs",
-            "Snapshot epochs currently live",
-            s.live_epochs as i64,
-        );
-        let k = &s.kernel;
+        let mut m = self.inner.registry.snapshot();
+        let k = self.inner.kernel.stats();
         const KERNEL: [(&str, &str); 14] = [
             (
                 "kernel_virtual_ns",
@@ -836,7 +724,7 @@ impl AnkerDb {
         for ((name, help), v) in KERNEL.iter().zip(kernel_vals) {
             m.set_counter(name, help, v);
         }
-        if let Some(os) = self.os_stats() {
+        if let Some(os) = self.inner.backend.os_stats() {
             m.set_counter(
                 "os_snapshots_total",
                 "vm_snapshot rewires served by the OS backend",
@@ -868,43 +756,13 @@ impl AnkerDb {
                 os.sequential_advices,
             );
         }
-        if let Some(w) = self.wal_stats() {
-            m.set_counter(
-                "wal_appends_total",
-                "WAL records appended (all kinds)",
-                w.appends,
-            );
-            m.set_counter(
-                "wal_commit_records_total",
-                "Commit records appended",
-                w.commit_records,
-            );
-            m.set_counter(
-                "wal_bytes_appended_total",
-                "WAL frame bytes appended",
-                w.bytes_appended,
-            );
-            m.set_counter(
-                "wal_syncs_total",
-                "fdatasync calls issued (commit_records/syncs = group-commit batching)",
-                w.syncs,
-            );
-            m.set_counter(
-                "wal_segments_created_total",
-                "WAL segments created",
-                w.segments_created,
-            );
-            m.set_counter(
-                "wal_segments_retired_total",
-                "WAL segments deleted by checkpoint truncation",
-                w.segments_retired,
-            );
-        }
         m
     }
 
     /// Dump the per-thread span journals as Chrome-tracing JSON (load in
-    /// `chrome://tracing` or Perfetto). Ring buffers hold the most recent
+    /// `chrome://tracing` or Perfetto). Unlike [`AnkerDb::metrics`] the
+    /// journal is process-wide: a thread's ring holds its spans whichever
+    /// database they were for. Ring buffers hold the most recent
     /// [`ANKER_OBS_RING`](obs) events per thread, so this is a tail, not a
     /// full history; each thread reports how many events it overwrote.
     pub fn trace_dump(&self) -> String {
@@ -1004,7 +862,7 @@ impl AnkerDb {
     pub fn run_gc_once(&self) -> u64 {
         // Whole-pass latency, commit-lock wait and quiesce spin included —
         // that wait is the cost OLTP actually pays for a GC pass.
-        let _obs_gc = obs::span!("gc_pass");
+        let _obs_gc = obs::SpanGuard::new(&self.inner.m.gc_pass);
         let _cs = self.lock_commit();
         let quiesce = self.inner.config.mode == ProcessingMode::Homogeneous;
         if quiesce {
@@ -1039,11 +897,7 @@ impl AnkerDb {
         }
         self.inner.recent.prune(min);
         self.inner.snapman.graveyard.drain(min);
-        self.inner.stats.gc_passes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .versions_collected
-            .fetch_add(removed, Ordering::Relaxed);
+        self.inner.m.gc_passes.inc();
         removed
     }
 

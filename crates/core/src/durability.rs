@@ -45,7 +45,7 @@ use crate::error::{DbError, Result};
 use crate::table::{TableId, TableState};
 use anker_dura::{
     checkpoint, replay_dir, ColumnMeta, DuraError, DurabilityLevel, TableMeta, Wal, WalRecord,
-    WalStatsSnapshot, WalWrite, TY_DATE, TY_DICT, TY_DOUBLE, TY_INT,
+    WalWrite, TY_DATE, TY_DICT, TY_DOUBLE, TY_INT,
 };
 use anker_storage::{ColumnDef, Dictionary, LogicalType, Schema};
 use parking_lot::Mutex;
@@ -304,7 +304,7 @@ pub(crate) fn boot_durable(db: &AnkerDb) -> Result<()> {
     db.inner.oracle.advance_to(report.last_commit_ts);
 
     // 4. Attach the log for new appends (this also repairs a torn tail).
-    let wal = Wal::open(&dir)?;
+    let wal = Wal::open_in(&dir, &db.inner.registry)?;
     let state = Arc::new(DuraState {
         wal,
         level: db.config().durability,
@@ -344,13 +344,6 @@ impl AnkerDb {
     /// non-durable database, the [`RecoveryReport`] otherwise.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         *self.inner.recovery.lock()
-    }
-
-    /// Point-in-time WAL counters (`None` without a durability
-    /// directory). `commit_records / syncs` is the group-commit batching
-    /// factor.
-    pub fn wal_stats(&self) -> Option<WalStatsSnapshot> {
-        self.inner.dura.get().map(|d| d.wal.stats())
     }
 
     /// Write a checkpoint **now** and truncate the WAL up to its epoch

@@ -62,7 +62,7 @@ pub mod db;
 pub mod durability;
 pub mod error;
 pub(crate) mod kernels;
-pub mod obs_manifest;
+mod metrics;
 pub mod reader;
 pub mod scan;
 pub mod snapman;
@@ -70,20 +70,19 @@ pub mod table;
 pub mod txn;
 
 pub use config::{BackendKind, DbConfig, ProcessingMode};
-pub use db::{AnkerDb, CommitState, DbStatsSnapshot};
+pub use db::{AnkerDb, CommitState};
 pub use durability::RecoveryReport;
 pub use error::{AbortReason, DbError, Result};
-pub use obs_manifest::obs_register_all;
 pub use reader::SnapshotReader;
 pub use scan::{ReaderScanBuilder, ScanBuilder, ScanPartition};
 pub use table::TableId;
 pub use txn::{RepairConflict, Txn, TxnKind};
 
 // Re-export the pieces users need to talk to the API.
-pub use anker_dura::{DurabilityLevel, WalStatsSnapshot};
+pub use anker_dura::DurabilityLevel;
 pub use anker_mvcc::{FilterSel, IsolationLevel, ScanStats, TRACKED_FILTERS};
 pub use anker_storage::{ColumnDef, ColumnId, Dictionary, LogicalType, Schema, Value};
-pub use anker_vmem::{KernelStats, OsStatsSnapshot};
+pub use anker_vmem::KernelStats;
 
 /// The observability crate, re-exported so `AnkerDb::metrics` callers can
 /// name [`obs::MetricsSnapshot`] and the render functions without adding

@@ -49,6 +49,7 @@
 
 use crate::error::Result;
 use crate::kernels::{AdaptiveOrder, Filter, FilterKind, SelVec};
+use crate::metrics::Metrics;
 use crate::reader::SnapshotReader;
 use crate::snapman::SnapCol;
 use crate::table::{TableId, TableState};
@@ -317,7 +318,8 @@ impl<'t> ScanBuilder<'t> {
             ..ScanStats::default()
         };
         // A sequential scan is one morsel for the tracer too.
-        let obs_tok = obs::span_begin(obs::stage!("scan_morsel"));
+        let m = Arc::clone(&txn.db.inner.m);
+        let obs_tok = obs::span_begin(&m.scan_morsel);
         let count = if txn.epoch.is_some() {
             Self::run_snapshot(txn, table, spec, sink, &mut stats)
         } else {
@@ -327,7 +329,7 @@ impl<'t> ScanBuilder<'t> {
         let count = count?;
         stats.morsels += 1;
         txn.scan_stats.merge(&stats);
-        note_scan_stats(&stats);
+        note_scan_stats(&m, &stats);
         Ok((count, stats))
     }
 
@@ -948,6 +950,7 @@ impl<'r> ReaderScanBuilder<'r> {
             let end = ((block + take) * BLOCK_ROWS).min(rows);
             out.push(ScanPartition {
                 core: Arc::clone(&core),
+                m: Arc::clone(&self.reader.db().inner.m),
                 start: start.min(rows),
                 end,
             });
@@ -970,6 +973,7 @@ pub struct ScanPartition {
     // The core owns the epoch pin, so the partition keeps the epoch
     // pinned transitively for as long as it lives.
     core: Arc<FrozenScanCore>,
+    m: Arc<Metrics>,
     start: u32,
     end: u32,
 }
@@ -997,11 +1001,11 @@ impl ScanPartition {
             ..ScanStats::default()
         };
         let mut cursor = FrozenCursor::new(&self.core);
-        let obs_tok = obs::span_begin(obs::stage!("scan_morsel"));
+        let obs_tok = obs::span_begin(&self.m.scan_morsel);
         let res = cursor.run_range(self.start, self.end, &mut f, &mut stats);
         obs::span_end(obs_tok);
         res?;
-        note_scan_stats(&stats);
+        note_scan_stats(&self.m, &stats);
         Ok(stats)
     }
 
@@ -1015,11 +1019,11 @@ impl ScanPartition {
             ..ScanStats::default()
         };
         let mut cursor = FrozenCursor::new(&self.core);
-        let obs_tok = obs::span_begin(obs::stage!("scan_morsel"));
+        let obs_tok = obs::span_begin(&self.m.scan_morsel);
         let res = cursor.count_range(self.start, self.end, &mut stats);
         obs::span_end(obs_tok);
         let n = res?;
-        note_scan_stats(&stats);
+        note_scan_stats(&self.m, &stats);
         Ok((n, stats))
     }
 }
@@ -1046,6 +1050,7 @@ fn run_morsels<A: Send>(
         (0..n_morsels).map(|_| Mutex::new(None)).collect();
     let error: Mutex<Option<crate::error::DbError>> = Mutex::new(None);
     let failed = std::sync::atomic::AtomicBool::new(false);
+    let metrics = &*reader.db().inner.m;
     let worker = |_seat: usize| {
         let mut cursor = FrozenCursor::new(core);
         loop {
@@ -1068,7 +1073,7 @@ fn run_morsels<A: Send>(
                 morsels: 1,
                 ..ScanStats::default()
             };
-            let obs_tok = obs::span_begin(obs::stage!("scan_morsel"));
+            let obs_tok = obs::span_begin(&metrics.scan_morsel);
             let res = run(&mut cursor, start, end, &mut stats);
             obs::span_end(obs_tok);
             match res {
@@ -1102,52 +1107,24 @@ fn run_morsels<A: Send>(
         stats.merge(&morsel_stats);
         accs.push(acc);
     }
-    note_scan_stats(&stats);
+    note_scan_stats(metrics, &stats);
     Ok((accs, stats))
 }
 
-/// Fold a finished scan's merged [`ScanStats`] into the process-wide
-/// metric registry. Called once per completed scan (sequential `execute`,
-/// the morsel-parallel driver, and explicit [`ScanPartition`] runs), so
-/// the counters stay bit-identical across thread counts — the same
-/// invariant the per-scan stats already keep.
-fn note_scan_stats(stats: &ScanStats) {
-    obs::counter!("scan_morsels_total", "Morsels processed across all scans").add(stats.morsels);
-    obs::counter!(
-        "scan_tight_rows_total",
-        "Rows delivered through the tight (unchecked) scan path"
-    )
-    .add(stats.tight_rows);
-    obs::counter!(
-        "scan_checked_rows_total",
-        "Rows that went through per-row visibility checks"
-    )
-    .add(stats.checked_rows);
-    obs::counter!(
-        "scan_chain_walks_total",
-        "Rows whose value came from a version-chain walk"
-    )
-    .add(stats.chain_walks);
-    obs::counter!(
-        "scan_blocks_skipped_total",
-        "Blocks pruned wholesale by zone maps"
-    )
-    .add(stats.blocks_skipped);
-    obs::counter!(
-        "scan_rows_filtered_total",
-        "Rows read and then eliminated by pushed-down predicates"
-    )
-    .add(stats.rows_filtered);
-    obs::counter!(
-        "scan_vector_blocks_total",
-        "Blocks filtered through the selection-vector kernels"
-    )
-    .add(stats.vector_blocks);
-    obs::counter!(
-        "scan_dense_blocks_total",
-        "Blocks the zone maps proved all-match (no selection vector)"
-    )
-    .add(stats.dense_blocks);
+/// Fold a finished scan's merged [`ScanStats`] into the database's
+/// `scan_*` counters. Called once per completed scan (sequential
+/// `execute`, the morsel-parallel driver, and explicit [`ScanPartition`]
+/// runs), so the counters stay bit-identical across thread counts — the
+/// same invariant the per-scan stats already keep.
+fn note_scan_stats(m: &Metrics, stats: &ScanStats) {
+    m.scan_morsels.add(stats.morsels);
+    m.scan_tight_rows.add(stats.tight_rows);
+    m.scan_checked_rows.add(stats.checked_rows);
+    m.scan_chain_walks.add(stats.chain_walks);
+    m.scan_blocks_skipped.add(stats.blocks_skipped);
+    m.scan_rows_filtered.add(stats.rows_filtered);
+    m.scan_vector_blocks.add(stats.vector_blocks);
+    m.scan_dense_blocks.add(stats.dense_blocks);
 }
 
 /// Reads filter/projection column `idx`'s current block into `buf`

@@ -23,6 +23,7 @@
 //! is the capability token); pin/unpin only takes the epoch list mutex.
 
 use crate::db::CommitState;
+use crate::metrics::Metrics;
 use crate::table::{ColumnState, TableState};
 use anker_mvcc::ActiveTxns;
 use anker_storage::ColumnArea;
@@ -68,9 +69,9 @@ impl Drop for SnapCol {
 }
 
 /// Retired snapshot areas awaiting a safe point to unmap.
-#[derive(Default)]
 pub(crate) struct Graveyard {
     pending: Mutex<Vec<(u64, ColumnArea)>>,
+    m: Arc<Metrics>,
 }
 
 impl Graveyard {
@@ -94,20 +95,9 @@ impl Graveyard {
                 true
             }
         });
-        let unmapped = (before - pending.len()) as u64;
-        if unmapped > 0 {
-            obs::counter!(
-                "snapshot_graveyard_unmapped_total",
-                "Retired snapshot areas unmapped once the active-transaction horizon passed them"
-            )
-            .add(unmapped);
-        }
-    }
-
-    /// Number of areas awaiting unmap (diagnostics).
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.pending.lock().len()
+        self.m
+            .graveyard_unmapped
+            .add((before - pending.len()) as u64);
     }
 }
 
@@ -115,18 +105,14 @@ impl Graveyard {
 /// destination recycling (§4.1.3), keyed by mapped size and tagged with the
 /// swap timestamp (a recycled destination is overwritten in place, which is
 /// as hazardous for stale readers as unmapping — the same horizon applies).
-#[derive(Default)]
 pub(crate) struct SpareAreas {
     by_size: Mutex<FxHashMap<u64, Vec<(u64, ColumnArea)>>>,
+    m: Arc<Metrics>,
 }
 
 impl SpareAreas {
     fn park(&self, swap_ts: u64, area: ColumnArea) {
-        obs::counter!(
-            "snapshot_spare_parked_total",
-            "Retired snapshot areas parked for vm_snapshot destination recycling"
-        )
-        .inc();
+        self.m.spare_parked.inc();
         self.by_size
             .lock()
             .entry(area.mapped_bytes())
@@ -167,14 +153,6 @@ impl Epoch {
         self.cols.lock().get(&key).cloned()
     }
 
-    /// Current pin count (OLAP transactions running on this epoch).
-    #[allow(dead_code)]
-    pub fn pins(&self) -> u64 {
-        // ORDERING: Acquire pairs with the AcqRel pin/unpin RMWs so an
-        // observer of the count also sees the pinner's prior work.
-        self.pins.load(Ordering::Acquire)
-    }
-
     /// Whether a write bypassed this epoch (see field docs).
     pub fn is_damaged(&self) -> bool {
         // ORDERING: Acquire pairs with `note_write`'s Release store, so a
@@ -183,12 +161,12 @@ impl Epoch {
     }
 }
 
-/// Snapshot-manager statistics (all monotonic).
-#[derive(Debug, Default)]
-pub(crate) struct SnapStats {
-    pub epochs_triggered: AtomicU64,
-    pub epochs_retired: AtomicU64,
-    pub columns_materialized: AtomicU64,
+/// An epoch timestamp as the settled-markers store it: shifted by one so
+/// that 0 means "no epoch" / "never settled" and an epoch cut at
+/// timestamp 0 (an OLAP arrival before the first commit) is a mark of its
+/// own.
+fn epoch_mark(ts: u64) -> u64 {
+    ts + 1
 }
 
 pub(crate) struct SnapshotManager {
@@ -198,12 +176,13 @@ pub(crate) struct SnapshotManager {
     active: Arc<ActiveTxns>,
     /// Live epochs in ascending timestamp order; the last one is newest.
     epochs: lockcheck::Mutex<Vec<Arc<Epoch>>>,
-    /// Timestamp of the newest epoch (0 = none). Lock-free mirror for the
-    /// commit path's materialisation fast-path check.
-    pub newest_ts: AtomicU64,
+    /// [`epoch_mark`] of the newest epoch (0 = no epoch yet). Lock-free
+    /// mirror for the commit path's fast-path check
+    /// ([`SnapshotManager::write_is_settled`]).
+    newest_mark: AtomicU64,
     pub graveyard: Arc<Graveyard>,
     spare: Option<Arc<SpareAreas>>,
-    pub stats: SnapStats,
+    m: Arc<Metrics>,
 }
 
 impl SnapshotManager {
@@ -211,22 +190,25 @@ impl SnapshotManager {
         backend: Arc<dyn VmBackend>,
         active: Arc<ActiveTxns>,
         recycle: bool,
+        m: Arc<Metrics>,
     ) -> SnapshotManager {
         SnapshotManager {
             backend,
             active,
             epochs: lockcheck::Mutex::new(&classes::SNAP_EPOCHS, 0, Vec::new()),
-            newest_ts: AtomicU64::new(0),
-            graveyard: Arc::<Graveyard>::default(),
-            spare: recycle.then(Arc::<SpareAreas>::default),
-            stats: SnapStats::default(),
+            newest_mark: AtomicU64::new(0),
+            graveyard: Arc::new(Graveyard {
+                pending: Mutex::default(),
+                m: Arc::clone(&m),
+            }),
+            spare: recycle.then(|| {
+                Arc::new(SpareAreas {
+                    by_size: Mutex::default(),
+                    m: Arc::clone(&m),
+                })
+            }),
+            m,
         }
-    }
-
-    /// The newest epoch, if any.
-    #[allow(dead_code)]
-    pub fn newest(&self) -> Option<Arc<Epoch>> {
-        self.epochs.lock().last().cloned()
     }
 
     /// Register a new epoch at `ts` (commit section only) and retire
@@ -244,10 +226,10 @@ impl SnapshotManager {
         debug_assert!(epochs.last().map(|e| e.ts <= ts).unwrap_or(true));
         epochs.push(Arc::clone(&epoch));
         // ORDERING: Release pairs with the Acquire load in `note_write`'s
-        // fast-path marker — seeing the new timestamp implies the epoch is
+        // fast-path marker — seeing the new mark implies the epoch is
         // already in the list.
-        self.newest_ts.store(ts, Ordering::Release);
-        self.stats.epochs_triggered.fetch_add(1, Ordering::Relaxed);
+        self.newest_mark.store(epoch_mark(ts), Ordering::Release);
+        self.m.epochs_triggered.inc();
         self.retire_locked(&mut epochs);
         epoch
     }
@@ -272,7 +254,7 @@ impl SnapshotManager {
         // everything every past pinner did, and a pinner sees the epoch
         // fully published.
         newest.pins.fetch_add(1, Ordering::AcqRel);
-        note_epoch_pin();
+        self.note_epoch_pin();
         Some(Arc::clone(newest))
     }
 
@@ -283,7 +265,15 @@ impl SnapshotManager {
         let _order = self.epochs.lock();
         // ORDERING: AcqRel, same pin protocol as `pin_newest_fresh`.
         epoch.pins.fetch_add(1, Ordering::AcqRel);
-        note_epoch_pin();
+        self.note_epoch_pin();
+    }
+
+    /// Pin accounting shared by [`SnapshotManager::pin_newest_fresh`] and
+    /// [`SnapshotManager::pin_epoch`]; the matching gauge decrement lives
+    /// in [`SnapshotManager::unpin`].
+    fn note_epoch_pin(&self) {
+        self.m.epoch_pins.inc();
+        self.m.epochs_pinned.inc();
     }
 
     /// Unpin an epoch (OLAP transaction end); retires it if superseded and
@@ -295,11 +285,7 @@ impl SnapshotManager {
         // decrement.
         let prev = epoch.pins.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "unpin without pin");
-        obs::gauge!(
-            "snapshot_epochs_pinned",
-            "OLAP pins currently held across all live epochs"
-        )
-        .dec();
+        self.m.epochs_pinned.dec();
         let mut epochs = self.epochs.lock();
         self.retire_locked(&mut epochs);
     }
@@ -308,30 +294,17 @@ impl SnapshotManager {
     /// always stays (it serves the next OLAP arrival).
     fn retire_locked(&self, epochs: &mut Vec<Arc<Epoch>>) {
         let n = epochs.len();
-        if n <= 1 {
-            return;
-        }
-        let mut retired = 0u64;
         // ORDERING: Acquire pairs with `unpin`'s AcqRel decrement — a zero
         // count means every reader's accesses happened-before this drop.
-        for i in (0..n - 1).rev() {
+        for i in (0..n.saturating_sub(1)).rev() {
             if epochs[i].pins.load(Ordering::Acquire) == 0 {
                 // Dropping the epoch drops its SnapCol arcs; the last arc
                 // unmaps (or parks) each area.
                 epochs.remove(i);
-                retired += 1;
             }
         }
-        if retired > 0 {
-            self.stats
-                .epochs_retired
-                .fetch_add(retired, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of live epochs.
-    pub fn live_epochs(&self) -> usize {
-        self.epochs.lock().len()
+        self.m.epochs_retired.add((n - epochs.len()) as u64);
+        self.m.live_epochs.set(epochs.len() as i64);
     }
 
     /// Handle an imminent write to `(table_id, col_id)` (commit section
@@ -376,12 +349,23 @@ impl SnapshotManager {
         // epoch (either materialised or the epoch is damaged).
         // ORDERING: the Acquire load pairs with `trigger_epoch`'s Release;
         // the Release store pairs with the commit path's Acquire check of
-        // `snapshot_ts`, which must also see the settled epoch state.
+        // `snapshot_mark`, which must also see the settled epoch state.
         table
             .col(col_id as usize)
-            .snapshot_ts
-            .store(self.newest_ts.load(Ordering::Acquire), Ordering::Release);
+            .snapshot_mark
+            .store(self.newest_mark.load(Ordering::Acquire), Ordering::Release);
         Ok(())
+    }
+
+    /// Commit fast path: whether a write to `col` may skip
+    /// [`SnapshotManager::note_write`] — no epoch exists yet, or the column
+    /// is already settled (materialised or damage-marked) for the newest.
+    pub fn write_is_settled(&self, col: &ColumnState) -> bool {
+        // ORDERING: both Acquire loads pair with the Release stores in
+        // `trigger_epoch`, `note_write` and `materialize_column`, so a
+        // settled marker implies the epoch state it claims.
+        let newest = self.newest_mark.load(Ordering::Acquire);
+        newest == 0 || col.snapshot_mark.load(Ordering::Acquire) >= newest
     }
 
     /// Materialise `(table_id, col_id)` for every live epoch that misses it
@@ -419,7 +403,7 @@ impl SnapshotManager {
         }
         // Only actual materialisation work is spanned — the cache-hit early
         // returns above are the fast path and would drown the distribution.
-        let _obs_mat = obs::span!("snapshot_materialize");
+        let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
         // One vm_snapshot serves all missing epochs: the column's state has
         // not changed since before the oldest of them.
         let cur = col.current_area();
@@ -437,23 +421,17 @@ impl SnapshotManager {
         let recycled = dst.is_some();
         // The rewiring itself (the kernel remap) gets its own stage so the
         // report can split "vm_snapshot µs" out of the materialise total.
-        let obs_rw = obs::span_begin(obs::stage!("snapshot_rewire"));
+        let obs_rw = obs::span_begin(&self.m.snapshot_rewire);
         let rewired = self
             .backend
             .vm_snapshot(dst.map(|a| a.addr()), cur.addr(), bytes);
         obs::span_end(obs_rw);
         let fresh_addr = rewired?;
-        obs::counter!(
-            "snapshot_pages_rewired_total",
-            "Pages remapped by vm_snapshot when freezing a column into an epoch"
-        )
-        .add(bytes.div_ceil(self.backend.page_size()));
+        self.m
+            .pages_rewired
+            .add(bytes.div_ceil(self.backend.page_size()));
         if recycled {
-            obs::counter!(
-                "snapshot_areas_recycled_total",
-                "vm_snapshot calls that reused a parked destination area (§4.1.3)"
-            )
-            .inc();
+            self.m.areas_recycled.inc();
         }
         // The duplicate becomes the new most-recent representation; the old
         // area freezes into the snapshot (Figure 1, step 4).
@@ -473,31 +451,13 @@ impl SnapshotManager {
             e.cols.lock().insert(key, Arc::clone(&snap));
         }
         // ORDERING: Release pairs with the commit fast-path's Acquire load
-        // of `snapshot_ts` — seeing the timestamp implies the snapshot
+        // of `snapshot_mark` — seeing the mark implies the snapshot
         // column is registered in every missing epoch above.
-        col.snapshot_ts.store(newest_missing_ts, Ordering::Release);
-        self.stats
-            .columns_materialized
-            .fetch_add(1, Ordering::Relaxed);
+        col.snapshot_mark
+            .store(epoch_mark(newest_missing_ts), Ordering::Release);
+        self.m.columns_materialized.inc();
         Ok(Some(snap))
     }
-}
-
-/// Pin accounting shared by [`SnapshotManager::pin_newest_fresh`] and
-/// [`SnapshotManager::pin_epoch`]; the matching gauge decrement lives in
-/// [`SnapshotManager::unpin`].
-#[inline]
-fn note_epoch_pin() {
-    obs::counter!(
-        "snapshot_epoch_pins_total",
-        "OLAP epoch pins taken (newest-fresh and explicit pins combined)"
-    )
-    .inc();
-    obs::gauge!(
-        "snapshot_epochs_pinned",
-        "OLAP pins currently held across all live epochs"
-    )
-    .inc();
 }
 
 /// Resolve the snapshot column of `(table, col)` for `epoch`,

@@ -18,10 +18,11 @@ pub(crate) struct ColumnState {
     /// Commit timestamp of the newest write to this column; a snapshot
     /// materialised now is valid for any epoch with `ts >=` this.
     pub last_mutation_ts: AtomicU64,
-    /// Timestamp of the newest epoch this column is materialised for
-    /// (fast-path guard: when `>=` the newest epoch's timestamp, the write
-    /// path can skip the snapshot manager entirely).
-    pub snapshot_ts: AtomicU64,
+    /// Mark (timestamp + 1; 0 = never) of the newest epoch this column is
+    /// settled for — materialised or damage-marked. Fast-path guard: when
+    /// `>=` the newest epoch's mark, the write path can skip the snapshot
+    /// manager entirely (`SnapshotManager::write_is_settled`).
+    pub snapshot_mark: AtomicU64,
 }
 
 impl ColumnState {
@@ -30,7 +31,7 @@ impl ColumnState {
             versioned,
             area: RwLock::new(area),
             last_mutation_ts: AtomicU64::new(0),
-            snapshot_ts: AtomicU64::new(0),
+            snapshot_mark: AtomicU64::new(0),
         }
     }
 

@@ -4,6 +4,7 @@
 use crate::config::ProcessingMode;
 use crate::db::AnkerDb;
 use crate::error::{AbortReason, DbError, Result};
+use crate::metrics::Metrics;
 use crate::snapman::{Epoch, SnapCol};
 use crate::table::{TableId, TableState};
 use anker_mvcc::{
@@ -314,10 +315,7 @@ impl Txn {
         if self.inner.writes().is_empty() {
             let start_ts = self.inner.start_ts();
             self.release();
-            db.inner
-                .stats
-                .committed_read_only
-                .fetch_add(1, Ordering::Relaxed);
+            db.inner.m.committed_read_only.inc();
             return Ok(start_ts);
         }
 
@@ -326,33 +324,27 @@ impl Txn {
             match self.commit_attempt() {
                 Ok(commit_ts) => {
                     self.release();
-                    db.inner.stats.committed.fetch_add(1, Ordering::Relaxed);
+                    db.inner.m.committed.inc();
                     if rounds > 0 {
-                        db.inner
-                            .stats
-                            .repaired_commits
-                            .fetch_add(1, Ordering::Relaxed);
+                        db.inner.m.repaired_commits.inc();
                     }
                     return Ok(commit_ts);
                 }
                 Err(AttemptError::WwConflict) => {
                     self.release();
-                    db.inner.stats.aborted_ww.fetch_add(1, Ordering::Relaxed);
+                    db.inner.m.aborted_ww.inc();
                     return Err(DbError::Aborted(AbortReason::WriteWriteConflict));
                 }
                 Err(AttemptError::Validation(conflicts)) => {
                     if rounds >= max_rounds {
                         self.release();
-                        db.inner
-                            .stats
-                            .aborted_validation
-                            .fetch_add(1, Ordering::Relaxed);
+                        db.inner.m.aborted_validation.inc();
                         return Err(DbError::Aborted(AbortReason::ValidationFailed {
                             conflicting_commit: conflicts[0].commit_ts,
                         }));
                     }
                     rounds += 1;
-                    db.inner.stats.repair_rounds.fetch_add(1, Ordering::Relaxed);
+                    db.inner.m.repair_rounds.inc();
                     sched::hit("repair:conflict");
                     // Wait for the watermark to cover the youngest
                     // conflicting commit (conflicts come in ascending ts
@@ -421,13 +413,9 @@ impl Txn {
         // quiescence `commit_total_ns.count == commit_stage_latch_ns.count`
         // exactly. Every exit path below closes the open token (checked
         // by anker-lint's span-leak pass) via `record_commit_total`.
-        obs::counter!(
-            "commit_attempts_total",
-            "Commit-pipeline entries, including ww/validation-aborted and repair-retried attempts"
-        )
-        .inc();
-        let mut obs_tok =
-            obs::span_begin_sampled(obs::stage!("commit_stage_latch"), COMMIT_SAMPLE_SHIFT);
+        let m = &*db.inner.m;
+        m.commit_attempts.inc();
+        let mut obs_tok = obs::span_begin_sampled(&m.commit_stage_latch, COMMIT_SAMPLE_SHIFT);
 
         // Stage 1 — install latches. All write rows latch in ascending
         // (col, row) order *before* any shard lock; the global sort order
@@ -458,7 +446,7 @@ impl Txn {
                         // First-updater-wins (§2.1).
                         col.versioned.unlock_row(w.row, old_ts);
                         self.unlatch_rows(&latched);
-                        record_commit_total(obs_tok);
+                        record_commit_total(m, obs_tok);
                         return Err(AttemptError::WwConflict);
                     }
                     latched.push((*w, old_ts, old_word));
@@ -466,13 +454,13 @@ impl Txn {
                 }
                 Err(e) => {
                     self.unlatch_rows(&latched);
-                    record_commit_total(obs_tok);
+                    record_commit_total(m, obs_tok);
                     return Err(AttemptError::Hard(e.into()));
                 }
             }
         }
         sched::hit("commit:latched");
-        obs_tok = obs::span_switch(obs_tok, obs::stage!("commit_stage_validate"));
+        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_validate);
 
         // Stage 2 — validation-shard locks (ascending), covering the
         // tables written and the tables the read predicates touch.
@@ -521,7 +509,7 @@ impl Txn {
                 db.inner.oracle.abort_commit(commit_ts);
                 drop(guards);
                 self.unlatch_rows(&latched);
-                record_commit_total(obs_tok);
+                record_commit_total(m, obs_tok);
                 return Err(AttemptError::Validation(
                     conflicts
                         .into_iter()
@@ -546,7 +534,7 @@ impl Txn {
         // whatever order they reach the log, so the record carries a
         // `(commit_ts, seq)` pair and recovery sorts. An append failure
         // still aborts cleanly: nothing has installed yet.
-        obs_tok = obs::span_switch(obs_tok, obs::stage!("commit_stage_wal"));
+        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_wal);
         let mut wal_pending = None;
         if let Some(d) = db.inner.dura.get() {
             if d.level != anker_dura::DurabilityLevel::Off {
@@ -574,14 +562,14 @@ impl Txn {
                         db.inner.oracle.abort_commit(commit_ts);
                         drop(guards);
                         self.unlatch_rows(&latched);
-                        record_commit_total(obs_tok);
+                        record_commit_total(m, obs_tok);
                         return Err(AttemptError::Hard(e.into()));
                     }
                 }
             }
         }
         sched::hit("commit:logged");
-        obs_tok = obs::span_switch(obs_tok, obs::stage!("commit_stage_install"));
+        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_install);
 
         // Publish the commit record to the write-table shards, then let
         // the shards go — validation by others proceeds while we install.
@@ -623,19 +611,9 @@ impl Txn {
                 }
                 seen.push(key);
                 let state = self.table(TableId(key.0));
-                // Fast path: the column is already settled (materialised
-                // or damage-marked) for the newest epoch.
-                // ORDERING: both Acquire loads pair with the snapshot
-                // manager's Release stores (`trigger_epoch`, `note_write`)
-                // so a settled marker implies the epoch state it claims.
-                let newest = db.inner.snapman.newest_ts.load(Ordering::Acquire);
-                if newest == 0
-                    || state
-                        .col(key.1 as usize)
-                        .snapshot_ts
-                        .load(Ordering::Acquire)
-                        >= newest
-                {
+                // Fast path: no epoch yet, or the column is already
+                // settled (materialised or damage-marked) for the newest.
+                if db.inner.snapman.write_is_settled(state.col(key.1 as usize)) {
                     continue;
                 }
                 // PANIC-OK: fail-stop — the commit record is already
@@ -767,7 +745,7 @@ impl Txn {
         // started, so concurrent committers share syncs instead of
         // queueing them.
         if let Some((dura, lsn)) = wal_pending {
-            let obs_tok = obs::span_switch(obs_tok, obs::stage!("commit_stage_fsync"));
+            let obs_tok = obs::span_switch(obs_tok, &m.commit_stage_fsync);
             sched::hit("commit:pre-fsync");
             // An fsync failure after install cannot be rolled back (the
             // writes are visible) and must not be reported as success
@@ -778,9 +756,9 @@ impl Txn {
             dura.wal
                 .sync_to(lsn)
                 .expect("WAL fsync failed; cannot guarantee durability of an applied commit");
-            record_commit_total(obs_tok);
+            record_commit_total(m, obs_tok);
         } else {
-            record_commit_total(obs_tok);
+            record_commit_total(m, obs_tok);
         }
         Ok(commit_ts)
     }
@@ -817,18 +795,14 @@ const COMMIT_SAMPLE_SHIFT: u32 = 5;
 /// recorded alongside the stages — at quiescence
 /// `commit_total_ns.count == commit_stage_latch_ns.count` exactly.
 #[inline]
-fn record_commit_total(tok: obs::SpanToken) {
+fn record_commit_total(m: &Metrics, tok: obs::SpanToken<'_>) {
     let t0 = tok.start_ns();
     let end = obs::span_end(tok);
     if end == 0 {
         // Attempt not sampled (or `obs-off`): nothing was timed.
         return;
     }
-    obs::histogram!(
-        "commit_total_ns",
-        "End-to-end nanoseconds per sampled commit-pipeline attempt, across every exit path"
-    )
-    .record(end.saturating_sub(t0));
+    m.commit_total.record(end.saturating_sub(t0));
 }
 
 impl Drop for Txn {

@@ -30,6 +30,11 @@ pub fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Counter `name` of `db.metrics()` (0 when no such metric exists).
+pub fn counter(db: &AnkerDb, name: &str) -> u64 {
+    db.metrics().counter(name).unwrap_or(0)
+}
+
 /// The memory backends to run a test on: the simulator everywhere, plus
 /// the real-OS backend on Linux.
 pub fn backends() -> Vec<BackendKind> {

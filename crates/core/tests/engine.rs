@@ -2,10 +2,13 @@
 //! heterogeneous snapshots, garbage collection, and cross-thread
 //! consistency invariants.
 
+mod common;
+
 use anker_core::{
     AbortReason, AnkerDb, ColumnDef, DbConfig, DbError, LogicalType, Schema, TableId, TxnKind,
 };
 use anker_storage::ColumnId;
+use common::counter;
 
 fn small_db(config: DbConfig) -> (AnkerDb, TableId, ColumnId, ColumnId) {
     let db = AnkerDb::new(config.with_gc_interval(None));
@@ -69,7 +72,8 @@ fn write_write_conflict_aborts_second_writer() {
     t1.commit().unwrap();
     let err = t2.commit().unwrap_err();
     assert_eq!(err, DbError::Aborted(AbortReason::WriteWriteConflict));
-    assert_eq!(db.stats().aborted_ww, 1);
+    #[cfg(not(feature = "obs-off"))]
+    assert_eq!(counter(&db, "db_aborted_ww_total"), 1);
 }
 
 #[test]
@@ -156,7 +160,8 @@ fn range_predicate_validation() {
         Err(DbError::Aborted(AbortReason::ValidationFailed { .. })) => {}
         other => panic!("expected validation abort, got {other:?}"),
     }
-    assert_eq!(db.stats().aborted_validation, 1);
+    #[cfg(not(feature = "obs-off"))]
+    assert_eq!(counter(&db, "db_aborted_validation_total"), 1);
 }
 
 #[test]
@@ -227,7 +232,38 @@ fn hetero_olap_runs_on_snapshot_epoch() {
     let sum2 = sum_col(&mut olap2);
     olap2.commit().unwrap();
     assert!(sum2 < sum0, "later epoch must reflect the zeroed rows");
-    assert!(db.stats().epochs_triggered >= 2);
+    #[cfg(not(feature = "obs-off"))]
+    assert!(counter(&db, "db_epochs_triggered_total") >= 2);
+}
+
+/// ROADMAP 7(a): an OLAP arrival before the first commit cuts its epoch
+/// at timestamp 0, which the commit fast path used to read as "no epoch
+/// yet" — the write installed without materialising or damage-marking the
+/// column, and every analyst touching it on that epoch panicked in
+/// `resolve_snap_col` ("live epoch exists").
+#[test]
+fn epoch_cut_at_ts_zero_survives_a_write_to_an_unread_column() {
+    let (db, t, a, _) = small_db(DbConfig::heterogeneous_serializable());
+    let mut analyst = db.begin(TxnKind::Olap);
+    let mut w = db.begin(TxnKind::Oltp);
+    w.update(t, a, 7, 1_000_000).unwrap();
+    w.commit().unwrap();
+    // A second analyst, arriving after the write, shares the still-fresh
+    // epoch: both see the column exactly as it was at timestamp 0.
+    let mut late = db.begin(TxnKind::Olap);
+    for olap in [&mut analyst, &mut late] {
+        let (n, _) = olap
+            .scan_on(t)
+            .range_i64(a, 4096, i64::MAX)
+            .count()
+            .unwrap();
+        assert_eq!(n, 0, "the epoch predates the write");
+    }
+    analyst.commit().unwrap();
+    late.commit().unwrap();
+    let mut oltp = db.begin(TxnKind::Oltp);
+    assert_eq!(oltp.get(t, a, 7).unwrap(), 1_000_000);
+    oltp.abort();
 }
 
 #[test]
@@ -314,11 +350,10 @@ fn lazy_materialisation_only_touched_columns() {
         w.update(t, c0, i, 1).unwrap();
         w.commit().unwrap();
     }
-    let s = db.stats();
+    let materialized = counter(&db, "db_columns_materialized_total");
     assert!(
-        s.columns_materialized <= 12,
-        "only the written column may materialise, got {}",
-        s.columns_materialized
+        materialized <= 12,
+        "only the written column may materialise, got {materialized}"
     );
 }
 
@@ -334,13 +369,13 @@ fn epochs_are_retired_and_memory_reclaimed() {
         let _ = olap.get(t, a, 0).unwrap();
         olap.commit().unwrap();
     }
-    let s = db.stats();
-    assert!(
-        s.epochs_retired >= 40,
-        "epochs retired: {}",
-        s.epochs_retired
-    );
-    assert!(s.live_epochs <= 3, "live epochs: {}", s.live_epochs);
+    #[cfg(not(feature = "obs-off"))]
+    {
+        let retired = counter(&db, "db_epochs_retired_total");
+        assert!(retired >= 40, "epochs retired: {retired}");
+        let live = db.metrics().gauge("db_live_epochs").unwrap();
+        assert!(live <= 3, "live epochs: {live}");
+    }
 }
 
 #[test]
@@ -486,8 +521,11 @@ fn concurrent_transfers_preserve_invariant() {
             let scans = scanner.join().unwrap();
             assert!(scans > 0, "scanner never ran");
         });
-        let s = db.stats();
-        assert!(s.committed >= 600, "commits: {}", s.committed);
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let committed = counter(&db, "db_committed_total");
+            assert!(committed >= 600, "commits: {committed}");
+        }
     }
 }
 
@@ -777,6 +815,9 @@ fn os_backend_runs_the_full_engine() {
     // The old reader still sees its own snapshot through the chains.
     assert_eq!(old_reader.get(t, a, 5).unwrap(), 5);
     old_reader.commit().unwrap();
-    assert!(db.stats().epochs_triggered > 0);
-    assert!(db.stats().columns_materialized > 0);
+    #[cfg(not(feature = "obs-off"))]
+    {
+        assert!(counter(&db, "db_epochs_triggered_total") > 0);
+        assert!(counter(&db, "db_columns_materialized_total") > 0);
+    }
 }

@@ -7,11 +7,10 @@
 //! summed per-scan `ScanStats`, and the morsel histogram counts exactly
 //! one span per morsel.
 //!
-//! This file is its own test binary, so other test *files* cannot touch
-//! its process-global obs registry — but the tests below run as threads
-//! of that one process and share it. Every test that reads registry
-//! deltas or balances therefore holds [`OBS_SERIAL`] for its whole body
-//! (the pattern `tests/parallel_scan.rs` uses).
+//! The tests below run as threads of one process and hold no lock
+//! between them: each boots its own database, and a database counts in
+//! its own registry, so a neighbour's scans and sampled commits cannot
+//! reach the exact deltas and balances asserted here.
 
 // Under `obs-off` every counter update compiles to a no-op, so the
 // registry arithmetic this file asserts is intentionally all-zero.
@@ -22,15 +21,6 @@ mod common;
 use anker_core::obs;
 use anker_core::{AnkerDb, BackendKind, DbConfig, ScanStats, TxnKind, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Serialises the tests of this file: they share one obs registry, and a
-/// neighbour's scan or in-flight sampled commit would skew the exact
-/// deltas and balances asserted at quiescence.
-static OBS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Metrics whose values must never decrease while the engine runs.
 const MONOTONE_COUNTERS: [&str; 7] = [
@@ -112,7 +102,6 @@ fn poll_while<R>(db: &AnkerDb, work: impl FnOnce() -> R) -> (R, u64) {
 /// quiescent end state must satisfy the engine's exact invariants.
 #[test]
 fn snapshots_stay_consistent_under_concurrent_load() {
-    let _serial = obs_serial();
     let rows = 4_096u32;
     let config = DbConfig::heterogeneous_serializable()
         .with_snapshot_every(64)
@@ -249,7 +238,6 @@ fn snapshots_stay_consistent_under_concurrent_load() {
 /// oracle replayed.
 #[test]
 fn stress_driver_metrics_stay_consistent() {
-    let _serial = obs_serial();
     let config = DbConfig::heterogeneous_serializable()
         .with_snapshot_every(32)
         .with_backend(BackendKind::Sim);
@@ -295,45 +283,58 @@ fn stress_driver_metrics_stay_consistent() {
     );
 }
 
-/// `AnkerDb::metrics` folds the legacy stats structs into the registry
-/// snapshot; the two surfaces must agree on the shared quantities.
+/// A database counts in its own registry: commits, transaction and
+/// parallel reader scans on a freshly cut epoch, and a GC pass on `a`
+/// move none of `b`'s counters, gauges or histograms.
 #[test]
-fn absorbed_stats_agree_with_their_structs() {
-    let _serial = obs_serial();
-    let config = DbConfig::heterogeneous_serializable()
-        .with_snapshot_every(8)
-        .with_backend(BackendKind::Sim);
-    let (db, t, c) = common::one_col_db(config, 512);
+fn two_databases_count_in_separate_registries() {
+    let boot = || {
+        let config = DbConfig::heterogeneous_serializable()
+            .with_snapshot_every(4)
+            .with_backend(BackendKind::Sim);
+        common::one_col_db(config, 4_096)
+    };
+    let ((a, t, c), (b, _, _)) = (boot(), boot());
+    let (a_before, b_before) = (a.metrics(), b.metrics());
+
     for i in 0..64u32 {
-        let mut txn = db.begin(TxnKind::Oltp);
-        txn.update_value(t, c, i % 512, Value::Int(i as i64))
-            .unwrap();
+        let mut txn = a.begin(TxnKind::Oltp);
+        txn.update_value(t, c, i, Value::Int(-1)).unwrap();
         txn.commit().unwrap();
     }
-    let mut olap = db.begin(TxnKind::Olap);
-    let _ = olap.scan_on(t).count().unwrap();
+    let mut olap = a.begin(TxnKind::Olap);
+    assert_eq!(olap.scan_on(t).range_i64(c, -1, -1).count().unwrap().0, 64);
     olap.commit().unwrap();
+    let reader = a.snapshot_reader().unwrap();
+    let (n, _) = reader.scan(t).parallel(2).count().unwrap();
+    assert_eq!(n, 4_096);
+    drop(reader);
+    a.run_gc_once();
 
-    let stats = db.stats();
-    let m = db.metrics();
-    assert_eq!(counter(&m, "db_committed_total"), stats.committed);
-    assert_eq!(
-        counter(&m, "db_epochs_triggered_total"),
-        stats.epochs_triggered
-    );
-    assert_eq!(
-        m.gauge("db_live_epochs").unwrap_or(-1),
-        stats.live_epochs as i64
-    );
-    // The kernel counters ride along on the simulated backend.
-    assert_eq!(
-        counter(&m, "kernel_vm_snapshot_calls_total"),
-        stats.kernel.vm_snapshot_calls
-    );
-    // Prometheus rendering carries every absorbed metric too.
-    let text = m.render_text();
-    for name in ["db_committed_total", "kernel_vm_snapshot_calls_total"] {
-        assert!(text.contains(name), "rendered text must list `{name}`");
+    let a_after = a.metrics();
+    for name in [
+        "commit_attempts_total",
+        "db_committed_total",
+        "db_epochs_triggered_total",
+        "scan_morsels_total",
+        "db_gc_passes_total",
+    ] {
+        assert!(
+            counter(&a_after, name) > counter(&a_before, name),
+            "`{name}` of the working database must move"
+        );
+    }
+    let b_after = b.metrics();
+    // Metrics never disappear, so walking the later snapshot also catches
+    // one that only came into existence through the neighbour's work.
+    for after in b_after.iter() {
+        let before = b_before.iter().find(|m| m.name == after.name);
+        assert_eq!(
+            before.map(|m| &m.value),
+            Some(&after.value),
+            "the idle database's `{}` moved",
+            after.name
+        );
     }
 }
 

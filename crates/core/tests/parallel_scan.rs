@@ -13,18 +13,6 @@ use anker_core::{
 };
 use proptest::prelude::*;
 
-/// The obs registry is process-global, and
-/// [`obs_counter_deltas_identical_across_thread_counts`] measures
-/// registry *deltas* — so every test in this binary that scans or
-/// commits takes this lock, keeping the measured windows free of
-/// concurrent increments. (Other test files are other processes and
-/// other registries.)
-static OBS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn obs_serial() -> std::sync::MutexGuard<'static, ()> {
-    OBS_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// `{1, 2, 7}` ∪ `ANKER_SCAN_THREADS` (the CI matrix knob).
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1, 2, 7];
@@ -77,7 +65,6 @@ fn homogeneous_mode_refuses_detached_readers() {
 /// threads.
 #[test]
 fn reader_pins_a_consistent_epoch_across_commits() {
-    let _serial = obs_serial();
     for backend in backends() {
         let db = AnkerDb::new(hetero(backend));
         let t = db.create_table(
@@ -123,7 +110,6 @@ fn reader_pins_a_consistent_epoch_across_commits() {
 /// them.
 #[test]
 fn reader_survives_snapshot_refresh_and_recycling_cycles() {
-    let _serial = obs_serial();
     for backend in backends() {
         let rows = 2048u32;
         let mut cfg = hetero(backend);
@@ -206,7 +192,6 @@ fn reader_survives_snapshot_refresh_and_recycling_cycles() {
 /// threads, and agree with the sequential scan.
 #[test]
 fn partitions_cover_all_rows_disjointly() {
-    let _serial = obs_serial();
     for backend in backends() {
         let rows = 10_000u32;
         let db = AnkerDb::new(hetero(backend));
@@ -257,7 +242,6 @@ fn check_parallel_matches_sequential(
     lo: i64,
     hi: i64,
 ) {
-    let _serial = obs_serial();
     let db = AnkerDb::new(hetero(backend));
     let t = db.create_table(
         "t",
@@ -375,7 +359,6 @@ proptest! {
 /// block-alignment invariant.
 #[test]
 fn surplus_partitions_are_empty_not_panics() {
-    let _serial = obs_serial();
     let rows = 1_500u32; // 2 blocks, not block-aligned
     let db = AnkerDb::new(hetero(BackendKind::Sim));
     let t = db.create_table(
@@ -403,7 +386,6 @@ fn surplus_partitions_are_empty_not_panics() {
 #[cfg(target_os = "linux")]
 #[test]
 fn huge_page_and_sequential_hints_surface_in_os_stats() {
-    let _serial = obs_serial();
     let db = AnkerDb::new(hetero(BackendKind::Os).with_os_huge_pages(true));
     let t = db.create_table(
         "t",
@@ -413,11 +395,12 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
     let v = db.schema(t).col("v");
     db.fill_column(t, v, (0..4096).map(|i| Value::Int(i).encode()))
         .unwrap();
-    let after_load = db.os_stats().expect("OS backend surfaces stats");
-    assert!(
-        after_load.huge_page_advices > 0,
-        "table allocation must advise MADV_HUGEPAGE"
-    );
+    let os = |name: &str| {
+        let m = db.metrics();
+        m.counter(name).expect("the OS backend surfaces `os_*`")
+    };
+    let after_load = os("os_huge_page_advices_total");
+    assert!(after_load > 0, "table allocation must advise MADV_HUGEPAGE");
     let reader = db.snapshot_reader().unwrap();
     let (count, _) = reader
         .scan(t)
@@ -426,18 +409,17 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
         .count()
         .unwrap();
     assert_eq!(count, 4096);
-    let after_scan = db.os_stats().unwrap();
     assert!(
-        after_scan.sequential_advices > 0,
+        os("os_sequential_advices_total") > 0,
         "the scan must advise MADV_SEQUENTIAL on the frozen area"
     );
     assert!(
-        after_scan.huge_page_advices > after_load.huge_page_advices,
+        os("os_huge_page_advices_total") > after_load,
         "the vm_snapshot rewire must re-advise the fresh view"
     );
-    // The sim backend surfaces no OS stats.
+    // The sim backend surfaces no `os_*` namespace.
     let sim = AnkerDb::new(hetero(BackendKind::Sim));
-    assert!(sim.os_stats().is_none());
+    assert!(sim.metrics().counter("os_snapshots_total").is_none());
 }
 
 /// Adaptive conjunct ordering is deterministic by construction: its
@@ -448,7 +430,6 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
 /// reads — must be identical for every thread count.
 #[test]
 fn kernel_counters_identical_across_thread_counts() {
-    let _serial = obs_serial();
     for backend in backends() {
         let rows = 40_000u32;
         let db = AnkerDb::new(hetero(backend));
@@ -531,7 +512,6 @@ fn kernel_counters_identical_across_thread_counts() {
 #[test]
 #[cfg(not(feature = "obs-off"))]
 fn obs_counter_deltas_identical_across_thread_counts() {
-    let _serial = obs_serial();
     use anker_core::obs;
     const SCAN_COUNTERS: [&str; 8] = [
         "scan_morsels_total",
@@ -615,7 +595,6 @@ fn obs_counter_deltas_identical_across_thread_counts() {
 /// sequential reference.
 #[test]
 fn parallel_double_predicates_match() {
-    let _serial = obs_serial();
     for backend in backends() {
         let rows = 5_000u32;
         let db = AnkerDb::new(hetero(backend));

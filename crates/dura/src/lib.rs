@@ -42,7 +42,7 @@ pub mod wal;
 pub use checkpoint::{load_newest, prune, CheckpointData, CheckpointWriter};
 pub use error::{DuraError, Result};
 pub use record::{ColumnMeta, TableMeta, WalRecord, WalWrite, TY_DATE, TY_DICT, TY_DOUBLE, TY_INT};
-pub use wal::{replay_dir, Lsn, ReplaySummary, Wal, WalStatsSnapshot};
+pub use wal::{replay_dir, Lsn, ReplaySummary, Wal};
 
 /// How hard a commit promises to be on disk before it reports success.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,15 +127,19 @@ mod tests {
     #[test]
     fn append_sync_replay_round_trip() {
         let dir = tmp("round-trip");
-        let wal = Wal::open(&dir).unwrap();
+        let registry = obs::Registry::new();
+        let wal = Wal::open_in(&dir, &registry).unwrap();
         let mut last = 0;
         for ts in 1..=10u64 {
             last = wal.append(&commit(ts, ts as u32, ts * 100)).unwrap();
         }
         wal.sync_to(last).unwrap();
-        let stats = wal.stats();
-        assert_eq!(stats.commit_records, 10);
-        assert!(stats.syncs >= 1);
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let m = registry.snapshot();
+            assert_eq!(m.counter("wal_commit_records_total"), Some(10));
+            assert!(m.counter("wal_syncs_total").unwrap() >= 1);
+        }
         drop(wal);
         let mut seen = Vec::new();
         let summary = replay_dir(&dir, |r| {
@@ -187,7 +191,8 @@ mod tests {
     #[test]
     fn retirement_deletes_only_covered_segments() {
         let dir = tmp("retire");
-        let wal = Wal::open(&dir).unwrap();
+        let registry = obs::Registry::new();
+        let wal = Wal::open_in(&dir, &registry).unwrap();
         for ts in 1..=4u64 {
             wal.append(&commit(ts, 0, ts)).unwrap();
         }
@@ -201,7 +206,11 @@ mod tests {
         // must survive.
         wal.retire_up_to(5).unwrap();
         assert_eq!(wal.segment_count().unwrap(), 2);
-        assert_eq!(wal.stats().segments_retired, 1);
+        #[cfg(not(feature = "obs-off"))]
+        assert_eq!(
+            registry.snapshot().counter("wal_segments_retired_total"),
+            Some(1)
+        );
         drop(wal);
         let summary = replay_dir(&dir, |_| Ok(())).unwrap();
         assert_eq!(summary.commits, 2, "only the uncovered commits remain");
@@ -282,7 +291,8 @@ mod tests {
     #[test]
     fn group_commit_batches_concurrent_syncs() {
         let dir = tmp("group");
-        let wal = std::sync::Arc::new(Wal::open(&dir).unwrap());
+        let registry = obs::Registry::new();
+        let wal = std::sync::Arc::new(Wal::open_in(&dir, &registry).unwrap());
         let n_threads = 4u64;
         let per_thread = 25u64;
         std::thread::scope(|s| {
@@ -297,12 +307,16 @@ mod tests {
                 });
             }
         });
-        let stats = wal.stats();
-        assert_eq!(stats.commit_records, n_threads * per_thread);
-        assert!(
-            stats.syncs <= stats.commit_records,
-            "group commit must never sync more than once per commit"
-        );
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let m = registry.snapshot();
+            let records = m.counter("wal_commit_records_total").unwrap();
+            assert_eq!(records, n_threads * per_thread);
+            assert!(
+                m.counter("wal_syncs_total").unwrap() <= records,
+                "group commit must never sync more than once per commit"
+            );
+        }
         drop(wal);
         let summary = replay_dir(&dir, |_| Ok(())).unwrap();
         assert_eq!(summary.commits, n_threads * per_thread);

@@ -43,6 +43,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Log sequence number: total frame bytes appended since this [`Wal`] was
 /// opened. Monotone within a process lifetime; only compared, never
@@ -110,33 +111,36 @@ fn lock_dir(dir: &Path) -> Result<File> {
     Ok(file)
 }
 
-/// Monotonic WAL counters.
-#[derive(Debug, Default)]
-struct WalStats {
-    appends: AtomicU64,
-    commit_records: AtomicU64,
-    bytes_appended: AtomicU64,
-    syncs: AtomicU64,
-    segments_created: AtomicU64,
-    segments_retired: AtomicU64,
+/// The WAL's metrics, resolved once per log in the registry it was
+/// opened in (see [`Wal::open_in`]).
+struct WalMetrics {
+    appends: Arc<obs::Counter>,
+    commit_records: Arc<obs::Counter>,
+    bytes_appended: Arc<obs::Counter>,
+    syncs: Arc<obs::Counter>,
+    segments_created: Arc<obs::Counter>,
+    segments_retired: Arc<obs::Counter>,
+    fsync: obs::Stage,
 }
 
-/// Point-in-time copy of the WAL counters (bench/driver reporting).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStatsSnapshot {
-    /// Records appended (all kinds).
-    pub appends: u64,
-    /// Commit records among them.
-    pub commit_records: u64,
-    /// Frame bytes appended.
-    pub bytes_appended: u64,
-    /// `fdatasync` calls issued (group commit batches several commits per
-    /// sync; `commit_records / syncs` is the batching factor).
-    pub syncs: u64,
-    /// Segments created (including the one opened at boot).
-    pub segments_created: u64,
-    /// Segments deleted by checkpoint truncation.
-    pub segments_retired: u64,
+impl WalMetrics {
+    fn new(r: &obs::Registry) -> WalMetrics {
+        WalMetrics {
+            appends: r.counter("wal_appends_total", "WAL records appended (all kinds)"),
+            commit_records: r.counter("wal_commit_records_total", "Commit records appended"),
+            bytes_appended: r.counter("wal_bytes_appended_total", "WAL frame bytes appended"),
+            syncs: r.counter(
+                "wal_syncs_total",
+                "fdatasync calls issued (commit_records/syncs = group-commit batching)",
+            ),
+            segments_created: r.counter("wal_segments_created_total", "WAL segments created"),
+            segments_retired: r.counter(
+                "wal_segments_retired_total",
+                "WAL segments deleted by checkpoint truncation",
+            ),
+            fsync: r.stage("wal_fsync"),
+        }
+    }
 }
 
 struct Appender {
@@ -164,7 +168,7 @@ pub struct Wal {
     appended: AtomicU64,
     sync_state: lockcheck::Mutex<SyncState>,
     sync_cv: lockcheck::Condvar,
-    stats: WalStats,
+    m: WalMetrics,
     /// Held for the WAL's lifetime; its advisory lock is the
     /// single-writer guarantee (see [`lock_dir`]).
     _dir_lock: File,
@@ -183,8 +187,15 @@ impl Wal {
     /// Open the WAL of `dir` for appending: repair the newest existing
     /// segment's torn tail (if any), register all existing segments as
     /// closed (replay has already consumed them), and start a fresh
-    /// segment for new records. Creates `dir` if missing.
+    /// segment for new records. Creates `dir` if missing. Counts into
+    /// the process-default metric registry.
     pub fn open(dir: &Path) -> Result<Wal> {
+        Wal::open_in(dir, obs::global())
+    }
+
+    /// [`Wal::open`] counting its `wal_*` metrics in `registry` — the
+    /// owning database's.
+    pub fn open_in(dir: &Path, registry: &obs::Registry) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_ctx(e, "creating", dir))?;
         let dir_lock = lock_dir(dir)?;
         let mut segments = list_segments(dir)?;
@@ -236,10 +247,10 @@ impl Wal {
             appended: AtomicU64::new(0),
             sync_state: lockcheck::Mutex::new(&classes::WAL_SYNC_STATE, 0, SyncState::default()),
             sync_cv: lockcheck::Condvar::new(),
-            stats: WalStats::default(),
+            m: WalMetrics::new(registry),
             _dir_lock: dir_lock,
         };
-        wal.stats.segments_created.fetch_add(1, Ordering::Relaxed);
+        wal.m.segments_created.inc();
         Ok(wal)
     }
 
@@ -266,7 +277,7 @@ impl Wal {
             .map_err(|e| io_ctx(e, "appending to", &segment_path(&self.dir, ap.seq)))?;
         if let Some(ts) = rec.commit_ts() {
             ap.seg_max_ts = ap.seg_max_ts.max(ts);
-            self.stats.commit_records.fetch_add(1, Ordering::Relaxed);
+            self.m.commit_records.inc();
         }
         // ORDERING: Release publishes the `write_all` above before the new
         // high-water mark; pairs with the sync leader's Acquire load, so a
@@ -275,10 +286,8 @@ impl Wal {
             .appended
             .fetch_add(frame.len() as u64, Ordering::Release)
             + frame.len() as u64;
-        self.stats.appends.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_appended
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.m.appends.inc();
+        self.m.bytes_appended.add(frame.len() as u64);
         Ok(lsn)
     }
 
@@ -309,13 +318,13 @@ impl Wal {
             let target = self.appended.load(Ordering::Acquire);
             // Leader-side fsync latency (handle-lock wait included — it is
             // part of what followers end up waiting for).
-            let obs_tok = obs::span_begin(obs::stage!("wal_fsync"));
+            let obs_tok = obs::span_begin(&self.m.fsync);
             let res = {
                 let handle = self.sync_handle.lock();
                 handle.sync_data()
             };
             obs::span_end(obs_tok);
-            self.stats.syncs.fetch_add(1, Ordering::Relaxed);
+            self.m.syncs.inc();
             let mut st = self.sync_state.lock();
             st.leader_active = false;
             match res {
@@ -346,7 +355,7 @@ impl Wal {
             // under the append lock the mark is also exact.
             self.appended.load(Ordering::Acquire)
         };
-        self.stats.syncs.fetch_add(1, Ordering::Relaxed);
+        self.m.syncs.inc();
         let mut st = self.sync_state.lock();
         st.durable = st.durable.max(target);
         self.sync_cv.notify_all();
@@ -385,7 +394,7 @@ impl Wal {
             st.durable = st.durable.max(self.appended.load(Ordering::Acquire));
             drop(st);
             *self.sync_handle.lock() = fresh_handle;
-            self.stats.segments_created.fetch_add(1, Ordering::Relaxed);
+            self.m.segments_created.inc();
         }
         sync_dir(&self.dir);
         Ok(())
@@ -412,9 +421,7 @@ impl Wal {
         drop(closed);
         if removed > 0 {
             sync_dir(&self.dir);
-            self.stats
-                .segments_retired
-                .fetch_add(removed, Ordering::Relaxed);
+            self.m.segments_retired.add(removed);
         }
         Ok(removed)
     }
@@ -424,19 +431,6 @@ impl Wal {
     pub fn retire_up_to(&self, ts: u64) -> Result<u64> {
         self.rotate()?;
         self.delete_covered(ts)
-    }
-
-    /// Point-in-time counters.
-    pub fn stats(&self) -> WalStatsSnapshot {
-        let o = Ordering::Relaxed;
-        WalStatsSnapshot {
-            appends: self.stats.appends.load(o),
-            commit_records: self.stats.commit_records.load(o),
-            bytes_appended: self.stats.bytes_appended.load(o),
-            syncs: self.stats.syncs.load(o),
-            segments_created: self.stats.segments_created.load(o),
-            segments_retired: self.stats.segments_retired.load(o),
-        }
     }
 
     /// Number of live segment files in the directory (diagnostics and

@@ -302,19 +302,12 @@ impl ChainStore {
             block.write_unlock();
         }
         self.versions.fetch_sub(removed, Ordering::Relaxed);
-        if removed > 0 {
-            obs::counter!(
-                "mvcc_versions_pruned_total",
-                "Chain versions reclaimed by GC passes across all columns"
-            )
-            .add(removed);
-        }
         removed
     }
 }
 
 /// Statistics of one scan (or the running total of a transaction's scans),
-/// for tests, benchmarks, and the `repro_*` reproduction output.
+/// for tests, benchmarks, and the `repro` reproduction output.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ScanStats {
     /// Rows delivered through the tight (unchecked) path.
@@ -408,6 +401,8 @@ pub struct VersionedColumn {
     current: RwLock<Arc<ChainStore>>,
     older: RwLock<Vec<(u64, Arc<ChainStore>)>>,
     last_freeze_ts: AtomicU64,
+    /// `mvcc_versions_pruned_total` of the registry this column counts in.
+    pruned: Arc<obs::Counter>,
 }
 
 impl std::fmt::Debug for VersionedColumn {
@@ -423,7 +418,14 @@ impl std::fmt::Debug for VersionedColumn {
 
 impl VersionedColumn {
     /// Fresh, unversioned column state: all rows carry the load timestamp 0.
+    /// Counts into the process-default metric registry.
     pub fn new(rows: u32, ty: LogicalType) -> VersionedColumn {
+        VersionedColumn::new_in(rows, ty, obs::global())
+    }
+
+    /// [`VersionedColumn::new`] counting in `registry` — the owning
+    /// database's.
+    pub fn new_in(rows: u32, ty: LogicalType, registry: &obs::Registry) -> VersionedColumn {
         VersionedColumn {
             ty,
             rows,
@@ -434,6 +436,10 @@ impl VersionedColumn {
             current: RwLock::new(Arc::new(ChainStore::new(rows))),
             older: RwLock::new(Vec::new()),
             last_freeze_ts: AtomicU64::new(0),
+            pruned: registry.counter(
+                "mvcc_versions_pruned_total",
+                "Chain versions reclaimed by GC passes across all columns",
+            ),
         }
     }
 
@@ -713,8 +719,9 @@ impl VersionedColumn {
     /// Homogeneous-mode GC of the current store (see [`ChainStore::gc`]
     /// for the commit-quiescence requirement).
     pub fn gc(&self, min_active: u64) -> u64 {
-        let cur = self.current_store();
-        cur.gc(min_active, &self.row_ts)
+        let removed = self.current_store().gc(min_active, &self.row_ts);
+        self.pruned.add(removed);
+        removed
     }
 
     /// Full-column scan delivering the version of every row visible at

@@ -6,22 +6,26 @@
 //! distributions, not means. This crate is the measurement layer every
 //! hot path reports into:
 //!
-//! * a **process-wide metric registry** of lock-free sharded
-//!   [`Counter`]s, [`Gauge`]s and log₂-bucket [`Histogram`]s, registered
-//!   lazily through `static` handles the [`counter!`] / [`gauge!`] /
-//!   [`histogram!`] macros place at each call site;
+//! * a **metric [`Registry`]** of lock-free sharded [`Counter`]s,
+//!   [`Gauge`]s and log₂-bucket [`Histogram`]s. It is a value: every
+//!   `AnkerDb` owns one and resolves its handles at boot, so databases
+//!   in one process are measured side by side. [`global`] is the process
+//!   default, filled lazily through `static` handles the [`counter!`] /
+//!   [`gauge!`] / [`histogram!`] macros place at each call site;
 //! * a **span/stage tracer** ([`trace`]): per-thread bounded ring
-//!   journals of named stages with nanosecond timestamps, cheap enough
-//!   to stay on in release builds (one TSC read per boundary, relaxed
-//!   stores only), merged on demand into a chrome://tracing JSON
-//!   timeline by [`trace_json`];
+//!   journals of named [`Stage`]s with nanosecond timestamps, cheap
+//!   enough to stay on in release builds (one TSC read per boundary,
+//!   relaxed stores only), merged on demand into a chrome://tracing JSON
+//!   timeline by [`trace_json`]. The journal is process-wide; the
+//!   `<stage>_ns` histogram a span feeds belongs to the registry its
+//!   stage was resolved in ([`Registry::stage`]);
 //! * **exporters**: [`render_text`] (Prometheus text exposition) and
 //!   [`render_json`], both also available on an engine-extended
 //!   [`MetricsSnapshot`].
 //!
 //! Like `anker-lint`, the crate is hand-rolled with zero dependencies,
 //! and it sits below every other workspace crate so `core`, `dura`,
-//! `mvcc` and friends can all emit into one registry. The `obs-off`
+//! `mvcc` and friends can all emit into one database's registry. The `obs-off`
 //! feature compiles every hot-path operation to an empty inline body
 //! while keeping the API intact — the overhead harness
 //! (`repro obs --overhead`) prints ns/commit for whichever way the engine
@@ -55,13 +59,9 @@ pub mod trace;
 
 pub use clock::{now_ns, timestamp};
 pub use metric::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS, SHARDS};
-pub use registry::{
-    register_histogram, snapshot, CounterHandle, GaugeHandle, HistogramHandle, Metric, MetricValue,
-    MetricsSnapshot,
-};
+pub use registry::{global, snapshot, Metric, MetricValue, MetricsSnapshot, Registry};
 pub use trace::{
-    span_begin, span_begin_sampled, span_end, span_switch, trace_json, SpanGuard, SpanToken,
-    StageMeta, STAGE_HELP,
+    span_begin, span_begin_sampled, span_end, span_switch, trace_json, SpanGuard, SpanToken, Stage,
 };
 
 /// Render the global registry in Prometheus text exposition format.
@@ -82,8 +82,8 @@ pub fn render_json() -> String {
 #[macro_export]
 macro_rules! counter {
     ($name:literal, $help:literal) => {{
-        static __OBS_HANDLE: $crate::registry::CounterHandle =
-            $crate::registry::CounterHandle::new($name, $help);
+        static __OBS_HANDLE: $crate::registry::Handle<$crate::Counter> =
+            $crate::registry::Handle::new($name, $help, $crate::Registry::counter);
         __OBS_HANDLE.get()
     }};
 }
@@ -92,8 +92,8 @@ macro_rules! counter {
 #[macro_export]
 macro_rules! gauge {
     ($name:literal, $help:literal) => {{
-        static __OBS_HANDLE: $crate::registry::GaugeHandle =
-            $crate::registry::GaugeHandle::new($name, $help);
+        static __OBS_HANDLE: $crate::registry::Handle<$crate::Gauge> =
+            $crate::registry::Handle::new($name, $help, $crate::Registry::gauge);
         __OBS_HANDLE.get()
     }};
 }
@@ -102,20 +102,20 @@ macro_rules! gauge {
 #[macro_export]
 macro_rules! histogram {
     ($name:literal, $help:literal) => {{
-        static __OBS_HANDLE: $crate::registry::HistogramHandle =
-            $crate::registry::HistogramHandle::new($name, $help);
+        static __OBS_HANDLE: $crate::registry::Handle<$crate::Histogram> =
+            $crate::registry::Handle::new($name, $help, $crate::Registry::histogram);
         __OBS_HANDLE.get()
     }};
 }
 
-/// A `&'static StageMeta` for the tracer's span API. Every stage owns an
-/// auto-registered `<name>_ns` histogram fed on each completed span.
+/// A `&'static Stage` of the [`global`] registry for the tracer's span
+/// API. Every stage owns an auto-registered `<name>_ns` histogram fed on
+/// each completed span.
 #[macro_export]
 macro_rules! stage {
     ($name:literal) => {{
-        static __OBS_STAGE: $crate::trace::StageMeta =
-            $crate::trace::StageMeta::new($name, concat!($name, "_ns"));
-        &__OBS_STAGE
+        static __OBS_STAGE: ::std::sync::OnceLock<$crate::Stage> = ::std::sync::OnceLock::new();
+        __OBS_STAGE.get_or_init(|| $crate::global().stage($name))
     }};
 }
 

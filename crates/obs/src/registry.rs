@@ -1,199 +1,168 @@
-//! The process-wide metric registry and its point-in-time snapshot.
+//! The metric [`Registry`] and its point-in-time [`MetricsSnapshot`].
 //!
-//! Metrics register **lazily at first use** through `static` handles the
+//! A registry is a plain value: a name-ordered table of shared
+//! [`Counter`]s, [`Gauge`]s and [`Histogram`]s. Every `AnkerDb` owns one
+//! and resolves the handles its layers bump **once, at boot**
+//! ([`Registry::counter`] and friends return an `Arc` to the metric
+//! itself), so an engine event is one relaxed atomic on a pointer the
+//! layer already holds — no name lookup, hash or lock per event — and
+//! two databases in one process never see each other's counts.
+//!
+//! [`global`] is the process default behind the
 //! [`crate::counter!`]/[`crate::gauge!`]/[`crate::histogram!`] macros
-//! drop at each call site: the first `get()` takes the registry mutex
-//! once, leaks one allocation (metrics live for the process — that is
-//! what makes the fast path a plain `&'static` atomic bump), caches the
-//! reference in the handle's `OnceLock`, and every later `get()` is a
-//! single atomic load. Two call sites naming the same metric share one
-//! instance — names are the identity, first registration's help text
-//! wins.
+//! and behind every layer constructed standalone (`Wal::open`,
+//! `VersionedColumn::new`): the macros drop a `static` [`Handle`] at the
+//! call site that registers on first use and is a single atomic load
+//! afterwards. Within one registry names are the identity — two
+//! registrations of one name share one instance, first help text wins.
 //!
-//! [`snapshot`] copies the registry into a [`MetricsSnapshot`]: an
-//! ordered, owned list of name/help/value triples that the engine can
-//! extend with values absorbed from its legacy stats structs
-//! (`AnkerDb::metrics` folds `DbStats`/`OsStats`/`WalStats`/
-//! `KernelStats` in as namespaced counters) before rendering.
+//! [`Registry::snapshot`] copies a registry into a [`MetricsSnapshot`]:
+//! an owned, name-ordered list of name/help/value triples the engine can
+//! extend with the two ledgers that live outside obs (`AnkerDb::metrics`
+//! folds the vmem crate's `OsStats`/`KernelStats` in as `os_*`/`kernel_*`
+//! counters) before rendering.
 
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 enum Slot {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+    Histogram(Arc<Histogram>),
 }
 
-struct Registered {
-    name: &'static str,
-    help: &'static str,
-    slot: Slot,
+/// One set of named metrics. See the module docs.
+#[derive(Default)]
+pub struct Registry {
+    metrics: Mutex<BTreeMap<String, (&'static str, Slot)>>,
 }
 
-struct Inner {
-    by_name: HashMap<&'static str, usize>,
-    metrics: Vec<Registered>,
-}
+impl Registry {
+    pub fn new() -> Registry {
+        Registry::default()
+    }
 
-fn registry() -> &'static Mutex<Inner> {
-    static REG: OnceLock<Mutex<Inner>> = OnceLock::new();
-    REG.get_or_init(|| {
-        Mutex::new(Inner {
-            by_name: HashMap::new(),
-            metrics: Vec::new(),
-        })
-    })
-}
-
-/// Register-or-lookup under the registry lock. `make` leaks the new
-/// metric; `pick` projects the slot back out (panics on a kind clash,
-/// which is a programming error worth failing loudly on).
-fn intern<T>(
-    name: &'static str,
-    help: &'static str,
-    make: impl FnOnce() -> Slot,
-    pick: impl FnOnce(&Slot) -> Option<T>,
-) -> T {
-    let mut inner = registry().lock().expect("metric registry poisoned");
-    let idx = match inner.by_name.get(name) {
-        Some(&i) => i,
-        None => {
-            let i = inner.metrics.len();
-            inner.metrics.push(Registered {
-                name,
-                help,
-                slot: make(),
-            });
-            inner.by_name.insert(name, i);
-            i
+    /// Register-or-lookup under the registry lock. `wrap` files a new
+    /// metric; `pick` projects the slot back out (panics on a kind clash,
+    /// which is a programming error worth failing loudly on).
+    fn intern<T: Default>(
+        &self,
+        name: &str,
+        help: &'static str,
+        wrap: fn(Arc<T>) -> Slot,
+        pick: fn(&Slot) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
+        let mut metrics = self.metrics.lock().expect("metric registry poisoned");
+        if !metrics.contains_key(name) {
+            metrics.insert(name.to_string(), (help, wrap(Arc::default())));
         }
-    };
-    pick(&inner.metrics[idx].slot)
-        .unwrap_or_else(|| panic!("metric `{name}` registered twice with different kinds"))
-}
-
-/// Call-site handle for a [`Counter`]; see [`crate::counter!`].
-pub struct CounterHandle {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Counter>,
-}
-
-impl CounterHandle {
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        CounterHandle {
-            name,
-            help,
-            cell: OnceLock::new(),
-        }
+        pick(&metrics[name].1)
+            .unwrap_or_else(|| panic!("metric `{name}` registered twice with different kinds"))
+            .clone()
     }
 
-    /// The registered counter (registering on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Counter {
-        self.cell.get_or_init(|| {
-            intern(
-                self.name,
-                self.help,
-                || Slot::Counter(Box::leak(Box::new(Counter::new()))),
-                |s| match s {
-                    Slot::Counter(c) => Some(*c),
-                    _ => None,
-                },
-            )
-        })
-    }
-}
-
-impl std::fmt::Debug for CounterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("CounterHandle").field(&self.name).finish()
-    }
-}
-
-/// Call-site handle for a [`Gauge`]; see [`crate::gauge!`].
-pub struct GaugeHandle {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Gauge>,
-}
-
-impl GaugeHandle {
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        GaugeHandle {
-            name,
-            help,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The registered gauge (registering on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Gauge {
-        self.cell.get_or_init(|| {
-            intern(
-                self.name,
-                self.help,
-                || Slot::Gauge(Box::leak(Box::new(Gauge::new()))),
-                |s| match s {
-                    Slot::Gauge(g) => Some(*g),
-                    _ => None,
-                },
-            )
-        })
-    }
-}
-
-impl std::fmt::Debug for GaugeHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("GaugeHandle").field(&self.name).finish()
-    }
-}
-
-/// Call-site handle for a [`Histogram`]; see [`crate::histogram!`].
-pub struct HistogramHandle {
-    name: &'static str,
-    help: &'static str,
-    cell: OnceLock<&'static Histogram>,
-}
-
-impl HistogramHandle {
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        HistogramHandle {
-            name,
-            help,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// The registered histogram (registering on first call).
-    #[inline]
-    pub fn get(&self) -> &'static Histogram {
-        self.cell
-            .get_or_init(|| register_histogram(self.name, self.help))
-    }
-}
-
-impl std::fmt::Debug for HistogramHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("HistogramHandle").field(&self.name).finish()
-    }
-}
-
-/// Non-macro registration entry point — the span tracer auto-registers
-/// one `<stage>_ns` histogram per stage through this.
-pub fn register_histogram(name: &'static str, help: &'static str) -> &'static Histogram {
-    intern(
-        name,
-        help,
-        || Slot::Histogram(Box::leak(Box::new(Histogram::new()))),
-        |s| match s {
-            Slot::Histogram(h) => Some(*h),
+    /// The counter registered as `name` (registering it on first call).
+    pub fn counter(&self, name: &str, help: &'static str) -> Arc<Counter> {
+        self.intern(name, help, Slot::Counter, |s| match s {
+            Slot::Counter(c) => Some(c),
             _ => None,
-        },
-    )
+        })
+    }
+
+    /// The gauge registered as `name` (registering it on first call).
+    pub fn gauge(&self, name: &str, help: &'static str) -> Arc<Gauge> {
+        self.intern(name, help, Slot::Gauge, |s| match s {
+            Slot::Gauge(g) => Some(g),
+            _ => None,
+        })
+    }
+
+    /// The histogram registered as `name` (registering it on first call).
+    pub fn histogram(&self, name: &str, help: &'static str) -> Arc<Histogram> {
+        self.intern(name, help, Slot::Histogram, |s| match s {
+            Slot::Histogram(h) => Some(h),
+            _ => None,
+        })
+    }
+
+    /// Every metric registered so far, sorted by name, with
+    /// point-in-time values.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let metrics = self.metrics.lock().expect("metric registry poisoned");
+        MetricsSnapshot {
+            metrics: metrics
+                .iter()
+                .map(|(name, (help, slot))| Metric {
+                    name: name.clone(),
+                    help: help.to_string(),
+                    value: match slot {
+                        Slot::Counter(c) => MetricValue::Counter(c.get()),
+                        Slot::Gauge(g) => MetricValue::Gauge(g.get()),
+                        Slot::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
+                    },
+                })
+                .collect(),
+        }
+    }
+}
+
+impl std::fmt::Debug for Registry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let n = self.metrics.lock().map_or(0, |m| m.len());
+        f.debug_struct("Registry").field("metrics", &n).finish()
+    }
+}
+
+/// The process-default registry: what the call-site macros, the free
+/// [`snapshot`] / `render_*` functions and standalone layers use.
+pub fn global() -> &'static Registry {
+    static REG: OnceLock<Registry> = OnceLock::new();
+    REG.get_or_init(Registry::new)
+}
+
+/// Snapshot the [`global`] registry.
+pub fn snapshot() -> MetricsSnapshot {
+    global().snapshot()
+}
+
+/// Call-site handle into the [`global`] registry; see
+/// [`crate::counter!`] / [`crate::gauge!`] / [`crate::histogram!`].
+pub struct Handle<T> {
+    name: &'static str,
+    help: &'static str,
+    register: fn(&Registry, &str, &'static str) -> Arc<T>,
+    cell: OnceLock<Arc<T>>,
+}
+
+impl<T> Handle<T> {
+    /// `register` is [`Registry::counter`], [`Registry::gauge`] or
+    /// [`Registry::histogram`].
+    pub const fn new(
+        name: &'static str,
+        help: &'static str,
+        register: fn(&Registry, &str, &'static str) -> Arc<T>,
+    ) -> Self {
+        Handle {
+            name,
+            help,
+            register,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// The registered metric (registering on first call).
+    #[inline]
+    pub fn get(&self) -> &T {
+        self.cell
+            .get_or_init(|| (self.register)(global(), self.name, self.help))
+    }
+}
+
+impl<T> std::fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Handle").field(&self.name).finish()
+    }
 }
 
 /// One metric's value inside a [`MetricsSnapshot`].
@@ -234,7 +203,10 @@ impl MetricsSnapshot {
         self.metrics.is_empty()
     }
 
-    fn upsert(&mut self, name: &str, help: &str, value: MetricValue) {
+    /// Insert-or-replace a counter value (used to absorb a ledger kept
+    /// outside obs into the unified surface).
+    pub fn set_counter(&mut self, name: &str, help: &str, v: u64) {
+        let value = MetricValue::Counter(v);
         match self.metrics.binary_search_by(|m| m.name.as_str().cmp(name)) {
             Ok(i) => self.metrics[i].value = value,
             Err(i) => self.metrics.insert(
@@ -246,17 +218,6 @@ impl MetricsSnapshot {
                 },
             ),
         }
-    }
-
-    /// Insert-or-replace a counter value (used to absorb legacy stats
-    /// structs into the unified surface).
-    pub fn set_counter(&mut self, name: &str, help: &str, v: u64) {
-        self.upsert(name, help, MetricValue::Counter(v));
-    }
-
-    /// Insert-or-replace a gauge value.
-    pub fn set_gauge(&mut self, name: &str, help: &str, v: i64) {
-        self.upsert(name, help, MetricValue::Gauge(v));
     }
 
     /// Counter value by name.
@@ -291,28 +252,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Snapshot the global registry: every metric registered so far, sorted
-/// by name, with point-in-time values.
-pub fn snapshot() -> MetricsSnapshot {
-    let inner = registry().lock().expect("metric registry poisoned");
-    let mut metrics: Vec<Metric> = inner
-        .metrics
-        .iter()
-        .map(|r| Metric {
-            name: r.name.to_string(),
-            help: r.help.to_string(),
-            value: match &r.slot {
-                Slot::Counter(c) => MetricValue::Counter(c.get()),
-                Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                Slot::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
-            },
-        })
-        .collect();
-    drop(inner);
-    metrics.sort_by(|a, b| a.name.cmp(&b.name));
-    MetricsSnapshot { metrics }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +278,26 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn registries_do_not_share_metrics() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("x_total", "x").add(2);
+        assert_eq!(b.counter("x_total", "x").get(), 0);
+        assert_eq!(a.snapshot().counter("x_total"), Some(2));
+        assert_eq!(a.counter("x_total", "ignored: first help wins").get(), 2);
+        assert_eq!(a.snapshot().iter().next().unwrap().help, "x");
+        assert!(snapshot().counter("x_total").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "different kinds")]
+    fn kind_clash_panics() {
+        let r = Registry::new();
+        r.counter("clash", "a counter");
+        r.gauge("clash", "not a counter");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Exporters: Prometheus text exposition and a JSON document, both
-//! rendered from a [`MetricsSnapshot`] so the engine can fold absorbed
-//! legacy stats in before serialisation.
+//! rendered from a [`MetricsSnapshot`] so the engine can fold the
+//! ledgers kept outside obs in before serialisation.
 
 use crate::metric::{HistogramSnapshot, BUCKETS};
 use crate::registry::{MetricValue, MetricsSnapshot};
@@ -121,17 +121,16 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "obs-off")))]
 mod tests {
     use super::*;
-    #[cfg(not(feature = "obs-off"))]
     use crate::metric::Histogram;
 
     fn sample() -> MetricsSnapshot {
-        let mut s = MetricsSnapshot::default();
-        s.set_counter("x_total", "an x", 7);
-        s.set_gauge("y_now", "a y", -3);
-        s
+        let r = crate::Registry::new();
+        r.counter("x_total", "an x").add(7);
+        r.gauge("y_now", "a y").set(-3);
+        r.snapshot()
     }
 
     #[test]
@@ -144,7 +143,6 @@ mod tests {
         assert!(text.contains("y_now -3\n"));
     }
 
-    #[cfg(not(feature = "obs-off"))]
     #[test]
     fn text_format_histogram_is_cumulative() {
         let h = Histogram::new();

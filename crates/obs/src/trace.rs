@@ -40,20 +40,16 @@
 
 #[cfg(not(feature = "obs-off"))]
 use crate::clock;
-#[cfg(not(feature = "obs-off"))]
 use crate::metric::Histogram;
-#[cfg(not(feature = "obs-off"))]
-use crate::registry::register_histogram;
+use crate::registry::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default per-thread ring capacity (slots, each 24 bytes).
 pub const RING_DEFAULT: usize = 1024;
 
-/// Shared help text of every span-derived `<stage>_ns` histogram. Public
-/// so metric manifests (see `anker-core`'s `obs_register_all`) can
-/// pre-register stage histograms with byte-identical metadata.
-pub const STAGE_HELP: &str =
+/// Shared help text of every span-derived `<stage>_ns` histogram.
+const STAGE_HELP: &str =
     "Nanoseconds per completed span of this stage (auto-registered by the span tracer)";
 /// Durations are packed into 48 bits next to the stage id; 2^48 ns is
 /// ~78 hours, far beyond any plausible span.
@@ -61,55 +57,39 @@ const DUR_MASK: u64 = (1 << 48) - 1;
 /// Dump-time sanity bound for a single span: one hour.
 const DUR_SANE_NS: u64 = 3_600_000_000_000;
 
-/// A named stage, declared per call site by [`crate::stage!`]. Interned
-/// by name on first use: every stage also owns a `<name>_ns` histogram
-/// in the registry, fed automatically on each completed span.
-pub struct StageMeta {
+/// A named stage resolved in one [`Registry`] ([`Registry::stage`], or
+/// [`crate::stage!`] for the global one): its journal id — interned by
+/// name, process-wide — and the registry's `<name>_ns` histogram, fed
+/// on each completed span.
+#[cfg_attr(feature = "obs-off", allow(dead_code))]
+pub struct Stage {
     name: &'static str,
-    #[cfg(not(feature = "obs-off"))]
-    hist_name: &'static str,
-    #[cfg(not(feature = "obs-off"))]
-    cell: OnceLock<StageReg>,
-}
-
-#[cfg(not(feature = "obs-off"))]
-struct StageReg {
     id: u16,
-    hist: &'static Histogram,
+    hist: Arc<Histogram>,
 }
 
-impl StageMeta {
-    #[cfg(not(feature = "obs-off"))]
-    pub const fn new(name: &'static str, hist_name: &'static str) -> Self {
-        StageMeta {
-            name,
-            hist_name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    #[cfg(feature = "obs-off")]
-    pub const fn new(name: &'static str, _hist_name: &'static str) -> Self {
-        StageMeta { name }
-    }
-
+impl Stage {
     /// The stage name as it appears in trace dumps.
     pub fn name(&self) -> &'static str {
         self.name
     }
+}
 
-    #[cfg(not(feature = "obs-off"))]
-    fn resolve(&self) -> &StageReg {
-        self.cell.get_or_init(|| StageReg {
-            id: intern_stage(self.name),
-            hist: register_histogram(self.hist_name, STAGE_HELP),
-        })
+impl Registry {
+    /// Resolve the stage `name`, registering its `<name>_ns` histogram
+    /// here and its name in the process-wide journal's stage table.
+    pub fn stage(&self, name: &'static str) -> Stage {
+        Stage {
+            name,
+            id: intern_stage(name),
+            hist: self.histogram(&format!("{name}_ns"), STAGE_HELP),
+        }
     }
 }
 
-impl std::fmt::Debug for StageMeta {
+impl std::fmt::Debug for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("StageMeta").field(&self.name).finish()
+        f.debug_tuple("Stage").field(&self.name).finish()
     }
 }
 
@@ -118,7 +98,6 @@ fn stage_names() -> &'static Mutex<Vec<&'static str>> {
     STAGES.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-#[cfg(not(feature = "obs-off"))]
 fn intern_stage(name: &'static str) -> u16 {
     let mut names = stage_names().lock().expect("stage table poisoned");
     if let Some(i) = names.iter().position(|n| *n == name) {
@@ -224,14 +203,12 @@ fn with_thread_buf(f: impl FnOnce(&TraceBuf)) {
 /// of the enclosing function (enforced by anker-lint's `span-leak`
 /// pass). Dropping a token loses the span silently.
 #[must_use = "close the span with obs::span_end / obs::span_switch"]
-pub struct SpanToken {
-    #[cfg(not(feature = "obs-off"))]
-    stage: &'static StageMeta,
-    #[cfg(not(feature = "obs-off"))]
+pub struct SpanToken<'a> {
+    stage: &'a Stage,
     start: u64,
 }
 
-impl SpanToken {
+impl SpanToken<'_> {
     /// Start timestamp of the open span (0 under `obs-off`,
     /// `u64::MAX` for a disabled [`span_begin_sampled`] token). Lets a
     /// pipeline derive its end-to-end duration from the first token and
@@ -239,20 +216,13 @@ impl SpanToken {
     /// only meaningful for unsampled chains; sampled pipelines should
     /// take their own [`crate::timestamp`] instead.
     pub fn start_ns(&self) -> u64 {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.start
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            0
-        }
+        self.start
     }
 }
 
-impl std::fmt::Debug for SpanToken {
+impl std::fmt::Debug for SpanToken<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SpanToken")
+        f.debug_tuple("SpanToken").field(&self.stage.name).finish()
     }
 }
 
@@ -271,7 +241,7 @@ const DISABLED: u64 = u64::MAX;
 /// with an unsampled counter + total-duration histogram when exact
 /// counts matter. Low-frequency spans should use [`span_begin`].
 #[inline]
-pub fn span_begin_sampled(stage: &'static StageMeta, shift: u32) -> SpanToken {
+pub fn span_begin_sampled(stage: &Stage, shift: u32) -> SpanToken<'_> {
     #[cfg(not(feature = "obs-off"))]
     {
         use std::cell::Cell;
@@ -297,33 +267,27 @@ pub fn span_begin_sampled(stage: &'static StageMeta, shift: u32) -> SpanToken {
     }
     #[cfg(feature = "obs-off")]
     {
-        let _ = (stage, shift);
-        SpanToken {}
+        let _ = shift;
+        span_begin(stage)
     }
 }
 
 /// Open a span for `stage` now.
 #[inline]
-pub fn span_begin(stage: &'static StageMeta) -> SpanToken {
+pub fn span_begin(stage: &Stage) -> SpanToken<'_> {
     #[cfg(not(feature = "obs-off"))]
-    {
-        SpanToken {
-            stage,
-            start: clock::now_ns(),
-        }
-    }
+    let start = clock::now_ns();
     #[cfg(feature = "obs-off")]
-    {
-        let _ = stage;
-        SpanToken {}
-    }
+    let start = 0;
+    SpanToken { stage, start }
 }
 
 /// Close a span: records the event in the journal and the stage's
 /// `<name>_ns` histogram. Returns the end timestamp so callers can
-/// derive whole-pipeline durations without another clock read.
+/// derive whole-pipeline durations without another clock read (0 for a
+/// disabled token and under `obs-off`).
 #[inline]
-pub fn span_end(tok: SpanToken) -> u64 {
+pub fn span_end(tok: SpanToken<'_>) -> u64 {
     #[cfg(not(feature = "obs-off"))]
     {
         if tok.start == DISABLED {
@@ -344,7 +308,7 @@ pub fn span_end(tok: SpanToken) -> u64 {
 /// adjacent pipeline stages tile the timeline with no gap and no double
 /// timestamping.
 #[inline]
-pub fn span_switch(tok: SpanToken, next: &'static StageMeta) -> SpanToken {
+pub fn span_switch<'a>(tok: SpanToken<'_>, next: &'a Stage) -> SpanToken<'a> {
     #[cfg(not(feature = "obs-off"))]
     {
         if tok.start == DISABLED {
@@ -363,30 +327,28 @@ pub fn span_switch(tok: SpanToken, next: &'static StageMeta) -> SpanToken {
     #[cfg(feature = "obs-off")]
     {
         let _ = tok;
-        let _ = next;
-        SpanToken {}
+        span_begin(next)
     }
 }
 
 #[cfg(not(feature = "obs-off"))]
 #[inline]
-fn finish(tok: SpanToken, end: u64) {
+fn finish(tok: SpanToken<'_>, end: u64) {
     let dur = end.saturating_sub(tok.start);
-    let reg = tok.stage.resolve();
-    reg.hist.record(dur);
-    with_thread_buf(|b| b.write(reg.id, tok.start, dur));
+    tok.stage.hist.record(dur);
+    with_thread_buf(|b| b.write(tok.stage.id, tok.start, dur));
 }
 
 /// RAII wrapper over the token API for coarse scopes; see
 /// [`crate::span!`]. Ends the span on drop (including unwind), or
 /// explicitly via [`finish`](Self::finish) for the end timestamp.
 #[derive(Debug)]
-pub struct SpanGuard {
-    tok: Option<SpanToken>,
+pub struct SpanGuard<'a> {
+    tok: Option<SpanToken<'a>>,
 }
 
-impl SpanGuard {
-    pub fn new(stage: &'static StageMeta) -> Self {
+impl<'a> SpanGuard<'a> {
+    pub fn new(stage: &'a Stage) -> Self {
         SpanGuard {
             tok: Some(span_begin(stage)),
         }
@@ -401,7 +363,7 @@ impl SpanGuard {
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(tok) = self.tok.take() {
             let _ = span_end(tok);
@@ -562,12 +524,7 @@ mod tests {
         .join()
         .unwrap();
         let snap = crate::snapshot();
-        // A never-sampled stage never resolves its histogram at all.
-        assert_eq!(
-            snap.histogram("obs_test_stage_f_ns")
-                .map_or(0, |h| h.count()),
-            0
-        );
+        assert_eq!(snap.histogram("obs_test_stage_f_ns").unwrap().count(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::gen::{days, TpchDb};
 use crate::oltp::{is_abort, run_oltp, run_oltp_in, OltpKind};
 use crate::queries::{run_olap, sample_params, OlapParams, OlapQuery};
-use anker_core::{ScanStats, TxnKind, WalStatsSnapshot};
+use anker_core::{ScanStats, TxnKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -371,9 +371,10 @@ pub struct DurabilityRunResult {
     pub p95_us: f64,
     pub p99_us: f64,
     pub max_us: f64,
-    /// WAL counters delta over the run (`None` when the database has no
-    /// durability directory).
-    pub wal: Option<WalStatsSnapshot>,
+    /// `wal_syncs_total` / `wal_commit_records_total` deltas over the run
+    /// (0 when the database has no durability directory).
+    pub wal_syncs: u64,
+    pub wal_commit_records: u64,
 }
 
 /// Run `cfg.oltp_txns` fig-style OLTP transactions on `threads` workers,
@@ -382,7 +383,7 @@ pub struct DurabilityRunResult {
 /// (`Off`), a buffered WAL append (`Buffered`), or a group-commit fsync
 /// (`Fsync`) — this driver measures exactly that difference.
 pub fn run_durability(t: &TpchDb, cfg: &DurabilityRunConfig) -> DurabilityRunResult {
-    let before_wal = t.db.wal_stats();
+    let before = t.db.metrics();
     let next = AtomicU64::new(0);
     let committed = AtomicU64::new(0);
     let aborted = AtomicU64::new(0);
@@ -432,17 +433,8 @@ pub fn run_durability(t: &TpchDb, cfg: &DurabilityRunConfig) -> DurabilityRunRes
         let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
         lat[idx] as f64 / 1_000.0
     };
-    let wal = match (before_wal, t.db.wal_stats()) {
-        (Some(before), Some(after)) => Some(WalStatsSnapshot {
-            appends: after.appends - before.appends,
-            commit_records: after.commit_records - before.commit_records,
-            bytes_appended: after.bytes_appended - before.bytes_appended,
-            syncs: after.syncs - before.syncs,
-            segments_created: after.segments_created - before.segments_created,
-            segments_retired: after.segments_retired - before.segments_retired,
-        }),
-        _ => None,
-    };
+    let after = t.db.metrics();
+    let delta = |name| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
     DurabilityRunResult {
         wall,
         committed,
@@ -452,7 +444,8 @@ pub fn run_durability(t: &TpchDb, cfg: &DurabilityRunConfig) -> DurabilityRunRes
         p95_us: pct(0.95),
         p99_us: pct(0.99),
         max_us: lat.last().map(|&n| n as f64 / 1_000.0).unwrap_or(0.0),
-        wal,
+        wal_syncs: delta("wal_syncs_total"),
+        wal_commit_records: delta("wal_commit_records_total"),
     }
 }
 

@@ -176,7 +176,11 @@ fn oltp_kinds_all_run() {
         }
     }
     assert!(committed >= 40, "committed {committed}/45");
-    assert_eq!(t.db.stats().committed, committed);
+    #[cfg(not(feature = "obs-off"))]
+    assert_eq!(
+        t.db.metrics().counter("db_committed_total"),
+        Some(committed)
+    );
 }
 
 #[test]

@@ -115,11 +115,17 @@ fn main() {
         stop.store(true, Ordering::Release);
     });
 
-    let stats = db.stats();
-    println!("writer: {} transfers committed", stats.committed);
+    let m = db.metrics();
+    let count = |name| m.counter(name).unwrap_or(0);
+    println!(
+        "writer: {} transfers committed",
+        count("db_committed_total")
+    );
     println!(
         "snapshot epochs: {} triggered, {} retired, {} column materialisations",
-        stats.epochs_triggered, stats.epochs_retired, stats.columns_materialized
+        count("db_epochs_triggered_total"),
+        count("db_epochs_retired_total"),
+        count("db_columns_materialized_total")
     );
     println!(
         "max analyst staleness observed: {} commits (trigger interval: {})",

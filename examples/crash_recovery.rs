@@ -74,12 +74,13 @@ fn main() {
         .unwrap();
     txn.commit().unwrap();
     let revenue_before = q6_revenue(&t.db);
-    let stats = t.db.wal_stats().expect("wal attached");
+    let m = t.db.metrics();
+    let wal = |name| m.counter(name).expect("wal attached");
     println!(
         "committed {} updates (WAL: {} commit records, {} fsyncs), q6 revenue {revenue_before:.4}",
         committed + 1,
-        stats.commit_records,
-        stats.syncs
+        wal("wal_commit_records_total"),
+        wal("wal_syncs_total")
     );
     println!("== simulated crash: dropping the database without shutdown ==");
     drop(t); // no shutdown(), no final flush — the WAL already has it all

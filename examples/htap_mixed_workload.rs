@@ -55,14 +55,15 @@ fn main() {
     for (name, cfg) in configs {
         let t = gen::generate(cfg, &tpch);
         let r = run_workload(&t, &workload);
-        let s = t.db.stats();
+        let m = t.db.metrics();
+        let count = |name| m.counter(name).unwrap_or(0).to_string();
         table.row([
             name.to_string(),
             format!("{:.0}", r.tps),
             r.committed.to_string(),
             r.aborted.to_string(),
-            s.epochs_triggered.to_string(),
-            s.columns_materialized.to_string(),
+            count("db_epochs_triggered_total"),
+            count("db_columns_materialized_total"),
         ]);
     }
     println!("{}", table.render());

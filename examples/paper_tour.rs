@@ -10,15 +10,16 @@ use ankerdb::core::{AnkerDb, DbConfig, DbError, TxnKind};
 use ankerdb::storage::{ColumnDef, LogicalType, Schema};
 
 fn show(db: &AnkerDb, label: &str) {
-    let s = db.stats();
+    let m = db.metrics();
+    let count = |name| m.counter(name).unwrap_or(0);
     println!(
         "    [state] commits={} epochs: triggered={} retired={} live={} \
          materialised={} versions={}",
-        s.committed,
-        s.epochs_triggered,
-        s.epochs_retired,
-        s.live_epochs,
-        s.columns_materialized,
+        count("db_committed_total"),
+        count("db_epochs_triggered_total"),
+        count("db_epochs_retired_total"),
+        m.gauge("db_live_epochs").unwrap_or(0),
+        count("db_columns_materialized_total"),
         db.total_versions(),
     );
     println!("    -- end of {label}\n");
@@ -110,11 +111,10 @@ fn main() -> Result<(), DbError> {
     println!("Step 8: OLAP transactions done; superseded epochs retired.");
     show(&db, "step 8");
 
-    let final_stats = db.stats();
     assert_eq!(sum, 3);
     assert_eq!(sum_again, 3);
     assert_eq!(sum_fresh, 10);
-    assert!(final_stats.epochs_retired >= 1);
+    assert!(db.metrics().counter("db_epochs_retired_total") >= Some(1));
     println!("All of Figure 1 verified. ✔");
     Ok(())
 }

@@ -85,5 +85,8 @@ fn main() {
         stats.blocks_skipped, stats.rows_filtered
     );
     assert!(stats.blocks_skipped > 0, "zone maps should prune blocks");
-    println!("db stats: {:#?}", db.stats());
+    println!("db metrics (the `db_*` slice of `db.metrics()`):");
+    for m in db.metrics().iter().filter(|m| m.name.starts_with("db_")) {
+        println!("  {} = {:?}", m.name, m.value);
+    }
 }

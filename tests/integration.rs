@@ -1,6 +1,8 @@
 //! Cross-crate integration tests through the `ankerdb` facade: the full
 //! stack from the simulated kernel up to TPC-H queries.
 
+mod common;
+
 use ankerdb::core::{AnkerDb, DbConfig, IsolationLevel, ProcessingMode, TxnKind};
 use ankerdb::snapshot::{Snapshotter, VmSnapshotter};
 use ankerdb::storage::{ColumnDef, LogicalType, Schema, Value};
@@ -96,14 +98,13 @@ fn database_survives_a_life_story() {
         }
     }
     assert_eq!(checks, 10);
-    let stats = db.stats();
-    assert_eq!(stats.committed, 100);
-    assert!(stats.epochs_triggered >= 9);
-    assert!(
-        stats.live_epochs <= 3,
-        "epochs must retire: {}",
-        stats.live_epochs
-    );
+    #[cfg(not(feature = "obs-off"))]
+    {
+        assert_eq!(common::counter(&db, "db_committed_total"), 100);
+        assert!(common::counter(&db, "db_epochs_triggered_total") >= 9);
+    }
+    let live = db.metrics().gauge("db_live_epochs").unwrap();
+    assert!(live <= 3, "epochs must retire: {live}");
 }
 
 #[test]
@@ -130,7 +131,8 @@ fn tpch_queries_run_against_live_updates() {
             olap.commit().unwrap();
         }
     }
-    assert!(t.db.stats().committed >= 150);
+    #[cfg(not(feature = "obs-off"))]
+    assert!(common::counter(&t.db, "db_committed_total") >= 150);
 }
 
 #[test]
@@ -193,6 +195,7 @@ fn homogeneous_gc_thread_runs_in_background() {
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
     assert_eq!(db.total_versions(), 0, "background GC never collected");
-    assert!(db.stats().gc_passes > 0);
+    #[cfg(not(feature = "obs-off"))]
+    assert!(common::counter(&db, "db_gc_passes_total") > 0);
     db.shutdown();
 }

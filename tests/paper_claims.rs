@@ -1,6 +1,8 @@
 //! The paper's headline claims, asserted structurally (virtual-time and
 //! scan-statistics based, so they hold on any machine).
 
+mod common;
+
 use ankerdb::core::{DbConfig, TxnKind};
 use ankerdb::snapshot::{
     fig5_run, table1_run, Fig5Config, ForkSnapshotter, PhysicalSnapshotter, Snapshotter,
@@ -220,8 +222,9 @@ fn claim_implicit_garbage_collection() {
     // growth a chainless design would accumulate. (Columns no analytics
     // touch keep their chains — a bounded fallback in the engine covers
     // those.)
-    assert_eq!(t.db.stats().gc_passes, 0);
-    assert!(t.db.stats().epochs_retired > 0);
+    assert_eq!(common::counter(&t.db, "db_gc_passes_total"), 0);
+    #[cfg(not(feature = "obs-off"))]
+    assert!(common::counter(&t.db, "db_epochs_retired_total") > 0);
     for col in scan_cols {
         let v = t.db.column_versions(t.lineitem, col);
         assert!(
