@@ -33,10 +33,15 @@
 //! the kernel counters are bit-identical across thread counts — morsel
 //! boundaries depend only on table size.
 //!
-//! The scalar escape hatch (`ANKER_SCALAR_SCAN=1`, or
-//! [`crate::DbConfig::scalar_scan`]) reverts the block loops to the
-//! pre-vectorized row-at-a-time dispatch for ablation runs; kernel and
-//! scalar paths are property-tested equivalent (`tests/vector_scan.rs`).
+//! Each kind's predicate is written once, in [`Filter::kernel`], and
+//! serves both uses: refining a selection ([`SelVec::apply`]) and the
+//! fused count path's popcount of a block's last conjunct.
+//!
+//! The row-at-a-time oracle is [`Filter::matches`]. A scan compiled under
+//! [`crate::DbConfig::scalar_scan`] (`ANKER_SCALAR_SCAN=1`) evaluates
+//! through it instead of the kernels, in declaration order — the choice is
+//! made once per scan, outside the kernel loops — and the two are
+//! property-tested bit-identical (`tests/vector_scan.rs`).
 
 use anker_mvcc::{Pred, ScanStats, Transaction, TRACKED_FILTERS};
 use anker_storage::{rank, ColumnId, LogicalType};
@@ -79,8 +84,8 @@ pub(crate) struct Filter {
 }
 
 impl Filter {
-    /// Row-at-a-time evaluation — the scalar baseline the
-    /// `ANKER_SCALAR_SCAN=1` ablation runs, and the oracle the kernel
+    /// Row-at-a-time evaluation — the oracle evaluator a scan compiles
+    /// to under [`crate::DbConfig::scalar_scan`], which the kernel
     /// equivalence proptests compare against.
     #[inline]
     pub(crate) fn matches(&self, word: u64) -> bool {
@@ -102,16 +107,20 @@ impl Filter {
         }
     }
 
-    /// Vectorized evaluation: refine `sel` against this filter's column
-    /// block `words` (`words[i]` is the word of block-local row `i`).
-    /// Each arm hands [`SelVec::apply`] its own closure, so every filter
-    /// kind gets a monomorphized, branch-free kernel instantiation.
+    /// Vectorized evaluation over this filter's column block `words`
+    /// (`words[i]` is the word of block-local row `i`): refine `sel`, or —
+    /// `count_only`, on a still-dense selection — popcount the matches
+    /// without materialising indices ([`SelVec::count_only`]; after it only
+    /// the selected-row *count* is observable, which is all the fused count
+    /// path reads of a block's final conjunct). Each arm hands
+    /// [`SelVec::run`] its own closure, so every filter kind gets a
+    /// monomorphized, branch-free kernel instantiation for both uses.
     #[inline]
-    pub(crate) fn apply_kernel(&self, words: &[u64], sel: &mut SelVec) {
+    pub(crate) fn kernel(&self, words: &[u64], sel: &mut SelVec, count_only: bool) {
         match &self.kind {
             FilterKind::RangeI { lo, hi } => {
                 let (lo, hi) = (*lo, *hi);
-                sel.apply(words, move |w| {
+                sel.run(words, count_only, move |w| {
                     let v = w as i64;
                     (v >= lo) & (v <= hi)
                 });
@@ -122,7 +131,7 @@ impl Filter {
                 hi_exclusive: false,
             } => {
                 let (lo, hi) = (*lo, *hi);
-                sel.apply(words, move |w| {
+                sel.run(words, count_only, move |w| {
                     let r = f64::from_bits(w);
                     (r >= lo) & (r <= hi)
                 });
@@ -133,70 +142,18 @@ impl Filter {
                 hi_exclusive: true,
             } => {
                 let (lo, hi) = (*lo, *hi);
-                sel.apply(words, move |w| {
+                sel.run(words, count_only, move |w| {
                     let r = f64::from_bits(w);
                     (r >= lo) & (r < hi)
                 });
             }
             FilterKind::DictEq(code) => {
                 let code = *code;
-                sel.apply(words, move |w| w as u32 == code);
+                sel.run(words, count_only, move |w| w as u32 == code);
             }
             FilterKind::InSet(codes) => {
                 let codes: &[u32] = codes;
-                sel.apply(words, move |w| {
-                    let c = w as u32;
-                    codes.iter().fold(false, |acc, &x| acc | (x == c))
-                });
-            }
-        }
-    }
-
-    /// Fused count kernel: popcount this filter over a still-dense
-    /// selection without materialising indices ([`SelVec::count_only`]).
-    /// Used by the count terminals for the final remaining conjunct of a
-    /// block — after it only the selected-row *count* is observable, so
-    /// the indices need never exist. Same monomorphized predicates as
-    /// [`Filter::apply_kernel`].
-    #[inline]
-    pub(crate) fn count_kernel(&self, words: &[u64], sel: &mut SelVec) {
-        match &self.kind {
-            FilterKind::RangeI { lo, hi } => {
-                let (lo, hi) = (*lo, *hi);
-                sel.count_only(words, move |w| {
-                    let v = w as i64;
-                    (v >= lo) & (v <= hi)
-                });
-            }
-            FilterKind::Range {
-                lo,
-                hi,
-                hi_exclusive: false,
-            } => {
-                let (lo, hi) = (*lo, *hi);
-                sel.count_only(words, move |w| {
-                    let r = f64::from_bits(w);
-                    (r >= lo) & (r <= hi)
-                });
-            }
-            FilterKind::Range {
-                lo,
-                hi,
-                hi_exclusive: true,
-            } => {
-                let (lo, hi) = (*lo, *hi);
-                sel.count_only(words, move |w| {
-                    let r = f64::from_bits(w);
-                    (r >= lo) & (r < hi)
-                });
-            }
-            FilterKind::DictEq(code) => {
-                let code = *code;
-                sel.count_only(words, move |w| w as u32 == code);
-            }
-            FilterKind::InSet(codes) => {
-                let codes: &[u32] = codes;
-                sel.count_only(words, move |w| {
+                sel.run(words, count_only, move |w| {
                     let c = w as u32;
                     codes.iter().fold(false, |acc, &x| acc | (x == c))
                 });
@@ -322,7 +279,7 @@ impl Filter {
 /// (`0..n`, nothing materialised) or a strictly ascending list of
 /// block-local row offsets. Ascending order is a contract — it is what
 /// keeps emission (and therefore `f64` fold accumulation) in row order,
-/// bit-identical to the scalar path.
+/// bit-identical to the row-at-a-time oracle.
 pub(crate) struct SelVec {
     idx: Vec<u32>,
     n: u32,
@@ -408,7 +365,7 @@ impl SelVec {
     /// uses when a single conjunct remains. A plain predicate-sum loop,
     /// which LLVM autovectorizes outright.
     #[inline]
-    pub(crate) fn count_only(&mut self, words: &[u64], p: impl Fn(u64) -> bool) {
+    fn count_only(&mut self, words: &[u64], p: impl Fn(u64) -> bool) {
         debug_assert!(self.dense);
         let words = &words[..self.n as usize];
         let m: u32 = words.iter().map(|&w| p(w) as u32).sum();
@@ -418,24 +375,15 @@ impl SelVec {
         self.dense = false;
     }
 
-    /// Scalar-baseline refinement: materialise and filter row-at-a-time
-    /// through the branchy `matches` dispatch (the pre-vectorized loop).
-    pub(crate) fn retain_scalar(&mut self, words: &[u64], flt: &Filter) {
-        if self.dense {
-            for i in 0..self.n {
-                self.idx[i as usize] = i;
-            }
-            self.dense = false;
+    /// [`SelVec::count_only`] or [`SelVec::apply`] with the same
+    /// predicate: one branch per block, not per row.
+    #[inline]
+    fn run(&mut self, words: &[u64], count_only: bool, p: impl Fn(u64) -> bool) {
+        if count_only {
+            self.count_only(words, p);
+        } else {
+            self.apply(words, p);
         }
-        let mut m = 0usize;
-        for r in 0..self.n as usize {
-            let i = self.idx[r];
-            if flt.matches(words[i as usize]) {
-                self.idx[m] = i;
-                m += 1;
-            }
-        }
-        self.n = m as u32;
     }
 }
 
@@ -609,8 +557,11 @@ mod tests {
                 .collect();
             let mut sel = SelVec::new(words.len() as u32);
             sel.reset_dense(words.len() as u32);
-            flt.apply_kernel(&words, &mut sel);
+            flt.kernel(&words, &mut sel, false);
             assert_eq!(sel.as_indices(), Some(&scalar[..]), "kind {:?}", flt.kind);
+            sel.reset_dense(words.len() as u32);
+            flt.kernel(&words, &mut sel, true);
+            assert_eq!(sel.len() as usize, scalar.len(), "kind {:?}", flt.kind);
         }
     }
 

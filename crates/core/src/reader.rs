@@ -25,7 +25,7 @@
 
 use crate::db::AnkerDb;
 use crate::error::{DbError, Result};
-use crate::scan::ReaderScanBuilder;
+use crate::scan::{ReaderScanBuilder, Scan};
 use crate::snapman::{resolve_snap_col, Epoch, SnapCol};
 use crate::table::TableId;
 use anker_mvcc::ActiveToken;
@@ -156,6 +156,6 @@ impl SnapshotReader {
     /// [`ReaderScanBuilder::into_partitions`], then finish with a
     /// terminal method.
     pub fn scan(&self, table: TableId) -> ReaderScanBuilder<'_> {
-        ReaderScanBuilder::new(self, table)
+        Scan::new(self, table, self.pin.db.table_state(table))
     }
 }

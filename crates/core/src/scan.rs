@@ -1,33 +1,35 @@
-//! The typed scan layer: [`ScanBuilder`] (in-transaction scans, both
-//! processing paths) and [`ReaderScanBuilder`] (detached
-//! [`crate::SnapshotReader`] scans, sequential or morsel-parallel) —
-//! predicates pushed down into the block loops, with automatic
-//! precision-lock registration on the serializable path.
+//! The typed scan layer: one builder, [`Scan`], generic over its host —
+//! a transaction ([`ScanBuilder`], from [`Txn::scan_on`], either
+//! processing path) or a detached [`SnapshotReader`]
+//! ([`ReaderScanBuilder`], from [`SnapshotReader::scan`], sequential or
+//! morsel-parallel) — with predicates pushed down into one block loop and
+//! automatic precision-lock registration on the serializable path.
 //!
 //! The paper's headline fast path is the tight, version-check-free snapshot
-//! scan (§2.2, §5.5). The builders keep that loop structure and add four
+//! scan (§2.2, §5.5). The builder keeps that loop structure and adds four
 //! things on top:
 //!
-//! * **Predicate pushdown.** Typed filters ([`ScanBuilder::range_i64`],
-//!   [`ScanBuilder::range_f64`], [`ScanBuilder::lt_f64`],
-//!   [`ScanBuilder::dict_eq`], [`ScanBuilder::in_set`]) are evaluated inside
-//!   the 1024-row block loops. On the snapshot path, per-block min/max zone
-//!   maps ([`anker_storage::ZoneMap`], built lazily on the frozen snapshot
-//!   areas) let whole blocks skip when no filter can match
+//! * **Predicate pushdown.** Typed filters ([`Scan::range_i64`],
+//!   [`Scan::range_f64`], [`Scan::lt_f64`], [`Scan::dict_eq`],
+//!   [`Scan::in_set`]) are declared once for both hosts and evaluated
+//!   inside the 1024-row block loop. On frozen snapshot columns, per-block
+//!   min/max zone maps ([`anker_storage::ZoneMap`], built lazily on the
+//!   frozen areas) let whole blocks skip when no filter can match
 //!   (`ScanStats::blocks_skipped`); projection columns are only read for
 //!   blocks with at least one surviving row.
 //! * **Vectorized kernels.** Filters run column-at-a-time through the
-//!   selection-vector kernels of the private `kernels` module: the first conjunct of
-//!   a block produces a `u32` selection vector, later conjuncts refine it
-//!   touching only surviving lanes, zone-map-proven *all-match* blocks
-//!   skip materialisation entirely (`ScanStats::dense_blocks`), and the
-//!   count terminals popcount selections without reading projection
-//!   columns (`ScanStats::proj_blocks` stays 0). Conjunct order adapts
-//!   per work range, cheapest-and-most-selective-first, re-decided only
-//!   at block boundaries from completed-block statistics — deterministic
-//!   for every thread count. `ANKER_SCALAR_SCAN=1` (or
-//!   [`crate::DbConfig::scalar_scan`]) restores the row-at-a-time
-//!   dispatch for ablations.
+//!   selection-vector kernels of the private `kernels` module: the first
+//!   conjunct of a block produces a `u32` selection vector, later
+//!   conjuncts refine it touching only surviving lanes, zone-map-proven
+//!   *all-match* blocks skip materialisation entirely
+//!   (`ScanStats::dense_blocks`), and the count terminals popcount
+//!   selections without reading projection columns
+//!   (`ScanStats::proj_blocks` stays 0). Conjunct order adapts per work
+//!   range, cheapest-and-most-selective-first, re-decided only at block
+//!   boundaries from completed-block statistics — deterministic for every
+//!   thread count. [`crate::DbConfig::scalar_scan`] (`ANKER_SCALAR_SCAN=1`)
+//!   swaps in the row-at-a-time oracle instead, chosen once when the scan
+//!   is compiled.
 //! * **Automatic precision locking.** Every filter is converted into the
 //!   equivalent [`Pred`] for serializable updaters (§2.1), and projected
 //!   columns without a filter are logged as full-column reads — the
@@ -42,20 +44,31 @@
 //!   accumulators are merged **in morsel order**, so results are
 //!   deterministic for any worker count.
 //!
-//! The frozen-scan machinery is shared: both builders compile into a
-//! `FrozenScanCore` (resolved snapshot columns + zone maps, immutable,
-//! `Sync`) driven by per-worker `FrozenCursor`s over arbitrary
-//! block-aligned row ranges.
+//! Every terminal compiles the builder into a `ScanCore` (filters, the
+//! column layout, the evaluator, and one of two column sources, immutable
+//! and `Sync`) and drives it with per-worker `ScanCursor`s over
+//! block-aligned row ranges. The cursor's one block loop runs classify →
+//! filter → emit; the column source decides what a block read is:
+//!
+//! * **frozen** — resolved snapshot columns with zone maps, read through
+//!   zero-copy whole-column slices where the backend exposes them, else
+//!   staged block by block (transaction OLAP on a pinned epoch, and every
+//!   reader scan);
+//! * **versioned** — the live columns, gathered block by block at the
+//!   transaction's start timestamp with the §5.5 block-skip optimisation;
+//!   no zone maps, since in-place installs would invalidate them
+//!   (homogeneous MVCC and OLTP scans).
 
+use crate::db::AnkerDb;
 use crate::error::Result;
 use crate::kernels::{AdaptiveOrder, Filter, FilterKind, SelVec};
 use crate::metrics::Metrics;
-use crate::reader::SnapshotReader;
+use crate::reader::{ReaderPin, SnapshotReader};
 use crate::snapman::SnapCol;
 use crate::table::{TableId, TableState};
 use crate::txn::Txn;
 use anker_mvcc::{Pred, ScanStats, BLOCK_ROWS};
-use anker_storage::{ColumnId, LogicalType, Value, ZoneMap};
+use anker_storage::{ColumnArea, ColumnId, LogicalType, Value, ZoneMap};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -77,170 +90,145 @@ fn morsel_blocks(blocks: u32) -> u32 {
     blocks.div_ceil(MORSEL_BLOCKS).clamp(1, MORSEL_BLOCKS)
 }
 
-/// What to scan: the compiled filters and the projection, independent of
-/// which host (transaction or detached reader) drives the scan. Both
-/// builders delegate their typed predicate methods here so the assertion
-/// and compilation logic exists exactly once.
-#[derive(Debug, Clone, Default)]
-struct ScanSpec {
-    filters: Vec<Filter>,
-    projection: Vec<ColumnId>,
-    /// Run the pre-vectorized row-at-a-time baseline instead of the
-    /// selection-vector kernels (`ANKER_SCALAR_SCAN=1` /
-    /// [`crate::DbConfig::scalar_scan`]).
-    scalar: bool,
-}
+/// An in-transaction scan under construction (see [`Scan`]).
+pub type ScanBuilder<'t> = Scan<&'t mut Txn>;
 
-impl ScanSpec {
-    fn range_i64(&mut self, col: ColumnId, ty: LogicalType, lo: i64, hi: i64) {
-        assert!(
-            matches!(ty, LogicalType::Int | LogicalType::Date),
-            "range_i64 applies to Int or Date columns, found {ty:?}"
-        );
-        self.filters.push(Filter {
-            col,
-            ty,
-            kind: FilterKind::RangeI { lo, hi },
-        });
-    }
+/// A scan under construction on a [`SnapshotReader`] (see [`Scan`]).
+///
+/// Reader scans run **only** on the reader's pinned frozen epoch: no
+/// version checks, no commit-lock acquisition after the scanned columns
+/// are materialised, and snapshot-isolation semantics at the epoch
+/// timestamp (see [`SnapshotReader`] for the contract). Parallel
+/// terminals merge per-morsel results in morsel order, so for associative
+/// merge operators the result is deterministic and identical across
+/// thread counts.
+pub type ReaderScanBuilder<'r> = Scan<&'r SnapshotReader>;
 
-    fn range_f64(&mut self, col: ColumnId, ty: LogicalType, lo: f64, hi: f64) {
-        assert!(
-            ty == LogicalType::Double,
-            "range_f64 applies to Double columns, found {ty:?}"
-        );
-        self.filters.push(Filter {
-            col,
-            ty,
-            kind: FilterKind::Range {
-                lo,
-                hi,
-                hi_exclusive: false,
-            },
-        });
-    }
-
-    fn lt_f64(&mut self, col: ColumnId, ty: LogicalType, hi: f64) {
-        assert!(
-            ty == LogicalType::Double,
-            "lt_f64 applies to Double columns, found {ty:?}"
-        );
-        self.filters.push(Filter {
-            col,
-            ty,
-            kind: FilterKind::Range {
-                lo: f64::NEG_INFINITY,
-                hi,
-                hi_exclusive: true,
-            },
-        });
-    }
-
-    fn dict_eq(&mut self, col: ColumnId, ty: LogicalType, code: u32) {
-        assert!(
-            ty == LogicalType::Dict,
-            "dict_eq applies to Dict columns, found {ty:?}"
-        );
-        self.filters.push(Filter {
-            col,
-            ty,
-            kind: FilterKind::DictEq(code),
-        });
-    }
-
-    fn in_set(&mut self, col: ColumnId, ty: LogicalType, codes: Vec<u32>) {
-        assert!(
-            ty == LogicalType::Dict,
-            "in_set applies to Dict columns, found {ty:?}"
-        );
-        self.filters.push(Filter {
-            col,
-            ty,
-            kind: FilterKind::InSet(codes),
-        });
-    }
-}
-
-/// A scan under construction: obtain with [`Txn::scan_on`], chain typed
-/// predicates and a projection, finish with a terminal method.
+/// A scan under construction: obtain one with [`Txn::scan_on`] or
+/// [`SnapshotReader::scan`], chain typed predicates and a projection,
+/// finish with a terminal method of the host.
 ///
 /// Filters combine conjunctively (logical AND). The projection decides what
-/// the row callback receives, in the order given to
-/// [`ScanBuilder::project`]; without a projection the callback receives an
-/// empty slice (useful with [`ScanBuilder::count`] or when only row ids
-/// matter). A column may appear in both a filter and the projection; its
-/// block is read once.
-#[must_use = "a ScanBuilder does nothing until a terminal method runs it"]
-pub struct ScanBuilder<'t> {
-    txn: &'t mut Txn,
+/// the row callback receives, in the order given to [`Scan::project`];
+/// without a projection the callback receives an empty slice (useful with
+/// the count terminals or when only row ids matter). A column may appear
+/// in both a filter and the projection; its block is read once.
+#[must_use = "a scan builder does nothing until a terminal method runs it"]
+pub struct Scan<H> {
+    host: H,
     table: TableId,
-    spec: ScanSpec,
+    state: Arc<TableState>,
+    filters: Vec<Filter>,
+    projection: Vec<ColumnId>,
+    /// Requested fan-out ([`ReaderScanBuilder::parallel`]; 1 otherwise).
+    threads: usize,
 }
 
-impl<'t> ScanBuilder<'t> {
-    pub(crate) fn new(txn: &'t mut Txn, table: TableId) -> ScanBuilder<'t> {
-        let scalar = txn.db.config().scalar_scan;
-        ScanBuilder {
-            txn,
+impl<H> Scan<H> {
+    pub(crate) fn new(host: H, table: TableId, state: Arc<TableState>) -> Scan<H> {
+        Scan {
+            host,
             table,
-            spec: ScanSpec {
-                scalar,
-                ..ScanSpec::default()
-            },
+            state,
+            filters: Vec::new(),
+            projection: Vec::new(),
+            threads: 1,
         }
     }
 
-    fn col_ty(&mut self, col: ColumnId) -> LogicalType {
-        self.txn.table(self.table).schema.def(col).ty
+    /// Append a filter on `col` after checking the column's type is one
+    /// of `allowed` (`what` names the predicate in the panic message).
+    fn filter(
+        mut self,
+        col: ColumnId,
+        what: &str,
+        allowed: &[LogicalType],
+        kind: FilterKind,
+    ) -> Self {
+        let ty = self.state.schema.def(col).ty;
+        assert!(
+            allowed.contains(&ty),
+            "{what} applies to {allowed:?} columns, found {ty:?}"
+        );
+        self.filters.push(Filter { col, ty, kind });
+        self
     }
 
     /// Keep rows with `lo <= col <= hi` (inclusive). `col` must be an
     /// `Int` or `Date` column (dates are their day counts). The comparison
     /// is exact over the full `i64` domain.
-    pub fn range_i64(mut self, col: ColumnId, lo: i64, hi: i64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.range_i64(col, ty, lo, hi);
-        self
+    pub fn range_i64(self, col: ColumnId, lo: i64, hi: i64) -> Self {
+        let allowed = [LogicalType::Int, LogicalType::Date];
+        self.filter(col, "range_i64", &allowed, FilterKind::RangeI { lo, hi })
     }
 
     /// Keep rows with `lo <= col <= hi` (inclusive). `col` must be a
     /// `Double` column.
-    pub fn range_f64(mut self, col: ColumnId, lo: f64, hi: f64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.range_f64(col, ty, lo, hi);
-        self
+    pub fn range_f64(self, col: ColumnId, lo: f64, hi: f64) -> Self {
+        let kind = FilterKind::Range {
+            lo,
+            hi,
+            hi_exclusive: false,
+        };
+        self.filter(col, "range_f64", &[LogicalType::Double], kind)
     }
 
     /// Keep rows with `col < hi` (strict). `col` must be a `Double`
     /// column.
-    pub fn lt_f64(mut self, col: ColumnId, hi: f64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.lt_f64(col, ty, hi);
-        self
+    pub fn lt_f64(self, col: ColumnId, hi: f64) -> Self {
+        let kind = FilterKind::Range {
+            lo: f64::NEG_INFINITY,
+            hi,
+            hi_exclusive: true,
+        };
+        self.filter(col, "lt_f64", &[LogicalType::Double], kind)
     }
 
     /// Keep rows whose dictionary code equals `code`. `col` must be a
     /// `Dict` column.
-    pub fn dict_eq(mut self, col: ColumnId, code: u32) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.dict_eq(col, ty, code);
-        self
+    pub fn dict_eq(self, col: ColumnId, code: u32) -> Self {
+        self.filter(
+            col,
+            "dict_eq",
+            &[LogicalType::Dict],
+            FilterKind::DictEq(code),
+        )
     }
 
     /// Keep rows whose dictionary code is one of `codes` (an empty set
     /// matches nothing). `col` must be a `Dict` column.
-    pub fn in_set(mut self, col: ColumnId, codes: impl IntoIterator<Item = u32>) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.in_set(col, ty, codes.into_iter().collect());
-        self
+    pub fn in_set(self, col: ColumnId, codes: impl IntoIterator<Item = u32>) -> Self {
+        let kind = FilterKind::InSet(codes.into_iter().collect());
+        self.filter(col, "in_set", &[LogicalType::Dict], kind)
     }
 
     /// Set the columns the row callback receives, in this order.
     pub fn project(mut self, cols: &[ColumnId]) -> Self {
-        self.spec.projection = cols.to_vec();
+        self.projection = cols.to_vec();
         self
     }
 
+    /// The logical types of the projection, for decoding delivered rows.
+    fn projection_types(&self) -> Vec<LogicalType> {
+        self.projection
+            .iter()
+            .map(|&c| self.state.schema.def(c).ty)
+            .collect()
+    }
+}
+
+/// Decode one delivered row's projected words into `vals` (a buffer
+/// reused across rows).
+fn decode_row(vals: &mut Vec<Value>, words: &[u64], tys: &[LogicalType]) {
+    vals.clear();
+    vals.extend(words.iter().zip(tys).map(|(&w, &ty)| Value::decode(w, ty)));
+}
+
+// ---------------------------------------------------------------------
+// In-transaction terminals
+// ---------------------------------------------------------------------
+
+impl Scan<&mut Txn> {
     /// Run the scan, calling `f(row, words)` with the **raw 8-byte words**
     /// of the projection for every row that passes all filters — the
     /// escape hatch for hot aggregation loops that decode inline.
@@ -252,18 +240,10 @@ impl<'t> ScanBuilder<'t> {
     /// Run the scan, calling `f(row, values)` with the decoded
     /// [`Value`]s of the projection for every row that passes all filters.
     pub fn for_each_typed(self, mut f: impl FnMut(u32, &[Value])) -> Result<ScanStats> {
-        let tys: Vec<LogicalType> = {
-            let state = self.txn.table(self.table);
-            self.spec
-                .projection
-                .iter()
-                .map(|&c| state.schema.def(c).ty)
-                .collect()
-        };
+        let tys = self.projection_types();
         let mut vals: Vec<Value> = Vec::with_capacity(tys.len());
         self.for_each(move |row, words| {
-            vals.clear();
-            vals.extend(words.iter().zip(&tys).map(|(&w, &ty)| Value::decode(w, ty)));
+            decode_row(&mut vals, words, &tys);
             f(row, &vals);
         })
     }
@@ -288,25 +268,34 @@ impl<'t> ScanBuilder<'t> {
     /// selection vectors, so neither projection blocks nor per-row
     /// callbacks are touched ([`ScanStats::proj_blocks`] stays 0).
     pub fn count(mut self) -> Result<(u64, ScanStats)> {
-        self.spec.projection.clear();
+        self.projection.clear();
         self.execute(None)
     }
 
-    /// Execute: log precision locks, then drive the snapshot or the
-    /// versioned block loop. `sink` is `Some` for row-delivering
-    /// terminals and `None` for the fused count path; the returned count
-    /// is only meaningful in the latter case.
+    /// Execute: log precision locks, compile the scan against the
+    /// transaction's pinned epoch (frozen source) or its start timestamp
+    /// (versioned source), and run one cursor over all rows as a single
+    /// work range. `sink` is `Some` for row-delivering terminals and
+    /// `None` for the fused count path; the returned count is only
+    /// meaningful in the latter case.
     fn execute(self, sink: Option<&mut dyn FnMut(u32, &[u64])>) -> Result<(u64, ScanStats)> {
-        let ScanBuilder { txn, table, spec } = self;
+        let Scan {
+            host: txn,
+            table,
+            state,
+            filters,
+            projection,
+            ..
+        } = self;
         if txn.serializable_updater() {
-            for flt in &spec.filters {
+            for flt in &filters {
                 flt.log_preds(Txn::colref(table, flt.col), &mut txn.inner);
             }
             // Projection columns without a filter are full-column reads;
             // filtered columns are covered (more precisely) by their
             // filter's predicate.
-            for &c in &spec.projection {
-                if !spec.filters.iter().any(|flt| flt.col == c) {
+            for &c in &projection {
+                if !filters.iter().any(|flt| flt.col == c) {
                     txn.inner.log_predicate(Pred::FullColumn {
                         col: Txn::colref(table, c),
                     });
@@ -320,11 +309,22 @@ impl<'t> ScanBuilder<'t> {
         // A sequential scan is one morsel for the tracer too.
         let m = Arc::clone(&txn.db.inner.m);
         let obs_tok = obs::span_begin(&m.scan_morsel);
-        let count = if txn.epoch.is_some() {
-            Self::run_snapshot(txn, table, spec, sink, &mut stats)
+        let db = txn.db.clone();
+        let core = if txn.epoch.is_some() {
+            // Heterogeneous OLAP: the frozen snapshot columns of the
+            // pinned epoch, materialised through the per-transaction
+            // cache; the active-transaction horizon covers the scan.
+            ScanCore::compile(&db, state.rows, filters, &projection, |cols, filters| {
+                Source::frozen(cols, filters, None, &mut |c| txn.snapshot_col(table, c))
+            })
         } else {
-            Self::run_versioned(txn, table, &spec, sink, &mut stats)
+            let start_ts = txn.inner.start_ts();
+            ScanCore::compile(&db, state.rows, filters, &projection, |cols, _| {
+                Ok(Source::versioned(state, cols, start_ts))
+            })
         };
+        let count =
+            core.and_then(|core| ScanCursor::new(&core).run(0, core.rows, sink, &mut stats));
         obs::span_end(obs_tok);
         let count = count?;
         stats.morsels += 1;
@@ -332,499 +332,13 @@ impl<'t> ScanBuilder<'t> {
         note_scan_stats(&m, &stats);
         Ok((count, stats))
     }
-
-    /// Heterogeneous OLAP: the in-transaction sequential variant of the
-    /// frozen snapshot scan — compile a [`FrozenScanCore`] against the
-    /// transaction's pinned epoch (materialising columns through the
-    /// per-transaction cache) and drive one cursor over all rows.
-    fn run_snapshot(
-        txn: &mut Txn,
-        table: TableId,
-        spec: ScanSpec,
-        sink: Option<&mut dyn FnMut(u32, &[u64])>,
-        stats: &mut ScanStats,
-    ) -> Result<u64> {
-        let rows = txn.db.rows(table);
-        let core = FrozenScanCore::build(rows, spec, None, &mut |c| txn.snapshot_col(table, c))?;
-        let mut cursor = FrozenCursor::new(&core);
-        match sink {
-            Some(sink) => {
-                cursor.run_range(0, rows, sink, stats)?;
-                Ok(0)
-            }
-            None => cursor.count_range(0, rows, stats),
-        }
-    }
-
-    /// Versioned scan at the transaction's start timestamp with the
-    /// 1024-row block-skip optimisation (§5.5). Live data carries no zone
-    /// maps (in-place installs would invalidate them), but filters still
-    /// run through the selection-vector kernels over the gathered blocks,
-    /// filter columns are gathered lazily in adaptive order (a conjunct
-    /// that empties the selection saves the remaining gathers), and
-    /// projection columns are only gathered for blocks with surviving
-    /// rows.
-    fn run_versioned(
-        txn: &mut Txn,
-        table: TableId,
-        spec: &ScanSpec,
-        mut sink: Option<&mut dyn FnMut(u32, &[u64])>,
-        stats: &mut ScanStats,
-    ) -> Result<u64> {
-        let filters = &spec.filters;
-        let projection = &spec.projection;
-        let rows = txn.db.rows(table);
-        let state: Arc<TableState> = txn.table(table);
-        let start_ts = txn.inner.start_ts();
-        let filter_states: Vec<_> = filters.iter().map(|flt| state.col(flt.col.0)).collect();
-        let filter_areas: Vec<_> = filter_states.iter().map(|cs| cs.current_area()).collect();
-        let proj_states: Vec<_> = projection.iter().map(|&c| state.col(c.0)).collect();
-        let proj_areas: Vec<_> = proj_states.iter().map(|cs| cs.current_area()).collect();
-        // Live data is never borrowed as a slice (concurrent installs
-        // mutate it); every block goes through the versioned gather.
-        let no_fslices: Vec<Option<&[u64]>> = vec![None; filters.len()];
-        let no_pslices: Vec<Option<&[u64]>> = vec![None; projection.len()];
-        // No zone maps on live data: no block is provably all-match.
-        let no_all_match = vec![false; filters.len()];
-        let counting = sink.is_none();
-        let mut em = BlockEmitter::new(
-            filters,
-            projection,
-            &vec![false; filters.len()],
-            &vec![false; projection.len()],
-            spec.scalar,
-        );
-        em.begin_range();
-        let mut count = 0u64;
-        let mut start = 0u32;
-        while start < rows {
-            let n = BLOCK_ROWS.min(rows - start);
-            em.filter_block(
-                filters,
-                &no_fslices,
-                &no_all_match,
-                start,
-                n,
-                stats,
-                &mut |fi, buf, stats| {
-                    Ok(filter_states[fi].versioned.gather_visible_block(
-                        &filter_areas[fi],
-                        start_ts,
-                        start,
-                        n,
-                        buf,
-                        stats,
-                    )?)
-                },
-                counting,
-            )?;
-            match sink.as_deref_mut() {
-                Some(sink) => em.emit(
-                    &no_fslices,
-                    &no_pslices,
-                    start,
-                    n,
-                    stats,
-                    &mut |fi, buf, stats| {
-                        Ok(filter_states[fi].versioned.gather_visible_block(
-                            &filter_areas[fi],
-                            start_ts,
-                            start,
-                            n,
-                            buf,
-                            stats,
-                        )?)
-                    },
-                    &mut |pi, buf, stats| {
-                        Ok(proj_states[pi].versioned.gather_visible_block(
-                            &proj_areas[pi],
-                            start_ts,
-                            start,
-                            n,
-                            buf,
-                            stats,
-                        )?)
-                    },
-                    sink,
-                )?,
-                None => count += em.selected() as u64,
-            }
-            start += n;
-        }
-        Ok(count)
-    }
 }
 
 // ---------------------------------------------------------------------
-// The shared frozen-scan machinery
+// Detached reader terminals: sequential, morsel-parallel, partitioned
 // ---------------------------------------------------------------------
 
-/// A compiled scan over frozen snapshot columns: the resolved
-/// [`SnapCol`]s, their zone maps, and the spec. Immutable and `Sync` —
-/// parallel workers share one core by reference and drive their own
-/// [`FrozenCursor`]s over disjoint row ranges. Holding the core keeps
-/// every scanned area alive (the `Arc<SnapCol>`s) **and** — on the
-/// reader path — keeps the epoch pinned: the core owns the
-/// [`ReaderPin`](crate::reader::ReaderPin), so anything holding the core
-/// carries the §4.1.3 recycling-rule justification for its zero-copy
-/// slices with it. On the transaction path `pin` is `None`; there the
-/// active-transaction horizon covers the scan (the engine never recycles
-/// an area a live transaction can reach).
-pub(crate) struct FrozenScanCore {
-    rows: u32,
-    spec: ScanSpec,
-    filter_snaps: Vec<Arc<SnapCol>>,
-    proj_snaps: Vec<Arc<SnapCol>>,
-    zone_maps: Vec<Arc<ZoneMap>>,
-    #[allow(dead_code)] // held for its Drop (epoch unpin), never read
-    pin: Option<Arc<crate::reader::ReaderPin>>,
-}
-
-impl FrozenScanCore {
-    /// Resolve every filter and projection column through `resolve`
-    /// (which materialises on first access), build the zone maps, and
-    /// advise the backend of the impending sequential read. `pin` is the
-    /// epoch pin the core takes ownership of on the reader path.
-    fn build(
-        rows: u32,
-        spec: ScanSpec,
-        pin: Option<Arc<crate::reader::ReaderPin>>,
-        resolve: &mut dyn FnMut(ColumnId) -> Result<Arc<SnapCol>>,
-    ) -> Result<FrozenScanCore> {
-        let filter_snaps = spec
-            .filters
-            .iter()
-            .map(|flt| resolve(flt.col))
-            .collect::<Result<Vec<_>>>()?;
-        let proj_snaps = spec
-            .projection
-            .iter()
-            .map(|&c| resolve(c))
-            .collect::<Result<Vec<_>>>()?;
-        // Zone maps live on the frozen snapshot areas; building them is a
-        // one-time cost per (epoch, column) amortised over every filtered
-        // scan of that snapshot.
-        let zone_maps: Vec<Arc<ZoneMap>> = spec
-            .filters
-            .iter()
-            .zip(&filter_snaps)
-            .map(|(flt, sc)| sc.area().zone_map(flt.ty, BLOCK_ROWS))
-            .collect::<std::result::Result<_, _>>()?;
-        // One sequential-readahead hint per distinct area about to be
-        // streamed (madvise on the OS backend, no-op simulated).
-        let mut advised: Vec<u64> = Vec::new();
-        for sc in filter_snaps.iter().chain(&proj_snaps) {
-            let addr = sc.area().addr();
-            if !advised.contains(&addr) {
-                advised.push(addr);
-                sc.area().advise_sequential();
-            }
-        }
-        Ok(FrozenScanCore {
-            rows,
-            spec,
-            filter_snaps,
-            proj_snaps,
-            zone_maps,
-            pin,
-        })
-    }
-
-    pub(crate) fn rows(&self) -> u32 {
-        self.rows
-    }
-}
-
-/// Per-worker scan state over a shared [`FrozenScanCore`]: the zero-copy
-/// column slices (where the backend exposes them), the block emitter with
-/// its selection vector and gather buffers, and the per-block all-match
-/// flags. Creating a cursor is cheap relative to a morsel; each parallel
-/// worker owns one and reuses it across all morsels it pulls.
-pub(crate) struct FrozenCursor<'c> {
-    core: &'c FrozenScanCore,
-    f_slices: Vec<Option<&'c [u64]>>,
-    p_slices: Vec<Option<&'c [u64]>>,
-    /// Per-filter zone-map all-match flags of the current block, reused.
-    all_match: Vec<bool>,
-    em: BlockEmitter,
-}
-
-impl<'c> FrozenCursor<'c> {
-    pub(crate) fn new(core: &'c FrozenScanCore) -> FrozenCursor<'c> {
-        // SAFETY(provenance: core, sc): the core holds an `Arc<SnapCol>`
-        // per column and owns the epoch pin (or, on the transaction path,
-        // is covered by the active-transaction horizon), so the frozen
-        // areas can neither be unmapped nor recycled while these borrows
-        // live; frozen areas are never written after hand-over, so the
-        // slices are genuinely immutable.
-        let f_slices: Vec<Option<&[u64]>> = core
-            .filter_snaps
-            .iter()
-            .map(|sc| unsafe { sc.area().as_slice() })
-            .collect();
-        // SAFETY(provenance: core, sc): same contract as the filter
-        // slices above — pinned epoch, frozen areas.
-        let p_slices: Vec<Option<&[u64]>> = core
-            .proj_snaps
-            .iter()
-            .map(|sc| unsafe { sc.area().as_slice() })
-            .collect();
-        let f_sliced: Vec<bool> = f_slices.iter().map(Option::is_some).collect();
-        let proj_sliced: Vec<bool> = p_slices.iter().map(Option::is_some).collect();
-        let em = BlockEmitter::new(
-            &core.spec.filters,
-            &core.spec.projection,
-            &f_sliced,
-            &proj_sliced,
-            core.spec.scalar,
-        );
-        FrozenCursor {
-            core,
-            f_slices,
-            p_slices,
-            all_match: vec![false; core.spec.filters.len()],
-            em,
-        }
-    }
-
-    /// Zone-map verdict for `block_idx`: `false` when the block is pruned
-    /// (some filter cannot match), otherwise `true` with
-    /// `self.all_match[fi]` set for every filter the zone map proves
-    /// all-matching (vector path only — the scalar baseline evaluates
-    /// every conjunct like the pre-vectorized code did).
-    fn classify_block(&mut self, block_idx: usize) -> bool {
-        let filters = &self.core.spec.filters;
-        let scalar = self.core.spec.scalar;
-        for (fi, (zm, flt)) in self.core.zone_maps.iter().zip(filters).enumerate() {
-            let (lo, hi) = zm.block_range(block_idx);
-            if !flt.block_can_match(lo, hi) {
-                return false;
-            }
-            self.all_match[fi] = !scalar && flt.block_all_match(lo, hi);
-        }
-        true
-    }
-
-    /// Scan rows `[start, end)` — `start` must be 1024-row (block)
-    /// aligned — applying zone-map pruning per block and emitting
-    /// surviving rows into `sink`. Counters accumulate into `stats`. The
-    /// adaptive conjunct order resets here: one range = one deterministic
-    /// adaptation domain (see [`crate::kernels::AdaptiveOrder`]).
-    pub(crate) fn run_range(
-        &mut self,
-        start: u32,
-        end: u32,
-        sink: &mut dyn FnMut(u32, &[u64]),
-        stats: &mut ScanStats,
-    ) -> Result<()> {
-        if start >= end {
-            // Empty ranges (e.g. a trailing empty partition of a small
-            // table) are legal and need not be block-aligned.
-            return Ok(());
-        }
-        debug_assert!(
-            start.is_multiple_of(BLOCK_ROWS),
-            "morsels are block-aligned"
-        );
-        self.em.begin_range();
-        let end = end.min(self.core.rows);
-        let mut start = start;
-        while start < end {
-            let n = BLOCK_ROWS.min(end - start);
-            let block_idx = (start / BLOCK_ROWS) as usize;
-            if !self.classify_block(block_idx) {
-                stats.blocks_skipped += 1;
-                start += n;
-                continue;
-            }
-            stats.tight_rows += n as u64;
-            let FrozenCursor {
-                core,
-                f_slices,
-                p_slices,
-                all_match,
-                em,
-            } = self;
-            let filters = &core.spec.filters;
-            em.filter_block(
-                filters,
-                f_slices,
-                all_match,
-                start,
-                n,
-                stats,
-                &mut |fi, buf, _| {
-                    Ok(core.filter_snaps[fi]
-                        .area()
-                        .read_block_into(start, n, buf)?)
-                },
-                false,
-            )?;
-            em.emit(
-                f_slices,
-                p_slices,
-                start,
-                n,
-                stats,
-                &mut |fi, buf, _| {
-                    Ok(core.filter_snaps[fi]
-                        .area()
-                        .read_block_into(start, n, buf)?)
-                },
-                &mut |pi, buf, _| Ok(core.proj_snaps[pi].area().read_block_into(start, n, buf)?),
-                sink,
-            )?;
-            start += n;
-        }
-        Ok(())
-    }
-
-    /// Count the passing rows of `[start, end)` without delivering them:
-    /// the fused count path. Selections are popcounted — never gathered
-    /// into projection buffers — all-match blocks contribute their row
-    /// count without reading any column data, and the final conjunct of a
-    /// block runs as a pure popcount kernel with no index
-    /// materialisation.
-    pub(crate) fn count_range(
-        &mut self,
-        start: u32,
-        end: u32,
-        stats: &mut ScanStats,
-    ) -> Result<u64> {
-        if start >= end {
-            return Ok(0);
-        }
-        debug_assert!(
-            start.is_multiple_of(BLOCK_ROWS),
-            "morsels are block-aligned"
-        );
-        self.em.begin_range();
-        let end = end.min(self.core.rows);
-        let mut count = 0u64;
-        let mut start = start;
-        while start < end {
-            let n = BLOCK_ROWS.min(end - start);
-            let block_idx = (start / BLOCK_ROWS) as usize;
-            if !self.classify_block(block_idx) {
-                stats.blocks_skipped += 1;
-                start += n;
-                continue;
-            }
-            stats.tight_rows += n as u64;
-            let FrozenCursor {
-                core,
-                f_slices,
-                all_match,
-                em,
-                ..
-            } = self;
-            let filters = &core.spec.filters;
-            em.filter_block(
-                filters,
-                f_slices,
-                all_match,
-                start,
-                n,
-                stats,
-                &mut |fi, buf, _| {
-                    Ok(core.filter_snaps[fi]
-                        .area()
-                        .read_block_into(start, n, buf)?)
-                },
-                true,
-            )?;
-            count += em.selected() as u64;
-            start += n;
-        }
-        Ok(count)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Detached reader scans: sequential, morsel-parallel, partitioned
-// ---------------------------------------------------------------------
-
-/// A scan under construction on a [`SnapshotReader`]: obtain with
-/// [`SnapshotReader::scan`], chain the same typed predicates and
-/// projection as [`ScanBuilder`], optionally fan out with
-/// [`ReaderScanBuilder::parallel`], and finish with a terminal method.
-///
-/// Reader scans run **only** on the reader's pinned frozen epoch: no
-/// version checks, no commit-lock acquisition after the scanned columns
-/// are materialised, and snapshot-isolation semantics at the epoch
-/// timestamp (see [`SnapshotReader`] for the contract).
-///
-/// Parallel terminals merge per-morsel results in morsel order, so for
-/// associative merge operators the result is deterministic and identical
-/// across thread counts.
-#[must_use = "a ReaderScanBuilder does nothing until a terminal method runs it"]
-pub struct ReaderScanBuilder<'r> {
-    reader: &'r SnapshotReader,
-    table: TableId,
-    spec: ScanSpec,
-    threads: usize,
-}
-
-impl<'r> ReaderScanBuilder<'r> {
-    pub(crate) fn new(reader: &'r SnapshotReader, table: TableId) -> ReaderScanBuilder<'r> {
-        let scalar = reader.db().config().scalar_scan;
-        ReaderScanBuilder {
-            reader,
-            table,
-            spec: ScanSpec {
-                scalar,
-                ..ScanSpec::default()
-            },
-            threads: 1,
-        }
-    }
-
-    fn col_ty(&self, col: ColumnId) -> LogicalType {
-        self.reader.db().table_state(self.table).schema.def(col).ty
-    }
-
-    /// Keep rows with `lo <= col <= hi` (inclusive; `Int`/`Date` column).
-    pub fn range_i64(mut self, col: ColumnId, lo: i64, hi: i64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.range_i64(col, ty, lo, hi);
-        self
-    }
-
-    /// Keep rows with `lo <= col <= hi` (inclusive; `Double` column).
-    pub fn range_f64(mut self, col: ColumnId, lo: f64, hi: f64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.range_f64(col, ty, lo, hi);
-        self
-    }
-
-    /// Keep rows with `col < hi` (strict; `Double` column).
-    pub fn lt_f64(mut self, col: ColumnId, hi: f64) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.lt_f64(col, ty, hi);
-        self
-    }
-
-    /// Keep rows whose dictionary code equals `code` (`Dict` column).
-    pub fn dict_eq(mut self, col: ColumnId, code: u32) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.dict_eq(col, ty, code);
-        self
-    }
-
-    /// Keep rows whose dictionary code is one of `codes` (`Dict` column;
-    /// an empty set matches nothing).
-    pub fn in_set(mut self, col: ColumnId, codes: impl IntoIterator<Item = u32>) -> Self {
-        let ty = self.col_ty(col);
-        self.spec.in_set(col, ty, codes.into_iter().collect());
-        self
-    }
-
-    /// Set the columns the row callback receives, in this order.
-    pub fn project(mut self, cols: &[ColumnId]) -> Self {
-        self.spec.projection = cols.to_vec();
-        self
-    }
-
+impl Scan<&SnapshotReader> {
     /// Fan the scan out over `threads` threads of execution (the caller
     /// is one of them; the rest come from the database's reusable scan
     /// pool). Workers pull 1024-row-aligned morsels dynamically;
@@ -835,30 +349,42 @@ impl<'r> ReaderScanBuilder<'r> {
         self
     }
 
-    fn build_core(&mut self) -> Result<FrozenScanCore> {
-        let reader = self.reader;
-        let table = self.table;
-        let rows = reader.db().rows(table);
-        let spec = std::mem::take(&mut self.spec);
-        FrozenScanCore::build(rows, spec, Some(reader.pin_handle()), &mut |c| {
-            reader.snap_col(table, c)
-        })
+    /// Compile against the reader's pinned epoch. The core takes a handle
+    /// on the pin, so whatever holds the core keeps the epoch alive.
+    fn build_core(self) -> Result<ScanCore> {
+        let Scan {
+            host: reader,
+            table,
+            state,
+            filters,
+            projection,
+            ..
+        } = self;
+        ScanCore::compile(
+            reader.db(),
+            state.rows,
+            filters,
+            &projection,
+            |cols, filters| {
+                Source::frozen(cols, filters, Some(reader.pin_handle()), &mut |c| {
+                    reader.snap_col(table, c)
+                })
+            },
+        )
     }
 
     /// Run the scan and count the rows passing all filters. The
     /// projection is ignored (no value columns are read): each morsel
-    /// popcounts its selection vectors through
-    /// `FrozenCursor::count_range` — no per-row callback, no
+    /// popcounts its selection vectors — no per-row callback, no
     /// projection buffers ([`ScanStats::proj_blocks`] stays 0) — and the
     /// per-morsel counts sum in morsel order.
     pub fn count(mut self) -> Result<(u64, ScanStats)> {
-        self.spec.projection.clear();
-        let threads = self.threads;
+        self.projection.clear();
+        let (reader, threads) = (self.host, self.threads);
         let core = self.build_core()?;
-        let (counts, stats) =
-            run_morsels(self.reader, &core, threads, &|cursor, start, end, st| {
-                cursor.count_range(start, end, st)
-            })?;
+        let (counts, stats) = run_morsels(reader, &core, threads, &|cursor, start, end, st| {
+            cursor.run(start, end, None, st)
+        })?;
         Ok((counts.into_iter().sum(), stats))
     }
 
@@ -870,11 +396,11 @@ impl<'r> ReaderScanBuilder<'r> {
     ///
     /// [`parallel`]: ReaderScanBuilder::parallel
     /// [`fold`]: ReaderScanBuilder::fold
-    pub fn for_each(mut self, f: impl Fn(u32, &[u64]) + Sync) -> Result<ScanStats> {
-        let threads = self.threads;
+    pub fn for_each(self, f: impl Fn(u32, &[u64]) + Sync) -> Result<ScanStats> {
+        let (reader, threads) = (self.host, self.threads);
         let core = self.build_core()?;
-        let (_, stats) = run_morsels(self.reader, &core, threads, &|cursor, start, end, st| {
-            cursor.run_range(start, end, &mut |row, words| f(row, words), st)
+        let (_, stats) = run_morsels(reader, &core, threads, &|cursor, start, end, st| {
+            cursor.run(start, end, Some(&mut |row, words| f(row, words)), st)
         })?;
         Ok(stats)
     }
@@ -884,38 +410,26 @@ impl<'r> ReaderScanBuilder<'r> {
     /// merging them **in morsel order** with `merge`. For an associative
     /// `merge` the result equals the sequential fold and is identical for
     /// every thread count.
-    pub fn fold<A, F, M>(mut self, init: A, f: F, merge: M) -> Result<(A, ScanStats)>
+    pub fn fold<A, F, M>(self, init: A, f: F, merge: M) -> Result<(A, ScanStats)>
     where
         A: Clone + Send + Sync,
         F: Fn(A, u32, &[Value]) -> A + Sync,
         M: Fn(A, A) -> A,
     {
-        let tys: Vec<LogicalType> = {
-            let state = self.reader.db().table_state(self.table);
-            self.spec
-                .projection
-                .iter()
-                .map(|&c| state.schema.def(c).ty)
-                .collect()
-        };
-        let threads = self.threads;
+        let tys = self.projection_types();
+        let (reader, threads) = (self.host, self.threads);
         let core = self.build_core()?;
         let init = &init;
-        let (accs, stats) = run_morsels(self.reader, &core, threads, &|cursor, start, end, st| {
+        let (accs, stats) = run_morsels(reader, &core, threads, &|cursor, start, end, st| {
             let mut acc = Some(init.clone());
             // One decode buffer per morsel, reused across its rows.
             let mut vals: Vec<Value> = Vec::with_capacity(tys.len());
-            cursor.run_range(
-                start,
-                end,
-                &mut |row, words| {
-                    vals.clear();
-                    vals.extend(words.iter().zip(&tys).map(|(&w, &ty)| Value::decode(w, ty)));
-                    let a = acc.take().expect("accumulator present");
-                    acc = Some(f(a, row, &vals));
-                },
-                st,
-            )?;
+            let mut sink = |row, words: &[u64]| {
+                decode_row(&mut vals, words, &tys);
+                let a = acc.take().expect("accumulator present");
+                acc = Some(f(a, row, &vals));
+            };
+            cursor.run(start, end, Some(&mut sink), st)?;
             Ok(acc.expect("accumulator present"))
         })?;
         let folded = accs
@@ -933,12 +447,13 @@ impl<'r> ReaderScanBuilder<'r> {
     ///
     /// The partitions share one compiled scan, so — unlike the builder's
     /// own [`count`](ReaderScanBuilder::count) — a partition holding a
-    /// projection keeps it; omit [`project`](ReaderScanBuilder::project)
-    /// when the partitions will only count.
-    pub fn into_partitions(mut self, n: usize) -> Result<Vec<ScanPartition>> {
+    /// projection keeps it; omit [`project`](Scan::project) when the
+    /// partitions will only count.
+    pub fn into_partitions(self, n: usize) -> Result<Vec<ScanPartition>> {
         let threads = n.max(1) as u32;
+        let m = Arc::clone(&self.host.db().inner.m);
         let core = Arc::new(self.build_core()?);
-        let rows = core.rows();
+        let rows = core.rows;
         let blocks = rows.div_ceil(BLOCK_ROWS);
         let base = blocks / threads;
         let extra = blocks % threads;
@@ -950,7 +465,7 @@ impl<'r> ReaderScanBuilder<'r> {
             let end = ((block + take) * BLOCK_ROWS).min(rows);
             out.push(ScanPartition {
                 core: Arc::clone(&core),
-                m: Arc::clone(&self.reader.db().inner.m),
+                m: Arc::clone(&m),
                 start: start.min(rows),
                 end,
             });
@@ -972,7 +487,7 @@ impl<'r> ReaderScanBuilder<'r> {
 pub struct ScanPartition {
     // The core owns the epoch pin, so the partition keeps the epoch
     // pinned transitively for as long as it lives.
-    core: Arc<FrozenScanCore>,
+    core: Arc<ScanCore>,
     m: Arc<Metrics>,
     start: u32,
     end: u32,
@@ -995,32 +510,26 @@ impl ScanPartition {
     /// Scan this partition, calling `f(row, words)` for every passing row
     /// in row order.
     pub fn for_each(&self, mut f: impl FnMut(u32, &[u64])) -> Result<ScanStats> {
-        let mut stats = ScanStats {
-            threads: 1,
-            morsels: 1,
-            ..ScanStats::default()
-        };
-        let mut cursor = FrozenCursor::new(&self.core);
-        let obs_tok = obs::span_begin(&self.m.scan_morsel);
-        let res = cursor.run_range(self.start, self.end, &mut f, &mut stats);
-        obs::span_end(obs_tok);
-        res?;
-        note_scan_stats(&self.m, &stats);
-        Ok(stats)
+        Ok(self.run(Some(&mut f))?.1)
     }
 
     /// Count the partition's passing rows through the fused
     /// selection-vector popcount path (no projection reads, no per-row
     /// callback).
     pub fn count(&self) -> Result<(u64, ScanStats)> {
+        self.run(None)
+    }
+
+    /// One sequential cursor over the partition's range — one morsel.
+    fn run(&self, sink: Option<&mut dyn FnMut(u32, &[u64])>) -> Result<(u64, ScanStats)> {
         let mut stats = ScanStats {
             threads: 1,
             morsels: 1,
             ..ScanStats::default()
         };
-        let mut cursor = FrozenCursor::new(&self.core);
+        let mut cursor = ScanCursor::new(&self.core);
         let obs_tok = obs::span_begin(&self.m.scan_morsel);
-        let res = cursor.count_range(self.start, self.end, &mut stats);
+        let res = cursor.run(self.start, self.end, sink, &mut stats);
         obs::span_end(obs_tok);
         let n = res?;
         note_scan_stats(&self.m, &stats);
@@ -1032,16 +541,15 @@ impl ScanPartition {
 /// [`MORSEL_BLOCKS`]-sized, block-aligned morsels, let `threads` workers
 /// (the caller plus pool workers) pull them dynamically, and return the
 /// per-morsel results **in morsel order** together with the merged
-/// stats. Each morsel runs through `run` on the pulling worker's cursor
-/// (`run_range` for row terminals, `count_range` for the fused count);
+/// stats. Each morsel runs through `run` on the pulling worker's cursor;
 /// `threads == 1` runs entirely inline.
 fn run_morsels<A: Send>(
     reader: &SnapshotReader,
-    core: &FrozenScanCore,
+    core: &ScanCore,
     threads: usize,
-    run: &(dyn Fn(&mut FrozenCursor, u32, u32, &mut ScanStats) -> Result<A> + Sync),
+    run: &(dyn Fn(&mut ScanCursor, u32, u32, &mut ScanStats) -> Result<A> + Sync),
 ) -> Result<(Vec<A>, ScanStats)> {
-    let rows = core.rows();
+    let rows = core.rows;
     let morsel_rows = morsel_blocks(rows.div_ceil(BLOCK_ROWS)) * BLOCK_ROWS;
     let n_morsels = rows.div_ceil(morsel_rows) as usize;
     let threads = threads.clamp(1, n_morsels.max(1));
@@ -1052,7 +560,7 @@ fn run_morsels<A: Send>(
     let failed = std::sync::atomic::AtomicBool::new(false);
     let metrics = &*reader.db().inner.m;
     let worker = |_seat: usize| {
-        let mut cursor = FrozenCursor::new(core);
+        let mut cursor = ScanCursor::new(core);
         loop {
             // One worker's error cancels the whole scan: the others stop
             // pulling instead of draining the remaining morsels for a
@@ -1127,198 +635,364 @@ fn note_scan_stats(m: &Metrics, stats: &ScanStats) {
     m.scan_dense_blocks.add(stats.dense_blocks);
 }
 
-/// Reads filter/projection column `idx`'s current block into `buf`
-/// (versioned gather or frozen-area staging, depending on the scan path).
-type ReadCol<'a> = &'a mut dyn FnMut(usize, &mut [u64], &mut ScanStats) -> Result<()>;
+// ---------------------------------------------------------------------
+// The compiled scan and its one block loop
+// ---------------------------------------------------------------------
 
-/// Per-block machinery shared by both scan paths: evaluate the filters
-/// column-at-a-time over the block (selection-vector kernels, or the
-/// scalar row-at-a-time baseline under `ANKER_SCALAR_SCAN=1`), then —
-/// when any row survives and the terminal wants rows — emit the
-/// surviving rows into the sink.
-///
-/// Filter columns are gathered **lazily in evaluation order** (a conjunct
-/// that empties the selection, or a zone-map all-match verdict, saves the
-/// gathers behind it); whole-column slices (`f_slices`/`pslices`, the OS
-/// backend's zero-copy path) need no gathering at all. Projection words
-/// come, in order of preference, from a filter's block (column read
-/// once), from a whole-column slice, or from a buffer filled through
-/// `read_proj` (counted in [`ScanStats::proj_blocks`]).
-struct BlockEmitter {
-    /// Row-at-a-time ablation baseline instead of the kernels.
-    scalar: bool,
-    /// For each projection column, the index of the filter whose block
-    /// already holds it (read each block once).
-    proj_from_filter: Vec<Option<usize>>,
-    /// Per-filter gather buffers (empty placeholders for slice-served
-    /// filters) and the current block's filled flags.
-    fbufs: Vec<Vec<u64>>,
-    f_filled: Vec<bool>,
-    pbufs: Vec<Vec<u64>>,
+/// How a compiled scan evaluates its filters — fixed at compile time, so
+/// the block loop dispatches on it once per block.
+#[derive(Debug, Clone, Copy)]
+enum Eval {
+    /// Column-at-a-time selection-vector kernels: lazy gathers in
+    /// adaptive conjunct order, zone-map dense blocks, fused counting.
+    Kernels,
+    /// Row at a time through [`Filter::matches`], in declaration order,
+    /// with every filter column gathered up front — the oracle the
+    /// kernels are property-tested against
+    /// ([`crate::DbConfig::scalar_scan`]). Zone-map pruning stays on; the
+    /// all-match verdicts, adaptive ordering and fused counting do not
+    /// apply.
+    RowOracle,
+}
+
+/// Where a compiled scan's column blocks come from. Columns are indexed
+/// like [`ScanCore::cols`].
+enum Source {
+    /// Frozen snapshot columns. Holding them keeps every scanned area
+    /// alive (the `Arc<SnapCol>`s) **and** — on the reader path — keeps
+    /// the epoch pinned: the source owns the [`ReaderPin`], so anything
+    /// holding the core carries the §4.1.3 recycling-rule justification
+    /// for the cursor's zero-copy slices with it. On the transaction path
+    /// the pin is `None`; there the active-transaction horizon covers the
+    /// scan (the engine never recycles an area a live transaction can
+    /// reach).
+    Frozen {
+        snaps: Vec<Arc<SnapCol>>,
+        /// Per filter (the first `filters.len()` columns).
+        zone_maps: Vec<Arc<ZoneMap>>,
+        _pin: Option<Arc<ReaderPin>>,
+    },
+    /// The live columns, gathered at `start_ts`. Live data is never
+    /// borrowed as a slice (concurrent installs mutate it), and carries no
+    /// zone maps, so no block is pruned or provably all-match.
+    Versioned {
+        state: Arc<TableState>,
+        areas: Vec<ColumnArea>,
+        start_ts: u64,
+    },
+}
+
+impl Source {
+    /// Resolve every column through `resolve` (which materialises on
+    /// first access), build the filters' zone maps, and advise the
+    /// backend of the impending sequential read. `pin` is the epoch pin
+    /// the source takes ownership of on the reader path.
+    fn frozen(
+        cols: &[ColumnId],
+        filters: &[Filter],
+        pin: Option<Arc<ReaderPin>>,
+        resolve: &mut dyn FnMut(ColumnId) -> Result<Arc<SnapCol>>,
+    ) -> Result<Source> {
+        let snaps = cols
+            .iter()
+            .map(|&c| resolve(c))
+            .collect::<Result<Vec<_>>>()?;
+        // Zone maps live on the frozen snapshot areas; building them is a
+        // one-time cost per (epoch, column) amortised over every filtered
+        // scan of that snapshot.
+        let zone_maps: Vec<Arc<ZoneMap>> = filters
+            .iter()
+            .zip(&snaps)
+            .map(|(flt, sc)| sc.area().zone_map(flt.ty, BLOCK_ROWS))
+            .collect::<std::result::Result<_, _>>()?;
+        // One sequential-readahead hint per distinct area about to be
+        // streamed (madvise on the OS backend, no-op simulated).
+        let mut advised: Vec<u64> = Vec::new();
+        for sc in &snaps {
+            let addr = sc.area().addr();
+            if !advised.contains(&addr) {
+                advised.push(addr);
+                sc.area().advise_sequential();
+            }
+        }
+        Ok(Source::Frozen {
+            snaps,
+            zone_maps,
+            _pin: pin,
+        })
+    }
+
+    /// The live columns at `start_ts`, each through the area current now.
+    fn versioned(state: Arc<TableState>, cols: &[ColumnId], start_ts: u64) -> Source {
+        let areas = cols.iter().map(|c| state.col(c.0).current_area()).collect();
+        Source::Versioned {
+            state,
+            areas,
+            start_ts,
+        }
+    }
+}
+
+/// A compiled scan: the filters, the columns to read, the evaluator and
+/// the column source. Immutable and `Sync` — parallel workers share one
+/// core by reference and drive their own [`ScanCursor`]s over disjoint
+/// row ranges.
+pub(crate) struct ScanCore {
+    rows: u32,
+    filters: Vec<Filter>,
+    /// The columns the cursor reads: one per filter (index = filter
+    /// index), then each projection column no filter covers.
+    cols: Vec<ColumnId>,
+    /// For each projection position, the index into `cols` serving it —
+    /// a filter's column when one covers it, so its block is read once.
+    proj: Vec<usize>,
+    eval: Eval,
+    source: Source,
+}
+
+impl ScanCore {
+    /// Lay out the columns, pick the evaluator from the database's
+    /// configuration, and open the column source through `open`.
+    fn compile(
+        db: &AnkerDb,
+        rows: u32,
+        filters: Vec<Filter>,
+        projection: &[ColumnId],
+        open: impl FnOnce(&[ColumnId], &[Filter]) -> Result<Source>,
+    ) -> Result<ScanCore> {
+        let mut cols: Vec<ColumnId> = filters.iter().map(|flt| flt.col).collect();
+        let proj = projection
+            .iter()
+            .map(|&c| match filters.iter().position(|flt| flt.col == c) {
+                Some(fi) => fi,
+                None => {
+                    cols.push(c);
+                    cols.len() - 1
+                }
+            })
+            .collect();
+        let source = open(&cols, &filters)?;
+        let eval = if db.config().scalar_scan {
+            Eval::RowOracle
+        } else {
+            Eval::Kernels
+        };
+        Ok(ScanCore {
+            rows,
+            filters,
+            cols,
+            proj,
+            eval,
+            source,
+        })
+    }
+}
+
+/// The current block's column words, indexed like [`ScanCore::cols`]:
+/// whole-column slices where the source exposes them (the OS backend's
+/// zero-copy path), else per-column buffers filled on first use within
+/// the block.
+struct BlockCols<'c> {
+    core: &'c ScanCore,
+    slices: Vec<Option<&'c [u64]>>,
+    bufs: Vec<Vec<u64>>,
+    filled: Vec<bool>,
+}
+
+impl BlockCols<'_> {
+    /// Column `ci`'s words for the block `[start, start + n)`, read from
+    /// the source on first use within the block.
+    fn fetch(&mut self, ci: usize, start: u32, n: u32, stats: &mut ScanStats) -> Result<&[u64]> {
+        if self.slices[ci].is_none() && !self.filled[ci] {
+            self.read(ci, start, n, stats)?;
+        }
+        Ok(match self.slices[ci] {
+            Some(s) => &s[start as usize..(start + n) as usize],
+            None => &self.bufs[ci][..n as usize],
+        })
+    }
+
+    /// Read column `ci`'s block into its buffer: stage it from the frozen
+    /// area, or gather it visible at the versioned source's timestamp.
+    fn read(&mut self, ci: usize, start: u32, n: u32, stats: &mut ScanStats) -> Result<()> {
+        let buf = &mut self.bufs[ci];
+        match &self.core.source {
+            Source::Frozen { snaps, .. } => snaps[ci].area().read_block_into(start, n, buf)?,
+            Source::Versioned {
+                state,
+                areas,
+                start_ts,
+            } => state
+                .col(self.core.cols[ci].0)
+                .versioned
+                .gather_visible_block(&areas[ci], *start_ts, start, n, buf, stats)?,
+        }
+        self.filled[ci] = true;
+        Ok(())
+    }
+
+    /// Row `i` of column `ci`'s current block (already fetched).
+    #[inline]
+    fn word(&self, ci: usize, start: u32, i: u32) -> u64 {
+        match self.slices[ci] {
+            Some(s) => s[(start + i) as usize],
+            None => self.bufs[ci][i as usize],
+        }
+    }
+}
+
+/// Per-worker scan state over a shared [`ScanCore`]: the block's column
+/// words, the selection vector, the adaptive conjunct order and the
+/// per-block all-match flags. Creating a cursor is cheap relative to a
+/// morsel; each parallel worker owns one and reuses it across all morsels
+/// it pulls.
+pub(crate) struct ScanCursor<'c> {
+    core: &'c ScanCore,
+    cols: BlockCols<'c>,
+    /// Per-filter zone-map all-match flags of the current block, reused
+    /// (never set on the versioned source).
+    all_match: Vec<bool>,
     sel: SelVec,
     /// Evaluation-order scratch (copied from `order` per block so the
     /// order can update while iterating).
     eval_order: Vec<u32>,
     order: AdaptiveOrder,
+    /// One emitted row's projected words, reused.
     vals: Vec<u64>,
 }
 
-/// Resolve filter `fi`'s words for the current block: the whole-column
-/// slice when the backend exposes one, else the gather buffer — filled
-/// through `read_filter` on first use within the block. Free function
-/// over the emitter's split-off fields so the filter loop can hold other
-/// borrows concurrently.
-fn filter_words<'b>(
-    fbufs: &'b mut [Vec<u64>],
-    f_filled: &mut [bool],
-    f_slices: &[Option<&'b [u64]>],
-    fi: usize,
-    start: u32,
-    n: u32,
-    stats: &mut ScanStats,
-    read_filter: ReadCol<'_>,
-) -> Result<&'b [u64]> {
-    match f_slices[fi] {
-        Some(s) => Ok(&s[start as usize..(start + n) as usize]),
-        None => {
-            if !f_filled[fi] {
-                read_filter(fi, &mut fbufs[fi], stats)?;
-                f_filled[fi] = true;
-            }
-            Ok(&fbufs[fi][..n as usize])
-        }
-    }
-}
-
-impl BlockEmitter {
-    /// `f_sliced[fi]` / `proj_sliced[pi]` mark columns a whole-column
-    /// slice will serve (no gather buffer needed).
-    fn new(
-        filters: &[Filter],
-        projection: &[ColumnId],
-        f_sliced: &[bool],
-        proj_sliced: &[bool],
-        scalar: bool,
-    ) -> BlockEmitter {
-        let block = BLOCK_ROWS as usize;
-        let proj_from_filter: Vec<Option<usize>> = projection
+impl<'c> ScanCursor<'c> {
+    pub(crate) fn new(core: &'c ScanCore) -> ScanCursor<'c> {
+        let slices: Vec<Option<&[u64]>> = match &core.source {
+            // SAFETY(provenance: core, sc): the core holds an
+            // `Arc<SnapCol>` per column and owns the epoch pin (or, on the
+            // transaction path, is covered by the active-transaction
+            // horizon), so the frozen areas can neither be unmapped nor
+            // recycled while these borrows live; frozen areas are never
+            // written after hand-over, so the slices are genuinely
+            // immutable.
+            Source::Frozen { snaps, .. } => snaps
+                .iter()
+                .map(|sc| unsafe { sc.area().as_slice() })
+                .collect(),
+            Source::Versioned { .. } => vec![None; core.cols.len()],
+        };
+        let bufs = slices
             .iter()
-            .map(|&c| filters.iter().position(|flt| flt.col == c))
-            .collect();
-        let fbufs = f_sliced
-            .iter()
-            .map(|sliced| {
-                if *sliced {
-                    Vec::new()
-                } else {
-                    vec![0u64; block]
-                }
+            .map(|s| match s {
+                Some(_) => Vec::new(),
+                None => vec![0u64; BLOCK_ROWS as usize],
             })
             .collect();
-        // Columns served from a filter block or a whole-column slice get an
-        // empty placeholder so `pbufs` stays indexable by projection
-        // position without allocating storage nothing will read.
-        let pbufs = proj_from_filter
-            .iter()
-            .zip(proj_sliced)
-            .map(|(src, sliced)| match (src, sliced) {
-                (Some(_), _) | (None, true) => Vec::new(),
-                (None, false) => vec![0u64; block],
-            })
-            .collect();
-        BlockEmitter {
-            scalar,
-            proj_from_filter,
-            fbufs,
-            f_filled: vec![false; filters.len()],
-            pbufs,
+        ScanCursor {
+            core,
+            cols: BlockCols {
+                core,
+                slices,
+                bufs,
+                filled: vec![false; core.cols.len()],
+            },
+            all_match: vec![false; core.filters.len()],
             sel: SelVec::new(BLOCK_ROWS),
-            eval_order: Vec::with_capacity(filters.len()),
-            order: AdaptiveOrder::new(filters),
-            vals: vec![0u64; projection.len()],
+            eval_order: Vec::with_capacity(core.filters.len()),
+            order: AdaptiveOrder::new(&core.filters),
+            vals: vec![0u64; core.proj.len()],
         }
     }
 
-    /// Start a new work range: reset the adaptive conjunct order (the
-    /// determinism boundary — one morsel, partition, or sequential scan
-    /// per range).
-    fn begin_range(&mut self) {
-        self.order.begin_range();
-    }
-
-    /// Rows selected by the last [`BlockEmitter::filter_block`] — the
-    /// popcount the fused count terminals sum.
-    fn selected(&self) -> u32 {
-        self.sel.len()
-    }
-
-    /// Evaluate the block's filters into the selection vector. `start` is
-    /// the block's absolute first row (whole-column slices are indexed
-    /// from it); `all_match[fi]` carries the zone maps' all-match
-    /// verdicts (always false on the versioned path); `count_fuse` lets
-    /// the final remaining conjunct run as a pure popcount with no index
-    /// materialisation (count terminals only — the selection is not
-    /// enumerable afterwards).
-    #[allow(clippy::too_many_arguments)]
-    fn filter_block(
+    /// The block loop. Scan rows `[start, end)` — `start` must be
+    /// 1024-row (block) aligned — block by block: classify against the
+    /// zone maps, filter, then emit the surviving rows into `sink`, or,
+    /// with no sink, count them (the fused count path: selections are
+    /// popcounted, never gathered into projection buffers, and the final
+    /// conjunct of a still-dense block runs as a pure popcount kernel).
+    /// Returns the count (0 when emitting); counters accumulate into
+    /// `stats`. The adaptive conjunct order resets here: one range = one
+    /// deterministic adaptation domain (see
+    /// [`crate::kernels::AdaptiveOrder`]).
+    pub(crate) fn run(
         &mut self,
-        filters: &[Filter],
-        f_slices: &[Option<&[u64]>],
-        all_match: &[bool],
+        start: u32,
+        end: u32,
+        mut sink: Option<&mut dyn FnMut(u32, &[u64])>,
+        stats: &mut ScanStats,
+    ) -> Result<u64> {
+        if start >= end {
+            // Empty ranges (e.g. a trailing empty partition of a small
+            // table) are legal and need not be block-aligned.
+            return Ok(0);
+        }
+        debug_assert!(
+            start.is_multiple_of(BLOCK_ROWS),
+            "morsels are block-aligned"
+        );
+        self.order.begin_range();
+        let end = end.min(self.core.rows);
+        let mut count = 0u64;
+        for start in (start..end).step_by(BLOCK_ROWS as usize) {
+            let n = BLOCK_ROWS.min(end - start);
+            if !self.classify_block(start, n, stats) {
+                continue;
+            }
+            self.sel.reset_dense(n);
+            self.cols.filled.fill(false);
+            match self.core.eval {
+                Eval::Kernels => self.filter_kernels(start, n, sink.is_none(), stats)?,
+                Eval::RowOracle => self.filter_rows(start, n, stats)?,
+            }
+            match sink.as_deref_mut() {
+                Some(sink) => self.emit(start, n, sink, stats)?,
+                None => count += self.sel.len() as u64,
+            }
+        }
+        Ok(count)
+    }
+
+    /// Zone-map verdict for the block at `start`: `false` when the block
+    /// is pruned (some filter cannot match), otherwise `true` with
+    /// `self.all_match[fi]` set for every filter the zone map proves
+    /// all-matching. Only the frozen source has zone maps; a frozen block
+    /// that survives is read tight — no version checks.
+    fn classify_block(&mut self, start: u32, n: u32, stats: &mut ScanStats) -> bool {
+        let Source::Frozen { zone_maps, .. } = &self.core.source else {
+            return true;
+        };
+        let block_idx = (start / BLOCK_ROWS) as usize;
+        for (fi, (zm, flt)) in zone_maps.iter().zip(&self.core.filters).enumerate() {
+            let (lo, hi) = zm.block_range(block_idx);
+            if !flt.block_can_match(lo, hi) {
+                stats.blocks_skipped += 1;
+                return false;
+            }
+            self.all_match[fi] = flt.block_all_match(lo, hi);
+        }
+        stats.tight_rows += n as u64;
+        true
+    }
+
+    /// The kernel evaluator: refine the block's selection filter by
+    /// filter in adaptive order. Filter columns are gathered **lazily in
+    /// evaluation order** — a conjunct that empties the selection, or a
+    /// zone-map all-match verdict, saves the gathers behind it.
+    /// `count_fuse` lets the final remaining conjunct run as a pure
+    /// popcount with no index materialisation (count path only — the
+    /// selection is not enumerable afterwards).
+    fn filter_kernels(
+        &mut self,
         start: u32,
         n: u32,
-        stats: &mut ScanStats,
-        read_filter: ReadCol<'_>,
         count_fuse: bool,
+        stats: &mut ScanStats,
     ) -> Result<()> {
-        let BlockEmitter {
-            scalar,
-            fbufs,
-            f_filled,
+        let ScanCursor {
+            core,
+            cols,
+            all_match,
             sel,
             eval_order,
             order,
             ..
         } = self;
-        sel.reset_dense(n);
-        f_filled.fill(false);
-        if *scalar {
-            // The pre-vectorized baseline: gather every filter column
-            // eagerly (as the old block loop did), then evaluate in
-            // declaration order through the branchy per-row dispatch.
-            for fi in 0..filters.len() {
-                filter_words(
-                    fbufs,
-                    f_filled,
-                    f_slices,
-                    fi,
-                    start,
-                    n,
-                    stats,
-                    &mut *read_filter,
-                )?;
-            }
-            for (fi, flt) in filters.iter().enumerate() {
-                let words = filter_words(
-                    fbufs,
-                    f_filled,
-                    f_slices,
-                    fi,
-                    start,
-                    n,
-                    stats,
-                    &mut *read_filter,
-                )?;
-                let rows_in = sel.len() as u64;
-                sel.retain_scalar(words, flt);
-                order.record(fi, rows_in, sel.len() as u64, stats);
-                if sel.is_empty() {
-                    break;
-                }
-            }
-            stats.rows_filtered += n as u64 - sel.len() as u64;
-            return Ok(());
-        }
         eval_order.clear();
         eval_order.extend_from_slice(order.order());
         let todo = eval_order
@@ -1335,23 +1009,11 @@ impl BlockEmitter {
                 order.record(fi, len, len, stats);
                 continue;
             }
-            let words = filter_words(
-                fbufs,
-                f_filled,
-                f_slices,
-                fi,
-                start,
-                n,
-                stats,
-                &mut *read_filter,
-            )?;
+            let words = cols.fetch(fi, start, n, stats)?;
             let rows_in = sel.len() as u64;
             done += 1;
-            if count_fuse && sel.is_dense() && done == todo {
-                filters[fi].count_kernel(words, sel);
-            } else {
-                filters[fi].apply_kernel(words, sel);
-            }
+            let count_only = count_fuse && sel.is_dense() && done == todo;
+            core.filters[fi].kernel(words, sel, count_only);
             order.record(fi, rows_in, sel.len() as u64, stats);
             if sel.is_empty() {
                 break;
@@ -1367,67 +1029,67 @@ impl BlockEmitter {
         Ok(())
     }
 
+    /// The row-at-a-time oracle ([`Eval::RowOracle`]): gather every
+    /// filter column of the block first, then refine the selection
+    /// through [`Filter::matches`] in declaration order.
+    fn filter_rows(&mut self, start: u32, n: u32, stats: &mut ScanStats) -> Result<()> {
+        let ScanCursor {
+            core,
+            cols,
+            sel,
+            order,
+            ..
+        } = self;
+        for fi in 0..core.filters.len() {
+            cols.fetch(fi, start, n, stats)?;
+        }
+        for (fi, flt) in core.filters.iter().enumerate() {
+            let words = cols.fetch(fi, start, n, stats)?;
+            let rows_in = sel.len() as u64;
+            sel.apply(words, |w| flt.matches(w));
+            order.record(fi, rows_in, sel.len() as u64, stats);
+            if sel.is_empty() {
+                break;
+            }
+        }
+        stats.rows_filtered += n as u64 - sel.len() as u64;
+        Ok(())
+    }
+
     /// Emit the selected rows of the current block into `sink`.
     /// Projection blocks (and filter blocks that double as projection
     /// sources but were skipped by all-match or early exit) are fetched
-    /// here, only when at least one row survived.
-    #[allow(clippy::too_many_arguments)]
+    /// here, only when at least one row survived; projection columns no
+    /// filter covers count in [`ScanStats::proj_blocks`] when read into a
+    /// buffer.
     fn emit(
         &mut self,
-        f_slices: &[Option<&[u64]>],
-        pslices: &[Option<&[u64]>],
         start: u32,
         n: u32,
-        stats: &mut ScanStats,
-        read_filter: ReadCol<'_>,
-        read_proj: ReadCol<'_>,
         sink: &mut dyn FnMut(u32, &[u64]),
+        stats: &mut ScanStats,
     ) -> Result<()> {
         if self.sel.is_empty() {
             return Ok(());
         }
-        let BlockEmitter {
-            proj_from_filter,
-            fbufs,
-            f_filled,
-            pbufs,
+        let ScanCursor {
+            core,
+            cols,
             sel,
             vals,
             ..
         } = self;
-        // Fetch what emission needs and evaluation did not: projection
-        // columns served by neither a filter block nor a whole-column
-        // slice, and filter blocks that serve a projection but were never
-        // gathered (zone-map all-match skip or early exit after them).
-        for (pi, src) in proj_from_filter.iter().enumerate() {
-            match src {
-                Some(fi) => {
-                    if f_slices[*fi].is_none() && !f_filled[*fi] {
-                        read_filter(*fi, &mut fbufs[*fi], stats)?;
-                        f_filled[*fi] = true;
-                    }
-                }
-                None => {
-                    if pslices[pi].is_none() {
-                        read_proj(pi, &mut pbufs[pi], stats)?;
-                        stats.proj_blocks += 1;
-                    }
-                }
+        let filters = core.filters.len();
+        for &ci in &core.proj {
+            if ci >= filters && cols.slices[ci].is_none() {
+                stats.proj_blocks += 1;
             }
+            cols.fetch(ci, start, n, stats)?;
         }
-        let fw = |fi: usize| -> &[u64] {
-            match f_slices[fi] {
-                Some(s) => &s[start as usize..(start + n) as usize],
-                None => &fbufs[fi][..n as usize],
-            }
-        };
+        let cols = &*cols;
         let mut do_row = |i: u32| {
-            for (ci, src) in proj_from_filter.iter().enumerate() {
-                vals[ci] = match (src, pslices[ci]) {
-                    (Some(fi), _) => fw(*fi)[i as usize],
-                    (None, Some(s)) => s[(start + i) as usize],
-                    (None, None) => pbufs[ci][i as usize],
-                };
+            for (v, &ci) in vals.iter_mut().zip(&core.proj) {
+                *v = cols.word(ci, start, i);
             }
             sink(start + i, vals);
         };

@@ -242,7 +242,8 @@ impl Txn {
     /// assert_eq!(sum, 2 + 3 + 4 + 5);
     /// ```
     pub fn scan_on(&mut self, table: TableId) -> crate::scan::ScanBuilder<'_> {
-        crate::scan::ScanBuilder::new(self, table)
+        let state = self.table(table);
+        crate::scan::Scan::new(self, table, state)
     }
 
     /// Running total of the scan statistics of every scan this transaction
@@ -416,6 +417,9 @@ impl Txn {
         let m = &*db.inner.m;
         m.commit_attempts.inc();
         let mut obs_tok = obs::span_begin_sampled(&m.commit_stage_latch, COMMIT_SAMPLE_SHIFT);
+        // The chain's start: after a `span_switch` the token only knows
+        // its own stage's start, so the end-to-end total needs this one.
+        let t0 = obs_tok.start_ns();
 
         // Stage 1 — install latches. All write rows latch in ascending
         // (col, row) order *before* any shard lock; the global sort order
@@ -446,7 +450,7 @@ impl Txn {
                         // First-updater-wins (§2.1).
                         col.versioned.unlock_row(w.row, old_ts);
                         self.unlatch_rows(&latched);
-                        record_commit_total(m, obs_tok);
+                        record_commit_total(m, obs_tok, t0);
                         return Err(AttemptError::WwConflict);
                     }
                     latched.push((*w, old_ts, old_word));
@@ -454,7 +458,7 @@ impl Txn {
                 }
                 Err(e) => {
                     self.unlatch_rows(&latched);
-                    record_commit_total(m, obs_tok);
+                    record_commit_total(m, obs_tok, t0);
                     return Err(AttemptError::Hard(e.into()));
                 }
             }
@@ -509,7 +513,7 @@ impl Txn {
                 db.inner.oracle.abort_commit(commit_ts);
                 drop(guards);
                 self.unlatch_rows(&latched);
-                record_commit_total(m, obs_tok);
+                record_commit_total(m, obs_tok, t0);
                 return Err(AttemptError::Validation(
                     conflicts
                         .into_iter()
@@ -562,7 +566,7 @@ impl Txn {
                         db.inner.oracle.abort_commit(commit_ts);
                         drop(guards);
                         self.unlatch_rows(&latched);
-                        record_commit_total(m, obs_tok);
+                        record_commit_total(m, obs_tok, t0);
                         return Err(AttemptError::Hard(e.into()));
                     }
                 }
@@ -756,9 +760,9 @@ impl Txn {
             dura.wal
                 .sync_to(lsn)
                 .expect("WAL fsync failed; cannot guarantee durability of an applied commit");
-            record_commit_total(m, obs_tok);
+            record_commit_total(m, obs_tok, t0);
         } else {
-            record_commit_total(m, obs_tok);
+            record_commit_total(m, obs_tok, t0);
         }
         Ok(commit_ts)
     }
@@ -790,13 +794,13 @@ impl Txn {
 /// stays exact.
 const COMMIT_SAMPLE_SHIFT: u32 = 5;
 
-/// Close the stage chain and record the end-to-end attempt duration.
-/// All exit paths feed this, so on a sampled attempt the total is always
-/// recorded alongside the stages — at quiescence
+/// Close the stage chain and record the end-to-end attempt duration,
+/// from `t0` — the start of the chain's first stage — to the end of the
+/// stage `tok` holds. All exit paths feed this, so on a sampled attempt
+/// the total is always recorded alongside the stages — at quiescence
 /// `commit_total_ns.count == commit_stage_latch_ns.count` exactly.
 #[inline]
-fn record_commit_total(m: &Metrics, tok: obs::SpanToken<'_>) {
-    let t0 = tok.start_ns();
+fn record_commit_total(m: &Metrics, tok: obs::SpanToken<'_>, t0: u64) {
     let end = obs::span_end(tok);
     if end == 0 {
         // Attempt not sampled (or `obs-off`): nothing was timed.

@@ -283,6 +283,44 @@ fn stress_driver_metrics_stay_consistent() {
     );
 }
 
+/// `commit_total_ns` is end to end: the span chain tiles the attempt
+/// stage by stage, so each sampled total is the sum of its stages —
+/// never just the stage that happened to be open when the chain closed.
+#[test]
+fn commit_total_spans_every_stage() {
+    let (db, t, c) = common::one_col_db(
+        DbConfig::heterogeneous_serializable().with_backend(BackendKind::Sim),
+        1_024,
+    );
+    for i in 0..512u32 {
+        let mut txn = db.begin(TxnKind::Oltp);
+        txn.update_value(t, c, i, Value::Int(-(i as i64))).unwrap();
+        txn.commit().unwrap();
+    }
+    let m = db.metrics();
+    let sum = |name: &str| m.histogram(name).map_or(0, |h| h.sum);
+    assert!(hist_count(&m, "commit_total_ns") > 0, "no sampled commit");
+    let stages: u64 = [
+        "commit_stage_latch_ns",
+        "commit_stage_validate_ns",
+        "commit_stage_wal_ns",
+        "commit_stage_install_ns",
+        "commit_stage_fsync_ns",
+    ]
+    .iter()
+    .map(|s| sum(s))
+    .sum();
+    let total = sum("commit_total_ns");
+    assert!(
+        total >= stages,
+        "commit_total_ns.sum {total} < the stage sums {stages}"
+    );
+    assert!(
+        total > sum("commit_stage_install_ns"),
+        "commit_total_ns recorded only the install stage"
+    );
+}
+
 /// A database counts in its own registry: commits, transaction and
 /// parallel reader scans on a freshly cut epoch, and a GC pass on `a`
 /// move none of `b`'s counters, gauges or histograms.

@@ -8,7 +8,7 @@
 //! runs over dictionary codes, and index probes drive the Q4 semi-join and
 //! the Q17 part → lineitem join.
 
-use crate::gen::{days, TpchDb, LAST_ORDER_DATE};
+use crate::gen::{days, TpchDb};
 use anker_core::{Result, Txn};
 use rand::Rng;
 
@@ -341,8 +341,40 @@ pub fn run_olap(t: &TpchDb, txn: &mut Txn, params: OlapParams) -> Result<OlapRes
     })
 }
 
-/// Sanity guard for Q4's date arithmetic.
-#[allow(dead_code)]
-fn _q4_quarters_fit() {
-    debug_assert!(days(1997, 10, 1) + 90 < LAST_ORDER_DATE + 200);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::LAST_ORDER_DATE;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    /// Q4's date arithmetic: `sample_params` draws exactly the first days
+    /// of the twenty quarters 1993-01 … 1997-10; each 90-day window
+    /// `[start, start + 90)` stays inside its quarter (quarters are 90–92
+    /// days long) and inside the generated order dates
+    /// (`0..=LAST_ORDER_DATE`).
+    #[test]
+    fn q4_quarters_fit_the_order_dates() {
+        let firsts: BTreeSet<i32> = (1993..=1997)
+            .flat_map(|y| [1, 4, 7, 10].map(|m| days(y, m, 1)))
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(4);
+        let drawn: BTreeSet<i32> = (0..1_000)
+            .map(|_| match sample_params(OlapQuery::Q4, &mut rng) {
+                OlapParams::Q4 { quarter_start } => quarter_start,
+                other => panic!("Q4 sampled {other:?}"),
+            })
+            .collect();
+        assert_eq!(drawn, firsts);
+        let starts: Vec<i32> = firsts.into_iter().collect();
+        for pair in starts.windows(2) {
+            let len = pair[1] - pair[0];
+            assert!((90..=92).contains(&len), "a quarter of {len} days");
+        }
+        assert!(starts[0] >= 0);
+        let last = *starts.last().unwrap();
+        assert!(last + 89 <= LAST_ORDER_DATE, "the last window's final day");
+        assert_eq!(days(1998, 1, 1) - last, 92, "1997-Q4 is 92 days long");
+    }
 }

@@ -23,23 +23,47 @@ fn build(db: DbConfig) -> TpchDb {
 }
 
 /// On a freshly loaded (unmodified) database, every configuration must
-/// produce identical answers for all seven OLAP transactions.
+/// produce identical answers for all seven OLAP transactions — and the
+/// `scalar_scan` row-at-a-time oracle must reproduce the kernels' answers
+/// bit for bit (the `f64` folds included) on the frozen snapshot path
+/// (heterogeneous) and the versioned path (homogeneous).
 #[test]
 fn queries_agree_across_configurations() {
-    let hetero = build(DbConfig::heterogeneous_serializable());
-    let homo_ser = build(DbConfig::homogeneous_serializable());
+    let hetero = build(DbConfig::heterogeneous_serializable().with_scalar_scan(false));
+    let homo_ser = build(DbConfig::homogeneous_serializable().with_scalar_scan(false));
     let homo_si = build(DbConfig::homogeneous_snapshot_isolation());
+    let hetero_oracle = build(DbConfig::heterogeneous_serializable().with_scalar_scan(true));
+    let homo_ser_oracle = build(DbConfig::homogeneous_serializable().with_scalar_scan(true));
     let mut rng = SmallRng::seed_from_u64(5);
     for q in OlapQuery::ALL {
         let params = sample_params(q, &mut rng);
         let mut results = Vec::new();
-        for t in [&hetero, &homo_ser, &homo_si] {
+        for t in [
+            &hetero,
+            &homo_ser,
+            &homo_si,
+            &hetero_oracle,
+            &homo_ser_oracle,
+        ] {
             let mut txn = t.db.begin(TxnKind::Olap);
             results.push(queries::run_olap(t, &mut txn, params).unwrap());
             txn.commit().unwrap();
         }
         assert_eq!(results[0], results[1], "{q:?} differs hetero vs homo-ser");
         assert_eq!(results[1], results[2], "{q:?} differs homo-ser vs homo-si");
+        // `{:?}` prints every f64 exactly (shortest round-trip form, sign
+        // of zero included), so equal strings mean equal bits.
+        let bits = |r: &OlapResult| format!("{r:?}");
+        assert_eq!(
+            bits(&results[3]),
+            bits(&results[0]),
+            "{q:?}: oracle and kernels differ on the frozen path"
+        );
+        assert_eq!(
+            bits(&results[4]),
+            bits(&results[1]),
+            "{q:?}: oracle and kernels differ on the versioned path"
+        );
     }
 }
 
