@@ -725,35 +725,62 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            m.set_counter(
-                "os_snapshots_total",
-                "vm_snapshot rewires served by the OS backend",
-                os.snapshots,
-            );
-            m.set_counter(
-                "os_recycled_total",
-                "OS-backend snapshots that reused a caller-provided destination",
-                os.recycled,
-            );
-            m.set_counter(
-                "os_cow_copies_total",
-                "Copy-on-write block splits",
-                os.cow_copies,
-            );
-            m.set_counter(
-                "os_cow_reclaims_total",
-                "Copy-on-write blocks folded back on unmap",
-                os.cow_reclaims,
-            );
-            m.set_counter(
-                "os_huge_page_advices_total",
-                "MADV_HUGEPAGE hints issued",
-                os.huge_page_advices,
-            );
-            m.set_counter(
-                "os_sequential_advices_total",
-                "MADV_SEQUENTIAL hints issued",
-                os.sequential_advices,
+            let counters: [(&str, &str, u64); 11] = [
+                (
+                    "os_snapshots_total",
+                    "vm_snapshot rewires served by the OS backend",
+                    os.snapshots,
+                ),
+                (
+                    "os_recycled_total",
+                    "OS-backend snapshots that reused a caller-provided destination",
+                    os.recycled,
+                ),
+                (
+                    "os_cow_copies_total",
+                    "Copy-on-write page splits (the written view keeps its page; its sharers move onto the copy)",
+                    os.cow_copies,
+                ),
+                (
+                    "os_cow_reclaims_total",
+                    "Frozen pages made writable in place at write time because no other view shared them",
+                    os.cow_reclaims,
+                ),
+                (
+                    "os_huge_page_advices_total",
+                    "MADV_HUGEPAGE hints issued",
+                    os.huge_page_advices,
+                ),
+                (
+                    "os_sequential_advices_total",
+                    "MADV_SEQUENTIAL hints issued",
+                    os.sequential_advices,
+                ),
+                (
+                    "os_mmap_calls_total",
+                    "mmap calls issued (reservations and MAP_FIXED wirings)",
+                    os.mmap_calls,
+                ),
+                ("os_munmap_calls_total", "munmap calls issued", os.munmap_calls),
+                (
+                    "os_pwrite_calls_total",
+                    "pwrite calls issued (one per copy-on-write split)",
+                    os.pwrite_calls,
+                ),
+                (
+                    "os_ftruncate_calls_total",
+                    "ftruncate calls issued (memfd growth)",
+                    os.ftruncate_calls,
+                ),
+                ("os_madvise_calls_total", "madvise calls issued", os.madvise_calls),
+            ];
+            for (name, help, v) in counters {
+                m.set_counter(name, help, v);
+            }
+            m.set_gauge(
+                "os_wired_runs",
+                "Runs of contiguous memfd pages wired across all live views (the backend's mappings)",
+                os.wired_runs as i64,
             );
         }
         m

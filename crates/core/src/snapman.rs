@@ -576,6 +576,90 @@ mod tests {
         drop(t_stale);
     }
 
+    /// Finding (b), bounded: on the OS backend a copy-on-write split
+    /// rewires the snapshot views and never the live column, so every
+    /// current column area stays the one run of file pages `alloc` gave it
+    /// and `vm_snapshot` of it stays one `mmap`. With a reader pinned for
+    /// each of 2N epochs and every epoch's writes landing on pages no
+    /// earlier epoch wrote, the backend's wired runs after 2N epochs equal
+    /// those after N: fragmentation dies with the retired snapshot views.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn os_live_columns_stay_one_run_and_wired_runs_do_not_grow_with_epochs() {
+        use crate::config::BackendKind;
+        const PAGES: u32 = 128;
+        const WRITES_PER_EPOCH: u32 = 4;
+        const N: u32 = 12;
+        let db = AnkerDb::new(
+            DbConfig::heterogeneous_serializable()
+                .with_snapshot_every(1)
+                .with_gc_interval(None)
+                .with_backend(BackendKind::Os),
+        );
+        let rows = PAGES * 512;
+        let t = db.create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Int),
+            ]),
+            rows,
+        );
+        let cols = [db.schema(t).col("a"), db.schema(t).col("b")];
+        for c in cols {
+            db.fill_column(t, c, (0..rows).map(|_| Value::Int(-1).encode()))
+                .unwrap();
+        }
+        let runs_of = |c: ColumnId| {
+            let area = db.table_state(t).col(c.0).current_area();
+            let pages = area.backend().file_pages(area.addr()).expect("OS area");
+            1 + pages.windows(2).filter(|w| w[1] != w[0] + 1).count()
+        };
+        let vals_per_page = db.table_state(t).col(0).current_area().vals_per_page();
+        let n_pages = rows.div_ceil(vals_per_page);
+        let mut wired_at_n = None;
+        for epoch in 0..2 * N {
+            let reader = db.snapshot_reader().unwrap();
+            // Materialise both columns for the pinned epoch (the last page
+            // is never written).
+            for c in cols {
+                assert_eq!(reader.get_value(t, c, rows - 1).unwrap(), Value::Int(-1));
+            }
+            let copies = db.metrics().counter("os_cow_copies_total").unwrap();
+            let mut written = Vec::new();
+            for j in 0..WRITES_PER_EPOCH {
+                let page = (epoch * WRITES_PER_EPOCH + j) % n_pages;
+                let row = page * vals_per_page + epoch % vals_per_page;
+                let mut w = db.begin(TxnKind::Oltp);
+                for c in cols {
+                    w.update_value(t, c, row, Value::Int(epoch as i64)).unwrap();
+                }
+                w.commit().unwrap();
+                written.push(row);
+            }
+            assert_eq!(
+                db.metrics().counter("os_cow_copies_total").unwrap() - copies,
+                2 * WRITES_PER_EPOCH as u64,
+                "every write split a page the pinned epoch shares"
+            );
+            for &row in &written {
+                assert_eq!(reader.get_value(t, cols[0], row).unwrap(), Value::Int(-1));
+            }
+            drop(reader);
+            db.run_gc_once();
+            for c in cols {
+                assert_eq!(runs_of(c), 1, "epoch {epoch}: the live column fragmented");
+            }
+            let wired = db.metrics().gauge("os_wired_runs").unwrap();
+            if epoch + 1 == N {
+                wired_at_n = Some(wired);
+            }
+            if epoch + 1 == 2 * N {
+                assert_eq!(Some(wired), wired_at_n, "wired runs grew with the epochs");
+            }
+        }
+    }
+
     /// A zone map primed while an area was still the current, writable
     /// representation must never prune a snapshot scan after the area
     /// freezes: `swap_area` drops the cached summary.

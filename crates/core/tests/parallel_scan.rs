@@ -382,7 +382,8 @@ fn surplus_partitions_are_empty_not_panics() {
 
 /// `DbConfig::os_huge_pages` must reach the OS backend and fire
 /// `madvise(MADV_HUGEPAGE)` on every wired view — the `OsStats` counter
-/// proves it — and scans must issue their `MADV_SEQUENTIAL` hints.
+/// proves it — and scans must issue their `MADV_SEQUENTIAL` hints; the
+/// syscall ledger counts every `madvise` and `mmap` among them.
 #[cfg(target_os = "linux")]
 #[test]
 fn huge_page_and_sequential_hints_surface_in_os_stats() {
@@ -417,6 +418,12 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
         os("os_huge_page_advices_total") > after_load,
         "the vm_snapshot rewire must re-advise the fresh view"
     );
+    assert_eq!(
+        os("os_madvise_calls_total"),
+        os("os_huge_page_advices_total") + os("os_sequential_advices_total"),
+        "every madvise is one of the two hints"
+    );
+    assert!(os("os_mmap_calls_total") >= os("os_huge_page_advices_total"));
     // The sim backend surfaces no `os_*` namespace.
     let sim = AnkerDb::new(hetero(BackendKind::Sim));
     assert!(sim.metrics().counter("os_snapshots_total").is_none());

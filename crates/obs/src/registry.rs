@@ -206,7 +206,16 @@ impl MetricsSnapshot {
     /// Insert-or-replace a counter value (used to absorb a ledger kept
     /// outside obs into the unified surface).
     pub fn set_counter(&mut self, name: &str, help: &str, v: u64) {
-        let value = MetricValue::Counter(v);
+        self.set(name, help, MetricValue::Counter(v));
+    }
+
+    /// Insert-or-replace a gauge value (the gauge twin of
+    /// [`set_counter`](Self::set_counter)).
+    pub fn set_gauge(&mut self, name: &str, help: &str, v: i64) {
+        self.set(name, help, MetricValue::Gauge(v));
+    }
+
+    fn set(&mut self, name: &str, help: &str, value: MetricValue) {
         match self.metrics.binary_search_by(|m| m.name.as_str().cmp(name)) {
             Ok(i) => self.metrics[i].value = value,
             Err(i) => self.metrics.insert(

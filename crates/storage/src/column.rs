@@ -179,7 +179,11 @@ impl ColumnArea {
     ///   recycled as a `vm_snapshot` destination — in the engine this is
     ///   what epoch pinning plus the active-transaction horizon provide;
     /// * the area is **frozen** (a snapshot column the engine has stopped
-    ///   writing) — the slice type asserts immutability.
+    ///   writing) — the slice type asserts immutability. A frozen view's
+    ///   *contents* never change; its *wiring* may move (on the OS backend
+    ///   a write to a page it shares with the live column rewires it onto
+    ///   a byte-identical copy), but each move is one atomic `MAP_FIXED`,
+    ///   so every load through the slice sees the same bytes.
     #[inline]
     pub unsafe fn as_slice(&self) -> Option<&[u64]> {
         let p = self.backend.raw_parts(self.addr, self.rows as u64 * 8)?;

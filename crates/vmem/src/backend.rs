@@ -88,6 +88,15 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
+    /// The file page behind each page of the area based at `addr`, when
+    /// this backend maps areas onto a file (the OS backend) — a
+    /// diagnostic for refcount and fragmentation checks. `None` on
+    /// simulated backends and for addresses that start no area.
+    fn file_pages(&self, addr: u64) -> Option<Vec<u64>> {
+        let _ = addr;
+        None
+    }
+
     /// A raw pointer to `[addr, addr + bytes)` when the range is plain,
     /// directly addressable memory (the OS backend). Scans use this to
     /// read frozen snapshot areas straight through the mapping instead of
@@ -97,7 +106,9 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// The pointee stays mapped for the lifetime of the area; callers may
     /// only *read* through it, and must tolerate concurrent word stores
     /// (which cannot occur on frozen areas — the engine never writes a
-    /// snapshot after hand-over).
+    /// snapshot after hand-over). A frozen area's pages may be rewired
+    /// onto byte-identical copies underneath the pointer (a copy-on-write
+    /// split of the view it shares them with), atomically per page.
     fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
         let _ = (addr, bytes);
         None

@@ -14,10 +14,26 @@
 //! * Copy-on-write is performed by the *engine*, not by the MMU: because
 //!   every store flows through [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
 //!   [`write_words`](crate::VmBackend::write_words) (the engine's serialized write path), the
-//!   first store to a frozen page copies it into fresh file space and
-//!   rewires only the written view onto the copy. No `mprotect`, no
-//!   SIGSEGV handler, no signal-delivery cost (§4.1.4) — the check is one
-//!   branch on a bit the backend already has in cache.
+//!   first store to a frozen page splits it. No `mprotect`, no SIGSEGV
+//!   handler, no signal-delivery cost (§4.1.4) — the check is one branch
+//!   on a bit the backend already has in cache.
+//! * **The writer keeps its page.** A split `pwrite`s the pre-write
+//!   content into a fresh file page and `MAP_FIXED`-rewires every *other*
+//!   view of the page (the snapshot views) onto that copy; the written
+//!   view's wiring never changes. A live column's page list is therefore
+//!   the one `alloc` gave it — one run of contiguous file pages, so its
+//!   next `vm_snapshot` is one `mmap` — and fragmentation lands only on
+//!   snapshot views, which are unmapped whole when they retire. This is
+//!   the paper's own argument for `vm_snapshot` (§3.2.3, §4): rewiring
+//!   cost tracks the number of mappings.
+//! * Sharing is index-aligned inside one `vm_snapshot` **lineage** (an
+//!   allocated area plus every view snapshotted from it, directly or
+//!   transitively; a recycled destination joins its source's lineage),
+//!   so a split finds the sharers among the lineage's members.
+//! * A frozen view's *contents* never change, but its wiring may move
+//!   onto a byte-identical copy, atomically per `MAP_FIXED` (a racing
+//!   reader faults on either the old or the new page, both holding the
+//!   same bytes); the write itself lands only after every sharer moved.
 //! * A write to a frozen page whose file page is no longer shared
 //!   (refcount back to 1 because every other view was released) reclaims
 //!   the page in place instead of copying — the same optimisation the
@@ -26,6 +42,8 @@
 //! Released file pages go to a free list and are handed out again by
 //! later allocations (zeroed) and copy-on-write splits (fully
 //! overwritten), so steady-state snapshot churn does not grow the memfd.
+//! [`OsStats`] counts every `mmap`/`munmap`/`pwrite`/`ftruncate`/`madvise`
+//! the backend issues and gauges the live wired runs.
 //!
 //! Everything is declared via direct `extern "C"` libc bindings — the
 //! offline build forbids new registry dependencies.
@@ -75,6 +93,7 @@ mod ffi {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub fn pwrite(fd: i32, buf: *const c_void, count: usize, offset: i64) -> isize;
         pub fn ftruncate(fd: i32, length: i64) -> i32;
         pub fn close(fd: i32) -> i32;
         pub fn memfd_create(name: *const c_char, flags: u32) -> i32;
@@ -109,6 +128,25 @@ struct Area {
     /// View pages shared with another view via `vm_snapshot`: a store must
     /// split (or reclaim) the page first.
     frozen: Vec<bool>,
+    /// The `vm_snapshot` lineage this view belongs to (a key of
+    /// [`MapState::lineages`]).
+    lineage: u64,
+}
+
+/// Maximal runs of contiguous file pages in `pages`: the `mmap` calls that
+/// wire them, and (the kernel merges file-contiguous neighbours) the VMAs
+/// they occupy.
+#[cfg(target_os = "linux")]
+fn runs(pages: &[u64]) -> u64 {
+    pages.windows(2).filter(|w| w[1] != w[0] + 1).count() as u64 + u64::from(!pages.is_empty())
+}
+
+/// Runs starting at view page `i` or `i + 1` — all a change of `pages[i]`
+/// can add or remove.
+#[cfg(target_os = "linux")]
+fn run_starts_around(pages: &[u64], i: usize) -> u64 {
+    let starts = |j: usize| j < pages.len() && (j == 0 || pages[j] != pages[j - 1] + 1);
+    u64::from(starts(i)) + u64::from(starts(i + 1))
 }
 
 /// File-page allocator state of the shared memfd.
@@ -130,9 +168,40 @@ struct FilePages {
 struct MapState {
     areas: BTreeMap<u64, Area>,
     file: FilePages,
+    /// Member bases of every `vm_snapshot` lineage. A file page is only
+    /// ever shared, at the same page index, between members of one
+    /// lineage, so a copy-on-write split looks for sharers here instead
+    /// of scanning every area.
+    lineages: BTreeMap<u64, Vec<u64>>,
+    /// Id of the next lineage an `alloc` founds.
+    next_lineage: u64,
 }
 
-/// Monotonic counters of the OS backend (diagnostics and tests).
+#[cfg(target_os = "linux")]
+impl MapState {
+    /// Table `area` at `base` and enrol it in its lineage.
+    fn insert_area(&mut self, base: u64, area: Area) {
+        self.lineages.entry(area.lineage).or_default().push(base);
+        self.areas.insert(base, area);
+    }
+
+    /// Remove the area at `base` from the table and its lineage.
+    fn remove_area(&mut self, base: u64) -> Option<Area> {
+        let area = self.areas.remove(&base)?;
+        let members = self
+            .lineages
+            .get_mut(&area.lineage)
+            .expect("lineage exists");
+        members.retain(|&b| b != base);
+        if members.is_empty() {
+            self.lineages.remove(&area.lineage);
+        }
+        Some(area)
+    }
+}
+
+/// Counters of the OS backend (diagnostics and tests): monotonic event
+/// and syscall counts, plus the [`OsStats::wired_runs`] gauge.
 #[derive(Debug, Default)]
 pub struct OsStats {
     /// `vm_snapshot` calls served.
@@ -147,19 +216,39 @@ pub struct OsStats {
     pub huge_page_advices: AtomicU64,
     /// `madvise(MADV_SEQUENTIAL)` calls issued by scans.
     pub sequential_advices: AtomicU64,
+    /// `mmap` calls issued: address-space reservations and `MAP_FIXED`
+    /// wirings alike.
+    pub mmap_calls: AtomicU64,
+    /// `munmap` calls issued.
+    pub munmap_calls: AtomicU64,
+    /// `pwrite` calls issued (one per copy-on-write split).
+    pub pwrite_calls: AtomicU64,
+    /// `ftruncate` calls issued (memfd growth).
+    pub ftruncate_calls: AtomicU64,
+    /// Gauge: runs of contiguous file pages wired across all live views,
+    /// i.e. the mappings the backend currently holds.
+    pub wired_runs: AtomicU64,
 }
 
 impl OsStats {
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> OsStatsSnapshot {
         use std::sync::atomic::Ordering::Relaxed;
+        let huge_page_advices = self.huge_page_advices.load(Relaxed);
+        let sequential_advices = self.sequential_advices.load(Relaxed);
         OsStatsSnapshot {
             snapshots: self.snapshots.load(Relaxed),
             recycled: self.recycled.load(Relaxed),
             cow_copies: self.cow_copies.load(Relaxed),
             cow_reclaims: self.cow_reclaims.load(Relaxed),
-            huge_page_advices: self.huge_page_advices.load(Relaxed),
-            sequential_advices: self.sequential_advices.load(Relaxed),
+            huge_page_advices,
+            sequential_advices,
+            mmap_calls: self.mmap_calls.load(Relaxed),
+            munmap_calls: self.munmap_calls.load(Relaxed),
+            pwrite_calls: self.pwrite_calls.load(Relaxed),
+            ftruncate_calls: self.ftruncate_calls.load(Relaxed),
+            madvise_calls: huge_page_advices + sequential_advices,
+            wired_runs: self.wired_runs.load(Relaxed),
         }
     }
 }
@@ -174,6 +263,13 @@ pub struct OsStatsSnapshot {
     pub cow_reclaims: u64,
     pub huge_page_advices: u64,
     pub sequential_advices: u64,
+    pub mmap_calls: u64,
+    pub munmap_calls: u64,
+    pub pwrite_calls: u64,
+    pub ftruncate_calls: u64,
+    /// Every `madvise` issued: `huge_page_advices + sequential_advices`.
+    pub madvise_calls: u64,
+    pub wired_runs: u64,
 }
 
 #[cfg(target_os = "linux")]
@@ -187,6 +283,10 @@ struct OsInner {
     huge_pages: bool,
     state: RwLock<MapState>,
     stats: OsStats,
+    /// Test hook: how many more `MAP_FIXED` wirings and `pwrite`s may run
+    /// before every further one fails (`u64::MAX` = never).
+    #[cfg(test)]
+    calls_before_failure: AtomicU64,
 }
 
 /// Handle to the real-OS memory backend. Cheap to clone; all clones share
@@ -240,8 +340,37 @@ impl OsBackend {
                 huge_pages,
                 state: RwLock::new(MapState::default()),
                 stats: OsStats::default(),
+                #[cfg(test)]
+                calls_before_failure: AtomicU64::new(u64::MAX),
             }),
         })
+    }
+
+    /// Count one issued syscall (or event) on `counter`.
+    fn bump(counter: &AtomicU64) {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Move the wired-runs gauge from `before` to `after` runs.
+    fn adjust_runs(&self, before: u64, after: u64) {
+        // Add first: the gauge never dips below its true value.
+        let g = &self.inner.stats.wired_runs;
+        g.fetch_add(after, Ordering::Relaxed);
+        g.fetch_sub(before, Ordering::Relaxed);
+    }
+
+    /// Whether the test hook fails the fallible call about to be issued.
+    #[inline]
+    fn injected_failure(&self) -> bool {
+        #[cfg(test)]
+        {
+            self.inner
+                .calls_before_failure
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_err()
+        }
+        #[cfg(not(test))]
+        false
     }
 
     /// Backend counters (snapshots, copy-on-write splits, reclaims).
@@ -276,6 +405,7 @@ impl OsBackend {
         file.next += 1;
         if file.next > file.committed {
             let grown = file.next.max(file.committed * 2).max(64);
+            Self::bump(&self.inner.stats.ftruncate_calls);
             // SAFETY(provenance: fd, bounds: grown): fd is our memfd and
             // growing it never invalidates existing mappings.
             let rc =
@@ -307,6 +437,7 @@ impl OsBackend {
     fn map_view(&self, pages: &[u64]) -> Result<u64> {
         let ps = self.inner.page_size;
         let bytes = pages.len() as u64 * ps;
+        Self::bump(&self.inner.stats.mmap_calls);
         // SAFETY(provenance: mmap, bounds: bytes): fresh anonymous
         // reservation at a kernel-chosen address — no existing memory is
         // touched.
@@ -325,12 +456,25 @@ impl OsBackend {
         }
         let base = base as u64;
         if let Err(e) = self.wire_pages(base, pages) {
-            // SAFETY(provenance: base, bounds: bytes): unwinding the fresh
-            // reservation made just above, whole and unshared.
-            unsafe { ffi::munmap(base as *mut _, bytes as usize) };
+            // The wiring error is the one to report.
+            let _ = self.unmap(base, bytes);
             return Err(e);
         }
         Ok(base)
+    }
+
+    /// `munmap` a whole view this backend created and no longer tables
+    /// (its wired runs already taken off the gauge by the caller).
+    fn unmap(&self, base: u64, bytes: u64) -> Result<()> {
+        Self::bump(&self.inner.stats.munmap_calls);
+        // SAFETY(provenance: base, bounds: bytes): the range is one whole
+        // view (or fresh reservation) this backend mapped, out of the area
+        // table, so no safe entry point can reach it any more.
+        let rc = unsafe { ffi::munmap(base as *mut _, bytes as usize) };
+        if rc != 0 {
+            return Err(os_err("munmap"));
+        }
+        Ok(())
     }
 
     /// `MAP_FIXED`-wire `view[base ..]` onto the given file pages, one
@@ -344,6 +488,13 @@ impl OsBackend {
                 j += 1;
             }
             let run = (j - i) as u64;
+            if self.injected_failure() {
+                return Err(VmError::Os {
+                    call: "mmap",
+                    errno: 12, // ENOMEM, as at vm.max_map_count
+                });
+            }
+            Self::bump(&self.inner.stats.mmap_calls);
             // SAFETY(provenance: base, fd, bounds: run, ps): MAP_FIXED
             // over address space this backend owns (either a fresh
             // reservation or an existing view being rewired); the memfd
@@ -369,10 +520,7 @@ impl OsBackend {
                 // mapping just created above; madvise on a valid range
                 // cannot corrupt anything (it is a hint).
                 unsafe { ffi::madvise(p, (run * ps) as usize, ffi::MADV_HUGEPAGE) };
-                self.inner
-                    .stats
-                    .huge_page_advices
-                    .fetch_add(1, Ordering::Relaxed);
+                Self::bump(&self.inner.stats.huge_page_advices);
             }
             i = j;
         }
@@ -390,10 +538,17 @@ impl OsBackend {
             .ok_or(VmError::NotMapped { addr })
     }
 
-    /// Make page `page_idx` of the area at `base` privately writable:
-    /// split (copy) it into fresh file space, or reclaim it in place when
-    /// no other view references its file page. Caller holds the write
-    /// lock and the engine's serialized write path.
+    /// Make page `page_idx` of the area at `base` privately writable. The
+    /// written view keeps its file page: the pre-write content is
+    /// `pwrite`n into a fresh file page and every other view of the page
+    /// is rewired onto that copy — or, when no other view references the
+    /// file page, it is reclaimed in place. Caller holds the write lock
+    /// and the engine's serialized write path.
+    ///
+    /// On failure the page stays frozen and every refcount stays exact: a
+    /// failed `pwrite` changes nothing, and a failed `MAP_FIXED` of the
+    /// k-th sharer leaves the sharers already moved on the byte-identical
+    /// copy.
     fn ensure_writable(&self, state: &mut MapState, base: u64, page_idx: usize) -> Result<()> {
         let ps = self.inner.page_size;
         let area = state.areas.get_mut(&base).expect("area exists");
@@ -404,55 +559,73 @@ impl OsBackend {
         if state.file.refs[old_fp as usize] == 1 {
             // Sole owner (every sharing view was released): write in place.
             area.frozen[page_idx] = false;
-            self.inner
-                .stats
-                .cow_reclaims
-                .fetch_add(1, Ordering::Relaxed);
+            Self::bump(&self.inner.stats.cow_reclaims);
             return Ok(());
         }
+        let lineage = area.lineage;
+        // The fresh page starts with one reference: the split's own hold,
+        // dropped once the sharers are wired onto it.
         let (new_fp, _recycled) = self.take_file_page(&mut state.file)?;
-        // Copy the frozen content into the fresh file page through a
-        // transient second mapping (both are views of the same memfd).
-        // SAFETY(provenance: fd, bounds: new_fp, ps): fresh kernel-chosen
-        // mapping of one just-allocated (hence in-bounds) file page.
-        let tmp = unsafe {
-            ffi::mmap(
-                std::ptr::null_mut(),
-                ps as usize,
-                ffi::PROT_READ | ffi::PROT_WRITE,
-                ffi::MAP_SHARED,
-                self.inner.fd,
-                (new_fp * ps) as i64,
-            )
+        let written = if self.injected_failure() {
+            -1
+        } else {
+            Self::bump(&self.inner.stats.pwrite_calls);
+            // SAFETY(provenance: base, fd, bounds: page_idx, ps): the
+            // source is one whole page of this live view (the write lock
+            // keeps it mapped, the engine's serialized writes keep it
+            // still); the destination is the just-allocated, in-bounds
+            // file page new_fp, which no view maps yet.
+            unsafe {
+                ffi::pwrite(
+                    self.inner.fd,
+                    (base + page_idx as u64 * ps) as *const _,
+                    ps as usize,
+                    (new_fp * ps) as i64,
+                )
+            }
         };
-        if tmp == ffi::map_failed() {
-            // Nothing was mutated: the page stays frozen, the copy goes
-            // back to the free list.
+        if written != ps as isize {
+            // Nothing was mutated: the copy goes back to the free list.
             Self::decref_file_page(&mut state.file, new_fp);
-            return Err(os_err("mmap"));
+            return Err(if written < 0 {
+                os_err("pwrite")
+            } else {
+                // A short write sets no errno; report it as EIO.
+                VmError::Os {
+                    call: "pwrite",
+                    errno: 5,
+                }
+            });
         }
-        let view_page = (base + page_idx as u64 * ps) as *const u8;
-        // SAFETY(provenance: view_page, tmp, bounds: ps): both pointers
-        // reference one whole valid page; racing readers of the view page
-        // are word-atomic and the engine serializes writers, so the source
-        // is stable during the copy.
-        unsafe {
-            std::ptr::copy_nonoverlapping(view_page, tmp as *mut u8, ps as usize);
-            ffi::munmap(tmp, ps as usize);
+        let sharers: Vec<u64> = state.lineages[&lineage]
+            .iter()
+            .copied()
+            .filter(|&b| b != base && state.areas[&b].pages[page_idx] == old_fp)
+            .collect();
+        debug_assert_eq!(
+            sharers.len() as u32 + 1,
+            state.file.refs[old_fp as usize],
+            "every view of a shared page is in the writer's lineage"
+        );
+        let mut moved = Ok(());
+        for s in sharers {
+            // One MAP_FIXED either lands or does not: a sharer is never
+            // left half-wired.
+            if let Err(e) = self.wire_pages(s + page_idx as u64 * ps, &[new_fp]) {
+                moved = Err(e);
+                break;
+            }
+            let pages = &mut state.areas.get_mut(&s).expect("sharer exists").pages;
+            let before = run_starts_around(pages, page_idx);
+            pages[page_idx] = new_fp;
+            self.adjust_runs(before, run_starts_around(pages, page_idx));
+            state.file.refs[new_fp as usize] += 1;
+            Self::decref_file_page(&mut state.file, old_fp);
         }
-        // Atomically rewire this view's page onto the copy; the other
-        // views keep reading the old file page. On failure the old mapping
-        // is intact (a single MAP_FIXED either lands or does not) — return
-        // the copy to the free list and leave the page frozen.
-        if let Err(e) = self.wire_pages(base + page_idx as u64 * ps, &[new_fp]) {
-            Self::decref_file_page(&mut state.file, new_fp);
-            return Err(e);
-        }
-        let area = state.areas.get_mut(&base).expect("area exists");
-        area.pages[page_idx] = new_fp;
-        area.frozen[page_idx] = false;
-        Self::decref_file_page(&mut state.file, old_fp);
-        self.inner.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
+        Self::decref_file_page(&mut state.file, new_fp);
+        moved?;
+        state.areas.get_mut(&base).expect("area exists").frozen[page_idx] = false;
+        Self::bump(&self.inner.stats.cow_copies);
         Ok(())
     }
 
@@ -530,12 +703,16 @@ impl crate::backend::VmBackend for OsBackend {
                 std::ptr::write_bytes((base + i as u64 * ps) as *mut u8, 0, ps as usize);
             }
         }
-        st.areas.insert(
+        self.adjust_runs(0, runs(&pages));
+        st.next_lineage += 1;
+        let lineage = st.next_lineage;
+        st.insert_area(
             base,
             Area {
                 bytes,
                 pages,
                 frozen: vec![false; n],
+                lineage,
             },
         );
         Ok(base)
@@ -552,17 +729,13 @@ impl crate::backend::VmBackend for OsBackend {
                 "release length does not match the area",
             ));
         }
-        let area = st.areas.remove(&addr).expect("checked above");
-        // SAFETY(provenance: area, bounds: bytes): unmapping a whole view
-        // this backend created, just removed from the area table.
-        let rc = unsafe { ffi::munmap(addr as *mut _, bytes as usize) };
+        let area = st.remove_area(addr).expect("checked above");
+        self.adjust_runs(runs(&area.pages), 0);
+        let unmapped = self.unmap(addr, bytes);
         for fp in area.pages {
             Self::decref_file_page(&mut st.file, fp);
         }
-        if rc != 0 {
-            return Err(os_err("munmap"));
-        }
-        Ok(())
+        unmapped
     }
 
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64> {
@@ -583,7 +756,9 @@ impl crate::backend::VmBackend for OsBackend {
             ));
         }
         let src_pages = src_area.pages.clone();
+        let lineage = src_area.lineage;
         let n = src_pages.len();
+        let src_runs = runs(&src_pages);
         let dst_base = match dst {
             None => {
                 let base = self.map_view(&src_pages)?;
@@ -592,12 +767,14 @@ impl crate::backend::VmBackend for OsBackend {
                 for &fp in &src_pages {
                     st.file.refs[fp as usize] += 1;
                 }
-                st.areas.insert(
+                self.adjust_runs(0, src_runs);
+                st.insert_area(
                     base,
                     Area {
                         bytes,
-                        pages: src_pages.clone(),
+                        pages: src_pages,
                         frozen: vec![true; n],
+                        lineage,
                     },
                 );
                 base
@@ -622,29 +799,32 @@ impl crate::backend::VmBackend for OsBackend {
                     // is an untrustworthy mix of old and new pages. Tear it
                     // down whole — the caller gets an error and a dangling
                     // (NotMapped) destination, never another area's bytes.
-                    let area = st.areas.remove(&d).expect("checked");
-                    // SAFETY(provenance: area, bounds: bytes): unmapping a
-                    // whole view this backend created, just removed from
-                    // the area table.
-                    unsafe { ffi::munmap(d as *mut _, bytes as usize) };
-                    for fp in area.pages {
-                        Self::decref_file_page(&mut st.file, fp);
-                    }
-                    for &fp in &src_pages {
+                    let area = st.remove_area(d).expect("checked");
+                    self.adjust_runs(runs(&area.pages), 0);
+                    // The wiring error is the one to report.
+                    let _ = self.unmap(d, bytes);
+                    for fp in area.pages.into_iter().chain(src_pages) {
                         Self::decref_file_page(&mut st.file, fp);
                     }
                     return Err(e);
                 }
-                let old_pages = std::mem::replace(
-                    &mut st.areas.get_mut(&d).expect("checked").pages,
-                    src_pages.clone(),
-                );
-                for fp in old_pages {
+                // The destination now shares the source's pages, so it
+                // leaves its old lineage for the source's.
+                let old = st.remove_area(d).expect("checked");
+                self.adjust_runs(runs(&old.pages), src_runs);
+                for fp in old.pages {
                     Self::decref_file_page(&mut st.file, fp);
                 }
-                let a = st.areas.get_mut(&d).expect("checked");
-                a.frozen = vec![true; n];
-                self.inner.stats.recycled.fetch_add(1, Ordering::Relaxed);
+                st.insert_area(
+                    d,
+                    Area {
+                        bytes,
+                        pages: src_pages,
+                        frozen: vec![true; n],
+                        lineage,
+                    },
+                );
+                Self::bump(&self.inner.stats.recycled);
                 d
             }
         };
@@ -652,7 +832,7 @@ impl crate::backend::VmBackend for OsBackend {
         // them.
         let src_area = st.areas.get_mut(&src).expect("checked");
         src_area.frozen.iter_mut().for_each(|f| *f = true);
-        self.inner.stats.snapshots.fetch_add(1, Ordering::Relaxed);
+        Self::bump(&self.inner.stats.snapshots);
         Ok(dst_base)
     }
 
@@ -770,14 +950,15 @@ impl crate::backend::VmBackend for OsBackend {
         // mapping this backend owns (the read lock keeps it mapped);
         // MADV_SEQUENTIAL is a pure readahead hint.
         unsafe { ffi::madvise(addr as *mut _, bytes as usize, ffi::MADV_SEQUENTIAL) };
-        self.inner
-            .stats
-            .sequential_advices
-            .fetch_add(1, Ordering::Relaxed);
+        Self::bump(&self.inner.stats.sequential_advices);
     }
 
     fn os_stats(&self) -> Option<OsStatsSnapshot> {
         Some(self.inner.stats.snapshot())
+    }
+
+    fn file_pages(&self, addr: u64) -> Option<Vec<u64>> {
+        Some(self.inner.state.read().areas.get(&addr)?.pages.clone())
     }
 
     fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
@@ -909,6 +1090,146 @@ mod tests {
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
     }
 
+    /// One split of a page shared with one snapshot is exactly one
+    /// `pwrite` (the pre-write content into a fresh file page) and one
+    /// `MAP_FIXED` (the snapshot's page onto it): no transient mapping, no
+    /// `munmap`, and the written view's page list never changes.
+    #[test]
+    fn split_is_one_pwrite_and_one_mmap_and_the_writer_keeps_its_pages() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(4 * ps).unwrap();
+        for p in 0..4u64 {
+            b.write_u64(a + p * ps, 10 + p).unwrap();
+        }
+        let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
+        let pages = b.file_pages(a).unwrap();
+        let before = b.stats().snapshot();
+        b.write_u64(a + 2 * ps, 99).unwrap();
+        let after = b.stats().snapshot();
+        assert_eq!(after.pwrite_calls - before.pwrite_calls, 1);
+        assert_eq!(after.mmap_calls - before.mmap_calls, 1);
+        assert_eq!(after.munmap_calls - before.munmap_calls, 0);
+        assert_eq!(after.ftruncate_calls - before.ftruncate_calls, 0);
+        assert_eq!(after.cow_copies - before.cow_copies, 1);
+        assert_eq!(
+            b.file_pages(a).unwrap(),
+            pages,
+            "the writer keeps its pages"
+        );
+        let moved = b.file_pages(snap).unwrap();
+        assert_ne!(moved[2], pages[2], "the snapshot moved onto the copy");
+        assert_eq!(moved[..2], pages[..2]);
+        assert_eq!(moved[3], pages[3]);
+        assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 99);
+        assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 12);
+        // Every later store to the page is a plain store.
+        b.write_u64(a + 2 * ps + 8, 100).unwrap();
+        assert_eq!(b.stats().snapshot().pwrite_calls, after.pwrite_calls);
+    }
+
+    /// The wired-runs gauge follows every view: one run per pristine
+    /// area, and a split breaks only the snapshot's run.
+    #[test]
+    fn wired_runs_gauge_tracks_fragmentation_of_the_snapshot_only() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let runs = || b.stats().snapshot().wired_runs;
+        let a = b.alloc(8 * ps).unwrap();
+        assert_eq!(runs(), 1);
+        let snap = b.vm_snapshot(None, a, 8 * ps).unwrap();
+        assert_eq!(runs(), 2);
+        b.write_u64(a + 3 * ps, 1).unwrap();
+        // The live view stays one run; the snapshot is 0..3, 3, 4..8.
+        assert_eq!(runs(), 4);
+        // The next snapshot of the live view is one run again.
+        let snap2 = b.vm_snapshot(None, a, 8 * ps).unwrap();
+        assert_eq!(runs(), 5);
+        b.release(snap, 8 * ps).unwrap();
+        b.release(snap2, 8 * ps).unwrap();
+        assert_eq!(runs(), 1);
+        b.release(a, 8 * ps).unwrap();
+        assert_eq!(runs(), 0);
+    }
+
+    /// Every view of a file page at a page index is one reference, and
+    /// `file_pages_in_use` counts the pages some view maps.
+    fn assert_refcounts_exact(b: &OsBackend) {
+        let st = b.inner.state.read();
+        let mut views = vec![0u32; st.file.refs.len()];
+        for area in st.areas.values() {
+            for &fp in &area.pages {
+                views[fp as usize] += 1;
+            }
+        }
+        assert_eq!(views, st.file.refs);
+        let mapped = views.iter().filter(|&&v| v > 0).count() as u64;
+        assert_eq!(st.file.next - st.file.free.len() as u64, mapped);
+    }
+
+    #[test]
+    fn failed_pwrite_changes_nothing() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        b.write_u64(a, 7).unwrap();
+        let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
+        let (pages, in_use) = (b.file_pages(a).unwrap(), b.file_pages_in_use());
+        b.inner.calls_before_failure.store(0, Ordering::Relaxed);
+        assert!(b.write_u64(a, 8).is_err());
+        b.inner
+            .calls_before_failure
+            .store(u64::MAX, Ordering::Relaxed);
+        assert_eq!(b.file_pages(a).unwrap(), pages);
+        assert_eq!(b.file_pages(snap).unwrap(), pages);
+        assert_eq!(b.file_pages_in_use(), in_use);
+        assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 0);
+        assert_refcounts_exact(&b);
+        // The page is still frozen: the retry splits it.
+        b.write_u64(a, 8).unwrap();
+        assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
+        assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (8, 7));
+        assert_refcounts_exact(&b);
+    }
+
+    /// A `MAP_FIXED` failing at the second of two sharers leaves the first
+    /// on the byte-identical copy, the written page frozen, and every
+    /// refcount exact; the retry moves the remaining sharer.
+    #[test]
+    fn failed_sharer_rewire_keeps_moved_sharers_and_refcounts_exact() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(ps).unwrap();
+        b.write_u64(a, 7).unwrap();
+        let s1 = b.vm_snapshot(None, a, ps).unwrap();
+        let s2 = b.vm_snapshot(None, a, ps).unwrap();
+        let fp = b.file_pages(a).unwrap()[0];
+        // The pwrite and the first sharer's MAP_FIXED go through.
+        b.inner.calls_before_failure.store(2, Ordering::Relaxed);
+        assert!(b.write_u64(a, 8).is_err());
+        b.inner
+            .calls_before_failure
+            .store(u64::MAX, Ordering::Relaxed);
+        let on_old = [s1, s2]
+            .iter()
+            .filter(|&&s| b.file_pages(s).unwrap()[0] == fp)
+            .count();
+        assert_eq!(on_old, 1, "exactly one sharer moved");
+        assert_eq!(b.file_pages(a).unwrap()[0], fp);
+        assert_refcounts_exact(&b);
+        for v in [a, s1, s2] {
+            assert_eq!(b.read_u64(v).unwrap(), 7);
+        }
+        b.write_u64(a, 8).unwrap();
+        assert_eq!(b.file_pages(a).unwrap()[0], fp);
+        assert_refcounts_exact(&b);
+        assert_eq!(
+            [a, s1, s2].map(|v| b.read_u64(v).unwrap()),
+            [8, 7, 7],
+            "both snapshots keep the pre-write content"
+        );
+    }
+
     #[test]
     fn sole_owner_write_reclaims_in_place() {
         let b = OsBackend::new().unwrap();
@@ -976,7 +1297,8 @@ mod tests {
         let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
         let after_snap = b.stats().huge_page_advices.load(Ordering::Relaxed);
         assert!(after_snap > after_alloc, "snapshot view must be advised");
-        // Copy-on-write rewires one page of the written view: re-advised.
+        // Copy-on-write rewires one page of the snapshot view onto the
+        // copy (the written view keeps its wiring): re-advised.
         b.write_u64(a, 1).unwrap();
         assert!(b.stats().huge_page_advices.load(Ordering::Relaxed) > after_snap);
         b.release(snap, 4 * ps).unwrap();

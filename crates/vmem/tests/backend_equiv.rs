@@ -2,7 +2,9 @@
 //! area operations — alloc, word writes, `vm_snapshot` (fresh and
 //! recycling), release, reads — must produce byte-identical observable
 //! state on the simulated kernel and on the real-OS memfd backend, and
-//! both must agree with a plain-vector oracle.
+//! both must agree with a plain-vector oracle. After every op the OS
+//! backend's file pages in use must also equal the distinct pages its
+//! live views map.
 //!
 //! The simulated kernel is booted with the *hardware* page size so the two
 //! backends have identical area geometry.
@@ -142,6 +144,15 @@ proptest! {
                     oracle.remove(sel);
                 }
             }
+            // Refcount invariant: the memfd pages in use are exactly the
+            // distinct pages some live view maps. A split that moves a
+            // sharer twice, or misses one, breaks the equality.
+            let mapped: std::collections::BTreeSet<u64> = osf
+                .areas
+                .iter()
+                .flat_map(|&(addr, _)| os.file_pages(addr).expect("live OS area"))
+                .collect();
+            prop_assert_eq!(os.file_pages_in_use(), mapped.len() as u64, "after {:?}", op);
             // Spot-check one word of one area after every op (cheap).
             if let Some(sel) = oracle.len().checked_sub(1) {
                 let w = oracle[sel].len() / 2;
