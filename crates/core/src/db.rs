@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 /// State owned by the serialized commit section. Holding the guard is the
 /// capability to install writes, trigger epochs, and materialise snapshots.
 #[derive(Debug, Default)]
-pub struct CommitState {
+pub(crate) struct CommitState {
     pub(crate) commits_since_snapshot: u64,
     pub(crate) commits_since_prune: u64,
 }
@@ -540,105 +540,38 @@ impl AnkerDb {
     /// [`SnapshotReader`] for the pinning and snapshot-isolation
     /// contract.
     pub fn snapshot_reader(&self) -> Result<SnapshotReader> {
-        SnapshotReader::open(self)
+        SnapshotReader::open(self, self.inner.config.snapshot_every_commits)
     }
 
-    /// Pin a snapshot epoch for an arriving OLAP transaction or detached
-    /// reader: the newest epoch if it is still fresh (within the trigger
-    /// interval) and undamaged, otherwise a brand-new epoch created at a
-    /// commit boundary (Figure 1, step 4: "as no snapshot is present yet
-    /// to run T3 on, the first snapshot is taken").
-    pub(crate) fn pin_current_epoch(&self) -> Arc<Epoch> {
-        let max_age = self.inner.config.snapshot_every_commits;
-        // Under sustained commit traffic a commit-quiescent instant may
-        // never occur on its own (there is always some timestamp in
-        // flight), so after this many failed rounds the arrival *forces*
-        // quiescence instead of retrying forever — epoch creation must not
-        // starve behind writers.
-        const FORCE_AFTER: u32 = 64;
-        let mut rounds = 0u32;
-        loop {
-            let now = self.inner.oracle.last_completed();
-            if let Some(e) = self.inner.snapman.pin_newest_fresh(now, max_age) {
-                return e;
-            }
-            let mut cs = self.lock_commit();
-            // Re-check under the commit lock (another OLAP may have raced
-            // us).
-            let now = self.inner.oracle.last_completed();
-            if let Some(e) = self.inner.snapman.pin_newest_fresh(now, max_age) {
-                return e;
-            }
-            // A new epoch is only sound at a commit-quiescent point: with
-            // commits installing out of timestamp order, the live columns
-            // match the stable-timestamp watermark exactly only when no
-            // commit is in flight. Holding the commit section keeps the
-            // heterogeneous install stage out; if a committer is still
-            // between its timestamp and its install, back off and retry
-            // (the fair lock guarantees we are served again promptly).
-            if self.inner.oracle.drained() {
-                // Pin before releasing the commit lock: once the lock
-                // drops, a concurrent commit could damage the fresh epoch.
-                let epoch = self.inner.snapman.trigger_epoch(&mut cs, now);
-                self.inner.snapman.pin_epoch(&epoch);
-                return epoch;
-            }
-            drop(cs);
-            rounds += 1;
-            if rounds >= FORCE_AFTER {
-                if let Some(e) = self.force_quiescent_epoch(max_age) {
-                    return e;
-                }
-                // Another arrival holds the freeze; its epoch will satisfy
-                // the fast path on the next round.
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Force a commit-quiescent window and take an epoch inside it: park
-    /// commit-timestamp allocation, let the in-flight committers drain,
-    /// then trigger + pin under the commit lock. This bounds OLAP snapshot
-    /// latency under sustained commit traffic at the cost of a brief
-    /// commit stall — the same trade [`AnkerDb::run_gc_once`] makes for
-    /// homogeneous GC. Returns `None` when another thread already holds
-    /// the freeze (its epoch is imminent; retry the fast path).
+    /// Pin a snapshot epoch for an arriving OLAP transaction, detached
+    /// reader or checkpoint: the newest epoch if it is undamaged and at
+    /// most `max_age` commits behind the watermark, otherwise a brand-new
+    /// epoch cut at the watermark (Figure 1, step 4: "as no snapshot is
+    /// present yet to run T3 on, the first snapshot is taken"). OLAP
+    /// arrivals pass `snapshot_every_commits`; a checkpoint passes 0, so
+    /// its image is never older than the log.
     ///
-    /// The drain wait must run **without** the commit lock: heterogeneous
-    /// installs need it, so holding it while waiting for `drained()` would
-    /// deadlock against the very committers being drained.
-    fn force_quiescent_epoch(&self, max_age: u64) -> Option<Arc<Epoch>> {
-        if !self.inner.oracle.try_freeze_commits() {
-            return None;
-        }
-        sched::hit("epoch:forced");
-        // In-flight committers hold no lock we own and allocate nothing
-        // new (allocation is frozen), so this terminates — PROVIDED no
-        // committer ever blocks on the freeze while holding a lock an
-        // in-flight committer needs. The commit path upholds that by
-        // releasing its validation-shard locks before waiting out a
-        // freeze (see `Txn::commit_attempt`, stage 3); the deterministic
-        // regression is `forced_epoch_vs_shard_held_committer_vs_pruner`
-        // in tests/commit_pipeline.rs.
-        while !self.inner.oracle.drained() {
-            std::thread::yield_now();
+    /// A cut costs one commit-section acquisition: heterogeneous commits
+    /// draw and settle their timestamps inside the section, so holding it
+    /// is commit quiescence and the live columns match the watermark.
+    pub(crate) fn pin_current_epoch(&self, max_age: u64) -> Arc<Epoch> {
+        let now = self.inner.oracle.last_completed();
+        if let Some(e) = self.inner.snapman.pin_newest_fresh(now, max_age) {
+            return e;
         }
         let mut cs = self.lock_commit();
+        debug_assert!(self.inner.oracle.drained(), "commit outside the section");
+        // Re-check under the commit lock (another arrival may have cut an
+        // epoch meanwhile).
         let now = self.inner.oracle.last_completed();
-        // A drained committer may have triggered a fresh epoch on its way
-        // out (the commit-path trigger); reuse it rather than stack a
-        // duplicate.
-        let epoch = match self.inner.snapman.pin_newest_fresh(now, max_age) {
-            Some(e) => e,
-            None => {
-                let e = self.inner.snapman.trigger_epoch(&mut cs, now);
-                self.inner.snapman.pin_epoch(&e);
-                e
-            }
-        };
-        drop(cs);
-        self.inner.oracle.unfreeze_commits();
-        Some(epoch)
+        if let Some(e) = self.inner.snapman.pin_newest_fresh(now, max_age) {
+            return e;
+        }
+        // Pin before releasing the commit lock: once the lock drops, a
+        // concurrent commit could damage the fresh epoch.
+        let epoch = self.inner.snapman.trigger_epoch(&mut cs, now);
+        self.inner.snapman.pin_epoch(&epoch);
+        epoch
     }
 
     /// The reusable scan-worker pool, sized for at least `threads`
@@ -820,10 +753,10 @@ impl AnkerDb {
     }
 
     /// Acquire the serialized commit section in strict arrival order (see
-    /// [`CommitLock`]). Since the concurrent commit pipeline landed, this
-    /// section no longer covers validation, WAL appends, or fsyncs — only
-    /// heterogeneous installs, snapshot materialisation, epoch triggers,
-    /// bulk loads, and housekeeping.
+    /// [`CommitLock`]). It covers heterogeneous commits from their shard
+    /// locks through completion (never the fsync), snapshot
+    /// materialisation, epoch cuts, bulk loads, and housekeeping.
+    /// Homogeneous commits validate, log and install outside it.
     pub(crate) fn lock_commit(&self) -> CommitGuard<'_> {
         self.inner.commit_mx.lock()
     }
@@ -894,6 +827,7 @@ impl AnkerDb {
         let quiesce = self.inner.config.mode == ProcessingMode::Homogeneous;
         if quiesce {
             self.inner.oracle.freeze_commits();
+            sched::hit("gc:frozen");
             while !self.inner.oracle.drained() {
                 std::thread::yield_now();
             }

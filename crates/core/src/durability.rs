@@ -349,13 +349,16 @@ impl AnkerDb {
     /// Write a checkpoint **now** and truncate the WAL up to its epoch
     /// timestamp. Returns that timestamp.
     ///
-    /// The checkpointer pins the newest frozen snapshot epoch through a
-    /// [`crate::SnapshotReader`] and streams every column's frozen area
-    /// to a versioned `ckpt-<ts>.ckpt` file — entirely off the commit
-    /// path. Concurrent updaters never wait on checkpoint I/O: their only
-    /// interaction is the ordinary epoch-materialisation step every
-    /// pinned reader implies. Requires heterogeneous processing mode
-    /// (the snapshot epochs *are* the consistency mechanism) and a
+    /// The checkpointer pins an epoch at the commit watermark of the call
+    /// — the newest epoch if nothing committed since it was cut, a fresh
+    /// one otherwise — through a [`crate::SnapshotReader`], and streams
+    /// every column's frozen area to a versioned `ckpt-<ts>.ckpt` file,
+    /// entirely off the commit path. The image therefore covers every
+    /// commit completed before the call, and recovery replays only what
+    /// came after. Concurrent updaters never wait on checkpoint I/O:
+    /// their only interaction is the ordinary epoch-materialisation step
+    /// every pinned reader implies. Requires heterogeneous processing
+    /// mode (the snapshot epochs *are* the consistency mechanism) and a
     /// durability directory.
     ///
     /// Taking a checkpoint closes the bulk-load window of every existing
@@ -369,9 +372,10 @@ impl AnkerDb {
             .cloned()
             .ok_or(DbError::DurabilityDisabled)?;
         let _one_at_a_time = dura.ckpt_mx.lock();
-        // Pin the epoch the image will represent. Everything the reader
-        // resolves from here on is frozen at `ckpt_ts`.
-        let reader = self.snapshot_reader()?;
+        // Pin the epoch the image will represent; freshness bound 0 puts
+        // it at the watermark of this call. Everything the reader resolves
+        // from here on is frozen at `ckpt_ts`.
+        let reader = crate::SnapshotReader::open(self, 0)?;
         let ckpt_ts = reader.epoch_ts();
         // Rotate the WAL *before* snapshotting the catalog: every record
         // in a closed segment now provably describes a table this

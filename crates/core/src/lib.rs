@@ -65,12 +65,12 @@ pub(crate) mod kernels;
 mod metrics;
 pub mod reader;
 pub mod scan;
-pub mod snapman;
+pub(crate) mod snapman;
 pub mod table;
 pub mod txn;
 
 pub use config::{BackendKind, DbConfig, ProcessingMode};
-pub use db::{AnkerDb, CommitState};
+pub use db::AnkerDb;
 pub use durability::RecoveryReport;
 pub use error::{AbortReason, DbError, Result};
 pub use reader::SnapshotReader;

@@ -94,14 +94,14 @@ impl std::fmt::Debug for SnapshotReader {
 }
 
 impl SnapshotReader {
-    /// Pin the newest serviceable epoch (creating one at a commit boundary
-    /// when none is fresh) and wrap it. Heterogeneous mode only: the
-    /// homogeneous configurations have no snapshot epochs to pin.
-    pub(crate) fn open(db: &AnkerDb) -> Result<SnapshotReader> {
+    /// Pin the newest epoch at most `max_age` commits old (cutting one at
+    /// the watermark when none is) and wrap it. Heterogeneous mode only:
+    /// the homogeneous configurations have no snapshot epochs to pin.
+    pub(crate) fn open(db: &AnkerDb, max_age: u64) -> Result<SnapshotReader> {
         if db.inner.config.mode != crate::config::ProcessingMode::Heterogeneous {
             return Err(DbError::SnapshotsDisabled);
         }
-        let epoch = db.pin_current_epoch();
+        let epoch = db.pin_current_epoch(max_age);
         let token = db.inner.active.register(epoch.ts);
         Ok(SnapshotReader {
             pin: Arc::new(ReaderPin {

@@ -86,7 +86,7 @@ impl Txn {
     pub(crate) fn begin(db: AnkerDb, kind: TxnKind) -> Txn {
         let heterogeneous = db.inner.config.mode == ProcessingMode::Heterogeneous;
         let epoch = if heterogeneous && kind == TxnKind::Olap {
-            Some(db.pin_current_epoch())
+            Some(db.pin_current_epoch(db.inner.config.snapshot_every_commits))
         } else {
             None
         };
@@ -259,19 +259,22 @@ impl Txn {
     ///
     /// 1. latch every write row in ascending `(col, row)` order and check
     ///    write-write conflicts (first-updater-wins);
-    /// 2. lock the validation shards covering the write and predicate
-    ///    tables (ascending — the two sorted phases make concurrent
-    ///    committers deadlock-free);
-    /// 3. draw the commit timestamp and validate the read set against the
-    ///    locked shards (serializable mode);
-    /// 4. append the WAL record (carrying a `(commit_ts, seq)` pair — file
+    /// 2. in heterogeneous mode, enter the serialized commit section and
+    ///    hold it through stage 6; then lock the validation shards
+    ///    covering the write and predicate tables (ascending — the sorted
+    ///    phases make concurrent committers deadlock-free);
+    /// 3. draw the commit timestamp;
+    /// 4. validate the read set against the locked shards (serializable
+    ///    mode);
+    /// 5. append the WAL record (carrying a `(commit_ts, seq)` pair — file
     ///    order is *not* timestamp order) and publish the commit record to
     ///    the write shards;
-    /// 5. release the shards and install the latched rows — out of
-    ///    timestamp order relative to other committers; readers are gated
-    ///    by the stable-timestamp watermark, which only advances once
-    ///    every older commit has fully installed;
-    /// 6. group-commit fsync outside all locks.
+    /// 6. release the shards, install the latched rows and complete the
+    ///    timestamp. Homogeneous installs run out of timestamp order
+    ///    relative to other committers; readers are gated by the
+    ///    stable-timestamp watermark, which only advances once every older
+    ///    commit has fully installed;
+    /// 7. group-commit fsync outside all locks.
     ///
     /// Equivalent to [`Txn::commit_with_repair`] with zero repair rounds.
     pub fn commit(self) -> Result<u64> {
@@ -398,7 +401,7 @@ impl Txn {
         }
     }
 
-    /// One pass through the commit pipeline (stages 1–6 of [`Txn::commit`]).
+    /// One pass through the commit pipeline (stages 1–7 of [`Txn::commit`]).
     fn commit_attempt(&mut self) -> std::result::Result<u64, AttemptError> {
         let db = self.db.clone();
         let start_ts = self.inner.start_ts();
@@ -466,43 +469,36 @@ impl Txn {
         sched::hit("commit:latched");
         obs_tok = obs::span_switch(obs_tok, &m.commit_stage_validate);
 
-        // Stage 2 — validation-shard locks (ascending), covering the
-        // tables written and the tables the read predicates touch.
-        // Snapshot isolation skips validation and publishes no commit
-        // records, so it takes no shard locks at all.
-        let shard_tables: Vec<u16> = if serializable {
-            writes
+        // Stage 2 — heterogeneous mode enters the serialized commit
+        // section here, before any shard lock, and holds it through
+        // install and completion. Its commit timestamps are therefore
+        // drawn and settled only inside the section, so whoever holds the
+        // section sees commit quiescence: the live columns match the
+        // watermark, and an epoch can be cut (`AnkerDb::pin_current_epoch`).
+        // Homogeneous mode installs lock-free and skips the section.
+        let mut cs = heterogeneous.then(|| db.lock_commit());
+        // Then the validation-shard locks (ascending), covering the tables
+        // written and the tables the read predicates touch. Snapshot
+        // isolation skips validation and publishes no commit records, so
+        // it takes no shard locks at all.
+        let mut guards = serializable.then(|| {
+            let tables: Vec<u16> = writes
                 .iter()
                 .map(|w| w.col.table)
                 .chain(self.inner.predicates().tables())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut guards = serializable.then(|| db.inner.recent.lock_tables(&shard_tables));
+                .collect();
+            db.inner.recent.lock_tables(&tables)
+        });
         sched::hit("commit:shards");
 
         // Stage 3 — commit timestamp, allocated while holding the full
         // shard set: two committers sharing any shard serialize around
         // allocation, so per-shard record order stays timestamp order.
-        // When a freezer parks allocation (a forced epoch or a GC window),
-        // the shard locks MUST drop before waiting it out: an in-flight
-        // committer may need them (publish, the periodic prune) before the
-        // freezer's drain can complete, so blocking here while holding
-        // them closes a cycle — committer waits on unfreeze, freezer waits
-        // on drain, drain waits on this committer's shards. Re-locking is
-        // sound because validation (stage 4) runs against the re-acquired
-        // shard state; only the row latches ride across the wait, and no
-        // committer past allocation ever takes a new row latch.
-        let commit_ts = loop {
-            if let Some(ts) = db.inner.oracle.try_begin_commit() {
-                break ts;
-            }
-            drop(guards.take());
-            sched::hit("commit:frozen-wait");
-            db.inner.oracle.wait_unfrozen();
-            guards = serializable.then(|| db.inner.recent.lock_tables(&shard_tables));
-        };
+        // Only the homogeneous GC pass freezes allocation. Blocking on it
+        // with the shards held is safe: every in-flight committer already
+        // holds its own shards and installs without the commit section,
+        // so the pass's drain completes without anything we hold.
+        let commit_ts = db.inner.oracle.begin_commit();
         sched::hit("commit:validate");
 
         // Stage 4 — read-set validation via precision locking (§2.1),
@@ -533,10 +529,10 @@ impl Txn {
         }
 
         // Stage 5 — write-ahead logging (redo rule: the record must exist
-        // before any of its effects can). Only the shard locks are held —
-        // concurrent committers with disjoint footprints append in
-        // whatever order they reach the log, so the record carries a
-        // `(commit_ts, seq)` pair and recovery sorts. An append failure
+        // before any of its effects can). Homogeneous committers hold
+        // only their shard locks here, so those with disjoint footprints
+        // append in whatever order they reach the log; the record carries
+        // a `(commit_ts, seq)` pair and recovery sorts. An append failure
         // still aborts cleanly: nothing has installed yet.
         obs_tok = obs::span_switch(obs_tok, &m.commit_stage_wal);
         let mut wal_pending = None;
@@ -600,10 +596,10 @@ impl Txn {
         // Stage 6 — install. From here the commit is published (logged
         // and validated against); a failure cannot roll back, so it is
         // fail-stop. Heterogeneous mode installs inside the commit
-        // section (snapshot materialisation must see a quiescent column);
-        // homogeneous mode installs lock-free under the row latches.
-        if heterogeneous {
-            let mut cs = db.lock_commit();
+        // section it took at stage 2 (snapshot materialisation must see
+        // a quiescent column); homogeneous mode installs lock-free under
+        // the row latches.
+        if let Some(cs) = &mut cs {
             // Settle the snapshot state of every column we are about to
             // write (§2.2.2): pinned epochs missing the column get it
             // materialised now; unpinned ones are damage-marked.
@@ -625,41 +621,39 @@ impl Txn {
                 // back; dying with the install span open is designed.
                 db.inner
                     .snapman
-                    .note_write(&mut cs, &state, key.0, key.1, commit_ts)
+                    .note_write(cs, &state, key.0, key.1, commit_ts)
                     .expect("snapshot materialisation failed mid-commit");
             }
-            for (w, old_ts, old_word) in &latched {
-                let state = self.table(TableId(w.col.table));
-                let col = state.col(w.col.col as usize);
-                // Re-resolve the area *after* note_write: materialisation
-                // swaps the column area (contents identical, so the
-                // latched old value stays exact).
-                let area = col.current_area();
-                // PANIC-OK: fail-stop after the durable commit record.
-                col.versioned
-                    .install_locked(&area, w.row, *old_ts, *old_word, w.new_word, commit_ts)
-                    .expect("install failed after the commit was logged");
-                // ORDERING: Release pairs with the materialisation path's
-                // reads — a snapshot that sees this mutation timestamp
-                // also sees the installed value.
-                col.last_mutation_ts.store(commit_ts, Ordering::Release);
-            }
-            // Every install above released its row latch.
-            latch_witness.clear();
-            sched::hit("commit:installed");
-            db.inner.oracle.complete_commit(commit_ts);
+        }
+        for (w, old_ts, old_word) in &latched {
+            let state = self.table(TableId(w.col.table));
+            let col = state.col(w.col.col as usize);
+            // Re-resolve the area *after* note_write: materialisation
+            // swaps the column area (contents identical, so the latched
+            // old value stays exact).
+            let area = col.current_area();
+            // PANIC-OK: fail-stop after the durable commit record.
+            col.versioned
+                .install_locked(&area, w.row, *old_ts, *old_word, w.new_word, commit_ts)
+                .expect("install failed after the commit was logged");
+            // ORDERING: Release pairs with the materialisation path's
+            // reads — a snapshot that sees this mutation timestamp also
+            // sees the installed value.
+            col.last_mutation_ts.store(commit_ts, Ordering::Release);
+        }
+        // Every install above released its row latch.
+        latch_witness.clear();
+        sched::hit("commit:installed");
+        db.inner.oracle.complete_commit(commit_ts);
 
-            // Snapshot trigger every n commits (§5.1(3)) — but only at a
-            // commit-quiescent point: with out-of-order installs the live
-            // columns match the watermark exactly only when nothing is in
-            // flight. A skipped trigger retries on the next commit (the
-            // counter is not reset), or an arriving OLAP forces one
-            // through `pin_current_epoch`.
+        if let Some(mut cs) = cs {
+            // Snapshot trigger every n commits (§5.1(3)). Still inside
+            // the section, so no heterogeneous commit is in flight and
+            // the live columns match the watermark exactly.
+            debug_assert!(db.inner.oracle.drained(), "commit outside the section");
             cs.commits_since_snapshot += 1;
             cs.commits_since_prune += 1;
-            if cs.commits_since_snapshot >= db.inner.config.snapshot_every_commits
-                && db.inner.oracle.drained()
-            {
+            if cs.commits_since_snapshot >= db.inner.config.snapshot_every_commits {
                 cs.commits_since_snapshot = 0;
                 let now = db.inner.oracle.last_completed();
                 db.inner.snapman.trigger_epoch(&mut cs, now);
@@ -705,28 +699,10 @@ impl Txn {
             }
             drop(cs);
         } else {
-            // Homogeneous: installs are fully concurrent — the row
-            // latches are the only synchronisation.
-            for (w, old_ts, old_word) in &latched {
-                let state = self.table(TableId(w.col.table));
-                let col = state.col(w.col.col as usize);
-                let area = col.current_area();
-                // PANIC-OK: fail-stop after the durable commit record.
-                col.versioned
-                    .install_locked(&area, w.row, *old_ts, *old_word, w.new_word, commit_ts)
-                    .expect("install failed after the commit was logged");
-                // ORDERING: Release, same pairing as the heterogeneous arm.
-                col.last_mutation_ts.store(commit_ts, Ordering::Release);
-            }
-            // Every install above released its row latch.
-            latch_witness.clear();
-            sched::hit("commit:installed");
-            db.inner.oracle.complete_commit(commit_ts);
-
-            // Periodic housekeeping, cadenced by an atomic tick (the
-            // install path holds no lock to keep a counter under); the
-            // threshold-crossing committer takes the commit section just
-            // for the prune.
+            // Homogeneous periodic housekeeping, cadenced by an atomic
+            // tick (the install path holds no lock to keep a counter
+            // under); the threshold-crossing committer takes the commit
+            // section just for the prune.
             let tick = db.inner.prune_tick.fetch_add(1, Ordering::Relaxed) + 1;
             if tick.is_multiple_of(128) {
                 let _cs = db.lock_commit();

@@ -16,12 +16,13 @@
 //! Plus the fairness regression (a slow WAL fsync must not block
 //! snapshot-reader creation), a deterministic conflict-repair schedule,
 //! the repair-snapshot regression (a commit completing during the
-//! conflict wait must not escape revalidation), the epoch-liveness
-//! escalation (OLAP arrivals force a commit-quiescent window instead of
-//! starving), and the forced-window deadlock regression (a committer
-//! must shed its validation-shard locks before waiting out a commit
-//! freeze, or the freezer's drain can never complete). The gate is
-//! process-global, so every test here serializes on [`GATE_MX`].
+//! conflict wait must not escape revalidation), the epoch cut at a
+//! commit boundary (an OLAP arrival waits for a heterogeneous committer
+//! to leave the commit section, and its epoch contains the commit), and
+//! the remaining freezer (the homogeneous GC pass completes against a
+//! shard-holding committer blocked on its freeze and an in-flight
+//! pruner). The gate is process-global, so every test here serializes
+//! on [`GATE_MX`].
 
 mod common;
 
@@ -409,17 +410,15 @@ fn repair_revalidates_commits_published_during_the_conflict_wait() {
     );
 }
 
-/// Liveness: OLAP snapshot/epoch creation must not starve behind
-/// sustained commit traffic. A new epoch needs a commit-quiescent
-/// instant, and with some commit always in flight a retry loop may never
-/// observe one. Pin the worst case — a committer that *stays* in flight,
-/// parked between its WAL append and its install — and assert the
-/// arriving reader escalates: it freezes commit-timestamp allocation,
-/// waits out the straggler, cuts its epoch in the forced window, and
-/// re-admits commits afterwards. On the pre-escalation code the reader
-/// spins forever and `await_parked("epoch:forced")` hangs.
+/// Epoch cuts at a commit boundary: a heterogeneous committer holds the
+/// commit section from its shard locks through completion, so an OLAP
+/// arrival that needs a new epoch waits for the section and cuts after
+/// the commit settles — never in the middle of one. Park the committer
+/// between its WAL append and its install (timestamp drawn, nothing
+/// installed): the reader must stay blocked while it is parked, and the
+/// epoch it then gets must contain the commit.
 #[test]
-fn olap_epoch_creation_escalates_to_a_forced_quiescent_window() {
+fn olap_arrival_waits_out_a_committer_inside_the_commit_section() {
     let _g = gate_lock();
     let (db, t, c) = one_col_db(
         DbConfig::heterogeneous_serializable()
@@ -429,137 +428,120 @@ fn olap_epoch_creation_escalates_to_a_forced_quiescent_window() {
     );
 
     let ctl = SchedCtl::install();
-    ctl.pause_label("commit:logged", "stall");
-    ctl.pause("epoch:forced");
+    ctl.pause("commit:logged");
     std::thread::scope(|s| {
-        let stalled = s.spawn(|| {
-            sched::set_label(Some("stall"));
+        let committer = s.spawn(|| {
             let mut txn = db.begin(TxnKind::Oltp);
             txn.update(t, c, 0, 42).unwrap();
             txn.commit().unwrap()
         });
-        // The committer is in flight: timestamp drawn, nothing installed,
-        // and it stays that way — no quiescent instant will occur.
         ctl.await_parked("commit:logged", 1);
-        let db2 = db.clone();
-        let reader = s.spawn(move || db2.snapshot_reader().unwrap());
-        ctl.await_parked("epoch:forced", 1);
-        // The freeze is armed. Let the straggler drain, then let the
-        // reader take its epoch in the quiescent window.
+        let reader = s.spawn(|| db.snapshot_reader().unwrap());
+        // No epoch exists yet, so the reader must cut one — and the
+        // section it needs is held by the parked committer.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // Resume before asserting, so a regression fails instead of
+        // hanging the scope on the parked committer.
+        let cut_mid_commit = reader.is_finished();
         ctl.resume("commit:logged");
-        stalled.join().unwrap();
-        ctl.resume("epoch:forced");
+        let commit_ts = committer.join().unwrap();
         let reader = reader.join().unwrap();
+        assert!(
+            !cut_mid_commit,
+            "an epoch was cut while a commit was in flight"
+        );
+        assert!(reader.epoch_ts() >= commit_ts);
         assert_eq!(
             reader.get(t, c, 0).unwrap(),
             42,
-            "the forced epoch covers the drained commit"
+            "the epoch must contain the commit it waited for"
         );
-        // Commit admission is restored after the forced window.
-        let mut txn = db.begin(TxnKind::Oltp);
-        txn.update(t, c, 1, 9).unwrap();
-        txn.commit().unwrap();
     });
     drop(ctl);
 }
 
-/// Deadlock regression for the forced quiescent window: freezer vs a
-/// shard-holding committer parked on the freeze vs an in-flight pruner.
+/// The one remaining commit freezer — the homogeneous GC pass — against
+/// a committer holding validation shards and an in-flight pruner.
 ///
-/// The cycle (caught live on a single-core host, ~1-in-10 full HTAP
-/// runs): an OLAP arrival escalates to `force_quiescent_epoch` and
-/// freezes commit-timestamp allocation; committer B has taken its
-/// validation-shard locks and now blocks in allocation waiting for the
-/// unfreeze; in-flight committer C (timestamp drawn before the freeze)
-/// reaches the periodic prune — which locks *every* validation shard —
-/// and parks on B's shard. The freezer waits on C (drain, then the
-/// commit section C holds), C waits on B's shard, B waits on the
-/// freezer's unfreeze. Fixed by B shedding its shard locks before
-/// waiting out the freeze (`commit:frozen-wait` marks the handoff);
-/// on the pre-fix code this schedule deadlocks at the pruner's join.
+/// Committer C (on table `t1`, the 128th commit, so it prunes) has drawn
+/// its timestamp and parks at `commit:validate` with its shard held.
+/// Committer B (on table `t2`, another shard) parks at `commit:shards`
+/// with its shard held and no timestamp. The GC pass takes the commit
+/// section, freezes allocation and parks at `gc:frozen`. Released, B
+/// blocks in `begin_commit` *still holding its shard*; C validates,
+/// logs, installs and completes without the section, then waits for it
+/// to prune. The pass drains (C has completed), unfreezes, and prunes
+/// across every shard once B has committed and let go of its own. All
+/// three must finish, which holds only while no committer needs the
+/// freezer's commit section before it completes.
 #[test]
-fn forced_epoch_vs_shard_held_committer_vs_pruner() {
+fn gc_freeze_vs_shard_held_committer_vs_pruner() {
     let _g = gate_lock();
-    let (db, t, c) = one_col_db(
-        DbConfig::heterogeneous_serializable()
-            .with_snapshot_every(1_000_000)
-            .with_gc_interval(None),
-        8,
+    let db = AnkerDb::new(DbConfig::homogeneous_serializable().with_gc_interval(None));
+    let mk = |name: &str| {
+        let t = db.create_table(
+            name,
+            anker_core::Schema::new(vec![anker_core::ColumnDef::new(
+                "v",
+                anker_core::LogicalType::Int,
+            )]),
+            8,
+        );
+        let c = db.schema(t).col("v");
+        db.fill_column(t, c, 0..8u64).unwrap();
+        (t, c)
+    };
+    let (t1, c1) = mk("t1");
+    let (t2, c2) = mk("t2");
+    assert_ne!(
+        anker_mvcc::RecentCommits::shard_of(t1.0),
+        anker_mvcc::RecentCommits::shard_of(t2.0),
+        "the two tables must land on different validation shards"
     );
-    // Run the prune counter up to 127: the next heterogeneous commit is
-    // the 128th and prunes, locking every validation shard in turn.
+    // Run the prune tick up to 127: the next commit to complete is the
+    // 128th and prunes under the commit section.
     for i in 0..127u32 {
         let mut txn = db.begin(TxnKind::Oltp);
-        txn.update(t, c, i % 8, i as u64).unwrap();
+        txn.update(t1, c1, i % 8, i as u64).unwrap();
         txn.commit().unwrap();
     }
 
     let ctl = SchedCtl::install();
-    ctl.pause_label("commit:pre-install", "pruner");
+    ctl.pause_label("commit:validate", "pruner");
     ctl.pause_label("commit:shards", "blocked");
-    ctl.pause("epoch:forced");
-    ctl.pause_label("commit:frozen-wait", "blocked");
+    ctl.pause("gc:frozen");
     std::thread::scope(|s| {
         let pruner = s.spawn(|| {
             sched::set_label(Some("pruner"));
             let mut txn = db.begin(TxnKind::Oltp);
-            txn.update(t, c, 0, 1_000).unwrap();
+            txn.update(t1, c1, 0, 1_000).unwrap();
             txn.commit().unwrap()
         });
-        // C is in flight: timestamp drawn, parked before the commit
-        // section — no quiescent instant will occur on its own.
-        ctl.await_parked("commit:pre-install", 1);
-
+        ctl.await_parked("commit:validate", 1);
         let blocked = s.spawn(|| {
             sched::set_label(Some("blocked"));
             let mut txn = db.begin(TxnKind::Oltp);
-            txn.update(t, c, 1, 2_000).unwrap();
+            txn.update(t2, c2, 1, 2_000).unwrap();
             txn.commit().unwrap()
         });
-        // B holds its validation shards, pre-allocation.
         ctl.await_parked("commit:shards", 1);
+        let gc = s.spawn(|| db.run_gc_once());
+        ctl.await_parked("gc:frozen", 1);
 
-        let db2 = db.clone();
-        let reader = s.spawn(move || db2.snapshot_reader().unwrap());
-        // The arriving reader escalates to the forced window: the freeze
-        // is armed before the `epoch:forced` hit parks it.
-        ctl.await_parked("epoch:forced", 1);
-
-        // Release B into the armed freeze. It must shed its shard locks
-        // before waiting the freeze out — the parked `commit:frozen-wait`
-        // hit sits after the shed, so reaching it proves the handoff.
+        // B runs into the freeze holding its shard; C completes and
+        // queues for the section behind the pass.
         ctl.resume("commit:shards");
-        ctl.await_parked("commit:frozen-wait", 1);
-
-        // C resumes: takes the commit section, installs, completes, and —
-        // 128th commit — prunes across every (now free) validation shard.
-        ctl.resume("commit:pre-install");
-        pruner.join().unwrap();
-
-        // Drained; the reader cuts its epoch in the forced window and
-        // re-admits commits, then B re-locks its shards and commits.
-        ctl.resume("epoch:forced");
-        ctl.resume("commit:frozen-wait");
-        let reader = reader.join().unwrap();
-        blocked.join().unwrap();
-        assert_eq!(
-            reader.get(t, c, 0).unwrap(),
-            1_000,
-            "the forced epoch covers the drained pruner commit"
-        );
-        // The epoch was pinned inside the freeze, before B re-entered:
-        // B's commit is invisible to the reader (snapshot isolation)…
-        assert_eq!(
-            reader.get(t, c, 1).unwrap(),
-            121,
-            "the forced epoch must predate the re-admitted commit"
-        );
-        // …but fully visible to a post-unfreeze transaction.
-        let mut txn = db.begin(TxnKind::Oltp);
-        assert_eq!(txn.get(t, c, 1).unwrap(), 2_000);
-        txn.commit().unwrap();
+        ctl.resume("commit:validate");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        ctl.resume("gc:frozen");
+        gc.join().unwrap();
+        let ts_c = pruner.join().unwrap();
+        let ts_b = blocked.join().unwrap();
+        assert!(ts_c < ts_b, "B drew its timestamp after the freeze");
     });
     drop(ctl);
+    assert_eq!(dump_col(&db, t1, c1, 8)[0], 1_000);
+    assert_eq!(dump_col(&db, t2, c2, 8)[1], 2_000);
 }
 
 /// Deterministic conflict repair: A reads row 0 and writes

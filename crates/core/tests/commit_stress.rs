@@ -13,6 +13,7 @@ mod common;
 
 use anker_core::{AnkerDb, DbConfig, DurabilityLevel};
 use common::{backends, dump_col, one_col_db, one_col_table, run_commit_stress, StressConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn env_or(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -66,9 +67,15 @@ fn stress_homogeneous_snapshot_isolation() {
 }
 
 /// Heterogeneous mode on every backend: concurrent commits interleave
-/// with snapshot-epoch triggers and lazy column materialisation.
+/// with snapshot-epoch triggers, lazy column materialisation, and a
+/// thread opening snapshot readers in a loop. Every reader's column must
+/// equal the commit-order replay of exactly the commits at or below its
+/// epoch timestamp: an epoch cut mid-commit would show a torn or missing
+/// write.
 #[test]
 fn stress_heterogeneous_with_epoch_triggers() {
+    /// Readers recorded per run, at most (bounds the check's memory).
+    const MAX_READS: usize = 4096;
     for backend in backends() {
         let mut cfg = stress_config(0xC0FFE);
         cfg.txns_per_thread = cfg.txns_per_thread / 2 + 1;
@@ -78,8 +85,42 @@ fn stress_heterogeneous_with_epoch_triggers() {
                 .with_backend(backend),
             cfg.rows,
         );
-        let out = run_commit_stress(&db, t, c, &cfg);
+        let done = AtomicBool::new(false);
+        let (out, reads) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut reads: Vec<(u64, Vec<u64>)> = Vec::new();
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    if reads.len() < MAX_READS {
+                        let r = db.snapshot_reader().unwrap();
+                        let col = (0..cfg.rows).map(|row| r.get(t, c, row).unwrap());
+                        reads.push((r.epoch_ts(), col.collect()));
+                    }
+                    if finished {
+                        return reads;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+            let out = run_commit_stress(&db, t, c, &cfg);
+            done.store(true, Ordering::Release);
+            (out, reader.join().unwrap())
+        });
         assert!(out.committed > 0, "backend {backend:?}");
+        let init: Vec<u64> = (0..cfg.rows as u64).collect();
+        for (epoch_ts, col) in &reads {
+            let mut shadow = init.clone();
+            for h in out.history.iter().take_while(|h| h.commit_ts <= *epoch_ts) {
+                for &(row, val) in &h.writes {
+                    shadow[row as usize] = val;
+                }
+            }
+            assert_eq!(
+                col, &shadow,
+                "reader at epoch {epoch_ts} differs from the replay of the \
+                 commits at or below it (backend {backend:?})"
+            );
+        }
         #[cfg(not(feature = "obs-off"))]
         assert!(
             common::counter(&db, "db_epochs_triggered_total") > 0,

@@ -171,6 +171,8 @@ pub struct StressOutcome {
     pub committed: usize,
     pub ww_aborts: usize,
     pub validation_aborts: usize,
+    /// Every committed transaction, sorted by commit timestamp.
+    pub history: Vec<TxnHistory>,
 }
 
 /// Run `threads × txns_per_thread` read-compute-write transactions
@@ -299,5 +301,6 @@ pub fn run_commit_stress(
         committed: history.len(),
         ww_aborts,
         validation_aborts,
+        history,
     }
 }

@@ -288,6 +288,44 @@ fn checkpoint_truncates_wal_and_recovery_starts_from_it() {
     }
 }
 
+/// A checkpoint images the log as of the call, not the newest epoch that
+/// is still fresh enough for an OLAP arrival. A reader pins an epoch at
+/// ts 0 and materialises column `a`, so the seven commits to `a` leave
+/// that epoch undamaged and within `snapshot_every_commits`; the
+/// checkpoint must still cut at ts 7, and recovery must replay nothing.
+#[test]
+fn checkpoint_covers_every_commit_before_the_call() {
+    for backend in backends() {
+        let dir = tmp_dir(&format!("ckpt-fresh-{backend:?}"));
+        let cfg = durable_config(backend, DurabilityLevel::Buffered).with_snapshot_every(16);
+        {
+            let db = AnkerDb::open(&dir, cfg.clone()).unwrap();
+            let (t, a, _) = build_two_col(&db, 32);
+            let reader = db.snapshot_reader().unwrap();
+            assert_eq!(reader.get(t, a, 0).unwrap(), Value::Int(0).encode());
+            for i in 0..7u32 {
+                let mut txn = db.begin(TxnKind::Oltp);
+                txn.update_value(t, a, i, Value::Int(100 + i as i64))
+                    .unwrap();
+                txn.commit().unwrap();
+            }
+            drop(reader);
+            assert_eq!(db.checkpoint().unwrap(), 7, "backend {backend:?}");
+        }
+        let db = AnkerDb::open(&dir, cfg).unwrap();
+        let report = db.recovery_report().unwrap();
+        assert_eq!(report.checkpoint_ts, 7);
+        assert_eq!(report.commits_replayed, 0, "the image covers the log");
+        let t = db.table_id("t").unwrap();
+        let a = db.schema(t).col("a");
+        let mut txn = db.begin(TxnKind::Oltp);
+        assert_eq!(txn.get_value(t, a, 6).unwrap(), Value::Int(106));
+        txn.abort();
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn checkpoint_requires_heterogeneous_mode_and_a_directory() {
     // No durability directory at all.

@@ -24,6 +24,13 @@
 //! recycling and epoch triggering must never use the raw `next_commit`
 //! counter as "now".
 //!
+//! **Quiescence.** The oracle offers one way to stop commits: a freeze
+//! ([`TsOracle::freeze_commits`]) parks new allocations, and a
+//! [`TsOracle::drained`] wait lets the in-flight ones settle. The engine
+//! uses it only for the homogeneous GC pass. Heterogeneous commits need
+//! no freeze: they draw and settle their timestamps inside the engine's
+//! serialized commit section, so holding that section is quiescence.
+//!
 //! **Known contention point.** `begin_commit` / `complete_commit` /
 //! `abort_commit` all serialize on the single `inflight` mutex, so the
 //! oracle is the one spot where the otherwise-decentralized commit
@@ -94,42 +101,23 @@ impl TsOracle {
     /// [`TsOracle::complete_commit`] or [`TsOracle::abort_commit`], or the
     /// watermark stalls forever.
     ///
-    /// **Blocks while the oracle is frozen.** A caller that holds any lock
-    /// an *in-flight* committer might need (validation shards, the commit
-    /// section) must use [`TsOracle::try_begin_commit`] and release those
-    /// locks before waiting, or the freezer's drain deadlocks: the freeze
-    /// holder waits for in-flight commits, an in-flight commit waits for
-    /// the caller's lock, and the caller waits for the unfreeze.
+    /// **Blocks while the oracle is frozen** ([`TsOracle::freeze_commits`]).
+    /// The caller may hold locks while it waits, as long as no in-flight
+    /// committer needs them to settle: the freezer's drain waits only for
+    /// timestamps already handed out.
     #[inline]
     pub fn begin_commit(&self) -> u64 {
         loop {
-            if let Some(ts) = self.try_begin_commit() {
-                return ts;
+            {
+                let mut inf = self.inflight.lock();
+                if !inf.frozen {
+                    let ts = self.next_commit.fetch_add(1, Ordering::Relaxed);
+                    inf.set.insert(ts);
+                    return ts;
+                }
             }
-            self.wait_unfrozen();
-        }
-    }
-
-    /// Non-blocking [`TsOracle::begin_commit`]: `None` when a freezer
-    /// currently parks allocation (see [`TsOracle::freeze_commits`]).
-    #[inline]
-    pub fn try_begin_commit(&self) -> Option<u64> {
-        let mut inf = self.inflight.lock();
-        if inf.frozen {
-            return None;
-        }
-        let ts = self.next_commit.fetch_add(1, Ordering::Relaxed);
-        inf.set.insert(ts);
-        Some(ts)
-    }
-
-    /// Spin (yielding) until no freezer holds the oracle. Purely advisory:
-    /// a new freeze may land between this returning and the caller's next
-    /// [`TsOracle::try_begin_commit`], so callers loop.
-    pub fn wait_unfrozen(&self) {
-        // The condition's lock guard is a temporary — dropped before the
-        // yield, so the freezer is never blocked out by this poll.
-        while self.inflight.lock().frozen {
+            // The guard is dropped before the yield, so the freezer is
+            // never locked out by this poll.
             std::thread::yield_now();
         }
     }
@@ -195,21 +183,6 @@ impl TsOracle {
         let mut inf = self.inflight.lock();
         assert!(!inf.frozen, "commit freeze is not reentrant");
         inf.frozen = true;
-    }
-
-    /// Non-panicking [`TsOracle::freeze_commits`]: returns `false` (and
-    /// changes nothing) when another freezer already holds the freeze.
-    /// For freezers that cannot serialize on an outer lock — e.g. an OLAP
-    /// arrival forcing a commit-quiescent epoch must *not* hold the commit
-    /// lock while it drains, or the in-flight committers it waits for
-    /// could never install.
-    pub fn try_freeze_commits(&self) -> bool {
-        let mut inf = self.inflight.lock();
-        if inf.frozen {
-            return false;
-        }
-        inf.frozen = true;
-        true
     }
 
     /// Re-admit commits after [`TsOracle::freeze_commits`].
