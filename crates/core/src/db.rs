@@ -6,14 +6,14 @@ use crate::durability::DuraState;
 use crate::error::Result;
 use crate::metrics::Metrics;
 use crate::reader::SnapshotReader;
-use crate::snapman::{Epoch, SnapshotManager};
+use crate::snapman::{Epoch, SnapCol, SnapshotManager};
 use crate::table::{ColumnState, TableId, TableState};
 use crate::txn::{Txn, TxnKind};
 use anker_dura::DurabilityLevel;
 use anker_mvcc::{ActiveTxns, RecentCommits, TsOracle, VersionedColumn};
 use anker_storage::{ColumnArea, Schema};
 use anker_util::lockcheck::{self, classes};
-use anker_util::{sched, WorkerPool};
+use anker_util::{sched, FxHashMap, WorkerPool};
 use anker_vmem::{Kernel, OsBackend, Space, VmBackend};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -21,10 +21,14 @@ use std::sync::{Arc, OnceLock};
 
 /// State owned by the serialized commit section. Holding the guard is the
 /// capability to install writes, trigger epochs, and materialise snapshots.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct CommitState {
     pub(crate) commits_since_snapshot: u64,
     pub(crate) commits_since_prune: u64,
+    /// The newest frozen image of each `(table, col)`, which the snapshot
+    /// manager hands to later epochs while the column stays unwritten
+    /// (see [`SnapshotManager::materialize_column`]).
+    pub(crate) images: FxHashMap<(u16, u16), Arc<SnapCol>>,
 }
 
 /// A ticket-fair lock around the serialized commit section.
@@ -456,13 +460,17 @@ impl AnkerDb {
         values: impl IntoIterator<Item = u64>,
     ) -> Result<u32> {
         let t = self.table_state(table);
-        let _cs = self.lock_commit();
+        let mut cs = self.lock_commit();
         // ORDERING: Acquire pairs with `mark_observed`'s Release — seeing
         // the latch implies the observing transaction's resolution is
         // visible, so rejecting the load here is never stale.
         if t.observed.load(Ordering::Acquire) {
             return Err(crate::error::DbError::LoadAfterBegin);
         }
+        // A load leaves `last_mutation` alone, so an image frozen before
+        // it (only the eager-materialisation ablation freezes unobserved
+        // tables) must not serve a later epoch.
+        cs.images.remove(&(table.0, col.0 as u16));
         let logging = self
             .inner
             .dura

@@ -402,10 +402,7 @@ impl AnkerDb {
                 let sc = reader.snap_col(TableId(tid as u16), anker_storage::ColumnId(cid))?;
                 let area = sc.area();
                 area.advise_sequential();
-                // SAFETY(provenance: reader, area): the area is a frozen
-                // snapshot column and the reader's epoch pin keeps it
-                // mapped and unrecycled for the whole stream.
-                if let Some(slice) = unsafe { area.as_slice() } {
+                if let Some(slice) = sc.words() {
                     writer.write_words(slice)?; // zero-copy (OS backend)
                 } else {
                     let rows = area.rows();

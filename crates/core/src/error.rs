@@ -59,6 +59,12 @@ pub enum DbError {
     /// statistics) was requested but the database has no durability
     /// directory configured.
     DurabilityDisabled,
+    /// A pinned snapshot epoch could not be served `(table, col)`: the
+    /// column was written past the epoch without being frozen for it
+    /// first. An engine invariant (a write freezes every pinned epoch's
+    /// copy before it installs) is broken; the read fails rather than
+    /// mixing two points in time.
+    EpochBypassed { table: u16, col: u16, epoch_ts: u64 },
 }
 
 impl fmt::Display for DbError {
@@ -85,6 +91,15 @@ impl fmt::Display for DbError {
                 )
             }
             DbError::Dura(e) => write!(f, "durability error: {e}"),
+            DbError::EpochBypassed {
+                table,
+                col,
+                epoch_ts,
+            } => write!(
+                f,
+                "column {col} of table {table} was written past the pinned \
+                 snapshot epoch {epoch_ts} without being frozen for it"
+            ),
             DbError::DurabilityDisabled => {
                 write!(
                     f,

@@ -34,6 +34,7 @@ pub(crate) struct Metrics {
     pub epochs_retired: Arc<Counter>,
     pub live_epochs: Arc<Gauge>,
     pub columns_materialized: Arc<Counter>,
+    pub columns_reused: Arc<Counter>,
     pub snapshot_materialize: Stage,
     pub snapshot_rewire: Stage,
     pub pages_rewired: Arc<Counter>,
@@ -99,6 +100,10 @@ impl Metrics {
             columns_materialized: r.counter(
                 "db_columns_materialized_total",
                 "Columns frozen into an epoch via vm_snapshot",
+            ),
+            columns_reused: r.counter(
+                "snapshot_columns_reused_total",
+                "Columns served to an epoch by an earlier epoch's still-exact frozen image (no vm_snapshot)",
             ),
             snapshot_materialize: r.stage("snapshot_materialize"),
             snapshot_rewire: r.stage("snapshot_rewire"),

@@ -140,7 +140,7 @@ impl SnapshotReader {
 
     /// Read the raw word of `(table, col, row)` at the epoch.
     pub fn get(&self, table: TableId, col: ColumnId, row: u32) -> Result<u64> {
-        Ok(self.snap_col(table, col)?.area().get(row)?)
+        Ok(self.snap_col(table, col)?.get(row)?)
     }
 
     /// Typed read at the epoch.

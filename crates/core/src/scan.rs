@@ -658,14 +658,12 @@ enum Eval {
 /// Where a compiled scan's column blocks come from. Columns are indexed
 /// like [`ScanCore::cols`].
 enum Source {
-    /// Frozen snapshot columns. Holding them keeps every scanned area
-    /// alive (the `Arc<SnapCol>`s) **and** — on the reader path — keeps
-    /// the epoch pinned: the source owns the [`ReaderPin`], so anything
-    /// holding the core carries the §4.1.3 recycling-rule justification
-    /// for the cursor's zero-copy slices with it. On the transaction path
-    /// the pin is `None`; there the active-transaction horizon covers the
-    /// scan (the engine never recycles an area a live transaction can
-    /// reach).
+    /// Frozen snapshot columns. Holding the `Arc<SnapCol>`s keeps every
+    /// scanned area mapped and unrecycled, which is all the cursor's
+    /// zero-copy slices need ([`SnapCol::words`]). On the reader path the
+    /// source also owns the [`ReaderPin`], so the reader's epoch stays
+    /// pinned while any partition of the scan can still run; on the
+    /// transaction path the pin is `None` and the transaction holds it.
     Frozen {
         snaps: Vec<Arc<SnapCol>>,
         /// Per filter (the first `filters.len()` columns).
@@ -703,7 +701,7 @@ impl Source {
         let zone_maps: Vec<Arc<ZoneMap>> = filters
             .iter()
             .zip(&snaps)
-            .map(|(flt, sc)| sc.area().zone_map(flt.ty, BLOCK_ROWS))
+            .map(|(flt, sc)| sc.zone_map(flt.ty, BLOCK_ROWS))
             .collect::<std::result::Result<_, _>>()?;
         // One sequential-readahead hint per distinct area about to be
         // streamed (madvise on the OS backend, no-op simulated).
@@ -864,17 +862,9 @@ pub(crate) struct ScanCursor<'c> {
 impl<'c> ScanCursor<'c> {
     pub(crate) fn new(core: &'c ScanCore) -> ScanCursor<'c> {
         let slices: Vec<Option<&[u64]>> = match &core.source {
-            // SAFETY(provenance: core, sc): the core holds an
-            // `Arc<SnapCol>` per column and owns the epoch pin (or, on the
-            // transaction path, is covered by the active-transaction
-            // horizon), so the frozen areas can neither be unmapped nor
-            // recycled while these borrows live; frozen areas are never
-            // written after hand-over, so the slices are genuinely
-            // immutable.
-            Source::Frozen { snaps, .. } => snaps
-                .iter()
-                .map(|sc| unsafe { sc.area().as_slice() })
-                .collect(),
+            // The core holds an `Arc<SnapCol>` per column, so each slice
+            // lives as long as the cursor's borrow of the core.
+            Source::Frozen { snaps, .. } => snaps.iter().map(|sc| sc.words()).collect(),
             Source::Versioned { .. } => vec![None; core.cols.len()],
         };
         let bufs = slices

@@ -11,8 +11,12 @@
 //!   columns of an epoch are consistent with one single point in time even
 //!   though they materialise at different wall-clock moments.
 //! * Columns never touched and never read are never materialised (§2.2.2).
-//! * One `vm_snapshot` can serve several epochs: if no write happened
-//!   between two triggers, both epochs share the same frozen area.
+//! * One `vm_snapshot` can serve several epochs — every live epoch that
+//!   misses the column at the time, and any *later* epoch that needs it
+//!   while the column stays unwritten: the newest frozen image of each
+//!   column is kept (in [`CommitState`]) and registered as is when the
+//!   column's `last_mutation()` still equals the image's
+//!   `as_of_mutation`, so its area and cached zone map are shared too.
 //! * OLAP transactions **pin** the newest epoch; an epoch that is no longer
 //!   newest and has no pins is retired, unmapping its areas — which, with
 //!   the chain hand-over in [`anker_mvcc::VersionedColumn`], is the paper's
@@ -26,7 +30,7 @@ use crate::db::CommitState;
 use crate::metrics::Metrics;
 use crate::table::{ColumnState, TableState};
 use anker_mvcc::ActiveTxns;
-use anker_storage::ColumnArea;
+use anker_storage::{ColumnArea, LogicalType, ZoneMap};
 use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
 use anker_vmem::VmBackend;
@@ -34,7 +38,8 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A materialised snapshot column. On retirement the area is *not*
+/// A materialised snapshot column: a frozen image of one column, shared
+/// by every epoch it serves. On retirement the area is *not*
 /// unmapped immediately: an OLTP reader may have acquired the area handle
 /// just before the snapshot swap and still be reading through it (such
 /// reads are correct — the per-row timestamp protocol routes it to chains
@@ -47,6 +52,10 @@ pub(crate) struct SnapCol {
     /// representation; any transaction still holding a stale handle has
     /// `start_ts <= swap_ts`.
     swap_ts: u64,
+    /// The column's [`ColumnState::last_mutation`] when the image was
+    /// frozen. While the column's value still equals it, no write has
+    /// landed since, and the image can serve a later epoch as is.
+    as_of_mutation: u64,
     graveyard: Arc<Graveyard>,
     /// When recycling is on, retirement parks the area for reuse instead.
     spare: Option<Arc<SpareAreas>>,
@@ -55,6 +64,37 @@ pub(crate) struct SnapCol {
 impl SnapCol {
     pub fn area(&self) -> &ColumnArea {
         &self.area
+    }
+
+    /// The frozen column as a plain slice where the backend maps it as
+    /// directly addressable memory (the OS backend), else `None`. The one
+    /// place an epoch's pin becomes a slice: scans, zone-map builds, point
+    /// reads and checkpoint streams all borrow through here.
+    #[inline]
+    pub fn words(&self) -> Option<&[u64]> {
+        // SAFETY(provenance: self, area): the slice borrows `self`, and a
+        // live `SnapCol` owns its area — the area is parked (for unmapping
+        // or destination recycling) only in `SnapCol::drop`, so it stays
+        // mapped and unrecycled for the borrow. The engine never writes a
+        // frozen image (installs go to the swapped-in current area), so
+        // its contents are immutable.
+        unsafe { self.area.as_slice() }
+    }
+
+    /// The raw word of `row`, straight from the slice where there is one.
+    #[inline]
+    pub fn get(&self, row: u32) -> anker_vmem::Result<u64> {
+        match self.words().and_then(|w| w.get(row as usize)) {
+            Some(&word) => Ok(word),
+            None => self.area.get(row),
+        }
+    }
+
+    /// The image's zone map under `ty` (see [`ColumnArea::zone_map`]),
+    /// built from [`SnapCol::words`] where there is a slice. Cached on the
+    /// area, so every epoch sharing the image shares the map.
+    pub fn zone_map(&self, ty: LogicalType, block_rows: u32) -> anker_vmem::Result<Arc<ZoneMap>> {
+        self.area.zone_map_with(ty, block_rows, self.words())
     }
 }
 
@@ -345,6 +385,14 @@ impl SnapshotManager {
         if to_materialize {
             self.materialize_column(cs, table, table_id, col_id, now_ts)?;
         }
+        // The write makes the column's image stale. Drop it, and if no
+        // epoch holds it either, unmap it now (once no transaction can
+        // hold a stale handle) instead of at the next housekeeping pass:
+        // until then it shares every page with the column, and each write
+        // would split a page for a view nobody can read.
+        if cs.images.remove(&key).is_some() {
+            self.graveyard.drain(self.active.min_active_or(now_ts));
+        }
         // Fast-path marker: this column is settled for the current newest
         // epoch (either materialised or the epoch is damaged).
         // ORDERING: the Acquire load pairs with `trigger_epoch`'s Release;
@@ -373,11 +421,20 @@ impl SnapshotManager {
     /// by [`SnapshotManager::note_write`] for pinned epochs and by the OLAP
     /// read path on first access.
     ///
+    /// The column's newest frozen image (kept in `cs`) serves the missing
+    /// epochs as is while no write has landed since it was frozen — the
+    /// column's `last_mutation()` still equals the image's
+    /// `as_of_mutation` — so an unwritten column costs no `vm_snapshot`,
+    /// no area swap and no zone-map rebuild however many epochs it spans.
+    /// Equality is exact because every heterogeneous install and its
+    /// `last_mutation_ts` store happen inside the commit section this runs
+    /// in.
+    ///
     /// Returns the snapshot column now registered for the **newest** such
     /// epoch.
     pub fn materialize_column(
         &self,
-        _cs: &mut CommitState,
+        cs: &mut CommitState,
         table: &TableState,
         table_id: u16,
         col_id: u16,
@@ -401,11 +458,44 @@ impl SnapshotManager {
         if missing.is_empty() {
             return Ok(epochs.iter().rev().find_map(|e| e.col(key)));
         }
-        // Only actual materialisation work is spanned — the cache-hit early
-        // returns above are the fast path and would drown the distribution.
+        let snap = match cs.images.get(&key) {
+            Some(image) if image.as_of_mutation == last_mutation => {
+                self.m.columns_reused.inc();
+                Arc::clone(image)
+            }
+            _ => {
+                let snap = self.freeze_column(col, last_mutation, now_ts)?;
+                cs.images.insert(key, Arc::clone(&snap));
+                snap
+            }
+        };
+        // Hand the version chains over (they serve pre-epoch OLTP readers
+        // until the active horizon passes the newest epoch timestamp).
+        let newest_missing_ts = missing.iter().map(|e| e.ts).max().expect("nonempty");
+        col.versioned.freeze_epoch(newest_missing_ts);
+        for e in missing {
+            e.cols.lock().insert(key, Arc::clone(&snap));
+        }
+        // ORDERING: Release pairs with the commit fast-path's Acquire load
+        // of `snapshot_mark` — seeing the mark implies the snapshot
+        // column is registered in every missing epoch above.
+        col.snapshot_mark
+            .store(epoch_mark(newest_missing_ts), Ordering::Release);
+        Ok(Some(snap))
+    }
+
+    /// Freeze `col`'s current area into a new image (Figure 1, step 4):
+    /// one `vm_snapshot` duplicates it, the duplicate becomes the column's
+    /// most-recent representation, and the old area becomes the image.
+    fn freeze_column(
+        &self,
+        col: &ColumnState,
+        last_mutation: u64,
+        now_ts: u64,
+    ) -> anker_vmem::Result<Arc<SnapCol>> {
+        // Only actual materialisation work is spanned — cache hits and
+        // reuses are the fast path and would drown the distribution.
         let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
-        // One vm_snapshot serves all missing epochs: the column's state has
-        // not changed since before the oldest of them.
         let cur = col.current_area();
         let bytes = cur.mapped_bytes();
         // §4.1.3 destination recycling is gated on the *active-transaction
@@ -433,30 +523,15 @@ impl SnapshotManager {
         if recycled {
             self.m.areas_recycled.inc();
         }
-        // The duplicate becomes the new most-recent representation; the old
-        // area freezes into the snapshot (Figure 1, step 4).
+        self.m.columns_materialized.inc();
         let fresh = ColumnArea::from_raw_on(Arc::clone(&self.backend), fresh_addr, cur.rows());
-        let old = col.swap_area(fresh);
-        // Hand the version chains over (they serve pre-epoch OLTP readers
-        // until the active horizon passes the newest epoch timestamp).
-        let newest_missing_ts = missing.iter().map(|e| e.ts).max().expect("nonempty");
-        col.versioned.freeze_epoch(newest_missing_ts);
-        let snap = Arc::new(SnapCol {
-            area: old,
+        Ok(Arc::new(SnapCol {
+            area: col.swap_area(fresh),
             swap_ts: now_ts,
+            as_of_mutation: last_mutation,
             graveyard: Arc::clone(&self.graveyard),
             spare: self.spare.clone(),
-        });
-        for e in missing {
-            e.cols.lock().insert(key, Arc::clone(&snap));
-        }
-        // ORDERING: Release pairs with the commit fast-path's Acquire load
-        // of `snapshot_mark` — seeing the mark implies the snapshot
-        // column is registered in every missing epoch above.
-        col.snapshot_mark
-            .store(epoch_mark(newest_missing_ts), Ordering::Release);
-        self.m.columns_materialized.inc();
-        Ok(Some(snap))
+        }))
     }
 }
 
@@ -489,19 +564,28 @@ pub(crate) fn resolve_snap_col(
     let now = db.inner.oracle.last_completed();
     db.inner
         .snapman
-        .materialize_column(&mut cs, &state, table.0, col.0 as u16, now)?
-        .expect("live epoch exists");
-    Ok(epoch.col(key).expect("column just materialised"))
+        .materialize_column(&mut cs, &state, table.0, col.0 as u16, now)?;
+    // A pinned epoch always receives the column: a write to it
+    // materialises for every pinned epoch first (`note_write`). Missing
+    // it here means a write bypassed the pin — the epoch can no longer
+    // show one point in time, so the read fails instead of mixing two.
+    epoch.col(key).ok_or(crate::error::DbError::EpochBypassed {
+        table: table.0,
+        col: col.0 as u16,
+        epoch_ts: epoch.ts,
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::SnapCol;
     use crate::config::DbConfig;
     use crate::db::AnkerDb;
     use crate::table::TableId;
     use crate::txn::TxnKind;
     use anker_mvcc::BLOCK_ROWS;
     use anker_storage::{ColumnDef, ColumnId, LogicalType, Schema, Value};
+    use std::sync::Arc;
 
     fn two_column_db(rows: u32) -> (AnkerDb, TableId, ColumnId, ColumnId) {
         let mut cfg = DbConfig::heterogeneous_serializable()
@@ -658,6 +742,258 @@ mod tests {
                 assert_eq!(Some(wired), wired_at_n, "wired runs grew with the epochs");
             }
         }
+    }
+
+    /// Every backend the engine runs on in this build.
+    fn all_backends() -> Vec<crate::config::BackendKind> {
+        use crate::config::BackendKind;
+        #[cfg(target_os = "linux")]
+        {
+            vec![BackendKind::Sim, BackendKind::Os]
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            vec![BackendKind::Sim]
+        }
+    }
+
+    /// A two-column database cutting an epoch after every commit, on
+    /// `backend`, with `a` = 10 and `b` = 100 in every row.
+    fn reuse_db(backend: crate::config::BackendKind) -> (AnkerDb, TableId, ColumnId, ColumnId) {
+        let db = AnkerDb::new(
+            DbConfig::heterogeneous_serializable()
+                .with_snapshot_every(1)
+                .with_gc_interval(None)
+                .with_backend(backend),
+        );
+        let rows = 2 * BLOCK_ROWS + 7;
+        let t = db.create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Int),
+            ]),
+            rows,
+        );
+        let (a, b) = (db.schema(t).col("a"), db.schema(t).col("b"));
+        db.fill_column(t, a, (0..rows).map(|_| Value::Int(10).encode()))
+            .unwrap();
+        db.fill_column(t, b, (0..rows).map(|_| Value::Int(100).encode()))
+            .unwrap();
+        (db, t, a, b)
+    }
+
+    fn write(db: &AnkerDb, t: TableId, c: ColumnId, row: u32, v: i64) {
+        let mut w = db.begin(TxnKind::Oltp);
+        w.update_value(t, c, row, Value::Int(v)).unwrap();
+        w.commit().unwrap();
+    }
+
+    /// `(materialised, reused)` counter values.
+    fn freezes(db: &AnkerDb) -> (u64, u64) {
+        let m = db.metrics();
+        (
+            m.counter("db_columns_materialized_total").unwrap(),
+            m.counter("snapshot_columns_reused_total").unwrap(),
+        )
+    }
+
+    /// A column nobody wrote between two pinned epochs is served to the
+    /// second by the first's frozen image: one shared `SnapCol` (same
+    /// area, same zone map), no second `vm_snapshot`.
+    #[test]
+    fn unwritten_column_shares_one_image_across_pinned_epochs() {
+        for backend in all_backends() {
+            let (db, t, a, b) = reuse_db(backend);
+            let r1 = db.snapshot_reader().unwrap();
+            assert_eq!(r1.get_value(t, a, 5).unwrap(), Value::Int(10));
+            let zm1 = r1
+                .snap_col(t, a)
+                .unwrap()
+                .zone_map(LogicalType::Int, BLOCK_ROWS);
+            // A write to the *other* column cuts a new epoch after commit.
+            write(&db, t, b, 5, 200);
+            let before = freezes(&db);
+            let r2 = db.snapshot_reader().unwrap();
+            assert!(r2.epoch_ts() > r1.epoch_ts(), "{backend:?}: a new epoch");
+            assert_eq!(r2.get_value(t, a, 5).unwrap(), Value::Int(10));
+            let (s1, s2) = (r1.snap_col(t, a).unwrap(), r2.snap_col(t, a).unwrap());
+            assert!(Arc::ptr_eq(&s1, &s2), "{backend:?}: one shared image");
+            assert_eq!(s1.area().addr(), s2.area().addr());
+            let zm2 = s2.zone_map(LogicalType::Int, BLOCK_ROWS);
+            assert!(Arc::ptr_eq(&zm1.unwrap(), &zm2.unwrap()), "{backend:?}");
+            if cfg!(not(feature = "obs-off")) {
+                assert_eq!(
+                    freezes(&db),
+                    (before.0, before.1 + 1),
+                    "{backend:?}: +0 vm_snapshots, +1 reuse"
+                );
+            }
+            // The written column still froze afresh for each epoch.
+            assert_eq!(r1.get_value(t, b, 5).unwrap(), Value::Int(100));
+            assert_eq!(r2.get_value(t, b, 5).unwrap(), Value::Int(200));
+        }
+    }
+
+    /// A write committed while the column's image is the newest epoch's
+    /// (the settled fast path, which never reaches `note_write`) leaves
+    /// the image in place but stale: the next epoch must freeze afresh,
+    /// and each reader sees its own epoch's value.
+    #[test]
+    fn committed_write_between_epochs_forces_a_fresh_freeze() {
+        for backend in all_backends() {
+            let (db, t, a, _) = reuse_db(backend);
+            let r1 = db.snapshot_reader().unwrap();
+            assert_eq!(r1.get_value(t, a, 5).unwrap(), Value::Int(10));
+            write(&db, t, a, 5, 11);
+            let before = freezes(&db);
+            let r2 = db.snapshot_reader().unwrap();
+            assert_eq!(
+                r2.get_value(t, a, 5).unwrap(),
+                Value::Int(11),
+                "{backend:?}"
+            );
+            assert_eq!(
+                r1.get_value(t, a, 5).unwrap(),
+                Value::Int(10),
+                "{backend:?}"
+            );
+            let (s1, s2) = (r1.snap_col(t, a).unwrap(), r2.snap_col(t, a).unwrap());
+            assert!(
+                !Arc::ptr_eq(&s1, &s2),
+                "{backend:?}: a stale image was reused"
+            );
+            // Zone maps summarise each image's own content.
+            let zm = |s: &SnapCol| s.zone_map(LogicalType::Int, BLOCK_ROWS).unwrap();
+            assert_eq!(zm(&s1).block_range(0), (10.0, 10.0));
+            assert_eq!(zm(&s2).block_range(0), (10.0, 11.0));
+            if cfg!(not(feature = "obs-off")) {
+                assert_eq!(freezes(&db), (before.0 + 1, before.1), "{backend:?}");
+            }
+        }
+    }
+
+    /// A write that reaches a pinned epoch missing its column freezes (or
+    /// reuses) the pre-write image for that epoch before installing, and
+    /// the image does not outlive the write: the epoch keeps showing the
+    /// pre-write value and the next epoch sees the write.
+    #[test]
+    fn note_write_leaves_the_pinned_epoch_on_the_pre_write_value() {
+        for backend in all_backends() {
+            let (db, t, a, b) = reuse_db(backend);
+            // An image of `a` exists from an earlier epoch...
+            let r0 = db.snapshot_reader().unwrap();
+            assert_eq!(r0.get_value(t, a, 5).unwrap(), Value::Int(10));
+            write(&db, t, b, 0, 1);
+            // ...and a later pinned epoch has not touched `a` yet.
+            let r1 = db.snapshot_reader().unwrap();
+            assert!(r1.epoch_ts() > r0.epoch_ts());
+            let before = freezes(&db);
+            write(&db, t, a, 5, 12);
+            if cfg!(not(feature = "obs-off")) {
+                assert_eq!(
+                    freezes(&db),
+                    (before.0, before.1 + 1),
+                    "{backend:?}: the unwritten image serves the pinned epoch"
+                );
+            }
+            assert_eq!(
+                r1.get_value(t, a, 5).unwrap(),
+                Value::Int(10),
+                "{backend:?}"
+            );
+            assert_eq!(
+                r0.get_value(t, a, 5).unwrap(),
+                Value::Int(10),
+                "{backend:?}"
+            );
+            let r2 = db.snapshot_reader().unwrap();
+            assert_eq!(
+                r2.get_value(t, a, 5).unwrap(),
+                Value::Int(12),
+                "{backend:?}"
+            );
+            // A write on the settled path (`a` is frozen for the newest
+            // epoch, r2's) makes the image stale, so the next pinned
+            // epoch's `note_write` must freeze afresh, before installing.
+            drop((r0, r1));
+            write(&db, t, a, 7, 14);
+            let r3 = db.snapshot_reader().unwrap();
+            let before = freezes(&db);
+            write(&db, t, a, 6, 13);
+            if cfg!(not(feature = "obs-off")) {
+                assert_eq!(freezes(&db), (before.0 + 1, before.1), "{backend:?}");
+            }
+            for (row, v) in [(5, 12), (6, 10), (7, 14)] {
+                assert_eq!(
+                    r3.get_value(t, a, row).unwrap(),
+                    Value::Int(v),
+                    "{backend:?}"
+                );
+            }
+            assert_eq!(
+                r2.get_value(t, a, 7).unwrap(),
+                Value::Int(10),
+                "{backend:?}"
+            );
+            let r4 = db.snapshot_reader().unwrap();
+            assert_eq!(
+                r4.get_value(t, a, 6).unwrap(),
+                Value::Int(13),
+                "{backend:?}"
+            );
+        }
+    }
+
+    /// An image `note_write` drops that no epoch holds any more is
+    /// unmapped before the write installs, so the write does not split a
+    /// page for a view nobody can read.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_dropped_image_is_unmapped_before_the_write_installs() {
+        let (db, t, a, b) = reuse_db(crate::config::BackendKind::Os);
+        let r = db.snapshot_reader().unwrap();
+        assert_eq!(r.get_value(t, a, 5).unwrap(), Value::Int(10));
+        drop(r);
+        // A commit to `b` cuts a new epoch and retires the reader's, so
+        // only the image keeps `a`'s frozen view mapped.
+        write(&db, t, b, 0, 1);
+        let copies = || db.metrics().counter("os_cow_copies_total").unwrap();
+        let before = copies();
+        write(&db, t, a, 5, 11);
+        if cfg!(not(feature = "obs-off")) {
+            assert_eq!(
+                copies(),
+                before,
+                "the write split a page for a dropped image"
+            );
+        }
+    }
+
+    /// A bulk load leaves `last_mutation` alone, so it must drop an image
+    /// frozen before it: under the eager-materialisation ablation a
+    /// trigger freezes tables no transaction has touched yet, which may
+    /// still be loaded, and the next epoch must see the load.
+    #[test]
+    fn a_bulk_load_after_an_eager_freeze_is_not_hidden_by_the_image() {
+        let mut cfg = DbConfig::heterogeneous_serializable()
+            .with_snapshot_every(1)
+            .with_gc_interval(None);
+        cfg.eager_materialization = true;
+        let db = AnkerDb::new(cfg);
+        let schema = || Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]);
+        let (t1, t2) = (
+            db.create_table("t1", schema(), 8),
+            db.create_table("t2", schema(), 8),
+        );
+        let v = db.schema(t1).col("v");
+        // The trigger after this commit freezes every column, t2's too.
+        write(&db, t1, v, 0, 1);
+        db.fill_column(t2, v, (0..8).map(|_| Value::Int(7).encode()))
+            .unwrap();
+        write(&db, t1, v, 0, 2);
+        let r = db.snapshot_reader().unwrap();
+        assert_eq!(r.get_value(t2, v, 3).unwrap(), Value::Int(7));
     }
 
     /// A zone map primed while an area was still the current, writable

@@ -174,7 +174,7 @@ impl Txn {
             // Heterogeneous OLAP: read the frozen snapshot in place — no
             // timestamps, no chains.
             let sc = self.snapshot_col(table, col)?;
-            return Ok(sc.area().get(row)?);
+            return Ok(sc.get(row)?);
         }
         let state = self.table(table);
         let cs = state.col(col.0);

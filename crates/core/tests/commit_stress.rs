@@ -11,7 +11,7 @@
 
 mod common;
 
-use anker_core::{AnkerDb, DbConfig, DurabilityLevel};
+use anker_core::{AnkerDb, DbConfig, DbError, DurabilityLevel};
 use common::{backends, dump_col, one_col_db, one_col_table, run_commit_stress, StressConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -71,7 +71,9 @@ fn stress_homogeneous_snapshot_isolation() {
 /// thread opening snapshot readers in a loop. Every reader's column must
 /// equal the commit-order replay of exactly the commits at or below its
 /// epoch timestamp: an epoch cut mid-commit would show a torn or missing
-/// write.
+/// write. A read that fails (a write bypassed the reader's pinned epoch)
+/// is recorded, not unwrapped, so the replay check still runs over every
+/// read that succeeded before the failures are reported.
 #[test]
 fn stress_heterogeneous_with_epoch_triggers() {
     /// Readers recorded per run, at most (bounds the check's memory).
@@ -88,12 +90,12 @@ fn stress_heterogeneous_with_epoch_triggers() {
         let done = AtomicBool::new(false);
         let (out, reads) = std::thread::scope(|s| {
             let reader = s.spawn(|| {
-                let mut reads: Vec<(u64, Vec<u64>)> = Vec::new();
+                let mut reads: Vec<(u64, Result<Vec<u64>, DbError>)> = Vec::new();
                 loop {
                     let finished = done.load(Ordering::Acquire);
                     if reads.len() < MAX_READS {
                         let r = db.snapshot_reader().unwrap();
-                        let col = (0..cfg.rows).map(|row| r.get(t, c, row).unwrap());
+                        let col = (0..cfg.rows).map(|row| r.get(t, c, row));
                         reads.push((r.epoch_ts(), col.collect()));
                     }
                     if finished {
@@ -108,7 +110,10 @@ fn stress_heterogeneous_with_epoch_triggers() {
         });
         assert!(out.committed > 0, "backend {backend:?}");
         let init: Vec<u64> = (0..cfg.rows as u64).collect();
-        for (epoch_ts, col) in &reads {
+        for (epoch_ts, col) in reads
+            .iter()
+            .filter_map(|(ts, r)| Some((ts, r.as_ref().ok()?)))
+        {
             let mut shadow = init.clone();
             for h in out.history.iter().take_while(|h| h.commit_ts <= *epoch_ts) {
                 for &(row, val) in &h.writes {
@@ -121,6 +126,14 @@ fn stress_heterogeneous_with_epoch_triggers() {
                  commits at or below it (backend {backend:?})"
             );
         }
+        let failed: Vec<_> = reads.iter().filter(|(_, r)| r.is_err()).collect();
+        assert!(
+            failed.is_empty(),
+            "{} of {} readers failed (backend {backend:?}), first: {:?}",
+            failed.len(),
+            reads.len(),
+            failed.first()
+        );
         #[cfg(not(feature = "obs-off"))]
         assert!(
             common::counter(&db, "db_epochs_triggered_total") > 0,

@@ -2,7 +2,7 @@
 //! mapped on, with block-wise access for tight scans and per-block min/max
 //! zone maps for predicate pruning on frozen areas.
 
-use crate::value::{rank, LogicalType, Value};
+use crate::value::{LogicalType, Value};
 use anker_vmem::{Result, Space, VmBackend};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -13,11 +13,16 @@ use std::sync::Arc;
 ///
 /// Zone maps are only meaningful on a *frozen* area (a snapshot column):
 /// the engine never writes a snapshot area after hand-over, so the summary
-/// stays valid for the area's lifetime. They are built lazily on the first
+/// stays valid for the area's lifetime — across every epoch that shares
+/// the frozen view. They are built lazily on the first
 /// predicate scan and cached inside the [`ColumnArea`] handle (all clones
 /// of a view share one cache); the cache is dropped when the snapshot
 /// manager freezes an area, so a summary primed while the area was still
 /// writable can never mis-prune (see [`ColumnArea::invalidate_zone_map`]).
+///
+/// Each block is summarised by one typed min/max kernel (`i64`, `i32`,
+/// `u32` or `f64` with a NaN flag, by [`LogicalType`]), whose bounds equal
+/// folding [`crate::rank`] over the block.
 #[derive(Debug)]
 pub struct ZoneMap {
     ty: LogicalType,
@@ -48,6 +53,54 @@ impl ZoneMap {
     pub fn block_range(&self, block: usize) -> (f64, f64) {
         self.ranges[block]
     }
+}
+
+/// The zone-map kernel: one block's `(min_rank, max_rank)` under `ty`,
+/// with the min/max taken in the type's own domain (`i64` ints, `i32`
+/// dates, `u32` dictionary codes, `f64` doubles) and converted to the
+/// [`crate::rank`] scale once per block. Every conversion to `f64` is
+/// monotone, so the result equals folding `rank` over the words; a block
+/// holding a NaN double is `(-inf, +inf)`. Blocks are never empty.
+fn block_bounds(words: &[u64], ty: LogicalType) -> (f64, f64) {
+    match ty {
+        LogicalType::Int => {
+            let (lo, hi) = min_max(words, |w| w as i64);
+            (lo as f64, hi as f64)
+        }
+        LogicalType::Date => {
+            let (lo, hi) = min_max(words, |w| w as i32);
+            (lo as f64, hi as f64)
+        }
+        LogicalType::Dict => {
+            let (lo, hi) = min_max(words, |w| w as u32);
+            (lo as f64, hi as f64)
+        }
+        LogicalType::Double => {
+            let mut nan = false;
+            let (lo, hi) = min_max(words, |w| {
+                let x = f64::from_bits(w);
+                nan |= x.is_nan();
+                x
+            });
+            if nan {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            } else {
+                (lo, hi)
+            }
+        }
+    }
+}
+
+/// Min/max of a non-empty block, seeded with its first value.
+/// NaNs (which compare false) never replace a bound — the double kernel
+/// flags them separately.
+#[inline]
+fn min_max<T: Copy + PartialOrd>(words: &[u64], mut lane: impl FnMut(u64) -> T) -> (T, T) {
+    let first = lane(words[0]);
+    words[1..].iter().fold((first, first), |(lo, hi), &w| {
+        let v = lane(w);
+        (if v < lo { v } else { lo }, if v > hi { v } else { hi })
+    })
 }
 
 /// A fixed-size view of one column: `rows` 8-byte values stored densely in
@@ -237,7 +290,9 @@ impl ColumnArea {
     }
 
     /// The zone map of this area under `ty`, with `block_rows` rows per
-    /// block, building and caching it on first use.
+    /// block, building and caching it on first use. Blocks are staged
+    /// through the backend's locked read path; see
+    /// [`ColumnArea::zone_map_with`] for the zero-copy build.
     ///
     /// Only call this on a **frozen** area (a snapshot column): the cache
     /// is never invalidated while the handle lives, so a summary built
@@ -246,6 +301,25 @@ impl ColumnArea {
     /// ([`ColumnArea::invalidate_zone_map`]); all clones of the view share
     /// the cached map.
     pub fn zone_map(&self, ty: LogicalType, block_rows: u32) -> Result<Arc<ZoneMap>> {
+        self.zone_map_with(ty, block_rows, None)
+    }
+
+    /// [`ColumnArea::zone_map`], reading the area's words straight from
+    /// `frozen` when given: the whole column as a slice (the engine passes
+    /// a pinned snapshot column's words), so the build takes no backend
+    /// lock and copies nothing. With `None` each block is staged into a
+    /// buffer first. Either way every block goes through the one typed
+    /// min/max kernel, so both builds produce the same map.
+    ///
+    /// # Panics
+    ///
+    /// If `frozen` is not exactly [`ColumnArea::rows`] words long.
+    pub fn zone_map_with(
+        &self,
+        ty: LogicalType,
+        block_rows: u32,
+        frozen: Option<&[u64]>,
+    ) -> Result<Arc<ZoneMap>> {
         assert!(block_rows > 0, "zone map block size must be positive");
         let mut slot = self.zones.lock();
         if let Some(zm) = slot.as_ref() {
@@ -257,26 +331,22 @@ impl ColumnArea {
         }
         let n_blocks = (self.rows as usize).div_ceil(block_rows as usize);
         let mut ranges = Vec::with_capacity(n_blocks);
-        let mut buf = vec![0u64; block_rows as usize];
-        let mut start = 0u32;
-        while start < self.rows {
-            let n = block_rows.min(self.rows - start);
-            self.read_block_into(start, n, &mut buf)?;
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for &w in &buf[..n as usize] {
-                let r = rank(w, ty);
-                if r.is_nan() {
-                    // Never prune a block holding NaN doubles.
-                    lo = f64::NEG_INFINITY;
-                    hi = f64::INFINITY;
-                    break;
-                }
-                lo = lo.min(r);
-                hi = hi.max(r);
+        if let Some(words) = frozen {
+            assert_eq!(words.len(), self.rows as usize, "slice is not this area");
+            ranges.extend(
+                words
+                    .chunks(block_rows as usize)
+                    .map(|block| block_bounds(block, ty)),
+            );
+        } else {
+            let mut buf = vec![0u64; block_rows as usize];
+            let mut start = 0u32;
+            while start < self.rows {
+                let n = block_rows.min(self.rows - start);
+                self.read_block_into(start, n, &mut buf)?;
+                ranges.push(block_bounds(&buf[..n as usize], ty));
+                start += n;
             }
-            ranges.push((lo, hi));
-            start += n;
         }
         let zm = Arc::new(ZoneMap {
             ty,
