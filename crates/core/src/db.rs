@@ -666,10 +666,10 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            let counters: [(&str, &str, u64); 11] = [
+            let counters: [(&str, &str, u64); 13] = [
                 (
                     "os_snapshots_total",
-                    "vm_snapshot rewires served by the OS backend",
+                    "vm_snapshot calls served by the OS backend",
                     os.snapshots,
                 ),
                 (
@@ -679,13 +679,23 @@ impl AnkerDb {
                 ),
                 (
                     "os_cow_copies_total",
-                    "Copy-on-write page splits (the written view keeps its page; its sharers move onto the copy)",
+                    "Copy-on-write page splits: first stores to a frozen live page that private snapshot views still read through (each view copies it with one populate)",
                     os.cow_copies,
                 ),
                 (
                     "os_cow_reclaims_total",
-                    "Frozen pages made writable in place at write time because no other view shared them",
+                    "Frozen pages made writable in place at write time because no private view still read them through",
                     os.cow_reclaims,
+                ),
+                (
+                    "os_populate_writes_total",
+                    "MADV_POPULATE_WRITE calls issued: one per private view copying one page in a split",
+                    os.populate_writes,
+                ),
+                (
+                    "os_dontneed_advices_total",
+                    "MADV_DONTNEED calls issued: one per snapshot, dropping the live view's page tables",
+                    os.dontneed_advices,
                 ),
                 (
                     "os_huge_page_advices_total",
@@ -705,7 +715,7 @@ impl AnkerDb {
                 ("os_munmap_calls_total", "munmap calls issued", os.munmap_calls),
                 (
                     "os_pwrite_calls_total",
-                    "pwrite calls issued (one per copy-on-write split)",
+                    "pwrite calls issued: one per run of a physical copy (a snapshot of a private view); the engine issues none",
                     os.pwrite_calls,
                 ),
                 (
@@ -713,14 +723,18 @@ impl AnkerDb {
                     "ftruncate calls issued (memfd growth)",
                     os.ftruncate_calls,
                 ),
-                ("os_madvise_calls_total", "madvise calls issued", os.madvise_calls),
+                (
+                    "os_madvise_calls_total",
+                    "madvise calls issued (populates, DONTNEEDs and hints)",
+                    os.madvise_calls,
+                ),
             ];
             for (name, help, v) in counters {
                 m.set_counter(name, help, v);
             }
             m.set_gauge(
                 "os_wired_runs",
-                "Runs of contiguous memfd pages wired across all live views (the backend's mappings)",
+                "Runs of contiguous memfd pages wired across all live views (the backend's mappings); splits never change it",
                 os.wired_runs as i64,
             );
         }

@@ -68,7 +68,7 @@ use crate::snapman::SnapCol;
 use crate::table::{TableId, TableState};
 use crate::txn::Txn;
 use anker_mvcc::{Pred, ScanStats, BLOCK_ROWS};
-use anker_storage::{ColumnArea, ColumnId, LogicalType, Value, ZoneMap};
+use anker_storage::{ColumnId, LogicalType, Value, ZoneMap};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -319,8 +319,8 @@ impl Scan<&mut Txn> {
             })
         } else {
             let start_ts = txn.inner.start_ts();
-            ScanCore::compile(&db, state.rows, filters, &projection, |cols, _| {
-                Ok(Source::versioned(state, cols, start_ts))
+            ScanCore::compile(&db, state.rows, filters, &projection, |_, _| {
+                Ok(Source::Versioned { state, start_ts })
             })
         };
         let count =
@@ -675,7 +675,6 @@ enum Source {
     /// zone maps, so no block is pruned or provably all-match.
     Versioned {
         state: Arc<TableState>,
-        areas: Vec<ColumnArea>,
         start_ts: u64,
     },
 }
@@ -718,16 +717,6 @@ impl Source {
             zone_maps,
             _pin: pin,
         })
-    }
-
-    /// The live columns at `start_ts`, each through the area current now.
-    fn versioned(state: Arc<TableState>, cols: &[ColumnId], start_ts: u64) -> Source {
-        let areas = cols.iter().map(|c| state.col(c.0).current_area()).collect();
-        Source::Versioned {
-            state,
-            areas,
-            start_ts,
-        }
     }
 }
 
@@ -816,14 +805,17 @@ impl BlockCols<'_> {
         let buf = &mut self.bufs[ci];
         match &self.core.source {
             Source::Frozen { snaps, .. } => snaps[ci].area().read_block_into(start, n, buf)?,
-            Source::Versioned {
-                state,
-                areas,
-                start_ts,
-            } => state
-                .col(self.core.cols[ci].0)
-                .versioned
-                .gather_visible_block(&areas[ci], *start_ts, start, n, buf, stats)?,
+            Source::Versioned { state, start_ts } => {
+                let col = state.col(self.core.cols[ci].0);
+                col.versioned.gather_visible_block(
+                    col.current_area(),
+                    *start_ts,
+                    start,
+                    n,
+                    buf,
+                    stats,
+                )?
+            }
         }
         self.filled[ci] = true;
         Ok(())

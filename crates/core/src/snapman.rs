@@ -38,20 +38,16 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A materialised snapshot column: a frozen image of one column, shared
-/// by every epoch it serves. On retirement the area is *not*
-/// unmapped immediately: an OLTP reader may have acquired the area handle
-/// just before the snapshot swap and still be reading through it (such
-/// reads are correct — the per-row timestamp protocol routes it to chains
-/// for anything newer — but unmapping under it would fault). Instead the
-/// area is parked in the [`Graveyard`] tagged with its swap timestamp and
-/// unmapped once the active-transaction horizon passes it.
+/// A materialised snapshot column: a frozen image of one column — a
+/// `vm_snapshot` view of its live area — shared by every epoch it serves.
+/// On retirement the area is *not* unmapped immediately: it is parked in
+/// the [`Graveyard`] tagged with its freeze timestamp and unmapped once the
+/// active-transaction horizon passes it. Only a pin reaches an image, so
+/// the horizon is conservative.
 pub(crate) struct SnapCol {
     area: ColumnArea,
-    /// `last_completed` at the moment this area stopped being the current
-    /// representation; any transaction still holding a stale handle has
-    /// `start_ts <= swap_ts`.
-    swap_ts: u64,
+    /// `last_completed` when the image was cut.
+    frozen_ts: u64,
     /// The column's [`ColumnState::last_mutation`] when the image was
     /// frozen. While the column's value still equals it, no write has
     /// landed since, and the image can serve a later epoch as is.
@@ -76,8 +72,10 @@ impl SnapCol {
         // live `SnapCol` owns its area — the area is parked (for unmapping
         // or destination recycling) only in `SnapCol::drop`, so it stays
         // mapped and unrecycled for the borrow. The engine never writes a
-        // frozen image (installs go to the swapped-in current area), so
-        // its contents are immutable.
+        // frozen image (installs go to the live area), so its bytes never
+        // change; on the OS backend a write to the live area may move the
+        // image's page-table entry onto a private copy of the page first,
+        // which holds the same bytes.
         unsafe { self.area.as_slice() }
     }
 
@@ -101,9 +99,9 @@ impl SnapCol {
 impl Drop for SnapCol {
     fn drop(&mut self) {
         if let Some(spare) = &self.spare {
-            spare.park(self.swap_ts, self.area.clone());
+            spare.park(self.frozen_ts, self.area.clone());
         } else {
-            self.graveyard.park(self.swap_ts, self.area.clone());
+            self.graveyard.park(self.frozen_ts, self.area.clone());
         }
     }
 }
@@ -115,18 +113,18 @@ pub(crate) struct Graveyard {
 }
 
 impl Graveyard {
-    fn park(&self, swap_ts: u64, area: ColumnArea) {
-        self.pending.lock().push((swap_ts, area));
+    fn park(&self, frozen_ts: u64, area: ColumnArea) {
+        self.pending.lock().push((frozen_ts, area));
     }
 
-    /// Unmap every parked area whose swap timestamp is strictly below the
+    /// Unmap every parked area whose freeze timestamp is strictly below the
     /// oldest active transaction's start timestamp: no live transaction can
     /// hold a handle to it any more.
     pub fn drain(&self, min_active_start: u64) {
         let mut pending = self.pending.lock();
         let before = pending.len();
-        pending.retain(|(swap_ts, area)| {
-            if *swap_ts < min_active_start {
+        pending.retain(|(frozen_ts, area)| {
+            if *frozen_ts < min_active_start {
                 // Unmapping can only fail on address errors, which would be
                 // an internal bug; areas are never partially unmapped.
                 let _ = area.clone().unmap();
@@ -143,25 +141,26 @@ impl Graveyard {
 
 /// Parking lot of still-mapped, retired snapshot areas for `vm_snapshot`
 /// destination recycling (§4.1.3), keyed by mapped size and tagged with the
-/// swap timestamp (a recycled destination is overwritten in place, which is
-/// as hazardous for stale readers as unmapping — the same horizon applies).
+/// freeze timestamp (a recycled destination is overwritten in place, which
+/// is as hazardous for stale readers as unmapping — the same horizon
+/// applies).
 pub(crate) struct SpareAreas {
     by_size: Mutex<FxHashMap<u64, Vec<(u64, ColumnArea)>>>,
     m: Arc<Metrics>,
 }
 
 impl SpareAreas {
-    fn park(&self, swap_ts: u64, area: ColumnArea) {
+    fn park(&self, frozen_ts: u64, area: ColumnArea) {
         self.m.spare_parked.inc();
         self.by_size
             .lock()
             .entry(area.mapped_bytes())
             .or_default()
-            .push((swap_ts, area));
+            .push((frozen_ts, area));
     }
 
     /// Take a parked area of `bytes` that is safe to overwrite in place:
-    /// its swap timestamp must lie strictly below the **oldest active
+    /// its freeze timestamp must lie strictly below the **oldest active
     /// transaction's start timestamp** — the same horizon
     /// [`Graveyard::drain`] applies before unmapping. Gating on anything
     /// later (e.g. the current commit timestamp) recycles areas that a
@@ -424,8 +423,8 @@ impl SnapshotManager {
     /// The column's newest frozen image (kept in `cs`) serves the missing
     /// epochs as is while no write has landed since it was frozen — the
     /// column's `last_mutation()` still equals the image's
-    /// `as_of_mutation` — so an unwritten column costs no `vm_snapshot`,
-    /// no area swap and no zone-map rebuild however many epochs it spans.
+    /// `as_of_mutation` — so an unwritten column costs no `vm_snapshot`
+    /// and no zone-map rebuild however many epochs it spans.
     /// Equality is exact because every heterogeneous install and its
     /// `last_mutation_ts` store happen inside the commit section this runs
     /// in.
@@ -484,9 +483,13 @@ impl SnapshotManager {
         Ok(Some(snap))
     }
 
-    /// Freeze `col`'s current area into a new image (Figure 1, step 4):
-    /// one `vm_snapshot` duplicates it, the duplicate becomes the column's
-    /// most-recent representation, and the old area becomes the image.
+    /// Freeze `col`'s live area into a new image (Figure 1, step 4): one
+    /// `vm_snapshot` cuts a view of it, which becomes the image; the live
+    /// area stays the column's most-recent representation. On the OS
+    /// backend the view is a `MAP_PRIVATE` mapping of the live area's
+    /// pages, which the kernel copies page by page as later writes reach
+    /// them. The image is a fresh [`ColumnArea`] handle, so its zone-map
+    /// cache starts empty and is built from the frozen content.
     fn freeze_column(
         &self,
         col: &ColumnState,
@@ -496,13 +499,10 @@ impl SnapshotManager {
         // Only actual materialisation work is spanned — cache hits and
         // reuses are the fast path and would drown the distribution.
         let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
-        let cur = col.current_area();
-        let bytes = cur.mapped_bytes();
+        let live = col.current_area();
+        let bytes = live.mapped_bytes();
         // §4.1.3 destination recycling is gated on the *active-transaction
-        // horizon*, not on `now_ts`: a stale reader that grabbed the area
-        // handle just before an earlier swap may still be reading through
-        // it, and overwriting the area in place is as hazardous for it as
-        // unmapping (same rule as `Graveyard::drain`).
+        // horizon*, not on `now_ts` (same rule as `Graveyard::drain`).
         let recycle_horizon = self.active.min_active_or(now_ts);
         let dst = self
             .spare
@@ -514,9 +514,9 @@ impl SnapshotManager {
         let obs_rw = obs::span_begin(&self.m.snapshot_rewire);
         let rewired = self
             .backend
-            .vm_snapshot(dst.map(|a| a.addr()), cur.addr(), bytes);
+            .vm_snapshot(dst.map(|a| a.addr()), live.addr(), bytes);
         obs::span_end(obs_rw);
-        let fresh_addr = rewired?;
+        let image_addr = rewired?;
         self.m
             .pages_rewired
             .add(bytes.div_ceil(self.backend.page_size()));
@@ -524,10 +524,9 @@ impl SnapshotManager {
             self.m.areas_recycled.inc();
         }
         self.m.columns_materialized.inc();
-        let fresh = ColumnArea::from_raw_on(Arc::clone(&self.backend), fresh_addr, cur.rows());
         Ok(Arc::new(SnapCol {
-            area: col.swap_area(fresh),
-            swap_ts: now_ts,
+            area: ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows()),
+            frozen_ts: now_ts,
             as_of_mutation: last_mutation,
             graveyard: Arc::clone(&self.graveyard),
             spare: self.spare.clone(),
@@ -611,28 +610,26 @@ mod tests {
     }
 
     /// §4.1.3 destination recycling must be gated on the oldest *active
-    /// transaction*, not on the current commit timestamp: a reader that
-    /// acquired a column-area handle just before the snapshot swap may
-    /// still be reading through it long after the swap, and recycling the
-    /// area rewires it — in place — onto a *different column's* data.
+    /// transaction*, not on the current commit timestamp: recycling
+    /// rewires an area in place onto a *different column's* data, so no
+    /// area a live reader can still reach may be recycled.
     ///
-    /// Pre-fix (`SpareAreas::take` gated on `now_ts`), the stale handle
-    /// below observes column `b`'s values through what used to be column
-    /// `a`'s area; with the horizon fix the parked area is left alone
-    /// while any transaction that could hold its handle is still active.
+    /// Pre-fix (`SpareAreas::take` gated on `now_ts`), when a freeze still
+    /// swapped the live area for its duplicate, the stale handle below
+    /// observed column `b`'s values through what used to be column `a`'s
+    /// area. A freeze now leaves the live area in place, so the handle
+    /// stays the live column's and is never parked for recycling.
     #[test]
     fn recycling_waits_for_the_active_transaction_horizon() {
         let (db, t, a, b) = two_column_db(512);
 
         // A long-running OLTP transaction grabs a handle to column `a`'s
-        // current area — exactly what the read path does between
-        // `current_area()` and the versioned read.
+        // live area — what the read path uses for the versioned read.
         let t_stale = db.begin(TxnKind::Oltp);
-        let stale_area = db.table_state(t).col(a.0).current_area();
+        let stale_area = db.table_state(t).col(a.0).current_area().clone();
 
-        // An OLAP transaction materialises column `a` for epoch E1: `a`'s
-        // area is swapped and the old area (our stale handle) freezes into
-        // the snapshot.
+        // An OLAP transaction materialises column `a` for epoch E1: a view
+        // of the live area freezes into the snapshot.
         let mut o1 = db.begin(TxnKind::Olap);
         assert_eq!(o1.get_value(t, a, 0).unwrap(), Value::Int(10));
         o1.commit().unwrap();
@@ -644,14 +641,13 @@ mod tests {
         w.commit().unwrap();
 
         // A second OLAP transaction materialises column `b` for E2. The
-        // recycler now sees a parked area of the right size; `t_stale`
-        // (started before the swap) still holds its handle, so taking it
-        // would overwrite memory a live reader is looking at.
+        // recycler now sees a parked area of the right size; it must not
+        // be one `t_stale` (started before E1's freeze) can still read.
         let mut o2 = db.begin(TxnKind::Olap);
         assert_eq!(o2.get_value(t, b, 0).unwrap(), Value::Int(200));
         o2.commit().unwrap();
 
-        // The stale handle must keep seeing column `a`'s frozen content.
+        // The stale handle must keep seeing column `a`'s content.
         assert_eq!(
             stale_area.get(0).unwrap(),
             Value::Int(10).encode(),
@@ -660,13 +656,14 @@ mod tests {
         drop(t_stale);
     }
 
-    /// Finding (b), bounded: on the OS backend a copy-on-write split
-    /// rewires the snapshot views and never the live column, so every
-    /// current column area stays the one run of file pages `alloc` gave it
-    /// and `vm_snapshot` of it stays one `mmap`. With a reader pinned for
-    /// each of 2N epochs and every epoch's writes landing on pages no
-    /// earlier epoch wrote, the backend's wired runs after 2N epochs equal
-    /// those after N: fragmentation dies with the retired snapshot views.
+    /// Finding (b), closed by construction: on the OS backend a freeze
+    /// takes a `MAP_PRIVATE` view of the live column as the image and
+    /// leaves the live column in place, and a copy-on-write split is one
+    /// populate per private view. So over 2N epochs, each with writes
+    /// under a pinned reader, every live column stays the one run of file
+    /// pages `alloc` gave it, no `pwrite` is issued, `mmap` grows only by
+    /// the reservation plus one wiring of each `vm_snapshot`, and the
+    /// wired runs equal the live views — at any scale.
     #[cfg(target_os = "linux")]
     #[test]
     fn os_live_columns_stay_one_run_and_wired_runs_do_not_grow_with_epochs() {
@@ -694,22 +691,31 @@ mod tests {
             db.fill_column(t, c, (0..rows).map(|_| Value::Int(-1).encode()))
                 .unwrap();
         }
+        let state = db.table_state(t);
         let runs_of = |c: ColumnId| {
-            let area = db.table_state(t).col(c.0).current_area();
+            let area = state.col(c.0).current_area();
             let pages = area.backend().file_pages(area.addr()).expect("OS area");
             1 + pages.windows(2).filter(|w| w[1] != w[0] + 1).count()
         };
-        let vals_per_page = db.table_state(t).col(0).current_area().vals_per_page();
+        let stat = |name: &str| db.metrics().counter(name).unwrap();
+        let wired = || db.metrics().gauge("os_wired_runs").unwrap() as u64;
+        let vals_per_page = state.col(0).current_area().vals_per_page();
         let n_pages = rows.div_ceil(vals_per_page);
+        // Every view so far is an allocated, one-run area; from here a view
+        // is added per `vm_snapshot` and removed per `munmap`.
+        let views_at_start = wired();
+        let (snaps_at_start, munmaps_at_start) =
+            (stat("os_snapshots_total"), stat("os_munmap_calls_total"));
         let mut wired_at_n = None;
         for epoch in 0..2 * N {
+            let (mmaps, snaps) = (stat("os_mmap_calls_total"), stat("os_snapshots_total"));
             let reader = db.snapshot_reader().unwrap();
             // Materialise both columns for the pinned epoch (the last page
             // is never written).
             for c in cols {
                 assert_eq!(reader.get_value(t, c, rows - 1).unwrap(), Value::Int(-1));
             }
-            let copies = db.metrics().counter("os_cow_copies_total").unwrap();
+            let copies = stat("os_cow_copies_total");
             let mut written = Vec::new();
             for j in 0..WRITES_PER_EPOCH {
                 let page = (epoch * WRITES_PER_EPOCH + j) % n_pages;
@@ -722,7 +728,7 @@ mod tests {
                 written.push(row);
             }
             assert_eq!(
-                db.metrics().counter("os_cow_copies_total").unwrap() - copies,
+                stat("os_cow_copies_total") - copies,
                 2 * WRITES_PER_EPOCH as u64,
                 "every write split a page the pinned epoch shares"
             );
@@ -734,12 +740,20 @@ mod tests {
             for c in cols {
                 assert_eq!(runs_of(c), 1, "epoch {epoch}: the live column fragmented");
             }
-            let wired = db.metrics().gauge("os_wired_runs").unwrap();
+            assert_eq!(stat("os_pwrite_calls_total"), 0, "epoch {epoch}");
+            assert_eq!(
+                stat("os_mmap_calls_total") - mmaps,
+                2 * (stat("os_snapshots_total") - snaps),
+                "epoch {epoch}: mmap beyond one reservation and one wiring per vm_snapshot"
+            );
+            let views = views_at_start + (stat("os_snapshots_total") - snaps_at_start)
+                - (stat("os_munmap_calls_total") - munmaps_at_start);
+            assert_eq!(wired(), views, "epoch {epoch}: a view is more than one run");
             if epoch + 1 == N {
-                wired_at_n = Some(wired);
+                wired_at_n = Some(wired());
             }
             if epoch + 1 == 2 * N {
-                assert_eq!(Some(wired), wired_at_n, "wired runs grew with the epochs");
+                assert_eq!(Some(wired()), wired_at_n, "wired runs grew with the epochs");
             }
         }
     }
@@ -996,9 +1010,9 @@ mod tests {
         assert_eq!(r.get_value(t2, v, 3).unwrap(), Value::Int(7));
     }
 
-    /// A zone map primed while an area was still the current, writable
-    /// representation must never prune a snapshot scan after the area
-    /// freezes: `swap_area` drops the cached summary.
+    /// A zone map primed on the live, writable area must never prune a
+    /// snapshot scan: the image a freeze cuts is a fresh handle whose
+    /// cache starts empty.
     #[test]
     fn zone_map_primed_before_a_write_never_misprunes_after_freeze() {
         let db = AnkerDb::new(
@@ -1015,7 +1029,7 @@ mod tests {
         db.fill_column(t, v, (0..64).map(|i| Value::Int(i).encode()))
             .unwrap();
 
-        // Prime a summary on the *current* area (max = 63).
+        // Prime a summary on the *live* area (max = 63).
         let zm = db
             .table_state(t)
             .col(v.0)
@@ -1029,8 +1043,8 @@ mod tests {
         w.update_value(t, v, 3, Value::Int(1_000)).unwrap();
         w.commit().unwrap();
 
-        // The OLAP scan below materialises the column: the written area
-        // freezes into the snapshot. Its zone map must reflect the write,
+        // The OLAP scan below materialises the column: a view of the
+        // written area freezes into the snapshot. Its zone map must reflect the write,
         // or the only matching block gets pruned and the row vanishes.
         let mut olap = db.begin(TxnKind::Olap);
         let (count, stats) = olap.scan_on(t).range_i64(v, 900, 1_100).count().unwrap();

@@ -2,19 +2,20 @@
 
 use anker_mvcc::VersionedColumn;
 use anker_storage::{ColumnArea, Schema};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Identifier of a table within its database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(pub u16);
 
-/// Runtime state of one column: the current (OLTP) area — re-pointed on
-/// every snapshot materialisation, Figure 1 steps 4/7 — plus the column's
-/// MVCC state and the timestamp of its newest committed write.
+/// Runtime state of one column: the live (OLTP) area, the column's MVCC
+/// state and the timestamp of its newest committed write. The live area is
+/// the one the column was created with, for its whole life: a snapshot
+/// materialisation (Figure 1, steps 4/7) freezes a new view of it as the
+/// image and leaves it in place.
 pub(crate) struct ColumnState {
     pub versioned: VersionedColumn,
-    area: RwLock<ColumnArea>,
+    area: ColumnArea,
     /// Commit timestamp of the newest write to this column; a snapshot
     /// materialised now is valid for any epoch with `ts >=` this.
     pub last_mutation_ts: AtomicU64,
@@ -29,34 +30,16 @@ impl ColumnState {
     pub fn new(versioned: VersionedColumn, area: ColumnArea) -> ColumnState {
         ColumnState {
             versioned,
-            area: RwLock::new(area),
+            area,
             last_mutation_ts: AtomicU64::new(0),
             snapshot_mark: AtomicU64::new(0),
         }
     }
 
-    /// A handle to the current most-recent representation. Callers must
-    /// re-acquire per operation (never cache across a potential snapshot
-    /// swap); the per-row timestamp protocol makes any interleaving safe.
-    pub fn current_area(&self) -> ColumnArea {
-        self.area.read().clone()
-    }
-
-    /// Swap in a fresh area (the `vm_snapshot` duplicate that becomes the
-    /// new most-recent representation); returns the previous area, which
-    /// becomes the read-only snapshot.
-    ///
-    /// The frozen area's zone-map cache is dropped at this point: a
-    /// summary primed while the area was still the current, writable
-    /// representation may predate its last installs, and a snapshot scan
-    /// pruning against those stale min/max bounds would silently skip
-    /// matching rows. The first predicate scan of the snapshot rebuilds
-    /// the map from the now-immutable content.
-    pub fn swap_area(&self, fresh: ColumnArea) -> ColumnArea {
-        let mut guard = self.area.write();
-        let old = std::mem::replace(&mut *guard, fresh);
-        old.invalidate_zone_map();
-        old
+    /// The live, most-recent representation: every OLTP read and install
+    /// goes here, and it never changes.
+    pub fn current_area(&self) -> &ColumnArea {
+        &self.area
     }
 
     /// Newest committed write timestamp of this column.

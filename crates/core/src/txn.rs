@@ -178,8 +178,9 @@ impl Txn {
         }
         let state = self.table(table);
         let cs = state.col(col.0);
-        let area = cs.current_area();
-        let v = cs.versioned.read(&area, row, self.inner.start_ts())?;
+        let v = cs
+            .versioned
+            .read(cs.current_area(), row, self.inner.start_ts())?;
         if self.serializable_updater() {
             self.inner.log_row_read(cref, row);
         }
@@ -442,12 +443,11 @@ impl Txn {
         for w in &writes {
             let state = self.table(TableId(w.col.table));
             let col = state.col(w.col.col as usize);
-            let area = col.current_area();
             let witness = lockcheck::acquire(
                 &classes::INSTALL_LATCH,
                 ((w.col.table as u64) << 48) | ((w.col.col as u64) << 32) | w.row as u64,
             );
-            match col.versioned.lock_row(&area, w.row) {
+            match col.versioned.lock_row(col.current_area(), w.row) {
                 Ok((old_ts, old_word)) => {
                     if old_ts > start_ts {
                         // First-updater-wins (§2.1).
@@ -628,13 +628,16 @@ impl Txn {
         for (w, old_ts, old_word) in &latched {
             let state = self.table(TableId(w.col.table));
             let col = state.col(w.col.col as usize);
-            // Re-resolve the area *after* note_write: materialisation
-            // swaps the column area (contents identical, so the latched
-            // old value stays exact).
-            let area = col.current_area();
             // PANIC-OK: fail-stop after the durable commit record.
             col.versioned
-                .install_locked(&area, w.row, *old_ts, *old_word, w.new_word, commit_ts)
+                .install_locked(
+                    col.current_area(),
+                    w.row,
+                    *old_ts,
+                    *old_word,
+                    w.new_word,
+                    commit_ts,
+                )
                 .expect("install failed after the commit was logged");
             // ORDERING: Release pairs with the materialisation path's
             // reads — a snapshot that sees this mutation timestamp also

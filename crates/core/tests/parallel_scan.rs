@@ -383,7 +383,8 @@ fn surplus_partitions_are_empty_not_panics() {
 /// `DbConfig::os_huge_pages` must reach the OS backend and fire
 /// `madvise(MADV_HUGEPAGE)` on every wired view — the `OsStats` counter
 /// proves it — and scans must issue their `MADV_SEQUENTIAL` hints; the
-/// syscall ledger counts every `madvise` and `mmap` among them.
+/// syscall ledger counts every `madvise` and `mmap`, hints and the
+/// snapshot's own `madvise` calls alike.
 #[cfg(target_os = "linux")]
 #[test]
 fn huge_page_and_sequential_hints_surface_in_os_stats() {
@@ -419,9 +420,17 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
         "the vm_snapshot rewire must re-advise the fresh view"
     );
     assert_eq!(
+        os("os_dontneed_advices_total"),
+        os("os_snapshots_total"),
+        "each snapshot drops the live view's page tables once"
+    );
+    assert_eq!(
         os("os_madvise_calls_total"),
-        os("os_huge_page_advices_total") + os("os_sequential_advices_total"),
-        "every madvise is one of the two hints"
+        os("os_huge_page_advices_total")
+            + os("os_sequential_advices_total")
+            + os("os_dontneed_advices_total")
+            + os("os_populate_writes_total"),
+        "every madvise is one of the two hints, a DONTNEED or a populate"
     );
     assert!(os("os_mmap_calls_total") >= os("os_huge_page_advices_total"));
     // The sim backend surfaces no `os_*` namespace.

@@ -16,9 +16,9 @@ use std::sync::Arc;
 /// stays valid for the area's lifetime — across every epoch that shares
 /// the frozen view. They are built lazily on the first
 /// predicate scan and cached inside the [`ColumnArea`] handle (all clones
-/// of a view share one cache); the cache is dropped when the snapshot
-/// manager freezes an area, so a summary primed while the area was still
-/// writable can never mis-prune (see [`ColumnArea::invalidate_zone_map`]).
+/// of a view share one cache). The snapshot manager freezes a column into
+/// a new view with a fresh handle, so a summary primed on the writable
+/// live area never reaches a snapshot scan.
 ///
 /// Each block is summarised by one typed min/max kernel (`i64`, `i32`,
 /// `u32` or `f64` with a NaN flag, by [`LogicalType`]), whose bounds equal
@@ -231,12 +231,13 @@ impl ColumnArea {
     ///   ([`ColumnArea::unmap`] / the backend's `release`), and is not
     ///   recycled as a `vm_snapshot` destination — in the engine this is
     ///   what epoch pinning plus the active-transaction horizon provide;
-    /// * the area is **frozen** (a snapshot column the engine has stopped
-    ///   writing) — the slice type asserts immutability. A frozen view's
-    ///   *contents* never change; its *wiring* may move (on the OS backend
-    ///   a write to a page it shares with the live column rewires it onto
-    ///   a byte-identical copy), but each move is one atomic `MAP_FIXED`,
-    ///   so every load through the slice sees the same bytes.
+    /// * the area is **frozen** (a snapshot column the engine never
+    ///   writes) — the slice type asserts immutability. A frozen view's
+    ///   *contents* never change; on the OS backend a write to the live
+    ///   column may first move the view's page-table entry for that page
+    ///   onto a private copy, but the kernel swaps it atomically and the
+    ///   copy holds the same bytes, so every load through the slice sees
+    ///   the same data.
     #[inline]
     pub unsafe fn as_slice(&self) -> Option<&[u64]> {
         let p = self.backend.raw_parts(self.addr, self.rows as u64 * 8)?;
@@ -296,10 +297,8 @@ impl ColumnArea {
     ///
     /// Only call this on a **frozen** area (a snapshot column): the cache
     /// is never invalidated while the handle lives, so a summary built
-    /// while writers are active would go stale. The snapshot manager
-    /// clears the cache at the freeze point
-    /// ([`ColumnArea::invalidate_zone_map`]); all clones of the view share
-    /// the cached map.
+    /// while writers are active would go stale. All clones of the view
+    /// share the cached map.
     pub fn zone_map(&self, ty: LogicalType, block_rows: u32) -> Result<Arc<ZoneMap>> {
         self.zone_map_with(ty, block_rows, None)
     }
@@ -357,12 +356,9 @@ impl ColumnArea {
         Ok(zm)
     }
 
-    /// Drop any cached zone map. The snapshot manager calls this at the
-    /// moment an area freezes (stops being the current, writable
-    /// representation): a summary primed *before* the freeze may predate
-    /// the area's last writes, and pruning against it would silently skip
-    /// matching rows. The next predicate scan rebuilds the map from the
-    /// now-immutable content.
+    /// Drop any cached zone map, so the next predicate scan rebuilds it
+    /// from the area's current content (a summary primed before the
+    /// area's last writes would silently skip matching rows).
     pub fn invalidate_zone_map(&self) {
         *self.zones.lock() = None;
     }

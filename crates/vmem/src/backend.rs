@@ -106,9 +106,10 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// The pointee stays mapped for the lifetime of the area; callers may
     /// only *read* through it, and must tolerate concurrent word stores
     /// (which cannot occur on frozen areas — the engine never writes a
-    /// snapshot after hand-over). A frozen area's pages may be rewired
-    /// onto byte-identical copies underneath the pointer (a copy-on-write
-    /// split of the view it shares them with), atomically per page.
+    /// snapshot after hand-over). A frozen area's page-table entries may
+    /// move onto byte-identical private copies underneath the pointer (a
+    /// copy-on-write split of the live view it shares them with),
+    /// atomically per page.
     fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
         let _ = (addr, bytes);
         None

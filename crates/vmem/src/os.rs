@@ -1,52 +1,60 @@
-//! Real-OS memory backend: column areas over `memfd_create` +
-//! `mmap(MAP_SHARED)` pages, with engine-mediated copy-on-write.
+//! Real-OS memory backend: column areas over `memfd_create` pages, with
+//! snapshot views that the kernel copies on write.
 //!
 //! This is the paper's RUMA-style *rewiring* (§3.2.3) brought to real
 //! memory without a patched kernel:
 //!
 //! * All column data lives in one anonymous main-memory file (a memfd).
-//!   An **area** is a virtually contiguous `mmap(MAP_SHARED)` view whose
-//!   pages each map some file page; a per-area table records which.
-//! * [`VmBackend::vm_snapshot`](crate::VmBackend::vm_snapshot) never
-//!   copies data: the destination view is simply (re)wired — page by
-//!   page, `mmap(MAP_FIXED)` — onto the *same* file pages as the source,
-//!   and every shared page is marked **frozen** in both views.
-//! * Copy-on-write is performed by the *engine*, not by the MMU: because
-//!   every store flows through [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
-//!   [`write_words`](crate::VmBackend::write_words) (the engine's serialized write path), the
-//!   first store to a frozen page splits it. No `mprotect`, no SIGSEGV
-//!   handler, no signal-delivery cost (§4.1.4) — the check is one branch
-//!   on a bit the backend already has in cache.
-//! * **The writer keeps its page.** A split `pwrite`s the pre-write
-//!   content into a fresh file page and `MAP_FIXED`-rewires every *other*
-//!   view of the page (the snapshot views) onto that copy; the written
-//!   view's wiring never changes. A live column's page list is therefore
-//!   the one `alloc` gave it — one run of contiguous file pages, so its
-//!   next `vm_snapshot` is one `mmap` — and fragmentation lands only on
-//!   snapshot views, which are unmapped whole when they retire. This is
-//!   the paper's own argument for `vm_snapshot` (§3.2.3, §4): rewiring
-//!   cost tracks the number of mappings.
-//! * Sharing is index-aligned inside one `vm_snapshot` **lineage** (an
-//!   allocated area plus every view snapshotted from it, directly or
-//!   transitively; a recycled destination joins its source's lineage),
-//!   so a split finds the sharers among the lineage's members.
-//! * A frozen view's *contents* never change, but its wiring may move
-//!   onto a byte-identical copy, atomically per `MAP_FIXED` (a racing
-//!   reader faults on either the old or the new page, both holding the
-//!   same bytes); the write itself lands only after every sharer moved.
-//! * A write to a frozen page whose file page is no longer shared
-//!   (refcount back to 1 because every other view was released) reclaims
-//!   the page in place instead of copying — the same optimisation the
-//!   simulated kernel's fault handler applies.
+//!   An **area** is a virtually contiguous view whose pages each map some
+//!   file page; a per-area table records which.
+//! * An allocated area is a `MAP_SHARED` view: the **live** view of a
+//!   column, the one every store goes to. Its page list is the one
+//!   `alloc` gave it and never changes.
+//! * [`VmBackend::vm_snapshot`](crate::VmBackend::vm_snapshot) of a live
+//!   view never copies data: the snapshot is a new **`MAP_PRIVATE`** view
+//!   over the *same* file pages (one `mmap` per run of contiguous file
+//!   pages), and every page of the live view is marked **frozen**. The
+//!   live view's page tables are then dropped (`MADV_DONTNEED`, which on
+//!   a shared memfd mapping keeps the data), so a page read through both
+//!   views is not resident twice in the process's accounting.
+//! * A private view reads the file page until it holds its own copy. So
+//!   before the first store to a frozen page of the live view, the
+//!   backend makes every private view of that page that still reads
+//!   through take its copy: one `madvise(MADV_POPULATE_WRITE)` per such
+//!   view, which makes the kernel copy the page into the view's private
+//!   memory and changes no byte. Only then does the store land. No file
+//!   page is allocated, nothing is rewired, and no view ever fragments.
+//!   Because every store flows through
+//!   [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
+//!   [`write_words`](crate::VmBackend::write_words) (the engine's
+//!   serialized write path), no `mprotect` and no SIGSEGV handler are
+//!   needed (§4.1.4): the check is one branch on a bit the backend
+//!   already has in cache.
+//! * A frozen view's *contents* never change, but the page-table entry
+//!   behind a page may move onto the private copy. The kernel swaps it
+//!   atomically, and a racing reader loads the same bytes from the old
+//!   page or the new one.
+//! * The private views that may still read a live view's pages are found
+//!   through its `vm_snapshot` **lineage**: the allocated area plus every
+//!   private view cut from it (a recycled destination joins its source's
+//!   lineage). A frozen page no private view still reads through is made
+//!   writable in place instead.
+//! * A store to a private view is plain kernel copy-on-write. A snapshot
+//!   whose *source* is a private view is a physical copy into fresh file
+//!   pages, which becomes a new live view; the engine never takes this
+//!   path.
 //!
 //! Released file pages go to a free list and are handed out again by
-//! later allocations (zeroed) and copy-on-write splits (fully
-//! overwritten), so steady-state snapshot churn does not grow the memfd.
-//! [`OsStats`] counts every `mmap`/`munmap`/`pwrite`/`ftruncate`/`madvise`
-//! the backend issues and gauges the live wired runs.
+//! later allocations (zeroed) and physical copies (fully overwritten).
+//! The private copies are anonymous memory, freed when their view is
+//! unmapped. [`OsStats`] counts every `mmap`/`munmap`/`pwrite`/
+//! `ftruncate`/`madvise` the backend issues and gauges the live wired
+//! runs.
 //!
-//! Everything is declared via direct `extern "C"` libc bindings — the
-//! offline build forbids new registry dependencies.
+//! The backend needs `MADV_POPULATE_WRITE` (Linux ≥ 5.14);
+//! [`OsBackend::new`] fails with a typed error on older kernels. Everything
+//! is declared via direct `extern "C"` libc bindings — the offline build
+//! forbids new registry dependencies.
 
 use crate::error::{Result, VmError};
 #[cfg(target_os = "linux")]
@@ -75,9 +83,16 @@ mod ffi {
     pub const SC_PAGESIZE: i32 = 30;
     /// `MADV_SEQUENTIAL`: expect sequential page references.
     pub const MADV_SEQUENTIAL: i32 = 2;
+    /// `MADV_DONTNEED`: drop the range's page tables. On a shared memfd
+    /// mapping the data stays in the file.
+    pub const MADV_DONTNEED: i32 = 4;
     /// `MADV_HUGEPAGE`: back the range with transparent huge pages where
     /// possible (honoured for shmem/memfd mappings since Linux 4.8).
     pub const MADV_HUGEPAGE: i32 = 14;
+    /// `MADV_POPULATE_WRITE` (Linux ≥ 5.14): fault the range in as if
+    /// written, without writing. On a private file mapping this is the
+    /// kernel's copy-on-write of every page not yet copied.
+    pub const MADV_POPULATE_WRITE: i32 = 23;
 
     pub fn map_failed() -> *mut c_void {
         usize::MAX as *mut c_void
@@ -125,8 +140,13 @@ struct Area {
     bytes: u64,
     /// File page (index into the memfd) backing each view page.
     pages: Vec<u64>,
-    /// View pages shared with another view via `vm_snapshot`: a store must
-    /// split (or reclaim) the page first.
+    /// `MAP_PRIVATE` snapshot view (else the lineage's `MAP_SHARED` live
+    /// view).
+    private: bool,
+    /// Per page, by kind. On the live view: some private view of the
+    /// lineage may still read the page through, so a store must have them
+    /// copy it first. On a private view: the page is not privatized yet —
+    /// the view still reads the file page, and has not copied it.
     frozen: Vec<bool>,
     /// The `vm_snapshot` lineage this view belongs to (a key of
     /// [`MapState::lineages`]).
@@ -138,15 +158,24 @@ struct Area {
 /// they occupy.
 #[cfg(target_os = "linux")]
 fn runs(pages: &[u64]) -> u64 {
-    pages.windows(2).filter(|w| w[1] != w[0] + 1).count() as u64 + u64::from(!pages.is_empty())
+    run_ranges(pages).count() as u64
 }
 
-/// Runs starting at view page `i` or `i + 1` — all a change of `pages[i]`
-/// can add or remove.
+/// [`runs`], as index ranges into `pages`.
 #[cfg(target_os = "linux")]
-fn run_starts_around(pages: &[u64], i: usize) -> u64 {
-    let starts = |j: usize| j < pages.len() && (j == 0 || pages[j] != pages[j - 1] + 1);
-    u64::from(starts(i)) + u64::from(starts(i + 1))
+fn run_ranges(pages: &[u64]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        if i == pages.len() {
+            return None;
+        }
+        let start = i;
+        i += 1;
+        while i < pages.len() && pages[i] == pages[i - 1] + 1 {
+            i += 1;
+        }
+        Some(start..i)
+    })
 }
 
 /// File-page allocator state of the shared memfd.
@@ -168,10 +197,10 @@ struct FilePages {
 struct MapState {
     areas: BTreeMap<u64, Area>,
     file: FilePages,
-    /// Member bases of every `vm_snapshot` lineage. A file page is only
-    /// ever shared, at the same page index, between members of one
-    /// lineage, so a copy-on-write split looks for sharers here instead
-    /// of scanning every area.
+    /// Member bases of every `vm_snapshot` lineage: at most one live view
+    /// and the private views cut from it, which map its file pages at the
+    /// same indices. A store to the live view looks for the private views
+    /// it must copy for here instead of scanning every area.
     lineages: BTreeMap<u64, Vec<u64>>,
     /// Id of the next lineage an `alloc` founds.
     next_lineage: u64,
@@ -198,6 +227,12 @@ impl MapState {
         }
         Some(area)
     }
+
+    /// A fresh lineage id, for an area that shares no page with any other.
+    fn found_lineage(&mut self) -> u64 {
+        self.next_lineage += 1;
+        self.next_lineage
+    }
 }
 
 /// Counters of the OS backend (diagnostics and tests): monotonic event
@@ -208,10 +243,19 @@ pub struct OsStats {
     pub snapshots: AtomicU64,
     /// Snapshots that recycled an existing destination view (§4.1.3).
     pub recycled: AtomicU64,
-    /// Pages copied by engine-mediated copy-on-write.
+    /// Copy-on-write splits: first stores to a frozen page of a live view
+    /// that some private view still read through (each copied by
+    /// [`OsStats::populate_writes`], one per such view).
     pub cow_copies: AtomicU64,
-    /// Frozen pages reclaimed in place (sole owner — no copy needed).
+    /// Frozen pages made writable in place (no private view still reads
+    /// them through — no copy needed).
     pub cow_reclaims: AtomicU64,
+    /// `madvise(MADV_POPULATE_WRITE)` calls issued: one per private view
+    /// copying one page in a split.
+    pub populate_writes: AtomicU64,
+    /// `madvise(MADV_DONTNEED)` calls issued: one per snapshot of a live
+    /// view, dropping its page tables.
+    pub dontneed_advices: AtomicU64,
     /// `madvise(MADV_HUGEPAGE)` calls issued (huge-pages knob on).
     pub huge_page_advices: AtomicU64,
     /// `madvise(MADV_SEQUENTIAL)` calls issued by scans.
@@ -221,7 +265,8 @@ pub struct OsStats {
     pub mmap_calls: AtomicU64,
     /// `munmap` calls issued.
     pub munmap_calls: AtomicU64,
-    /// `pwrite` calls issued (one per copy-on-write split).
+    /// `pwrite` calls issued: one per run of a physical copy (a snapshot
+    /// whose source is a private view). The engine never issues one.
     pub pwrite_calls: AtomicU64,
     /// `ftruncate` calls issued (memfd growth).
     pub ftruncate_calls: AtomicU64,
@@ -234,6 +279,8 @@ impl OsStats {
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> OsStatsSnapshot {
         use std::sync::atomic::Ordering::Relaxed;
+        let populate_writes = self.populate_writes.load(Relaxed);
+        let dontneed_advices = self.dontneed_advices.load(Relaxed);
         let huge_page_advices = self.huge_page_advices.load(Relaxed);
         let sequential_advices = self.sequential_advices.load(Relaxed);
         OsStatsSnapshot {
@@ -241,13 +288,18 @@ impl OsStats {
             recycled: self.recycled.load(Relaxed),
             cow_copies: self.cow_copies.load(Relaxed),
             cow_reclaims: self.cow_reclaims.load(Relaxed),
+            populate_writes,
+            dontneed_advices,
             huge_page_advices,
             sequential_advices,
             mmap_calls: self.mmap_calls.load(Relaxed),
             munmap_calls: self.munmap_calls.load(Relaxed),
             pwrite_calls: self.pwrite_calls.load(Relaxed),
             ftruncate_calls: self.ftruncate_calls.load(Relaxed),
-            madvise_calls: huge_page_advices + sequential_advices,
+            madvise_calls: populate_writes
+                + dontneed_advices
+                + huge_page_advices
+                + sequential_advices,
             wired_runs: self.wired_runs.load(Relaxed),
         }
     }
@@ -261,13 +313,16 @@ pub struct OsStatsSnapshot {
     pub recycled: u64,
     pub cow_copies: u64,
     pub cow_reclaims: u64,
+    pub populate_writes: u64,
+    pub dontneed_advices: u64,
     pub huge_page_advices: u64,
     pub sequential_advices: u64,
     pub mmap_calls: u64,
     pub munmap_calls: u64,
     pub pwrite_calls: u64,
     pub ftruncate_calls: u64,
-    /// Every `madvise` issued: `huge_page_advices + sequential_advices`.
+    /// Every `madvise` issued: `populate_writes + dontneed_advices +
+    /// huge_page_advices + sequential_advices`.
     pub madvise_calls: u64,
     pub wired_runs: u64,
 }
@@ -283,8 +338,9 @@ struct OsInner {
     huge_pages: bool,
     state: RwLock<MapState>,
     stats: OsStats,
-    /// Test hook: how many more `MAP_FIXED` wirings and `pwrite`s may run
-    /// before every further one fails (`u64::MAX` = never).
+    /// Test hook: how many more `MAP_FIXED` wirings, `pwrite`s and
+    /// populates may run before every further one fails (`u64::MAX` =
+    /// never).
     #[cfg(test)]
     calls_before_failure: AtomicU64,
 }
@@ -308,7 +364,9 @@ pub struct OsBackend {
 #[cfg(target_os = "linux")]
 impl OsBackend {
     /// Create a backend over a fresh memfd. Fails with [`VmError::Os`]
-    /// when the kernel refuses (`memfd_create` needs Linux ≥ 3.17).
+    /// when the kernel refuses: `memfd_create` needs Linux ≥ 3.17, and
+    /// `madvise(MADV_POPULATE_WRITE)` — the copy-on-write of snapshot
+    /// views — Linux ≥ 5.14 (`call: "madvise"`, `errno` `EINVAL`).
     pub fn new() -> Result<OsBackend> {
         Self::with_huge_pages(false)
     }
@@ -319,6 +377,14 @@ impl OsBackend {
     /// the hints issued. Whether the kernel honours them depends on the
     /// system's shmem THP policy; the hint itself is free.
     pub fn with_huge_pages(huge_pages: bool) -> Result<OsBackend> {
+        // A zero-length madvise validates the advice and touches nothing:
+        // kernels without MADV_POPULATE_WRITE answer EINVAL. Not counted
+        // in OsStats — it concerns no view.
+        // SAFETY(provenance: madvise, bounds: 0): a zero-length range
+        // at a page-aligned address covers no memory.
+        if unsafe { ffi::madvise(std::ptr::null_mut(), 0, ffi::MADV_POPULATE_WRITE) } != 0 {
+            return Err(os_err("madvise"));
+        }
         // SAFETY(provenance: memfd_create): plain syscall; the name is a
         // valid NUL-terminated C string literal.
         let fd = unsafe { ffi::memfd_create(c"ankerdb-columns".as_ptr(), ffi::MFD_CLOEXEC) };
@@ -359,18 +425,22 @@ impl OsBackend {
         g.fetch_sub(before, Ordering::Relaxed);
     }
 
-    /// Whether the test hook fails the fallible call about to be issued.
+    /// Fail the fallible `call` about to be issued when the test hook says
+    /// so, with `ENOMEM` (as at `vm.max_map_count` or a memory cgroup
+    /// limit).
     #[inline]
-    fn injected_failure(&self) -> bool {
+    fn injected_failure(&self, call: &'static str) -> Result<()> {
         #[cfg(test)]
+        if self
+            .inner
+            .calls_before_failure
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_err()
         {
-            self.inner
-                .calls_before_failure
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_err()
+            return Err(VmError::Os { call, errno: 12 });
         }
-        #[cfg(not(test))]
-        false
+        let _ = call;
+        Ok(())
     }
 
     /// Backend counters (snapshots, copy-on-write splits, reclaims).
@@ -423,18 +493,46 @@ impl OsBackend {
         Ok((fp, false))
     }
 
-    fn decref_file_page(file: &mut FilePages, fp: u64) {
-        let r = &mut file.refs[fp as usize];
-        debug_assert!(*r > 0, "file page {fp} double-freed");
-        *r -= 1;
-        if *r == 0 {
-            file.free.push(fp);
+    /// Take `n` file pages; returns them with the indices of the recycled
+    /// ones (stale data). On failure nothing stays taken.
+    fn take_file_pages(&self, file: &mut FilePages, n: usize) -> Result<(Vec<u64>, Vec<usize>)> {
+        let mut pages = Vec::with_capacity(n);
+        let mut recycled = Vec::new();
+        for _ in 0..n {
+            match self.take_file_page(file) {
+                Ok((fp, reused)) => {
+                    if reused {
+                        recycled.push(pages.len());
+                    }
+                    pages.push(fp);
+                }
+                Err(e) => {
+                    // Give back what the loop already took, or a failed
+                    // growth (ENOSPC under a cgroup limit, say) would leak
+                    // the partial allocation for the backend's lifetime.
+                    Self::decref_file_pages(file, pages);
+                    return Err(e);
+                }
+            }
+        }
+        Ok((pages, recycled))
+    }
+
+    fn decref_file_pages(file: &mut FilePages, pages: impl IntoIterator<Item = u64>) {
+        for fp in pages {
+            let r = &mut file.refs[fp as usize];
+            debug_assert!(*r > 0, "file page {fp} double-freed");
+            *r -= 1;
+            if *r == 0 {
+                file.free.push(fp);
+            }
         }
     }
 
     /// Reserve `bytes` of address space, then wire each run of contiguous
-    /// file pages into it with `MAP_FIXED`. Returns the base address.
-    fn map_view(&self, pages: &[u64]) -> Result<u64> {
+    /// file pages into it with `MAP_FIXED` (`MAP_PRIVATE` when `private`).
+    /// Returns the base address; on failure the reservation is unmapped.
+    fn map_view(&self, pages: &[u64], private: bool) -> Result<u64> {
         let ps = self.inner.page_size;
         let bytes = pages.len() as u64 * ps;
         Self::bump(&self.inner.stats.mmap_calls);
@@ -455,7 +553,7 @@ impl OsBackend {
             return Err(os_err("mmap"));
         }
         let base = base as u64;
-        if let Err(e) = self.wire_pages(base, pages) {
+        if let Err(e) = self.wire_pages(base, pages, private) {
             // The wiring error is the one to report.
             let _ = self.unmap(base, bytes);
             return Err(e);
@@ -478,22 +576,18 @@ impl OsBackend {
     }
 
     /// `MAP_FIXED`-wire `view[base ..]` onto the given file pages, one
-    /// `mmap` per maximal run of contiguous file pages.
-    fn wire_pages(&self, base: u64, pages: &[u64]) -> Result<()> {
+    /// `mmap` per maximal run of contiguous file pages, `MAP_PRIVATE` when
+    /// `private` and `MAP_SHARED` otherwise.
+    fn wire_pages(&self, base: u64, pages: &[u64], private: bool) -> Result<()> {
         let ps = self.inner.page_size;
-        let mut i = 0usize;
-        while i < pages.len() {
-            let mut j = i + 1;
-            while j < pages.len() && pages[j] == pages[j - 1] + 1 {
-                j += 1;
-            }
-            let run = (j - i) as u64;
-            if self.injected_failure() {
-                return Err(VmError::Os {
-                    call: "mmap",
-                    errno: 12, // ENOMEM, as at vm.max_map_count
-                });
-            }
+        let share = if private {
+            ffi::MAP_PRIVATE
+        } else {
+            ffi::MAP_SHARED
+        };
+        for run in run_ranges(pages) {
+            let len = run.len() as u64 * ps;
+            self.injected_failure("mmap")?;
             Self::bump(&self.inner.stats.mmap_calls);
             // SAFETY(provenance: base, fd, bounds: run, ps): MAP_FIXED
             // over address space this backend owns (either a fresh
@@ -501,12 +595,12 @@ impl OsBackend {
             // offset is within the truncated size.
             let p = unsafe {
                 ffi::mmap(
-                    (base + i as u64 * ps) as *mut _,
-                    (run * ps) as usize,
+                    (base + run.start as u64 * ps) as *mut _,
+                    len as usize,
                     ffi::PROT_READ | ffi::PROT_WRITE,
-                    ffi::MAP_SHARED | ffi::MAP_FIXED,
+                    share | ffi::MAP_FIXED,
                     self.inner.fd,
-                    (pages[i] * ps) as i64,
+                    (pages[run.start] * ps) as i64,
                 )
             };
             if p == ffi::map_failed() {
@@ -519,10 +613,44 @@ impl OsBackend {
                 // SAFETY(provenance: p, bounds: run, ps): advising the
                 // mapping just created above; madvise on a valid range
                 // cannot corrupt anything (it is a hint).
-                unsafe { ffi::madvise(p, (run * ps) as usize, ffi::MADV_HUGEPAGE) };
+                unsafe { ffi::madvise(p, len as usize, ffi::MADV_HUGEPAGE) };
                 Self::bump(&self.inner.stats.huge_page_advices);
             }
-            i = j;
+        }
+        Ok(())
+    }
+
+    /// Copy the private view at `src` into `pages` (fresh file pages no
+    /// view maps yet), one `pwrite` per run of contiguous file pages.
+    fn copy_into(&self, src: u64, pages: &[u64]) -> Result<()> {
+        let ps = self.inner.page_size;
+        for run in run_ranges(pages) {
+            let len = run.len() as u64 * ps;
+            self.injected_failure("pwrite")?;
+            Self::bump(&self.inner.stats.pwrite_calls);
+            // SAFETY(provenance: src, fd, bounds: run, ps): the source is a
+            // slice of a tabled view (the caller's write lock keeps it
+            // mapped and unwritten); the destination is in-bounds file
+            // pages that no view maps yet.
+            let written = unsafe {
+                ffi::pwrite(
+                    self.inner.fd,
+                    (src + run.start as u64 * ps) as *const _,
+                    len as usize,
+                    (pages[run.start] * ps) as i64,
+                )
+            };
+            if written != len as isize {
+                return Err(if written < 0 {
+                    os_err("pwrite")
+                } else {
+                    // A short write sets no errno; report it as EIO.
+                    VmError::Os {
+                        call: "pwrite",
+                        errno: 5,
+                    }
+                });
+            }
         }
         Ok(())
     }
@@ -538,94 +666,52 @@ impl OsBackend {
             .ok_or(VmError::NotMapped { addr })
     }
 
-    /// Make page `page_idx` of the area at `base` privately writable. The
-    /// written view keeps its file page: the pre-write content is
-    /// `pwrite`n into a fresh file page and every other view of the page
-    /// is rewired onto that copy — or, when no other view references the
-    /// file page, it is reclaimed in place. Caller holds the write lock
-    /// and the engine's serialized write path.
+    /// Make page `page_idx` of the area at `base` writable. On a live
+    /// view, every private view of its lineage that still reads the page
+    /// through copies it first — one `madvise(MADV_POPULATE_WRITE)` each;
+    /// with none left the page is reclaimed in place. On a private view
+    /// the store itself is the kernel's copy-on-write. Caller holds the
+    /// write lock and the engine's serialized write path.
     ///
-    /// On failure the page stays frozen and every refcount stays exact: a
-    /// failed `pwrite` changes nothing, and a failed `MAP_FIXED` of the
-    /// k-th sharer leaves the sharers already moved on the byte-identical
-    /// copy.
+    /// On failure the page stays frozen: the private views that already
+    /// copied it keep their byte-identical copies, and a retry copies for
+    /// the rest.
     fn ensure_writable(&self, state: &mut MapState, base: u64, page_idx: usize) -> Result<()> {
         let ps = self.inner.page_size;
-        let area = state.areas.get_mut(&base).expect("area exists");
+        let area = &state.areas[&base];
         if !area.frozen[page_idx] {
             return Ok(());
         }
-        let old_fp = area.pages[page_idx];
-        if state.file.refs[old_fp as usize] == 1 {
-            // Sole owner (every sharing view was released): write in place.
-            area.frozen[page_idx] = false;
-            Self::bump(&self.inner.stats.cow_reclaims);
-            return Ok(());
-        }
-        let lineage = area.lineage;
-        // The fresh page starts with one reference: the split's own hold,
-        // dropped once the sharers are wired onto it.
-        let (new_fp, _recycled) = self.take_file_page(&mut state.file)?;
-        let written = if self.injected_failure() {
-            -1
-        } else {
-            Self::bump(&self.inner.stats.pwrite_calls);
-            // SAFETY(provenance: base, fd, bounds: page_idx, ps): the
-            // source is one whole page of this live view (the write lock
-            // keeps it mapped, the engine's serialized writes keep it
-            // still); the destination is the just-allocated, in-bounds
-            // file page new_fp, which no view maps yet.
-            unsafe {
-                ffi::pwrite(
-                    self.inner.fd,
-                    (base + page_idx as u64 * ps) as *const _,
-                    ps as usize,
-                    (new_fp * ps) as i64,
-                )
-            }
-        };
-        if written != ps as isize {
-            // Nothing was mutated: the copy goes back to the free list.
-            Self::decref_file_page(&mut state.file, new_fp);
-            return Err(if written < 0 {
-                os_err("pwrite")
-            } else {
-                // A short write sets no errno; report it as EIO.
-                VmError::Os {
-                    call: "pwrite",
-                    errno: 5,
+        if !area.private {
+            let (fp, lineage) = (area.pages[page_idx], area.lineage);
+            let readers: Vec<u64> = state.lineages[&lineage]
+                .iter()
+                .copied()
+                .filter(|&b| b != base && state.areas[&b].frozen[page_idx])
+                .collect();
+            for &r in &readers {
+                debug_assert!(state.areas[&r].private, "one live view per lineage");
+                debug_assert_eq!(state.areas[&r].pages[page_idx], fp, "index-aligned");
+                self.injected_failure("madvise")?;
+                Self::bump(&self.inner.stats.populate_writes);
+                let page = (r + page_idx as u64 * ps) as *mut _;
+                // SAFETY(provenance: r, page_idx, bounds: ps): one page of
+                // a tabled private view, mapped read-write (the write lock
+                // keeps it mapped). The kernel copies the file page into
+                // the view and changes no byte, so a concurrent reader of
+                // the view loads the same data.
+                if unsafe { ffi::madvise(page, ps as usize, ffi::MADV_POPULATE_WRITE) } != 0 {
+                    return Err(os_err("madvise"));
                 }
+                state.areas.get_mut(&r).expect("reader exists").frozen[page_idx] = false;
+            }
+            Self::bump(if readers.is_empty() {
+                &self.inner.stats.cow_reclaims
+            } else {
+                &self.inner.stats.cow_copies
             });
         }
-        let sharers: Vec<u64> = state.lineages[&lineage]
-            .iter()
-            .copied()
-            .filter(|&b| b != base && state.areas[&b].pages[page_idx] == old_fp)
-            .collect();
-        debug_assert_eq!(
-            sharers.len() as u32 + 1,
-            state.file.refs[old_fp as usize],
-            "every view of a shared page is in the writer's lineage"
-        );
-        let mut moved = Ok(());
-        for s in sharers {
-            // One MAP_FIXED either lands or does not: a sharer is never
-            // left half-wired.
-            if let Err(e) = self.wire_pages(s + page_idx as u64 * ps, &[new_fp]) {
-                moved = Err(e);
-                break;
-            }
-            let pages = &mut state.areas.get_mut(&s).expect("sharer exists").pages;
-            let before = run_starts_around(pages, page_idx);
-            pages[page_idx] = new_fp;
-            self.adjust_runs(before, run_starts_around(pages, page_idx));
-            state.file.refs[new_fp as usize] += 1;
-            Self::decref_file_page(&mut state.file, old_fp);
-        }
-        Self::decref_file_page(&mut state.file, new_fp);
-        moved?;
         state.areas.get_mut(&base).expect("area exists").frozen[page_idx] = false;
-        Self::bump(&self.inner.stats.cow_copies);
         Ok(())
     }
 
@@ -647,6 +733,43 @@ impl OsBackend {
         let last = ((addr + bytes.max(1) - 1 - base) / ps) as usize;
         Ok((base, first..last + 1))
     }
+
+    /// Wire `pages` into the destination of a snapshot: a fresh
+    /// reservation (`None`), or the tabled view `Some(d)` rewired in place.
+    /// `pages` already carry the destination's references. On failure the
+    /// caller drops them; a destination some `MAP_FIXED` may already have
+    /// reached is torn down whole, so the caller gets an error and a
+    /// dangling (`NotMapped`) destination, never another area's bytes.
+    /// On success `Some(d)` has left the table and its lineage, and its
+    /// old file pages are released.
+    fn wire_destination(
+        &self,
+        st: &mut MapState,
+        dst: Option<u64>,
+        pages: &[u64],
+        private: bool,
+    ) -> Result<u64> {
+        let Some(d) = dst else {
+            let base = self.map_view(pages, private)?;
+            self.adjust_runs(0, runs(pages));
+            return Ok(base);
+        };
+        let wired = self.wire_pages(d, pages, private);
+        let old = st.remove_area(d).expect("destination checked");
+        let now_wired = match wired {
+            Ok(()) => runs(pages),
+            Err(_) => {
+                // The wiring error is the one to report.
+                let _ = self.unmap(d, old.bytes);
+                0
+            }
+        };
+        self.adjust_runs(runs(&old.pages), now_wired);
+        Self::decref_file_pages(&mut st.file, old.pages);
+        wired?;
+        Self::bump(&self.inner.stats.recycled);
+        Ok(d)
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -662,35 +785,13 @@ impl crate::backend::VmBackend for OsBackend {
         }
         let n = (bytes / self.inner.page_size) as usize;
         let mut st = self.inner.state.write();
-        let mut pages = Vec::with_capacity(n);
-        let mut recycled = Vec::new();
-        for _ in 0..n {
-            match self.take_file_page(&mut st.file) {
-                Ok((fp, reused)) => {
-                    if reused {
-                        recycled.push(pages.len());
-                    }
-                    pages.push(fp);
-                }
-                Err(e) => {
-                    // Give back what the loop already took, or a failed
-                    // growth (ENOSPC under a cgroup limit, say) would leak
-                    // the partial allocation for the backend's lifetime.
-                    for fp in pages {
-                        Self::decref_file_page(&mut st.file, fp);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let base = match self.map_view(&pages) {
+        let (pages, recycled) = self.take_file_pages(&mut st.file, n)?;
+        let base = match self.map_view(&pages, false) {
             Ok(base) => base,
             Err(e) => {
                 // Return the taken file pages to the free list, or a failed
                 // allocation would leak them for the backend's lifetime.
-                for fp in pages {
-                    Self::decref_file_page(&mut st.file, fp);
-                }
+                Self::decref_file_pages(&mut st.file, pages);
                 return Err(e);
             }
         };
@@ -704,13 +805,13 @@ impl crate::backend::VmBackend for OsBackend {
             }
         }
         self.adjust_runs(0, runs(&pages));
-        st.next_lineage += 1;
-        let lineage = st.next_lineage;
+        let lineage = st.found_lineage();
         st.insert_area(
             base,
             Area {
                 bytes,
                 pages,
+                private: false,
                 frozen: vec![false; n],
                 lineage,
             },
@@ -732,9 +833,7 @@ impl crate::backend::VmBackend for OsBackend {
         let area = st.remove_area(addr).expect("checked above");
         self.adjust_runs(runs(&area.pages), 0);
         let unmapped = self.unmap(addr, bytes);
-        for fp in area.pages {
-            Self::decref_file_page(&mut st.file, fp);
-        }
+        Self::decref_file_pages(&mut st.file, area.pages);
         unmapped
     }
 
@@ -755,85 +854,82 @@ impl crate::backend::VmBackend for OsBackend {
                 "vm_snapshot length does not match the source area",
             ));
         }
-        let src_pages = src_area.pages.clone();
-        let lineage = src_area.lineage;
-        let n = src_pages.len();
-        let src_runs = runs(&src_pages);
-        let dst_base = match dst {
-            None => {
-                let base = self.map_view(&src_pages)?;
-                // map_view cannot partially succeed (it unwinds its own
-                // reservation), so the references are safe to take now.
-                for &fp in &src_pages {
-                    st.file.refs[fp as usize] += 1;
-                }
-                self.adjust_runs(0, src_runs);
-                st.insert_area(
-                    base,
-                    Area {
-                        bytes,
-                        pages: src_pages,
-                        frozen: vec![true; n],
-                        lineage,
-                    },
-                );
-                base
+        let (private_src, n) = (src_area.private, src_area.pages.len());
+        if let Some(d) = dst {
+            match st.areas.get(&d) {
+                Some(a) if d != src && a.bytes == bytes => {}
+                _ => return Err(VmError::BadDestination { addr: d }),
             }
-            Some(d) => {
-                if d == src {
-                    return Err(VmError::BadDestination { addr: d });
-                }
-                match st.areas.get(&d) {
-                    Some(a) if a.bytes == bytes => {}
-                    _ => return Err(VmError::BadDestination { addr: d }),
-                }
-                // Account the destination's new references *before* any
-                // MAP_FIXED lands, so a partially rewired view can never
-                // map an unaccounted file page.
-                for &fp in &src_pages {
-                    st.file.refs[fp as usize] += 1;
-                }
-                // Rewire the recycled view onto the source's file pages.
-                if let Err(e) = self.wire_pages(d, &src_pages) {
-                    // Some MAP_FIXED runs may already have landed: the view
-                    // is an untrustworthy mix of old and new pages. Tear it
-                    // down whole — the caller gets an error and a dangling
-                    // (NotMapped) destination, never another area's bytes.
-                    let area = st.remove_area(d).expect("checked");
-                    self.adjust_runs(runs(&area.pages), 0);
-                    // The wiring error is the one to report.
-                    let _ = self.unmap(d, bytes);
-                    for fp in area.pages.into_iter().chain(src_pages) {
-                        Self::decref_file_page(&mut st.file, fp);
-                    }
+        }
+        if private_src {
+            // A private view's pages may be its own copies, which no file
+            // page holds: copy it physically into a new live view.
+            let (pages, _recycled) = self.take_file_pages(&mut st.file, n)?;
+            let wired = self
+                .copy_into(src, &pages)
+                .and_then(|()| self.wire_destination(&mut st, dst, &pages, false));
+            let base = match wired {
+                Ok(base) => base,
+                Err(e) => {
+                    Self::decref_file_pages(&mut st.file, pages);
                     return Err(e);
                 }
-                // The destination now shares the source's pages, so it
-                // leaves its old lineage for the source's.
-                let old = st.remove_area(d).expect("checked");
-                self.adjust_runs(runs(&old.pages), src_runs);
-                for fp in old.pages {
-                    Self::decref_file_page(&mut st.file, fp);
-                }
-                st.insert_area(
-                    d,
-                    Area {
-                        bytes,
-                        pages: src_pages,
-                        frozen: vec![true; n],
-                        lineage,
-                    },
-                );
-                Self::bump(&self.inner.stats.recycled);
-                d
+            };
+            let lineage = st.found_lineage();
+            st.insert_area(
+                base,
+                Area {
+                    bytes,
+                    pages,
+                    private: false,
+                    frozen: vec![false; n],
+                    lineage,
+                },
+            );
+            Self::bump(&self.inner.stats.snapshots);
+            return Ok(base);
+        }
+        let src_area = &st.areas[&src];
+        let (pages, lineage) = (src_area.pages.clone(), src_area.lineage);
+        // The destination's references are taken before any MAP_FIXED
+        // lands, so a partially wired view never maps an unaccounted page.
+        for &fp in &pages {
+            st.file.refs[fp as usize] += 1;
+        }
+        let base = match self.wire_destination(&mut st, dst, &pages, true) {
+            Ok(base) => base,
+            Err(e) => {
+                // The source is untouched: not frozen, page tables kept.
+                Self::decref_file_pages(&mut st.file, pages);
+                return Err(e);
             }
         };
-        // Both sides of every shared page stay frozen until a write splits
-        // them.
+        st.insert_area(
+            base,
+            Area {
+                bytes,
+                pages,
+                private: true,
+                frozen: vec![true; n],
+                lineage,
+            },
+        );
+        // Every page of the live view is frozen until the new view copied
+        // it or a write finds nobody reading it through.
         let src_area = st.areas.get_mut(&src).expect("checked");
         src_area.frozen.iter_mut().for_each(|f| *f = true);
+        // Drop the live view's page tables: the data stays in the memfd,
+        // and a page the new view reads is resident once, not once per
+        // view. Never fails on a tabled view; the result would change
+        // nothing but memory accounting.
+        // SAFETY(provenance: src, st, bounds: bytes): the whole range is a
+        // tabled MAP_SHARED view (the write lock keeps it mapped);
+        // MADV_DONTNEED on a shared file mapping changes no byte, and a
+        // concurrent access simply faults the same file page back in.
+        unsafe { ffi::madvise(src as *mut _, bytes as usize, ffi::MADV_DONTNEED) };
+        Self::bump(&self.inner.stats.dontneed_advices);
         Self::bump(&self.inner.stats.snapshots);
-        Ok(dst_base)
+        Ok(base)
     }
 
     fn read_u64(&self, addr: u64) -> Result<u64> {
@@ -1050,6 +1146,16 @@ mod tests {
     use super::*;
     use crate::backend::VmBackend;
 
+    /// Let the next `n` fallible calls through, then fail every further
+    /// one (`u64::MAX` = never fail).
+    fn fail_after(b: &OsBackend, n: u64) {
+        b.inner.calls_before_failure.store(n, Ordering::Relaxed);
+    }
+
+    fn is_frozen(b: &OsBackend, base: u64, page: usize) -> bool {
+        b.inner.state.read().areas[&base].frozen[page]
+    }
+
     #[test]
     fn alloc_is_zeroed_and_round_trips() {
         let b = OsBackend::new().unwrap();
@@ -1090,48 +1196,71 @@ mod tests {
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
     }
 
-    /// One split of a page shared with one snapshot is exactly one
-    /// `pwrite` (the pre-write content into a fresh file page) and one
-    /// `MAP_FIXED` (the snapshot's page onto it): no transient mapping, no
-    /// `munmap`, and the written view's page list never changes.
+    /// A snapshot of a one-run live view is one reservation plus one
+    /// `MAP_PRIVATE` wiring, and one `MADV_DONTNEED` of the live view.
+    /// A split of a page two private views read through is exactly one
+    /// `MADV_POPULATE_WRITE` per view: no `pwrite`, no `mmap`, no
+    /// `munmap`, no memfd growth, and no view's page list changes.
     #[test]
-    fn split_is_one_pwrite_and_one_mmap_and_the_writer_keeps_its_pages() {
+    fn split_is_one_populate_per_private_sharer_and_every_view_keeps_its_pages() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(4 * ps).unwrap();
         for p in 0..4u64 {
             b.write_u64(a + p * ps, 10 + p).unwrap();
         }
-        let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
-        let pages = b.file_pages(a).unwrap();
         let before = b.stats().snapshot();
+        let s1 = b.vm_snapshot(None, a, 4 * ps).unwrap();
+        let s2 = b.vm_snapshot(None, a, 4 * ps).unwrap();
+        let cut = b.stats().snapshot();
+        assert_eq!(cut.mmap_calls - before.mmap_calls, 4);
+        assert_eq!(cut.dontneed_advices - before.dontneed_advices, 2);
+        assert_eq!(cut.madvise_calls - before.madvise_calls, 2);
+        let pages = b.file_pages(a).unwrap();
         b.write_u64(a + 2 * ps, 99).unwrap();
         let after = b.stats().snapshot();
-        assert_eq!(after.pwrite_calls - before.pwrite_calls, 1);
-        assert_eq!(after.mmap_calls - before.mmap_calls, 1);
-        assert_eq!(after.munmap_calls - before.munmap_calls, 0);
-        assert_eq!(after.ftruncate_calls - before.ftruncate_calls, 0);
-        assert_eq!(after.cow_copies - before.cow_copies, 1);
-        assert_eq!(
-            b.file_pages(a).unwrap(),
-            pages,
-            "the writer keeps its pages"
-        );
-        let moved = b.file_pages(snap).unwrap();
-        assert_ne!(moved[2], pages[2], "the snapshot moved onto the copy");
-        assert_eq!(moved[..2], pages[..2]);
-        assert_eq!(moved[3], pages[3]);
+        assert_eq!(after.populate_writes - cut.populate_writes, 2);
+        assert_eq!(after.madvise_calls - cut.madvise_calls, 2);
+        assert_eq!(after.pwrite_calls - cut.pwrite_calls, 0);
+        assert_eq!(after.mmap_calls - cut.mmap_calls, 0);
+        assert_eq!(after.munmap_calls - cut.munmap_calls, 0);
+        assert_eq!(after.ftruncate_calls - cut.ftruncate_calls, 0);
+        assert_eq!(after.cow_copies - cut.cow_copies, 1);
+        for v in [a, s1, s2] {
+            assert_eq!(
+                b.file_pages(v).unwrap(),
+                pages,
+                "every view keeps its pages"
+            );
+        }
         assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 99);
-        assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 12);
+        for s in [s1, s2] {
+            assert_eq!(b.read_u64(s + 2 * ps).unwrap(), 12);
+        }
         // Every later store to the page is a plain store.
         b.write_u64(a + 2 * ps + 8, 100).unwrap();
-        assert_eq!(b.stats().snapshot().pwrite_calls, after.pwrite_calls);
+        assert_eq!(b.stats().snapshot(), after);
+        // A view cut after the split copies it again on the next write,
+        // alone: the earlier views already hold their copies.
+        let s3 = b.vm_snapshot(None, a, 4 * ps).unwrap();
+        let cut = b.stats().snapshot();
+        b.write_u64(a + 2 * ps, 101).unwrap();
+        assert_eq!(
+            b.stats().snapshot().populate_writes - cut.populate_writes,
+            1
+        );
+        assert_eq!(
+            [a, s1, s2, s3].map(|v| b.read_u64(v + 2 * ps + 8).unwrap()),
+            [100, 0, 0, 100]
+        );
+        assert_eq!(b.read_u64(s3 + 2 * ps).unwrap(), 99);
     }
 
-    /// The wired-runs gauge follows every view: one run per pristine
-    /// area, and a split breaks only the snapshot's run.
+    /// The wired-runs gauge equals the live views while each is one run:
+    /// a split wires nothing, a recycled destination stays one view, and
+    /// a physical copy is one more.
     #[test]
-    fn wired_runs_gauge_tracks_fragmentation_of_the_snapshot_only() {
+    fn wired_runs_gauge_equals_live_views() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let runs = || b.stats().snapshot().wired_runs;
@@ -1139,14 +1268,20 @@ mod tests {
         assert_eq!(runs(), 1);
         let snap = b.vm_snapshot(None, a, 8 * ps).unwrap();
         assert_eq!(runs(), 2);
-        b.write_u64(a + 3 * ps, 1).unwrap();
-        // The live view stays one run; the snapshot is 0..3, 3, 4..8.
-        assert_eq!(runs(), 4);
-        // The next snapshot of the live view is one run again.
+        for p in 0..8 {
+            b.write_u64(a + p * ps, 1).unwrap();
+        }
+        assert_eq!(runs(), 2, "splits wire nothing");
         let snap2 = b.vm_snapshot(None, a, 8 * ps).unwrap();
-        assert_eq!(runs(), 5);
-        b.release(snap, 8 * ps).unwrap();
-        b.release(snap2, 8 * ps).unwrap();
+        b.write_u64(a + 3 * ps, 2).unwrap();
+        assert_eq!(runs(), 3);
+        assert_eq!(b.vm_snapshot(Some(snap), a, 8 * ps).unwrap(), snap);
+        assert_eq!(runs(), 3);
+        let copy = b.vm_snapshot(None, snap2, 8 * ps).unwrap();
+        assert_eq!(runs(), 4);
+        for v in [snap, snap2, copy] {
+            b.release(v, 8 * ps).unwrap();
+        }
         assert_eq!(runs(), 1);
         b.release(a, 8 * ps).unwrap();
         assert_eq!(runs(), 0);
@@ -1167,67 +1302,164 @@ mod tests {
         assert_eq!(st.file.next - st.file.free.len() as u64, mapped);
     }
 
+    /// A failed populate fails the write, leaves the page frozen and both
+    /// views on their old bytes; the retry splits it.
     #[test]
-    fn failed_pwrite_changes_nothing() {
+    fn failed_populate_changes_nothing() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(2 * ps).unwrap();
         b.write_u64(a, 7).unwrap();
         let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
         let (pages, in_use) = (b.file_pages(a).unwrap(), b.file_pages_in_use());
-        b.inner.calls_before_failure.store(0, Ordering::Relaxed);
-        assert!(b.write_u64(a, 8).is_err());
-        b.inner
-            .calls_before_failure
-            .store(u64::MAX, Ordering::Relaxed);
+        fail_after(&b, 0);
+        assert_eq!(
+            b.write_u64(a, 8),
+            Err(VmError::Os {
+                call: "madvise",
+                errno: 12
+            })
+        );
+        fail_after(&b, u64::MAX);
+        assert!(is_frozen(&b, a, 0), "the page stays frozen");
+        assert!(is_frozen(&b, snap, 0), "the view copied nothing");
         assert_eq!(b.file_pages(a).unwrap(), pages);
         assert_eq!(b.file_pages(snap).unwrap(), pages);
         assert_eq!(b.file_pages_in_use(), in_use);
-        assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 0);
+        let s = b.stats().snapshot();
+        assert_eq!((s.cow_copies, s.populate_writes), (0, 0));
+        assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (7, 7));
         assert_refcounts_exact(&b);
-        // The page is still frozen: the retry splits it.
+        // The retry splits it.
         b.write_u64(a, 8).unwrap();
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
         assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (8, 7));
         assert_refcounts_exact(&b);
     }
 
-    /// A `MAP_FIXED` failing at the second of two sharers leaves the first
-    /// on the byte-identical copy, the written page frozen, and every
-    /// refcount exact; the retry moves the remaining sharer.
+    /// A populate failing at the second of two private views leaves the
+    /// first with its byte-identical copy, the written page frozen and
+    /// every refcount exact; the retry copies for the remaining view only.
     #[test]
-    fn failed_sharer_rewire_keeps_moved_sharers_and_refcounts_exact() {
+    fn failed_populate_keeps_copied_sharers_and_refcounts_exact() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(ps).unwrap();
         b.write_u64(a, 7).unwrap();
         let s1 = b.vm_snapshot(None, a, ps).unwrap();
         let s2 = b.vm_snapshot(None, a, ps).unwrap();
-        let fp = b.file_pages(a).unwrap()[0];
-        // The pwrite and the first sharer's MAP_FIXED go through.
-        b.inner.calls_before_failure.store(2, Ordering::Relaxed);
+        let pages = b.file_pages(a).unwrap();
+        fail_after(&b, 1);
         assert!(b.write_u64(a, 8).is_err());
-        b.inner
-            .calls_before_failure
-            .store(u64::MAX, Ordering::Relaxed);
-        let on_old = [s1, s2]
-            .iter()
-            .filter(|&&s| b.file_pages(s).unwrap()[0] == fp)
-            .count();
-        assert_eq!(on_old, 1, "exactly one sharer moved");
-        assert_eq!(b.file_pages(a).unwrap()[0], fp);
+        fail_after(&b, u64::MAX);
+        let copied = [s1, s2].iter().filter(|&&s| !is_frozen(&b, s, 0)).count();
+        assert_eq!(copied, 1, "exactly one view copied the page");
+        assert!(is_frozen(&b, a, 0));
+        assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 1);
         assert_refcounts_exact(&b);
         for v in [a, s1, s2] {
             assert_eq!(b.read_u64(v).unwrap(), 7);
+            assert_eq!(b.file_pages(v).unwrap(), pages);
         }
         b.write_u64(a, 8).unwrap();
-        assert_eq!(b.file_pages(a).unwrap()[0], fp);
+        assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 2);
+        assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
         assert_refcounts_exact(&b);
         assert_eq!(
             [a, s1, s2].map(|v| b.read_u64(v).unwrap()),
             [8, 7, 7],
             "both snapshots keep the pre-write content"
         );
+    }
+
+    /// A failed private map unmaps its own reservation and leaves the
+    /// source readable, writable and unfrozen; a failed rewire of a
+    /// recycled destination tears the destination down and likewise
+    /// leaves the source alone.
+    #[test]
+    fn failed_private_map_leaves_the_source_untouched() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        b.write_u64(a, 7).unwrap();
+        let d = b.alloc(2 * ps).unwrap();
+        let (before, in_use) = (b.stats().snapshot(), b.file_pages_in_use());
+        fail_after(&b, 0);
+        assert!(b.vm_snapshot(None, a, 2 * ps).is_err());
+        fail_after(&b, u64::MAX);
+        let after = b.stats().snapshot();
+        assert_eq!(after.mmap_calls - before.mmap_calls, 1, "the reservation");
+        assert_eq!(
+            after.munmap_calls - before.munmap_calls,
+            1,
+            "unmapped again"
+        );
+        assert_eq!((after.snapshots, after.dontneed_advices), (0, 0));
+        assert_eq!(after.wired_runs, before.wired_runs);
+        assert_eq!(b.file_pages_in_use(), in_use);
+        assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
+        assert_refcounts_exact(&b);
+
+        fail_after(&b, 0);
+        assert!(b.vm_snapshot(Some(d), a, 2 * ps).is_err());
+        fail_after(&b, u64::MAX);
+        assert_eq!(b.read_u64(d), Err(VmError::NotMapped { addr: d }));
+        assert_eq!(b.stats().snapshot().wired_runs, 1, "the source alone");
+        assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
+        assert_refcounts_exact(&b);
+
+        assert_eq!(b.read_u64(a).unwrap(), 7);
+        b.write_u64(a, 8).unwrap();
+        let s = b.stats().snapshot();
+        assert_eq!((s.cow_copies, s.cow_reclaims), (0, 0), "a plain store");
+        assert_eq!(b.read_u64(a).unwrap(), 8);
+    }
+
+    /// A store to a private view is the kernel's copy-on-write: no
+    /// populate, the source unchanged, and the page no longer read
+    /// through, so the source's next store to it copies nothing.
+    #[test]
+    fn private_view_store_is_kernel_cow() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(ps).unwrap();
+        b.write_u64(a, 7).unwrap();
+        let snap = b.vm_snapshot(None, a, ps).unwrap();
+        b.write_u64(snap, 9).unwrap();
+        assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (7, 9));
+        b.write_u64(a, 8).unwrap();
+        let s = b.stats().snapshot();
+        assert_eq!((s.populate_writes, s.cow_copies, s.cow_reclaims), (0, 0, 1));
+        assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (8, 9));
+    }
+
+    /// A snapshot of a private view is a physical copy: one `pwrite` per
+    /// run of fresh file pages, wired shared as a new live view that later
+    /// snapshots freeze like any other.
+    #[test]
+    fn snapshot_of_a_private_view_is_a_physical_copy() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        b.write_u64(a + ps, 5).unwrap();
+        let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
+        b.write_u64(a + ps, 6).unwrap();
+        let before = b.stats().snapshot();
+        let copy = b.vm_snapshot(None, snap, 2 * ps).unwrap();
+        let after = b.stats().snapshot();
+        assert_eq!(after.pwrite_calls - before.pwrite_calls, 1);
+        assert_eq!(after.mmap_calls - before.mmap_calls, 2);
+        assert_eq!(after.dontneed_advices, before.dontneed_advices);
+        let fresh = b.file_pages(copy).unwrap();
+        assert!(fresh
+            .iter()
+            .all(|fp| !b.file_pages(a).unwrap().contains(fp)));
+        assert_eq!(b.read_u64(copy + ps).unwrap(), 5);
+        let inner = b.vm_snapshot(None, copy, 2 * ps).unwrap();
+        b.write_u64(copy + ps, 4).unwrap();
+        assert_eq!(b.read_u64(inner + ps).unwrap(), 5);
+        assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 2);
+        assert_refcounts_exact(&b);
     }
 
     #[test]
@@ -1290,17 +1522,19 @@ mod tests {
     fn huge_page_hints_fire_on_wire_and_rewire() {
         let b = OsBackend::with_huge_pages(true).unwrap();
         let ps = b.page_size();
+        let hints = || b.stats().huge_page_advices.load(Ordering::Relaxed);
         let a = b.alloc(4 * ps).unwrap();
-        let after_alloc = b.stats().huge_page_advices.load(Ordering::Relaxed);
-        assert!(after_alloc > 0, "alloc must advise its fresh view");
-        // A fresh-destination snapshot wires a second view: more hints.
+        let after_alloc = hints();
+        assert_eq!(after_alloc, 1, "alloc advises its one fresh run");
+        // A fresh-destination snapshot wires a second view: one more hint.
         let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
-        let after_snap = b.stats().huge_page_advices.load(Ordering::Relaxed);
-        assert!(after_snap > after_alloc, "snapshot view must be advised");
-        // Copy-on-write rewires one page of the snapshot view onto the
-        // copy (the written view keeps its wiring): re-advised.
+        assert_eq!(hints(), 2, "snapshot view must be advised");
+        // A split wires nothing, so it advises nothing.
         b.write_u64(a, 1).unwrap();
-        assert!(b.stats().huge_page_advices.load(Ordering::Relaxed) > after_snap);
+        assert_eq!(hints(), 2);
+        // Rewiring a recycled destination replaces its mapping: re-advised.
+        b.vm_snapshot(Some(snap), a, 4 * ps).unwrap();
+        assert_eq!(hints(), 3);
         b.release(snap, 4 * ps).unwrap();
         b.release(a, 4 * ps).unwrap();
         // The knob off means zero hints.

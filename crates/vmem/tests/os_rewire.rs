@@ -1,10 +1,13 @@
-//! Readers under rewiring: on the OS backend a copy-on-write split keeps
-//! the written view's wiring and `MAP_FIXED`-rewires every *other* view of
-//! the page onto a byte-identical copy. A frozen view's contents therefore
-//! never change while its pages move underneath readers that hold a raw
-//! pointer to it (the zero-copy scan path). This test checksums such a
-//! view in a loop while another thread forces a sharer rewire of every
-//! one of its pages, round after round.
+//! Readers under privatisation: on the OS backend a snapshot is a
+//! `MAP_PRIVATE` view over the live view's file pages, and the first
+//! store to a page of the live view first has the kernel copy that page
+//! into every private view still reading it through
+//! (`MADV_POPULATE_WRITE`), moving the view's page-table entry onto the
+//! copy. A frozen view's contents therefore never change while its pages
+//! move underneath readers that hold a raw pointer to it (the zero-copy
+//! scan path). This test checksums such a view in a loop while another
+//! thread writes every page of the live view, with a fresh view each
+//! round.
 
 #![cfg(target_os = "linux")]
 
@@ -44,59 +47,58 @@ fn frozen_view_checksum_is_stable_while_every_page_is_rewired() {
     let src = b.alloc(bytes).unwrap();
     let fill: Vec<u64> = (0..words as u64).map(|w| w * 2_654_435_761).collect();
     b.write_words(src, &fill).unwrap();
-    let frozen = b.vm_snapshot(None, src, bytes).unwrap();
-    let p = b
-        .raw_parts(frozen, bytes)
-        .expect("OS views are addressable") as usize;
-    let expect = checksum(p as *const u64, words);
+    let pages = b.file_pages(src).unwrap();
 
-    let stop = AtomicBool::new(false);
-    let passes = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let reader = s.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                assert_eq!(checksum(p as *const u64, words), expect);
-                passes.fetch_add(1, Ordering::Relaxed);
+    for round in 0..ROUNDS {
+        let frozen = b.vm_snapshot(None, src, bytes).unwrap();
+        let p = b
+            .raw_parts(frozen, bytes)
+            .expect("OS views are addressable") as usize;
+        let expect = checksum(p as *const u64, words);
+        let before = b.stats().snapshot();
+        let stop = AtomicBool::new(false);
+        let passes = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    assert_eq!(checksum(p as *const u64, words), expect);
+                    passes.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            // Stop the reader however this thread leaves the scope, or a
+            // failed assertion below would wait on it forever.
+            let _stop = StopOnDrop(&stop);
+            while passes.load(Ordering::Relaxed) == 0 && !reader.is_finished() {
+                std::hint::spin_loop();
             }
-        });
-        // Stop the reader however this thread leaves the scope, or a
-        // failed assertion below would wait on it forever.
-        let _stop = StopOnDrop(&stop);
-        while passes.load(Ordering::Relaxed) == 0 && !reader.is_finished() {
-            std::hint::spin_loop();
-        }
-        for round in 0..ROUNDS {
-            if round > 0 {
-                // Re-share: wire the source back onto the frozen view's
-                // pages (destination recycling), so every page is shared
-                // again and the writes below split it once more.
-                assert_eq!(b.vm_snapshot(Some(src), frozen, bytes).unwrap(), src);
-            }
-            // One store per page: each splits a page the frozen view
-            // shares, rewiring the frozen view's page onto the copy.
-            let wired = b.file_pages(frozen).unwrap();
+            // One store per page: each is a split that has the kernel copy
+            // the page into the frozen view under the running reader.
             for page in 0..PAGES {
                 b.write_u64(src + page * ps, round + 1).unwrap();
             }
-            let moved = b.file_pages(frozen).unwrap();
-            assert!(
-                wired.iter().zip(&moved).all(|(w, m)| w != m),
-                "every page of the frozen view was rewired"
-            );
+        });
+        let after = b.stats().snapshot();
+        assert_eq!(
+            after.cow_copies - before.cow_copies,
+            PAGES,
+            "every store split"
+        );
+        assert_eq!(
+            after.populate_writes - before.populate_writes,
+            PAGES,
+            "one populate per page of the one private view"
+        );
+        assert_eq!(after.mmap_calls, before.mmap_calls, "nothing was rewired");
+        assert_eq!(after.pwrite_calls, 0);
+        for v in [src, frozen] {
             assert_eq!(
-                b.file_pages(src).unwrap(),
-                wired,
-                "the writer kept its pages"
+                b.file_pages(v).unwrap(),
+                pages,
+                "every view keeps its pages"
             );
         }
-    });
-
-    assert_eq!(
-        b.stats().snapshot().cow_copies,
-        ROUNDS * PAGES,
-        "every store was a split"
-    );
-    assert_eq!(checksum(p as *const u64, words), expect);
-    b.release(frozen, bytes).unwrap();
+        assert_eq!(checksum(p as *const u64, words), expect);
+        b.release(frozen, bytes).unwrap();
+    }
     b.release(src, bytes).unwrap();
 }
