@@ -108,8 +108,8 @@ fn run_report(scale: &RunScale, prom: bool, trace: bool) {
             think_us: scale.think_us,
         },
     );
-    // One explicit GC pass so the gc/graveyard metrics are live in the
-    // report even though heterogeneous mode runs without a GC thread.
+    // One explicit GC pass so the gc metrics are live in the report even
+    // though heterogeneous mode runs without a GC thread.
     t.db.run_gc_once();
     let m = t.db.metrics();
 
@@ -168,10 +168,6 @@ fn run_report(scale: &RunScale, prom: bool, trace: bool) {
         ("pages rewired", "snapshot_pages_rewired_total"),
         ("areas recycled", "snapshot_areas_recycled_total"),
         ("spare areas parked", "snapshot_spare_parked_total"),
-        (
-            "graveyard areas unmapped",
-            "snapshot_graveyard_unmapped_total",
-        ),
         ("epochs triggered", "db_epochs_triggered_total"),
         ("columns materialized", "db_columns_materialized_total"),
         ("epoch pins", "snapshot_epoch_pins_total"),

@@ -193,7 +193,9 @@ pub(crate) struct DbInner {
     pub backend: Arc<dyn VmBackend>,
     pub tables: lockcheck::RwLock<Vec<Arc<TableState>>>,
     pub oracle: TsOracle,
-    pub active: Arc<ActiveTxns>,
+    /// Start timestamps of the transactions that may read a version chain
+    /// (OLTP and homogeneous OLAP): the version-GC and pruning horizon.
+    pub active: ActiveTxns,
     pub recent: RecentCommits,
     pub commit_mx: CommitLock,
     /// Commit counter driving homogeneous-mode housekeeping (the
@@ -297,12 +299,10 @@ impl AnkerDb {
                     .expect("OS memory backend unavailable (requires Linux memfd)"),
             ),
         };
-        let active = Arc::new(ActiveTxns::new());
         let registry = obs::Registry::new();
         let m = Arc::new(Metrics::new(&registry));
         let snapman = SnapshotManager::new(
             Arc::clone(&backend),
-            Arc::clone(&active),
             config.recycle_snapshot_areas,
             Arc::clone(&m),
         );
@@ -312,7 +312,7 @@ impl AnkerDb {
             backend,
             tables: lockcheck::RwLock::new(&classes::TABLES, 0, Vec::new()),
             oracle: TsOracle::new(),
-            active,
+            active: ActiveTxns::new(),
             recent: RecentCommits::new(),
             commit_mx: CommitLock::new(),
             prune_tick: AtomicU64::new(0),
@@ -879,7 +879,6 @@ impl AnkerDb {
             }
         }
         self.inner.recent.prune(min);
-        self.inner.snapman.graveyard.drain(min);
         self.inner.m.gc_passes.inc();
         removed
     }

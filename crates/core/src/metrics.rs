@@ -40,7 +40,6 @@ pub(crate) struct Metrics {
     pub pages_rewired: Arc<Counter>,
     pub areas_recycled: Arc<Counter>,
     pub spare_parked: Arc<Counter>,
-    pub graveyard_unmapped: Arc<Counter>,
     pub epoch_pins: Arc<Counter>,
     pub epochs_pinned: Arc<Gauge>,
     // Scans (scan.rs), fed from each finished scan's `ScanStats`.
@@ -118,10 +117,6 @@ impl Metrics {
             spare_parked: r.counter(
                 "snapshot_spare_parked_total",
                 "Retired snapshot areas parked for vm_snapshot destination recycling",
-            ),
-            graveyard_unmapped: r.counter(
-                "snapshot_graveyard_unmapped_total",
-                "Retired snapshot areas unmapped once the active-transaction horizon passed them",
             ),
             epoch_pins: r.counter(
                 "snapshot_epoch_pins_total",

@@ -4,13 +4,13 @@
 //! A [`SnapshotReader`] is the paper's OLAP fleet made explicit (§5.3–§5.4
 //! run N analytical threads against the snapshot while updaters commit):
 //! it pins an epoch **by refcount** at creation and holds that pin until
-//! dropped, so the snapshot manager keeps every area of the epoch — and
-//! the spare-area recycling pool — untouchable for as long as the reader
-//! lives, across any number of snapshot refreshes and
-//! destination-recycling cycles in between. On top of the pin, the reader
-//! registers in the active-transaction table at the epoch timestamp, which
-//! keeps the graveyard/recycling horizons conservative for areas retired
-//! *around* its lifetime.
+//! dropped. The pinned epoch is never retired, so it keeps a handle to
+//! every frozen image it serves, and an image is unmapped or recycled only
+//! when its last handle drops — never while the reader lives, across any
+//! number of snapshot refreshes and destination-recycling cycles in
+//! between. The pin is the reader's only hold: it reads frozen images and
+//! never a version chain, so it does not register in the OLTP version
+//! horizon and holds back no version garbage collection.
 //!
 //! **Isolation contract.** A reader is snapshot-isolation-only, full stop:
 //! every read observes the single consistent point in time of its epoch
@@ -28,27 +28,21 @@ use crate::error::{DbError, Result};
 use crate::scan::{ReaderScanBuilder, Scan};
 use crate::snapman::{resolve_snap_col, Epoch, SnapCol};
 use crate::table::TableId;
-use anker_mvcc::ActiveToken;
 use anker_storage::{ColumnId, LogicalType, Value};
 use anker_util::FxHashMap;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// The pin itself: epoch refcount + active-table registration, released
-/// exactly once when the last holder drops. [`crate::ScanPartition`]s
-/// share this handle so a partition outliving its reader still keeps the
-/// epoch alive.
+/// The pin itself: the epoch refcount, released exactly once when the last
+/// holder drops. [`crate::ScanPartition`]s share this handle so a partition
+/// outliving its reader still keeps the epoch alive.
 pub(crate) struct ReaderPin {
     db: AnkerDb,
     epoch: Arc<Epoch>,
-    token: Option<ActiveToken>,
 }
 
 impl Drop for ReaderPin {
     fn drop(&mut self) {
-        if let Some(token) = self.token.take() {
-            self.db.inner.active.deregister(token);
-        }
         self.db.inner.snapman.unpin(&self.epoch);
     }
 }
@@ -101,13 +95,10 @@ impl SnapshotReader {
         if db.inner.config.mode != crate::config::ProcessingMode::Heterogeneous {
             return Err(DbError::SnapshotsDisabled);
         }
-        let epoch = db.pin_current_epoch(max_age);
-        let token = db.inner.active.register(epoch.ts);
         Ok(SnapshotReader {
             pin: Arc::new(ReaderPin {
                 db: db.clone(),
-                epoch,
-                token: Some(token),
+                epoch: db.pin_current_epoch(max_age),
             }),
             cache: Mutex::new(FxHashMap::default()),
         })

@@ -313,7 +313,7 @@ impl Scan<&mut Txn> {
         let core = if txn.epoch.is_some() {
             // Heterogeneous OLAP: the frozen snapshot columns of the
             // pinned epoch, materialised through the per-transaction
-            // cache; the active-transaction horizon covers the scan.
+            // cache; the transaction's handles keep them mapped.
             ScanCore::compile(&db, state.rows, filters, &projection, |cols, filters| {
                 Source::frozen(cols, filters, None, &mut |c| txn.snapshot_col(table, c))
             })

@@ -29,7 +29,6 @@
 use crate::db::CommitState;
 use crate::metrics::Metrics;
 use crate::table::{ColumnState, TableState};
-use anker_mvcc::ActiveTxns;
 use anker_storage::{ColumnArea, LogicalType, ZoneMap};
 use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
@@ -40,20 +39,17 @@ use std::sync::Arc;
 
 /// A materialised snapshot column: a frozen image of one column — a
 /// `vm_snapshot` view of its live area — shared by every epoch it serves.
-/// On retirement the area is *not* unmapped immediately: it is parked in
-/// the [`Graveyard`] tagged with its freeze timestamp and unmapped once the
-/// active-transaction horizon passes it. Only a pin reaches an image, so
-/// the horizon is conservative.
+/// It lives exactly as long as its last handle: an epoch, the commit
+/// section's newest-image slot, or a reader's cache. Dropping the last one
+/// unmaps the view at once, or parks it for destination recycling.
 pub(crate) struct SnapCol {
     area: ColumnArea,
-    /// `last_completed` when the image was cut.
-    frozen_ts: u64,
     /// The column's [`ColumnState::last_mutation`] when the image was
     /// frozen. While the column's value still equals it, no write has
     /// landed since, and the image can serve a later epoch as is.
     as_of_mutation: u64,
-    graveyard: Arc<Graveyard>,
-    /// When recycling is on, retirement parks the area for reuse instead.
+    /// When recycling is on, dropping the image parks its area for reuse
+    /// instead of unmapping it.
     spare: Option<Arc<SpareAreas>>,
 }
 
@@ -69,13 +65,13 @@ impl SnapCol {
     #[inline]
     pub fn words(&self) -> Option<&[u64]> {
         // SAFETY(provenance: self, area): the slice borrows `self`, and a
-        // live `SnapCol` owns its area — the area is parked (for unmapping
-        // or destination recycling) only in `SnapCol::drop`, so it stays
-        // mapped and unrecycled for the borrow. The engine never writes a
-        // frozen image (installs go to the live area), so its bytes never
-        // change; on the OS backend a write to the live area may move the
-        // image's page-table entry onto a private copy of the page first,
-        // which holds the same bytes.
+        // live `SnapCol` owns its area — the area is unmapped or parked for
+        // recycling only in `SnapCol::drop`, so it stays mapped and
+        // unrecycled for the borrow. The engine never writes a frozen image
+        // (installs go to the live area), so its bytes never change; on the
+        // OS backend a write to the live area may move the image's
+        // page-table entry onto a private copy of the page first, which
+        // holds the same bytes.
         unsafe { self.area.as_slice() }
     }
 
@@ -98,79 +94,39 @@ impl SnapCol {
 
 impl Drop for SnapCol {
     fn drop(&mut self) {
-        if let Some(spare) = &self.spare {
-            spare.park(self.frozen_ts, self.area.clone());
-        } else {
-            self.graveyard.park(self.frozen_ts, self.area.clone());
+        match &self.spare {
+            Some(spare) => spare.park(self.area.clone()),
+            // Unmapping can only fail on address errors, which would be an
+            // internal bug; areas are never partially unmapped.
+            None => {
+                let _ = self.area.clone().unmap();
+            }
         }
     }
 }
 
-/// Retired snapshot areas awaiting a safe point to unmap.
-pub(crate) struct Graveyard {
-    pending: Mutex<Vec<(u64, ColumnArea)>>,
-    m: Arc<Metrics>,
-}
-
-impl Graveyard {
-    fn park(&self, frozen_ts: u64, area: ColumnArea) {
-        self.pending.lock().push((frozen_ts, area));
-    }
-
-    /// Unmap every parked area whose freeze timestamp is strictly below the
-    /// oldest active transaction's start timestamp: no live transaction can
-    /// hold a handle to it any more.
-    pub fn drain(&self, min_active_start: u64) {
-        let mut pending = self.pending.lock();
-        let before = pending.len();
-        pending.retain(|(frozen_ts, area)| {
-            if *frozen_ts < min_active_start {
-                // Unmapping can only fail on address errors, which would be
-                // an internal bug; areas are never partially unmapped.
-                let _ = area.clone().unmap();
-                false
-            } else {
-                true
-            }
-        });
-        self.m
-            .graveyard_unmapped
-            .add((before - pending.len()) as u64);
-    }
-}
-
-/// Parking lot of still-mapped, retired snapshot areas for `vm_snapshot`
-/// destination recycling (§4.1.3), keyed by mapped size and tagged with the
-/// freeze timestamp (a recycled destination is overwritten in place, which
-/// is as hazardous for stale readers as unmapping — the same horizon
-/// applies).
+/// Parking lot of still-mapped, dropped snapshot areas for `vm_snapshot`
+/// destination recycling (§4.1.3), keyed by mapped size. Only
+/// [`SnapCol::drop`] parks an area, so nobody can still read a parked one
+/// and any of them may be overwritten in place.
 pub(crate) struct SpareAreas {
-    by_size: Mutex<FxHashMap<u64, Vec<(u64, ColumnArea)>>>,
+    by_size: Mutex<FxHashMap<u64, Vec<ColumnArea>>>,
     m: Arc<Metrics>,
 }
 
 impl SpareAreas {
-    fn park(&self, frozen_ts: u64, area: ColumnArea) {
+    fn park(&self, area: ColumnArea) {
         self.m.spare_parked.inc();
         self.by_size
             .lock()
             .entry(area.mapped_bytes())
             .or_default()
-            .push((frozen_ts, area));
+            .push(area);
     }
 
-    /// Take a parked area of `bytes` that is safe to overwrite in place:
-    /// its freeze timestamp must lie strictly below the **oldest active
-    /// transaction's start timestamp** — the same horizon
-    /// [`Graveyard::drain`] applies before unmapping. Gating on anything
-    /// later (e.g. the current commit timestamp) recycles areas that a
-    /// stale reader still holds a handle to, silently feeding it another
-    /// column's bytes.
-    fn take(&self, bytes: u64, min_active_start: u64) -> Option<ColumnArea> {
-        let mut map = self.by_size.lock();
-        let pool = map.get_mut(&bytes)?;
-        let idx = pool.iter().position(|(ts, _)| *ts < min_active_start)?;
-        Some(pool.swap_remove(idx).1)
+    /// Take a parked area of `bytes`.
+    fn take(&self, bytes: u64) -> Option<ColumnArea> {
+        self.by_size.lock().get_mut(&bytes)?.pop()
     }
 }
 
@@ -210,36 +166,22 @@ fn epoch_mark(ts: u64) -> u64 {
 
 pub(crate) struct SnapshotManager {
     backend: Arc<dyn VmBackend>,
-    /// The active-transaction registry, for the destination-recycling
-    /// horizon (see [`SpareAreas::take`]).
-    active: Arc<ActiveTxns>,
     /// Live epochs in ascending timestamp order; the last one is newest.
     epochs: lockcheck::Mutex<Vec<Arc<Epoch>>>,
     /// [`epoch_mark`] of the newest epoch (0 = no epoch yet). Lock-free
     /// mirror for the commit path's fast-path check
     /// ([`SnapshotManager::write_is_settled`]).
     newest_mark: AtomicU64,
-    pub graveyard: Arc<Graveyard>,
     spare: Option<Arc<SpareAreas>>,
     m: Arc<Metrics>,
 }
 
 impl SnapshotManager {
-    pub fn new(
-        backend: Arc<dyn VmBackend>,
-        active: Arc<ActiveTxns>,
-        recycle: bool,
-        m: Arc<Metrics>,
-    ) -> SnapshotManager {
+    pub fn new(backend: Arc<dyn VmBackend>, recycle: bool, m: Arc<Metrics>) -> SnapshotManager {
         SnapshotManager {
             backend,
-            active,
             epochs: lockcheck::Mutex::new(&classes::SNAP_EPOCHS, 0, Vec::new()),
             newest_mark: AtomicU64::new(0),
-            graveyard: Arc::new(Graveyard {
-                pending: Mutex::default(),
-                m: Arc::clone(&m),
-            }),
             spare: recycle.then(|| {
                 Arc::new(SpareAreas {
                     by_size: Mutex::default(),
@@ -269,7 +211,10 @@ impl SnapshotManager {
         // already in the list.
         self.newest_mark.store(epoch_mark(ts), Ordering::Release);
         self.m.epochs_triggered.inc();
-        self.retire_locked(&mut epochs);
+        let retired = self.retire_locked(&mut epochs);
+        // Unmap the retired epochs' images outside the list lock.
+        drop(epochs);
+        drop(retired);
         epoch
     }
 
@@ -325,25 +270,30 @@ impl SnapshotManager {
         let prev = epoch.pins.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "unpin without pin");
         self.m.epochs_pinned.dec();
-        let mut epochs = self.epochs.lock();
-        self.retire_locked(&mut epochs);
+        let retired = self.retire_locked(&mut self.epochs.lock());
+        // Unmap the retired epochs' images outside the list lock.
+        drop(retired);
     }
 
-    /// Drop every epoch that is superseded and unpinned. The newest epoch
-    /// always stays (it serves the next OLAP arrival).
-    fn retire_locked(&self, epochs: &mut Vec<Arc<Epoch>>) {
+    /// Remove every epoch that is superseded and unpinned, and return them.
+    /// The newest epoch always stays (it serves the next OLAP arrival).
+    /// The caller drops the returned epochs after releasing the list lock:
+    /// dropping an epoch drops its `SnapCol` handles, and the last handle
+    /// unmaps (or parks) its area, which no pin should wait behind.
+    #[must_use]
+    fn retire_locked(&self, epochs: &mut Vec<Arc<Epoch>>) -> Vec<Arc<Epoch>> {
         let n = epochs.len();
+        let mut retired = Vec::new();
         // ORDERING: Acquire pairs with `unpin`'s AcqRel decrement — a zero
         // count means every reader's accesses happened-before this drop.
         for i in (0..n.saturating_sub(1)).rev() {
             if epochs[i].pins.load(Ordering::Acquire) == 0 {
-                // Dropping the epoch drops its SnapCol arcs; the last arc
-                // unmaps (or parks) each area.
-                epochs.remove(i);
+                retired.push(epochs.remove(i));
             }
         }
-        self.m.epochs_retired.add((n - epochs.len()) as u64);
+        self.m.epochs_retired.add(retired.len() as u64);
         self.m.live_epochs.set(epochs.len() as i64);
+        retired
     }
 
     /// Handle an imminent write to `(table_id, col_id)` (commit section
@@ -360,7 +310,6 @@ impl SnapshotManager {
         table: &TableState,
         table_id: u16,
         col_id: u16,
-        now_ts: u64,
     ) -> anker_vmem::Result<()> {
         let key = (table_id, col_id);
         let to_materialize = {
@@ -382,16 +331,13 @@ impl SnapshotManager {
             need
         };
         if to_materialize {
-            self.materialize_column(cs, table, table_id, col_id, now_ts)?;
+            self.materialize_column(cs, table, table_id, col_id)?;
         }
-        // The write makes the column's image stale. Drop it, and if no
-        // epoch holds it either, unmap it now (once no transaction can
-        // hold a stale handle) instead of at the next housekeeping pass:
-        // until then it shares every page with the column, and each write
-        // would split a page for a view nobody can read.
-        if cs.images.remove(&key).is_some() {
-            self.graveyard.drain(self.active.min_active_or(now_ts));
-        }
+        // The write makes the column's image stale. Drop it: if no epoch
+        // holds it either, that unmaps it before the write installs.
+        // Otherwise it would share every page with the column, and each
+        // write would split a page for a view nobody can read.
+        cs.images.remove(&key);
         // Fast-path marker: this column is settled for the current newest
         // epoch (either materialised or the epoch is damaged).
         // ORDERING: the Acquire load pairs with `trigger_epoch`'s Release;
@@ -437,7 +383,6 @@ impl SnapshotManager {
         table: &TableState,
         table_id: u16,
         col_id: u16,
-        now_ts: u64,
     ) -> anker_vmem::Result<Option<Arc<SnapCol>>> {
         let epochs: Vec<Arc<Epoch>> = self.epochs.lock().clone();
         if epochs.is_empty() {
@@ -463,7 +408,7 @@ impl SnapshotManager {
                 Arc::clone(image)
             }
             _ => {
-                let snap = self.freeze_column(col, last_mutation, now_ts)?;
+                let snap = self.freeze_column(col, last_mutation)?;
                 cs.images.insert(key, Arc::clone(&snap));
                 snap
             }
@@ -494,20 +439,13 @@ impl SnapshotManager {
         &self,
         col: &ColumnState,
         last_mutation: u64,
-        now_ts: u64,
     ) -> anker_vmem::Result<Arc<SnapCol>> {
         // Only actual materialisation work is spanned — cache hits and
         // reuses are the fast path and would drown the distribution.
         let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
         let live = col.current_area();
         let bytes = live.mapped_bytes();
-        // §4.1.3 destination recycling is gated on the *active-transaction
-        // horizon*, not on `now_ts` (same rule as `Graveyard::drain`).
-        let recycle_horizon = self.active.min_active_or(now_ts);
-        let dst = self
-            .spare
-            .as_ref()
-            .and_then(|s| s.take(bytes, recycle_horizon));
+        let dst = self.spare.as_ref().and_then(|s| s.take(bytes));
         let recycled = dst.is_some();
         // The rewiring itself (the kernel remap) gets its own stage so the
         // report can split "vm_snapshot µs" out of the materialise total.
@@ -526,9 +464,7 @@ impl SnapshotManager {
         self.m.columns_materialized.inc();
         Ok(Arc::new(SnapCol {
             area: ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows()),
-            frozen_ts: now_ts,
             as_of_mutation: last_mutation,
-            graveyard: Arc::clone(&self.graveyard),
             spare: self.spare.clone(),
         }))
     }
@@ -560,10 +496,9 @@ pub(crate) fn resolve_snap_col(
     if let Some(sc) = epoch.col(key) {
         return Ok(sc);
     }
-    let now = db.inner.oracle.last_completed();
     db.inner
         .snapman
-        .materialize_column(&mut cs, &state, table.0, col.0 as u16, now)?;
+        .materialize_column(&mut cs, &state, table.0, col.0 as u16)?;
     // A pinned epoch always receives the column: a write to it
     // materialises for every pinned epoch first (`note_write`). Missing
     // it here means a write bypassed the pin — the epoch can no longer
@@ -609,18 +544,14 @@ mod tests {
         (db, t, a, b)
     }
 
-    /// §4.1.3 destination recycling must be gated on the oldest *active
-    /// transaction*, not on the current commit timestamp: recycling
-    /// rewires an area in place onto a *different column's* data, so no
-    /// area a live reader can still reach may be recycled.
-    ///
-    /// Pre-fix (`SpareAreas::take` gated on `now_ts`), when a freeze still
-    /// swapped the live area for its duplicate, the stale handle below
-    /// observed column `b`'s values through what used to be column `a`'s
-    /// area. A freeze now leaves the live area in place, so the handle
-    /// stays the live column's and is never parked for recycling.
+    /// §4.1.3 destination recycling rewires an area in place onto a
+    /// *different column's* data, so no area a live reader can still reach
+    /// may be recycled. A handle to a column's live area is such a reader:
+    /// a freeze takes a view of the live area and leaves it in place, so
+    /// only images ever park, and a handle taken before an image of the
+    /// column froze, retired and was recycled keeps reading the column.
     #[test]
-    fn recycling_waits_for_the_active_transaction_horizon() {
+    fn a_live_area_handle_is_never_parked_or_recycled() {
         let (db, t, a, b) = two_column_db(512);
 
         // A long-running OLTP transaction grabs a handle to column `a`'s
@@ -642,7 +573,7 @@ mod tests {
 
         // A second OLAP transaction materialises column `b` for E2. The
         // recycler now sees a parked area of the right size; it must not
-        // be one `t_stale` (started before E1's freeze) can still read.
+        // be the live area `t_stale` still reads.
         let mut o2 = db.begin(TxnKind::Olap);
         assert_eq!(o2.get_value(t, b, 0).unwrap(), Value::Int(200));
         o2.commit().unwrap();
@@ -961,26 +892,31 @@ mod tests {
 
     /// An image `note_write` drops that no epoch holds any more is
     /// unmapped before the write installs, so the write does not split a
-    /// page for a view nobody can read.
+    /// page for a view nobody can read — also while an older OLTP
+    /// transaction is still open: only a handle to the image keeps it.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_dropped_image_is_unmapped_before_the_write_installs() {
-        let (db, t, a, b) = reuse_db(crate::config::BackendKind::Os);
-        let r = db.snapshot_reader().unwrap();
-        assert_eq!(r.get_value(t, a, 5).unwrap(), Value::Int(10));
-        drop(r);
-        // A commit to `b` cuts a new epoch and retires the reader's, so
-        // only the image keeps `a`'s frozen view mapped.
-        write(&db, t, b, 0, 1);
-        let copies = || db.metrics().counter("os_cow_copies_total").unwrap();
-        let before = copies();
-        write(&db, t, a, 5, 11);
-        if cfg!(not(feature = "obs-off")) {
-            assert_eq!(
-                copies(),
-                before,
-                "the write split a page for a dropped image"
-            );
+        for older_oltp_open in [false, true] {
+            let (db, t, a, b) = reuse_db(crate::config::BackendKind::Os);
+            let older = older_oltp_open.then(|| db.begin(TxnKind::Oltp));
+            let r = db.snapshot_reader().unwrap();
+            assert_eq!(r.get_value(t, a, 5).unwrap(), Value::Int(10));
+            drop(r);
+            // A commit to `b` cuts a new epoch and retires the reader's, so
+            // only the image keeps `a`'s frozen view mapped.
+            write(&db, t, b, 0, 1);
+            let copies = || db.metrics().counter("os_cow_copies_total").unwrap();
+            let before = copies();
+            write(&db, t, a, 5, 11);
+            if cfg!(not(feature = "obs-off")) {
+                assert_eq!(
+                    copies(),
+                    before,
+                    "older OLTP open: {older_oltp_open}: the write split a page for a dropped image"
+                );
+            }
+            drop(older);
         }
     }
 

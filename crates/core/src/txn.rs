@@ -90,11 +90,16 @@ impl Txn {
         } else {
             None
         };
-        let start_ts = match &epoch {
-            Some(e) => e.ts,
-            None => db.inner.oracle.start_ts(),
+        // Only transactions that may read a version chain register in the
+        // OLTP version horizon: a heterogeneous OLAP transaction reads its
+        // pinned epoch's frozen images, which its pin keeps alive.
+        let (start_ts, active_token) = match &epoch {
+            Some(e) => (e.ts, None),
+            None => {
+                let start_ts = db.inner.oracle.start_ts();
+                (start_ts, Some(db.inner.active.register(start_ts)))
+            }
         };
-        let active_token = db.inner.active.register(start_ts);
         static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         let id = TxnId(NEXT_ID.fetch_add(1, Ordering::Relaxed));
         Txn {
@@ -105,7 +110,7 @@ impl Txn {
             snap_cache: FxHashMap::default(),
             table_cache: Vec::new(),
             scan_stats: ScanStats::default(),
-            active_token: Some(active_token),
+            active_token,
             finished: false,
         }
     }
@@ -621,7 +626,7 @@ impl Txn {
                 // back; dying with the install span open is designed.
                 db.inner
                     .snapman
-                    .note_write(cs, &state, key.0, key.1, commit_ts)
+                    .note_write(cs, &state, key.0, key.1)
                     .expect("snapshot materialisation failed mid-commit");
             }
         }
@@ -669,7 +674,7 @@ impl Txn {
                         for cid in 0..state.cols.len() {
                             db.inner
                                 .snapman
-                                .materialize_column(&mut cs, state, tid as u16, cid as u16, now)
+                                .materialize_column(&mut cs, state, tid as u16, cid as u16)
                                 .expect("eager materialisation failed mid-commit");
                         }
                     }
@@ -687,7 +692,6 @@ impl Txn {
                 cs.commits_since_prune = 0;
                 let min = db.inner.active.min_active_or(commit_ts);
                 db.inner.recent.prune(min);
-                db.inner.snapman.graveyard.drain(min);
                 /// Versions one column may accumulate before the fallback
                 /// GC trims its current chain store.
                 const HETERO_CHAIN_CAP: u64 = 65_536;
@@ -714,7 +718,6 @@ impl Txn {
                     .active
                     .min_active_or(db.inner.oracle.last_completed());
                 db.inner.recent.prune(min);
-                db.inner.snapman.graveyard.drain(min);
                 for t in db.inner.tables.read().iter() {
                     for c in &t.cols {
                         c.versioned.release_frozen(min);

@@ -398,6 +398,40 @@ fn old_oltp_reader_survives_snapshot_handover() {
     old_reader.commit().unwrap();
 }
 
+/// Analytical readers read frozen images only, so they hold back no
+/// version chain: after 300 commits under a pinned `SnapshotReader`, or
+/// under an open heterogeneous OLAP transaction, one GC pass reclaims every
+/// version, and the analyst still reads its epoch.
+#[test]
+fn pinned_analysts_do_not_hold_back_version_gc() {
+    for hold_reader in [true, false] {
+        let (db, t, a, _) = small_db(DbConfig::heterogeneous_serializable().with_snapshot_every(1));
+        let reader = hold_reader.then(|| db.snapshot_reader().unwrap());
+        let mut olap = (!hold_reader).then(|| db.begin(TxnKind::Olap));
+        let mut analyst_read = || match (&reader, &mut olap) {
+            (Some(r), _) => r.get(t, a, 0).unwrap(),
+            (None, Some(o)) => o.get(t, a, 0).unwrap(),
+            (None, None) => unreachable!(),
+        };
+        assert_eq!(analyst_read(), 0);
+        for v in 1..=300u64 {
+            let mut w = db.begin(TxnKind::Oltp);
+            w.update(t, a, 0, v).unwrap();
+            w.commit().unwrap();
+            let mut short = db.begin(TxnKind::Olap);
+            let _ = short.get(t, a, 0).unwrap();
+            short.commit().unwrap();
+        }
+        db.run_gc_once();
+        assert_eq!(
+            db.total_versions(),
+            0,
+            "reader held: {hold_reader}: the analyst held back version GC"
+        );
+        assert_eq!(analyst_read(), 0, "reader held: {hold_reader}");
+    }
+}
+
 #[test]
 fn homogeneous_gc_collects_versions() {
     let (db, t, a, _) = small_db(DbConfig::homogeneous_serializable());

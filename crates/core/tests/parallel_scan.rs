@@ -101,13 +101,12 @@ fn reader_pins_a_consistent_epoch_across_commits() {
     }
 }
 
-/// The PR-3 horizon race, now from the detached-reader side: a
-/// `SnapshotReader` held across snapshot refreshes **and** a
-/// `SpareAreas::take` destination-recycling cycle must keep reading its
-/// original epoch bit-for-bit. Before the epoch-pinning refcount, the
-/// reader's areas could retire into the recycling pool and be rewired —
-/// in place — onto another column's data while the reader still scanned
-/// them.
+/// A `SnapshotReader` held across snapshot refreshes **and**
+/// `SpareAreas::take` destination-recycling cycles must keep reading its
+/// original epoch bit-for-bit. Its pin keeps the epoch, and the epoch keeps
+/// a handle to each of its images, so none of them parks while the reader
+/// lives; were one parked, recycling would rewire it in place onto another
+/// column's data while the reader still scanned it.
 #[test]
 fn reader_survives_snapshot_refresh_and_recycling_cycles() {
     for backend in backends() {
@@ -131,8 +130,8 @@ fn reader_survives_snapshot_refresh_and_recycling_cycles() {
             .unwrap();
 
         // A full snapshot generation cycle *before* the reader exists, so
-        // the recycling pool holds areas whose swap timestamp lies below
-        // the reader's horizon (those are legitimately recyclable).
+        // the recycling pool holds images nobody holds any more (those are
+        // legitimately recyclable).
         let mut o = db.begin(TxnKind::Olap);
         o.get(t, a, 0).unwrap();
         o.get(t, b, 0).unwrap();

@@ -298,9 +298,9 @@ impl ActiveTxns {
     pub fn deregister(&self, token: ActiveToken) {
         use std::sync::atomic::Ordering;
         // ORDERING: AcqRel — the Release half publishes every read this
-        // transaction did before the horizon may move past it (GC and
-        // area-recycling gate on `min_active_or`); the Acquire half pairs
-        // with the next claimant's CAS.
+        // transaction did before the horizon may move past it (version GC
+        // and record pruning gate on `min_active_or`); the Acquire half
+        // pairs with the next claimant's CAS.
         let prev = self.slots[token.slot].swap(SLOT_EMPTY, Ordering::AcqRel);
         debug_assert_ne!(prev, SLOT_EMPTY, "slot double-freed");
     }
@@ -312,8 +312,9 @@ impl ActiveTxns {
         let mut min = u64::MAX;
         // ORDERING: Acquire pairs with the AcqRel slot RMWs — a scan that
         // misses a transaction (slot already empty) is ordered after that
-        // transaction's deregistration, so acting on the horizon (unmap,
-        // GC) cannot pull state out from under a still-active reader.
+        // transaction's deregistration, so acting on the horizon (version
+        // GC, pruning) cannot pull state out from under a still-active
+        // reader.
         for s in self.slots.iter() {
             min = min.min(s.load(Ordering::Acquire));
         }

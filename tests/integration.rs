@@ -161,11 +161,11 @@ fn memory_is_bounded_under_snapshot_churn() {
         olap.commit().unwrap();
         peak = peak.max(db.kernel().frames_in_use());
     }
-    // One column of 512 rows = 1 page. Retired areas wait in the graveyard
-    // until the periodic drain (every 128 commits), so the peak is bounded
-    // by the drain interval — not by the 400 epochs churned.
-    assert!(peak < 200, "frames peaked at {peak}");
-    // After an explicit safe-point drain, only the live state remains.
+    // One column of 512 rows = 1 page. A retired image is unmapped when
+    // its last handle drops, so at most the live page and one private copy
+    // for a still-held image exist at any time — not one per epoch churned.
+    assert!(peak <= 2, "frames peaked at {peak}");
+    // After a GC pass, too, only the live state remains.
     db.run_gc_once();
     let now = db.kernel().frames_in_use();
     assert!(now < 20, "frames after drain: {now}");
