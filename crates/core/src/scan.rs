@@ -55,9 +55,11 @@
 //!   staged block by block (transaction OLAP on a pinned epoch, and every
 //!   reader scan);
 //! * **versioned** — the live columns, gathered block by block at the
-//!   transaction's start timestamp with the §5.5 block-skip optimisation;
-//!   no zone maps, since in-place installs would invalidate them
-//!   (homogeneous MVCC and OLTP scans).
+//!   transaction's start timestamp with the §5.5 block-skip optimisation:
+//!   one block copy, with the versioned rows checked by one timestamp
+//!   bracket around it rather than a locked backend read per row; no zone
+//!   maps, since in-place installs would invalidate them (homogeneous MVCC
+//!   and OLTP scans).
 
 use crate::db::AnkerDb;
 use crate::error::Result;

@@ -29,7 +29,11 @@
 //!   frozen store *is* the garbage collection (§1.3.1).
 //! * The **block-skip scan optimisation** of §5.5: per 1024-row block, the
 //!   position of the first and last versioned row, so scans run in tight
-//!   loops between versioned regions.
+//!   loops between versioned regions. Versioned regions are checked with
+//!   one timestamp bracket per block — the region's write timestamps are
+//!   loaded before the single block copy and re-checked after it — so
+//!   only rows an install raced pay a per-row
+//!   [`version::VersionedColumn::read`].
 //!
 //! The commit *protocol* (who takes which lock when) is composed by
 //! `anker-core`, which owns tables and snapshot management; this crate

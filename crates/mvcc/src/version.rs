@@ -489,7 +489,27 @@ impl VersionedColumn {
     ///   reader snapshots — and the replaced value is already in the
     ///   chain (pushed before the word advanced), so the chain walk
     ///   serves the read without touching the in-place slot.
+    ///
+    /// This is the per-row form of the **timestamp bracket** a versioned
+    /// scan applies once per block (see `gather_bracketed` behind
+    /// [`VersionedColumn::gather_visible_block`]): load the word (t1),
+    /// load the value, re-load the word (t2); an unchanged word proves the
+    /// value is the version t1 names.
     pub fn read(&self, area: &ColumnArea, row: u32, start_ts: u64) -> anker_vmem::Result<u64> {
+        self.read_path(area, row, start_ts).map(|(v, _)| v)
+    }
+
+    /// [`VersionedColumn::read`], also telling whether the value came from
+    /// a chain walk (for [`ScanStats::chain_walks`]). Always inlined: `read`
+    /// is the point-read hot path, and an outlined call here measurably
+    /// slowed chain-walk reads.
+    #[inline(always)]
+    fn read_path(
+        &self,
+        area: &ColumnArea,
+        row: u32,
+        start_ts: u64,
+    ) -> anker_vmem::Result<(u64, bool)> {
         // ORDERING: both Acquire loads pair with `install_locked`'s
         // Release stores — t1 orders the value load after the word it
         // observed, and t2 == t1 proves no install moved the word (and
@@ -497,7 +517,7 @@ impl VersionedColumn {
         loop {
             let t1 = self.row_ts[row as usize].load(Ordering::Acquire);
             if t1 & !PENDING > start_ts {
-                return Ok(self.find_version(row, start_ts));
+                return Ok((self.find_version(row, start_ts), true));
             }
             let v = area.get(row)?;
             // Re-validate: a concurrent install may have overwritten the
@@ -505,7 +525,7 @@ impl VersionedColumn {
             // moves the word, latched or not).
             let t2 = self.row_ts[row as usize].load(Ordering::Acquire);
             if t2 == t1 {
-                return Ok(v);
+                return Ok((v, false));
             }
         }
     }
@@ -680,12 +700,13 @@ impl VersionedColumn {
     /// Must be called inside the serialized commit section.
     pub fn freeze_epoch(&self, freeze_ts: u64) -> Arc<ChainStore> {
         let fresh = Arc::new(ChainStore::new(self.rows));
-        let frozen = {
-            let mut cur = self.current.write();
-            std::mem::replace(&mut *cur, fresh)
-        };
+        let frozen = self.current_store();
+        // List the store as frozen before retiring it as current: a chain
+        // walk reads `current`, then `older`, so it finds the store in at
+        // least one of the two whenever it runs.
         self.older.write().push((freeze_ts, Arc::clone(&frozen)));
-        // ORDERING: Release pairs with the Acquire in `scan_block_into` —
+        *self.current.write() = fresh;
+        // ORDERING: Release pairs with the Acquire in `gather_visible_block` —
         // a scanner that sees the new freeze timestamp also sees the
         // frozen store already pushed onto `older`.
         self.last_freeze_ts.store(freeze_ts, Ordering::Release);
@@ -727,8 +748,9 @@ impl VersionedColumn {
     /// Full-column scan delivering the version of every row visible at
     /// `start_ts`, in row order, using the block-skip optimisation:
     /// unversioned 1024-row blocks are read in a tight loop (seqlock
-    /// validated); blocks with versioned rows fall back to per-row checks
-    /// inside the `[first, last]` range only.
+    /// validated); blocks with versioned rows check visibility inside the
+    /// `[first, last]` range only, with one timestamp bracket per block
+    /// (see [`VersionedColumn::gather_visible_block`]).
     pub fn scan_visible(
         &self,
         area: &ColumnArea,
@@ -774,6 +796,13 @@ impl VersionedColumn {
     /// (one skip block or a prefix of it) into `buf[..n]`, applying the
     /// block-skip optimisation. `block_start` must be block aligned.
     ///
+    /// The block is copied once. An unversioned block is delivered as
+    /// copied once its seqlock verifies. In a mixed block only the
+    /// `[first, last]` range is checked, and a block whose verify fails (or
+    /// a reader older than the last freeze) has every row checked; all
+    /// three check their rows with one timestamp bracket around the copy,
+    /// so [`VersionedColumn::read`] runs only for a row an install raced.
+    ///
     /// This is the building block of multi-column scans: the executor
     /// gathers one block per column, then combines rows.
     pub fn gather_visible_block(
@@ -787,6 +816,7 @@ impl VersionedColumn {
     ) -> anker_vmem::Result<()> {
         debug_assert!(block_start.is_multiple_of(BLOCK_ROWS));
         debug_assert!(n <= BLOCK_ROWS && block_start + n <= self.rows);
+        let buf = &mut buf[..n as usize];
         let store = self.current_store();
         // The skip index only knows versions of the current epoch; readers
         // older than the last freeze must check every row (cannot happen in
@@ -801,39 +831,88 @@ impl VersionedColumn {
         if tight_ok && first == NO_ROW {
             // Fully unversioned block: copy, validate, deliver.
             area.read_block_into(block_start, n, buf)?;
-            if store.block_verify(block_idx, seq) {
+            if store.block_verify(block_idx, seq) && self.still_current(&store) {
                 stats.tight_rows += n as u64;
                 return Ok(());
             }
             stats.blocks_retried += 1;
         } else if tight_ok {
-            // Mixed block: tight head and tail, per-row middle.
-            area.read_block_into(block_start, n, buf)?;
-            let lo = first.max(block_start) - block_start;
-            let hi = last.min(block_start + n - 1) - block_start;
-            for i in lo..=hi {
-                let row = block_start + i;
-                buf[i as usize] = self.read(area, row, start_ts)?;
-                stats.checked_rows += 1;
-                if self.row_ts[row as usize].load(Ordering::Relaxed) & !PENDING > start_ts {
-                    stats.chain_walks += 1;
-                }
-            }
-            if store.block_verify(block_idx, seq) {
-                stats.tight_rows += (n - (hi - lo + 1)) as u64;
+            // Mixed block: tight head and tail, bracketed middle.
+            let lo = (first.max(block_start) - block_start) as usize;
+            let hi = (last.min(block_start + n - 1) - block_start) as usize;
+            self.gather_bracketed(area, start_ts, block_start, buf, lo..hi + 1, stats)?;
+            if store.block_verify(block_idx, seq) && self.still_current(&store) {
+                stats.tight_rows += (n as usize - (hi - lo + 1)) as u64;
                 return Ok(());
             }
             stats.blocks_retried += 1;
         }
-        // Per-row fallback: always correct.
-        for i in 0..n {
-            let row = block_start + i;
-            buf[i as usize] = self.read(area, row, start_ts)?;
-            if self.row_ts[row as usize].load(Ordering::Relaxed) & !PENDING > start_ts {
+        // Whole-block fallback: every row checked, always correct.
+        self.gather_bracketed(area, start_ts, block_start, buf, 0..buf.len(), stats)?;
+        Ok(())
+    }
+
+    /// True if `store` is still the current store. A freeze during a gather
+    /// sends later installs to a fresh store whose pushes `store`'s seqlock
+    /// never sees, so a tight copy is trusted only if no freeze intervened.
+    fn still_current(&self, store: &Arc<ChainStore>) -> bool {
+        Arc::ptr_eq(store, &self.current.read())
+    }
+
+    /// Copy the `buf.len()` rows from `block_start` into `buf` and make the
+    /// rows at block offsets `check` visible at `start_ts`, with one
+    /// **timestamp bracket** around the single block copy — the protocol of
+    /// [`VersionedColumn::read`], done once per block instead of once per
+    /// row:
+    ///
+    /// 1. load the checked rows' timestamp words (t1);
+    /// 2. copy the block;
+    /// 3. re-load each word after an Acquire fence (t2).
+    ///
+    /// A row whose t1 (PENDING masked) is above `start_ts` is served from
+    /// its chain. A row whose word moved (t2 != t1) raced an install or a
+    /// latch and is re-read through [`VersionedColumn::read`]. Every other
+    /// row's copied word is the visible value: an install advances the
+    /// word before it overwrites the value, so an unchanged word proves
+    /// the copy saw the version t1 names — latched-but-not-installed rows
+    /// included, whose in-place value is still the old one.
+    fn gather_bracketed(
+        &self,
+        area: &ColumnArea,
+        start_ts: u64,
+        block_start: u32,
+        buf: &mut [u64],
+        check: std::ops::Range<usize>,
+        stats: &mut ScanStats,
+    ) -> anker_vmem::Result<()> {
+        let first = block_start as usize + check.start;
+        let checked = check.len();
+        let row_ts = &self.row_ts[first..first + checked];
+        let mut t1 = [0u64; BLOCK_ROWS as usize];
+        let t1 = &mut t1[..checked];
+        // ORDERING: Acquire pairs with `install_locked`'s Release stores,
+        // as `read`'s t1 does: the copy below observes at least the value
+        // each word names, and a chain walk sees the push that preceded it.
+        for (t, slot) in t1.iter_mut().zip(row_ts) {
+            *t = slot.load(Ordering::Acquire);
+        }
+        area.read_block_into(block_start, buf.len() as u32, buf)?;
+        // ORDERING: the Acquire fence orders the block copy before the t2
+        // re-loads (seqlock-style validation), so t2 == t1 proves no
+        // install moved a word, and hence overwrote its value, mid-copy.
+        fence(Ordering::Acquire);
+        let rows = first as u32..;
+        for (((v, &t), slot), row) in buf[check].iter_mut().zip(t1.iter()).zip(row_ts).zip(rows) {
+            if t & !PENDING > start_ts {
+                *v = self.find_version(row, start_ts);
                 stats.chain_walks += 1;
+            } else if slot.load(Ordering::Relaxed) != t {
+                let (value, walked) = self.read_path(area, row, start_ts)?;
+                *v = value;
+                stats.chain_walks += walked as u64;
             }
         }
-        stats.checked_rows += n as u64;
+        stats.checked_rows += checked as u64;
         Ok(())
     }
 }

@@ -1,11 +1,13 @@
 //! Property-based tests of the MVCC core against simple oracles.
 
-use anker_mvcc::{ScanStats, VersionedColumn};
+use anker_mvcc::{ScanStats, VersionedColumn, BLOCK_ROWS};
 use anker_storage::{ColumnArea, LogicalType};
 use anker_vmem::Kernel;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-const ROWS: u32 = 600;
+/// Two full skip blocks and a partial third.
+const ROWS: u32 = 2 * BLOCK_ROWS + 552;
 
 /// A full multi-version history oracle: for every row, the list of
 /// `(commit_ts, value)` in commit order (starting with the load at ts 0).
@@ -42,6 +44,11 @@ enum Op {
     Freeze,
     /// GC with the horizon at the given fraction of elapsed commits.
     Gc { horizon_percent: u8 },
+    /// Take `row`'s install latch and never release it, as a committer
+    /// stalled before its install: the word carries PENDING over the old
+    /// timestamp and the in-place value stays the old version. Later
+    /// commits leave the row alone.
+    Latch { row: u32 },
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -50,6 +57,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             6 => proptest::collection::vec(0..ROWS, 1..4).prop_map(|rows| Op::Commit { rows }),
             1 => Just(Op::Freeze),
             1 => (0..=100u8).prop_map(|horizon_percent| Op::Gc { horizon_percent }),
+            1 => (0..ROWS).prop_map(|row| Op::Latch { row }),
         ],
         1..80,
     )
@@ -60,7 +68,8 @@ proptest! {
 
     /// Reads and scans agree with the oracle at every historical timestamp
     /// that retention still guarantees (after GC at horizon H, only
-    /// timestamps >= H are probed).
+    /// timestamps >= H are probed), and every block gather equals the
+    /// row-by-row reads it brackets.
     #[test]
     fn versioned_column_matches_oracle(ops in ops()) {
         let kernel = Kernel::default();
@@ -71,7 +80,7 @@ proptest! {
         let mut oracle = Oracle::new(ROWS);
         let mut ts = 0u64;
         let mut safe_horizon = 0u64; // oldest ts reads are still guaranteed
-        let mut last_freeze = 0u64;
+        let mut latched = BTreeSet::new();
 
         for op in &ops {
             match op {
@@ -82,6 +91,7 @@ proptest! {
                     let mut unique: Vec<u32> = rows.clone();
                     unique.sort_unstable();
                     unique.dedup();
+                    unique.retain(|row| !latched.contains(row));
                     for row in unique {
                         let value = ts * 1000 + row as u64;
                         vc.install(&area, row, value, ts).unwrap();
@@ -90,13 +100,17 @@ proptest! {
                 }
                 Op::Freeze => {
                     vc.freeze_epoch(ts);
-                    last_freeze = ts;
                 }
                 Op::Gc { horizon_percent } => {
                     let horizon = ts * (*horizon_percent as u64) / 100;
                     vc.gc(horizon);
                     vc.release_frozen(horizon);
                     safe_horizon = safe_horizon.max(horizon);
+                }
+                Op::Latch { row } => {
+                    if latched.insert(*row) {
+                        vc.lock_row(&area, *row).unwrap();
+                    }
                 }
             }
         }
@@ -109,14 +123,25 @@ proptest! {
                     "row {} at ts {}", row, probe_ts);
             }
         }
-        // A full scan at "now" and at the last freeze point (both safe).
-        for probe_ts in [ts, last_freeze.max(safe_horizon)] {
+        // A full scan, and each block's gather, at every retained
+        // timestamp: readers older than a freeze and readers past it.
+        let mut buf = vec![0u64; BLOCK_ROWS as usize];
+        for probe_ts in safe_horizon..=ts {
             let mut stats = ScanStats::default();
             let mut got = Vec::with_capacity(ROWS as usize);
             vc.scan_visible(&area, probe_ts, |_, v| got.push(v), &mut stats).unwrap();
             for (row, &v) in got.iter().enumerate() {
                 prop_assert_eq!(v, oracle.visible(row as u32, probe_ts),
                     "scan row {} at ts {}", row, probe_ts);
+            }
+            for block_start in (0..ROWS).step_by(BLOCK_ROWS as usize) {
+                let n = BLOCK_ROWS.min(ROWS - block_start);
+                vc.gather_visible_block(&area, probe_ts, block_start, n, &mut buf, &mut stats)
+                    .unwrap();
+                for (row, &v) in (block_start..).zip(&buf[..n as usize]) {
+                    prop_assert_eq!(v, vc.read(&area, row, probe_ts).unwrap(),
+                        "gather row {} at ts {}", row, probe_ts);
+                }
             }
         }
         // The unoptimised scan agrees with the optimised one.
