@@ -166,8 +166,6 @@ fn run_report(scale: &RunScale, prom: bool, trace: bool) {
     println!("{}", snap.render());
     for (label, name) in [
         ("pages rewired", "snapshot_pages_rewired_total"),
-        ("areas recycled", "snapshot_areas_recycled_total"),
-        ("spare areas parked", "snapshot_spare_parked_total"),
         ("epochs triggered", "db_epochs_triggered_total"),
         ("columns materialized", "db_columns_materialized_total"),
         ("epoch pins", "snapshot_epoch_pins_total"),

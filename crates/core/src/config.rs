@@ -72,8 +72,10 @@ pub struct DbConfig {
     /// thread that makes a pass over the version chains every second").
     /// `None` disables the background thread (tests drive GC manually).
     pub gc_interval: Option<Duration>,
-    /// Recycle retired snapshot areas as `vm_snapshot` destinations
-    /// (§4.1.3). Ablation knob; off by default.
+    /// Accepted and ignored: the engine never recycles retired snapshot
+    /// areas as `vm_snapshot` destinations (§4.1.3), because on the OS
+    /// backend a fresh view is the same single `mmap` a recycled one is.
+    /// Kept so configurations that set it still build.
     pub recycle_snapshot_areas: bool,
     /// Materialise *every* column at trigger time instead of lazily on
     /// first access — the "trivial way" §2.2.2 describes and rejects

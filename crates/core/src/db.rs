@@ -301,11 +301,7 @@ impl AnkerDb {
         };
         let registry = obs::Registry::new();
         let m = Arc::new(Metrics::new(&registry));
-        let snapman = SnapshotManager::new(
-            Arc::clone(&backend),
-            config.recycle_snapshot_areas,
-            Arc::clone(&m),
-        );
+        let snapman = SnapshotManager::new(Arc::clone(&backend), Arc::clone(&m));
         let inner = Arc::new(DbInner {
             kernel,
             space,
@@ -709,18 +705,18 @@ impl AnkerDb {
                 ),
                 (
                     "os_mmap_calls_total",
-                    "mmap calls issued (reservations and MAP_FIXED wirings)",
+                    "mmap calls issued: one per view mapped (each alloc, snapshot and physical copy)",
                     os.mmap_calls,
                 ),
                 ("os_munmap_calls_total", "munmap calls issued", os.munmap_calls),
                 (
                     "os_pwrite_calls_total",
-                    "pwrite calls issued: one per run of a physical copy (a snapshot of a private view); the engine issues none",
+                    "pwrite calls issued: one per physical copy (a snapshot of a private view); the engine issues none",
                     os.pwrite_calls,
                 ),
                 (
                     "os_ftruncate_calls_total",
-                    "ftruncate calls issued (memfd growth)",
+                    "ftruncate calls issued: one per memfd, sizing it (one per live column and per physical copy)",
                     os.ftruncate_calls,
                 ),
                 (
@@ -734,7 +730,7 @@ impl AnkerDb {
             }
             m.set_gauge(
                 "os_wired_runs",
-                "Runs of contiguous memfd pages wired across all live views (the backend's mappings); splits never change it",
+                "Views mapped: one mmap of one whole memfd each (the backend's mappings); splits never change it",
                 os.wired_runs as i64,
             );
         }

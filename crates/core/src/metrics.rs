@@ -38,8 +38,6 @@ pub(crate) struct Metrics {
     pub snapshot_materialize: Stage,
     pub snapshot_rewire: Stage,
     pub pages_rewired: Arc<Counter>,
-    pub areas_recycled: Arc<Counter>,
-    pub spare_parked: Arc<Counter>,
     pub epoch_pins: Arc<Counter>,
     pub epochs_pinned: Arc<Gauge>,
     // Scans (scan.rs), fed from each finished scan's `ScanStats`.
@@ -110,14 +108,6 @@ impl Metrics {
                 "snapshot_pages_rewired_total",
                 "Pages remapped by vm_snapshot when freezing a column into an epoch",
             ),
-            areas_recycled: r.counter(
-                "snapshot_areas_recycled_total",
-                "vm_snapshot calls that reused a parked destination area (§4.1.3)",
-            ),
-            spare_parked: r.counter(
-                "snapshot_spare_parked_total",
-                "Retired snapshot areas parked for vm_snapshot destination recycling",
-            ),
             epoch_pins: r.counter(
                 "snapshot_epoch_pins_total",
                 "OLAP epoch pins taken (newest-fresh and explicit pins combined)",
@@ -165,7 +155,7 @@ mod tests {
     use crate::{AnkerDb, DbConfig};
 
     /// Nothing has to run for a metric to be listed — not even the stages
-    /// only a durable or recycling configuration ever reaches.
+    /// only a durable configuration ever reaches.
     #[test]
     fn every_metric_exists_from_boot() {
         let db = AnkerDb::new(DbConfig::default().with_gc_interval(None));
@@ -174,7 +164,7 @@ mod tests {
             "commit_stage_fsync_ns",
             "commit_total_ns",
             "snapshot_rewire_ns",
-            "snapshot_areas_recycled_total",
+            "snapshot_pages_rewired_total",
             "snapshot_epochs_pinned",
             "db_committed_total",
             "kernel_virtual_ns",

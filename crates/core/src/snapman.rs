@@ -33,7 +33,6 @@ use anker_storage::{ColumnArea, LogicalType, ZoneMap};
 use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
 use anker_vmem::VmBackend;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,16 +40,13 @@ use std::sync::Arc;
 /// `vm_snapshot` view of its live area — shared by every epoch it serves.
 /// It lives exactly as long as its last handle: an epoch, the commit
 /// section's newest-image slot, or a reader's cache. Dropping the last one
-/// unmaps the view at once, or parks it for destination recycling.
+/// unmaps the view at once.
 pub(crate) struct SnapCol {
     area: ColumnArea,
     /// The column's [`ColumnState::last_mutation`] when the image was
     /// frozen. While the column's value still equals it, no write has
     /// landed since, and the image can serve a later epoch as is.
     as_of_mutation: u64,
-    /// When recycling is on, dropping the image parks its area for reuse
-    /// instead of unmapping it.
-    spare: Option<Arc<SpareAreas>>,
 }
 
 impl SnapCol {
@@ -65,13 +61,12 @@ impl SnapCol {
     #[inline]
     pub fn words(&self) -> Option<&[u64]> {
         // SAFETY(provenance: self, area): the slice borrows `self`, and a
-        // live `SnapCol` owns its area — the area is unmapped or parked for
-        // recycling only in `SnapCol::drop`, so it stays mapped and
-        // unrecycled for the borrow. The engine never writes a frozen image
-        // (installs go to the live area), so its bytes never change; on the
-        // OS backend a write to the live area may move the image's
-        // page-table entry onto a private copy of the page first, which
-        // holds the same bytes.
+        // live `SnapCol` owns its area — the area is unmapped only in
+        // `SnapCol::drop`, so it stays mapped for the borrow. The engine
+        // never writes a frozen image (installs go to the live area), so
+        // its bytes never change; on the OS backend a write to the live
+        // area may move the image's page-table entry onto a private copy
+        // of the page first, which holds the same bytes.
         unsafe { self.area.as_slice() }
     }
 
@@ -94,39 +89,9 @@ impl SnapCol {
 
 impl Drop for SnapCol {
     fn drop(&mut self) {
-        match &self.spare {
-            Some(spare) => spare.park(self.area.clone()),
-            // Unmapping can only fail on address errors, which would be an
-            // internal bug; areas are never partially unmapped.
-            None => {
-                let _ = self.area.clone().unmap();
-            }
-        }
-    }
-}
-
-/// Parking lot of still-mapped, dropped snapshot areas for `vm_snapshot`
-/// destination recycling (§4.1.3), keyed by mapped size. Only
-/// [`SnapCol::drop`] parks an area, so nobody can still read a parked one
-/// and any of them may be overwritten in place.
-pub(crate) struct SpareAreas {
-    by_size: Mutex<FxHashMap<u64, Vec<ColumnArea>>>,
-    m: Arc<Metrics>,
-}
-
-impl SpareAreas {
-    fn park(&self, area: ColumnArea) {
-        self.m.spare_parked.inc();
-        self.by_size
-            .lock()
-            .entry(area.mapped_bytes())
-            .or_default()
-            .push(area);
-    }
-
-    /// Take a parked area of `bytes`.
-    fn take(&self, bytes: u64) -> Option<ColumnArea> {
-        self.by_size.lock().get_mut(&bytes)?.pop()
+        // Unmapping can only fail on address errors, which would be an
+        // internal bug; areas are never partially unmapped.
+        let _ = self.area.clone().unmap();
     }
 }
 
@@ -172,22 +137,15 @@ pub(crate) struct SnapshotManager {
     /// mirror for the commit path's fast-path check
     /// ([`SnapshotManager::write_is_settled`]).
     newest_mark: AtomicU64,
-    spare: Option<Arc<SpareAreas>>,
     m: Arc<Metrics>,
 }
 
 impl SnapshotManager {
-    pub fn new(backend: Arc<dyn VmBackend>, recycle: bool, m: Arc<Metrics>) -> SnapshotManager {
+    pub fn new(backend: Arc<dyn VmBackend>, m: Arc<Metrics>) -> SnapshotManager {
         SnapshotManager {
             backend,
             epochs: lockcheck::Mutex::new(&classes::SNAP_EPOCHS, 0, Vec::new()),
             newest_mark: AtomicU64::new(0),
-            spare: recycle.then(|| {
-                Arc::new(SpareAreas {
-                    by_size: Mutex::default(),
-                    m: Arc::clone(&m),
-                })
-            }),
             m,
         }
     }
@@ -279,7 +237,7 @@ impl SnapshotManager {
     /// The newest epoch always stays (it serves the next OLAP arrival).
     /// The caller drops the returned epochs after releasing the list lock:
     /// dropping an epoch drops its `SnapCol` handles, and the last handle
-    /// unmaps (or parks) its area, which no pin should wait behind.
+    /// unmaps its area, which no pin should wait behind.
     #[must_use]
     fn retire_locked(&self, epochs: &mut Vec<Arc<Epoch>>) -> Vec<Arc<Epoch>> {
         let n = epochs.len();
@@ -445,27 +403,19 @@ impl SnapshotManager {
         let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
         let live = col.current_area();
         let bytes = live.mapped_bytes();
-        let dst = self.spare.as_ref().and_then(|s| s.take(bytes));
-        let recycled = dst.is_some();
         // The rewiring itself (the kernel remap) gets its own stage so the
         // report can split "vm_snapshot µs" out of the materialise total.
         let obs_rw = obs::span_begin(&self.m.snapshot_rewire);
-        let rewired = self
-            .backend
-            .vm_snapshot(dst.map(|a| a.addr()), live.addr(), bytes);
+        let rewired = self.backend.vm_snapshot(None, live.addr(), bytes);
         obs::span_end(obs_rw);
         let image_addr = rewired?;
         self.m
             .pages_rewired
             .add(bytes.div_ceil(self.backend.page_size()));
-        if recycled {
-            self.m.areas_recycled.inc();
-        }
         self.m.columns_materialized.inc();
         Ok(Arc::new(SnapCol {
             area: ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows()),
             as_of_mutation: last_mutation,
-            spare: self.spare.clone(),
         }))
     }
 }
@@ -522,11 +472,11 @@ mod tests {
     use std::sync::Arc;
 
     fn two_column_db(rows: u32) -> (AnkerDb, TableId, ColumnId, ColumnId) {
-        let mut cfg = DbConfig::heterogeneous_serializable()
-            .with_snapshot_every(1)
-            .with_gc_interval(None);
-        cfg.recycle_snapshot_areas = true;
-        let db = AnkerDb::new(cfg);
+        let db = AnkerDb::new(
+            DbConfig::heterogeneous_serializable()
+                .with_snapshot_every(1)
+                .with_gc_interval(None),
+        );
         let t = db.create_table(
             "t",
             Schema::new(vec![
@@ -544,12 +494,11 @@ mod tests {
         (db, t, a, b)
     }
 
-    /// §4.1.3 destination recycling rewires an area in place onto a
-    /// *different column's* data, so no area a live reader can still reach
-    /// may be recycled. A handle to a column's live area is such a reader:
-    /// a freeze takes a view of the live area and leaves it in place, so
-    /// only images ever park, and a handle taken before an image of the
-    /// column froze, retired and was recycled keeps reading the column.
+    /// A handle to a column's live area keeps reading the column while an
+    /// image of it freezes, retires and is unmapped, and another column
+    /// materialises: a freeze takes a view of the live area and leaves it
+    /// in place, and the engine never maps one area over another
+    /// (§4.1.3 destination recycling is off).
     #[test]
     fn a_live_area_handle_is_never_parked_or_recycled() {
         let (db, t, a, b) = two_column_db(512);
@@ -566,14 +515,13 @@ mod tests {
         o1.commit().unwrap();
 
         // A write to `b` commits: it triggers epoch E2, which retires the
-        // unpinned E1 and parks the frozen area in the recycling pool.
+        // unpinned E1 and unmaps the frozen area.
         let mut w = db.begin(TxnKind::Oltp);
         w.update_value(t, b, 0, Value::Int(200)).unwrap();
         w.commit().unwrap();
 
-        // A second OLAP transaction materialises column `b` for E2. The
-        // recycler now sees a parked area of the right size; it must not
-        // be the live area `t_stale` still reads.
+        // A second OLAP transaction materialises column `b` for E2 into a
+        // fresh view; it must not land on the live area `t_stale` reads.
         let mut o2 = db.begin(TxnKind::Olap);
         assert_eq!(o2.get_value(t, b, 0).unwrap(), Value::Int(200));
         o2.commit().unwrap();
@@ -582,22 +530,21 @@ mod tests {
         assert_eq!(
             stale_area.get(0).unwrap(),
             Value::Int(10).encode(),
-            "recycled area was overwritten under an active reader"
+            "a live area was overwritten under an active reader"
         );
         drop(t_stale);
     }
 
     /// Finding (b), closed by construction: on the OS backend a freeze
-    /// takes a `MAP_PRIVATE` view of the live column as the image and
-    /// leaves the live column in place, and a copy-on-write split is one
-    /// populate per private view. So over 2N epochs, each with writes
-    /// under a pinned reader, every live column stays the one run of file
-    /// pages `alloc` gave it, no `pwrite` is issued, `mmap` grows only by
-    /// the reservation plus one wiring of each `vm_snapshot`, and the
-    /// wired runs equal the live views — at any scale.
+    /// maps the live column's file `MAP_PRIVATE` as the image and leaves
+    /// the live column in place, and a copy-on-write split is one populate
+    /// per private view. So over 2N epochs, each with writes under a
+    /// pinned reader, no `pwrite` is issued, `mmap` grows by exactly one
+    /// per `vm_snapshot`, and the mapped views gauge equals the views
+    /// alive — at any scale.
     #[cfg(target_os = "linux")]
     #[test]
-    fn os_live_columns_stay_one_run_and_wired_runs_do_not_grow_with_epochs() {
+    fn os_views_are_one_mmap_each_and_do_not_grow_with_epochs() {
         use crate::config::BackendKind;
         const PAGES: u32 = 128;
         const WRITES_PER_EPOCH: u32 = 4;
@@ -623,17 +570,12 @@ mod tests {
                 .unwrap();
         }
         let state = db.table_state(t);
-        let runs_of = |c: ColumnId| {
-            let area = state.col(c.0).current_area();
-            let pages = area.backend().file_pages(area.addr()).expect("OS area");
-            1 + pages.windows(2).filter(|w| w[1] != w[0] + 1).count()
-        };
         let stat = |name: &str| db.metrics().counter(name).unwrap();
         let wired = || db.metrics().gauge("os_wired_runs").unwrap() as u64;
         let vals_per_page = state.col(0).current_area().vals_per_page();
         let n_pages = rows.div_ceil(vals_per_page);
-        // Every view so far is an allocated, one-run area; from here a view
-        // is added per `vm_snapshot` and removed per `munmap`.
+        // Every view so far is an allocated area; from here a view is added
+        // per `vm_snapshot` and removed per `munmap`.
         let views_at_start = wired();
         let (snaps_at_start, munmaps_at_start) =
             (stat("os_snapshots_total"), stat("os_munmap_calls_total"));
@@ -668,23 +610,20 @@ mod tests {
             }
             drop(reader);
             db.run_gc_once();
-            for c in cols {
-                assert_eq!(runs_of(c), 1, "epoch {epoch}: the live column fragmented");
-            }
             assert_eq!(stat("os_pwrite_calls_total"), 0, "epoch {epoch}");
             assert_eq!(
                 stat("os_mmap_calls_total") - mmaps,
-                2 * (stat("os_snapshots_total") - snaps),
-                "epoch {epoch}: mmap beyond one reservation and one wiring per vm_snapshot"
+                stat("os_snapshots_total") - snaps,
+                "epoch {epoch}: mmap beyond one per vm_snapshot"
             );
             let views = views_at_start + (stat("os_snapshots_total") - snaps_at_start)
                 - (stat("os_munmap_calls_total") - munmaps_at_start);
-            assert_eq!(wired(), views, "epoch {epoch}: a view is more than one run");
+            assert_eq!(wired(), views, "epoch {epoch}: the gauge is not the views");
             if epoch + 1 == N {
                 wired_at_n = Some(wired());
             }
             if epoch + 1 == 2 * N {
-                assert_eq!(Some(wired()), wired_at_n, "wired runs grew with the epochs");
+                assert_eq!(Some(wired()), wired_at_n, "the views grew with the epochs");
             }
         }
     }

@@ -459,8 +459,7 @@ fn homogeneous_gc_collects_versions() {
 
 #[test]
 fn snapshot_area_recycling_ablation() {
-    let mut cfg = DbConfig::heterogeneous_serializable().with_snapshot_every(1);
-    cfg.recycle_snapshot_areas = true;
+    let cfg = DbConfig::heterogeneous_serializable().with_snapshot_every(1);
     let (db, t, a, _) = small_db(cfg);
     for i in 0..30 {
         let mut w = db.begin(TxnKind::Oltp);
@@ -470,7 +469,7 @@ fn snapshot_area_recycling_ablation() {
         let _ = olap.get(t, a, 0).unwrap();
         olap.commit().unwrap();
     }
-    // Behaviour is identical; areas are recycled internally.
+    // Every epoch freezes a fresh view and unmaps the retired ones.
     let mut r = db.begin(TxnKind::Oltp);
     assert_eq!(r.get(t, a, 0).unwrap(), 1);
     r.commit().unwrap();
@@ -808,17 +807,16 @@ fn projection_columns_keep_full_column_locks() {
 }
 
 /// The OS backend (real memfd + mmap memory) must run the whole engine:
-/// MVCC visibility, snapshot epochs with zero-copy slice scans, and
-/// destination recycling — same assertions as on the simulated kernel.
+/// MVCC visibility and snapshot epochs with zero-copy slice scans — same
+/// assertions as on the simulated kernel.
 #[cfg(target_os = "linux")]
 #[test]
 fn os_backend_runs_the_full_engine() {
     use anker_core::BackendKind;
-    let mut cfg = DbConfig::heterogeneous_serializable()
+    let cfg = DbConfig::heterogeneous_serializable()
         .with_snapshot_every(4)
         .with_gc_interval(None)
         .with_backend(BackendKind::Os);
-    cfg.recycle_snapshot_areas = true;
     let (db, t, a, b) = small_db(cfg);
 
     // An old OLTP reader pins its snapshot across OLAP-driven swaps.
@@ -826,7 +824,7 @@ fn os_backend_runs_the_full_engine() {
     assert_eq!(old_reader.get(t, a, 5).unwrap(), 5);
 
     // Interleave writes and OLAP scans across several epochs so areas
-    // freeze, retire, and recycle on real memory.
+    // freeze and retire on real memory.
     for round in 0..6u64 {
         for i in 0..8u32 {
             let mut w = db.begin(TxnKind::Oltp);

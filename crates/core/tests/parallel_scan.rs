@@ -101,19 +101,15 @@ fn reader_pins_a_consistent_epoch_across_commits() {
     }
 }
 
-/// A `SnapshotReader` held across snapshot refreshes **and**
-/// `SpareAreas::take` destination-recycling cycles must keep reading its
-/// original epoch bit-for-bit. Its pin keeps the epoch, and the epoch keeps
-/// a handle to each of its images, so none of them parks while the reader
-/// lives; were one parked, recycling would rewire it in place onto another
-/// column's data while the reader still scanned it.
+/// A `SnapshotReader` held across snapshot refreshes, each retiring
+/// images and freezing new ones, must keep reading its original epoch
+/// bit-for-bit. Its pin keeps the epoch, and the epoch keeps a handle to
+/// each of its images, so none of them is unmapped while the reader lives.
 #[test]
 fn reader_survives_snapshot_refresh_and_recycling_cycles() {
     for backend in backends() {
         let rows = 2048u32;
-        let mut cfg = hetero(backend);
-        cfg.recycle_snapshot_areas = true;
-        let db = AnkerDb::new(cfg);
+        let db = AnkerDb::new(hetero(backend));
         let t = db.create_table(
             "t",
             Schema::new(vec![
@@ -130,8 +126,7 @@ fn reader_survives_snapshot_refresh_and_recycling_cycles() {
             .unwrap();
 
         // A full snapshot generation cycle *before* the reader exists, so
-        // the recycling pool holds images nobody holds any more (those are
-        // legitimately recyclable).
+        // images nobody holds any more are unmapped while it lives.
         let mut o = db.begin(TxnKind::Olap);
         o.get(t, a, 0).unwrap();
         o.get(t, b, 0).unwrap();
@@ -147,9 +142,8 @@ fn reader_survives_snapshot_refresh_and_recycling_cycles() {
         let expect_b: Vec<u64> = (0..rows).map(|r| reader.get(t, b, r).unwrap()).collect();
 
         // Churn: writes + fresh OLAP transactions force snapshot
-        // refreshes; each refresh parks the previous frozen areas, and
-        // each materialisation asks the recycler for a destination —
-        // `SpareAreas::take` cycles while the reader lives.
+        // refreshes; each refresh retires the previous frozen areas, and
+        // each materialisation maps a fresh view while the reader lives.
         for round in 0..8i64 {
             let mut w = db.begin(TxnKind::Oltp);
             w.update_value(t, a, 3, Value::Int(10_000 + round)).unwrap();

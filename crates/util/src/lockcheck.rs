@@ -50,7 +50,7 @@ pub struct LockClass {
 /// The witnessed lock classes, mirroring `LOCKS.toml` (checked against it
 /// by `anker-lint`). Leaf locks — ones that never acquire another
 /// witnessed lock while held (stats, pools, background-thread stop flags,
-/// chain-store shards, the spare-area pool) — are deliberately absent.
+/// chain-store shards) — are deliberately absent.
 pub mod classes {
     use super::LockClass;
 

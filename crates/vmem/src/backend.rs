@@ -9,13 +9,13 @@
 //! * the **simulated kernel** ([`crate::Space`]) — faithful page tables,
 //!   VMAs, and a calibrated virtual clock, used for the paper's Table 1 /
 //!   Figure 5 cost reproductions, and
-//! * the **real-OS backend** ([`crate::OsBackend`], Linux) — column areas
-//!   over `memfd_create` + `mmap(MAP_SHARED)` pages, where a snapshot is a
-//!   second shared view of the same file pages and copy-on-write is
-//!   performed *by the engine* on first write to a frozen page (RUMA-style
-//!   rewiring, paper §3.2.3). Because every write already flows through
-//!   the engine's serialized write path, no `mprotect`/SIGSEGV machinery
-//!   is needed.
+//! * the **real-OS backend** ([`crate::OsBackend`], Linux) — each column
+//!   area is a memfd of its own mapped `MAP_SHARED`, a snapshot is a
+//!   `MAP_PRIVATE` view of the same file, and before the first write to a
+//!   frozen page the backend has the kernel copy it into every view still
+//!   reading it (RUMA-style rewiring, paper §3.2.3). Because every write
+//!   already flows through the engine's serialized write path, no
+//!   `mprotect`/SIGSEGV machinery is needed.
 //!
 //! Both backends promise the same observable semantics, checked by the
 //! `backend_semantics` and `backend_equiv` test suites: after
@@ -85,15 +85,6 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// one. `None` on simulated backends — callers use this to surface OS
     /// counters in bench records without downcasting.
     fn os_stats(&self) -> Option<crate::os::OsStatsSnapshot> {
-        None
-    }
-
-    /// The file page behind each page of the area based at `addr`, when
-    /// this backend maps areas onto a file (the OS backend) — a
-    /// diagnostic for refcount and fragmentation checks. `None` on
-    /// simulated backends and for addresses that start no area.
-    fn file_pages(&self, addr: u64) -> Option<Vec<u64>> {
-        let _ = addr;
         None
     }
 

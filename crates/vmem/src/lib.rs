@@ -32,9 +32,10 @@
 //!
 //! Since the backend split, the crate also hosts the engine-facing
 //! [`VmBackend`] trait and a second implementation of it: [`OsBackend`]
-//! (Linux), which maps column areas over real `memfd_create` +
-//! `mmap(MAP_SHARED)` memory and performs RUMA-style rewiring with
-//! engine-mediated copy-on-write — snapshots at actual hardware speed.
+//! (Linux), which maps each column area over a real memfd of its own
+//! (`MAP_SHARED`), cuts snapshots as `MAP_PRIVATE` views of the same file,
+//! and has the kernel copy a page into those views before the engine's
+//! first write to it — snapshots at actual hardware speed.
 //! The simulated [`Space`] implements the same trait and remains the
 //! default substrate.
 //!

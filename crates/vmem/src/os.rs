@@ -1,29 +1,28 @@
-//! Real-OS memory backend: column areas over `memfd_create` pages, with
-//! snapshot views that the kernel copies on write.
+//! Real-OS memory backend: one main-memory file (a memfd) per column,
+//! with snapshot views that the kernel copies on write.
 //!
 //! This is the paper's RUMA-style *rewiring* (§3.2.3) brought to real
-//! memory without a patched kernel:
+//! memory without a patched kernel, with the kernel keeping every page:
 //!
-//! * All column data lives in one anonymous main-memory file (a memfd).
-//!   An **area** is a virtually contiguous view whose pages each map some
-//!   file page; a per-area table records which.
-//! * An allocated area is a `MAP_SHARED` view: the **live** view of a
-//!   column, the one every store goes to. Its page list is the one
-//!   `alloc` gave it and never changes.
+//! * An allocated area is the **live** view of a column, the one every
+//!   store goes to: a memfd of its own, `ftruncate`d to the area's size
+//!   and mapped whole `MAP_SHARED` — one `memfd_create`, one `ftruncate`
+//!   and one `mmap`. A fresh file reads zero.
 //! * [`VmBackend::vm_snapshot`](crate::VmBackend::vm_snapshot) of a live
-//!   view never copies data: the snapshot is a new **`MAP_PRIVATE`** view
-//!   over the *same* file pages (one `mmap` per run of contiguous file
-//!   pages), and every page of the live view is marked **frozen**. The
-//!   live view's page tables are then dropped (`MADV_DONTNEED`, which on
-//!   a shared memfd mapping keeps the data), so a page read through both
-//!   views is not resident twice in the process's accounting.
+//!   view never copies data: the snapshot is one **`MAP_PRIVATE`** `mmap`
+//!   of the same file, and every page of the live view is marked
+//!   **frozen**. The live view's page tables are then dropped
+//!   (`MADV_DONTNEED`, which on a shared memfd mapping keeps the data), so
+//!   a page read through both views is not resident twice in the
+//!   process's accounting. A recycled destination (`Some(d)`) is the same
+//!   `mmap` with `MAP_FIXED` over `d`.
 //! * A private view reads the file page until it holds its own copy. So
 //!   before the first store to a frozen page of the live view, the
 //!   backend makes every private view of that page that still reads
 //!   through take its copy: one `madvise(MADV_POPULATE_WRITE)` per such
 //!   view, which makes the kernel copy the page into the view's private
-//!   memory and changes no byte. Only then does the store land. No file
-//!   page is allocated, nothing is rewired, and no view ever fragments.
+//!   memory and changes no byte. Only then does the store land. Nothing
+//!   is mapped, allocated or rewired by a split.
 //!   Because every store flows through
 //!   [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
 //!   [`write_words`](crate::VmBackend::write_words) (the engine's
@@ -35,21 +34,24 @@
 //!   atomically, and a racing reader loads the same bytes from the old
 //!   page or the new one.
 //! * The private views that may still read a live view's pages are found
-//!   through its `vm_snapshot` **lineage**: the allocated area plus every
-//!   private view cut from it (a recycled destination joins its source's
-//!   lineage). A frozen page no private view still reads through is made
-//!   writable in place instead.
+//!   through its file's **lineage**: every view that maps the file. A
+//!   frozen page no private view still reads through is made writable in
+//!   place instead.
 //! * A store to a private view is plain kernel copy-on-write. A snapshot
-//!   whose *source* is a private view is a physical copy into fresh file
-//!   pages, which becomes a new live view; the engine never takes this
-//!   path.
+//!   whose *source* is a private view is a physical copy — a new file,
+//!   one `pwrite` of the view and one `mmap` — which becomes a new live
+//!   view; the engine never takes this path.
 //!
-//! Released file pages go to a free list and are handed out again by
-//! later allocations (zeroed) and physical copies (fully overwritten).
-//! The private copies are anonymous memory, freed when their view is
-//! unmapped. [`OsStats`] counts every `mmap`/`munmap`/`pwrite`/
-//! `ftruncate`/`madvise` the backend issues and gauges the live wired
-//! runs.
+//! Every view holds its file. The descriptor closes when the last view
+//! mapping the file is released, and the kernel frees the file's pages
+//! once no mapping of them is left; the private copies are anonymous
+//! memory, freed when their view is unmapped. So the backend holds one
+//! descriptor per live column, plus one per physical copy. Past the
+//! process's `RLIMIT_NOFILE` an allocation fails with
+//! `VmError::Os { call: "memfd_create", errno: EMFILE }`, as it fails on
+//! `ENOMEM`; the backend never raises the limit. [`OsStats`] counts every
+//! `mmap`/`munmap`/`pwrite`/`ftruncate`/`madvise` the backend issues and
+//! gauges the views mapped.
 //!
 //! The backend needs `MADV_POPULATE_WRITE` (Linux ≥ 5.14);
 //! [`OsBackend::new`] fails with a typed error on older kernels. Everything
@@ -61,6 +63,8 @@ use crate::error::{Result, VmError};
 use parking_lot::RwLock;
 #[cfg(target_os = "linux")]
 use std::collections::BTreeMap;
+#[cfg(target_os = "linux")]
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::atomic::AtomicU64;
 #[cfg(target_os = "linux")]
 use std::sync::atomic::Ordering;
@@ -73,11 +77,9 @@ mod ffi {
 
     pub const PROT_READ: i32 = 0x1;
     pub const PROT_WRITE: i32 = 0x2;
-    pub const PROT_NONE: i32 = 0x0;
     pub const MAP_SHARED: i32 = 0x01;
     pub const MAP_PRIVATE: i32 = 0x02;
     pub const MAP_FIXED: i32 = 0x10;
-    pub const MAP_ANONYMOUS: i32 = 0x20;
     pub const MFD_CLOEXEC: u32 = 0x1;
     /// `_SC_PAGESIZE` on Linux.
     pub const SC_PAGESIZE: i32 = 30;
@@ -110,7 +112,6 @@ mod ffi {
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         pub fn pwrite(fd: i32, buf: *const c_void, count: usize, offset: i64) -> isize;
         pub fn ftruncate(fd: i32, length: i64) -> i32;
-        pub fn close(fd: i32) -> i32;
         pub fn memfd_create(name: *const c_char, flags: u32) -> i32;
         pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
         pub fn sysconf(name: i32) -> i64;
@@ -132,106 +133,56 @@ fn os_err(call: &'static str) -> VmError {
     }
 }
 
-/// One mapped view: `bytes / page_size` virtually contiguous pages, each
-/// wired onto some file page of the shared memfd.
+/// One mapped view: a whole memfd, mapped from offset 0.
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 struct Area {
     bytes: u64,
-    /// File page (index into the memfd) backing each view page.
-    pages: Vec<u64>,
-    /// `MAP_PRIVATE` snapshot view (else the lineage's `MAP_SHARED` live
+    /// The file the view maps; it stays open while any view maps it.
+    file: Arc<OwnedFd>,
+    /// `MAP_PRIVATE` snapshot view (else the file's `MAP_SHARED` live
     /// view).
     private: bool,
     /// Per page, by kind. On the live view: some private view of the
-    /// lineage may still read the page through, so a store must have them
+    /// file may still read the page through, so a store must have them
     /// copy it first. On a private view: the page is not privatized yet —
     /// the view still reads the file page, and has not copied it.
     frozen: Vec<bool>,
-    /// The `vm_snapshot` lineage this view belongs to (a key of
-    /// [`MapState::lineages`]).
-    lineage: u64,
-}
-
-/// Maximal runs of contiguous file pages in `pages`: the `mmap` calls that
-/// wire them, and (the kernel merges file-contiguous neighbours) the VMAs
-/// they occupy.
-#[cfg(target_os = "linux")]
-fn runs(pages: &[u64]) -> u64 {
-    run_ranges(pages).count() as u64
-}
-
-/// [`runs`], as index ranges into `pages`.
-#[cfg(target_os = "linux")]
-fn run_ranges(pages: &[u64]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-    let mut i = 0usize;
-    std::iter::from_fn(move || {
-        if i == pages.len() {
-            return None;
-        }
-        let start = i;
-        i += 1;
-        while i < pages.len() && pages[i] == pages[i - 1] + 1 {
-            i += 1;
-        }
-        Some(start..i)
-    })
-}
-
-/// File-page allocator state of the shared memfd.
-#[cfg(target_os = "linux")]
-#[derive(Debug, Default)]
-struct FilePages {
-    /// High-water mark, in pages.
-    next: u64,
-    /// `ftruncate`d size, in pages (grown geometrically).
-    committed: u64,
-    /// Released pages available for reuse.
-    free: Vec<u64>,
-    /// Per-file-page view reference count (index = file page).
-    refs: Vec<u32>,
 }
 
 #[cfg(target_os = "linux")]
 #[derive(Debug, Default)]
 struct MapState {
     areas: BTreeMap<u64, Area>,
-    file: FilePages,
-    /// Member bases of every `vm_snapshot` lineage: at most one live view
-    /// and the private views cut from it, which map its file pages at the
-    /// same indices. A store to the live view looks for the private views
-    /// it must copy for here instead of scanning every area.
-    lineages: BTreeMap<u64, Vec<u64>>,
-    /// Id of the next lineage an `alloc` founds.
-    next_lineage: u64,
+    /// Member bases of every open file's lineage, keyed by its
+    /// descriptor: at most one live view and the private views cut from
+    /// it. A store to the live view looks for the private views it must
+    /// copy for here instead of scanning every area.
+    lineages: BTreeMap<i32, Vec<u64>>,
 }
 
 #[cfg(target_os = "linux")]
 impl MapState {
-    /// Table `area` at `base` and enrol it in its lineage.
+    /// Table `area` at `base` and enrol it in its file's lineage.
     fn insert_area(&mut self, base: u64, area: Area) {
-        self.lineages.entry(area.lineage).or_default().push(base);
+        self.lineages
+            .entry(area.file.as_raw_fd())
+            .or_default()
+            .push(base);
         self.areas.insert(base, area);
     }
 
-    /// Remove the area at `base` from the table and its lineage.
+    /// Remove the area at `base` from the table and its lineage. Dropping
+    /// the returned area closes its file if no other view maps it.
     fn remove_area(&mut self, base: u64) -> Option<Area> {
         let area = self.areas.remove(&base)?;
-        let members = self
-            .lineages
-            .get_mut(&area.lineage)
-            .expect("lineage exists");
+        let fd = area.file.as_raw_fd();
+        let members = self.lineages.get_mut(&fd).expect("lineage exists");
         members.retain(|&b| b != base);
         if members.is_empty() {
-            self.lineages.remove(&area.lineage);
+            self.lineages.remove(&fd);
         }
         Some(area)
-    }
-
-    /// A fresh lineage id, for an area that shares no page with any other.
-    fn found_lineage(&mut self) -> u64 {
-        self.next_lineage += 1;
-        self.next_lineage
     }
 }
 
@@ -260,18 +211,18 @@ pub struct OsStats {
     pub huge_page_advices: AtomicU64,
     /// `madvise(MADV_SEQUENTIAL)` calls issued by scans.
     pub sequential_advices: AtomicU64,
-    /// `mmap` calls issued: address-space reservations and `MAP_FIXED`
-    /// wirings alike.
+    /// `mmap` calls issued: one per view mapped, fresh or `MAP_FIXED`
+    /// over a recycled destination.
     pub mmap_calls: AtomicU64,
     /// `munmap` calls issued.
     pub munmap_calls: AtomicU64,
-    /// `pwrite` calls issued: one per run of a physical copy (a snapshot
-    /// whose source is a private view). The engine never issues one.
+    /// `pwrite` calls issued: one per physical copy (a snapshot whose
+    /// source is a private view). The engine never issues one.
     pub pwrite_calls: AtomicU64,
-    /// `ftruncate` calls issued (memfd growth).
+    /// `ftruncate` calls issued: one per file, sizing it.
     pub ftruncate_calls: AtomicU64,
-    /// Gauge: runs of contiguous file pages wired across all live views,
-    /// i.e. the mappings the backend currently holds.
+    /// Gauge: the views mapped, i.e. the mappings the backend currently
+    /// holds (each view is one `mmap` of one whole file).
     pub wired_runs: AtomicU64,
 }
 
@@ -330,23 +281,21 @@ pub struct OsStatsSnapshot {
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 struct OsInner {
-    fd: i32,
     page_size: u64,
-    /// Advise every (re)wired range `MADV_HUGEPAGE` so the kernel may
-    /// collapse it into transparent huge pages (fewer TLB misses on big
-    /// column scans). Off by default; see [`OsBackend::with_huge_pages`].
+    /// Advise every mapped view `MADV_HUGEPAGE` so the kernel may collapse
+    /// it into transparent huge pages (fewer TLB misses on big column
+    /// scans). Off by default; see [`OsBackend::with_huge_pages`].
     huge_pages: bool,
     state: RwLock<MapState>,
     stats: OsStats,
-    /// Test hook: how many more `MAP_FIXED` wirings, `pwrite`s and
-    /// populates may run before every further one fails (`u64::MAX` =
-    /// never).
+    /// Test hook: how many more `mmap`s, `pwrite`s and populates may run
+    /// before every further one fails (`u64::MAX` = never).
     #[cfg(test)]
     calls_before_failure: AtomicU64,
 }
 
 /// Handle to the real-OS memory backend. Cheap to clone; all clones share
-/// one memfd and one area table. See the module docs for the design.
+/// one area table. See the module docs for the design.
 #[cfg(target_os = "linux")]
 #[derive(Debug, Clone)]
 pub struct OsBackend {
@@ -363,19 +312,19 @@ pub struct OsBackend {
 
 #[cfg(target_os = "linux")]
 impl OsBackend {
-    /// Create a backend over a fresh memfd. Fails with [`VmError::Os`]
-    /// when the kernel refuses: `memfd_create` needs Linux ≥ 3.17, and
+    /// Create a backend. Fails with [`VmError::Os`] when the kernel lacks
     /// `madvise(MADV_POPULATE_WRITE)` — the copy-on-write of snapshot
-    /// views — Linux ≥ 5.14 (`call: "madvise"`, `errno` `EINVAL`).
+    /// views — which needs Linux ≥ 5.14 (`call: "madvise"`, `errno`
+    /// `EINVAL`).
     pub fn new() -> Result<OsBackend> {
         Self::with_huge_pages(false)
     }
 
     /// Like [`OsBackend::new`], with the transparent-huge-pages knob: when
-    /// `huge_pages` is true, every mapped (and rewired) view range is
-    /// advised `MADV_HUGEPAGE`, and [`OsStats::huge_page_advices`] counts
-    /// the hints issued. Whether the kernel honours them depends on the
-    /// system's shmem THP policy; the hint itself is free.
+    /// `huge_pages` is true, every mapped view is advised `MADV_HUGEPAGE`,
+    /// and [`OsStats::huge_page_advices`] counts the hints issued. Whether
+    /// the kernel honours them depends on the system's shmem THP policy;
+    /// the hint itself is free.
     pub fn with_huge_pages(huge_pages: bool) -> Result<OsBackend> {
         // A zero-length madvise validates the advice and touches nothing:
         // kernels without MADV_POPULATE_WRITE answer EINVAL. Not counted
@@ -385,23 +334,13 @@ impl OsBackend {
         if unsafe { ffi::madvise(std::ptr::null_mut(), 0, ffi::MADV_POPULATE_WRITE) } != 0 {
             return Err(os_err("madvise"));
         }
-        // SAFETY(provenance: memfd_create): plain syscall; the name is a
-        // valid NUL-terminated C string literal.
-        let fd = unsafe { ffi::memfd_create(c"ankerdb-columns".as_ptr(), ffi::MFD_CLOEXEC) };
-        if fd < 0 {
-            return Err(os_err("memfd_create"));
-        }
         // SAFETY(provenance: sysconf): the syscall reads no caller memory.
         let ps = unsafe { ffi::sysconf(ffi::SC_PAGESIZE) };
         if ps <= 0 || !(ps as u64).is_power_of_two() {
-            // SAFETY(provenance: fd): the descriptor was just opened by us
-            // and nothing else has seen it.
-            unsafe { ffi::close(fd) };
             return Err(VmError::InvalidArgument("unusable system page size"));
         }
         Ok(OsBackend {
             inner: Arc::new(OsInner {
-                fd,
                 page_size: ps as u64,
                 huge_pages,
                 state: RwLock::new(MapState::default()),
@@ -415,14 +354,6 @@ impl OsBackend {
     /// Count one issued syscall (or event) on `counter`.
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Move the wired-runs gauge from `before` to `after` runs.
-    fn adjust_runs(&self, before: u64, after: u64) {
-        // Add first: the gauge never dips below its true value.
-        let g = &self.inner.stats.wired_runs;
-        g.fetch_add(after, Ordering::Relaxed);
-        g.fetch_sub(before, Ordering::Relaxed);
     }
 
     /// Fail the fallible `call` about to be issued when the test hook says
@@ -448,10 +379,14 @@ impl OsBackend {
         &self.inner.stats
     }
 
-    /// Number of file pages currently referenced by at least one view.
+    /// Pages of the open files: the size of every file some view still
+    /// maps, counted once however many views map it.
     pub fn file_pages_in_use(&self) -> u64 {
         let st = self.inner.state.read();
-        st.file.next - st.file.free.len() as u64
+        st.lineages
+            .values()
+            .map(|views| st.areas[&views[0]].bytes / self.inner.page_size)
+            .sum()
     }
 
     fn check_aligned(&self, v: u64) -> Result<()> {
@@ -462,112 +397,83 @@ impl OsBackend {
         }
     }
 
-    /// Take one file page (free-list first), growing the memfd as needed.
-    /// Returns `(file_page, recycled)` — a recycled page holds stale data
-    /// the caller must overwrite or zero.
-    fn take_file_page(&self, file: &mut FilePages) -> Result<(u64, bool)> {
-        if let Some(fp) = file.free.pop() {
-            debug_assert_eq!(file.refs[fp as usize], 0);
-            file.refs[fp as usize] = 1;
-            return Ok((fp, true));
+    /// A new memfd of `bytes`, reading zero. On failure no descriptor
+    /// stays open.
+    fn create_file(&self, bytes: u64) -> Result<Arc<OwnedFd>> {
+        // SAFETY(provenance: memfd_create): plain syscall; the name is a
+        // valid NUL-terminated C string literal.
+        let fd = unsafe { ffi::memfd_create(c"ankerdb-column".as_ptr(), ffi::MFD_CLOEXEC) };
+        if fd < 0 {
+            return Err(os_err("memfd_create"));
         }
-        let fp = file.next;
-        file.next += 1;
-        if file.next > file.committed {
-            let grown = file.next.max(file.committed * 2).max(64);
-            Self::bump(&self.inner.stats.ftruncate_calls);
-            // SAFETY(provenance: fd, bounds: grown): fd is our memfd and
-            // growing it never invalidates existing mappings.
-            let rc =
-                unsafe { ffi::ftruncate(self.inner.fd, (grown * self.inner.page_size) as i64) };
-            if rc != 0 {
-                file.next -= 1;
-                return Err(os_err("ftruncate"));
-            }
-            file.committed = grown;
+        // SAFETY(provenance: fd): memfd_create just opened the descriptor
+        // and nothing else owns it.
+        let file = unsafe { OwnedFd::from_raw_fd(fd) };
+        Self::bump(&self.inner.stats.ftruncate_calls);
+        // SAFETY(provenance: file, bounds: bytes): sizing our own fresh
+        // memfd, which no view maps yet.
+        if unsafe { ffi::ftruncate(file.as_raw_fd(), bytes as i64) } != 0 {
+            return Err(os_err("ftruncate"));
         }
-        if file.refs.len() <= fp as usize {
-            file.refs.resize(fp as usize + 1, 0);
-        }
-        file.refs[fp as usize] = 1;
-        Ok((fp, false))
+        Ok(Arc::new(file))
     }
 
-    /// Take `n` file pages; returns them with the indices of the recycled
-    /// ones (stale data). On failure nothing stays taken.
-    fn take_file_pages(&self, file: &mut FilePages, n: usize) -> Result<(Vec<u64>, Vec<usize>)> {
-        let mut pages = Vec::with_capacity(n);
-        let mut recycled = Vec::new();
-        for _ in 0..n {
-            match self.take_file_page(file) {
-                Ok((fp, reused)) => {
-                    if reused {
-                        recycled.push(pages.len());
-                    }
-                    pages.push(fp);
-                }
-                Err(e) => {
-                    // Give back what the loop already took, or a failed
-                    // growth (ENOSPC under a cgroup limit, say) would leak
-                    // the partial allocation for the backend's lifetime.
-                    Self::decref_file_pages(file, pages);
-                    return Err(e);
-                }
-            }
-        }
-        Ok((pages, recycled))
-    }
-
-    fn decref_file_pages(file: &mut FilePages, pages: impl IntoIterator<Item = u64>) {
-        for fp in pages {
-            let r = &mut file.refs[fp as usize];
-            debug_assert!(*r > 0, "file page {fp} double-freed");
-            *r -= 1;
-            if *r == 0 {
-                file.free.push(fp);
-            }
-        }
-    }
-
-    /// Reserve `bytes` of address space, then wire each run of contiguous
-    /// file pages into it with `MAP_FIXED` (`MAP_PRIVATE` when `private`).
-    /// Returns the base address; on failure the reservation is unmapped.
-    fn map_view(&self, pages: &[u64], private: bool) -> Result<u64> {
-        let ps = self.inner.page_size;
-        let bytes = pages.len() as u64 * ps;
+    /// Map `file` whole — `MAP_PRIVATE` when `private`, else `MAP_SHARED`
+    /// — at a kernel-chosen address (`at = None`) or `MAP_FIXED` over the
+    /// tabled view `Some(d)`, replacing it. Returns the base address.
+    fn map(&self, at: Option<u64>, file: &OwnedFd, bytes: u64, private: bool) -> Result<u64> {
+        self.injected_failure("mmap")?;
         Self::bump(&self.inner.stats.mmap_calls);
-        // SAFETY(provenance: mmap, bounds: bytes): fresh anonymous
-        // reservation at a kernel-chosen address — no existing memory is
-        // touched.
-        let base = unsafe {
+        let share = if private {
+            ffi::MAP_PRIVATE
+        } else {
+            ffi::MAP_SHARED
+        };
+        let (addr, flags) = match at {
+            Some(d) => (d as *mut _, share | ffi::MAP_FIXED),
+            None => (std::ptr::null_mut(), share),
+        };
+        // SAFETY(provenance: at, file, bounds: bytes): either a fresh
+        // mapping at a kernel-chosen address, touching no existing memory,
+        // or MAP_FIXED over one whole view this backend tabled (the
+        // caller's write lock keeps every reader out); the file is `bytes`
+        // long.
+        let p = unsafe {
             ffi::mmap(
-                std::ptr::null_mut(),
+                addr,
                 bytes as usize,
-                ffi::PROT_NONE,
-                ffi::MAP_PRIVATE | ffi::MAP_ANONYMOUS,
-                -1,
+                ffi::PROT_READ | ffi::PROT_WRITE,
+                flags,
+                file.as_raw_fd(),
                 0,
             )
         };
-        if base == ffi::map_failed() {
+        if p == ffi::map_failed() {
             return Err(os_err("mmap"));
         }
-        let base = base as u64;
-        if let Err(e) = self.wire_pages(base, pages, private) {
-            // The wiring error is the one to report.
-            let _ = self.unmap(base, bytes);
-            return Err(e);
+        if at.is_none() {
+            Self::bump(&self.inner.stats.wired_runs);
         }
-        Ok(base)
+        if self.inner.huge_pages {
+            // Each mmap replaces any previous mapping (and its advice), so
+            // every mapped view is advised here — the single point every
+            // view passes through.
+            // SAFETY(provenance: p, bounds: bytes): advising the mapping
+            // just created above; madvise on a valid range cannot corrupt
+            // anything (it is a hint).
+            unsafe { ffi::madvise(p, bytes as usize, ffi::MADV_HUGEPAGE) };
+            Self::bump(&self.inner.stats.huge_page_advices);
+        }
+        Ok(p as u64)
     }
 
-    /// `munmap` a whole view this backend created and no longer tables
-    /// (its wired runs already taken off the gauge by the caller).
+    /// `munmap` a whole view this backend mapped and no longer tables.
     fn unmap(&self, base: u64, bytes: u64) -> Result<()> {
         Self::bump(&self.inner.stats.munmap_calls);
+        self.inner.stats.wired_runs.fetch_sub(1, Ordering::Relaxed);
         // SAFETY(provenance: base, bounds: bytes): the range is one whole
-        // view (or fresh reservation) this backend mapped, out of the area
-        // table, so no safe entry point can reach it any more.
+        // view this backend mapped, out of the area table, so no safe
+        // entry point can reach it any more.
         let rc = unsafe { ffi::munmap(base as *mut _, bytes as usize) };
         if rc != 0 {
             return Err(os_err("munmap"));
@@ -575,82 +481,25 @@ impl OsBackend {
         Ok(())
     }
 
-    /// `MAP_FIXED`-wire `view[base ..]` onto the given file pages, one
-    /// `mmap` per maximal run of contiguous file pages, `MAP_PRIVATE` when
-    /// `private` and `MAP_SHARED` otherwise.
-    fn wire_pages(&self, base: u64, pages: &[u64], private: bool) -> Result<()> {
-        let ps = self.inner.page_size;
-        let share = if private {
-            ffi::MAP_PRIVATE
-        } else {
-            ffi::MAP_SHARED
-        };
-        for run in run_ranges(pages) {
-            let len = run.len() as u64 * ps;
-            self.injected_failure("mmap")?;
-            Self::bump(&self.inner.stats.mmap_calls);
-            // SAFETY(provenance: base, fd, bounds: run, ps): MAP_FIXED
-            // over address space this backend owns (either a fresh
-            // reservation or an existing view being rewired); the memfd
-            // offset is within the truncated size.
-            let p = unsafe {
-                ffi::mmap(
-                    (base + run.start as u64 * ps) as *mut _,
-                    len as usize,
-                    ffi::PROT_READ | ffi::PROT_WRITE,
-                    share | ffi::MAP_FIXED,
-                    self.inner.fd,
-                    (pages[run.start] * ps) as i64,
-                )
-            };
-            if p == ffi::map_failed() {
-                return Err(os_err("mmap"));
-            }
-            if self.inner.huge_pages {
-                // Each MAP_FIXED replaces the previous mapping (and its
-                // advice), so freshly wired ranges are re-advised here —
-                // the single point every view page passes through.
-                // SAFETY(provenance: p, bounds: run, ps): advising the
-                // mapping just created above; madvise on a valid range
-                // cannot corrupt anything (it is a hint).
-                unsafe { ffi::madvise(p, len as usize, ffi::MADV_HUGEPAGE) };
-                Self::bump(&self.inner.stats.huge_page_advices);
-            }
-        }
-        Ok(())
-    }
-
-    /// Copy the private view at `src` into `pages` (fresh file pages no
-    /// view maps yet), one `pwrite` per run of contiguous file pages.
-    fn copy_into(&self, src: u64, pages: &[u64]) -> Result<()> {
-        let ps = self.inner.page_size;
-        for run in run_ranges(pages) {
-            let len = run.len() as u64 * ps;
-            self.injected_failure("pwrite")?;
-            Self::bump(&self.inner.stats.pwrite_calls);
-            // SAFETY(provenance: src, fd, bounds: run, ps): the source is a
-            // slice of a tabled view (the caller's write lock keeps it
-            // mapped and unwritten); the destination is in-bounds file
-            // pages that no view maps yet.
-            let written = unsafe {
-                ffi::pwrite(
-                    self.inner.fd,
-                    (src + run.start as u64 * ps) as *const _,
-                    len as usize,
-                    (pages[run.start] * ps) as i64,
-                )
-            };
-            if written != len as isize {
-                return Err(if written < 0 {
-                    os_err("pwrite")
-                } else {
-                    // A short write sets no errno; report it as EIO.
-                    VmError::Os {
-                        call: "pwrite",
-                        errno: 5,
-                    }
-                });
-            }
+    /// Copy the whole view at `src` into `file` — fresh, `bytes` long,
+    /// mapped by no view yet — with one `pwrite`.
+    fn copy_into(&self, src: u64, file: &OwnedFd, bytes: u64) -> Result<()> {
+        self.injected_failure("pwrite")?;
+        Self::bump(&self.inner.stats.pwrite_calls);
+        // SAFETY(provenance: src, file, bounds: bytes): the source is a
+        // whole tabled view (the caller's write lock keeps it mapped and
+        // unwritten); the file is `bytes` long.
+        let written = unsafe { ffi::pwrite(file.as_raw_fd(), src as *const _, bytes as usize, 0) };
+        if written != bytes as isize {
+            return Err(if written < 0 {
+                os_err("pwrite")
+            } else {
+                // A short write sets no errno; report it as EIO.
+                VmError::Os {
+                    call: "pwrite",
+                    errno: 5,
+                }
+            });
         }
         Ok(())
     }
@@ -667,7 +516,7 @@ impl OsBackend {
     }
 
     /// Make page `page_idx` of the area at `base` writable. On a live
-    /// view, every private view of its lineage that still reads the page
+    /// view, every private view of its file that still reads the page
     /// through copies it first — one `madvise(MADV_POPULATE_WRITE)` each;
     /// with none left the page is reclaimed in place. On a private view
     /// the store itself is the kernel's copy-on-write. Caller holds the
@@ -683,15 +532,13 @@ impl OsBackend {
             return Ok(());
         }
         if !area.private {
-            let (fp, lineage) = (area.pages[page_idx], area.lineage);
-            let readers: Vec<u64> = state.lineages[&lineage]
+            let readers: Vec<u64> = state.lineages[&area.file.as_raw_fd()]
                 .iter()
                 .copied()
                 .filter(|&b| b != base && state.areas[&b].frozen[page_idx])
                 .collect();
             for &r in &readers {
-                debug_assert!(state.areas[&r].private, "one live view per lineage");
-                debug_assert_eq!(state.areas[&r].pages[page_idx], fp, "index-aligned");
+                debug_assert!(state.areas[&r].private, "one live view per file");
                 self.injected_failure("madvise")?;
                 Self::bump(&self.inner.stats.populate_writes);
                 let page = (r + page_idx as u64 * ps) as *mut _;
@@ -734,41 +581,30 @@ impl OsBackend {
         Ok((base, first..last + 1))
     }
 
-    /// Wire `pages` into the destination of a snapshot: a fresh
-    /// reservation (`None`), or the tabled view `Some(d)` rewired in place.
-    /// `pages` already carry the destination's references. On failure the
-    /// caller drops them; a destination some `MAP_FIXED` may already have
-    /// reached is torn down whole, so the caller gets an error and a
-    /// dangling (`NotMapped`) destination, never another area's bytes.
-    /// On success `Some(d)` has left the table and its lineage, and its
-    /// old file pages are released.
-    fn wire_destination(
-        &self,
-        st: &mut MapState,
-        dst: Option<u64>,
-        pages: &[u64],
-        private: bool,
-    ) -> Result<u64> {
-        let Some(d) = dst else {
-            let base = self.map_view(pages, private)?;
-            self.adjust_runs(0, runs(pages));
-            return Ok(base);
-        };
-        let wired = self.wire_pages(d, pages, private);
-        let old = st.remove_area(d).expect("destination checked");
-        let now_wired = match wired {
-            Ok(()) => runs(pages),
-            Err(_) => {
-                // The wiring error is the one to report.
-                let _ = self.unmap(d, old.bytes);
-                0
+    /// Map `file` as the destination of a snapshot and table it: a fresh
+    /// view (`None`), or `MAP_FIXED` over the tabled view `Some(d)`, which
+    /// leaves the table and its lineage first. A failed `MAP_FIXED` may
+    /// already have replaced `d`, so `d` is then torn down whole: the
+    /// caller gets an error and a dangling (`NotMapped`) destination,
+    /// never another area's bytes.
+    fn map_destination(&self, st: &mut MapState, dst: Option<u64>, area: Area) -> Result<u64> {
+        let (bytes, private) = (area.bytes, area.private);
+        let base = match dst {
+            None => self.map(None, &area.file, bytes, private)?,
+            Some(d) => {
+                let mapped = self.map(Some(d), &area.file, bytes, private);
+                st.remove_area(d).expect("destination checked");
+                if mapped.is_err() {
+                    // The mapping error is the one to report.
+                    let _ = self.unmap(d, bytes);
+                }
+                mapped?;
+                Self::bump(&self.inner.stats.recycled);
+                d
             }
         };
-        self.adjust_runs(runs(&old.pages), now_wired);
-        Self::decref_file_pages(&mut st.file, old.pages);
-        wired?;
-        Self::bump(&self.inner.stats.recycled);
-        Ok(d)
+        st.insert_area(base, area);
+        Ok(base)
     }
 }
 
@@ -785,35 +621,15 @@ impl crate::backend::VmBackend for OsBackend {
         }
         let n = (bytes / self.inner.page_size) as usize;
         let mut st = self.inner.state.write();
-        let (pages, recycled) = self.take_file_pages(&mut st.file, n)?;
-        let base = match self.map_view(&pages, false) {
-            Ok(base) => base,
-            Err(e) => {
-                // Return the taken file pages to the free list, or a failed
-                // allocation would leak them for the backend's lifetime.
-                Self::decref_file_pages(&mut st.file, pages);
-                return Err(e);
-            }
-        };
-        // Fresh (hole) pages read as zero; recycled ones must be zeroed.
-        let ps = self.inner.page_size;
-        for &i in &recycled {
-            // SAFETY(provenance: base, bounds: i, ps): page i of the view
-            // created just above is mapped writable and unshared.
-            unsafe {
-                std::ptr::write_bytes((base + i as u64 * ps) as *mut u8, 0, ps as usize);
-            }
-        }
-        self.adjust_runs(0, runs(&pages));
-        let lineage = st.found_lineage();
+        let file = self.create_file(bytes)?;
+        let base = self.map(None, &file, bytes, false)?;
         st.insert_area(
             base,
             Area {
                 bytes,
-                pages,
+                file,
                 private: false,
                 frozen: vec![false; n],
-                lineage,
             },
         );
         Ok(base)
@@ -830,11 +646,8 @@ impl crate::backend::VmBackend for OsBackend {
                 "release length does not match the area",
             ));
         }
-        let area = st.remove_area(addr).expect("checked above");
-        self.adjust_runs(runs(&area.pages), 0);
-        let unmapped = self.unmap(addr, bytes);
-        Self::decref_file_pages(&mut st.file, area.pages);
-        unmapped
+        st.remove_area(addr);
+        self.unmap(addr, bytes)
     }
 
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64> {
@@ -854,80 +667,51 @@ impl crate::backend::VmBackend for OsBackend {
                 "vm_snapshot length does not match the source area",
             ));
         }
-        let (private_src, n) = (src_area.private, src_area.pages.len());
+        let (private_src, n) = (src_area.private, src_area.frozen.len());
         if let Some(d) = dst {
             match st.areas.get(&d) {
                 Some(a) if d != src && a.bytes == bytes => {}
                 _ => return Err(VmError::BadDestination { addr: d }),
             }
         }
-        if private_src {
-            // A private view's pages may be its own copies, which no file
-            // page holds: copy it physically into a new live view.
-            let (pages, _recycled) = self.take_file_pages(&mut st.file, n)?;
-            let wired = self
-                .copy_into(src, &pages)
-                .and_then(|()| self.wire_destination(&mut st, dst, &pages, false));
-            let base = match wired {
-                Ok(base) => base,
-                Err(e) => {
-                    Self::decref_file_pages(&mut st.file, pages);
-                    return Err(e);
-                }
-            };
-            let lineage = st.found_lineage();
-            st.insert_area(
-                base,
-                Area {
-                    bytes,
-                    pages,
-                    private: false,
-                    frozen: vec![false; n],
-                    lineage,
-                },
-            );
-            Self::bump(&self.inner.stats.snapshots);
-            return Ok(base);
-        }
-        let src_area = &st.areas[&src];
-        let (pages, lineage) = (src_area.pages.clone(), src_area.lineage);
-        // The destination's references are taken before any MAP_FIXED
-        // lands, so a partially wired view never maps an unaccounted page.
-        for &fp in &pages {
-            st.file.refs[fp as usize] += 1;
-        }
-        let base = match self.wire_destination(&mut st, dst, &pages, true) {
-            Ok(base) => base,
-            Err(e) => {
-                // The source is untouched: not frozen, page tables kept.
-                Self::decref_file_pages(&mut st.file, pages);
-                return Err(e);
-            }
-        };
-        st.insert_area(
-            base,
+        let area = if private_src {
+            // A private view's pages may be its own copies, which its file
+            // does not hold: copy it physically into a new file, mapped as
+            // a new live view.
+            let file = self.create_file(bytes)?;
+            self.copy_into(src, &file, bytes)?;
             Area {
                 bytes,
-                pages,
+                file,
+                private: false,
+                frozen: vec![false; n],
+            }
+        } else {
+            Area {
+                bytes,
+                file: Arc::clone(&st.areas[&src].file),
                 private: true,
                 frozen: vec![true; n],
-                lineage,
-            },
-        );
-        // Every page of the live view is frozen until the new view copied
-        // it or a write finds nobody reading it through.
-        let src_area = st.areas.get_mut(&src).expect("checked");
-        src_area.frozen.iter_mut().for_each(|f| *f = true);
-        // Drop the live view's page tables: the data stays in the memfd,
-        // and a page the new view reads is resident once, not once per
-        // view. Never fails on a tabled view; the result would change
-        // nothing but memory accounting.
-        // SAFETY(provenance: src, st, bounds: bytes): the whole range is a
-        // tabled MAP_SHARED view (the write lock keeps it mapped);
-        // MADV_DONTNEED on a shared file mapping changes no byte, and a
-        // concurrent access simply faults the same file page back in.
-        unsafe { ffi::madvise(src as *mut _, bytes as usize, ffi::MADV_DONTNEED) };
-        Self::bump(&self.inner.stats.dontneed_advices);
+            }
+        };
+        // On failure the source is untouched: not frozen, page tables kept.
+        let base = self.map_destination(&mut st, dst, area)?;
+        if !private_src {
+            // Every page of the live view is frozen until the new view
+            // copied it or a write finds nobody reading it through.
+            let src_area = st.areas.get_mut(&src).expect("checked");
+            src_area.frozen.iter_mut().for_each(|f| *f = true);
+            // Drop the live view's page tables: the data stays in the
+            // memfd, and a page the new view reads is resident once, not
+            // once per view. Never fails on a tabled view; the result would
+            // change nothing but memory accounting.
+            // SAFETY(provenance: src, st, bounds: bytes): the whole range
+            // is a tabled MAP_SHARED view (the write lock keeps it mapped);
+            // MADV_DONTNEED on a shared file mapping changes no byte, and a
+            // concurrent access simply faults the same file page back in.
+            unsafe { ffi::madvise(src as *mut _, bytes as usize, ffi::MADV_DONTNEED) };
+            Self::bump(&self.inner.stats.dontneed_advices);
+        }
         Self::bump(&self.inner.stats.snapshots);
         Ok(base)
     }
@@ -1053,10 +837,6 @@ impl crate::backend::VmBackend for OsBackend {
         Some(self.inner.stats.snapshot())
     }
 
-    fn file_pages(&self, addr: u64) -> Option<Vec<u64>> {
-        Some(self.inner.state.read().areas.get(&addr)?.pages.clone())
-    }
-
     fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
         if !addr.is_multiple_of(8) {
             return None;
@@ -1081,11 +861,9 @@ impl Drop for OsInner {
         for (&base, area) in st.areas.iter() {
             // SAFETY(provenance: area, bounds: bytes): unmapping whole
             // views this backend created; nothing can use them after Drop.
+            // Their files close as the table drops.
             unsafe { ffi::munmap(base as *mut _, area.bytes as usize) };
         }
-        // SAFETY(provenance: fd): the descriptor was opened by
-        // with_huge_pages and is owned solely by this inner value.
-        unsafe { ffi::close(self.fd) };
     }
 }
 
@@ -1104,7 +882,7 @@ impl OsBackend {
         Self::new()
     }
 
-    /// Number of file pages currently referenced (stub).
+    /// Pages of the open files (stub).
     pub fn file_pages_in_use(&self) -> u64 {
         match self.never {}
     }
@@ -1156,11 +934,20 @@ mod tests {
         b.inner.state.read().areas[&base].frozen[page]
     }
 
+    /// The file the view at `base` maps.
+    fn file_of(b: &OsBackend, base: u64) -> *const OwnedFd {
+        Arc::as_ptr(&b.inner.state.read().areas[&base].file)
+    }
+
+    /// An allocation is one new file: one `ftruncate` and one `mmap`.
     #[test]
     fn alloc_is_zeroed_and_round_trips() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(2 * ps).unwrap();
+        let s = b.stats().snapshot();
+        assert_eq!((s.ftruncate_calls, s.mmap_calls, s.wired_runs), (1, 1, 1));
+        assert_eq!(b.file_pages_in_use(), 2);
         assert_eq!(b.read_u64(a).unwrap(), 0);
         assert_eq!(b.read_u64(a + 2 * ps - 8).unwrap(), 0);
         b.write_u64(a + 16, 99).unwrap();
@@ -1196,11 +983,11 @@ mod tests {
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
     }
 
-    /// A snapshot of a one-run live view is one reservation plus one
-    /// `MAP_PRIVATE` wiring, and one `MADV_DONTNEED` of the live view.
-    /// A split of a page two private views read through is exactly one
+    /// A snapshot of a live view is exactly one `MAP_PRIVATE` `mmap` of
+    /// its file and one `MADV_DONTNEED` of the live view. A split of a
+    /// page two private views read through is exactly one
     /// `MADV_POPULATE_WRITE` per view: no `pwrite`, no `mmap`, no
-    /// `munmap`, no memfd growth, and no view's page list changes.
+    /// `munmap`, no `ftruncate`, and every view keeps its file.
     #[test]
     fn split_is_one_populate_per_private_sharer_and_every_view_keeps_its_pages() {
         let b = OsBackend::new().unwrap();
@@ -1213,10 +1000,11 @@ mod tests {
         let s1 = b.vm_snapshot(None, a, 4 * ps).unwrap();
         let s2 = b.vm_snapshot(None, a, 4 * ps).unwrap();
         let cut = b.stats().snapshot();
-        assert_eq!(cut.mmap_calls - before.mmap_calls, 4);
+        assert_eq!(cut.mmap_calls - before.mmap_calls, 2);
         assert_eq!(cut.dontneed_advices - before.dontneed_advices, 2);
         assert_eq!(cut.madvise_calls - before.madvise_calls, 2);
-        let pages = b.file_pages(a).unwrap();
+        assert_eq!(cut.ftruncate_calls, before.ftruncate_calls);
+        let file = file_of(&b, a);
         b.write_u64(a + 2 * ps, 99).unwrap();
         let after = b.stats().snapshot();
         assert_eq!(after.populate_writes - cut.populate_writes, 2);
@@ -1227,11 +1015,7 @@ mod tests {
         assert_eq!(after.ftruncate_calls - cut.ftruncate_calls, 0);
         assert_eq!(after.cow_copies - cut.cow_copies, 1);
         for v in [a, s1, s2] {
-            assert_eq!(
-                b.file_pages(v).unwrap(),
-                pages,
-                "every view keeps its pages"
-            );
+            assert_eq!(file_of(&b, v), file, "every view keeps its file");
         }
         assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 99);
         for s in [s1, s2] {
@@ -1256,9 +1040,9 @@ mod tests {
         assert_eq!(b.read_u64(s3 + 2 * ps).unwrap(), 99);
     }
 
-    /// The wired-runs gauge equals the live views while each is one run:
-    /// a split wires nothing, a recycled destination stays one view, and
-    /// a physical copy is one more.
+    /// The wired-runs gauge counts the views mapped: a split maps
+    /// nothing, a recycled destination stays one view, and a physical
+    /// copy is one more.
     #[test]
     fn wired_runs_gauge_equals_live_views() {
         let b = OsBackend::new().unwrap();
@@ -1271,7 +1055,7 @@ mod tests {
         for p in 0..8 {
             b.write_u64(a + p * ps, 1).unwrap();
         }
-        assert_eq!(runs(), 2, "splits wire nothing");
+        assert_eq!(runs(), 2, "splits map nothing");
         let snap2 = b.vm_snapshot(None, a, 8 * ps).unwrap();
         b.write_u64(a + 3 * ps, 2).unwrap();
         assert_eq!(runs(), 3);
@@ -1287,19 +1071,31 @@ mod tests {
         assert_eq!(runs(), 0);
     }
 
-    /// Every view of a file page at a page index is one reference, and
-    /// `file_pages_in_use` counts the pages some view maps.
-    fn assert_refcounts_exact(b: &OsBackend) {
+    /// Exact file accounting: the views are the only holders of their
+    /// files, each file's lineage lists exactly the views that map it, at
+    /// most one of them live and all of its size, and
+    /// `file_pages_in_use` is the summed size of those files.
+    fn assert_files_exact(b: &OsBackend) {
+        let in_use = b.file_pages_in_use();
         let st = b.inner.state.read();
-        let mut views = vec![0u32; st.file.refs.len()];
-        for area in st.areas.values() {
-            for &fp in &area.pages {
-                views[fp as usize] += 1;
-            }
+        let mut files: BTreeMap<i32, Vec<u64>> = BTreeMap::new();
+        for (&base, area) in &st.areas {
+            files.entry(area.file.as_raw_fd()).or_default().push(base);
         }
-        assert_eq!(views, st.file.refs);
-        let mapped = views.iter().filter(|&&v| v > 0).count() as u64;
-        assert_eq!(st.file.next - st.file.free.len() as u64, mapped);
+        let mut lineages = st.lineages.clone();
+        lineages
+            .values_mut()
+            .for_each(|views| views.sort_unstable());
+        assert_eq!(files, lineages, "lineages are the views of each file");
+        let mut pages = 0;
+        for views in files.values() {
+            let first = &st.areas[&views[0]];
+            assert_eq!(Arc::strong_count(&first.file), views.len());
+            assert!(views.iter().filter(|&v| !st.areas[v].private).count() <= 1);
+            assert!(views.iter().all(|v| st.areas[v].bytes == first.bytes));
+            pages += first.bytes / b.inner.page_size;
+        }
+        assert_eq!(in_use, pages);
     }
 
     /// A failed populate fails the write, leaves the page frozen and both
@@ -1311,7 +1107,7 @@ mod tests {
         let a = b.alloc(2 * ps).unwrap();
         b.write_u64(a, 7).unwrap();
         let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
-        let (pages, in_use) = (b.file_pages(a).unwrap(), b.file_pages_in_use());
+        let (file, in_use) = (file_of(&b, a), b.file_pages_in_use());
         fail_after(&b, 0);
         assert_eq!(
             b.write_u64(a, 8),
@@ -1323,23 +1119,24 @@ mod tests {
         fail_after(&b, u64::MAX);
         assert!(is_frozen(&b, a, 0), "the page stays frozen");
         assert!(is_frozen(&b, snap, 0), "the view copied nothing");
-        assert_eq!(b.file_pages(a).unwrap(), pages);
-        assert_eq!(b.file_pages(snap).unwrap(), pages);
+        assert_eq!(file_of(&b, a), file);
+        assert_eq!(file_of(&b, snap), file);
         assert_eq!(b.file_pages_in_use(), in_use);
         let s = b.stats().snapshot();
         assert_eq!((s.cow_copies, s.populate_writes), (0, 0));
         assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (7, 7));
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
         // The retry splits it.
         b.write_u64(a, 8).unwrap();
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
         assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (8, 7));
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
     }
 
     /// A populate failing at the second of two private views leaves the
     /// first with its byte-identical copy, the written page frozen and
-    /// every refcount exact; the retry copies for the remaining view only.
+    /// the file accounting exact; the retry copies for the remaining view
+    /// only.
     #[test]
     fn failed_populate_keeps_copied_sharers_and_refcounts_exact() {
         let b = OsBackend::new().unwrap();
@@ -1348,7 +1145,7 @@ mod tests {
         b.write_u64(a, 7).unwrap();
         let s1 = b.vm_snapshot(None, a, ps).unwrap();
         let s2 = b.vm_snapshot(None, a, ps).unwrap();
-        let pages = b.file_pages(a).unwrap();
+        let file = file_of(&b, a);
         fail_after(&b, 1);
         assert!(b.write_u64(a, 8).is_err());
         fail_after(&b, u64::MAX);
@@ -1356,15 +1153,15 @@ mod tests {
         assert_eq!(copied, 1, "exactly one view copied the page");
         assert!(is_frozen(&b, a, 0));
         assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 1);
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
         for v in [a, s1, s2] {
             assert_eq!(b.read_u64(v).unwrap(), 7);
-            assert_eq!(b.file_pages(v).unwrap(), pages);
+            assert_eq!(file_of(&b, v), file);
         }
         b.write_u64(a, 8).unwrap();
         assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 2);
         assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
         assert_eq!(
             [a, s1, s2].map(|v| b.read_u64(v).unwrap()),
             [8, 7, 7],
@@ -1372,10 +1169,10 @@ mod tests {
         );
     }
 
-    /// A failed private map unmaps its own reservation and leaves the
-    /// source readable, writable and unfrozen; a failed rewire of a
-    /// recycled destination tears the destination down and likewise
-    /// leaves the source alone.
+    /// A failed private map issues nothing else and leaves the source
+    /// readable, writable and unfrozen; a failed map over a recycled
+    /// destination tears the destination down and likewise leaves the
+    /// source alone.
     #[test]
     fn failed_private_map_leaves_the_source_untouched() {
         let b = OsBackend::new().unwrap();
@@ -1388,17 +1185,13 @@ mod tests {
         assert!(b.vm_snapshot(None, a, 2 * ps).is_err());
         fail_after(&b, u64::MAX);
         let after = b.stats().snapshot();
-        assert_eq!(after.mmap_calls - before.mmap_calls, 1, "the reservation");
-        assert_eq!(
-            after.munmap_calls - before.munmap_calls,
-            1,
-            "unmapped again"
-        );
+        assert_eq!(after.mmap_calls, before.mmap_calls, "no mmap was issued");
+        assert_eq!(after.munmap_calls, before.munmap_calls, "nothing to unmap");
         assert_eq!((after.snapshots, after.dontneed_advices), (0, 0));
         assert_eq!(after.wired_runs, before.wired_runs);
         assert_eq!(b.file_pages_in_use(), in_use);
         assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
 
         fail_after(&b, 0);
         assert!(b.vm_snapshot(Some(d), a, 2 * ps).is_err());
@@ -1406,7 +1199,7 @@ mod tests {
         assert_eq!(b.read_u64(d), Err(VmError::NotMapped { addr: d }));
         assert_eq!(b.stats().snapshot().wired_runs, 1, "the source alone");
         assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
 
         assert_eq!(b.read_u64(a).unwrap(), 7);
         b.write_u64(a, 8).unwrap();
@@ -1433,8 +1226,8 @@ mod tests {
         assert_eq!((b.read_u64(a).unwrap(), b.read_u64(snap).unwrap()), (8, 9));
     }
 
-    /// A snapshot of a private view is a physical copy: one `pwrite` per
-    /// run of fresh file pages, wired shared as a new live view that later
+    /// A snapshot of a private view is a physical copy: a new file, one
+    /// `pwrite` and one `mmap`, mapped shared as a new live view that later
     /// snapshots freeze like any other.
     #[test]
     fn snapshot_of_a_private_view_is_a_physical_copy() {
@@ -1448,18 +1241,16 @@ mod tests {
         let copy = b.vm_snapshot(None, snap, 2 * ps).unwrap();
         let after = b.stats().snapshot();
         assert_eq!(after.pwrite_calls - before.pwrite_calls, 1);
-        assert_eq!(after.mmap_calls - before.mmap_calls, 2);
+        assert_eq!(after.mmap_calls - before.mmap_calls, 1);
+        assert_eq!(after.ftruncate_calls - before.ftruncate_calls, 1);
         assert_eq!(after.dontneed_advices, before.dontneed_advices);
-        let fresh = b.file_pages(copy).unwrap();
-        assert!(fresh
-            .iter()
-            .all(|fp| !b.file_pages(a).unwrap().contains(fp)));
+        assert_ne!(file_of(&b, copy), file_of(&b, a), "a new file");
         assert_eq!(b.read_u64(copy + ps).unwrap(), 5);
         let inner = b.vm_snapshot(None, copy, 2 * ps).unwrap();
         b.write_u64(copy + ps, 4).unwrap();
         assert_eq!(b.read_u64(inner + ps).unwrap(), 5);
         assert_eq!(b.stats().populate_writes.load(Ordering::Relaxed), 2);
-        assert_refcounts_exact(&b);
+        assert_files_exact(&b);
     }
 
     #[test]
@@ -1495,7 +1286,7 @@ mod tests {
     }
 
     #[test]
-    fn released_pages_are_reused_and_zeroed() {
+    fn an_alloc_after_a_release_reads_zero() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(8 * ps).unwrap();
@@ -1503,18 +1294,10 @@ mod tests {
             b.write_u64(a + p * ps, u64::MAX).unwrap();
         }
         b.release(a, 8 * ps).unwrap();
-        let hw = {
-            let st = b.inner.state.read();
-            st.file.next
-        };
+        assert_eq!(b.file_pages_in_use(), 0, "the file closed with its view");
         let c = b.alloc(8 * ps).unwrap();
-        let hw2 = {
-            let st = b.inner.state.read();
-            st.file.next
-        };
-        assert_eq!(hw, hw2, "allocation reused released file pages");
         for p in 0..8u64 {
-            assert_eq!(b.read_u64(c + p * ps).unwrap(), 0, "recycled page zeroed");
+            assert_eq!(b.read_u64(c + p * ps).unwrap(), 0);
         }
     }
 
@@ -1526,13 +1309,13 @@ mod tests {
         let a = b.alloc(4 * ps).unwrap();
         let after_alloc = hints();
         assert_eq!(after_alloc, 1, "alloc advises its one fresh run");
-        // A fresh-destination snapshot wires a second view: one more hint.
+        // A fresh-destination snapshot maps a second view: one more hint.
         let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
         assert_eq!(hints(), 2, "snapshot view must be advised");
-        // A split wires nothing, so it advises nothing.
+        // A split maps nothing, so it advises nothing.
         b.write_u64(a, 1).unwrap();
         assert_eq!(hints(), 2);
-        // Rewiring a recycled destination replaces its mapping: re-advised.
+        // Mapping over a recycled destination replaces it: re-advised.
         b.vm_snapshot(Some(snap), a, 4 * ps).unwrap();
         assert_eq!(hints(), 3);
         b.release(snap, 4 * ps).unwrap();

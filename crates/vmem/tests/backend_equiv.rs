@@ -3,8 +3,8 @@
 //! recycling), release, reads — must produce byte-identical observable
 //! state on the simulated kernel and on the real-OS memfd backend, and
 //! both must agree with a plain-vector oracle. After every op the OS
-//! backend's file pages in use must also equal the distinct pages its
-//! live views map.
+//! backend's file pages in use must also equal, exactly, the summed size
+//! of the files its live areas map, as the test tracks them.
 //!
 //! The simulated kernel is booted with the *hardware* page size so the two
 //! backends have identical area geometry.
@@ -57,6 +57,40 @@ impl<'a> Fleet<'a> {
     }
 }
 
+/// The file each OS area maps, position-aligned with the oracle. An
+/// allocation, and a snapshot or recycle *of a private view* (a physical
+/// copy), start a new file; a snapshot or recycle of a live view maps the
+/// source's file privately.
+#[derive(Default)]
+struct Files {
+    /// `(file id, private)` per live area.
+    of_area: Vec<(usize, bool)>,
+    /// Pages of each file ever started, by id.
+    pages: Vec<u64>,
+}
+
+impl Files {
+    fn start(&mut self, pages: u64) -> (usize, bool) {
+        self.pages.push(pages);
+        (self.pages.len() - 1, false)
+    }
+
+    /// The file a snapshot of area `src` maps.
+    fn snapshot_of(&mut self, src: usize) -> (usize, bool) {
+        match self.of_area[src] {
+            (file, false) => (file, true),
+            (file, true) => self.start(self.pages[file]),
+        }
+    }
+
+    /// Summed pages of the files some area still maps.
+    fn pages_mapped(&self) -> u64 {
+        let open: std::collections::BTreeSet<usize> =
+            self.of_area.iter().map(|&(file, _)| file).collect();
+        open.iter().map(|&file| self.pages[file]).sum()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -73,6 +107,7 @@ proptest! {
         let space = kernel.create_space();
         let mut sim = Fleet { backend: &space, areas: Vec::new() };
         let mut osf = Fleet { backend: &os, areas: Vec::new() };
+        let mut files = Files::default();
         // The oracle: plain vectors, one per live area.
         let mut oracle: Vec<Vec<u64>> = Vec::new();
 
@@ -87,6 +122,8 @@ proptest! {
                         let a = f.backend.alloc(bytes).unwrap();
                         f.areas.push((a, pages));
                     }
+                    let file = files.start(pages);
+                    files.of_area.push(file);
                     oracle.push(vec![0u64; (bytes / 8) as usize]);
                 }
                 Op::Write { sel, word, value } => {
@@ -112,6 +149,8 @@ proptest! {
                         let snap = f.backend.vm_snapshot(None, addr, pages * ps).unwrap();
                         f.areas.push((snap, pages));
                     }
+                    let file = files.snapshot_of(sel);
+                    files.of_area.push(file);
                     let copy = oracle[sel].clone();
                     oracle.push(copy);
                 }
@@ -130,6 +169,7 @@ proptest! {
                         let got = f.backend.vm_snapshot(Some(daddr), saddr, pages * ps).unwrap();
                         prop_assert_eq!(got, daddr);
                     }
+                    files.of_area[dst] = files.snapshot_of(src);
                     oracle[dst] = oracle[src].clone();
                 }
                 Op::Release { sel } => {
@@ -141,18 +181,14 @@ proptest! {
                         let (addr, pages) = f.areas.remove(sel);
                         f.backend.release(addr, pages * ps).unwrap();
                     }
+                    files.of_area.remove(sel);
                     oracle.remove(sel);
                 }
             }
-            // Refcount invariant: the memfd pages in use are exactly the
-            // distinct pages some live view maps. A split that moves a
-            // sharer twice, or misses one, breaks the equality.
-            let mapped: std::collections::BTreeSet<u64> = osf
-                .areas
-                .iter()
-                .flat_map(|&(addr, _)| os.file_pages(addr).expect("live OS area"))
-                .collect();
-            prop_assert_eq!(os.file_pages_in_use(), mapped.len() as u64, "after {:?}", op);
+            // File invariant: the pages of the open files are exactly the
+            // pages of the files some live area maps. A file kept open
+            // past its last view, or closed under one, breaks the equality.
+            prop_assert_eq!(os.file_pages_in_use(), files.pages_mapped(), "after {:?}", op);
             // Spot-check one word of one area after every op (cheap).
             if let Some(sel) = oracle.len().checked_sub(1) {
                 let w = oracle[sel].len() / 2;
@@ -173,5 +209,10 @@ proptest! {
                 prop_assert_eq!(&buf, shadow, "final state of area {}", sel);
             }
         }
+        // Releasing everything closes every file.
+        for &(addr, pages) in &osf.areas {
+            os.release(addr, pages * ps).unwrap();
+        }
+        prop_assert_eq!(os.file_pages_in_use(), 0);
     }
 }

@@ -1,5 +1,5 @@
 //! Readers under privatisation: on the OS backend a snapshot is a
-//! `MAP_PRIVATE` view over the live view's file pages, and the first
+//! `MAP_PRIVATE` view of the live view's file, and the first
 //! store to a page of the live view first has the kernel copy that page
 //! into every private view still reading it through
 //! (`MADV_POPULATE_WRITE`), moving the view's page-table entry onto the
@@ -47,7 +47,6 @@ fn frozen_view_checksum_is_stable_while_every_page_is_rewired() {
     let src = b.alloc(bytes).unwrap();
     let fill: Vec<u64> = (0..words as u64).map(|w| w * 2_654_435_761).collect();
     b.write_words(src, &fill).unwrap();
-    let pages = b.file_pages(src).unwrap();
 
     for round in 0..ROUNDS {
         let frozen = b.vm_snapshot(None, src, bytes).unwrap();
@@ -90,13 +89,6 @@ fn frozen_view_checksum_is_stable_while_every_page_is_rewired() {
         );
         assert_eq!(after.mmap_calls, before.mmap_calls, "nothing was rewired");
         assert_eq!(after.pwrite_calls, 0);
-        for v in [src, frozen] {
-            assert_eq!(
-                b.file_pages(v).unwrap(),
-                pages,
-                "every view keeps its pages"
-            );
-        }
         assert_eq!(checksum(p as *const u64, words), expect);
         b.release(frozen, bytes).unwrap();
     }
