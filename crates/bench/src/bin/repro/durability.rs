@@ -190,14 +190,13 @@ fn mode_run(args: &Args, dir: &Path) {
     // The audit table: every audit transaction writes the same value to
     // `a[r]` and `b[r]` in one commit, so any recovered state must show
     // a == b on every row — atomicity across kill -9.
-    let audit = t.db.create_table(
-        "audit",
-        Schema::new(vec![
-            ColumnDef::new("a", LogicalType::Int),
-            ColumnDef::new("b", LogicalType::Int),
-        ]),
-        AUDIT_ROWS,
-    );
+    let schema = Schema::new(vec![
+        ColumnDef::new("a", LogicalType::Int),
+        ColumnDef::new("b", LogicalType::Int),
+    ]);
+    let audit =
+        t.db.create_table("audit", schema, AUDIT_ROWS)
+            .expect("audit table");
     let (ca, cb) = (t.db.schema(audit).col("a"), t.db.schema(audit).col("b"));
     t.db.fill_column(audit, ca, (0..AUDIT_ROWS).map(|_| 0))
         .unwrap();

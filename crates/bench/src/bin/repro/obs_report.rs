@@ -243,7 +243,8 @@ fn run_audit() {
         "t",
         Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
         1,
-    );
+    )
+    .expect("create the audit table");
     let m = db.metrics();
     let mut md = String::from(
         "# Metrics\n\n\
@@ -288,11 +289,13 @@ const OVERHEAD_REPS: usize = 5;
 fn run_overhead() {
     let rows: u32 = 1_024;
     let db = AnkerDb::new(DbConfig::homogeneous_serializable().with_gc_interval(None));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            rows,
+        )
+        .expect("create the overhead table");
     let c = db.schema(t).col("v");
     db.fill_column(t, c, 0..rows as u64).unwrap();
     let run = |n: u32, offset: u32| {

@@ -238,7 +238,7 @@ pub(crate) struct DbInner {
 ///     "accounts",
 ///     Schema::new(vec![ColumnDef::new("balance", LogicalType::Int)]),
 ///     4,
-/// );
+/// ).unwrap();
 /// let balance = db.schema(t).col("balance");
 ///
 /// // An OLTP transaction updates an account.
@@ -287,17 +287,15 @@ impl AnkerDb {
         AnkerDb::try_new(config).expect("database boot failed")
     }
 
-    /// [`AnkerDb::new`] with boot errors (recovery I/O, corrupt durable
-    /// state) surfaced instead of panicking.
+    /// [`AnkerDb::new`] with boot errors (an unavailable OS memory
+    /// backend, recovery I/O, corrupt durable state) surfaced instead of
+    /// panicking.
     pub fn try_new(config: DbConfig) -> Result<AnkerDb> {
         let kernel = Kernel::new(config.kernel.clone());
         let space = kernel.create_space();
         let backend: Arc<dyn VmBackend> = match config.backend {
             BackendKind::Sim => Arc::new(space.clone()),
-            BackendKind::Os => Arc::new(
-                OsBackend::with_huge_pages(config.os_huge_pages)
-                    .expect("OS memory backend unavailable (requires Linux memfd)"),
-            ),
+            BackendKind::Os => Arc::new(OsBackend::with_huge_pages(config.os_huge_pages)?),
         };
         let registry = obs::Registry::new();
         let m = Arc::new(Metrics::new(&registry));
@@ -389,8 +387,16 @@ impl AnkerDb {
     /// Create a table of `rows` rows; content is zero until filled. On a
     /// durable database the catalog change is appended to the WAL (under
     /// the same lock that assigns the table id, so log order matches id
-    /// order).
-    pub fn create_table(&self, name: impl Into<String>, schema: Schema, rows: u32) -> TableId {
+    /// order). Fails — consuming no table id and leaking no column — when
+    /// a column cannot be allocated (on the OS backend each column is a
+    /// file, so this includes running out of descriptors) or the WAL
+    /// append fails.
+    pub fn create_table(
+        &self,
+        name: impl Into<String>,
+        schema: Schema,
+        rows: u32,
+    ) -> Result<TableId> {
         self.create_table_internal(name.into(), schema, rows, true)
     }
 
@@ -400,18 +406,27 @@ impl AnkerDb {
         schema: Schema,
         rows: u32,
         log: bool,
-    ) -> TableId {
-        let cols = schema
-            .iter()
-            .map(|(_, def)| {
-                let area = ColumnArea::alloc_on(Arc::clone(&self.inner.backend), rows)
-                    .expect("column allocation failed (backing memory exhausted)");
-                ColumnState::new(
+    ) -> Result<TableId> {
+        // A `ColumnArea` does not unmap on drop: every failure below
+        // releases the areas this call allocated.
+        let unmap_all = |cols: &[ColumnState]| {
+            for c in cols {
+                let _ = c.current_area().clone().unmap();
+            }
+        };
+        let mut cols = Vec::with_capacity(schema.len());
+        for (_, def) in schema.iter() {
+            match ColumnArea::alloc_on(Arc::clone(&self.inner.backend), rows) {
+                Ok(area) => cols.push(ColumnState::new(
                     VersionedColumn::new_in(rows, def.ty, &self.inner.registry),
                     area,
-                )
-            })
-            .collect();
+                )),
+                Err(e) => {
+                    unmap_all(&cols);
+                    return Err(e.into());
+                }
+            }
+        }
         let state = Arc::new(TableState {
             name,
             schema,
@@ -426,14 +441,16 @@ impl AnkerDb {
             if let Some(d) = self.inner.dura.get() {
                 if d.level != DurabilityLevel::Off {
                     let rec = crate::durability::create_record(id.0, &state);
-                    d.wal
-                        .append(&rec)
-                        .expect("WAL append failed while creating a table");
+                    if let Err(e) = d.wal.append(&rec) {
+                        drop(tables);
+                        unmap_all(&state.cols);
+                        return Err(e.into());
+                    }
                 }
             }
         }
         tables.push(state);
-        id
+        Ok(id)
     }
 
     /// Bulk-load a column (load timestamp 0). Loading a table must
@@ -840,7 +857,7 @@ impl AnkerDb {
     pub fn run_gc_once(&self) -> u64 {
         // Whole-pass latency, commit-lock wait and quiesce spin included —
         // that wait is the cost OLTP actually pays for a GC pass.
-        let _obs_gc = obs::SpanGuard::new(&self.inner.m.gc_pass);
+        let _obs_gc = obs::Span::begin(&self.inner.m.gc_pass);
         let _cs = self.lock_commit();
         let quiesce = self.inner.config.mode == ProcessingMode::Homogeneous;
         if quiesce {

@@ -185,7 +185,7 @@ pub(crate) fn boot_durable(db: &AnkerDb) -> Result<()> {
     if let Some(data) = ckpt {
         for (meta, cols) in data.tables.iter().zip(&data.cols) {
             let schema = schema_of(meta)?;
-            let id = db.create_table_internal(meta.name.clone(), schema, meta.rows, false);
+            let id = db.create_table_internal(meta.name.clone(), schema, meta.rows, false)?;
             let state = db.table_state(id);
             for (cid, words) in cols.iter().enumerate() {
                 if words.len() as u64 != meta.rows as u64 {
@@ -229,7 +229,8 @@ pub(crate) fn boot_durable(db: &AnkerDb) -> Result<()> {
                     )));
                 }
                 let schema = schema_of(&meta).map_err(to_dura)?;
-                db.create_table_internal(meta.name, schema, meta.rows, false);
+                db.create_table_internal(meta.name, schema, meta.rows, false)
+                    .map_err(to_dura)?;
                 Ok(())
             }
             WalRecord::FillColumn {

@@ -34,7 +34,7 @@
 //!     "accounts",
 //!     Schema::new(vec![ColumnDef::new("balance", LogicalType::Int)]),
 //!     1000,
-//! );
+//! ).unwrap();
 //! let balance = db.schema(table).col("balance");
 //! db.fill_column(table, balance, (0..1000).map(|_| Value::Int(10).encode())).unwrap();
 //!

@@ -5,10 +5,9 @@
 //! run N analytical threads against the snapshot while updaters commit):
 //! it pins an epoch **by refcount** at creation and holds that pin until
 //! dropped. The pinned epoch is never retired, so it keeps a handle to
-//! every frozen image it serves, and an image is unmapped or recycled only
-//! when its last handle drops — never while the reader lives, across any
-//! number of snapshot refreshes and destination-recycling cycles in
-//! between. The pin is the reader's only hold: it reads frozen images and
+//! every frozen image it serves, and an image is unmapped only when its
+//! last handle drops — never while the reader lives, across any number of
+//! snapshot refreshes in between. The pin is the reader's only hold: it reads frozen images and
 //! never a version chain, so it does not register in the OLTP version
 //! horizon and holds back no version garbage collection.
 //!
@@ -57,7 +56,7 @@ impl Drop for ReaderPin {
 /// # use anker_core::{AnkerDb, ColumnDef, DbConfig, LogicalType, Schema, TxnKind, Value};
 /// # let db = AnkerDb::new(DbConfig::default());
 /// # let t = db.create_table(
-/// #     "x", Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]), 8);
+/// #     "x", Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]), 8).unwrap();
 /// # let v = db.schema(t).col("v");
 /// # db.fill_column(t, v, (0..8).map(|i| Value::Int(i).encode())).unwrap();
 /// let reader = db.snapshot_reader().unwrap();

@@ -310,7 +310,7 @@ impl Scan<&mut Txn> {
         };
         // A sequential scan is one morsel for the tracer too.
         let m = Arc::clone(&txn.db.inner.m);
-        let obs_tok = obs::span_begin(&m.scan_morsel);
+        let obs_span = obs::Span::begin(&m.scan_morsel);
         let db = txn.db.clone();
         let core = if txn.epoch.is_some() {
             // Heterogeneous OLAP: the frozen snapshot columns of the
@@ -324,11 +324,9 @@ impl Scan<&mut Txn> {
             ScanCore::compile(&db, state.rows, filters, &projection, |_, _| {
                 Ok(Source::Versioned { state, start_ts })
             })
-        };
-        let count =
-            core.and_then(|core| ScanCursor::new(&core).run(0, core.rows, sink, &mut stats));
-        obs::span_end(obs_tok);
-        let count = count?;
+        }?;
+        let count = ScanCursor::new(&core).run(0, core.rows, sink, &mut stats)?;
+        drop(obs_span);
         stats.morsels += 1;
         txn.scan_stats.merge(&stats);
         note_scan_stats(&m, &stats);
@@ -530,10 +528,9 @@ impl ScanPartition {
             ..ScanStats::default()
         };
         let mut cursor = ScanCursor::new(&self.core);
-        let obs_tok = obs::span_begin(&self.m.scan_morsel);
-        let res = cursor.run(self.start, self.end, sink, &mut stats);
-        obs::span_end(obs_tok);
-        let n = res?;
+        let obs_span = obs::Span::begin(&self.m.scan_morsel);
+        let n = cursor.run(self.start, self.end, sink, &mut stats)?;
+        drop(obs_span);
         note_scan_stats(&self.m, &stats);
         Ok((n, stats))
     }
@@ -583,9 +580,10 @@ fn run_morsels<A: Send>(
                 morsels: 1,
                 ..ScanStats::default()
             };
-            let obs_tok = obs::span_begin(&metrics.scan_morsel);
-            let res = run(&mut cursor, start, end, &mut stats);
-            obs::span_end(obs_tok);
+            let res = {
+                let _obs = obs::Span::begin(&metrics.scan_morsel);
+                run(&mut cursor, start, end, &mut stats)
+            };
             match res {
                 Ok(acc) => *slots[m].lock() = Some((acc, stats)),
                 Err(e) => {
@@ -661,8 +659,8 @@ enum Eval {
 /// like [`ScanCore::cols`].
 enum Source {
     /// Frozen snapshot columns. Holding the `Arc<SnapCol>`s keeps every
-    /// scanned area mapped and unrecycled, which is all the cursor's
-    /// zero-copy slices need ([`SnapCol::words`]). On the reader path the
+    /// scanned area mapped, which is all the cursor's zero-copy slices
+    /// need ([`SnapCol::words`]). On the reader path the
     /// source also owns the [`ReaderPin`], so the reader's epoch stays
     /// pinned while any partition of the scan can still run; on the
     /// transaction path the pin is `None` and the transaction holds it.

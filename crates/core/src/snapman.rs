@@ -400,15 +400,14 @@ impl SnapshotManager {
     ) -> anker_vmem::Result<Arc<SnapCol>> {
         // Only actual materialisation work is spanned — cache hits and
         // reuses are the fast path and would drown the distribution.
-        let _obs_mat = obs::SpanGuard::new(&self.m.snapshot_materialize);
+        let _obs_mat = obs::Span::begin(&self.m.snapshot_materialize);
         let live = col.current_area();
         let bytes = live.mapped_bytes();
         // The rewiring itself (the kernel remap) gets its own stage so the
         // report can split "vm_snapshot µs" out of the materialise total.
-        let obs_rw = obs::span_begin(&self.m.snapshot_rewire);
-        let rewired = self.backend.vm_snapshot(None, live.addr(), bytes);
-        obs::span_end(obs_rw);
-        let image_addr = rewired?;
+        let obs_rw = obs::Span::begin(&self.m.snapshot_rewire);
+        let image_addr = self.backend.vm_snapshot(None, live.addr(), bytes)?;
+        drop(obs_rw);
         self.m
             .pages_rewired
             .add(bytes.div_ceil(self.backend.page_size()));
@@ -477,14 +476,16 @@ mod tests {
                 .with_snapshot_every(1)
                 .with_gc_interval(None),
         );
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("a", LogicalType::Int),
-                ColumnDef::new("b", LogicalType::Int),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("a", LogicalType::Int),
+                    ColumnDef::new("b", LogicalType::Int),
+                ]),
+                rows,
+            )
+            .unwrap();
         let a = db.schema(t).col("a");
         let b = db.schema(t).col("b");
         db.fill_column(t, a, (0..rows).map(|_| Value::Int(10).encode()))
@@ -556,14 +557,16 @@ mod tests {
                 .with_backend(BackendKind::Os),
         );
         let rows = PAGES * 512;
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("a", LogicalType::Int),
-                ColumnDef::new("b", LogicalType::Int),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("a", LogicalType::Int),
+                    ColumnDef::new("b", LogicalType::Int),
+                ]),
+                rows,
+            )
+            .unwrap();
         let cols = [db.schema(t).col("a"), db.schema(t).col("b")];
         for c in cols {
             db.fill_column(t, c, (0..rows).map(|_| Value::Int(-1).encode()))
@@ -651,14 +654,16 @@ mod tests {
                 .with_backend(backend),
         );
         let rows = 2 * BLOCK_ROWS + 7;
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("a", LogicalType::Int),
-                ColumnDef::new("b", LogicalType::Int),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("a", LogicalType::Int),
+                    ColumnDef::new("b", LogicalType::Int),
+                ]),
+                rows,
+            )
+            .unwrap();
         let (a, b) = (db.schema(t).col("a"), db.schema(t).col("b"));
         db.fill_column(t, a, (0..rows).map(|_| Value::Int(10).encode()))
             .unwrap();
@@ -872,8 +877,8 @@ mod tests {
         let db = AnkerDb::new(cfg);
         let schema = || Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]);
         let (t1, t2) = (
-            db.create_table("t1", schema(), 8),
-            db.create_table("t2", schema(), 8),
+            db.create_table("t1", schema(), 8).unwrap(),
+            db.create_table("t2", schema(), 8).unwrap(),
         );
         let v = db.schema(t1).col("v");
         // The trigger after this commit freezes every column, t2's too.
@@ -895,11 +900,13 @@ mod tests {
                 .with_snapshot_every(1)
                 .with_gc_interval(None),
         );
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-            64,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+                64,
+            )
+            .unwrap();
         let v = db.schema(t).col("v");
         db.fill_column(t, v, (0..64).map(|i| Value::Int(i).encode()))
             .unwrap();

@@ -4,7 +4,6 @@
 use crate::config::ProcessingMode;
 use crate::db::AnkerDb;
 use crate::error::{AbortReason, DbError, Result};
-use crate::metrics::Metrics;
 use crate::snapman::{Epoch, SnapCol};
 use crate::table::{TableId, TableState};
 use anker_mvcc::{
@@ -235,7 +234,7 @@ impl Txn {
     /// # use anker_core::{AnkerDb, ColumnDef, DbConfig, LogicalType, Schema, TxnKind, Value};
     /// # let db = AnkerDb::new(DbConfig::default());
     /// # let t = db.create_table(
-    /// #     "x", Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]), 8);
+    /// #     "x", Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]), 8).unwrap();
     /// # let v = db.schema(t).col("v");
     /// # db.fill_column(t, v, (0..8).map(|i| Value::Int(i).encode())).unwrap();
     /// let mut olap = db.begin(TxnKind::Olap);
@@ -415,20 +414,17 @@ impl Txn {
         let heterogeneous = db.inner.config.mode == ProcessingMode::Heterogeneous;
 
         // Tracing: one span per pipeline stage, chained with
-        // `span_switch` so adjacent stages share a single clock read.
+        // `Span::switch` so adjacent stages share a single clock read.
         // The whole chain — stages and the end-to-end `commit_total_ns`
-        // histogram derived from it — is *sampled* (see
-        // [`COMMIT_SAMPLE_SHIFT`]); only the attempt counter is exact.
-        // A sampled attempt records every stage plus the total, so at
-        // quiescence `commit_total_ns.count == commit_stage_latch_ns.count`
-        // exactly. Every exit path below closes the open token (checked
-        // by anker-lint's span-leak pass) via `record_commit_total`.
+        // histogram it feeds — is *sampled* (see [`COMMIT_SAMPLE_SHIFT`]);
+        // only the attempt counter is exact. The span ends itself on
+        // every exit below (returns, and the fail-stop unwinds), closing
+        // the open stage and the total together, so at quiescence
+        // `commit_total_ns.count == commit_stage_latch_ns.count` exactly.
         let m = &*db.inner.m;
         m.commit_attempts.inc();
-        let mut obs_tok = obs::span_begin_sampled(&m.commit_stage_latch, COMMIT_SAMPLE_SHIFT);
-        // The chain's start: after a `span_switch` the token only knows
-        // its own stage's start, so the end-to-end total needs this one.
-        let t0 = obs_tok.start_ns();
+        let mut obs_span = obs::Span::begin_sampled(&m.commit_stage_latch, COMMIT_SAMPLE_SHIFT)
+            .with_total(&m.commit_total);
 
         // Stage 1 — install latches. All write rows latch in ascending
         // (col, row) order *before* any shard lock; the global sort order
@@ -458,7 +454,6 @@ impl Txn {
                         // First-updater-wins (§2.1).
                         col.versioned.unlock_row(w.row, old_ts);
                         self.unlatch_rows(&latched);
-                        record_commit_total(m, obs_tok, t0);
                         return Err(AttemptError::WwConflict);
                     }
                     latched.push((*w, old_ts, old_word));
@@ -466,13 +461,12 @@ impl Txn {
                 }
                 Err(e) => {
                     self.unlatch_rows(&latched);
-                    record_commit_total(m, obs_tok, t0);
                     return Err(AttemptError::Hard(e.into()));
                 }
             }
         }
         sched::hit("commit:latched");
-        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_validate);
+        obs_span.switch(&m.commit_stage_validate);
 
         // Stage 2 — heterogeneous mode enters the serialized commit
         // section here, before any shard lock, and holds it through
@@ -514,7 +508,6 @@ impl Txn {
                 db.inner.oracle.abort_commit(commit_ts);
                 drop(guards);
                 self.unlatch_rows(&latched);
-                record_commit_total(m, obs_tok, t0);
                 return Err(AttemptError::Validation(
                     conflicts
                         .into_iter()
@@ -539,7 +532,7 @@ impl Txn {
         // append in whatever order they reach the log; the record carries
         // a `(commit_ts, seq)` pair and recovery sorts. An append failure
         // still aborts cleanly: nothing has installed yet.
-        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_wal);
+        obs_span.switch(&m.commit_stage_wal);
         let mut wal_pending = None;
         if let Some(d) = db.inner.dura.get() {
             if d.level != anker_dura::DurabilityLevel::Off {
@@ -567,14 +560,13 @@ impl Txn {
                         db.inner.oracle.abort_commit(commit_ts);
                         drop(guards);
                         self.unlatch_rows(&latched);
-                        record_commit_total(m, obs_tok, t0);
                         return Err(AttemptError::Hard(e.into()));
                     }
                 }
             }
         }
         sched::hit("commit:logged");
-        obs_tok = obs::span_switch(obs_tok, &m.commit_stage_install);
+        obs_span.switch(&m.commit_stage_install);
 
         // Publish the commit record to the write-table shards, then let
         // the shards go — validation by others proceeds while we install.
@@ -623,7 +615,7 @@ impl Txn {
                 }
                 // PANIC-OK: fail-stop — the commit record is already
                 // durable, so a half-installed commit cannot be rolled
-                // back; dying with the install span open is designed.
+                // back; dying mid-install is designed.
                 db.inner
                     .snapman
                     .note_write(cs, &state, key.0, key.1)
@@ -731,20 +723,17 @@ impl Txn {
         // started, so concurrent committers share syncs instead of
         // queueing them.
         if let Some((dura, lsn)) = wal_pending {
-            let obs_tok = obs::span_switch(obs_tok, &m.commit_stage_fsync);
+            obs_span.switch(&m.commit_stage_fsync);
             sched::hit("commit:pre-fsync");
             // An fsync failure after install cannot be rolled back (the
             // writes are visible) and must not be reported as success
             // (the WAL page cache state is unknowable after a failed
             // sync) — fail stop is the only honest option.
-            // PANIC-OK: fail-stop by design; the process dies with the
-            // span open and the journal is diagnostic-only.
+            // PANIC-OK: fail-stop by design; the unwind still closes the
+            // fsync span.
             dura.wal
                 .sync_to(lsn)
                 .expect("WAL fsync failed; cannot guarantee durability of an applied commit");
-            record_commit_total(m, obs_tok, t0);
-        } else {
-            record_commit_total(m, obs_tok, t0);
         }
         Ok(commit_ts)
     }
@@ -775,21 +764,6 @@ impl Txn {
 /// distributions statistically faithful while `commit_attempts_total`
 /// stays exact.
 const COMMIT_SAMPLE_SHIFT: u32 = 5;
-
-/// Close the stage chain and record the end-to-end attempt duration,
-/// from `t0` — the start of the chain's first stage — to the end of the
-/// stage `tok` holds. All exit paths feed this, so on a sampled attempt
-/// the total is always recorded alongside the stages — at quiescence
-/// `commit_total_ns.count == commit_stage_latch_ns.count` exactly.
-#[inline]
-fn record_commit_total(m: &Metrics, tok: obs::SpanToken<'_>, t0: u64) {
-    let end = obs::span_end(tok);
-    if end == 0 {
-        // Attempt not sampled (or `obs-off`): nothing was timed.
-        return;
-    }
-    m.commit_total.record(end.saturating_sub(t0));
-}
 
 impl Drop for Txn {
     fn drop(&mut self) {

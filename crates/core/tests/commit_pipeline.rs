@@ -59,14 +59,16 @@ fn write_skew_across_validation_shards_aborts_exactly_one() {
             };
             let db = AnkerDb::new(config.with_gc_interval(None).with_backend(backend));
             let mk = |name: &str| {
-                let t = db.create_table(
-                    name,
-                    anker_core::Schema::new(vec![anker_core::ColumnDef::new(
-                        "v",
-                        anker_core::LogicalType::Int,
-                    )]),
-                    4,
-                );
+                let t = db
+                    .create_table(
+                        name,
+                        anker_core::Schema::new(vec![anker_core::ColumnDef::new(
+                            "v",
+                            anker_core::LogicalType::Int,
+                        )]),
+                        4,
+                    )
+                    .unwrap();
                 let c = db.schema(t).col("v");
                 db.fill_column(t, c, 0..4u64).unwrap();
                 (t, c)
@@ -479,14 +481,16 @@ fn gc_freeze_vs_shard_held_committer_vs_pruner() {
     let _g = gate_lock();
     let db = AnkerDb::new(DbConfig::homogeneous_serializable().with_gc_interval(None));
     let mk = |name: &str| {
-        let t = db.create_table(
-            name,
-            anker_core::Schema::new(vec![anker_core::ColumnDef::new(
-                "v",
-                anker_core::LogicalType::Int,
-            )]),
-            8,
-        );
+        let t = db
+            .create_table(
+                name,
+                anker_core::Schema::new(vec![anker_core::ColumnDef::new(
+                    "v",
+                    anker_core::LogicalType::Int,
+                )]),
+                8,
+            )
+            .unwrap();
         let c = db.schema(t).col("v");
         db.fill_column(t, c, 0..8u64).unwrap();
         (t, c)

@@ -134,11 +134,13 @@ pub fn one_col_db(config: DbConfig, rows: u32) -> (AnkerDb, TableId, ColumnId) {
 /// Create and fill the standard one-column table on an existing
 /// database (for callers that need `AnkerDb::open` or a GC thread).
 pub fn one_col_table(db: &AnkerDb, rows: u32) -> (TableId, ColumnId) {
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            rows,
+        )
+        .unwrap();
     let c = db.schema(t).col("v");
     db.fill_column(t, c, 0..rows as u64).unwrap();
     (t, c)

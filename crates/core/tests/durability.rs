@@ -44,14 +44,16 @@ fn durable_config(backend: BackendKind, level: DurabilityLevel) -> DbConfig {
 
 /// One Int + one Double column, filled deterministically.
 fn build_two_col(db: &AnkerDb, rows: u32) -> (TableId, ColumnId, ColumnId) {
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("a", LogicalType::Int),
-            ColumnDef::new("b", LogicalType::Double),
-        ]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Double),
+            ]),
+            rows,
+        )
+        .unwrap();
     let a = db.schema(t).col("a");
     let b = db.schema(t).col("b");
     db.fill_column(t, a, (0..rows).map(|i| Value::Int(i as i64).encode()))

@@ -12,14 +12,16 @@ use common::counter;
 
 fn small_db(config: DbConfig) -> (AnkerDb, TableId, ColumnId, ColumnId) {
     let db = AnkerDb::new(config.with_gc_interval(None));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("a", LogicalType::Int),
-            ColumnDef::new("b", LogicalType::Int),
-        ]),
-        4096,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Int),
+            ]),
+            4096,
+        )
+        .unwrap();
     let schema = db.schema(t);
     let a = schema.col("a");
     let b = schema.col("b");
@@ -334,15 +336,17 @@ fn lazy_materialisation_only_touched_columns() {
             .with_snapshot_every(1)
             .with_gc_interval(None),
     );
-    let t = db.create_table(
-        "wide",
-        Schema::new(
-            (0..8)
-                .map(|i| ColumnDef::new(format!("c{i}"), LogicalType::Int))
-                .collect(),
-        ),
-        1024,
-    );
+    let t = db
+        .create_table(
+            "wide",
+            Schema::new(
+                (0..8)
+                    .map(|i| ColumnDef::new(format!("c{i}"), LogicalType::Int))
+                    .collect(),
+            ),
+            1024,
+        )
+        .unwrap();
     let c0 = db.schema(t).col("c0");
     // Commits touch only c0; triggers happen every commit.
     for i in 0..10 {
@@ -574,15 +578,17 @@ fn scan_builder_filters_match_manual_filtering() {
         let dict = std::sync::Arc::new(anker_storage::Dictionary::with_values([
             "a", "b", "c", "d", "e", "f", "g",
         ]));
-        let t = db.create_table(
-            "m",
-            Schema::new(vec![
-                ColumnDef::new("i", LogicalType::Int),
-                ColumnDef::new("d", LogicalType::Double),
-                ColumnDef::dict("k", dict),
-            ]),
-            3072,
-        );
+        let t = db
+            .create_table(
+                "m",
+                Schema::new(vec![
+                    ColumnDef::new("i", LogicalType::Int),
+                    ColumnDef::new("d", LogicalType::Double),
+                    ColumnDef::dict("k", dict),
+                ]),
+                3072,
+            )
+            .unwrap();
         let schema = db.schema(t);
         let (i, d, k) = (schema.col("i"), schema.col("d"), schema.col("k"));
         use anker_core::Value;
@@ -668,11 +674,13 @@ fn zone_maps_skip_blocks_on_snapshot_scans() {
 #[test]
 fn range_i64_is_exact_beyond_f64_mantissa() {
     let db = AnkerDb::new(DbConfig::heterogeneous_serializable().with_gc_interval(None));
-    let t = db.create_table(
-        "big",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        4,
-    );
+    let t = db
+        .create_table(
+            "big",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            4,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     const BIG: i64 = 1 << 53; // 2^53 and 2^53 + 1 round to the same f64
     use anker_core::Value;
@@ -745,11 +753,13 @@ fn version_counts_survive_epoch_freeze() {
 #[test]
 fn fill_column_rejected_after_first_observation() {
     let db = AnkerDb::new(DbConfig::heterogeneous_serializable().with_gc_interval(None));
-    let t = db.create_table(
-        "early",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        16,
-    );
+    let t = db
+        .create_table(
+            "early",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            16,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     db.fill_column(t, v, 0..16).unwrap();
     let mut txn = db.begin(TxnKind::Oltp);
@@ -763,11 +773,13 @@ fn fill_column_rejected_after_first_observation() {
     );
     // A table created after transactions have run is still loadable —
     // nothing can have observed it yet.
-    let t2 = db.create_table(
-        "late",
-        Schema::new(vec![ColumnDef::new("w", LogicalType::Int)]),
-        16,
-    );
+    let t2 = db
+        .create_table(
+            "late",
+            Schema::new(vec![ColumnDef::new("w", LogicalType::Int)]),
+            16,
+        )
+        .unwrap();
     let w = db.schema(t2).col("w");
     db.fill_column(t2, w, 16..32).unwrap();
     let mut r = db.begin(TxnKind::Oltp);

@@ -67,11 +67,13 @@ fn homogeneous_mode_refuses_detached_readers() {
 fn reader_pins_a_consistent_epoch_across_commits() {
     for backend in backends() {
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-            4096,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+                4096,
+            )
+            .unwrap();
         let v = db.schema(t).col("v");
         db.fill_column(t, v, (0..4096).map(|_| Value::Int(1).encode()))
             .unwrap();
@@ -110,14 +112,16 @@ fn reader_survives_snapshot_refresh_and_recycling_cycles() {
     for backend in backends() {
         let rows = 2048u32;
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("a", LogicalType::Int),
-                ColumnDef::new("b", LogicalType::Int),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("a", LogicalType::Int),
+                    ColumnDef::new("b", LogicalType::Int),
+                ]),
+                rows,
+            )
+            .unwrap();
         let a = db.schema(t).col("a");
         let b = db.schema(t).col("b");
         db.fill_column(t, a, (0..rows).map(|i| Value::Int(i as i64).encode()))
@@ -188,11 +192,13 @@ fn partitions_cover_all_rows_disjointly() {
     for backend in backends() {
         let rows = 10_000u32;
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+                rows,
+            )
+            .unwrap();
         let v = db.schema(t).col("v");
         db.fill_column(t, v, (0..rows).map(|i| Value::Int(i as i64).encode()))
             .unwrap();
@@ -236,14 +242,16 @@ fn check_parallel_matches_sequential(
     hi: i64,
 ) {
     let db = AnkerDb::new(hetero(backend));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("k", LogicalType::Int),
-            ColumnDef::new("x", LogicalType::Double),
-        ]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("x", LogicalType::Double),
+            ]),
+            rows,
+        )
+        .unwrap();
     let k = db.schema(t).col("k");
     let x = db.schema(t).col("x");
     db.fill_column(
@@ -354,11 +362,13 @@ proptest! {
 fn surplus_partitions_are_empty_not_panics() {
     let rows = 1_500u32; // 2 blocks, not block-aligned
     let db = AnkerDb::new(hetero(BackendKind::Sim));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            rows,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     db.fill_column(t, v, (0..rows).map(|i| Value::Int(i as i64).encode()))
         .unwrap();
@@ -382,11 +392,13 @@ fn surplus_partitions_are_empty_not_panics() {
 #[test]
 fn huge_page_and_sequential_hints_surface_in_os_stats() {
     let db = AnkerDb::new(hetero(BackendKind::Os).with_os_huge_pages(true));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        4096,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            4096,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     db.fill_column(t, v, (0..4096).map(|i| Value::Int(i).encode()))
         .unwrap();
@@ -442,14 +454,16 @@ fn kernel_counters_identical_across_thread_counts() {
     for backend in backends() {
         let rows = 40_000u32;
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", LogicalType::Int),
-                ColumnDef::new("x", LogicalType::Double),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("k", LogicalType::Int),
+                    ColumnDef::new("x", LogicalType::Double),
+                ]),
+                rows,
+            )
+            .unwrap();
         let k = db.schema(t).col("k");
         let x = db.schema(t).col("x");
         db.fill_column(t, k, (0..rows).map(|i| Value::Int(i as i64 % 7).encode()))
@@ -535,14 +549,16 @@ fn obs_counter_deltas_identical_across_thread_counts() {
     for backend in backends() {
         let rows = 30_000u32;
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", LogicalType::Int),
-                ColumnDef::new("x", LogicalType::Double),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("k", LogicalType::Int),
+                    ColumnDef::new("x", LogicalType::Double),
+                ]),
+                rows,
+            )
+            .unwrap();
         let k = db.schema(t).col("k");
         let x = db.schema(t).col("x");
         db.fill_column(t, k, (0..rows).map(|i| Value::Int(i as i64 % 5).encode()))
@@ -607,11 +623,13 @@ fn parallel_double_predicates_match() {
     for backend in backends() {
         let rows = 5_000u32;
         let db = AnkerDb::new(hetero(backend));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("x", LogicalType::Double)]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("x", LogicalType::Double)]),
+                rows,
+            )
+            .unwrap();
         let x = db.schema(t).col("x");
         db.fill_column(
             t,

@@ -22,16 +22,18 @@ const ROWS: u32 = 5 * 1024 + 300;
 /// that is only ever projected.
 fn load(db: &AnkerDb) -> TableId {
     let dict = Arc::new(Dictionary::with_values((0..4).map(|i| format!("c{i}"))));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("k", LogicalType::Int),
-            ColumnDef::new("x", LogicalType::Double),
-            ColumnDef::dict("d", dict),
-            ColumnDef::new("v", LogicalType::Int),
-        ]),
-        ROWS,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("x", LogicalType::Double),
+                ColumnDef::dict("d", dict),
+                ColumnDef::new("v", LogicalType::Int),
+            ]),
+            ROWS,
+        )
+        .unwrap();
     let s = db.schema(t);
     let (k, x, d, v) = (s.col("k"), s.col("x"), s.col("d"), s.col("v"));
     db.fill_column(t, k, (0..ROWS).map(|i| Value::Int(i as i64 / 40).encode()))

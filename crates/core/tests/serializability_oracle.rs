@@ -53,15 +53,17 @@ fn script_strategy() -> impl Strategy<Value = Script> {
 
 fn fresh_db(config: DbConfig) -> (AnkerDb, anker_core::TableId, Vec<anker_storage::ColumnId>) {
     let db = AnkerDb::new(config.with_gc_interval(None));
-    let t = db.create_table(
-        "t",
-        Schema::new(
-            (0..COLS)
-                .map(|i| ColumnDef::new(format!("c{i}"), LogicalType::Int))
-                .collect(),
-        ),
-        ROWS,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(
+                (0..COLS)
+                    .map(|i| ColumnDef::new(format!("c{i}"), LogicalType::Int))
+                    .collect(),
+            ),
+            ROWS,
+        )
+        .unwrap();
     let schema = db.schema(t);
     let cols: Vec<_> = (0..COLS).map(|i| schema.col(&format!("c{i}"))).collect();
     for &c in &cols {

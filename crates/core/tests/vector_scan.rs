@@ -57,15 +57,17 @@ fn twin_dbs(
 ) -> (AnkerDb, AnkerDb, TableId) {
     let mk = |scalar: bool| {
         let db = AnkerDb::new(hetero(backend, scalar));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![
-                ColumnDef::new("k", LogicalType::Int),
-                ColumnDef::new("x", LogicalType::Double),
-                ColumnDef::dict("d", dict()),
-            ]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![
+                    ColumnDef::new("k", LogicalType::Int),
+                    ColumnDef::new("x", LogicalType::Double),
+                    ColumnDef::dict("d", dict()),
+                ]),
+                rows,
+            )
+            .unwrap();
         let cell = |i: u32| data[i as usize % data.len()];
         let (k, x, d) = (
             db.schema(t).col("k"),
@@ -211,7 +213,7 @@ proptest! {
                     ColumnDef::new("x", LogicalType::Double),
                 ]),
                 rows,
-            );
+            ).unwrap();
             let cell = |i: u32| data[i as usize % data.len()];
             let k = db.schema(t).col("k");
             let x = db.schema(t).col("x");
@@ -270,11 +272,13 @@ fn dense_blocks_skip_index_materialisation() {
     for backend in backends() {
         let rows = 8 * 1024u32;
         let db = AnkerDb::new(hetero(backend, false));
-        let t = db.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("k", LogicalType::Int)]),
-            rows,
-        );
+        let t = db
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("k", LogicalType::Int)]),
+                rows,
+            )
+            .unwrap();
         let k = db.schema(t).col("k");
         // Clustered: block b holds exactly the value range [1024b, 1024b+1023].
         db.fill_column(t, k, (0..rows).map(|i| Value::Int(i as i64).encode()))
@@ -300,11 +304,13 @@ fn dense_blocks_skip_index_materialisation() {
 
         // Scalar ablation on the same data: same answer, no kernel blocks.
         let db_s = AnkerDb::new(hetero(backend, true));
-        let t_s = db_s.create_table(
-            "t",
-            Schema::new(vec![ColumnDef::new("k", LogicalType::Int)]),
-            rows,
-        );
+        let t_s = db_s
+            .create_table(
+                "t",
+                Schema::new(vec![ColumnDef::new("k", LogicalType::Int)]),
+                rows,
+            )
+            .unwrap();
         let k_s = db_s.schema(t_s).col("k");
         db_s.fill_column(t_s, k_s, (0..rows).map(|i| Value::Int(i as i64).encode()))
             .unwrap();
@@ -331,14 +337,16 @@ fn dense_blocks_skip_index_materialisation() {
 fn count_reads_no_projection_blocks() {
     let rows = 4 * 1024u32;
     let db = AnkerDb::new(hetero(BackendKind::Sim, false));
-    let t = db.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("k", LogicalType::Int),
-            ColumnDef::new("v", LogicalType::Int),
-        ]),
-        rows,
-    );
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("v", LogicalType::Int),
+            ]),
+            rows,
+        )
+        .unwrap();
     let k = db.schema(t).col("k");
     let v = db.schema(t).col("v");
     db.fill_column(t, k, (0..rows).map(|i| Value::Int(i as i64 % 100).encode()))
@@ -396,14 +404,16 @@ fn count_reads_no_projection_blocks() {
             .with_gc_interval(None)
             .with_scalar_scan(false),
     );
-    let t2 = homo.create_table(
-        "t",
-        Schema::new(vec![
-            ColumnDef::new("k", LogicalType::Int),
-            ColumnDef::new("v", LogicalType::Int),
-        ]),
-        rows,
-    );
+    let t2 = homo
+        .create_table(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("k", LogicalType::Int),
+                ColumnDef::new("v", LogicalType::Int),
+            ]),
+            rows,
+        )
+        .unwrap();
     let k2 = homo.schema(t2).col("k");
     homo.fill_column(
         t2,

@@ -318,12 +318,11 @@ impl Wal {
             let target = self.appended.load(Ordering::Acquire);
             // Leader-side fsync latency (handle-lock wait included — it is
             // part of what followers end up waiting for).
-            let obs_tok = obs::span_begin(&self.m.fsync);
             let res = {
+                let _obs = obs::Span::begin(&self.m.fsync);
                 let handle = self.sync_handle.lock();
                 handle.sync_data()
             };
-            obs::span_end(obs_tok);
             self.m.syncs.inc();
             let mut st = self.sync_state.lock();
             st.leader_active = false;

@@ -48,17 +48,6 @@ pub struct PinConfig {
     pub files: Vec<String>,
 }
 
-/// `[spans]` — the span-leak pass config: `begin` patterns open a tracer
-/// span token (`span_switch` appears in both lists: it ends one stage
-/// *and* opens the next), `end` patterns consume one, `files` scopes the
-/// pass to the instrumented hot paths.
-#[derive(Debug, Clone, Default)]
-pub struct SpanConfig {
-    pub begin: Vec<Pattern>,
-    pub end: Vec<Pattern>,
-    pub files: Vec<String>,
-}
-
 /// One `[[escape]]` allowlist entry: a function that is blessed to move
 /// pin-derived data out of its own scope (it transfers the pin along, or
 /// re-establishes the justification some other audited way).
@@ -75,7 +64,6 @@ pub struct Config {
     pub version: i64,
     pub classes: Vec<LockClass>,
     pub pins: PinConfig,
-    pub spans: SpanConfig,
     pub escapes: Vec<EscapeEntry>,
 }
 
@@ -101,7 +89,6 @@ enum Section {
     Top,
     Class(LockClass),
     Pins,
-    Spans,
     Escape(EscapeEntry),
 }
 
@@ -128,7 +115,6 @@ pub fn parse(src: &str) -> Result<Config, String> {
                     files: Vec::new(),
                 }),
                 "[pins]" => Section::Pins,
-                "[spans]" => Section::Spans,
                 "[[escape]]" => Section::Escape(EscapeEntry {
                     fn_name: String::new(),
                     file: String::new(),
@@ -178,12 +164,6 @@ pub fn parse(src: &str) -> Result<Config, String> {
                 "files" => cfg.pins.files = parse_str_array(&val, ln)?,
                 other => return Err(format!("LOCKS.toml:{}: unknown pins key {other}", ln + 1)),
             },
-            Section::Spans => match key.as_str() {
-                "begin" => cfg.spans.begin = parse_patterns(&val, ln)?,
-                "end" => cfg.spans.end = parse_patterns(&val, ln)?,
-                "files" => cfg.spans.files = parse_str_array(&val, ln)?,
-                other => return Err(format!("LOCKS.toml:{}: unknown spans key {other}", ln + 1)),
-            },
             Section::Escape(e) => match key.as_str() {
                 "fn" => e.fn_name = parse_str(&val, ln)?,
                 "file" => e.file = parse_str(&val, ln)?,
@@ -212,7 +192,7 @@ pub fn parse(src: &str) -> Result<Config, String> {
 
 fn flush(cfg: &mut Config, section: Section) -> Result<(), String> {
     match section {
-        Section::Top | Section::Pins | Section::Spans => {}
+        Section::Top | Section::Pins => {}
         Section::Class(c) => cfg.classes.push(validate(c)?),
         Section::Escape(e) => {
             if e.fn_name.is_empty() || e.file.is_empty() || e.reason.is_empty() {

@@ -20,10 +20,10 @@
 //! 7. **pin-escape** — frozen-area slices never escape their epoch pin;
 //! 8. **unsafe-provenance** — every `unsafe` block carries a structured
 //!    `SAFETY(provenance: …, bounds: …)` tag whose symbols resolve, with
-//!    a per-crate inventory (`results/unsafe_audit.json`) diffed by CI;
-//! 9. **span-leak** — every `anker-obs` span token reaches
-//!    `span_end`/`span_switch` on every CFG exit path, so a leaked span
-//!    cannot silently skew stage timings.
+//!    a per-crate inventory (`results/unsafe_audit.json`) diffed by CI.
+//!
+//! Tracer spans need no pass: `anker_obs::Span` records its open stage
+//! when dropped, so every exit path closes it by construction.
 //!
 //! Run as `cargo run -p anker-lint -- check`. The runtime complement is
 //! `anker_util::lockcheck` (`--features lockcheck`); `witness_agrees`
@@ -42,7 +42,6 @@ pub mod ordering;
 pub mod parser;
 pub mod provenance;
 pub mod safety;
-pub mod spans;
 pub mod syncpoints;
 
 use std::fmt;
@@ -104,7 +103,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         report.findings.extend(safety::check(rel, &lx));
         report.findings.extend(ordering::check(rel, &lx, &regions));
         report.findings.extend(latch::check(rel, &lx, &trees, &cfg));
-        report.findings.extend(spans::check(rel, &lx, &trees, &cfg));
         report
             .findings
             .extend(escape::check(rel, &lx, &trees, &cfg));

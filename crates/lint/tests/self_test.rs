@@ -96,38 +96,6 @@ fn released_latch_twin_is_clean() {
 }
 
 #[test]
-fn leaked_span_is_flagged() {
-    let report = anker_lint::run(&fixture("leaked_span")).unwrap();
-    let leaks: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.check == "span-leak")
-        .collect();
-    assert!(
-        leaks.iter().any(|f| f.msg.contains('?')),
-        "the `?` exit must be flagged: {leaks:#?}"
-    );
-    assert!(
-        leaks.iter().any(|f| f.msg.contains("`return`")),
-        "the early return must be flagged: {leaks:#?}"
-    );
-    assert!(
-        leaks.iter().any(|f| f.msg.contains("switch_leak")),
-        "the unconsumed switched token must be flagged: {leaks:#?}"
-    );
-}
-
-#[test]
-fn ended_span_twin_is_clean() {
-    let report = anker_lint::run(&fixture("ended_span")).unwrap();
-    assert!(
-        report.findings.is_empty(),
-        "end-on-every-path plus a PANIC-OK fail-stop site must be clean: {:#?}",
-        report.findings
-    );
-}
-
-#[test]
 fn escaped_pin_is_flagged() {
     let report = anker_lint::run(&fixture("escaped_pin")).unwrap();
     let f = report

@@ -20,8 +20,8 @@
 //! (rows mid-install additionally carry [`PENDING`]).
 //!
 //! The same watermark is the engine's GC/pruning fallback horizon: nothing
-//! above it is guaranteed installed, so version-chain GC, snapshot-area
-//! recycling and epoch triggering must never use the raw `next_commit`
+//! above it is guaranteed installed, so version-chain GC, commit-record
+//! pruning and epoch triggering must never use the raw `next_commit`
 //! counter as "now".
 //!
 //! **Quiescence.** The oracle offers one way to stop commits: a freeze

@@ -7,7 +7,7 @@
 //! A completed span costs one clock read at each end (see
 //! [`crate::clock`]) plus one histogram record and four relaxed stores
 //! into the calling thread's ring — no locks, no allocation after the
-//! thread's first span. [`span_switch`] closes one stage and opens the
+//! thread's first span. [`Span::switch`] closes one stage and opens the
 //! next **sharing a single clock read**, which is what keeps a
 //! five-stage commit pipeline at six clock reads total instead of ten.
 //!
@@ -31,12 +31,12 @@
 //!
 //! ## API discipline
 //!
-//! The manual token API ([`span_begin`] → [`span_switch`]* →
-//! [`span_end`]) is for multi-stage hot paths; the [`crate::span!`]
-//! guard is for coarse single-stage scopes. Tokens are linear: the
-//! `span-leak` pass in anker-lint checks that every token reaches
-//! `span_end`/`span_switch` on every CFG exit path, so a leaked span
-//! cannot silently skew stage timings.
+//! There is one span type, [`Span`], and it ends itself: dropping it
+//! records the open stage exactly once, so a scope left by `?`, an early
+//! `return` or a panic still reports its time, and no path can leak a
+//! span. Multi-stage hot paths chain stages with [`Span::switch`] (and a
+//! whole-chain histogram via [`Span::with_total`]); coarse scopes use
+//! the [`crate::span!`] shorthand for [`Span::begin`].
 
 #[cfg(not(feature = "obs-off"))]
 use crate::clock;
@@ -198,176 +198,168 @@ fn with_thread_buf(f: impl FnOnce(&TraceBuf)) {
     let _ = BUF.try_with(|b| f(b));
 }
 
-/// An open span: the stage being timed and its start timestamp. Linear —
-/// must be passed to [`span_end`] or [`span_switch`] on every path out
-/// of the enclosing function (enforced by anker-lint's `span-leak`
-/// pass). Dropping a token loses the span silently.
-#[must_use = "close the span with obs::span_end / obs::span_switch"]
-pub struct SpanToken<'a> {
+/// An open span: the stage being timed, its start timestamp and, for a
+/// chain opened with [`with_total`](Self::with_total), the histogram fed
+/// with the whole chain's duration. It ends itself: [`Drop`] records the
+/// open stage exactly once — on a normal exit, an early `return`, a `?`
+/// or an unwind — so no path out of a scope can lose it. [`end`](Self::end)
+/// closes it early and returns the end timestamp.
+#[must_use = "a span records when dropped; bind it for the scope to time"]
+#[cfg_attr(feature = "obs-off", allow(dead_code))]
+pub struct Span<'a> {
     stage: &'a Stage,
     start: u64,
+    /// The chain-total histogram and the chain's first start timestamp.
+    total: Option<(&'a Histogram, u64)>,
 }
 
-impl SpanToken<'_> {
-    /// Start timestamp of the open span (0 under `obs-off`,
-    /// `u64::MAX` for a disabled [`span_begin_sampled`] token). Lets a
-    /// pipeline derive its end-to-end duration from the first token and
-    /// the end timestamp [`span_end`] returns, with no extra clock read —
-    /// only meaningful for unsampled chains; sampled pipelines should
-    /// take their own [`crate::timestamp`] instead.
-    pub fn start_ns(&self) -> u64 {
-        self.start
-    }
-}
-
-impl std::fmt::Debug for SpanToken<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SpanToken").field(&self.stage.name).finish()
-    }
-}
-
-/// Sentinel start value marking a token whose whole span chain is
-/// disabled (not sampled this time): every later [`span_switch`] /
-/// [`span_end`] on it is a branch and nothing else.
+/// Sentinel start value marking a span whose whole chain is disabled
+/// (not sampled this time, or already ended): every later
+/// [`Span::switch`] / [`Span::end`] / drop on it is a branch and nothing
+/// else.
 #[cfg(not(feature = "obs-off"))]
 const DISABLED: u64 = u64::MAX;
 
-/// Open a span for `stage` for **one in `2^shift`** calls on this thread
-/// (the rest return a disabled token that flows through
-/// [`span_switch`]/[`span_end`] as pure branches). For span chains on
-/// paths hot enough that even one clock read per stage is real money —
-/// the sub-microsecond commit pipeline — sampling keeps the stage
-/// histograms statistically faithful at a fraction of the cost; pair it
-/// with an unsampled counter + total-duration histogram when exact
-/// counts matter. Low-frequency spans should use [`span_begin`].
-#[inline]
-pub fn span_begin_sampled(stage: &Stage, shift: u32) -> SpanToken<'_> {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        use std::cell::Cell;
-        thread_local! {
-            static TICK: Cell<u64> = const { Cell::new(0) };
+impl<'a> Span<'a> {
+    /// Open a span for `stage` now.
+    #[inline]
+    pub fn begin(stage: &'a Stage) -> Self {
+        #[cfg(not(feature = "obs-off"))]
+        let start = clock::now_ns();
+        #[cfg(feature = "obs-off")]
+        let start = 0;
+        Span {
+            stage,
+            start,
+            total: None,
         }
-        // Thread teardown: treat as not sampled.
-        let sampled = TICK
-            .try_with(|t| {
-                let v = t.get().wrapping_add(1);
-                t.set(v);
-                v & ((1u64 << shift) - 1) == 0
-            })
-            .unwrap_or(false);
-        if sampled {
-            span_begin(stage)
-        } else {
-            SpanToken {
-                stage,
-                start: DISABLED,
+    }
+
+    /// Open a span for `stage` for **one in `2^shift`** calls on this
+    /// thread; the rest return a disabled span that flows through
+    /// [`switch`](Self::switch) and drop as pure branches. For span
+    /// chains on paths hot enough that even one clock read per stage is
+    /// real money — the sub-microsecond commit pipeline — sampling keeps
+    /// the stage histograms statistically faithful at a fraction of the
+    /// cost; pair it with an unsampled counter when exact counts matter.
+    /// Low-frequency spans should use [`begin`](Self::begin).
+    #[inline]
+    pub fn begin_sampled(stage: &'a Stage, shift: u32) -> Self {
+        #[cfg(not(feature = "obs-off"))]
+        {
+            use std::cell::Cell;
+            thread_local! {
+                static TICK: Cell<u64> = const { Cell::new(0) };
+            }
+            // Thread teardown: treat as not sampled.
+            let sampled = TICK
+                .try_with(|t| {
+                    let v = t.get().wrapping_add(1);
+                    t.set(v);
+                    v & ((1u64 << shift) - 1) == 0
+                })
+                .unwrap_or(false);
+            if sampled {
+                Span::begin(stage)
+            } else {
+                Span {
+                    stage,
+                    start: DISABLED,
+                    total: None,
+                }
             }
         }
+        #[cfg(feature = "obs-off")]
+        {
+            let _ = shift;
+            Span::begin(stage)
+        }
     }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = shift;
-        span_begin(stage)
-    }
-}
 
-/// Open a span for `stage` now.
-#[inline]
-pub fn span_begin(stage: &Stage) -> SpanToken<'_> {
+    /// Also record the chain's end-to-end duration — from this span's
+    /// start to the end of whichever stage is open when the span ends —
+    /// in `total`. A disabled chain records no total either, so a
+    /// sampled pipeline's total and first-stage histograms count alike.
+    #[inline]
+    pub fn with_total(self, total: &'a Histogram) -> Self {
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let mut s = self;
+            s.total = Some((total, s.start));
+            s
+        }
+        #[cfg(feature = "obs-off")]
+        {
+            let _ = total;
+            self
+        }
+    }
+
+    /// Close the open stage and open `next` with one shared clock read,
+    /// so adjacent pipeline stages tile the timeline with no gap and no
+    /// double timestamping.
+    #[inline]
+    pub fn switch(&mut self, next: &'a Stage) {
+        #[cfg(not(feature = "obs-off"))]
+        {
+            if self.start != DISABLED {
+                let now = clock::now_ns();
+                self.record(now);
+                self.start = now;
+            }
+        }
+        self.stage = next;
+    }
+
+    /// End the span now, returning the end timestamp (0 for a disabled
+    /// span and under `obs-off`).
+    #[inline]
+    pub fn end(mut self) -> u64 {
+        self.close()
+    }
+
+    /// Record the open stage (and the chain total) once and disable the
+    /// span, so the drop that follows records nothing.
+    #[inline]
+    fn close(&mut self) -> u64 {
+        #[cfg(not(feature = "obs-off"))]
+        {
+            if self.start == DISABLED {
+                return 0;
+            }
+            let end = clock::now_ns();
+            self.record(end);
+            if let Some((total, t0)) = self.total {
+                total.record(end.saturating_sub(t0));
+            }
+            self.start = DISABLED;
+            end
+        }
+        #[cfg(feature = "obs-off")]
+        {
+            0
+        }
+    }
+
     #[cfg(not(feature = "obs-off"))]
-    let start = clock::now_ns();
-    #[cfg(feature = "obs-off")]
-    let start = 0;
-    SpanToken { stage, start }
-}
-
-/// Close a span: records the event in the journal and the stage's
-/// `<name>_ns` histogram. Returns the end timestamp so callers can
-/// derive whole-pipeline durations without another clock read (0 for a
-/// disabled token and under `obs-off`).
-#[inline]
-pub fn span_end(tok: SpanToken<'_>) -> u64 {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if tok.start == DISABLED {
-            return 0;
-        }
-        let end = clock::now_ns();
-        finish(tok, end);
-        end
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = tok;
-        0
+    #[inline]
+    fn record(&self, end: u64) {
+        let dur = end.saturating_sub(self.start);
+        self.stage.hist.record(dur);
+        with_thread_buf(|b| b.write(self.stage.id, self.start, dur));
     }
 }
 
-/// Close `tok` and open a span for `next` with one shared clock read, so
-/// adjacent pipeline stages tile the timeline with no gap and no double
-/// timestamping.
-#[inline]
-pub fn span_switch<'a>(tok: SpanToken<'_>, next: &'a Stage) -> SpanToken<'a> {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if tok.start == DISABLED {
-            return SpanToken {
-                stage: next,
-                start: DISABLED,
-            };
-        }
-        let now = clock::now_ns();
-        finish(tok, now);
-        SpanToken {
-            stage: next,
-            start: now,
-        }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = tok;
-        span_begin(next)
-    }
-}
-
-#[cfg(not(feature = "obs-off"))]
-#[inline]
-fn finish(tok: SpanToken<'_>, end: u64) {
-    let dur = end.saturating_sub(tok.start);
-    tok.stage.hist.record(dur);
-    with_thread_buf(|b| b.write(tok.stage.id, tok.start, dur));
-}
-
-/// RAII wrapper over the token API for coarse scopes; see
-/// [`crate::span!`]. Ends the span on drop (including unwind), or
-/// explicitly via [`finish`](Self::finish) for the end timestamp.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    tok: Option<SpanToken<'a>>,
-}
-
-impl<'a> SpanGuard<'a> {
-    pub fn new(stage: &'a Stage) -> Self {
-        SpanGuard {
-            tok: Some(span_begin(stage)),
-        }
-    }
-
-    /// End the span now, returning the end timestamp.
-    pub fn finish(mut self) -> u64 {
-        match self.tok.take() {
-            Some(tok) => span_end(tok),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
+impl Drop for Span<'_> {
+    #[inline]
     fn drop(&mut self) {
-        if let Some(tok) = self.tok.take() {
-            let _ = span_end(tok);
-        }
+        self.close();
+    }
+}
+
+impl std::fmt::Debug for Span<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Span").field(&self.stage.name).finish()
     }
 }
 
@@ -445,18 +437,25 @@ pub fn trace_json() -> String {
 mod tests {
     use super::*;
 
+    /// Journal events of `stage` across every thread's ring.
+    fn journal_events(stage: &str) -> usize {
+        trace_json()
+            .matches(&format!("\"name\":\"{stage}\",\"ts\""))
+            .count()
+    }
+
     #[test]
     fn spans_feed_histogram_and_journal() {
         let stage = crate::stage!("obs_test_stage_a");
-        let tok = span_begin(stage);
+        let span = Span::begin(stage);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let end = span_end(tok);
+        let end = span.end();
         assert!(end > 0);
         let snap = crate::snapshot();
         let h = snap
             .histogram("obs_test_stage_a_ns")
             .expect("auto-registered");
-        assert!(h.count() >= 1);
+        assert_eq!(h.count(), 1, "end() and the drop after it record once");
         assert!(h.sum >= 500_000, "1 ms sleep recorded {} ns", h.sum);
         let json = trace_json();
         assert!(json.contains("\"obs_test_stage_a\""));
@@ -464,15 +463,60 @@ mod tests {
     }
 
     #[test]
+    fn span_left_open_records_once_on_every_exit() {
+        fn early_return(stage: &Stage) -> u32 {
+            let _span = Span::begin(stage);
+            if stage.name().ends_with("g1") {
+                return 1;
+            }
+            2
+        }
+        fn fails() -> Result<(), ()> {
+            Err(())
+        }
+        fn question_mark(stage: &Stage) -> Result<(), ()> {
+            let _span = Span::begin(stage);
+            fails()?;
+            Ok(())
+        }
+        assert_eq!(early_return(crate::stage!("obs_test_stage_g1")), 1);
+        assert!(question_mark(crate::stage!("obs_test_stage_g2")).is_err());
+        let res = std::panic::catch_unwind(|| {
+            let _span = Span::begin(crate::stage!("obs_test_stage_g3"));
+            panic!("boom");
+        });
+        assert!(res.is_err());
+        let snap = crate::snapshot();
+        for name in [
+            "obs_test_stage_g1",
+            "obs_test_stage_g2",
+            "obs_test_stage_g3",
+        ] {
+            let h = snap.histogram(&format!("{name}_ns")).unwrap();
+            assert_eq!(h.count(), 1, "{name}");
+            assert_eq!(journal_events(name), 1, "{name}");
+        }
+    }
+
+    #[test]
     fn switch_tiles_adjacent_stages() {
         let a = crate::stage!("obs_test_stage_b1");
         let b = crate::stage!("obs_test_stage_b2");
-        let tok = span_begin(a);
-        let tok = span_switch(tok, b);
-        let _ = span_end(tok);
+        let total = crate::histogram!("obs_test_chain_b_ns", "Test chain total");
+        {
+            let mut span = Span::begin(a).with_total(total);
+            span.switch(b);
+            // Only `b` is open now: the drop must not record `a` again.
+        }
         let snap = crate::snapshot();
-        assert_eq!(snap.histogram("obs_test_stage_b1_ns").unwrap().count(), 1);
-        assert_eq!(snap.histogram("obs_test_stage_b2_ns").unwrap().count(), 1);
+        let ha = snap.histogram("obs_test_stage_b1_ns").unwrap();
+        let hb = snap.histogram("obs_test_stage_b2_ns").unwrap();
+        let ht = snap.histogram("obs_test_chain_b_ns").unwrap();
+        assert_eq!((ha.count(), hb.count(), ht.count()), (1, 1, 1));
+        assert_eq!(journal_events("obs_test_stage_b1"), 1);
+        assert_eq!(journal_events("obs_test_stage_b2"), 1);
+        // One shared clock read per boundary: the stages tile the total.
+        assert_eq!(ha.sum + hb.sum, ht.sum);
     }
 
     #[test]
@@ -496,11 +540,11 @@ mod tests {
         std::thread::spawn(|| {
             let a = crate::stage!("obs_test_stage_e1");
             let b = crate::stage!("obs_test_stage_e2");
+            let total = crate::histogram!("obs_test_chain_e_ns", "Test chain total");
             for _ in 0..64 {
-                let tok = span_begin_sampled(a, 4);
-                // Disabled tokens must flow through a switch untouched.
-                let tok = span_switch(tok, b);
-                let _ = span_end(tok);
+                let mut span = Span::begin_sampled(a, 4).with_total(total);
+                // Disabled spans must flow through a switch untouched.
+                span.switch(b);
             }
         })
         .join()
@@ -508,31 +552,40 @@ mod tests {
         let snap = crate::snapshot();
         // Tick 0 samples (0 & mask == 0 after wrapping increment lands
         // on 16, 32, 48, 64): 64 calls at shift 4 → exactly 4 samples,
-        // propagated through the whole chain.
+        // propagated through the whole chain and its total.
         assert_eq!(snap.histogram("obs_test_stage_e1_ns").unwrap().count(), 4);
         assert_eq!(snap.histogram("obs_test_stage_e2_ns").unwrap().count(), 4);
+        assert_eq!(snap.histogram("obs_test_chain_e_ns").unwrap().count(), 4);
     }
 
     #[test]
     fn disabled_token_span_end_returns_zero() {
         std::thread::spawn(|| {
-            let a = crate::stage!("obs_test_stage_f");
-            // Tick 1 of 2^30 — never sampled on this fresh thread.
-            let tok = span_begin_sampled(a, 30);
-            assert_eq!(span_end(tok), 0);
+            // Ticks 1 and 2 of 2^30 — never sampled on this fresh thread.
+            let span = Span::begin_sampled(crate::stage!("obs_test_stage_f"), 30);
+            assert_eq!(span.end(), 0);
+            let total = crate::histogram!("obs_test_chain_f_ns", "Test chain total");
+            let mut span =
+                Span::begin_sampled(crate::stage!("obs_test_stage_f1"), 30).with_total(total);
+            span.switch(crate::stage!("obs_test_stage_f2"));
+            drop(span);
         })
         .join()
         .unwrap();
         let snap = crate::snapshot();
-        assert_eq!(snap.histogram("obs_test_stage_f_ns").unwrap().count(), 0);
+        for name in ["obs_test_stage_f", "obs_test_stage_f1", "obs_test_stage_f2"] {
+            let h = snap.histogram(&format!("{name}_ns")).unwrap();
+            assert_eq!(h.count(), 0, "{name}");
+            assert_eq!(journal_events(name), 0, "{name}");
+        }
+        assert_eq!(snap.histogram("obs_test_chain_f_ns").unwrap().count(), 0);
     }
 
     #[test]
     fn ring_overwrites_but_never_grows() {
         let stage = crate::stage!("obs_test_stage_d");
         for _ in 0..3000 {
-            let tok = span_begin(stage);
-            let _ = span_end(tok);
+            drop(Span::begin(stage));
         }
         // The journal stays bounded; the dump stays parseable and the
         // histogram saw every event even though the ring wrapped.

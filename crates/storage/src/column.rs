@@ -120,7 +120,7 @@ pub struct ColumnArea {
     rows: u32,
     /// Lazily built zone maps, shared across clones of this view. A fresh
     /// cell is created per [`ColumnArea::alloc`]/[`ColumnArea::from_raw`],
-    /// so a recycled address never inherits a stale summary.
+    /// so a new area at a reused address never inherits a stale summary.
     zones: Arc<Mutex<Option<Arc<ZoneMap>>>>,
 }
 
@@ -228,9 +228,9 @@ impl ColumnArea {
     /// The caller must guarantee, for the lifetime of the returned slice:
     ///
     /// * the area is not unmapped through *any* clone of this view
-    ///   ([`ColumnArea::unmap`] / the backend's `release`), and is not
-    ///   recycled as a `vm_snapshot` destination — in the engine this is
-    ///   what epoch pinning plus the active-transaction horizon provide;
+    ///   ([`ColumnArea::unmap`] / the backend's `release`), nor mapped
+    ///   over as a `vm_snapshot` destination — in the engine a `SnapCol`
+    ///   owns the area and unmaps it only when its last handle drops;
     /// * the area is **frozen** (a snapshot column the engine never
     ///   writes) — the slice type asserts immutability. A frozen view's
     ///   *contents* never change; on the OS backend a write to the live

@@ -263,45 +263,51 @@ pub fn generate(db_config: DbConfig, cfg: &TpchConfig) -> TpchDb {
 
     // ---------------- load into AnKerDB ----------------
     let db = AnkerDb::new(db_config);
-    let lineitem = db.create_table(
-        "lineitem",
-        Schema::new(vec![
-            ColumnDef::new("l_orderkey", LogicalType::Int),
-            ColumnDef::new("l_linenumber", LogicalType::Int),
-            ColumnDef::new("l_partkey", LogicalType::Int),
-            ColumnDef::new("l_quantity", LogicalType::Double),
-            ColumnDef::new("l_extendedprice", LogicalType::Double),
-            ColumnDef::new("l_discount", LogicalType::Double),
-            ColumnDef::new("l_tax", LogicalType::Double),
-            ColumnDef::dict("l_returnflag", Arc::clone(&rf_dict)),
-            ColumnDef::dict("l_linestatus", Arc::clone(&ls_dict)),
-            ColumnDef::new("l_shipdate", LogicalType::Date),
-            ColumnDef::new("l_commitdate", LogicalType::Date),
-            ColumnDef::new("l_receiptdate", LogicalType::Date),
-        ]),
-        n_lineitem as u32,
-    );
-    let orders = db.create_table(
-        "orders",
-        Schema::new(vec![
-            ColumnDef::new("o_orderkey", LogicalType::Int),
-            ColumnDef::new("o_orderdate", LogicalType::Date),
-            ColumnDef::dict("o_orderpriority", Arc::clone(&prio_dict)),
-            ColumnDef::dict("o_orderstatus", Arc::clone(&status_dict)),
-            ColumnDef::new("o_totalprice", LogicalType::Double),
-        ]),
-        n_orders as u32,
-    );
-    let part = db.create_table(
-        "part",
-        Schema::new(vec![
-            ColumnDef::new("p_partkey", LogicalType::Int),
-            ColumnDef::dict("p_brand", Arc::clone(&brand_dict)),
-            ColumnDef::dict("p_container", Arc::clone(&container_dict)),
-            ColumnDef::new("p_retailprice", LogicalType::Double),
-        ]),
-        n_parts as u32,
-    );
+    let lineitem = db
+        .create_table(
+            "lineitem",
+            Schema::new(vec![
+                ColumnDef::new("l_orderkey", LogicalType::Int),
+                ColumnDef::new("l_linenumber", LogicalType::Int),
+                ColumnDef::new("l_partkey", LogicalType::Int),
+                ColumnDef::new("l_quantity", LogicalType::Double),
+                ColumnDef::new("l_extendedprice", LogicalType::Double),
+                ColumnDef::new("l_discount", LogicalType::Double),
+                ColumnDef::new("l_tax", LogicalType::Double),
+                ColumnDef::dict("l_returnflag", Arc::clone(&rf_dict)),
+                ColumnDef::dict("l_linestatus", Arc::clone(&ls_dict)),
+                ColumnDef::new("l_shipdate", LogicalType::Date),
+                ColumnDef::new("l_commitdate", LogicalType::Date),
+                ColumnDef::new("l_receiptdate", LogicalType::Date),
+            ]),
+            n_lineitem as u32,
+        )
+        .expect("TPC-H table allocation failed");
+    let orders = db
+        .create_table(
+            "orders",
+            Schema::new(vec![
+                ColumnDef::new("o_orderkey", LogicalType::Int),
+                ColumnDef::new("o_orderdate", LogicalType::Date),
+                ColumnDef::dict("o_orderpriority", Arc::clone(&prio_dict)),
+                ColumnDef::dict("o_orderstatus", Arc::clone(&status_dict)),
+                ColumnDef::new("o_totalprice", LogicalType::Double),
+            ]),
+            n_orders as u32,
+        )
+        .expect("TPC-H table allocation failed");
+    let part = db
+        .create_table(
+            "part",
+            Schema::new(vec![
+                ColumnDef::new("p_partkey", LogicalType::Int),
+                ColumnDef::dict("p_brand", Arc::clone(&brand_dict)),
+                ColumnDef::dict("p_container", Arc::clone(&container_dict)),
+                ColumnDef::new("p_retailprice", LogicalType::Double),
+            ]),
+            n_parts as u32,
+        )
+        .expect("TPC-H table allocation failed");
 
     let ls = db.schema(lineitem);
     let li = LineitemCols {

@@ -24,14 +24,16 @@ const SNAPSHOT_EVERY: u64 = 250;
 fn main() {
     let db =
         AnkerDb::new(DbConfig::heterogeneous_serializable().with_snapshot_every(SNAPSHOT_EVERY));
-    let t = db.create_table(
-        "warehouses",
-        Schema::new(vec![
-            ColumnDef::new("stock_a", LogicalType::Int),
-            ColumnDef::new("stock_b", LogicalType::Int),
-        ]),
-        ROWS,
-    );
+    let t = db
+        .create_table(
+            "warehouses",
+            Schema::new(vec![
+                ColumnDef::new("stock_a", LogicalType::Int),
+                ColumnDef::new("stock_b", LogicalType::Int),
+            ]),
+            ROWS,
+        )
+        .unwrap();
     let schema = db.schema(t);
     let (a, b) = (schema.col("stock_a"), schema.col("stock_b"));
     db.fill_column(

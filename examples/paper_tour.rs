@@ -30,11 +30,13 @@ fn main() -> Result<(), DbError> {
     // A trigger after every commit keeps the walkthrough's snapshots as
     // fresh as Figure 1 draws them.
     let db = AnkerDb::new(DbConfig::heterogeneous_serializable().with_snapshot_every(1));
-    let t = db.create_table(
-        "example",
-        Schema::new(vec![ColumnDef::new("C", LogicalType::Int)]),
-        6,
-    );
+    let t = db
+        .create_table(
+            "example",
+            Schema::new(vec![ColumnDef::new("C", LogicalType::Int)]),
+            6,
+        )
+        .unwrap();
     let c = db.schema(t).col("C");
     println!("Step 1: column C of 6 rows, all 0; only the OLTP component exists.");
     show(&db, "step 1");

@@ -14,14 +14,16 @@ fn main() {
     // commits.
     let db = AnkerDb::new(DbConfig::heterogeneous_serializable().with_snapshot_every(1000));
 
-    let products = db.create_table(
-        "products",
-        Schema::new(vec![
-            ColumnDef::new("price", LogicalType::Double),
-            ColumnDef::new("stock", LogicalType::Int),
-        ]),
-        10_000,
-    );
+    let products = db
+        .create_table(
+            "products",
+            Schema::new(vec![
+                ColumnDef::new("price", LogicalType::Double),
+                ColumnDef::new("stock", LogicalType::Int),
+            ]),
+            10_000,
+        )
+        .unwrap();
     let schema = db.schema(products);
     let price = schema.col("price");
     let stock = schema.col("stock");

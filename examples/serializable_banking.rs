@@ -50,11 +50,13 @@ fn combined_withdrawal(db: &AnkerDb) -> (Result<u64, DbError>, Result<u64, DbErr
 
 fn setup(config: DbConfig) -> AnkerDb {
     let db = AnkerDb::new(config);
-    let accounts = db.create_table(
-        "accounts",
-        Schema::new(vec![ColumnDef::new("balance", LogicalType::Int)]),
-        2,
-    );
+    let accounts = db
+        .create_table(
+            "accounts",
+            Schema::new(vec![ColumnDef::new("balance", LogicalType::Int)]),
+            2,
+        )
+        .unwrap();
     let balance = db.schema(accounts).col("balance");
     db.fill_column(
         accounts,

@@ -49,14 +49,16 @@ fn database_survives_a_life_story() {
             .with_snapshot_every(10)
             .with_gc_interval(None),
     );
-    let t = db.create_table(
-        "events",
-        Schema::new(vec![
-            ColumnDef::new("count", LogicalType::Int),
-            ColumnDef::new("weight", LogicalType::Double),
-        ]),
-        2048,
-    );
+    let t = db
+        .create_table(
+            "events",
+            Schema::new(vec![
+                ColumnDef::new("count", LogicalType::Int),
+                ColumnDef::new("weight", LogicalType::Double),
+            ]),
+            2048,
+        )
+        .unwrap();
     let schema = db.schema(t);
     let (count, weight) = (schema.col("count"), schema.col("weight"));
     db.fill_column(t, count, (0..2048).map(|i| Value::Int(i).encode()))
@@ -144,11 +146,13 @@ fn memory_is_bounded_under_snapshot_churn() {
             .with_snapshot_every(1)
             .with_gc_interval(None),
     );
-    let t = db.create_table(
-        "hot",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        512,
-    );
+    let t = db
+        .create_table(
+            "hot",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            512,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     db.fill_column(t, v, 0..512).unwrap();
     let mut peak = 0;
@@ -177,11 +181,13 @@ fn homogeneous_gc_thread_runs_in_background() {
         DbConfig::homogeneous_serializable()
             .with_gc_interval(Some(std::time::Duration::from_millis(20))),
     );
-    let t = db.create_table(
-        "x",
-        Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
-        64,
-    );
+    let t = db
+        .create_table(
+            "x",
+            Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]),
+            64,
+        )
+        .unwrap();
     let v = db.schema(t).col("v");
     for i in 0..100u64 {
         let mut w = db.begin(TxnKind::Oltp);
