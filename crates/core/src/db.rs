@@ -3,7 +3,7 @@
 
 use crate::config::{BackendKind, DbConfig, ProcessingMode};
 use crate::durability::DuraState;
-use crate::error::Result;
+use crate::error::{DbError, Result};
 use crate::metrics::Metrics;
 use crate::reader::SnapshotReader;
 use crate::snapman::{Epoch, SnapCol, SnapshotManager};
@@ -389,8 +389,8 @@ impl AnkerDb {
     /// the same lock that assigns the table id, so log order matches id
     /// order). Fails — consuming no table id and leaking no column — when
     /// a column cannot be allocated (on the OS backend each column is a
-    /// file, so this includes running out of descriptors) or the WAL
-    /// append fails.
+    /// file, so this includes running out of descriptors), every table id
+    /// is taken ([`DbError::TooManyTables`]) or the WAL append fails.
     pub fn create_table(
         &self,
         name: impl Into<String>,
@@ -435,7 +435,11 @@ impl AnkerDb {
             observed: AtomicBool::new(false),
         });
         let mut tables = self.inner.tables.write();
-        assert!(tables.len() < u16::MAX as usize, "too many tables");
+        if tables.len() >= u16::MAX as usize {
+            drop(tables);
+            unmap_all(&state.cols);
+            return Err(DbError::TooManyTables);
+        }
         let id = TableId(tables.len() as u16);
         if log {
             if let Some(d) = self.inner.dura.get() {
@@ -478,7 +482,7 @@ impl AnkerDb {
         // the latch implies the observing transaction's resolution is
         // visible, so rejecting the load here is never stale.
         if t.observed.load(Ordering::Acquire) {
-            return Err(crate::error::DbError::LoadAfterBegin);
+            return Err(DbError::LoadAfterBegin);
         }
         // A load leaves `last_mutation` alone, so an image frozen before
         // it (only the eager-materialisation ablation freezes unobserved
@@ -513,7 +517,7 @@ impl AnkerDb {
                         start_row: (i * crate::durability::FILL_CHUNK_WORDS) as u32,
                         words: chunk.to_vec(),
                     })
-                    .map_err(crate::error::DbError::from)?;
+                    .map_err(DbError::from)?;
             }
             t.col(col.0).current_area().fill(words)?
         } else {
@@ -808,6 +812,27 @@ impl AnkerDb {
     ) -> Result<Vec<(String, anker_vmem::KernelStats)>> {
         let state = self.table_state(table);
         let _cs = self.lock_commit();
+        // No lock-free store may race a `vm_snapshot` of its area (see
+        // `anker_vmem::view`). Homogeneous installs run outside the commit
+        // section, so drain them first, as a GC pass does.
+        let quiesce = self.inner.config.mode == ProcessingMode::Homogeneous;
+        if quiesce {
+            self.inner.oracle.freeze_commits();
+            while !self.inner.oracle.drained() {
+                std::thread::yield_now();
+            }
+        }
+        let out = self.snapshot_each_column(&state);
+        if quiesce {
+            self.inner.oracle.unfreeze_commits();
+        }
+        out
+    }
+
+    fn snapshot_each_column(
+        &self,
+        state: &TableState,
+    ) -> Result<Vec<(String, anker_vmem::KernelStats)>> {
         let mut out = Vec::with_capacity(state.cols.len());
         for (id, def) in state.schema.iter() {
             let area = state.col(id.0).current_area();
@@ -936,5 +961,43 @@ impl DbInner {
 impl Drop for DbInner {
     fn drop(&mut self) {
         self.shutdown_inner();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::BackendKind;
+    use anker_storage::{ColumnDef, LogicalType};
+
+    /// With every table id taken, `create_table` fails typed: no id is
+    /// consumed and the columns it allocated are unmapped again.
+    #[test]
+    fn the_last_table_id_fails_typed_and_unmaps_its_columns() {
+        let db = AnkerDb::new(DbConfig::default().with_backend(BackendKind::Sim));
+        let schema = || {
+            Schema::new(vec![
+                ColumnDef::new("a", LogicalType::Int),
+                ColumnDef::new("b", LogicalType::Int),
+            ])
+        };
+        let first = db.create_table("t", schema(), 600).unwrap();
+        // Take all ids but the last by aliasing the first table's state.
+        {
+            let mut tables = db.inner.tables.write();
+            let state = Arc::clone(&tables[first.0 as usize]);
+            tables.resize(u16::MAX as usize - 1, state);
+        }
+        let vmas = db.inner.space.vma_count();
+        let last = db.create_table("last", schema(), 600).unwrap();
+        assert_eq!(last, TableId(u16::MAX - 1));
+        let after_last = db.inner.space.vma_count();
+        assert!(after_last > vmas);
+        assert_eq!(
+            db.create_table("one_too_many", schema(), 600),
+            Err(DbError::TooManyTables)
+        );
+        assert_eq!(db.inner.space.vma_count(), after_last, "columns unmapped");
+        assert_eq!(db.inner.tables.read().len(), u16::MAX as usize);
     }
 }

@@ -65,6 +65,11 @@ pub enum DbError {
     /// copy before it installs) is broken; the read fails rather than
     /// mixing two points in time.
     EpochBypassed { table: u16, col: u16, epoch_ts: u64 },
+    /// A read or update named `row` of a table of `rows` rows.
+    RowOutOfRange { table: u16, row: u32, rows: u32 },
+    /// [`crate::AnkerDb::create_table`] found every table id taken (ids
+    /// are `u16`, so a database holds at most `u16::MAX` tables).
+    TooManyTables,
 }
 
 impl fmt::Display for DbError {
@@ -100,6 +105,15 @@ impl fmt::Display for DbError {
                 "column {col} of table {table} was written past the pinned \
                  snapshot epoch {epoch_ts} without being frozen for it"
             ),
+            DbError::RowOutOfRange { table, row, rows } => {
+                write!(
+                    f,
+                    "row {row} is out of range: table {table} has {rows} rows"
+                )
+            }
+            DbError::TooManyTables => {
+                write!(f, "every table id is taken ({} tables)", u16::MAX)
+            }
             DbError::DurabilityDisabled => {
                 write!(
                     f,

@@ -28,9 +28,7 @@ use crate::scan::{ReaderScanBuilder, Scan};
 use crate::snapman::{resolve_snap_col, Epoch, SnapCol};
 use crate::table::TableId;
 use anker_storage::{ColumnId, LogicalType, Value};
-use anker_util::FxHashMap;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The pin itself: the epoch refcount, released exactly once when the last
 /// holder drops. [`crate::ScanPartition`]s share this handle so a partition
@@ -73,9 +71,11 @@ impl Drop for ReaderPin {
 pub struct SnapshotReader {
     pin: Arc<ReaderPin>,
     /// Per-reader cache of resolved snapshot columns (same role as the
-    /// per-transaction cache, just behind a mutex so `&self` methods can
-    /// fill it from any thread).
-    cache: Mutex<FxHashMap<(u16, u16), Arc<SnapCol>>>,
+    /// per-transaction cache), filled from any thread and read without a
+    /// lock: a slot per column of every table that existed when the
+    /// reader opened, the table's row of slots made on first use. A table
+    /// created later resolves through the epoch on every access.
+    cache: Box<[OnceLock<Box<[OnceLock<Arc<SnapCol>>]>>]>,
 }
 
 impl std::fmt::Debug for SnapshotReader {
@@ -94,12 +94,13 @@ impl SnapshotReader {
         if db.inner.config.mode != crate::config::ProcessingMode::Heterogeneous {
             return Err(DbError::SnapshotsDisabled);
         }
+        let tables = db.inner.tables.read().len();
         Ok(SnapshotReader {
             pin: Arc::new(ReaderPin {
                 db: db.clone(),
                 epoch: db.pin_current_epoch(max_age),
             }),
-            cache: Mutex::new(FxHashMap::default()),
+            cache: (0..tables).map(|_| OnceLock::new()).collect(),
         })
     }
 
@@ -116,21 +117,39 @@ impl SnapshotReader {
         Arc::clone(&self.pin)
     }
 
+    /// The cached snapshot column for `(table, col)`, if resolved.
+    #[inline]
+    fn cached(&self, table: TableId, col: ColumnId) -> Option<&Arc<SnapCol>> {
+        self.cache.get(table.0 as usize)?.get()?.get(col.0)?.get()
+    }
+
     /// The reader's snapshot column for `(table, col)`, materialising it
     /// for the pinned epoch on first access.
     pub(crate) fn snap_col(&self, table: TableId, col: ColumnId) -> Result<Arc<SnapCol>> {
-        let key = (table.0, col.0 as u16);
-        if let Some(sc) = self.cache.lock().get(&key) {
+        if let Some(sc) = self.cached(table, col) {
             return Ok(Arc::clone(sc));
         }
         let sc = resolve_snap_col(&self.pin.db, &self.pin.epoch, table, col)?;
-        self.cache.lock().insert(key, Arc::clone(&sc));
+        if let Some(slots) = self.cache.get(table.0 as usize) {
+            let cols = slots.get_or_init(|| {
+                let n = self.pin.db.table_state(table).cols.len();
+                (0..n).map(|_| OnceLock::new()).collect()
+            });
+            // A racing first access may have filled the slot: both
+            // resolved the epoch's one image.
+            let _ = cols[col.0].set(Arc::clone(&sc));
+        }
         Ok(sc)
     }
 
-    /// Read the raw word of `(table, col, row)` at the epoch.
+    /// Read the raw word of `(table, col, row)` at the epoch. A row past
+    /// the table's last is [`DbError::RowOutOfRange`]. Once the column is
+    /// cached, a read takes no lock and clones nothing.
     pub fn get(&self, table: TableId, col: ColumnId, row: u32) -> Result<u64> {
-        Ok(self.snap_col(table, col)?.get(row)?)
+        match self.cached(table, col) {
+            Some(sc) => sc.get(table, row),
+            None => self.snap_col(table, col)?.get(table, row),
+        }
     }
 
     /// Typed read at the epoch.

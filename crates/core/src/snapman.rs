@@ -28,7 +28,7 @@
 
 use crate::db::CommitState;
 use crate::metrics::Metrics;
-use crate::table::{ColumnState, TableState};
+use crate::table::{ColumnState, TableId, TableState};
 use anker_storage::{ColumnArea, LogicalType, ZoneMap};
 use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
@@ -56,13 +56,13 @@ impl SnapCol {
 
     /// The frozen column as a plain slice where the backend maps it as
     /// directly addressable memory (the OS backend), else `None`. The one
-    /// place an epoch's pin becomes a slice: scans, zone-map builds, point
-    /// reads and checkpoint streams all borrow through here.
+    /// place an epoch's pin becomes a slice: scans, zone-map builds and
+    /// checkpoint streams all borrow through here. It reads the area's
+    /// cached view and takes no lock.
     #[inline]
     pub fn words(&self) -> Option<&[u64]> {
-        // SAFETY(provenance: self, area): the slice borrows `self`, and a
-        // live `SnapCol` owns its area — the area is unmapped only in
-        // `SnapCol::drop`, so it stays mapped for the borrow. The engine
+        // SAFETY(provenance: self, area): the slice borrows `self`, whose
+        // area's view keeps the mapping alive for the borrow. The engine
         // never writes a frozen image (installs go to the live area), so
         // its bytes never change; on the OS backend a write to the live
         // area may move the image's page-table entry onto a private copy
@@ -70,13 +70,13 @@ impl SnapCol {
         unsafe { self.area.as_slice() }
     }
 
-    /// The raw word of `row`, straight from the slice where there is one.
+    /// The raw word of `row` of this image of a column of `table`: a load
+    /// through the area's cached view on the OS backend. A row past the
+    /// last is [`crate::DbError::RowOutOfRange`].
     #[inline]
-    pub fn get(&self, row: u32) -> anker_vmem::Result<u64> {
-        match self.words().and_then(|w| w.get(row as usize)) {
-            Some(&word) => Ok(word),
-            None => self.area.get(row),
-        }
+    pub fn get(&self, table: TableId, row: u32) -> crate::error::Result<u64> {
+        table.check_row(row, self.area.rows())?;
+        Ok(self.area.get(row)?)
     }
 
     /// The image's zone map under `ty` (see [`ColumnArea::zone_map`]),
@@ -429,7 +429,7 @@ impl SnapshotManager {
 pub(crate) fn resolve_snap_col(
     db: &crate::db::AnkerDb,
     epoch: &Arc<Epoch>,
-    table: crate::table::TableId,
+    table: TableId,
     col: anker_storage::ColumnId,
 ) -> crate::error::Result<Arc<SnapCol>> {
     let key = (table.0, col.0 as u16);

@@ -8,6 +8,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableId(pub u16);
 
+impl TableId {
+    /// `Ok` when `row` is one of this table's `rows` rows.
+    #[inline]
+    pub(crate) fn check_row(self, row: u32, rows: u32) -> crate::error::Result<()> {
+        if row < rows {
+            Ok(())
+        } else {
+            Err(crate::error::DbError::RowOutOfRange {
+                table: self.0,
+                row,
+                rows,
+            })
+        }
+    }
+}
+
 /// Runtime state of one column: the live (OLTP) area, the column's MVCC
 /// state and the timestamp of its newest committed write. The live area is
 /// the one the column was created with, for its whole life: a snapshot

@@ -12,6 +12,7 @@ use anker_mvcc::{
 use anker_storage::{ColumnId, Value};
 use anker_util::lockcheck::{self, classes};
 use anker_util::{sched, FxHashMap};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -118,19 +119,22 @@ impl Txn {
     /// transaction. Tables are append-only registered, so the cache cannot
     /// go stale.
     pub(crate) fn table(&mut self, table: TableId) -> Arc<TableState> {
+        Arc::clone(self.table_ref(table))
+    }
+
+    /// [`Txn::table`] by reference, for the point-read hot path.
+    fn table_ref(&mut self, table: TableId) -> &Arc<TableState> {
         let idx = table.0 as usize;
         if idx >= self.table_cache.len() {
             self.table_cache.resize(idx + 1, None);
         }
-        if let Some(t) = &self.table_cache[idx] {
-            return Arc::clone(t);
-        }
-        let state = self.db.table_state(table);
-        // This table's data is now part of a transaction's footprint: close
-        // its bulk-load window (see `AnkerDb::fill_column`).
-        state.mark_observed();
-        self.table_cache[idx] = Some(Arc::clone(&state));
-        state
+        self.table_cache[idx].get_or_insert_with(|| {
+            let state = self.db.table_state(table);
+            // This table's data is now part of a transaction's footprint:
+            // close its bulk-load window (see `AnkerDb::fill_column`).
+            state.mark_observed();
+            state
+        })
     }
 
     /// The transaction's classification.
@@ -157,18 +161,25 @@ impl Txn {
     /// access (§2.2.2 lazy materialisation; shared slow path with
     /// [`crate::SnapshotReader`] in `snapman::resolve_snap_col`).
     pub(crate) fn snapshot_col(&mut self, table: TableId, col: ColumnId) -> Result<Arc<SnapCol>> {
-        let key = (table.0, col.0 as u16);
-        if let Some(sc) = self.snap_cache.get(&key) {
-            return Ok(Arc::clone(sc));
-        }
-        let epoch = self.epoch.as_ref().expect("snapshot access without epoch");
-        let sc = crate::snapman::resolve_snap_col(&self.db, epoch, table, col)?;
-        self.snap_cache.insert(key, Arc::clone(&sc));
-        Ok(sc)
+        self.snapshot_col_ref(table, col).map(Arc::clone)
+    }
+
+    /// [`Txn::snapshot_col`] by reference, for the point-read hot path.
+    fn snapshot_col_ref(&mut self, table: TableId, col: ColumnId) -> Result<&Arc<SnapCol>> {
+        Ok(match self.snap_cache.entry((table.0, col.0 as u16)) {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(slot) => {
+                let epoch = self.epoch.as_ref().expect("snapshot access without epoch");
+                slot.insert(crate::snapman::resolve_snap_col(
+                    &self.db, epoch, table, col,
+                )?)
+            }
+        })
     }
 
     /// Read the raw word of `(table, col, row)` under this transaction's
-    /// visibility.
+    /// visibility. A row past the table's last is
+    /// [`DbError::RowOutOfRange`].
     pub fn get(&mut self, table: TableId, col: ColumnId, row: u32) -> Result<u64> {
         let cref = Self::colref(table, col);
         if let Some(own) = self.inner.own_write(cref, row) {
@@ -177,14 +188,13 @@ impl Txn {
         if self.epoch.is_some() {
             // Heterogeneous OLAP: read the frozen snapshot in place — no
             // timestamps, no chains.
-            let sc = self.snapshot_col(table, col)?;
-            return Ok(sc.get(row)?);
+            return self.snapshot_col_ref(table, col)?.get(table, row);
         }
-        let state = self.table(table);
+        let start_ts = self.inner.start_ts();
+        let state = self.table_ref(table);
+        table.check_row(row, state.rows)?;
         let cs = state.col(col.0);
-        let v = cs
-            .versioned
-            .read(cs.current_area(), row, self.inner.start_ts())?;
+        let v = cs.versioned.read(cs.current_area(), row, start_ts)?;
         if self.serializable_updater() {
             self.inner.log_row_read(cref, row);
         }
@@ -193,16 +203,19 @@ impl Txn {
 
     /// Typed read.
     pub fn get_value(&mut self, table: TableId, col: ColumnId, row: u32) -> Result<Value> {
-        let ty = self.table(table).schema.def(col).ty;
+        let ty = self.table_ref(table).schema.def(col).ty;
         Ok(Value::decode(self.get(table, col, row)?, ty))
     }
 
     /// Buffer an update of `(table, col, row)` to `word`. Nothing shared is
-    /// touched until commit; aborts are free.
+    /// touched until commit; aborts are free. A row past the table's last
+    /// is [`DbError::RowOutOfRange`].
     pub fn update(&mut self, table: TableId, col: ColumnId, row: u32, word: u64) -> Result<()> {
         if self.kind == TxnKind::Olap {
             return Err(DbError::ReadOnlyTransaction);
         }
+        let rows = self.table_ref(table).rows;
+        table.check_row(row, rows)?;
         let cref = Self::colref(table, col);
         if self.db.inner.config.isolation == IsolationLevel::Serializable {
             // The update's target row is part of the read footprint.

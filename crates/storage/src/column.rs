@@ -3,7 +3,7 @@
 //! zone maps for predicate pruning on frozen areas.
 
 use crate::value::{LogicalType, Value};
-use anker_vmem::{Result, Space, VmBackend};
+use anker_vmem::{Result, Space, View, VmBackend, VmError};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -109,15 +109,26 @@ fn min_max<T: Copy + PartialOrd>(words: &[u64], mut lane: impl FnMut(u64) -> T) 
 /// memfd backend ([`anker_vmem::OsBackend`]).
 ///
 /// `ColumnArea` is deliberately a *view*: the heterogeneous snapshot manager
-/// re-points a logical column at a new area on every snapshot
+/// freezes a logical column into a new area on every snapshot
 /// (paper Figure 1, steps 4 and 7), so areas are created and retired by the
-/// layer above. Dropping a `ColumnArea` does not unmap anything; call
+/// layer above. Dropping a `ColumnArea` does not release anything; call
 /// [`ColumnArea::unmap`] to release the area.
+///
+/// Where the backend maps areas as plain memory (the OS backend), the
+/// handle caches the area's [`View`] once: a word load is then a volatile
+/// load, and a store to a page no snapshot still reads is a volatile
+/// store, neither taking the backend's lock. The view keeps the mapping
+/// alive, so a handle that outlives [`ColumnArea::unmap`] of a clone
+/// still reads mapped memory (its own, never another area's) until the
+/// last clone drops. Bulk loads ([`ColumnArea::fill`]) and stores to
+/// frozen pages take the backend's locked path.
 #[derive(Debug, Clone)]
 pub struct ColumnArea {
     backend: Arc<dyn VmBackend>,
     addr: u64,
     rows: u32,
+    /// The direct view, where the backend gives one.
+    view: Option<View>,
     /// Lazily built zone maps, shared across clones of this view. A fresh
     /// cell is created per [`ColumnArea::alloc`]/[`ColumnArea::from_raw`],
     /// so a new area at a reused address never inherits a stale summary.
@@ -136,12 +147,7 @@ impl ColumnArea {
         let ps = backend.page_size();
         let bytes = (rows as u64 * 8).div_ceil(ps).max(1) * ps;
         let addr = backend.alloc(bytes)?;
-        Ok(ColumnArea {
-            backend,
-            addr,
-            rows,
-            zones: Arc::new(Mutex::new(None)),
-        })
+        Ok(Self::from_raw_on(backend, addr, rows))
     }
 
     /// View an existing simulated-kernel area (e.g. one returned by
@@ -152,10 +158,12 @@ impl ColumnArea {
 
     /// View an existing area of any backend as a column of `rows` values.
     pub fn from_raw_on(backend: Arc<dyn VmBackend>, addr: u64, rows: u32) -> ColumnArea {
+        let view = backend.view(addr, rows as u64 * 8);
         ColumnArea {
             backend,
             addr,
             rows,
+            view,
             zones: Arc::new(Mutex::new(None)),
         }
     }
@@ -192,19 +200,40 @@ impl ColumnArea {
         self.mapped_bytes() / self.backend.page_size()
     }
 
-    /// Load the raw word of `row` (atomic, relaxed).
+    /// `Ok` when rows `[start, start + n)` lie in the column. A real check:
+    /// past the last row the view ends, and the backend would read page
+    /// padding or a neighbouring area.
+    #[inline]
+    fn check_rows(&self, start: u32, n: u32) -> Result<()> {
+        if start as u64 + n as u64 > self.rows as u64 {
+            return Err(VmError::OutOfBounds {
+                addr: self.addr + start as u64 * 8,
+            });
+        }
+        Ok(())
+    }
+
+    /// Load the raw word of `row` (atomic, relaxed). A row past the last
+    /// is [`VmError::OutOfBounds`].
     #[inline]
     pub fn get(&self, row: u32) -> Result<u64> {
-        debug_assert!(row < self.rows, "row {row} out of {}", self.rows);
-        self.backend.read_u64(self.addr + row as u64 * 8)
+        self.check_rows(row, 1)?;
+        match &self.view {
+            Some(v) => Ok(v.load(row as usize)),
+            None => self.backend.read_u64(self.addr + row as u64 * 8),
+        }
     }
 
     /// Store the raw word of `row` (atomic, relaxed; faults/COWs as
-    /// needed).
+    /// needed). A row past the last is [`VmError::OutOfBounds`]. Must not
+    /// race a `vm_snapshot` of this area (see [`anker_vmem::view`]).
     #[inline]
     pub fn set(&self, row: u32, word: u64) -> Result<()> {
-        debug_assert!(row < self.rows, "row {row} out of {}", self.rows);
-        self.backend.write_u64(self.addr + row as u64 * 8, word)
+        self.check_rows(row, 1)?;
+        match &self.view {
+            Some(v) if v.try_store(row as usize, word) => Ok(()),
+            _ => self.backend.write_u64(self.addr + row as u64 * 8, word),
+        }
     }
 
     /// Typed load.
@@ -222,30 +251,31 @@ impl ColumnArea {
     /// fast path scan block loops read through instead of per-word
     /// resolution. Returns `None` on the simulated kernel.
     ///
+    /// The slice borrows the handle's cached view, which keeps the mapping
+    /// alive: releasing the area through a clone cannot unmap the memory
+    /// under the slice, and a `vm_snapshot` cannot map over it.
+    ///
     /// # Safety
     ///
-    /// A `ColumnArea` is a *view*; cloning it does not pin the mapping.
-    /// The caller must guarantee, for the lifetime of the returned slice:
-    ///
-    /// * the area is not unmapped through *any* clone of this view
-    ///   ([`ColumnArea::unmap`] / the backend's `release`), nor mapped
-    ///   over as a `vm_snapshot` destination — in the engine a `SnapCol`
-    ///   owns the area and unmaps it only when its last handle drops;
-    /// * the area is **frozen** (a snapshot column the engine never
-    ///   writes) — the slice type asserts immutability. A frozen view's
-    ///   *contents* never change; on the OS backend a write to the live
-    ///   column may first move the view's page-table entry for that page
-    ///   onto a private copy, but the kernel swaps it atomically and the
-    ///   copy holds the same bytes, so every load through the slice sees
-    ///   the same data.
+    /// The area must be **frozen** (a snapshot column the engine never
+    /// writes) and stay unreleased for the lifetime of the returned slice
+    /// — the slice type asserts immutability, and a released snapshot view
+    /// is no longer copied apart from later stores to its source (in the
+    /// engine a `SnapCol` releases its area only when its last handle
+    /// drops). A frozen view's *contents* never change; on
+    /// the OS backend a write to the live column may first move the view's
+    /// page-table entry for that page onto a private copy, but the kernel
+    /// swaps it atomically and the copy holds the same bytes, so every
+    /// load through the slice sees the same data.
     #[inline]
     pub unsafe fn as_slice(&self) -> Option<&[u64]> {
-        let p = self.backend.raw_parts(self.addr, self.rows as u64 * 8)?;
-        // SAFETY(provenance: backend, raw_parts, bounds: rows): the
-        // backend vouches the range is mapped and readable now; the
-        // caller vouches (per this function's contract) that it stays
-        // mapped and unwritten for the slice's lifetime.
-        Some(unsafe { std::slice::from_raw_parts(p, self.rows as usize) })
+        let v = self.view.as_ref()?;
+        // SAFETY(provenance: view, v, bounds: len): the view spans exactly
+        // the column's words, of a mapping it keeps alive for as long as
+        // the slice borrows it; the caller vouches (per this function's
+        // contract) that the words stay unwritten for the slice's
+        // lifetime.
+        Some(unsafe { std::slice::from_raw_parts(v.as_ptr(), v.len()) })
     }
 
     /// Hint the backend that this whole column is about to be scanned
@@ -259,11 +289,19 @@ impl ColumnArea {
 
     /// Copy the raw words of rows `[start_row, start_row + n)` into
     /// `buf[..n]` (atomic loads, block-wise). The tight-loop read path for
-    /// snapshot scans.
+    /// snapshot scans. Rows past the last are [`VmError::OutOfBounds`].
     pub fn read_block_into(&self, start_row: u32, n: u32, buf: &mut [u64]) -> Result<()> {
-        debug_assert!(start_row + n <= self.rows);
-        self.backend
-            .read_words(self.addr + start_row as u64 * 8, &mut buf[..n as usize])
+        self.check_rows(start_row, n)?;
+        let buf = &mut buf[..n as usize];
+        match &self.view {
+            Some(v) => {
+                v.read_into(start_row as usize, buf);
+                Ok(())
+            }
+            None => self
+                .backend
+                .read_words(self.addr + start_row as u64 * 8, buf),
+        }
     }
 
     /// Bulk-load values starting at row 0 (loader convenience).
@@ -363,7 +401,9 @@ impl ColumnArea {
         *self.zones.lock() = None;
     }
 
-    /// Unmap the underlying area, releasing its memory.
+    /// Unmap the underlying area, releasing its memory. On the OS backend
+    /// the mapping goes with the last clone of this handle (each holds the
+    /// view); the backend forgets the area at once.
     pub fn unmap(self) -> Result<()> {
         let bytes = self.mapped_bytes();
         self.backend.release(self.addr, bytes)
@@ -511,6 +551,34 @@ mod tests {
         assert_eq!(c.get(100).unwrap(), 999);
     }
 
+    /// Past the last row every access is an error on both backends — not
+    /// page padding, not a neighbouring area.
+    #[test]
+    fn rows_past_the_end_are_out_of_bounds() {
+        let k = Kernel::default();
+        let mut backends: Vec<Arc<dyn VmBackend>> = vec![Arc::new(k.create_space())];
+        #[cfg(target_os = "linux")]
+        backends.push(Arc::new(OsBackend::new().unwrap()));
+        for b in backends {
+            let c = ColumnArea::alloc_on(Arc::clone(&b), 100).unwrap();
+            let next = ColumnArea::alloc_on(Arc::clone(&b), 100).unwrap();
+            next.fill((0..100).map(|_| 88)).unwrap();
+            for row in [100, 600, u32::MAX] {
+                let oob = VmError::OutOfBounds {
+                    addr: c.addr() + row as u64 * 8,
+                };
+                assert_eq!(c.get(row), Err(oob.clone()), "{}: get({row})", b.name());
+                assert_eq!(c.set(row, 1), Err(oob), "{}: set({row})", b.name());
+            }
+            let mut buf = [0u64; 8];
+            assert!(c.read_block_into(96, 5, &mut buf).is_err());
+            c.read_block_into(96, 4, &mut buf).unwrap();
+            assert_eq!(buf[..4], [0; 4]);
+            c.unmap().unwrap();
+            next.unmap().unwrap();
+        }
+    }
+
     #[test]
     fn sim_backend_has_no_slice_fast_path() {
         let (_k, c) = column(64);
@@ -540,5 +608,24 @@ mod tests {
         assert_eq!(zm.n_blocks(), 3);
         snap.unmap().unwrap();
         c.unmap().unwrap();
+    }
+
+    /// A handle outliving `unmap` of its clone keeps reading its own
+    /// mapping; the munmap comes with the last clone.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn os_backend_handle_keeps_its_mapping_past_unmap() {
+        let os = OsBackend::new().unwrap();
+        let c = ColumnArea::alloc_on(Arc::new(os.clone()), 600).unwrap();
+        c.set(599, 42).unwrap();
+        let stale = c.clone();
+        c.unmap().unwrap();
+        let fresh = ColumnArea::alloc_on(Arc::new(os.clone()), 600).unwrap();
+        fresh.set(599, 7).unwrap();
+        assert_eq!(stale.get(599).unwrap(), 42, "its own words, still mapped");
+        assert_eq!(os.stats().snapshot().munmap_calls, 0);
+        drop(stale);
+        assert_eq!(os.stats().snapshot().munmap_calls, 1);
+        fresh.unmap().unwrap();
     }
 }

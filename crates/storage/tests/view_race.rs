@@ -1,0 +1,152 @@
+//! Lock-free column access racing snapshots and splits (OS backend).
+//!
+//! A `ColumnArea` on the OS backend reads and stores through a direct view
+//! of its mapping, without the backend's lock. One writer stores every row
+//! of a live column round after round, and cuts a snapshot image of it
+//! after each round — the writer's own `vm_snapshot`, so no store races
+//! one. The first store to each page after a cut is a split: the kernel
+//! copies the page into the images that still read it through, under the
+//! readers. The writer lets go of old images while readers may still hold
+//! them; an image is released when its last holder drops it. Readers
+//! meanwhile
+//! * point-read and block-read the live column: every word must be one the
+//!   writer stored into that row, from a round already begun;
+//! * point-read, block-read and slice-read the newest image: every word
+//!   must equal the image's cut.
+
+#![cfg(target_os = "linux")]
+
+use anker_storage::ColumnArea;
+use anker_vmem::{OsBackend, VmBackend};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Four pages of words.
+const ROWS: u32 = 2048;
+const ROUNDS: u64 = 60;
+const READERS: usize = 2;
+/// Images the writer holds; it drops older ones.
+const KEEP: usize = 2;
+
+/// The word round `round` stores into `row`.
+fn word(round: u64, row: u32) -> u64 {
+    (round << 32) | row as u64
+}
+
+/// An image and the words it was cut with, released with its last
+/// holder.
+struct Image {
+    area: ColumnArea,
+    cut: Vec<u64>,
+}
+
+impl Drop for Image {
+    fn drop(&mut self) {
+        self.area.clone().unmap().unwrap();
+    }
+}
+
+/// Check one read of the live column's `row`: a word stored into this row
+/// by a round no later than `begun`.
+fn check_live(w: u64, row: u32, begun: u64) {
+    assert_eq!(w as u32, row, "a word of another row: {w:#x}");
+    assert!(w >> 32 <= begun, "round {} not begun ({begun})", w >> 32);
+}
+
+fn read_image(img: &Image, buf: &mut [u64]) {
+    for row in (0..ROWS).step_by(97) {
+        assert_eq!(img.area.get(row).unwrap(), img.cut[row as usize]);
+    }
+    img.area.read_block_into(0, ROWS, buf).unwrap();
+    assert!(buf == img.cut, "block read differs from the cut");
+    // SAFETY(provenance: img): the image is never written, and the handle
+    // the slice borrows lives across the comparison.
+    let words = unsafe { img.area.as_slice() }.expect("OS areas are addressable");
+    assert!(words == img.cut, "slice differs from the cut");
+}
+
+#[test]
+fn views_race_snapshots_and_splits() {
+    let os = OsBackend::new().expect("OS backend on Linux");
+    let backend: Arc<dyn VmBackend> = Arc::new(os.clone());
+    let live = ColumnArea::alloc_on(Arc::clone(&backend), ROWS).unwrap();
+    live.fill((0..ROWS).map(|r| word(0, r))).unwrap();
+    let newest: Mutex<Option<Arc<Image>>> = Mutex::new(None);
+    let begun = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut buf = vec![0u64; ROWS as usize];
+                    let mut row = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        for _ in 0..64 {
+                            row = (row + 131) % ROWS;
+                            let w = live.get(row).unwrap();
+                            check_live(w, row, begun.load(Ordering::Acquire));
+                        }
+                        live.read_block_into(0, ROWS, &mut buf).unwrap();
+                        let now = begun.load(Ordering::Acquire);
+                        for (row, &w) in buf.iter().enumerate() {
+                            check_live(w, row as u32, now);
+                        }
+                        let img = newest.lock().clone();
+                        if let Some(img) = img {
+                            read_image(&img, &mut buf);
+                        }
+                        reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // Stop the readers however this thread leaves the scope.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let _stop = StopOnDrop(&stop);
+
+        let mut shadow: Vec<u64> = (0..ROWS).map(|r| word(0, r)).collect();
+        let mut kept: Vec<Arc<Image>> = Vec::new();
+        for round in 1..=ROUNDS {
+            begun.store(round, Ordering::Release);
+            // A stride walk, so a round's stores split pages in turn.
+            for i in 0..ROWS {
+                let row = (i * 517) % ROWS;
+                live.set(row, word(round, row)).unwrap();
+                shadow[row as usize] = word(round, row);
+            }
+            let addr = backend
+                .vm_snapshot(None, live.addr(), live.mapped_bytes())
+                .unwrap();
+            let img = Arc::new(Image {
+                area: ColumnArea::from_raw_on(Arc::clone(&backend), addr, ROWS),
+                cut: shadow.clone(),
+            });
+            *newest.lock() = Some(Arc::clone(&img));
+            kept.push(img);
+            if kept.len() > KEEP {
+                kept.remove(0);
+            }
+            // Let the readers at each image before the next round splits
+            // it (unless one already failed).
+            let seen = reads.load(Ordering::Relaxed);
+            while reads.load(Ordering::Relaxed) < seen + READERS as u64
+                && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
+            }
+        }
+    });
+    let stats = os.stats().snapshot();
+    assert_eq!(stats.snapshots, ROUNDS);
+    assert!(stats.cow_copies > 0, "the writer split pages under readers");
+    *newest.lock() = None;
+    live.unmap().unwrap();
+}

@@ -31,6 +31,10 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
+/// Whether the `lockcheck` feature is on: crates that keep debug-only
+/// invariant checks turn them on in `lockcheck` release builds too.
+pub const ENABLED: bool = cfg!(feature = "lockcheck");
+
 /// One class of lock in the engine-wide hierarchy. Levels ascend in
 /// acquisition order: a thread holding level `n` may only acquire levels
 /// `> n` (and, for `ordered` classes, the same level with a strictly

@@ -14,8 +14,8 @@
 //!   `MAP_PRIVATE` view of the same file, and before the first write to a
 //!   frozen page the backend has the kernel copy it into every view still
 //!   reading it (RUMA-style rewiring, paper §3.2.3). Because every write
-//!   already flows through the engine's serialized write path, no
-//!   `mprotect`/SIGSEGV machinery is needed.
+//!   tests the page's frozen bit first, no `mprotect`/SIGSEGV machinery is
+//!   needed. Its [`VmBackend::view`] gives direct, lock-free word access.
 //!
 //! Both backends promise the same observable semantics, checked by the
 //! `backend_semantics` and `backend_equiv` test suites: after
@@ -88,20 +88,15 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// A raw pointer to `[addr, addr + bytes)` when the range is plain,
-    /// directly addressable memory (the OS backend). Scans use this to
-    /// read frozen snapshot areas straight through the mapping instead of
-    /// word-by-word through [`VmBackend::read_u64`]. Returns `None` on
-    /// backends that only expose simulated memory (the default).
-    ///
-    /// The pointee stays mapped for the lifetime of the area; callers may
-    /// only *read* through it, and must tolerate concurrent word stores
-    /// (which cannot occur on frozen areas — the engine never writes a
-    /// snapshot after hand-over). A frozen area's page-table entries may
-    /// move onto byte-identical private copies underneath the pointer (a
-    /// copy-on-write split of the live view it shares them with),
-    /// atomically per page.
-    fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
+    /// A direct [`View`](crate::View) of the `bytes` bytes at `addr`, the
+    /// base of a mapped area, when the backend maps areas as plain,
+    /// directly addressable memory (the OS backend): loads through it and
+    /// stores to unfrozen pages of a live area take no lock (see
+    /// [`crate::view`] for the store contract). The view keeps the mapping
+    /// alive however the area is released. Returns `None` on backends
+    /// that only expose simulated memory (the default), for an address
+    /// that is no area's base, or for a range past the area's end.
+    fn view(&self, addr: u64, bytes: u64) -> Option<crate::View> {
         let _ = (addr, bytes);
         None
     }

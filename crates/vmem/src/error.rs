@@ -12,6 +12,9 @@ pub enum VmError {
     /// Access to an address not covered by any VMA (SIGSEGV on a real
     /// system).
     NotMapped { addr: u64 },
+    /// Access at `addr`, past the end of the object addressed (a column
+    /// area's last row), even where the page padding behind it is mapped.
+    OutOfBounds { addr: u64 },
     /// A write hit a page whose VMA forbids writing (SIGSEGV with a present
     /// mapping). Rewired snapshotting relies on catching exactly this fault
     /// to perform its manual copy-on-write.
@@ -39,6 +42,9 @@ impl fmt::Display for VmError {
             }
             VmError::NotMapped { addr } => {
                 write!(f, "segfault: address {addr:#x} is not mapped")
+            }
+            VmError::OutOfBounds { addr } => {
+                write!(f, "address {addr:#x} is past the end of its area")
             }
             VmError::ProtectionFault { addr } => {
                 write!(f, "protection fault: write to read-only page at {addr:#x}")

@@ -74,6 +74,7 @@ pub mod page;
 pub mod phys;
 pub mod pte;
 pub mod space;
+pub mod view;
 pub mod vma;
 
 pub use backend::VmBackend;
@@ -85,4 +86,5 @@ pub use os::{OsBackend, OsStats, OsStatsSnapshot};
 pub use page::ResolvedPage;
 pub use phys::FrameId;
 pub use space::{Access, MapBacking, Space};
+pub use view::View;
 pub use vma::{Backing, Prot, Share, Vma};

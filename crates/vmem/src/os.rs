@@ -23,12 +23,12 @@
 //!   view, which makes the kernel copy the page into the view's private
 //!   memory and changes no byte. Only then does the store land. Nothing
 //!   is mapped, allocated or rewired by a split.
-//!   Because every store flows through
+//!   Because every store tests the page's frozen bit first — in
 //!   [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
-//!   [`write_words`](crate::VmBackend::write_words) (the engine's
-//!   serialized write path), no `mprotect` and no SIGSEGV handler are
-//!   needed (§4.1.4): the check is one branch on a bit the backend
-//!   already has in cache.
+//!   [`write_words`](crate::VmBackend::write_words), or lock-free through
+//!   a [`View`], which sends a frozen page back here — no
+//!   `mprotect` and no SIGSEGV handler are needed (§4.1.4): the check is
+//!   one branch on a bit already in cache.
 //! * A frozen view's *contents* never change, but the page-table entry
 //!   behind a page may move onto the private copy. The kernel swaps it
 //!   atomically, and a racing reader loads the same bytes from the old
@@ -41,6 +41,12 @@
 //!   whose *source* is a private view is a physical copy — a new file,
 //!   one `pwrite` of the view and one `mmap` — which becomes a new live
 //!   view; the engine never takes this path.
+//!
+//! [`VmBackend::view`](crate::VmBackend::view) hands out a direct
+//! [`View`] of an area: loads, and stores to unfrozen pages of a live
+//! area, without this backend's lock (see [`crate::view`] for the store
+//! contract). Each mapping unmaps itself when its last holder — the area
+//! table or a view — drops it.
 //!
 //! Every view holds its file. The descriptor closes when the last view
 //! mapping the file is released, and the kernel frees the file's pages
@@ -59,6 +65,8 @@
 //! forbids new registry dependencies.
 
 use crate::error::{Result, VmError};
+#[cfg(target_os = "linux")]
+use crate::view::{PageBits, View, CHECK_STORES};
 #[cfg(target_os = "linux")]
 use parking_lot::RwLock;
 #[cfg(target_os = "linux")]
@@ -133,11 +141,40 @@ fn os_err(call: &'static str) -> VmError {
     }
 }
 
+/// One `mmap` of a whole file. It is unmapped when its last holder
+/// drops: the area table's entry or a [`View`] of it.
+#[cfg(target_os = "linux")]
+#[derive(Debug)]
+struct Mapping {
+    base: u64,
+    bytes: u64,
+    /// False once a `MAP_FIXED` snapshot mapped over the range, which then
+    /// belongs to the new mapping.
+    owned: bool,
+    stats: Arc<OsStats>,
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        if !self.owned {
+            return;
+        }
+        OsBackend::bump(&self.stats.munmap_calls);
+        self.stats.wired_runs.fetch_sub(1, Ordering::Relaxed);
+        // SAFETY(provenance: self, base, bounds: bytes): one whole mapping
+        // this backend created; its last holder is gone, so no safe entry
+        // point can reach it any more. munmap of a whole mapping cannot
+        // fail.
+        unsafe { ffi::munmap(self.base as *mut _, self.bytes as usize) };
+    }
+}
+
 /// One mapped view: a whole memfd, mapped from offset 0.
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 struct Area {
-    bytes: u64,
+    map: Arc<Mapping>,
     /// The file the view maps; it stays open while any view maps it.
     file: Arc<OwnedFd>,
     /// `MAP_PRIVATE` snapshot view (else the file's `MAP_SHARED` live
@@ -145,9 +182,17 @@ struct Area {
     private: bool,
     /// Per page, by kind. On the live view: some private view of the
     /// file may still read the page through, so a store must have them
-    /// copy it first. On a private view: the page is not privatized yet —
-    /// the view still reads the file page, and has not copied it.
-    frozen: Vec<bool>,
+    /// copy it first (shared with the area's [`View`]s). On a private
+    /// view: the page is not privatized yet — the view still reads the
+    /// file page, and has not copied it.
+    frozen: Arc<PageBits>,
+}
+
+#[cfg(target_os = "linux")]
+impl Area {
+    fn bytes(&self) -> u64 {
+        self.map.bytes
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -287,7 +332,8 @@ struct OsInner {
     /// scans). Off by default; see [`OsBackend::with_huge_pages`].
     huge_pages: bool,
     state: RwLock<MapState>,
-    stats: OsStats,
+    /// Shared with every [`Mapping`], which counts its own `munmap`.
+    stats: Arc<OsStats>,
     /// Test hook: how many more `mmap`s, `pwrite`s and populates may run
     /// before every further one fails (`u64::MAX` = never).
     #[cfg(test)]
@@ -344,7 +390,7 @@ impl OsBackend {
                 page_size: ps as u64,
                 huge_pages,
                 state: RwLock::new(MapState::default()),
-                stats: OsStats::default(),
+                stats: Arc::default(),
                 #[cfg(test)]
                 calls_before_failure: AtomicU64::new(u64::MAX),
             }),
@@ -385,7 +431,7 @@ impl OsBackend {
         let st = self.inner.state.read();
         st.lineages
             .values()
-            .map(|views| st.areas[&views[0]].bytes / self.inner.page_size)
+            .map(|views| st.areas[&views[0]].bytes() / self.inner.page_size)
             .sum()
     }
 
@@ -420,8 +466,8 @@ impl OsBackend {
 
     /// Map `file` whole — `MAP_PRIVATE` when `private`, else `MAP_SHARED`
     /// — at a kernel-chosen address (`at = None`) or `MAP_FIXED` over the
-    /// tabled view `Some(d)`, replacing it. Returns the base address.
-    fn map(&self, at: Option<u64>, file: &OwnedFd, bytes: u64, private: bool) -> Result<u64> {
+    /// tabled view `Some(d)`, replacing it.
+    fn map(&self, at: Option<u64>, file: &OwnedFd, bytes: u64, private: bool) -> Result<Mapping> {
         self.injected_failure("mmap")?;
         Self::bump(&self.inner.stats.mmap_calls);
         let share = if private {
@@ -436,7 +482,8 @@ impl OsBackend {
         // SAFETY(provenance: at, file, bounds: bytes): either a fresh
         // mapping at a kernel-chosen address, touching no existing memory,
         // or MAP_FIXED over one whole view this backend tabled (the
-        // caller's write lock keeps every reader out); the file is `bytes`
+        // caller's write lock keeps every locked reader out, and a
+        // destination some `View` holds is refused); the file is `bytes`
         // long.
         let p = unsafe {
             ffi::mmap(
@@ -464,21 +511,12 @@ impl OsBackend {
             unsafe { ffi::madvise(p, bytes as usize, ffi::MADV_HUGEPAGE) };
             Self::bump(&self.inner.stats.huge_page_advices);
         }
-        Ok(p as u64)
-    }
-
-    /// `munmap` a whole view this backend mapped and no longer tables.
-    fn unmap(&self, base: u64, bytes: u64) -> Result<()> {
-        Self::bump(&self.inner.stats.munmap_calls);
-        self.inner.stats.wired_runs.fetch_sub(1, Ordering::Relaxed);
-        // SAFETY(provenance: base, bounds: bytes): the range is one whole
-        // view this backend mapped, out of the area table, so no safe
-        // entry point can reach it any more.
-        let rc = unsafe { ffi::munmap(base as *mut _, bytes as usize) };
-        if rc != 0 {
-            return Err(os_err("munmap"));
-        }
-        Ok(())
+        Ok(Mapping {
+            base: p as u64,
+            bytes,
+            owned: true,
+            stats: Arc::clone(&self.inner.stats),
+        })
     }
 
     /// Copy the whole view at `src` into `file` — fresh, `bytes` long,
@@ -510,7 +548,7 @@ impl OsBackend {
             .areas
             .range(..=addr)
             .next_back()
-            .filter(|(base, a)| addr < *base + a.bytes)
+            .filter(|(base, a)| addr < *base + a.bytes())
             .map(|(base, a)| (*base, a))
             .ok_or(VmError::NotMapped { addr })
     }
@@ -520,28 +558,30 @@ impl OsBackend {
     /// through copies it first — one `madvise(MADV_POPULATE_WRITE)` each;
     /// with none left the page is reclaimed in place. On a private view
     /// the store itself is the kernel's copy-on-write. Caller holds the
-    /// write lock and the engine's serialized write path.
+    /// write lock and the engine's serialized write path. The page's bit
+    /// clears last, so a lock-free store that sees it clear finds every
+    /// copy made.
     ///
     /// On failure the page stays frozen: the private views that already
     /// copied it keep their byte-identical copies, and a retry copies for
     /// the rest.
-    fn ensure_writable(&self, state: &mut MapState, base: u64, page_idx: usize) -> Result<()> {
+    fn ensure_writable(&self, state: &MapState, base: u64, page_idx: usize) -> Result<()> {
         let ps = self.inner.page_size;
         let area = &state.areas[&base];
-        if !area.frozen[page_idx] {
+        if !area.frozen.get(page_idx) {
             return Ok(());
         }
         if !area.private {
-            let readers: Vec<u64> = state.lineages[&area.file.as_raw_fd()]
+            let readers: Vec<&Area> = state.lineages[&area.file.as_raw_fd()]
                 .iter()
-                .copied()
-                .filter(|&b| b != base && state.areas[&b].frozen[page_idx])
+                .filter(|&&b| b != base && state.areas[&b].frozen.get(page_idx))
+                .map(|b| &state.areas[b])
                 .collect();
-            for &r in &readers {
-                debug_assert!(state.areas[&r].private, "one live view per file");
+            for r in &readers {
+                debug_assert!(r.private, "one live view per file");
                 self.injected_failure("madvise")?;
                 Self::bump(&self.inner.stats.populate_writes);
-                let page = (r + page_idx as u64 * ps) as *mut _;
+                let page = (r.map.base + page_idx as u64 * ps) as *mut _;
                 // SAFETY(provenance: r, page_idx, bounds: ps): one page of
                 // a tabled private view, mapped read-write (the write lock
                 // keeps it mapped). The kernel copies the file page into
@@ -550,7 +590,7 @@ impl OsBackend {
                 if unsafe { ffi::madvise(page, ps as usize, ffi::MADV_POPULATE_WRITE) } != 0 {
                     return Err(os_err("madvise"));
                 }
-                state.areas.get_mut(&r).expect("reader exists").frozen[page_idx] = false;
+                r.frozen.clear(page_idx);
             }
             Self::bump(if readers.is_empty() {
                 &self.inner.stats.cow_reclaims
@@ -558,7 +598,7 @@ impl OsBackend {
                 &self.inner.stats.cow_copies
             });
         }
-        state.areas.get_mut(&base).expect("area exists").frozen[page_idx] = false;
+        area.frozen.clear(page_idx);
         Ok(())
     }
 
@@ -571,9 +611,9 @@ impl OsBackend {
         ps: u64,
     ) -> Result<(u64, std::ops::Range<usize>)> {
         let (base, area) = Self::area_at(state, addr)?;
-        if addr + bytes > base + area.bytes {
+        if addr + bytes > base + area.bytes() {
             return Err(VmError::NotMapped {
-                addr: base + area.bytes,
+                addr: base + area.bytes(),
             });
         }
         let first = ((addr - base) / ps) as usize;
@@ -581,29 +621,51 @@ impl OsBackend {
         Ok((base, first..last + 1))
     }
 
-    /// Map `file` as the destination of a snapshot and table it: a fresh
-    /// view (`None`), or `MAP_FIXED` over the tabled view `Some(d)`, which
-    /// leaves the table and its lineage first. A failed `MAP_FIXED` may
-    /// already have replaced `d`, so `d` is then torn down whole: the
-    /// caller gets an error and a dangling (`NotMapped`) destination,
-    /// never another area's bytes.
-    fn map_destination(&self, st: &mut MapState, dst: Option<u64>, area: Area) -> Result<u64> {
-        let (bytes, private) = (area.bytes, area.private);
-        let base = match dst {
-            None => self.map(None, &area.file, bytes, private)?,
+    /// Map `file` — a new area, or a snapshot's destination — and table it
+    /// with the page bits `frozen`: a fresh view (`None`), or `MAP_FIXED` over the
+    /// tabled view `Some(d)` (which no [`View`] holds), which leaves the
+    /// table and its lineage first. A failed `MAP_FIXED` may already have
+    /// replaced `d`, so `d` is then torn down whole: the caller gets an
+    /// error and a dangling (`NotMapped`) destination, never another
+    /// area's bytes.
+    fn map_destination(
+        &self,
+        st: &mut MapState,
+        dst: Option<u64>,
+        file: Arc<OwnedFd>,
+        private: bool,
+        frozen: PageBits,
+        bytes: u64,
+    ) -> Result<u64> {
+        let map = match dst {
+            None => self.map(None, &file, bytes, private)?,
             Some(d) => {
-                let mapped = self.map(Some(d), &area.file, bytes, private);
-                st.remove_area(d).expect("destination checked");
-                if mapped.is_err() {
-                    // The mapping error is the one to report.
-                    let _ = self.unmap(d, bytes);
+                let mapped = self.map(Some(d), &file, bytes, private);
+                let mut old = st.remove_area(d).expect("destination checked");
+                if mapped.is_ok() {
+                    // The range belongs to the new mapping now. On failure
+                    // the old one drops owned, and its munmap tears `d`
+                    // down whole.
+                    Arc::get_mut(&mut old.map)
+                        .expect("no view holds a destination")
+                        .owned = false;
                 }
-                mapped?;
+                drop(old);
+                let map = mapped?;
                 Self::bump(&self.inner.stats.recycled);
-                d
+                map
             }
         };
-        st.insert_area(base, area);
+        let base = map.base;
+        st.insert_area(
+            base,
+            Area {
+                map: Arc::new(map),
+                file,
+                private,
+                frozen: Arc::new(frozen),
+            },
+        );
         Ok(base)
     }
 }
@@ -622,17 +684,7 @@ impl crate::backend::VmBackend for OsBackend {
         let n = (bytes / self.inner.page_size) as usize;
         let mut st = self.inner.state.write();
         let file = self.create_file(bytes)?;
-        let base = self.map(None, &file, bytes, false)?;
-        st.insert_area(
-            base,
-            Area {
-                bytes,
-                file,
-                private: false,
-                frozen: vec![false; n],
-            },
-        );
-        Ok(base)
+        self.map_destination(&mut st, None, file, false, PageBits::new(n, false), bytes)
     }
 
     fn release(&self, addr: u64, bytes: u64) -> Result<()> {
@@ -641,13 +693,14 @@ impl crate::backend::VmBackend for OsBackend {
         let Some(area) = st.areas.get(&addr) else {
             return Err(VmError::NotMapped { addr });
         };
-        if area.bytes != bytes {
+        if area.bytes() != bytes {
             return Err(VmError::InvalidArgument(
                 "release length does not match the area",
             ));
         }
+        // Unmapped here, or when the last view of it drops.
         st.remove_area(addr);
-        self.unmap(addr, bytes)
+        Ok(())
     }
 
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64> {
@@ -662,45 +715,46 @@ impl crate::backend::VmBackend for OsBackend {
         let Some(src_area) = st.areas.get(&src) else {
             return Err(VmError::NotMapped { addr: src });
         };
-        if src_area.bytes != bytes {
+        if src_area.bytes() != bytes {
             return Err(VmError::InvalidArgument(
                 "vm_snapshot length does not match the source area",
             ));
         }
-        let (private_src, n) = (src_area.private, src_area.frozen.len());
+        let n = (bytes / self.inner.page_size) as usize;
+        let private_src = src_area.private;
         if let Some(d) = dst {
+            // A destination some view still holds cannot be mapped over:
+            // the view would read the new mapping, and unmap it on drop.
             match st.areas.get(&d) {
-                Some(a) if d != src && a.bytes == bytes => {}
+                Some(a) if d != src && a.bytes() == bytes && Arc::strong_count(&a.map) == 1 => {}
                 _ => return Err(VmError::BadDestination { addr: d }),
             }
         }
-        let area = if private_src {
+        let base = if private_src {
             // A private view's pages may be its own copies, which its file
             // does not hold: copy it physically into a new file, mapped as
             // a new live view.
             let file = self.create_file(bytes)?;
             self.copy_into(src, &file, bytes)?;
-            Area {
-                bytes,
-                file,
-                private: false,
-                frozen: vec![false; n],
-            }
+            self.map_destination(&mut st, dst, file, false, PageBits::new(n, false), bytes)?
         } else {
-            Area {
-                bytes,
-                file: Arc::clone(&st.areas[&src].file),
-                private: true,
-                frozen: vec![true; n],
-            }
+            let file = Arc::clone(&st.areas[&src].file);
+            // On failure the source is untouched: not frozen, page tables
+            // kept.
+            self.map_destination(&mut st, dst, file, true, PageBits::new(n, true), bytes)?
         };
-        // On failure the source is untouched: not frozen, page tables kept.
-        let base = self.map_destination(&mut st, dst, area)?;
         if !private_src {
             // Every page of the live view is frozen until the new view
             // copied it or a write finds nobody reading it through.
-            let src_area = st.areas.get_mut(&src).expect("checked");
-            src_area.frozen.iter_mut().for_each(|f| *f = true);
+            let frozen = &st.areas[&src].frozen;
+            frozen.set_all();
+            if CHECK_STORES {
+                assert_eq!(
+                    frozen.stores_in_flight(),
+                    0,
+                    "a lock-free store raced a vm_snapshot of its area"
+                );
+            }
             // Drop the live view's page tables: the data stays in the
             // memfd, and a page the new view reads is resident once, not
             // once per view. Never fails on a tabled view; the result would
@@ -725,7 +779,7 @@ impl crate::backend::VmBackend for OsBackend {
         }
         let st = self.inner.state.read();
         let (base, area) = Self::area_at(&st, addr)?;
-        if addr + 8 > base + area.bytes {
+        if addr + 8 > base + area.bytes() {
             return Err(VmError::NotMapped { addr });
         }
         // SAFETY(provenance: st, area, bounds: base, bytes): in-bounds of
@@ -745,10 +799,10 @@ impl crate::backend::VmBackend for OsBackend {
         {
             let st = self.inner.state.read();
             let (base, area) = Self::area_at(&st, addr)?;
-            if addr + 8 > base + area.bytes {
+            if addr + 8 > base + area.bytes() {
                 return Err(VmError::NotMapped { addr });
             }
-            if !area.frozen[((addr - base) / ps) as usize] {
+            if !area.frozen.get(((addr - base) / ps) as usize) {
                 // SAFETY(provenance: st, area, bounds: base, bytes):
                 // in-bounds, mapped writable; the read lock keeps the
                 // mapping from being rewired underneath the store (every
@@ -758,9 +812,9 @@ impl crate::backend::VmBackend for OsBackend {
             }
         }
         // Frozen page: split it under the write lock, then store.
-        let mut st = self.inner.state.write();
+        let st = self.inner.state.write();
         let (base, _) = Self::area_at(&st, addr)?;
-        self.ensure_writable(&mut st, base, ((addr - base) / ps) as usize)?;
+        self.ensure_writable(&st, base, ((addr - base) / ps) as usize)?;
         // SAFETY(provenance: st, ensure_writable, bounds: base): as above;
         // the page was re-resolved and split under the still-held write
         // lock.
@@ -799,11 +853,11 @@ impl crate::backend::VmBackend for OsBackend {
         if words.is_empty() {
             return Ok(());
         }
-        let mut st = self.inner.state.write();
+        let st = self.inner.state.write();
         let (base, span) =
             Self::page_span(&st, addr, words.len() as u64 * 8, self.inner.page_size)?;
         for page_idx in span {
-            self.ensure_writable(&mut st, base, page_idx)?;
+            self.ensure_writable(&st, base, page_idx)?;
         }
         // SAFETY(provenance: st, ensure_writable, bounds: span, words):
         // in-bounds and every touched page is now privately writable;
@@ -823,7 +877,7 @@ impl crate::backend::VmBackend for OsBackend {
         let Ok((base, area)) = Self::area_at(&st, addr) else {
             return;
         };
-        if addr != base || bytes > area.bytes {
+        if addr != base || bytes > area.bytes() {
             return;
         }
         // SAFETY(provenance: st, area, bounds: bytes): advising a live
@@ -837,33 +891,35 @@ impl crate::backend::VmBackend for OsBackend {
         Some(self.inner.stats.snapshot())
     }
 
-    fn raw_parts(&self, addr: u64, bytes: u64) -> Option<*const u64> {
-        if !addr.is_multiple_of(8) {
+    fn view(&self, addr: u64, bytes: u64) -> Option<View> {
+        if !bytes.is_multiple_of(8) {
             return None;
         }
         let st = self.inner.state.read();
-        let (base, area) = Self::area_at(&st, addr).ok()?;
-        if addr + bytes > base + area.bytes {
+        let area = st.areas.get(&addr)?;
+        if bytes > area.bytes() {
             return None;
         }
-        Some(addr as *const u64)
+        // Only a live view's stores may skip the lock; a private view's
+        // bits mean something else (see `Area::frozen`).
+        let frozen = (!area.private).then(|| Arc::clone(&area.frozen));
+        // SAFETY(provenance: st, area, bounds: bytes): the range starts
+        // at the base of a tabled read-write mapping and ends inside it;
+        // the view holds that mapping, whose pages `frozen` tracks from
+        // the base.
+        Some(unsafe {
+            View::new(
+                addr,
+                (bytes / 8) as usize,
+                self.inner.page_size.trailing_zeros(),
+                frozen,
+                Arc::clone(&area.map) as _,
+            )
+        })
     }
 
     fn name(&self) -> &'static str {
         "os"
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for OsInner {
-    fn drop(&mut self) {
-        let st = self.state.get_mut();
-        for (&base, area) in st.areas.iter() {
-            // SAFETY(provenance: area, bounds: bytes): unmapping whole
-            // views this backend created; nothing can use them after Drop.
-            // Their files close as the table drops.
-            unsafe { ffi::munmap(base as *mut _, area.bytes as usize) };
-        }
     }
 }
 
@@ -931,7 +987,7 @@ mod tests {
     }
 
     fn is_frozen(b: &OsBackend, base: u64, page: usize) -> bool {
-        b.inner.state.read().areas[&base].frozen[page]
+        b.inner.state.read().areas[&base].frozen.get(page)
     }
 
     /// The file the view at `base` maps.
@@ -1092,8 +1148,8 @@ mod tests {
             let first = &st.areas[&views[0]];
             assert_eq!(Arc::strong_count(&first.file), views.len());
             assert!(views.iter().filter(|&v| !st.areas[v].private).count() <= 1);
-            assert!(views.iter().all(|v| st.areas[v].bytes == first.bytes));
-            pages += first.bytes / b.inner.page_size;
+            assert!(views.iter().all(|v| st.areas[v].bytes() == first.bytes()));
+            pages += first.bytes() / b.inner.page_size;
         }
         assert_eq!(in_use, pages);
     }
@@ -1343,16 +1399,95 @@ mod tests {
         b.release(a, 2 * ps).unwrap();
     }
 
+    /// A view reads through the mapping, refuses a range past the area,
+    /// and stores to a writable page of a live area without the lock.
     #[test]
-    fn raw_parts_reads_through_the_mapping() {
+    fn a_view_reads_and_stores_through_the_mapping() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        b.write_u64(a + 8, 21).unwrap();
+        let v = b.view(a, 2 * ps).unwrap();
+        assert_eq!(v.len() as u64, 2 * ps / 8);
+        assert_eq!(v.load(1), 21);
+        assert!(b.view(a, 3 * ps).is_none(), "out of bounds refused");
+        assert!(b.view(a + 8, ps).is_none(), "not an area's base");
+        assert!(v.try_store(2, 5), "an unfrozen page takes the plain store");
+        assert_eq!(b.read_u64(a + 16).unwrap(), 5);
+        let mut buf = [0u64; 3];
+        v.read_into(0, &mut buf);
+        assert_eq!(buf, [0, 21, 5]);
+        b.release(a, 2 * ps).unwrap();
+    }
+
+    /// After a snapshot a live view's stores fall back to the locked
+    /// split, page by page, and a split page takes plain stores again; a
+    /// snapshot view never stores without the lock.
+    #[test]
+    fn a_frozen_page_sends_view_stores_to_the_split() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        let live = b.view(a, 2 * ps).unwrap();
+        assert!(live.try_store(0, 7));
+        let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
+        let image = b.view(snap, 2 * ps).unwrap();
+        assert!(!live.try_store(0, 8), "frozen: the split is the backend's");
+        assert!(!image.try_store(0, 9), "a snapshot view stores locked");
+        assert_eq!((live.load(0), image.load(0)), (7, 7));
+        b.write_u64(a, 8).unwrap();
+        assert!(live.try_store(1, 9), "the split page is writable again");
+        assert!(
+            !live.try_store(ps as usize / 8, 1),
+            "page 1 is still frozen"
+        );
+        assert_eq!([live.load(0), live.load(1), image.load(0)], [8, 9, 7]);
+        assert_eq!(b.stats().snapshot().cow_copies, 1);
+    }
+
+    /// Debug and `lockcheck` builds catch a lock-free store in flight
+    /// across a `vm_snapshot` of its area.
+    #[test]
+    fn a_store_in_flight_across_a_snapshot_is_caught() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(ps).unwrap();
-        b.write_u64(a + 8, 21).unwrap();
-        let p = b.raw_parts(a, ps).unwrap();
-        // SAFETY(provenance: p, a, bounds: ps): in-bounds of the live
-        // mapping allocated just above.
-        assert_eq!(unsafe { *p.add(1) }, 21);
-        assert!(b.raw_parts(a, 2 * ps).is_none(), "out of bounds refused");
+        b.inner.state.read().areas[&a].frozen.begin_store();
+        let cut = std::panic::catch_unwind(|| b.vm_snapshot(None, a, ps));
+        assert_eq!(cut.is_err(), CHECK_STORES);
+    }
+
+    /// A view keeps its mapping alive past `release`: the munmap comes
+    /// with the last view, and a destination a view holds cannot be
+    /// mapped over.
+    #[test]
+    fn a_view_defers_the_munmap_and_pins_its_destination() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(ps).unwrap();
+        b.write_u64(a, 3).unwrap();
+        let d = b.alloc(ps).unwrap();
+        let dv = b.view(d, ps).unwrap();
+        assert_eq!(
+            b.vm_snapshot(Some(d), a, ps),
+            Err(VmError::BadDestination { addr: d })
+        );
+        let v = b.view(a, ps).unwrap();
+        let before = b.stats().snapshot();
+        b.release(a, ps).unwrap();
+        assert_eq!(b.read_u64(a), Err(VmError::NotMapped { addr: a }));
+        assert_eq!(v.load(0), 3, "the view still reads its mapping");
+        assert_eq!(b.stats().snapshot().munmap_calls, before.munmap_calls);
+        let v2 = v.clone();
+        drop(v);
+        assert_eq!(v2.load(0), 3);
+        drop(v2);
+        let after = b.stats().snapshot();
+        assert_eq!(after.munmap_calls - before.munmap_calls, 1);
+        assert_eq!(after.wired_runs, 1, "the destination alone");
+        drop(dv);
+        assert_eq!(b.stats().snapshot().munmap_calls, after.munmap_calls);
+        b.release(d, ps).unwrap();
+        assert_eq!(b.stats().snapshot().wired_runs, 0);
     }
 }

@@ -1,0 +1,248 @@
+//! Direct views of real-memory areas: word loads and stores without the
+//! backend's lock.
+//!
+//! A [`View`] is what [`VmBackend::view`](crate::VmBackend::view) hands
+//! out on the OS backend: the base pointer of one mapped area, a handle
+//! that keeps the mapping alive, and — for a live area — the area's
+//! frozen-page bits, shared with the backend. A load is a plain volatile
+//! load. A store to a page whose bit is clear is a plain volatile store;
+//! a set bit means some snapshot view may still read the page through,
+//! so the store must take the backend's locked copy-on-write path
+//! ([`VmBackend::write_u64`](crate::VmBackend::write_u64)) instead.
+//!
+//! **The store contract.** A lock-free store must not race a
+//! `vm_snapshot` of its area: the snapshot sets every bit, and a store
+//! that tested its bit just before would land in the page after the
+//! snapshot was cut, visible through it. The engine keeps this by
+//! construction (heterogeneous installs and freezes share the serialized
+//! commit section; homogeneous installs never meet a snapshot), and
+//! debug and `lockcheck` builds check it: every lock-free store counts
+//! itself in flight, and `vm_snapshot` asserts the count is zero.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Whether lock-free stores count themselves in flight and `vm_snapshot`
+/// checks the count (see the module docs).
+pub(crate) const CHECK_STORES: bool = cfg!(debug_assertions) || anker_util::lockcheck::ENABLED;
+
+/// One bit per page of an area: set while the page is frozen. Shared
+/// between the backend's area table (which sets and clears bits under its
+/// write lock) and the views of a live area (which test them).
+#[derive(Debug)]
+pub(crate) struct PageBits {
+    bits: Box<[AtomicU64]>,
+    /// Lock-free stores in progress (counted only when [`CHECK_STORES`]).
+    in_flight: AtomicU64,
+}
+
+impl PageBits {
+    /// `pages` bits, all set when `frozen`.
+    pub(crate) fn new(pages: usize, frozen: bool) -> PageBits {
+        let fill = if frozen { u64::MAX } else { 0 };
+        PageBits {
+            bits: (0..pages.div_ceil(64))
+                .map(|_| AtomicU64::new(fill))
+                .collect(),
+            in_flight: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether `page` is frozen.
+    #[inline]
+    pub(crate) fn get(&self, page: usize) -> bool {
+        // ORDERING: Acquire pairs with the Release in `clear`, so a store
+        // that sees its page writable also sees the split's copies done.
+        self.bits[page / 64].load(Ordering::Acquire) & (1 << (page % 64)) != 0
+    }
+
+    /// Mark `page` writable.
+    pub(crate) fn clear(&self, page: usize) {
+        // ORDERING: Release publishes the private copies the split made
+        // before the page turns writable (pairs with `get`).
+        self.bits[page / 64].fetch_and(!(1 << (page % 64)), Ordering::Release);
+    }
+
+    /// Freeze every page.
+    pub(crate) fn set_all(&self) {
+        for w in self.bits.iter() {
+            // ORDERING: Release pairs with `get`'s Acquire; the store
+            // contract, not this ordering, keeps stores off the snapshot.
+            w.store(u64::MAX, Ordering::Release);
+        }
+    }
+
+    /// Count one store in flight, as [`View::try_store`] does mid-store.
+    #[cfg(test)]
+    pub(crate) fn begin_store(&self) {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Lock-free stores in progress right now (0 unless [`CHECK_STORES`]).
+    pub(crate) fn stores_in_flight(&self) -> u64 {
+        // ORDERING: SeqCst against the stores' SeqCst increments, so a
+        // store between its bit test and its store is always seen.
+        self.in_flight.load(Ordering::SeqCst)
+    }
+}
+
+/// A direct view of one mapped area (see the module docs). Cheap to
+/// clone; every clone keeps the mapping alive, so the area is unmapped
+/// only once the backend released it *and* its last view is dropped.
+///
+/// A view that outlives the release of its area still reads that area's
+/// own memory, never another's. The backend no longer tracks the area,
+/// though: a released snapshot view is no longer copied apart from later
+/// stores to its source, so its holders must stop reading it at release
+/// (the engine releases an image only with its last handle).
+#[derive(Clone)]
+pub struct View {
+    ptr: *mut u64,
+    words: usize,
+    page_shift: u32,
+    /// The live area's frozen bits; `None` on a snapshot view, whose
+    /// stores always take the backend's locked path.
+    frozen: Option<Arc<PageBits>>,
+    /// Keeps the mapping alive.
+    _mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
+}
+
+// SAFETY(provenance: View): `ptr` addresses a shared mapping that
+// `_mapping` keeps alive, and every access through it is a volatile word
+// load or store, which any thread may issue; every other field is
+// `Send + Sync` by its type (`usize`, `u32`, and `Arc`s of `Send + Sync`
+// values).
+unsafe impl Send for View {}
+// SAFETY(provenance: View): as for `Send` — `&View` only ever issues
+// volatile word accesses through `ptr` and reads the other fields.
+unsafe impl Sync for View {}
+
+impl std::fmt::Debug for View {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("View")
+            .field("addr", &(self.ptr as u64))
+            .field("words", &self.words)
+            .field("live", &self.frozen.is_some())
+            .finish()
+    }
+}
+
+impl View {
+    /// A view of `words` words at `ptr`.
+    ///
+    /// # Safety
+    ///
+    /// `[ptr, ptr + words)` must be one readable and writable mapping
+    /// that stays mapped while `mapping` lives, whose pages `frozen` (if
+    /// given) tracks from page 0 at `ptr`, in pages of `1 << page_shift`
+    /// bytes.
+    pub(crate) unsafe fn new(
+        ptr: u64,
+        words: usize,
+        page_shift: u32,
+        frozen: Option<Arc<PageBits>>,
+        mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
+    ) -> View {
+        View {
+            ptr: ptr as *mut u64,
+            words,
+            page_shift,
+            frozen,
+            _mapping: mapping,
+        }
+    }
+
+    /// Length in words.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words
+    }
+
+    /// Whether the view covers no word.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words == 0
+    }
+
+    /// The first word's address.
+    #[inline]
+    pub fn as_ptr(&self) -> *const u64 {
+        self.ptr
+    }
+
+    /// Load word `i` (a racing store yields the old or the new word,
+    /// never a torn one).
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of the view.
+    #[inline]
+    pub fn load(&self, i: usize) -> u64 {
+        assert!(i < self.words, "word {i} out of a view of {}", self.words);
+        // SAFETY(provenance: self, ptr, bounds: words, i): in bounds of a
+        // mapping the view keeps alive; an aligned volatile word load
+        // tolerates racing word stores.
+        unsafe { self.ptr.add(i).read_volatile() }
+    }
+
+    /// Copy words `[start, start + buf.len())` into `buf`.
+    ///
+    /// # Panics
+    ///
+    /// If the range is out of the view.
+    #[inline]
+    pub fn read_into(&self, start: usize, buf: &mut [u64]) {
+        assert!(
+            start <= self.words && buf.len() <= self.words - start,
+            "words {start}+{} out of a view of {}",
+            buf.len(),
+            self.words
+        );
+        // SAFETY(provenance: self, ptr, bounds: words, start, buf): the
+        // range was checked in bounds of the kept-alive mapping.
+        let mut p = unsafe { self.ptr.add(start) };
+        for w in buf.iter_mut() {
+            // SAFETY(provenance: p, bounds: buf): every step stays inside
+            // the checked range; volatile loads tolerate racing stores.
+            unsafe {
+                *w = p.read_volatile();
+                p = p.add(1);
+            }
+        }
+    }
+
+    /// Store `word` at word `i` if its page is writable without a split:
+    /// returns `false`, storing nothing, when the page is frozen or this
+    /// is a snapshot view — the caller then takes the backend's locked
+    /// [`VmBackend::write_u64`](crate::VmBackend::write_u64). Must not
+    /// race a `vm_snapshot` of the area (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of the view.
+    #[inline]
+    pub fn try_store(&self, i: usize, word: u64) -> bool {
+        assert!(i < self.words, "word {i} out of a view of {}", self.words);
+        let Some(frozen) = &self.frozen else {
+            return false;
+        };
+        if CHECK_STORES {
+            // ORDERING: SeqCst pairs with `stores_in_flight`.
+            frozen.in_flight.fetch_add(1, Ordering::SeqCst);
+        }
+        let writable = !frozen.get((i * 8) >> self.page_shift);
+        if writable {
+            // SAFETY(provenance: self, ptr, frozen, bounds: words, i):
+            // in bounds of the kept-alive live mapping, and its page is
+            // no snapshot's any more (bit clear, tested just above; the
+            // store contract keeps a `vm_snapshot` from setting it in
+            // between).
+            unsafe { self.ptr.add(i).write_volatile(word) };
+        }
+        if CHECK_STORES {
+            // ORDERING: SeqCst pairs with `stores_in_flight`.
+            frozen.in_flight.fetch_sub(1, Ordering::SeqCst);
+        }
+        writable
+    }
+}

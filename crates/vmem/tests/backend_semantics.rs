@@ -168,7 +168,7 @@ fn released_areas_do_not_leak_into_fresh_allocations() {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn os_raw_parts_agree_with_word_reads() {
+fn os_views_agree_with_word_reads() {
     let b = OsBackend::new().unwrap();
     let ps = b.page_size();
     let a = b.alloc(ps).unwrap();
@@ -176,19 +176,15 @@ fn os_raw_parts_agree_with_word_reads() {
         b.write_u64(a + i * 8, i + 1).unwrap();
     }
     let snap = b.vm_snapshot(None, a, ps).unwrap();
-    let p = b
-        .raw_parts(snap, ps)
-        .expect("OS backend exposes raw memory");
-    for i in 0..(ps / 8) as usize {
-        // SAFETY(provenance: p, snap, bounds: ps, i): in-bounds of the
-        // frozen snapshot mapping, which stays live for the whole test.
-        assert_eq!(
-            unsafe { *p.add(i) },
-            b.read_u64(snap + i as u64 * 8).unwrap()
-        );
+    let v = b.view(snap, ps).expect("OS backend exposes views");
+    let mut words = vec![0u64; (ps / 8) as usize];
+    v.read_into(0, &mut words);
+    for (i, &w) in words.iter().enumerate() {
+        assert_eq!(v.load(i), b.read_u64(snap + i as u64 * 8).unwrap());
+        assert_eq!(w, i as u64 + 1);
     }
-    // The simulated kernel never exposes raw parts.
+    // The simulated kernel never exposes views.
     let s = sim();
     let sa = s.alloc(ps).unwrap();
-    assert!(s.raw_parts(sa, ps).is_none());
+    assert!(s.view(sa, ps).is_none());
 }

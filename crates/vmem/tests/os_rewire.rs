@@ -4,29 +4,23 @@
 //! into every private view still reading it through
 //! (`MADV_POPULATE_WRITE`), moving the view's page-table entry onto the
 //! copy. A frozen view's contents therefore never change while its pages
-//! move underneath readers that hold a raw pointer to it (the zero-copy
-//! scan path). This test checksums such a view in a loop while another
-//! thread writes every page of the live view, with a fresh view each
-//! round.
+//! move underneath readers that load through a direct `View` of it (the
+//! zero-copy scan path). This test checksums such a view in a loop while
+//! another thread writes every page of the live view, with a fresh view
+//! each round.
 
 #![cfg(target_os = "linux")]
 
-use anker_vmem::{OsBackend, VmBackend};
+use anker_vmem::{OsBackend, View, VmBackend};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const PAGES: u64 = 64;
 const ROUNDS: u64 = 40;
 
-/// Sum of every word of `[p, p + words)`, read the way scans read frozen
-/// areas: plain loads through the mapping, no backend lock.
-fn checksum(p: *const u64, words: usize) -> u64 {
-    (0..words).fold(0u64, |acc, i| {
-        // SAFETY(provenance: p, bounds: words): `p` comes from
-        // `raw_parts` over the whole live view, which the test releases
-        // only after the reader thread is joined.
-        acc.wrapping_mul(31)
-            .wrapping_add(unsafe { p.add(i).read_volatile() })
-    })
+/// Sum of every word of the view, read the way scans read frozen areas:
+/// plain loads through the mapping, no backend lock.
+fn checksum(v: &View) -> u64 {
+    (0..v.len()).fold(0u64, |acc, i| acc.wrapping_mul(31).wrapping_add(v.load(i)))
 }
 
 /// Sets the flag when dropped, unwinding included.
@@ -50,17 +44,16 @@ fn frozen_view_checksum_is_stable_while_every_page_is_rewired() {
 
     for round in 0..ROUNDS {
         let frozen = b.vm_snapshot(None, src, bytes).unwrap();
-        let p = b
-            .raw_parts(frozen, bytes)
-            .expect("OS views are addressable") as usize;
-        let expect = checksum(p as *const u64, words);
+        let v = b.view(frozen, bytes).expect("OS views are addressable");
+        assert_eq!(v.len(), words);
+        let expect = checksum(&v);
         let before = b.stats().snapshot();
         let stop = AtomicBool::new(false);
         let passes = AtomicU64::new(0);
         std::thread::scope(|s| {
             let reader = s.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
-                    assert_eq!(checksum(p as *const u64, words), expect);
+                    assert_eq!(checksum(&v), expect);
                     passes.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -89,7 +82,7 @@ fn frozen_view_checksum_is_stable_while_every_page_is_rewired() {
         );
         assert_eq!(after.mmap_calls, before.mmap_calls, "nothing was rewired");
         assert_eq!(after.pwrite_calls, 0);
-        assert_eq!(checksum(p as *const u64, words), expect);
+        assert_eq!(checksum(&v), expect);
         b.release(frozen, bytes).unwrap();
     }
     b.release(src, bytes).unwrap();
