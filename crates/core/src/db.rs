@@ -683,7 +683,7 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            let counters: [(&str, &str, u64); 13] = [
+            let counters: [(&str, &str, u64); 12] = [
                 (
                     "os_snapshots_total",
                     "vm_snapshot calls served by the OS backend",
@@ -718,11 +718,6 @@ impl AnkerDb {
                     "os_huge_page_advices_total",
                     "MADV_HUGEPAGE hints issued",
                     os.huge_page_advices,
-                ),
-                (
-                    "os_sequential_advices_total",
-                    "MADV_SEQUENTIAL hints issued",
-                    os.sequential_advices,
                 ),
                 (
                     "os_mmap_calls_total",

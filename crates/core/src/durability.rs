@@ -402,7 +402,6 @@ impl AnkerDb {
             for cid in 0..state.cols.len() {
                 let sc = reader.snap_col(TableId(tid as u16), anker_storage::ColumnId(cid))?;
                 let area = sc.area();
-                area.advise_sequential();
                 if let Some(slice) = sc.words() {
                     writer.write_words(slice)?; // zero-copy (OS backend)
                 } else {

@@ -35,6 +35,7 @@ pub(crate) struct Metrics {
     pub live_epochs: Arc<Gauge>,
     pub columns_materialized: Arc<Counter>,
     pub columns_reused: Arc<Counter>,
+    pub images_read_through: Arc<Counter>,
     pub snapshot_materialize: Stage,
     pub snapshot_rewire: Stage,
     pub pages_rewired: Arc<Counter>,
@@ -101,6 +102,10 @@ impl Metrics {
             columns_reused: r.counter(
                 "snapshot_columns_reused_total",
                 "Columns served to an epoch by an earlier epoch's still-exact frozen image (no vm_snapshot)",
+            ),
+            images_read_through: r.counter(
+                "snapshot_images_read_through_total",
+                "Frozen images read through their column's live area (cut after a write to a column imaged before); the rest are read zero-copy",
             ),
             snapshot_materialize: r.stage("snapshot_materialize"),
             snapshot_rewire: r.stage("snapshot_rewire"),

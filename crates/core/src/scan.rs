@@ -48,12 +48,16 @@
 //! column layout, the evaluator, and one of two column sources, immutable
 //! and `Sync`) and drives it with per-worker `ScanCursor`s over
 //! block-aligned row ranges. The cursor's one block loop runs classify →
-//! filter → emit; the column source decides what a block read is:
+//! filter → emit, and emit hands a row-delivering terminal each block's
+//! selected rows at once; the terminal's own closure then runs in the one
+//! width-specialised row loop, `deliver`. The column source decides what
+//! a block read is:
 //!
 //! * **frozen** — resolved snapshot columns with zone maps, read through
 //!   zero-copy whole-column slices where the backend exposes them, else
-//!   staged block by block (transaction OLAP on a pinned epoch, and every
-//!   reader scan);
+//!   staged block by block (the simulator, and images read through their
+//!   live columns; transaction OLAP on a pinned epoch, and every reader
+//!   scan);
 //! * **versioned** — the live columns, gathered block by block at the
 //!   transaction's start timestamp with the §5.5 block-skip optimisation:
 //!   one block copy, with the versioned rows checked by one timestamp
@@ -235,7 +239,7 @@ impl Scan<&mut Txn> {
     /// of the projection for every row that passes all filters — the
     /// escape hatch for hot aggregation loops that decode inline.
     pub fn for_each(self, mut f: impl FnMut(u32, &[u64])) -> Result<ScanStats> {
-        let (_, stats) = self.execute(Some(&mut f))?;
+        let (_, stats) = self.execute(Some(&mut |rows| deliver(rows, &mut f)))?;
         Ok(stats)
     }
 
@@ -280,7 +284,7 @@ impl Scan<&mut Txn> {
     /// work range. `sink` is `Some` for row-delivering terminals and
     /// `None` for the fused count path; the returned count is only
     /// meaningful in the latter case.
-    fn execute(self, sink: Option<&mut dyn FnMut(u32, &[u64])>) -> Result<(u64, ScanStats)> {
+    fn execute(self, sink: Option<BlockSink>) -> Result<(u64, ScanStats)> {
         let Scan {
             host: txn,
             table,
@@ -400,7 +404,8 @@ impl Scan<&SnapshotReader> {
         let (reader, threads) = (self.host, self.threads);
         let core = self.build_core()?;
         let (_, stats) = run_morsels(reader, &core, threads, &|cursor, start, end, st| {
-            cursor.run(start, end, Some(&mut |row, words| f(row, words)), st)
+            let mut f = &f;
+            cursor.run(start, end, Some(&mut |rows| deliver(rows, &mut f)), st)
         })?;
         Ok(stats)
     }
@@ -429,7 +434,7 @@ impl Scan<&SnapshotReader> {
                 let a = acc.take().expect("accumulator present");
                 acc = Some(f(a, row, &vals));
             };
-            cursor.run(start, end, Some(&mut sink), st)?;
+            cursor.run(start, end, Some(&mut |rows| deliver(rows, &mut sink)), st)?;
             Ok(acc.expect("accumulator present"))
         })?;
         let folded = accs
@@ -510,7 +515,7 @@ impl ScanPartition {
     /// Scan this partition, calling `f(row, words)` for every passing row
     /// in row order.
     pub fn for_each(&self, mut f: impl FnMut(u32, &[u64])) -> Result<ScanStats> {
-        Ok(self.run(Some(&mut f))?.1)
+        Ok(self.run(Some(&mut |rows| deliver(rows, &mut f)))?.1)
     }
 
     /// Count the partition's passing rows through the fused
@@ -521,7 +526,7 @@ impl ScanPartition {
     }
 
     /// One sequential cursor over the partition's range — one morsel.
-    fn run(&self, sink: Option<&mut dyn FnMut(u32, &[u64])>) -> Result<(u64, ScanStats)> {
+    fn run(&self, sink: Option<BlockSink>) -> Result<(u64, ScanStats)> {
         let mut stats = ScanStats {
             threads: 1,
             morsels: 1,
@@ -681,9 +686,8 @@ enum Source {
 
 impl Source {
     /// Resolve every column through `resolve` (which materialises on
-    /// first access), build the filters' zone maps, and advise the
-    /// backend of the impending sequential read. `pin` is the epoch pin
-    /// the source takes ownership of on the reader path.
+    /// first access) and build the filters' zone maps. `pin` is the epoch
+    /// pin the source takes ownership of on the reader path.
     fn frozen(
         cols: &[ColumnId],
         filters: &[Filter],
@@ -702,16 +706,6 @@ impl Source {
             .zip(&snaps)
             .map(|(flt, sc)| sc.zone_map(flt.ty, BLOCK_ROWS))
             .collect::<std::result::Result<_, _>>()?;
-        // One sequential-readahead hint per distinct area about to be
-        // streamed (madvise on the OS backend, no-op simulated).
-        let mut advised: Vec<u64> = Vec::new();
-        for sc in &snaps {
-            let addr = sc.area().addr();
-            if !advised.contains(&addr) {
-                advised.push(addr);
-                sc.area().advise_sequential();
-            }
-        }
         Ok(Source::Frozen {
             snaps,
             zone_maps,
@@ -793,10 +787,17 @@ impl BlockCols<'_> {
         if self.slices[ci].is_none() && !self.filled[ci] {
             self.read(ci, start, n, stats)?;
         }
-        Ok(match self.slices[ci] {
+        Ok(self.block(ci, start, n))
+    }
+
+    /// Column `ci`'s words for the block `[start, start + n)`, already
+    /// fetched.
+    #[inline]
+    fn block(&self, ci: usize, start: u32, n: u32) -> &[u64] {
+        match self.slices[ci] {
             Some(s) => &s[start as usize..(start + n) as usize],
             None => &self.bufs[ci][..n as usize],
-        })
+        }
     }
 
     /// Read column `ci`'s block into its buffer: stage it from the frozen
@@ -820,15 +821,6 @@ impl BlockCols<'_> {
         self.filled[ci] = true;
         Ok(())
     }
-
-    /// Row `i` of column `ci`'s current block (already fetched).
-    #[inline]
-    fn word(&self, ci: usize, start: u32, i: u32) -> u64 {
-        match self.slices[ci] {
-            Some(s) => s[(start + i) as usize],
-            None => self.bufs[ci][i as usize],
-        }
-    }
 }
 
 /// Per-worker scan state over a shared [`ScanCore`]: the block's column
@@ -847,8 +839,9 @@ pub(crate) struct ScanCursor<'c> {
     /// order can update while iterating).
     eval_order: Vec<u32>,
     order: AdaptiveOrder,
-    /// One emitted row's projected words, reused.
-    vals: Vec<u64>,
+    /// The projection's column blocks handed to the sink, kept empty
+    /// between blocks only to reuse its allocation (see [`recycle`]).
+    proj_cols: Vec<&'static [u64]>,
 }
 
 impl<'c> ScanCursor<'c> {
@@ -878,13 +871,14 @@ impl<'c> ScanCursor<'c> {
             sel: SelVec::new(BLOCK_ROWS),
             eval_order: Vec::with_capacity(core.filters.len()),
             order: AdaptiveOrder::new(&core.filters),
-            vals: vec![0u64; core.proj.len()],
+            proj_cols: Vec::with_capacity(core.proj.len()),
         }
     }
 
     /// The block loop. Scan rows `[start, end)` — `start` must be
     /// 1024-row (block) aligned — block by block: classify against the
-    /// zone maps, filter, then emit the surviving rows into `sink`, or,
+    /// zone maps, filter, then hand each block's surviving rows to `sink`
+    /// at once (a terminal runs them through [`deliver`]), or,
     /// with no sink, count them (the fused count path: selections are
     /// popcounted, never gathered into projection buffers, and the final
     /// conjunct of a still-dense block runs as a pure popcount kernel).
@@ -896,7 +890,7 @@ impl<'c> ScanCursor<'c> {
         &mut self,
         start: u32,
         end: u32,
-        mut sink: Option<&mut dyn FnMut(u32, &[u64])>,
+        mut sink: Option<BlockSink>,
         stats: &mut ScanStats,
     ) -> Result<u64> {
         if start >= end {
@@ -1038,19 +1032,13 @@ impl<'c> ScanCursor<'c> {
         Ok(())
     }
 
-    /// Emit the selected rows of the current block into `sink`.
+    /// Hand the selected rows of the current block to `sink`, once.
     /// Projection blocks (and filter blocks that double as projection
     /// sources but were skipped by all-match or early exit) are fetched
     /// here, only when at least one row survived; projection columns no
     /// filter covers count in [`ScanStats::proj_blocks`] when read into a
     /// buffer.
-    fn emit(
-        &mut self,
-        start: u32,
-        n: u32,
-        sink: &mut dyn FnMut(u32, &[u64]),
-        stats: &mut ScanStats,
-    ) -> Result<()> {
+    fn emit(&mut self, start: u32, n: u32, sink: BlockSink, stats: &mut ScanStats) -> Result<()> {
         if self.sel.is_empty() {
             return Ok(());
         }
@@ -1058,7 +1046,7 @@ impl<'c> ScanCursor<'c> {
             core,
             cols,
             sel,
-            vals,
+            proj_cols,
             ..
         } = self;
         let filters = core.filters.len();
@@ -1068,18 +1056,90 @@ impl<'c> ScanCursor<'c> {
             }
             cols.fetch(ci, start, n, stats)?;
         }
-        let cols = &*cols;
-        let mut do_row = |i: u32| {
-            for (v, &ci) in vals.iter_mut().zip(&core.proj) {
-                *v = cols.word(ci, start, i);
-            }
-            sink(start + i, vals);
-        };
-        match sel.as_indices() {
-            // Dense block: every row passes; walk 0..n directly.
-            None => (0..sel.len()).for_each(&mut do_row),
-            Some(ix) => ix.iter().for_each(|&i| do_row(i)),
-        }
+        let mut blocks = recycle(std::mem::take(proj_cols));
+        blocks.extend(core.proj.iter().map(|&ci| cols.block(ci, start, n)));
+        sink(&Rows {
+            start,
+            n,
+            sel: sel.as_indices(),
+            cols: &blocks,
+        });
+        *proj_cols = recycle(blocks);
         Ok(())
+    }
+}
+
+/// An emptied vector of slices, as a vector of slices of another
+/// lifetime, keeping its allocation (the in-place `collect` of an empty
+/// iterator; it never calls the closure).
+fn recycle<'b>(mut v: Vec<&[u64]>) -> Vec<&'b [u64]> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// One block's selected rows, handed to a row-delivering terminal at
+/// once: rows `start + i` for every `i` of `sel`, ascending (every
+/// `i < n` when `sel` is `None`), with `cols[p]` the `n` words of
+/// projection column `p` in the block.
+pub(crate) struct Rows<'a> {
+    start: u32,
+    n: u32,
+    sel: Option<&'a [u32]>,
+    cols: &'a [&'a [u64]],
+}
+
+/// The sink a row-delivering terminal gives the block loop: one call per
+/// block with surviving rows.
+type BlockSink<'s> = &'s mut dyn FnMut(&Rows);
+
+/// Call `f(row, words)` for every row of `rows`, in row order, with its
+/// projected words. The one row loop of every row-delivering terminal,
+/// each calling it with its own closure, which the compiler can inline.
+/// Specialised on the projection width up to 8 columns, so the loop
+/// gathers into a fixed-size row buffer; wider projections run one
+/// dynamic loop.
+fn deliver<F: FnMut(u32, &[u64])>(rows: &Rows, f: &mut F) {
+    match rows.cols.len() {
+        0 => deliver_fixed::<0, F>(rows, f),
+        1 => deliver_fixed::<1, F>(rows, f),
+        2 => deliver_fixed::<2, F>(rows, f),
+        3 => deliver_fixed::<3, F>(rows, f),
+        4 => deliver_fixed::<4, F>(rows, f),
+        5 => deliver_fixed::<5, F>(rows, f),
+        6 => deliver_fixed::<6, F>(rows, f),
+        7 => deliver_fixed::<7, F>(rows, f),
+        8 => deliver_fixed::<8, F>(rows, f),
+        _ => {
+            let mut row = vec![0u64; rows.cols.len()];
+            each_selected(rows, |i| {
+                for (w, col) in row.iter_mut().zip(rows.cols) {
+                    *w = col[i];
+                }
+                f(rows.start + i as u32, &row);
+            });
+        }
+    }
+}
+
+/// [`deliver`] for a projection of exactly `P` columns.
+#[inline(always)]
+fn deliver_fixed<const P: usize, F: FnMut(u32, &[u64])>(rows: &Rows, f: &mut F) {
+    let n = rows.n as usize;
+    let cols: [&[u64]; P] = std::array::from_fn(|p| &rows.cols[p][..n]);
+    let mut row = [0u64; P];
+    each_selected(rows, |i| {
+        for (w, col) in row.iter_mut().zip(&cols) {
+            *w = col[i];
+        }
+        f(rows.start + i as u32, &row);
+    });
+}
+
+/// Call `one(i)` for every selected block-local row `i`, ascending.
+#[inline(always)]
+fn each_selected(rows: &Rows, mut one: impl FnMut(usize)) {
+    match rows.sel {
+        None => (0..rows.n as usize).for_each(one),
+        Some(ix) => ix.iter().for_each(|&i| one(i as usize)),
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::db::CommitState;
 use crate::metrics::Metrics;
-use crate::table::{ColumnState, TableId, TableState};
+use crate::table::{ColumnState, TableId, TableState, NEVER_CUT};
 use anker_storage::{ColumnArea, LogicalType, ZoneMap};
 use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
@@ -58,7 +58,11 @@ impl SnapCol {
     /// directly addressable memory (the OS backend), else `None`. The one
     /// place an epoch's pin becomes a slice: scans, zone-map builds and
     /// checkpoint streams all borrow through here. It reads the area's
-    /// cached view and takes no lock.
+    /// cached view and takes no lock. `None` too for an image read through
+    /// its live area ([`ColumnArea::read_through`]): its readers stage
+    /// blocks through [`ColumnArea::read_block_into`], which copies each
+    /// unsplit page from the live area, so the image's pages stay
+    /// unmapped.
     #[inline]
     pub fn words(&self) -> Option<&[u64]> {
         // SAFETY(provenance: self, area): the slice borrows `self`, whose
@@ -393,6 +397,13 @@ impl SnapshotManager {
     /// pages, which the kernel copies page by page as later writes reach
     /// them. The image is a fresh [`ColumnArea`] handle, so its zone-map
     /// cache starts empty and is built from the frozen content.
+    ///
+    /// An image of a column written since its previous image was cut is
+    /// read through the live area ([`ColumnArea::read_through`]): such a
+    /// column is under update, so the writer will split the image's pages,
+    /// and a split of a page the analyst has mapped costs the writer a TLB
+    /// shootdown. A first image, and every image of an unwritten column,
+    /// is read zero-copy.
     fn freeze_column(
         &self,
         col: &ColumnState,
@@ -412,8 +423,18 @@ impl SnapshotManager {
             .pages_rewired
             .add(bytes.div_ceil(self.backend.page_size()));
         self.m.columns_materialized.inc();
+        let mut area = ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows());
+        // ORDERING: Relaxed — the commit section this runs in orders every
+        // access to `last_cut`.
+        let prev_cut = col.last_cut.swap(last_mutation, Ordering::Relaxed);
+        if prev_cut != NEVER_CUT && last_mutation > prev_cut {
+            area = area.read_through(live);
+        }
+        if area.reads_through() {
+            self.m.images_read_through.inc();
+        }
         Ok(Arc::new(SnapCol {
-            area: ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows()),
+            area,
             as_of_mutation: last_mutation,
         }))
     }
@@ -471,11 +492,17 @@ mod tests {
     use std::sync::Arc;
 
     fn two_column_db(rows: u32) -> (AnkerDb, TableId, ColumnId, ColumnId) {
-        let db = AnkerDb::new(
+        two_column_db_with(
             DbConfig::heterogeneous_serializable()
                 .with_snapshot_every(1)
                 .with_gc_interval(None),
-        );
+            rows,
+        )
+    }
+
+    /// [`two_column_db`] under `cfg`.
+    fn two_column_db_with(cfg: DbConfig, rows: u32) -> (AnkerDb, TableId, ColumnId, ColumnId) {
+        let db = AnkerDb::new(cfg);
         let t = db
             .create_table(
                 "t",
@@ -862,6 +889,76 @@ mod tests {
             }
             drop(older);
         }
+    }
+
+    /// The pages of `area` mapped in this process, by index, from
+    /// `/proc/self/pagemap` (bit 63 of a page's entry: present).
+    #[cfg(target_os = "linux")]
+    fn present_pages(area: &anker_storage::ColumnArea) -> Vec<u64> {
+        use std::io::{Read, Seek, SeekFrom};
+        let ps = area.mapped_bytes() / area.n_pages();
+        let mut f = std::fs::File::open("/proc/self/pagemap").unwrap();
+        (0..area.n_pages())
+            .filter(|&p| {
+                f.seek(SeekFrom::Start((area.addr() / ps + p) * 8)).unwrap();
+                let mut entry = [0u8; 8];
+                f.read_exact(&mut entry).unwrap();
+                u64::from_le_bytes(entry) >> 63 == 1
+            })
+            .collect()
+    }
+
+    /// An image cut after a write to a column imaged before is read
+    /// through the live column: a full scan and its zone-map build map
+    /// none of its unsplit pages, so a split later finds no page-table
+    /// entry to replace, and only the pages split for it are present. A
+    /// first image, and an unwritten column's, is read zero-copy and
+    /// mapped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_read_through_image_maps_only_its_split_pages() {
+        let (db, t, a, b) = two_column_db_with(
+            DbConfig::heterogeneous_serializable()
+                .with_snapshot_every(1)
+                .with_gc_interval(None)
+                .with_backend(crate::config::BackendKind::Os),
+            16 * 512,
+        );
+        let rows_per_page = db.table_state(t).col(a.0).current_area().vals_per_page();
+        let row_on = |page: u32| page * rows_per_page;
+        let scan = |r: &crate::SnapshotReader| {
+            r.scan(t)
+                .range_i64(a, i64::MIN, i64::MAX)
+                .project(&[a, b])
+                .fold(0, |s, _, v| s + v[0].as_int() + v[1].as_int(), |x, y| x + y)
+                .unwrap()
+                .0
+        };
+        let r1 = db.snapshot_reader().unwrap();
+        assert_eq!(scan(&r1), 16 * 512 * 110);
+        let first = r1.snap_col(t, a).unwrap();
+        assert!(!first.area().reads_through(), "a first image is zero-copy");
+        assert_eq!(present_pages(first.area()).len(), 16);
+        write(&db, t, a, 0, 11);
+        let r2 = db.snapshot_reader().unwrap();
+        assert_eq!(scan(&r2), 16 * 512 * 110 + 1);
+        let (img, unwritten) = (r2.snap_col(t, a).unwrap(), r2.snap_col(t, b).unwrap());
+        assert!(img.area().reads_through());
+        assert!(img.words().is_none(), "no slice maps the image");
+        assert!(!unwritten.area().reads_through());
+        assert_eq!(present_pages(img.area()), Vec::<u64>::new());
+        assert_eq!(present_pages(unwritten.area()).len(), 16);
+        if cfg!(not(feature = "obs-off")) {
+            let m = db.metrics();
+            assert_eq!(m.counter("snapshot_images_read_through_total"), Some(1));
+        }
+        // Splits give the image its own copies of pages 3 and 9, and only
+        // those; every read still sees the cut.
+        write(&db, t, a, row_on(3) + 7, 12);
+        write(&db, t, a, row_on(9), 13);
+        assert_eq!(scan(&r2), 16 * 512 * 110 + 1);
+        assert_eq!(r2.get_value(t, a, row_on(3) + 7).unwrap(), Value::Int(10));
+        assert_eq!(present_pages(img.area()), vec![3, 9]);
     }
 
     /// A bulk load leaves `last_mutation` alone, so it must drop an image

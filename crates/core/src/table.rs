@@ -40,7 +40,13 @@ pub(crate) struct ColumnState {
     /// `>=` the newest epoch's mark, the write path can skip the snapshot
     /// manager entirely (`SnapshotManager::write_is_settled`).
     pub snapshot_mark: AtomicU64,
+    /// [`ColumnState::last_mutation`] as of the column's newest image
+    /// ([`NEVER_CUT`] before the first). Commit section only.
+    pub last_cut: AtomicU64,
 }
+
+/// [`ColumnState::last_cut`] of a column never imaged.
+pub(crate) const NEVER_CUT: u64 = u64::MAX;
 
 impl ColumnState {
     pub fn new(versioned: VersionedColumn, area: ColumnArea) -> ColumnState {
@@ -49,6 +55,7 @@ impl ColumnState {
             area,
             last_mutation_ts: AtomicU64::new(0),
             snapshot_mark: AtomicU64::new(0),
+            last_cut: AtomicU64::new(NEVER_CUT),
         }
     }
 

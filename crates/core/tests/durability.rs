@@ -365,6 +365,81 @@ fn checkpoint_requires_heterogeneous_mode_and_a_directory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint streams an image cut after writes to a column imaged
+/// before, which it reads through the live column, while an updater keeps
+/// splitting that image's pages and storing into them: each checkpoint
+/// file equals the column as of its timestamp.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_checkpoint_of_a_read_through_image_equals_its_cut() {
+    const ROWS: u32 = 64 * 512;
+    const CHECKPOINTS: usize = 4;
+    let dir = tmp_dir("through");
+    let db = AnkerDb::open(
+        &dir,
+        durable_config(BackendKind::Os, DurabilityLevel::Buffered),
+    )
+    .unwrap();
+    let (t, a, _) = build_two_col(&db, ROWS);
+    // A first image of `a`, and a write after it, so every image the
+    // checkpoints cut is read through.
+    let reader = db.snapshot_reader().unwrap();
+    reader.get(t, a, 0).unwrap();
+    drop(reader);
+    let write = |i: u32| {
+        let row = (i * 4099) % ROWS;
+        let mut txn = db.begin(TxnKind::Oltp);
+        txn.update_value(t, a, row, Value::Int(-(i as i64)))
+            .unwrap();
+        (txn.commit().unwrap(), row, Value::Int(-(i as i64)).encode())
+    };
+    let mut log = vec![write(0)];
+    let stop = AtomicBool::new(false);
+    let mut images = Vec::new();
+    std::thread::scope(|s| {
+        let updater = s.spawn(|| {
+            let mut log = Vec::new();
+            let mut i = 1;
+            while !stop.load(Ordering::Acquire) {
+                log.push(write(i));
+                i += 1;
+            }
+            log
+        });
+        for _ in 0..CHECKPOINTS {
+            let ts = db.checkpoint().unwrap();
+            let image = anker_dura::load_newest(&dir).unwrap().unwrap();
+            assert_eq!(image.ts, ts);
+            images.push(image);
+        }
+        stop.store(true, Ordering::Release);
+        log.extend(updater.join().unwrap());
+    });
+    #[cfg(not(feature = "obs-off"))]
+    assert!(
+        db.metrics()
+            .counter("snapshot_images_read_through_total")
+            .unwrap()
+            >= CHECKPOINTS as u64,
+        "every checkpoint read an image of `a` through the live column"
+    );
+    for image in &images {
+        let mut cut: Vec<u64> = (0..ROWS).map(|i| Value::Int(i as i64).encode()).collect();
+        for &(ts, row, word) in &log {
+            if ts <= image.ts {
+                cut[row as usize] = word;
+            }
+        }
+        assert!(
+            image.cols[t.0 as usize][a.0] == cut,
+            "the checkpoint at {} differs from its cut",
+            image.ts
+        );
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The non-blocking guarantee the durability work was accepted on: while a checkpoint
 /// streams hundreds of thousands of words, concurrent commits keep
 /// completing, and no single commit stalls for anything near the

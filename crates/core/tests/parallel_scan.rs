@@ -385,12 +385,12 @@ fn surplus_partitions_are_empty_not_panics() {
 
 /// `DbConfig::os_huge_pages` must reach the OS backend and fire
 /// `madvise(MADV_HUGEPAGE)` on every wired view — the `OsStats` counter
-/// proves it — and scans must issue their `MADV_SEQUENTIAL` hints; the
-/// syscall ledger counts every `madvise` and `mmap`, hints and the
-/// snapshot's own `madvise` calls alike.
+/// proves it — and a scan issues no `madvise` of its own; the syscall
+/// ledger counts every `madvise` and `mmap`, hints and the snapshot's
+/// own `madvise` calls alike.
 #[cfg(target_os = "linux")]
 #[test]
-fn huge_page_and_sequential_hints_surface_in_os_stats() {
+fn huge_page_hints_surface_in_os_stats() {
     let db = AnkerDb::new(hetero(BackendKind::Os).with_os_huge_pages(true));
     let t = db
         .create_table(
@@ -409,6 +409,8 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
     let after_load = os("os_huge_page_advices_total");
     assert!(after_load > 0, "table allocation must advise MADV_HUGEPAGE");
     let reader = db.snapshot_reader().unwrap();
+    reader.get(t, v, 0).unwrap();
+    let before_scan = os("os_madvise_calls_total");
     let (count, _) = reader
         .scan(t)
         .range_i64(v, 0, 4095)
@@ -416,9 +418,10 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
         .count()
         .unwrap();
     assert_eq!(count, 4096);
-    assert!(
-        os("os_sequential_advices_total") > 0,
-        "the scan must advise MADV_SEQUENTIAL on the frozen area"
+    assert_eq!(
+        os("os_madvise_calls_total"),
+        before_scan,
+        "a scan of a materialised column issues no madvise"
     );
     assert!(
         os("os_huge_page_advices_total") > after_load,
@@ -432,10 +435,9 @@ fn huge_page_and_sequential_hints_surface_in_os_stats() {
     assert_eq!(
         os("os_madvise_calls_total"),
         os("os_huge_page_advices_total")
-            + os("os_sequential_advices_total")
             + os("os_dontneed_advices_total")
             + os("os_populate_writes_total"),
-        "every madvise is one of the two hints, a DONTNEED or a populate"
+        "every madvise is a huge-page hint, a DONTNEED or a populate"
     );
     assert!(os("os_mmap_calls_total") >= os("os_huge_page_advices_total"));
     // The sim backend surfaces no `os_*` namespace.

@@ -490,3 +490,182 @@ fn scalar_scan_env_default() {
         .unwrap_or(false);
     assert_eq!(cfg.scalar_scan, env);
 }
+
+/// Columns of the wide table: enough for every projection width below.
+const WIDE_COLS: usize = 12;
+
+/// Word of column `c` in row `i` of the wide table: column 0 holds even
+/// keys `0, 2, 4, …`, so an odd key is inside every block's range yet
+/// matches no row.
+fn wide_word(c: usize, i: u32) -> u64 {
+    if c == 0 {
+        Value::Int(2 * i as i64).encode()
+    } else {
+        Value::Int((i as i64 * 7919 + c as i64 * 104_729) % 1_000_003).encode()
+    }
+}
+
+/// The wide table on `backend`, scalar-oracle or vectorized, with rows
+/// 0..`rows` loaded, then row 1 of columns 0 and 5 rewritten after a first
+/// image of each was read — so on the OS backend their next images are
+/// read through the live columns while the others stay zero-copy.
+fn wide_db(backend: BackendKind, scalar: bool, rows: u32) -> (AnkerDb, TableId) {
+    let db = AnkerDb::new(hetero(backend, scalar));
+    let cols = (0..WIDE_COLS)
+        .map(|c| ColumnDef::new(format!("c{c}"), LogicalType::Int))
+        .collect();
+    let t = db.create_table("wide", Schema::new(cols), rows).unwrap();
+    for c in 0..WIDE_COLS {
+        let col = db.schema(t).col(&format!("c{c}"));
+        db.fill_column(t, col, (0..rows).map(|i| wide_word(c, i)))
+            .unwrap();
+    }
+    let (c0, c5) = (db.schema(t).col("c0"), db.schema(t).col("c5"));
+    let first = db.snapshot_reader().unwrap();
+    first.get(t, c0, 0).unwrap();
+    first.get(t, c5, 0).unwrap();
+    drop(first);
+    let mut w = db.begin(TxnKind::Oltp);
+    w.update_value(t, c0, 1, Value::Int(4)).unwrap();
+    w.update_value(t, c5, 1, Value::Int(-5)).unwrap();
+    w.commit().unwrap();
+    (db, t)
+}
+
+type Delivered = Vec<(u32, Vec<u64>)>;
+
+/// Every row-delivering terminal over one scan of `db`: in-transaction
+/// `for_each`, `for_each_typed` and `fold` on the frozen (OLAP) and the
+/// versioned (OLTP) source, reader `for_each` and `fold` at `parallel(1)`
+/// and `parallel(2)`, and three `ScanPartition`s — each result sorted by
+/// row where the terminal leaves the order open.
+fn every_terminal(
+    db: &AnkerDb,
+    t: TableId,
+    keys: (i64, i64),
+    proj: &[anker_core::ColumnId],
+) -> Vec<(&'static str, Delivered)> {
+    let c0 = db.schema(t).col("c0");
+    let words = |vals: &[Value]| vals.iter().map(|v| v.encode()).collect::<Vec<_>>();
+    let mut out: Vec<(&'static str, Delivered)> = Vec::new();
+    for (name, kind) in [("txn olap", TxnKind::Olap), ("txn oltp", TxnKind::Oltp)] {
+        let mut txn = db.begin(kind);
+        let mut rows = Delivered::new();
+        txn_scan(&mut txn, t, keys, proj)
+            .for_each(|row, w| rows.push((row, w.to_vec())))
+            .unwrap();
+        out.push((name, rows));
+        let mut rows = Delivered::new();
+        txn_scan(&mut txn, t, keys, proj)
+            .for_each_typed(|row, v| rows.push((row, words(v))))
+            .unwrap();
+        out.push((name, rows));
+        let (rows, _) = txn_scan(&mut txn, t, keys, proj)
+            .fold(Delivered::new(), |mut acc, row, v| {
+                acc.push((row, words(v)));
+                acc
+            })
+            .unwrap();
+        out.push((name, rows));
+        txn.commit().unwrap();
+    }
+    let reader = db.snapshot_reader().unwrap();
+    let scan = || reader.scan(t).range_i64(c0, keys.0, keys.1).project(proj);
+    for threads in [1, 2] {
+        let rows = std::sync::Mutex::new(Delivered::new());
+        scan()
+            .parallel(threads)
+            .for_each(|row, w| rows.lock().unwrap().push((row, w.to_vec())))
+            .unwrap();
+        let mut rows = rows.into_inner().unwrap();
+        rows.sort_by_key(|r| r.0);
+        out.push(("reader for_each", rows));
+        let (rows, _) = scan()
+            .parallel(threads)
+            .fold(
+                Delivered::new(),
+                |mut acc, row, v| {
+                    acc.push((row, words(v)));
+                    acc
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            )
+            .unwrap();
+        out.push(("reader fold", rows));
+    }
+    let mut rows = Delivered::new();
+    for part in scan().into_partitions(3).unwrap() {
+        part.for_each(|row, w| rows.push((row, w.to_vec())))
+            .unwrap();
+    }
+    out.push(("partitions", rows));
+    out
+}
+
+/// The wide table's scan for keys `keys.0..=keys.1` of column 0,
+/// projecting `proj`, in `txn`.
+fn txn_scan<'t>(
+    txn: &'t mut anker_core::Txn,
+    t: TableId,
+    keys: (i64, i64),
+    proj: &[anker_core::ColumnId],
+) -> anker_core::ScanBuilder<'t> {
+    let c0 = anker_core::ColumnId(0);
+    txn.scan_on(t).range_i64(c0, keys.0, keys.1).project(proj)
+}
+
+/// Block delivery at every projection width the row loop specialises on
+/// (0, 1 and 8 columns) and past it (9 and 11 columns, the dynamic loop),
+/// with dense, sparse and empty selections, through every row-delivering
+/// terminal on both backends: each equals the `scalar_scan` oracle's rows,
+/// words and order.
+#[test]
+fn block_delivery_matches_scalar_at_every_width() {
+    let rows = 4 * 1024 + 300;
+    for backend in backends() {
+        let (oracle_db, t) = wide_db(backend, true, rows);
+        let (db, _) = wide_db(backend, false, rows);
+        let all = 2 * rows as i64;
+        // Dense: every key; sparse: rows 750..=2300, ending mid-block
+        // on both sides; empty: one odd key, inside block 0's range and
+        // matching no row.
+        for (sel, keys) in [
+            ("dense", (0, all)),
+            ("sparse", (1_500, 4_600)),
+            ("empty", (3, 3)),
+        ] {
+            for width in [0usize, 1, 8, 9, 11] {
+                let proj: Vec<_> = (0..width)
+                    .map(|c| db.schema(t).col(&format!("c{}", WIDE_COLS - 1 - c)))
+                    .collect();
+                let mut oracle_txn = oracle_db.begin(TxnKind::Olap);
+                let mut expected = Delivered::new();
+                txn_scan(&mut oracle_txn, t, keys, &proj)
+                    .for_each(|row, w| expected.push((row, w.to_vec())))
+                    .unwrap();
+                oracle_txn.commit().unwrap();
+                match sel {
+                    "dense" => assert_eq!(expected.len(), rows as usize),
+                    "empty" => assert!(expected.is_empty()),
+                    _ => assert!(!expected.is_empty() && expected.len() < rows as usize),
+                }
+                if width > 0 {
+                    assert!(expected.iter().all(|(_, w)| w.len() == width));
+                }
+                for (terminal, got) in every_terminal(&db, t, keys, &proj) {
+                    assert!(
+                        got == expected,
+                        "{backend:?} {sel} width {width}: {terminal} differs from the oracle"
+                    );
+                }
+            }
+        }
+        if backend == BackendKind::Os && cfg!(not(feature = "obs-off")) {
+            let through = db.metrics().counter("snapshot_images_read_through_total");
+            assert!(through > Some(0), "columns 0 and 5 were read through");
+        }
+    }
+}

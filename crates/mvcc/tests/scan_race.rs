@@ -8,14 +8,16 @@
 //! visible timestamp when the reader's bracket loads it. That row's word
 //! moves during the block copy, which is the case the per-block timestamp
 //! bracket must re-read. Every gathered row must equal its value at the
-//! reader's timestamp.
+//! reader's timestamp. The writer starts only once every reader has
+//! finished one gather, so the readers are running when the installs
+//! begin even where the host has fewer CPUs than threads.
 //!
 //! Runs on the simulated kernel, and on the real-OS backend on Linux.
 
 use anker_mvcc::{ScanStats, VersionedColumn, BLOCK_ROWS};
 use anker_storage::{ColumnArea, LogicalType};
 use anker_vmem::{Kernel, VmBackend};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Two skip blocks; block 0 is the hot one.
@@ -61,48 +63,72 @@ fn race(backend: Arc<dyn VmBackend>) {
     let watermark = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     let gathers = AtomicU64::new(0);
+    let ready = AtomicUsize::new(0);
     let first = &first_commits();
     std::thread::scope(|s| {
-        s.spawn(|| {
-            for ts in 1..=COMMITS {
-                let row = row_of(ts);
-                vc.install(&area, row, word(ts, row), ts).unwrap();
-                // ORDERING: Release publishes the finished install to
-                // readers that take this watermark as their start_ts.
-                watermark.store(ts, Ordering::Release);
-                // Latch and abort the next commit's row: its word moves to
-                // PENDING and back while its in-place value stays put.
-                let next = row_of(ts + 1);
-                let (old_ts, _) = vc.lock_row(&area, next).unwrap();
-                vc.unlock_row(next, old_ts);
-                if ts % 512 == 0 {
-                    // Readers still at an older watermark now take the
-                    // pre-freeze (every-row) path; nothing is released, so
-                    // every version stays reachable.
-                    vc.freeze_epoch(ts);
-                }
-            }
-            stop.store(true, Ordering::Release);
-        });
-        for _ in 0..READERS {
-            s.spawn(|| {
-                let mut buf = vec![0u64; BLOCK_ROWS as usize];
-                let mut stats = ScanStats::default();
-                while !stop.load(Ordering::Acquire) {
-                    let start_ts = watermark.load(Ordering::Acquire);
-                    vc.gather_visible_block(&area, start_ts, 0, BLOCK_ROWS, &mut buf, &mut stats)
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut buf = vec![0u64; BLOCK_ROWS as usize];
+                    let mut stats = ScanStats::default();
+                    let mut first_gather = true;
+                    while !stop.load(Ordering::Acquire) {
+                        let start_ts = watermark.load(Ordering::Acquire);
+                        vc.gather_visible_block(
+                            &area, start_ts, 0, BLOCK_ROWS, &mut buf, &mut stats,
+                        )
                         .unwrap();
-                    for (row, &v) in (0..BLOCK_ROWS).zip(&buf) {
-                        assert_eq!(
-                            v,
-                            visible(first, row, start_ts),
-                            "row {row} at ts {start_ts}: got commit {}",
-                            v >> 16
-                        );
+                        for (row, &v) in (0..BLOCK_ROWS).zip(&buf) {
+                            assert_eq!(
+                                v,
+                                visible(first, row, start_ts),
+                                "row {row} at ts {start_ts}: got commit {}",
+                                v >> 16
+                            );
+                        }
+                        gathers.fetch_add(1, Ordering::Relaxed);
+                        if first_gather {
+                            first_gather = false;
+                            // ORDERING: Relaxed — the count only paces the
+                            // writer; it publishes no data.
+                            ready.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                    gathers.fetch_add(1, Ordering::Relaxed);
-                }
-            });
+                })
+            })
+            .collect();
+        // Stop the readers however this thread leaves the scope.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                // ORDERING: Release, as the readers' Acquire loads expect.
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let _stop = StopOnDrop(&stop);
+        // Hold the writer until every reader gathered once (or one died,
+        // whose panic the scope then reports).
+        // ORDERING: Relaxed, as the increments.
+        while ready.load(Ordering::Relaxed) < READERS && !readers.iter().any(|r| r.is_finished()) {
+            std::thread::yield_now();
+        }
+        for ts in 1..=COMMITS {
+            let row = row_of(ts);
+            vc.install(&area, row, word(ts, row), ts).unwrap();
+            // ORDERING: Release publishes the finished install to
+            // readers that take this watermark as their start_ts.
+            watermark.store(ts, Ordering::Release);
+            // Latch and abort the next commit's row: its word moves to
+            // PENDING and back while its in-place value stays put.
+            let next = row_of(ts + 1);
+            let (old_ts, _) = vc.lock_row(&area, next).unwrap();
+            vc.unlock_row(next, old_ts);
+            if ts % 512 == 0 {
+                // Readers still at an older watermark now take the
+                // pre-freeze (every-row) path; nothing is released, so
+                // every version stays reachable.
+                vc.freeze_epoch(ts);
+            }
         }
     });
     assert!(gathers.load(Ordering::Relaxed) > 0, "no reader ran");

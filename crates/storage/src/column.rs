@@ -5,6 +5,7 @@
 use crate::value::{LogicalType, Value};
 use anker_vmem::{Result, Space, View, VmBackend, VmError};
 use parking_lot::Mutex;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// Per-block `(min, max)` rank summaries of a column area — classic zone
@@ -103,6 +104,37 @@ fn min_max<T: Copy + PartialOrd>(words: &[u64], mut lane: impl FnMut(u64) -> T) 
     })
 }
 
+/// Copy words `[start, start + buf.len())` of `image` into `buf`, page by
+/// page: a page the image still reads through from `live`, the rest from
+/// the image. A copy from `live` counts only if the page's bit is still
+/// set after it, behind `fence(Acquire)`: a split clears the bit before
+/// any store reaches the live page (each store is fenced after the clear,
+/// see [`anker_vmem::view`]), so a copy that may have read such a store
+/// finds the bit clear and is redone from the image, which by then holds
+/// the page as it was cut.
+fn read_block_through(image: &View, live: &View, start: usize, buf: &mut [u64]) {
+    let pw = image.page_words();
+    let mut at = 0;
+    while at < buf.len() {
+        let word = start + at;
+        let take = (pw - word % pw).min(buf.len() - at);
+        let page = word / pw;
+        let chunk = &mut buf[at..at + take];
+        at += take;
+        if image.reads_through(page) {
+            live.read_into(word, chunk);
+            // ORDERING: Acquire pairs with the writer's `fence(Release)`
+            // between a split's bit clear and its store, so a copy that
+            // read such a store sees the clear below.
+            fence(Ordering::Acquire);
+            if image.reads_through(page) {
+                continue;
+            }
+        }
+        image.read_into(word, chunk);
+    }
+}
+
 /// A fixed-size view of one column: `rows` 8-byte values stored densely in
 /// the virtual memory area starting at `addr` of some [`VmBackend`] —
 /// either the simulated kernel ([`anker_vmem::Space`]) or the real-OS
@@ -122,6 +154,12 @@ fn min_max<T: Copy + PartialOrd>(words: &[u64], mut lane: impl FnMut(u64) -> T) 
 /// still reads mapped memory (its own, never another area's) until the
 /// last clone drops. Bulk loads ([`ColumnArea::fill`]) and stores to
 /// frozen pages take the backend's locked path.
+///
+/// A snapshot image may instead be **read through** its column's live
+/// area ([`ColumnArea::read_through`]): every page the image holds no
+/// private copy of is read from the live area, so the image's own page
+/// is never mapped, and the split that later copies it into the image
+/// finds no page-table entry to replace.
 #[derive(Debug, Clone)]
 pub struct ColumnArea {
     backend: Arc<dyn VmBackend>,
@@ -129,6 +167,8 @@ pub struct ColumnArea {
     rows: u32,
     /// The direct view, where the backend gives one.
     view: Option<View>,
+    /// The live area's view, for an image read through it.
+    live: Option<View>,
     /// Lazily built zone maps, shared across clones of this view. A fresh
     /// cell is created per [`ColumnArea::alloc`]/[`ColumnArea::from_raw`],
     /// so a new area at a reused address never inherits a stale summary.
@@ -164,8 +204,33 @@ impl ColumnArea {
             addr,
             rows,
             view,
+            live: None,
             zones: Arc::new(Mutex::new(None)),
         }
+    }
+
+    /// This snapshot image, read through `live`, the live area it was cut
+    /// from: a point or block read copies each page the image still reads
+    /// through ([`View::reads_through`]) from `live`, and only the pages
+    /// it holds its own copy of from the image (see [`anker_vmem::view`]
+    /// for why that is exact). The image then has no slice
+    /// ([`ColumnArea::as_slice`] is `None`). Unchanged where the backend
+    /// gives no views (the simulated kernel).
+    ///
+    /// # Panics
+    ///
+    /// If `live` is not a column of as many rows.
+    pub fn read_through(mut self, live: &ColumnArea) -> ColumnArea {
+        assert_eq!(self.rows, live.rows, "an image of another column");
+        if self.view.is_some() {
+            self.live = live.view.clone();
+        }
+        self
+    }
+
+    /// Whether reads go through the live area ([`ColumnArea::read_through`]).
+    pub fn reads_through(&self) -> bool {
+        self.live.is_some()
     }
 
     /// Start address of the area.
@@ -218,9 +283,14 @@ impl ColumnArea {
     #[inline]
     pub fn get(&self, row: u32) -> Result<u64> {
         self.check_rows(row, 1)?;
-        match &self.view {
-            Some(v) => Ok(v.load(row as usize)),
-            None => self.backend.read_u64(self.addr + row as u64 * 8),
+        match (&self.view, &self.live) {
+            (Some(image), Some(live)) => {
+                let mut w = [0u64];
+                read_block_through(image, live, row as usize, &mut w);
+                Ok(w[0])
+            }
+            (Some(v), None) => Ok(v.load(row as usize)),
+            (None, _) => self.backend.read_u64(self.addr + row as u64 * 8),
         }
     }
 
@@ -249,7 +319,8 @@ impl ColumnArea {
     /// The whole column as a plain `&[u64]` slice when the backend maps it
     /// as directly addressable memory (the OS backend) — the zero-copy
     /// fast path scan block loops read through instead of per-word
-    /// resolution. Returns `None` on the simulated kernel.
+    /// resolution. Returns `None` on the simulated kernel, and for an
+    /// image read through its live area (a slice would map every page).
     ///
     /// The slice borrows the handle's cached view, which keeps the mapping
     /// alive: releasing the area through a clone cannot unmap the memory
@@ -269,6 +340,9 @@ impl ColumnArea {
     /// load through the slice sees the same data.
     #[inline]
     pub unsafe fn as_slice(&self) -> Option<&[u64]> {
+        if self.live.is_some() {
+            return None;
+        }
         let v = self.view.as_ref()?;
         // SAFETY(provenance: view, v, bounds: len): the view spans exactly
         // the column's words, of a mapping it keeps alive for as long as
@@ -278,27 +352,22 @@ impl ColumnArea {
         Some(unsafe { std::slice::from_raw_parts(v.as_ptr(), v.len()) })
     }
 
-    /// Hint the backend that this whole column is about to be scanned
-    /// front to back (`madvise(MADV_SEQUENTIAL)` on the OS backend, no-op
-    /// on the simulated kernel). Pure hint; scans issue it once per frozen
-    /// area before their block loops start.
-    pub fn advise_sequential(&self) {
-        self.backend
-            .advise_sequential(self.addr, self.mapped_bytes());
-    }
-
     /// Copy the raw words of rows `[start_row, start_row + n)` into
     /// `buf[..n]` (atomic loads, block-wise). The tight-loop read path for
     /// snapshot scans. Rows past the last are [`VmError::OutOfBounds`].
     pub fn read_block_into(&self, start_row: u32, n: u32, buf: &mut [u64]) -> Result<()> {
         self.check_rows(start_row, n)?;
         let buf = &mut buf[..n as usize];
-        match &self.view {
-            Some(v) => {
+        match (&self.view, &self.live) {
+            (Some(image), Some(live)) => {
+                read_block_through(image, live, start_row as usize, buf);
+                Ok(())
+            }
+            (Some(v), None) => {
                 v.read_into(start_row as usize, buf);
                 Ok(())
             }
-            None => self
+            (None, _) => self
                 .backend
                 .read_words(self.addr + start_row as u64 * 8, buf),
         }

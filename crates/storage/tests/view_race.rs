@@ -12,7 +12,11 @@
 //! * point-read and block-read the live column: every word must be one the
 //!   writer stored into that row, from a round already begun;
 //! * point-read, block-read and slice-read the newest image: every word
-//!   must equal the image's cut.
+//!   must equal the image's cut;
+//! * point-read and block-read the newest image through the live column
+//!   (`ColumnArea::read_through`), copying each page the image still reads
+//!   through from the live column while the writer splits it and stores
+//!   into it: every word must equal the image's cut too.
 
 #![cfg(target_os = "linux")]
 
@@ -34,10 +38,11 @@ fn word(round: u64, row: u32) -> u64 {
     (round << 32) | row as u64
 }
 
-/// An image and the words it was cut with, released with its last
-/// holder.
+/// An image, a second handle reading it through the live column, and the
+/// words it was cut with; released with its last holder.
 struct Image {
     area: ColumnArea,
+    through: ColumnArea,
     cut: Vec<u64>,
 }
 
@@ -64,6 +69,23 @@ fn read_image(img: &Image, buf: &mut [u64]) {
     // the slice borrows lives across the comparison.
     let words = unsafe { img.area.as_slice() }.expect("OS areas are addressable");
     assert!(words == img.cut, "slice differs from the cut");
+}
+
+/// Read `img` through the live column, a few times over, as the writer's
+/// next round splits its pages and stores into them.
+fn read_image_through(img: &Image, buf: &mut [u64]) {
+    for pass in 0..16 {
+        for row in (pass..ROWS).step_by(61) {
+            assert_eq!(img.through.get(row).unwrap(), img.cut[row as usize]);
+        }
+        img.through.read_block_into(0, ROWS, buf).unwrap();
+        if let Some(row) = (0..ROWS as usize).find(|&r| buf[r] != img.cut[r]) {
+            panic!(
+                "a read through the live column differs from the cut at row {row}: {:#x} vs {:#x}",
+                buf[row], img.cut[row]
+            );
+        }
+    }
 }
 
 #[test]
@@ -97,6 +119,7 @@ fn views_race_snapshots_and_splits() {
                         let img = newest.lock().clone();
                         if let Some(img) = img {
                             read_image(&img, &mut buf);
+                            read_image_through(&img, &mut buf);
                         }
                         reads.fetch_add(1, Ordering::Relaxed);
                     }
@@ -127,8 +150,11 @@ fn views_race_snapshots_and_splits() {
                 .unwrap();
             let img = Arc::new(Image {
                 area: ColumnArea::from_raw_on(Arc::clone(&backend), addr, ROWS),
+                through: ColumnArea::from_raw_on(Arc::clone(&backend), addr, ROWS)
+                    .read_through(&live),
                 cut: shadow.clone(),
             });
+            assert!(img.through.reads_through());
             *newest.lock() = Some(Arc::clone(&img));
             kept.push(img);
             if kept.len() > KEEP {

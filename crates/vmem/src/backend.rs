@@ -71,15 +71,6 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// performs copy-on-write like [`VmBackend::write_u64`]).
     fn write_words(&self, addr: u64, words: &[u64]) -> Result<()>;
 
-    /// Advise the backend that `[addr, addr + bytes)` is about to be read
-    /// front to back (a scan). Real-memory backends forward this to
-    /// `madvise(MADV_SEQUENTIAL)` so the kernel reads ahead aggressively;
-    /// the simulated kernel has no readahead to steer and ignores it.
-    /// Purely a hint — never fails, never changes semantics.
-    fn advise_sequential(&self, addr: u64, bytes: u64) {
-        let _ = (addr, bytes);
-    }
-
     /// Monotonic counters of the real-OS backend (`vm_snapshot` calls,
     /// copy-on-write splits, `madvise` hints issued), when this backend is
     /// one. `None` on simulated backends — callers use this to surface OS

@@ -46,7 +46,14 @@
 //! [`View`] of an area: loads, and stores to unfrozen pages of a live
 //! area, without this backend's lock (see [`crate::view`] for the store
 //! contract). Each mapping unmaps itself when its last holder — the area
-//! table or a view — drops it.
+//! table or a view — drops it. A private view's [`View`] carries the
+//! view's not-yet-privatised bits ([`View::reads_through`]), so a reader
+//! can copy such a page from the live view and leave the private view's
+//! page unmapped. That matters for the writer: a populate of an unmapped
+//! private page installs a page-table entry, while a populate of a
+//! mapped one replaces it, and the kernel must then interrupt every other
+//! CPU running the process to flush its TLB (an IPI) before the split
+//! returns.
 //!
 //! Every view holds its file. The descriptor closes when the last view
 //! mapping the file is released, and the kernel frees the file's pages
@@ -75,7 +82,7 @@ use std::collections::BTreeMap;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::atomic::AtomicU64;
 #[cfg(target_os = "linux")]
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{fence, Ordering};
 #[cfg(target_os = "linux")]
 use std::sync::Arc;
 
@@ -91,8 +98,6 @@ mod ffi {
     pub const MFD_CLOEXEC: u32 = 0x1;
     /// `_SC_PAGESIZE` on Linux.
     pub const SC_PAGESIZE: i32 = 30;
-    /// `MADV_SEQUENTIAL`: expect sequential page references.
-    pub const MADV_SEQUENTIAL: i32 = 2;
     /// `MADV_DONTNEED`: drop the range's page tables. On a shared memfd
     /// mapping the data stays in the file.
     pub const MADV_DONTNEED: i32 = 4;
@@ -254,8 +259,6 @@ pub struct OsStats {
     pub dontneed_advices: AtomicU64,
     /// `madvise(MADV_HUGEPAGE)` calls issued (huge-pages knob on).
     pub huge_page_advices: AtomicU64,
-    /// `madvise(MADV_SEQUENTIAL)` calls issued by scans.
-    pub sequential_advices: AtomicU64,
     /// `mmap` calls issued: one per view mapped, fresh or `MAP_FIXED`
     /// over a recycled destination.
     pub mmap_calls: AtomicU64,
@@ -278,7 +281,6 @@ impl OsStats {
         let populate_writes = self.populate_writes.load(Relaxed);
         let dontneed_advices = self.dontneed_advices.load(Relaxed);
         let huge_page_advices = self.huge_page_advices.load(Relaxed);
-        let sequential_advices = self.sequential_advices.load(Relaxed);
         OsStatsSnapshot {
             snapshots: self.snapshots.load(Relaxed),
             recycled: self.recycled.load(Relaxed),
@@ -287,15 +289,11 @@ impl OsStats {
             populate_writes,
             dontneed_advices,
             huge_page_advices,
-            sequential_advices,
             mmap_calls: self.mmap_calls.load(Relaxed),
             munmap_calls: self.munmap_calls.load(Relaxed),
             pwrite_calls: self.pwrite_calls.load(Relaxed),
             ftruncate_calls: self.ftruncate_calls.load(Relaxed),
-            madvise_calls: populate_writes
-                + dontneed_advices
-                + huge_page_advices
-                + sequential_advices,
+            madvise_calls: populate_writes + dontneed_advices + huge_page_advices,
             wired_runs: self.wired_runs.load(Relaxed),
         }
     }
@@ -312,13 +310,12 @@ pub struct OsStatsSnapshot {
     pub populate_writes: u64,
     pub dontneed_advices: u64,
     pub huge_page_advices: u64,
-    pub sequential_advices: u64,
     pub mmap_calls: u64,
     pub munmap_calls: u64,
     pub pwrite_calls: u64,
     pub ftruncate_calls: u64,
     /// Every `madvise` issued: `populate_writes + dontneed_advices +
-    /// huge_page_advices + sequential_advices`.
+    /// huge_page_advices`.
     pub madvise_calls: u64,
     pub wired_runs: u64,
 }
@@ -803,6 +800,9 @@ impl crate::backend::VmBackend for OsBackend {
                 return Err(VmError::NotMapped { addr });
             }
             if !area.frozen.get(((addr - base) / ps) as usize) {
+                // ORDERING: Release orders the split's bit clears before
+                // the store (see `crate::view`).
+                fence(Ordering::Release);
                 // SAFETY(provenance: st, area, bounds: base, bytes):
                 // in-bounds, mapped writable; the read lock keeps the
                 // mapping from being rewired underneath the store (every
@@ -815,6 +815,9 @@ impl crate::backend::VmBackend for OsBackend {
         let st = self.inner.state.write();
         let (base, _) = Self::area_at(&st, addr)?;
         self.ensure_writable(&st, base, ((addr - base) / ps) as usize)?;
+        // ORDERING: Release orders the bit clears just made before the
+        // store (see `crate::view`).
+        fence(Ordering::Release);
         // SAFETY(provenance: st, ensure_writable, bounds: base): as above;
         // the page was re-resolved and split under the still-held write
         // lock.
@@ -859,6 +862,9 @@ impl crate::backend::VmBackend for OsBackend {
         for page_idx in span {
             self.ensure_writable(&st, base, page_idx)?;
         }
+        // ORDERING: Release orders the bit clears before the stores (see
+        // `crate::view`).
+        fence(Ordering::Release);
         // SAFETY(provenance: st, ensure_writable, bounds: span, words):
         // in-bounds and every touched page is now privately writable;
         // still holding the write lock.
@@ -870,21 +876,6 @@ impl crate::backend::VmBackend for OsBackend {
             }
         }
         Ok(())
-    }
-
-    fn advise_sequential(&self, addr: u64, bytes: u64) {
-        let st = self.inner.state.read();
-        let Ok((base, area)) = Self::area_at(&st, addr) else {
-            return;
-        };
-        if addr != base || bytes > area.bytes() {
-            return;
-        }
-        // SAFETY(provenance: st, area, bounds: bytes): advising a live
-        // mapping this backend owns (the read lock keeps it mapped);
-        // MADV_SEQUENTIAL is a pure readahead hint.
-        unsafe { ffi::madvise(addr as *mut _, bytes as usize, ffi::MADV_SEQUENTIAL) };
-        Self::bump(&self.inner.stats.sequential_advices);
     }
 
     fn os_stats(&self) -> Option<OsStatsSnapshot> {
@@ -900,19 +891,18 @@ impl crate::backend::VmBackend for OsBackend {
         if bytes > area.bytes() {
             return None;
         }
-        // Only a live view's stores may skip the lock; a private view's
-        // bits mean something else (see `Area::frozen`).
-        let frozen = (!area.private).then(|| Arc::clone(&area.frozen));
         // SAFETY(provenance: st, area, bounds: bytes): the range starts
         // at the base of a tabled read-write mapping and ends inside it;
-        // the view holds that mapping, whose pages `frozen` tracks from
-        // the base.
+        // the view holds that mapping, whose pages `area.frozen` tracks
+        // from the base, as a live or a private view's bits by
+        // `area.private` (see `Area::frozen`).
         Some(unsafe {
             View::new(
                 addr,
                 (bytes / 8) as usize,
                 self.inner.page_size.trailing_zeros(),
-                frozen,
+                Arc::clone(&area.frozen),
+                !area.private,
                 Arc::clone(&area.map) as _,
             )
         })
@@ -1374,6 +1364,9 @@ mod tests {
         // Mapping over a recycled destination replaces it: re-advised.
         b.vm_snapshot(Some(snap), a, 4 * ps).unwrap();
         assert_eq!(hints(), 3);
+        let s = b.os_stats().expect("the OS backend surfaces its stats");
+        assert_eq!(s, b.stats().snapshot());
+        assert_eq!(s.madvise_calls, 3 + s.dontneed_advices + s.populate_writes);
         b.release(snap, 4 * ps).unwrap();
         b.release(a, 4 * ps).unwrap();
         // The knob off means zero hints.
@@ -1381,22 +1374,6 @@ mod tests {
         let p = plain.alloc(ps).unwrap();
         assert_eq!(plain.stats().huge_page_advices.load(Ordering::Relaxed), 0);
         plain.release(p, ps).unwrap();
-    }
-
-    #[test]
-    fn sequential_advice_counts_and_snapshots_surface() {
-        let b = OsBackend::new().unwrap();
-        let ps = b.page_size();
-        let a = b.alloc(2 * ps).unwrap();
-        b.advise_sequential(a, 2 * ps);
-        b.advise_sequential(a, ps); // prefix of an area is fine too
-        let s = b.os_stats().expect("OS backend surfaces stats");
-        assert_eq!(s.sequential_advices, 2);
-        assert_eq!(s, b.stats().snapshot());
-        // Unknown address: ignored, not counted.
-        b.advise_sequential(a + 64 * ps, ps);
-        assert_eq!(b.stats().sequential_advices.load(Ordering::Relaxed), 2);
-        b.release(a, 2 * ps).unwrap();
     }
 
     /// A view reads through the mapping, refuses a range past the area,
@@ -1443,6 +1420,31 @@ mod tests {
         );
         assert_eq!([live.load(0), live.load(1), image.load(0)], [8, 9, 7]);
         assert_eq!(b.stats().snapshot().cow_copies, 1);
+    }
+
+    /// A snapshot view reads a page through until a split gives it its
+    /// own copy, and leaves the page unmapped until then; a live view
+    /// never reads through.
+    #[test]
+    fn a_snapshot_view_reads_through_until_the_split() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        let live = b.view(a, 2 * ps).unwrap();
+        let snap = b.vm_snapshot(None, a, 2 * ps).unwrap();
+        let image = b.view(snap, 2 * ps).unwrap();
+        assert_eq!(image.page_words() as u64, ps / 8);
+        assert!(!live.reads_through(0) && !live.reads_through(1));
+        assert!(image.reads_through(0) && image.reads_through(1));
+        b.write_u64(a + ps, 4).unwrap();
+        assert!(image.reads_through(0), "page 0 is unsplit");
+        assert!(!image.reads_through(1), "page 1 holds its copy");
+        assert_eq!(
+            [image.load(ps as usize / 8), live.load(ps as usize / 8)],
+            [0, 4]
+        );
+        b.release(snap, 2 * ps).unwrap();
+        b.release(a, 2 * ps).unwrap();
     }
 
     /// Debug and `lockcheck` builds catch a lock-free store in flight

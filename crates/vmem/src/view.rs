@@ -3,12 +3,27 @@
 //!
 //! A [`View`] is what [`VmBackend::view`](crate::VmBackend::view) hands
 //! out on the OS backend: the base pointer of one mapped area, a handle
-//! that keeps the mapping alive, and — for a live area — the area's
-//! frozen-page bits, shared with the backend. A load is a plain volatile
-//! load. A store to a page whose bit is clear is a plain volatile store;
-//! a set bit means some snapshot view may still read the page through,
-//! so the store must take the backend's locked copy-on-write path
+//! that keeps the mapping alive, and the area's page bits, shared with
+//! the backend. A load is a plain volatile load.
+//!
+//! On a **live** area a bit is set while the page is frozen. A store to a
+//! page whose bit is clear is a plain volatile store; a set bit means some
+//! snapshot view may still read the page through, so the store must take
+//! the backend's locked copy-on-write path
 //! ([`VmBackend::write_u64`](crate::VmBackend::write_u64)) instead.
+//!
+//! On a **snapshot** area a bit is set while the view has no private copy
+//! of the page ([`View::reads_through`]): its bytes are still the file's,
+//! which are the live view's. A reader may then copy the page from the
+//! live view instead, and so never map the snapshot's page. A split
+//! clears the snapshot's bit only after the kernel copied the page into
+//! it, and every store that follows a split is fenced after the clear
+//! (`fence(Release)` in [`View::try_store`] and in the backend's locked
+//! stores). So a reader that copied a page from the live view, issued
+//! `fence(Acquire)` and found the bit still set read no store made after
+//! the snapshot was cut; a reader that finds it cleared copies the page
+//! from the snapshot again. On x86 both fences compile to nothing but a
+//! compiler barrier.
 //!
 //! **The store contract.** A lock-free store must not race a
 //! `vm_snapshot` of its area: the snapshot sets every bit, and a store
@@ -19,16 +34,17 @@
 //! debug and `lockcheck` builds check it: every lock-free store counts
 //! itself in flight, and `vm_snapshot` asserts the count is zero.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Whether lock-free stores count themselves in flight and `vm_snapshot`
 /// checks the count (see the module docs).
 pub(crate) const CHECK_STORES: bool = cfg!(debug_assertions) || anker_util::lockcheck::ENABLED;
 
-/// One bit per page of an area: set while the page is frozen. Shared
-/// between the backend's area table (which sets and clears bits under its
-/// write lock) and the views of a live area (which test them).
+/// One bit per page of an area: on a live area, set while the page is
+/// frozen; on a snapshot area, set while the page is not privatised yet.
+/// Shared between the backend's area table (which sets and clears bits
+/// under its write lock) and the area's views (which test them).
 #[derive(Debug)]
 pub(crate) struct PageBits {
     bits: Box<[AtomicU64]>,
@@ -48,7 +64,7 @@ impl PageBits {
         }
     }
 
-    /// Whether `page` is frozen.
+    /// Whether `page`'s bit is set.
     #[inline]
     pub(crate) fn get(&self, page: usize) -> bool {
         // ORDERING: Acquire pairs with the Release in `clear`, so a store
@@ -56,10 +72,11 @@ impl PageBits {
         self.bits[page / 64].load(Ordering::Acquire) & (1 << (page % 64)) != 0
     }
 
-    /// Mark `page` writable.
+    /// Clear `page`'s bit: a live page turns writable, a snapshot page
+    /// holds its private copy.
     pub(crate) fn clear(&self, page: usize) {
         // ORDERING: Release publishes the private copies the split made
-        // before the page turns writable (pairs with `get`).
+        // before the bit clears (pairs with `get`).
         self.bits[page / 64].fetch_and(!(1 << (page % 64)), Ordering::Release);
     }
 
@@ -100,9 +117,11 @@ pub struct View {
     ptr: *mut u64,
     words: usize,
     page_shift: u32,
-    /// The live area's frozen bits; `None` on a snapshot view, whose
-    /// stores always take the backend's locked path.
-    frozen: Option<Arc<PageBits>>,
+    /// The area's page bits (see [`PageBits`]).
+    bits: Arc<PageBits>,
+    /// A live area's view; a snapshot view's stores always take the
+    /// backend's locked path.
+    live: bool,
     /// Keeps the mapping alive.
     _mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
 }
@@ -122,7 +141,7 @@ impl std::fmt::Debug for View {
         f.debug_struct("View")
             .field("addr", &(self.ptr as u64))
             .field("words", &self.words)
-            .field("live", &self.frozen.is_some())
+            .field("live", &self.live)
             .finish()
     }
 }
@@ -133,21 +152,23 @@ impl View {
     /// # Safety
     ///
     /// `[ptr, ptr + words)` must be one readable and writable mapping
-    /// that stays mapped while `mapping` lives, whose pages `frozen` (if
-    /// given) tracks from page 0 at `ptr`, in pages of `1 << page_shift`
-    /// bytes.
+    /// that stays mapped while `mapping` lives, whose pages `bits` tracks
+    /// from page 0 at `ptr`, in pages of `1 << page_shift` bytes — as the
+    /// bits of a live area when `live`, else of a snapshot area.
     pub(crate) unsafe fn new(
         ptr: u64,
         words: usize,
         page_shift: u32,
-        frozen: Option<Arc<PageBits>>,
+        bits: Arc<PageBits>,
+        live: bool,
         mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
     ) -> View {
         View {
             ptr: ptr as *mut u64,
             words,
             page_shift,
-            frozen,
+            bits,
+            live,
             _mapping: mapping,
         }
     }
@@ -168,6 +189,24 @@ impl View {
     #[inline]
     pub fn as_ptr(&self) -> *const u64 {
         self.ptr
+    }
+
+    /// Words per page.
+    #[inline]
+    pub fn page_words(&self) -> usize {
+        (1 << self.page_shift) / 8
+    }
+
+    /// Whether this snapshot view still reads `page` through — holds no
+    /// private copy of it, so its bytes are the live view's (see the
+    /// module docs). Always `false` on a live view.
+    ///
+    /// A reader that copied the page from the live view must issue
+    /// `fence(Acquire)` and test again: only a bit still set vouches for
+    /// the copy.
+    #[inline]
+    pub fn reads_through(&self, page: usize) -> bool {
+        !self.live && self.bits.get(page)
     }
 
     /// Load word `i` (a racing store yields the old or the new word,
@@ -223,15 +262,21 @@ impl View {
     #[inline]
     pub fn try_store(&self, i: usize, word: u64) -> bool {
         assert!(i < self.words, "word {i} out of a view of {}", self.words);
-        let Some(frozen) = &self.frozen else {
+        if !self.live {
             return false;
-        };
+        }
+        let frozen = &self.bits;
         if CHECK_STORES {
             // ORDERING: SeqCst pairs with `stores_in_flight`.
             frozen.in_flight.fetch_add(1, Ordering::SeqCst);
         }
         let writable = !frozen.get((i * 8) >> self.page_shift);
         if writable {
+            // ORDERING: Release orders the split's bit clears (seen by the
+            // Acquire test above) before the store, for a reader of a
+            // snapshot that copied the page from this view (pairs with the
+            // reader's `fence(Acquire)`; see the module docs).
+            fence(Ordering::Release);
             // SAFETY(provenance: self, ptr, frozen, bounds: words, i):
             // in bounds of the kept-alive live mapping, and its page is
             // no snapshot's any more (bit clear, tested just above; the
