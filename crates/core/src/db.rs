@@ -683,10 +683,10 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            let counters: [(&str, &str, u64); 12] = [
+            let counters: [(&str, &str, u64); 13] = [
                 (
                     "os_snapshots_total",
-                    "vm_snapshot calls served by the OS backend",
+                    "vm_snapshot and vm_snapshot_read_through calls served by the OS backend",
                     os.snapshots,
                 ),
                 (
@@ -696,7 +696,7 @@ impl AnkerDb {
                 ),
                 (
                     "os_cow_copies_total",
-                    "Copy-on-write page splits: first stores to a frozen live page that private snapshot views still read through (each view copies it with one populate)",
+                    "Copy-on-write page splits: first stores to a frozen live page that private snapshot views still read through (each view takes its copy: a zero-copy snapshot with one populate, an image cut for reading through with one user-space copy)",
                     os.cow_copies,
                 ),
                 (
@@ -706,12 +706,17 @@ impl AnkerDb {
                 ),
                 (
                     "os_populate_writes_total",
-                    "MADV_POPULATE_WRITE calls issued: one per private view copying one page in a split",
+                    "MADV_POPULATE_WRITE calls issued: one per zero-copy snapshot copying one page in a split",
                     os.populate_writes,
                 ),
                 (
+                    "os_user_copies_total",
+                    "User-space split copies: one memcpy of the live page into a resident pool page per image cut for reading through, per split",
+                    os.user_copies,
+                ),
+                (
                     "os_dontneed_advices_total",
-                    "MADV_DONTNEED calls issued: one per snapshot, dropping the live view's page tables",
+                    "MADV_DONTNEED calls issued: one per zero-copy snapshot, dropping the live view's page tables",
                     os.dontneed_advices,
                 ),
                 (
@@ -721,10 +726,14 @@ impl AnkerDb {
                 ),
                 (
                     "os_mmap_calls_total",
-                    "mmap calls issued: one per view mapped (each alloc, snapshot and physical copy)",
+                    "mmap calls issued: one per view mapped (each alloc, snapshot and physical copy); the copy pool's slabs are not views and not counted",
                     os.mmap_calls,
                 ),
-                ("os_munmap_calls_total", "munmap calls issued", os.munmap_calls),
+                (
+                    "os_munmap_calls_total",
+                    "munmap calls issued for views; the copy pool's slabs are not counted",
+                    os.munmap_calls,
+                ),
                 (
                     "os_pwrite_calls_total",
                     "pwrite calls issued: one per physical copy (a snapshot of a private view); the engine issues none",
@@ -748,6 +757,16 @@ impl AnkerDb {
                 "os_wired_runs",
                 "Views mapped: one mmap of one whole memfd each (the backend's mappings); splits never change it",
                 os.wired_runs as i64,
+            );
+            m.set_gauge(
+                "os_copy_pages_in_use",
+                "Copy-pool pages images hold as the copies of their split pages",
+                os.copy_pages_in_use as i64,
+            );
+            m.set_gauge(
+                "os_copy_pages_pooled",
+                "Resident copy-pool pages no image holds, kept for the next splits",
+                os.copy_pages_pooled as i64,
             );
         }
         m

@@ -61,8 +61,8 @@ impl SnapCol {
     /// cached view and takes no lock. `None` too for an image read through
     /// its live area ([`ColumnArea::read_through`]): its readers stage
     /// blocks through [`ColumnArea::read_block_into`], which copies each
-    /// unsplit page from the live area, so the image's pages stay
-    /// unmapped.
+    /// unsplit page from the live area and each split one from the copy
+    /// the split set aside, so the image's own pages stay unmapped.
     #[inline]
     pub fn words(&self) -> Option<&[u64]> {
         // SAFETY(provenance: self, area): the slice borrows `self`, whose
@@ -394,16 +394,20 @@ impl SnapshotManager {
     /// `vm_snapshot` cuts a view of it, which becomes the image; the live
     /// area stays the column's most-recent representation. On the OS
     /// backend the view is a `MAP_PRIVATE` mapping of the live area's
-    /// pages, which the kernel copies page by page as later writes reach
-    /// them. The image is a fresh [`ColumnArea`] handle, so its zone-map
-    /// cache starts empty and is built from the frozen content.
+    /// pages, and each page is copied for the image when a later write
+    /// first reaches it. The image is a fresh [`ColumnArea`] handle, so its
+    /// zone-map cache starts empty and is built from the frozen content.
     ///
     /// An image of a column written since its previous image was cut is
-    /// read through the live area ([`ColumnArea::read_through`]): such a
-    /// column is under update, so the writer will split the image's pages,
-    /// and a split of a page the analyst has mapped costs the writer a TLB
-    /// shootdown. A first image, and every image of an unwritten column,
-    /// is read zero-copy.
+    /// read through the live area ([`ColumnArea::read_through`]), and is
+    /// decided so before the cut: such a column is under update, so the
+    /// writer will split the image's pages. Its cut
+    /// ([`VmBackend::vm_snapshot_read_through`]) leaves the live area's
+    /// page tables in place, and on the OS backend each split is one
+    /// `memcpy` of the live page into a resident pool page — no syscall,
+    /// no page fault and no TLB shootdown. A first image, and every image
+    /// of an unwritten column, is cut zero-copy and read through its own
+    /// mapping, whose splits the kernel populates.
     fn freeze_column(
         &self,
         col: &ColumnState,
@@ -414,20 +418,26 @@ impl SnapshotManager {
         let _obs_mat = obs::Span::begin(&self.m.snapshot_materialize);
         let live = col.current_area();
         let bytes = live.mapped_bytes();
+        // ORDERING: Relaxed — the commit section this runs in orders every
+        // access to `last_cut`.
+        let prev_cut = col.last_cut.load(Ordering::Relaxed);
+        let read_through = prev_cut != NEVER_CUT && last_mutation > prev_cut;
         // The rewiring itself (the kernel remap) gets its own stage so the
         // report can split "vm_snapshot µs" out of the materialise total.
         let obs_rw = obs::Span::begin(&self.m.snapshot_rewire);
-        let image_addr = self.backend.vm_snapshot(None, live.addr(), bytes)?;
+        let image_addr = if read_through {
+            self.backend.vm_snapshot_read_through(live.addr(), bytes)?
+        } else {
+            self.backend.vm_snapshot(None, live.addr(), bytes)?
+        };
         drop(obs_rw);
+        col.last_cut.store(last_mutation, Ordering::Relaxed);
         self.m
             .pages_rewired
             .add(bytes.div_ceil(self.backend.page_size()));
         self.m.columns_materialized.inc();
         let mut area = ColumnArea::from_raw_on(Arc::clone(&self.backend), image_addr, live.rows());
-        // ORDERING: Relaxed — the commit section this runs in orders every
-        // access to `last_cut`.
-        let prev_cut = col.last_cut.swap(last_mutation, Ordering::Relaxed);
-        if prev_cut != NEVER_CUT && last_mutation > prev_cut {
+        if read_through {
             area = area.read_through(live);
         }
         if area.reads_through() {
@@ -911,9 +921,10 @@ mod tests {
     /// An image cut after a write to a column imaged before is read
     /// through the live column: a full scan and its zone-map build map
     /// none of its unsplit pages, so a split later finds no page-table
-    /// entry to replace, and only the pages split for it are present. A
-    /// first image, and an unwritten column's, is read zero-copy and
-    /// mapped.
+    /// entry to replace. The split copies the page aside in user space,
+    /// so no page of the image's own mapping is ever present, even after
+    /// splits. A first image, and an unwritten column's, is read
+    /// zero-copy and mapped.
     #[cfg(target_os = "linux")]
     #[test]
     fn a_read_through_image_maps_only_its_split_pages() {
@@ -952,13 +963,18 @@ mod tests {
             let m = db.metrics();
             assert_eq!(m.counter("snapshot_images_read_through_total"), Some(1));
         }
-        // Splits give the image its own copies of pages 3 and 9, and only
-        // those; every read still sees the cut.
+        // Splits give the image its own copies of pages 3 and 9, aside
+        // from its mapping; every read still sees the cut.
         write(&db, t, a, row_on(3) + 7, 12);
         write(&db, t, a, row_on(9), 13);
         assert_eq!(scan(&r2), 16 * 512 * 110 + 1);
         assert_eq!(r2.get_value(t, a, row_on(3) + 7).unwrap(), Value::Int(10));
-        assert_eq!(present_pages(img.area()), vec![3, 9]);
+        assert_eq!(present_pages(img.area()), Vec::<u64>::new());
+        if cfg!(not(feature = "obs-off")) {
+            let m = db.metrics();
+            assert_eq!(m.counter("os_user_copies_total"), Some(2));
+            assert_eq!(m.gauge("os_copy_pages_in_use"), Some(2));
+        }
     }
 
     /// A bulk load leaves `last_mutation` alone, so it must drop an image

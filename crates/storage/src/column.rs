@@ -5,7 +5,6 @@
 use crate::value::{LogicalType, Value};
 use anker_vmem::{Result, Space, View, VmBackend, VmError};
 use parking_lot::Mutex;
-use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// Per-block `(min, max)` rank summaries of a column area — classic zone
@@ -104,37 +103,6 @@ fn min_max<T: Copy + PartialOrd>(words: &[u64], mut lane: impl FnMut(u64) -> T) 
     })
 }
 
-/// Copy words `[start, start + buf.len())` of `image` into `buf`, page by
-/// page: a page the image still reads through from `live`, the rest from
-/// the image. A copy from `live` counts only if the page's bit is still
-/// set after it, behind `fence(Acquire)`: a split clears the bit before
-/// any store reaches the live page (each store is fenced after the clear,
-/// see [`anker_vmem::view`]), so a copy that may have read such a store
-/// finds the bit clear and is redone from the image, which by then holds
-/// the page as it was cut.
-fn read_block_through(image: &View, live: &View, start: usize, buf: &mut [u64]) {
-    let pw = image.page_words();
-    let mut at = 0;
-    while at < buf.len() {
-        let word = start + at;
-        let take = (pw - word % pw).min(buf.len() - at);
-        let page = word / pw;
-        let chunk = &mut buf[at..at + take];
-        at += take;
-        if image.reads_through(page) {
-            live.read_into(word, chunk);
-            // ORDERING: Acquire pairs with the writer's `fence(Release)`
-            // between a split's bit clear and its store, so a copy that
-            // read such a store sees the clear below.
-            fence(Ordering::Acquire);
-            if image.reads_through(page) {
-                continue;
-            }
-        }
-        image.read_into(word, chunk);
-    }
-}
-
 /// A fixed-size view of one column: `rows` 8-byte values stored densely in
 /// the virtual memory area starting at `addr` of some [`VmBackend`] —
 /// either the simulated kernel ([`anker_vmem::Space`]) or the real-OS
@@ -158,8 +126,10 @@ fn read_block_through(image: &View, live: &View, start: usize, buf: &mut [u64]) 
 /// A snapshot image may instead be **read through** its column's live
 /// area ([`ColumnArea::read_through`]): every page the image holds no
 /// private copy of is read from the live area, so the image's own page
-/// is never mapped, and the split that later copies it into the image
-/// finds no page-table entry to replace.
+/// is never mapped, and the split that later copies it for the image
+/// finds no page-table entry to replace. Cut with
+/// [`VmBackend::vm_snapshot_read_through`], the split copies it aside in
+/// user space, and a read of a split page reads that copy.
 #[derive(Debug, Clone)]
 pub struct ColumnArea {
     backend: Arc<dyn VmBackend>,
@@ -286,7 +256,7 @@ impl ColumnArea {
         match (&self.view, &self.live) {
             (Some(image), Some(live)) => {
                 let mut w = [0u64];
-                read_block_through(image, live, row as usize, &mut w);
+                image.read_through_into(live, row as usize, &mut w);
                 Ok(w[0])
             }
             (Some(v), None) => Ok(v.load(row as usize)),
@@ -319,8 +289,10 @@ impl ColumnArea {
     /// The whole column as a plain `&[u64]` slice when the backend maps it
     /// as directly addressable memory (the OS backend) — the zero-copy
     /// fast path scan block loops read through instead of per-word
-    /// resolution. Returns `None` on the simulated kernel, and for an
-    /// image read through its live area (a slice would map every page).
+    /// resolution. Returns `None` on the simulated kernel, for an image
+    /// read through its live area (a slice would map every page), and for
+    /// an image whose split pages are copied aside, not in its mapping
+    /// ([`View::is_in_place`]).
     ///
     /// The slice borrows the handle's cached view, which keeps the mapping
     /// alive: releasing the area through a clone cannot unmap the memory
@@ -340,10 +312,10 @@ impl ColumnArea {
     /// load through the slice sees the same data.
     #[inline]
     pub unsafe fn as_slice(&self) -> Option<&[u64]> {
+        let v = self.view.as_ref().filter(|v| v.is_in_place())?;
         if self.live.is_some() {
             return None;
         }
-        let v = self.view.as_ref()?;
         // SAFETY(provenance: view, v, bounds: len): the view spans exactly
         // the column's words, of a mapping it keeps alive for as long as
         // the slice borrows it; the caller vouches (per this function's
@@ -360,7 +332,7 @@ impl ColumnArea {
         let buf = &mut buf[..n as usize];
         match (&self.view, &self.live) {
             (Some(image), Some(live)) => {
-                read_block_through(image, live, start_row as usize, buf);
+                image.read_through_into(live, start_row as usize, buf);
                 Ok(())
             }
             (Some(v), None) => {

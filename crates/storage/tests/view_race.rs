@@ -2,18 +2,23 @@
 //!
 //! A `ColumnArea` on the OS backend reads and stores through a direct view
 //! of its mapping, without the backend's lock. One writer stores every row
-//! of a live column round after round, and cuts a snapshot image of it
-//! after each round — the writer's own `vm_snapshot`, so no store races
-//! one. The first store to each page after a cut is a split: the kernel
-//! copies the page into the images that still read it through, under the
-//! readers. The writer lets go of old images while readers may still hold
+//! of a live column round after round, and after each round cuts two
+//! snapshot images of it — the writer's own cuts, so no store races one:
+//! a zero-copy one (`vm_snapshot`) and one for reading through
+//! (`vm_snapshot_read_through`). The first store to each page after a
+//! cut is a split, under the readers: the kernel copies the page into the
+//! zero-copy images that still read it through, and the backend copies it
+//! in user space, aside from the mapping, for the images cut for reading
+//! through. The writer lets go of old images while readers may still hold
 //! them; an image is released when its last holder drops it. Readers
 //! meanwhile
 //! * point-read and block-read the live column: every word must be one the
 //!   writer stored into that row, from a round already begun;
-//! * point-read, block-read and slice-read the newest image: every word
-//!   must equal the image's cut;
-//! * point-read and block-read the newest image through the live column
+//! * point-read, block-read and slice-read the newest zero-copy image, and
+//!   point-read and block-read the newest image cut for reading through
+//!   by its own view, which reads a split page from its copy and an
+//!   unsplit one from the file: every word must equal the image's cut;
+//! * point-read and block-read that image through the live column
 //!   (`ColumnArea::read_through`), copying each page the image still reads
 //!   through from the live column while the writer splits it and stores
 //!   into it: every word must equal the image's cut too.
@@ -38,10 +43,12 @@ fn word(round: u64, row: u32) -> u64 {
     (round << 32) | row as u64
 }
 
-/// An image, a second handle reading it through the live column, and the
-/// words it was cut with; released with its last holder.
+/// Two images of one cut — zero-copy, and cut for reading through — a
+/// second handle reading the latter through the live column, and the
+/// words they were cut with; released with their last holder.
 struct Image {
     area: ColumnArea,
+    hot: ColumnArea,
     through: ColumnArea,
     cut: Vec<u64>,
 }
@@ -49,6 +56,7 @@ struct Image {
 impl Drop for Image {
     fn drop(&mut self) {
         self.area.clone().unmap().unwrap();
+        self.hot.clone().unmap().unwrap();
     }
 }
 
@@ -69,6 +77,11 @@ fn read_image(img: &Image, buf: &mut [u64]) {
     // the slice borrows lives across the comparison.
     let words = unsafe { img.area.as_slice() }.expect("OS areas are addressable");
     assert!(words == img.cut, "slice differs from the cut");
+    for row in (0..ROWS).step_by(89) {
+        assert_eq!(img.hot.get(row).unwrap(), img.cut[row as usize]);
+    }
+    img.hot.read_block_into(0, ROWS, buf).unwrap();
+    assert!(buf == img.cut, "block read of the split image differs");
 }
 
 /// Read `img` through the live column, a few times over, as the writer's
@@ -106,6 +119,13 @@ fn views_race_snapshots_and_splits() {
                     let mut buf = vec![0u64; ROWS as usize];
                     let mut row = 0u32;
                     while !stop.load(Ordering::Relaxed) {
+                        // The newest image first: the writer's next round,
+                        // and its splits, start as a reader begins a pass.
+                        let img = newest.lock().clone();
+                        if let Some(img) = img {
+                            read_image_through(&img, &mut buf);
+                            read_image(&img, &mut buf);
+                        }
                         for _ in 0..64 {
                             row = (row + 131) % ROWS;
                             let w = live.get(row).unwrap();
@@ -115,11 +135,6 @@ fn views_race_snapshots_and_splits() {
                         let now = begun.load(Ordering::Acquire);
                         for (row, &w) in buf.iter().enumerate() {
                             check_live(w, row as u32, now);
-                        }
-                        let img = newest.lock().clone();
-                        if let Some(img) = img {
-                            read_image(&img, &mut buf);
-                            read_image_through(&img, &mut buf);
                         }
                         reads.fetch_add(1, Ordering::Relaxed);
                     }
@@ -145,16 +160,22 @@ fn views_race_snapshots_and_splits() {
                 live.set(row, word(round, row)).unwrap();
                 shadow[row as usize] = word(round, row);
             }
-            let addr = backend
-                .vm_snapshot(None, live.addr(), live.mapped_bytes())
-                .unwrap();
+            let (src, bytes) = (live.addr(), live.mapped_bytes());
+            let addr = backend.vm_snapshot(None, src, bytes).unwrap();
+            let hot = backend.vm_snapshot_read_through(src, bytes).unwrap();
             let img = Arc::new(Image {
                 area: ColumnArea::from_raw_on(Arc::clone(&backend), addr, ROWS),
-                through: ColumnArea::from_raw_on(Arc::clone(&backend), addr, ROWS)
+                hot: ColumnArea::from_raw_on(Arc::clone(&backend), hot, ROWS),
+                through: ColumnArea::from_raw_on(Arc::clone(&backend), hot, ROWS)
                     .read_through(&live),
                 cut: shadow.clone(),
             });
             assert!(img.through.reads_through());
+            // SAFETY(provenance: img): no slice is taken.
+            assert!(
+                unsafe { img.hot.as_slice() }.is_none(),
+                "split pages live aside"
+            );
             *newest.lock() = Some(Arc::clone(&img));
             kept.push(img);
             if kept.len() > KEEP {
@@ -171,8 +192,9 @@ fn views_race_snapshots_and_splits() {
         }
     });
     let stats = os.stats().snapshot();
-    assert_eq!(stats.snapshots, ROUNDS);
+    assert_eq!(stats.snapshots, 2 * ROUNDS);
     assert!(stats.cow_copies > 0, "the writer split pages under readers");
+    assert!(stats.populate_writes > 0 && stats.user_copies > 0);
     *newest.lock() = None;
     live.unmap().unwrap();
 }

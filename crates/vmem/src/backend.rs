@@ -54,6 +54,18 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// a write through either view no longer affects the other.
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64>;
 
+    /// [`VmBackend::vm_snapshot`] into a fresh area, for an image whose
+    /// readers read its unsplit pages through `src`
+    /// ([`View::reads_through`](crate::View::reads_through)), so that its
+    /// own mapping of them is never touched. The image reads as the cut
+    /// through every entry point all the same. The default is
+    /// `vm_snapshot(None, src, bytes)`. The OS backend leaves the live
+    /// view's page tables in place and copies the image's split pages in
+    /// user space, aside from its mapping (see [`crate::view`]).
+    fn vm_snapshot_read_through(&self, src: u64, bytes: u64) -> Result<u64> {
+        self.vm_snapshot(None, src, bytes)
+    }
+
     /// Load the 8-byte word at `addr` (aligned; relaxed atomicity — a
     /// racing writer yields either the old or the new word, never a torn
     /// one).

@@ -2,7 +2,8 @@
 //! with snapshot views that the kernel copies on write.
 //!
 //! This is the paper's RUMA-style *rewiring* (§3.2.3) brought to real
-//! memory without a patched kernel, with the kernel keeping every page:
+//! memory without a patched kernel, with the kernel keeping every file
+//! page:
 //!
 //! * An allocated area is the **live** view of a column, the one every
 //!   store goes to: a memfd of its own, `ftruncate`d to the area's size
@@ -22,7 +23,20 @@
 //!   through take its copy: one `madvise(MADV_POPULATE_WRITE)` per such
 //!   view, which makes the kernel copy the page into the view's private
 //!   memory and changes no byte. Only then does the store land. Nothing
-//!   is mapped, allocated or rewired by a split.
+//!   is mapped or rewired by a split.
+//! * [`VmBackend::vm_snapshot_read_through`](crate::VmBackend::vm_snapshot_read_through)
+//!   cuts an image whose readers read its unsplit pages through the live
+//!   view, never through the image's own mapping. Its cut is the same
+//!   `MAP_PRIVATE` `mmap` without the `MADV_DONTNEED`, and its split is
+//!   done in user space: one `memcpy` of the live page into a resident
+//!   page of the backend's **copy pool**, recorded in the image's copy
+//!   table before its bit clears — no syscall, no page fault, no TLB
+//!   shootdown. The image's mapping keeps reading the file, so every read
+//!   entry point reads a split page from its copy. The pool's pages come
+//!   from anonymous slabs it maps with `MAP_POPULATE`; a page goes back
+//!   to it when its image drops, and the slabs are unmapped when the
+//!   backend drops, or on the reclaim path once no image holds a copy
+//!   and none was taken for 100 ms.
 //!   Because every store tests the page's frozen bit first — in
 //!   [`VmBackend::write_u64`](crate::VmBackend::write_u64) /
 //!   [`write_words`](crate::VmBackend::write_words), or lock-free through
@@ -58,13 +72,15 @@
 //! Every view holds its file. The descriptor closes when the last view
 //! mapping the file is released, and the kernel frees the file's pages
 //! once no mapping of them is left; the private copies are anonymous
-//! memory, freed when their view is unmapped. So the backend holds one
-//! descriptor per live column, plus one per physical copy. Past the
+//! memory, freed when their view is unmapped (or, for a user-space copy,
+//! returned to the copy pool). So the backend holds one descriptor per
+//! live column, plus one per physical copy. Past the
 //! process's `RLIMIT_NOFILE` an allocation fails with
 //! `VmError::Os { call: "memfd_create", errno: EMFILE }`, as it fails on
 //! `ENOMEM`; the backend never raises the limit. [`OsStats`] counts every
 //! `mmap`/`munmap`/`pwrite`/`ftruncate`/`madvise` the backend issues and
-//! gauges the views mapped.
+//! every user-space copy, and gauges the views mapped and the copy pool's
+//! pages.
 //!
 //! The backend needs `MADV_POPULATE_WRITE` (Linux ≥ 5.14);
 //! [`OsBackend::new`] fails with a typed error on older kernels. Everything
@@ -73,9 +89,9 @@
 
 use crate::error::{Result, VmError};
 #[cfg(target_os = "linux")]
-use crate::view::{PageBits, View, CHECK_STORES};
+use crate::view::{Copies, PageBits, View, CHECK_STORES};
 #[cfg(target_os = "linux")]
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 #[cfg(target_os = "linux")]
 use std::collections::BTreeMap;
 #[cfg(target_os = "linux")]
@@ -85,6 +101,8 @@ use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{fence, Ordering};
 #[cfg(target_os = "linux")]
 use std::sync::Arc;
+#[cfg(target_os = "linux")]
+use std::time::{Duration, Instant};
 
 #[cfg(target_os = "linux")]
 mod ffi {
@@ -95,6 +113,9 @@ mod ffi {
     pub const MAP_SHARED: i32 = 0x01;
     pub const MAP_PRIVATE: i32 = 0x02;
     pub const MAP_FIXED: i32 = 0x10;
+    pub const MAP_ANONYMOUS: i32 = 0x20;
+    /// `MAP_POPULATE`: fault the whole mapping in at `mmap` time.
+    pub const MAP_POPULATE: i32 = 0x8000;
     pub const MFD_CLOEXEC: u32 = 0x1;
     /// `_SC_PAGESIZE` on Linux.
     pub const SC_PAGESIZE: i32 = 30;
@@ -146,6 +167,23 @@ fn os_err(call: &'static str) -> VmError {
     }
 }
 
+/// The word ranges of a `len`-word access starting at byte `off` of an
+/// area, cut where its pages of `ps` bytes end, each with the byte offset
+/// it starts at.
+#[cfg(target_os = "linux")]
+fn page_runs(off: u64, len: usize, ps: u64) -> impl Iterator<Item = (std::ops::Range<usize>, u64)> {
+    let (pw, first) = ((ps / 8) as usize, (off % ps / 8) as usize);
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        (at < len).then(|| {
+            let take = (pw - (first + at) % pw).min(len - at);
+            let run = (at..at + take, off + at as u64 * 8);
+            at += take;
+            run
+        })
+    })
+}
+
 /// One `mmap` of a whole file. It is unmapped when its last holder
 /// drops: the area table's entry or a [`View`] of it.
 #[cfg(target_os = "linux")]
@@ -156,12 +194,19 @@ struct Mapping {
     /// False once a `MAP_FIXED` snapshot mapped over the range, which then
     /// belongs to the new mapping.
     owned: bool,
+    /// An image cut for reading through: its copy table, and the pool its
+    /// copies go back to when the mapping drops.
+    aside: Option<(Arc<Copies>, Arc<CopyPool>)>,
     stats: Arc<OsStats>,
 }
 
 #[cfg(target_os = "linux")]
 impl Drop for Mapping {
     fn drop(&mut self) {
+        // No view reads the copies any more: every view holds the mapping.
+        if let Some((copies, pool)) = &self.aside {
+            pool.give_back(copies.taken());
+        }
         if !self.owned {
             return;
         }
@@ -197,6 +242,169 @@ struct Area {
 impl Area {
     fn bytes(&self) -> u64 {
         self.map.bytes
+    }
+
+    /// The copy table of an image cut for reading through.
+    fn copies(&self) -> Option<&Arc<Copies>> {
+        self.map.aside.as_ref().map(|(copies, _)| copies)
+    }
+
+    /// Where byte `off` of the view lives: in the page's user-space copy
+    /// if a split took one, else in the mapping. Stable under the
+    /// backend's lock.
+    fn locate(&self, off: u64, ps: u64) -> u64 {
+        match self.copies().and_then(|c| c.get((off / ps) as usize)) {
+            Some(copy) => copy + off % ps,
+            None => self.map.base + off,
+        }
+    }
+}
+
+/// What a mapped view is.
+#[cfg(target_os = "linux")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ViewKind {
+    /// A file's `MAP_SHARED` live view.
+    Live,
+    /// A zero-copy `MAP_PRIVATE` snapshot: the kernel copies its split
+    /// pages into its own mapping.
+    Snapshot,
+    /// A `MAP_PRIVATE` image cut for reading through: its split pages are
+    /// copied aside, into the copy pool.
+    ReadThrough,
+}
+
+/// How long the copy pool stays mapped with no copy held and none taken.
+#[cfg(target_os = "linux")]
+const POOL_IDLE: Duration = Duration::from_millis(100);
+
+/// Pages per slab the copy pool maps at once.
+#[cfg(target_os = "linux")]
+const SLAB_PAGES: u64 = 256;
+
+/// Resident pages for the user-space splits of images cut for reading
+/// through. A slab is one anonymous `mmap` with `MAP_POPULATE`, so every
+/// page is resident before a split takes it, and a page an image gives
+/// back stays resident for the next split. The slabs are unmapped when
+/// the pool drops, and on the reclaim path once no image has held a copy
+/// and none has been taken for [`POOL_IDLE`].
+#[cfg(target_os = "linux")]
+#[derive(Debug)]
+struct CopyPool {
+    page_size: u64,
+    stats: Arc<OsStats>,
+    /// Leaf lock: nothing is acquired under it.
+    state: Mutex<PoolState>,
+}
+
+#[cfg(target_os = "linux")]
+#[derive(Debug, Default)]
+struct PoolState {
+    /// The base of every slab mapped.
+    slabs: Vec<u64>,
+    /// Resident pages no image holds.
+    free: Vec<u64>,
+    /// Pages images hold as copies.
+    in_use: u64,
+    /// When a split last took a page.
+    last_take: Option<Instant>,
+}
+
+#[cfg(target_os = "linux")]
+impl PoolState {
+    fn publish(&self, stats: &OsStats) {
+        stats
+            .copy_pages_in_use
+            .store(self.in_use, Ordering::Relaxed);
+        stats
+            .copy_pages_pooled
+            .store(self.free.len() as u64, Ordering::Relaxed);
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl CopyPool {
+    /// A resident page for one copy, mapping a slab when none is free
+    /// (`fail` is the backend's failure hook, consulted before the
+    /// `mmap`).
+    fn take(&self, fail: impl FnOnce() -> Result<()>) -> Result<u64> {
+        let mut st = self.state.lock();
+        if st.free.is_empty() {
+            fail()?;
+            let bytes = SLAB_PAGES * self.page_size;
+            // SAFETY(provenance: mmap, bounds: bytes): a fresh anonymous
+            // mapping at a kernel-chosen address, touching no existing
+            // memory.
+            let p = unsafe {
+                ffi::mmap(
+                    std::ptr::null_mut(),
+                    bytes as usize,
+                    ffi::PROT_READ | ffi::PROT_WRITE,
+                    ffi::MAP_PRIVATE | ffi::MAP_ANONYMOUS | ffi::MAP_POPULATE,
+                    -1,
+                    0,
+                )
+            };
+            if p == ffi::map_failed() {
+                return Err(os_err("mmap"));
+            }
+            OsBackend::bump(&self.stats.slab_maps);
+            let base = p as u64;
+            st.slabs.push(base);
+            st.free
+                .extend((0..SLAB_PAGES).rev().map(|i| base + i * self.page_size));
+        }
+        let page = st.free.pop().expect("a free page");
+        st.in_use += 1;
+        st.last_take = Some(Instant::now());
+        st.publish(&self.stats);
+        Ok(page)
+    }
+
+    /// Take back the copies of an image that dropped.
+    fn give_back(&self, pages: impl Iterator<Item = u64>) {
+        let mut st = self.state.lock();
+        let before = st.free.len();
+        st.free.extend(pages);
+        st.in_use -= (st.free.len() - before) as u64;
+        st.publish(&self.stats);
+    }
+
+    /// Unmap every slab when no image holds a copy and none was taken for
+    /// [`POOL_IDLE`]. The gauges screen out the common case without the
+    /// lock.
+    fn trim_if_idle(&self) {
+        if self.stats.copy_pages_pooled.load(Ordering::Relaxed) == 0
+            || self.stats.copy_pages_in_use.load(Ordering::Relaxed) != 0
+        {
+            return;
+        }
+        let mut st = self.state.lock();
+        if st.in_use == 0 && st.last_take.is_some_and(|t| t.elapsed() >= POOL_IDLE) {
+            self.unmap_slabs(&mut st);
+        }
+    }
+
+    fn unmap_slabs(&self, st: &mut PoolState) {
+        debug_assert_eq!(st.in_use, 0, "an image still holds a copy");
+        for base in st.slabs.drain(..) {
+            OsBackend::bump(&self.stats.slab_unmaps);
+            // SAFETY(provenance: base, slabs, bounds: SLAB_PAGES): one whole
+            // slab this pool mapped; no image holds a page of it, so no view
+            // reads it. munmap of a whole mapping cannot fail.
+            unsafe { ffi::munmap(base as *mut _, (SLAB_PAGES * self.page_size) as usize) };
+        }
+        st.free.clear();
+        st.publish(&self.stats);
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for CopyPool {
+    fn drop(&mut self) {
+        // Every image holds the pool, so none is left.
+        let mut st = std::mem::take(self.state.get_mut());
+        self.unmap_slabs(&mut st);
     }
 }
 
@@ -237,25 +445,31 @@ impl MapState {
 }
 
 /// Counters of the OS backend (diagnostics and tests): monotonic event
-/// and syscall counts, plus the [`OsStats::wired_runs`] gauge.
+/// and syscall counts, plus the [`OsStats::wired_runs`],
+/// [`OsStats::copy_pages_in_use`] and [`OsStats::copy_pages_pooled`]
+/// gauges.
 #[derive(Debug, Default)]
 pub struct OsStats {
-    /// `vm_snapshot` calls served.
+    /// `vm_snapshot` and `vm_snapshot_read_through` calls served.
     pub snapshots: AtomicU64,
     /// Snapshots that recycled an existing destination view (§4.1.3).
     pub recycled: AtomicU64,
     /// Copy-on-write splits: first stores to a frozen page of a live view
-    /// that some private view still read through (each copied by
-    /// [`OsStats::populate_writes`], one per such view).
+    /// that some private view still read through. Each such view takes
+    /// its copy: a zero-copy snapshot by [`OsStats::populate_writes`], an
+    /// image cut for reading through by [`OsStats::user_copies`].
     pub cow_copies: AtomicU64,
     /// Frozen pages made writable in place (no private view still reads
     /// them through — no copy needed).
     pub cow_reclaims: AtomicU64,
-    /// `madvise(MADV_POPULATE_WRITE)` calls issued: one per private view
-    /// copying one page in a split.
+    /// `madvise(MADV_POPULATE_WRITE)` calls issued: one per zero-copy
+    /// snapshot copying one page in a split.
     pub populate_writes: AtomicU64,
-    /// `madvise(MADV_DONTNEED)` calls issued: one per snapshot of a live
-    /// view, dropping its page tables.
+    /// User-space copies taken in splits: one `memcpy` of the live page
+    /// into a resident pool page per image cut for reading through.
+    pub user_copies: AtomicU64,
+    /// `madvise(MADV_DONTNEED)` calls issued: one per zero-copy snapshot
+    /// of a live view, dropping its page tables.
     pub dontneed_advices: AtomicU64,
     /// `madvise(MADV_HUGEPAGE)` calls issued (huge-pages knob on).
     pub huge_page_advices: AtomicU64,
@@ -272,6 +486,16 @@ pub struct OsStats {
     /// Gauge: the views mapped, i.e. the mappings the backend currently
     /// holds (each view is one `mmap` of one whole file).
     pub wired_runs: AtomicU64,
+    /// Anonymous `mmap` calls issued for copy-pool slabs (not views, so
+    /// not in [`OsStats::mmap_calls`]).
+    pub slab_maps: AtomicU64,
+    /// `munmap` calls issued for copy-pool slabs (not in
+    /// [`OsStats::munmap_calls`]).
+    pub slab_unmaps: AtomicU64,
+    /// Gauge: copy-pool pages images hold as the copies of split pages.
+    pub copy_pages_in_use: AtomicU64,
+    /// Gauge: resident copy-pool pages no image holds.
+    pub copy_pages_pooled: AtomicU64,
 }
 
 impl OsStats {
@@ -287,6 +511,7 @@ impl OsStats {
             cow_copies: self.cow_copies.load(Relaxed),
             cow_reclaims: self.cow_reclaims.load(Relaxed),
             populate_writes,
+            user_copies: self.user_copies.load(Relaxed),
             dontneed_advices,
             huge_page_advices,
             mmap_calls: self.mmap_calls.load(Relaxed),
@@ -295,6 +520,10 @@ impl OsStats {
             ftruncate_calls: self.ftruncate_calls.load(Relaxed),
             madvise_calls: populate_writes + dontneed_advices + huge_page_advices,
             wired_runs: self.wired_runs.load(Relaxed),
+            slab_maps: self.slab_maps.load(Relaxed),
+            slab_unmaps: self.slab_unmaps.load(Relaxed),
+            copy_pages_in_use: self.copy_pages_in_use.load(Relaxed),
+            copy_pages_pooled: self.copy_pages_pooled.load(Relaxed),
         }
     }
 }
@@ -308,6 +537,7 @@ pub struct OsStatsSnapshot {
     pub cow_copies: u64,
     pub cow_reclaims: u64,
     pub populate_writes: u64,
+    pub user_copies: u64,
     pub dontneed_advices: u64,
     pub huge_page_advices: u64,
     pub mmap_calls: u64,
@@ -318,6 +548,10 @@ pub struct OsStatsSnapshot {
     /// huge_page_advices`.
     pub madvise_calls: u64,
     pub wired_runs: u64,
+    pub slab_maps: u64,
+    pub slab_unmaps: u64,
+    pub copy_pages_in_use: u64,
+    pub copy_pages_pooled: u64,
 }
 
 #[cfg(target_os = "linux")]
@@ -328,7 +562,11 @@ struct OsInner {
     /// it into transparent huge pages (fewer TLB misses on big column
     /// scans). Off by default; see [`OsBackend::with_huge_pages`].
     huge_pages: bool,
+    /// Declared before `pool`, so the areas drop first and give their
+    /// copies back before the pool unmaps its slabs.
     state: RwLock<MapState>,
+    /// Shared with every image cut for reading through.
+    pool: Arc<CopyPool>,
     /// Shared with every [`Mapping`], which counts its own `munmap`.
     stats: Arc<OsStats>,
     /// Test hook: how many more `mmap`s, `pwrite`s and populates may run
@@ -382,12 +620,18 @@ impl OsBackend {
         if ps <= 0 || !(ps as u64).is_power_of_two() {
             return Err(VmError::InvalidArgument("unusable system page size"));
         }
+        let stats = Arc::<OsStats>::default();
         Ok(OsBackend {
             inner: Arc::new(OsInner {
                 page_size: ps as u64,
                 huge_pages,
                 state: RwLock::new(MapState::default()),
-                stats: Arc::default(),
+                pool: Arc::new(CopyPool {
+                    page_size: ps as u64,
+                    stats: Arc::clone(&stats),
+                    state: Mutex::default(),
+                }),
+                stats,
                 #[cfg(test)]
                 calls_before_failure: AtomicU64::new(u64::MAX),
             }),
@@ -512,19 +756,41 @@ impl OsBackend {
             base: p as u64,
             bytes,
             owned: true,
+            aside: None,
             stats: Arc::clone(&self.inner.stats),
         })
     }
 
-    /// Copy the whole view at `src` into `file` — fresh, `bytes` long,
-    /// mapped by no view yet — with one `pwrite`.
-    fn copy_into(&self, src: u64, file: &OwnedFd, bytes: u64) -> Result<()> {
+    /// Copy the whole private view `src`, as its readers see it, into
+    /// `file` — fresh, as long as the view, mapped by no view yet — with
+    /// one `pwrite`. An image whose split pages are copied aside is
+    /// staged into a buffer first.
+    fn copy_into(&self, src: &Area, file: &OwnedFd) -> Result<()> {
         self.injected_failure("pwrite")?;
         Self::bump(&self.inner.stats.pwrite_calls);
-        // SAFETY(provenance: src, file, bounds: bytes): the source is a
-        // whole tabled view (the caller's write lock keeps it mapped and
-        // unwritten); the file is `bytes` long.
-        let written = unsafe { ffi::pwrite(file.as_raw_fd(), src as *const _, bytes as usize, 0) };
+        let (ps, bytes) = (self.inner.page_size, src.bytes());
+        let mut staged = Vec::new();
+        if src.copies().is_some_and(|c| c.taken().next().is_some()) {
+            staged.resize(bytes as usize, 0u8);
+            for (i, page) in staged.chunks_exact_mut(ps as usize).enumerate() {
+                let from = src.locate(i as u64 * ps, ps) as *const u8;
+                // SAFETY(provenance: src, locate, bounds: ps, page): one
+                // whole page of the tabled view or of its copy, which the
+                // caller's write lock keeps mapped and unwritten, into a
+                // page-sized chunk of the buffer.
+                unsafe { std::ptr::copy_nonoverlapping(from, page.as_mut_ptr(), ps as usize) };
+            }
+        }
+        let from = if staged.is_empty() {
+            src.map.base as *const u8
+        } else {
+            staged.as_ptr()
+        };
+        // SAFETY(provenance: src, staged, file, bounds: bytes): the view,
+        // a whole tabled mapping the caller's write lock keeps mapped and
+        // unwritten, or the buffer staged from it, both `bytes` long; the
+        // file is as long.
+        let written = unsafe { ffi::pwrite(file.as_raw_fd(), from.cast(), bytes as usize, 0) };
         if written != bytes as isize {
             return Err(if written < 0 {
                 os_err("pwrite")
@@ -552,12 +818,15 @@ impl OsBackend {
 
     /// Make page `page_idx` of the area at `base` writable. On a live
     /// view, every private view of its file that still reads the page
-    /// through copies it first — one `madvise(MADV_POPULATE_WRITE)` each;
-    /// with none left the page is reclaimed in place. On a private view
-    /// the store itself is the kernel's copy-on-write. Caller holds the
-    /// write lock and the engine's serialized write path. The page's bit
-    /// clears last, so a lock-free store that sees it clear finds every
-    /// copy made.
+    /// through takes its copy first: a zero-copy snapshot with one
+    /// `madvise(MADV_POPULATE_WRITE)`, an image cut for reading through
+    /// with one `memcpy` into a resident pool page, recorded in its copy
+    /// table before its bit clears. With none left the page is reclaimed
+    /// in place, and the pool is trimmed if it has been idle. On a private
+    /// view the store itself is the kernel's copy-on-write. Caller holds
+    /// the write lock and the engine's serialized write path. The page's
+    /// bit clears last, so a lock-free store that sees it clear finds
+    /// every copy made.
     ///
     /// On failure the page stays frozen: the private views that already
     /// copied it keep their byte-identical copies, and a retry copies for
@@ -576,24 +845,38 @@ impl OsBackend {
                 .collect();
             for r in &readers {
                 debug_assert!(r.private, "one live view per file");
-                self.injected_failure("madvise")?;
-                Self::bump(&self.inner.stats.populate_writes);
-                let page = (r.map.base + page_idx as u64 * ps) as *mut _;
-                // SAFETY(provenance: r, page_idx, bounds: ps): one page of
-                // a tabled private view, mapped read-write (the write lock
-                // keeps it mapped). The kernel copies the file page into
-                // the view and changes no byte, so a concurrent reader of
-                // the view loads the same data.
-                if unsafe { ffi::madvise(page, ps as usize, ffi::MADV_POPULATE_WRITE) } != 0 {
-                    return Err(os_err("madvise"));
+                if let Some(copies) = r.copies() {
+                    let copy = self.inner.pool.take(|| self.injected_failure("mmap"))?;
+                    let live = (base + page_idx as u64 * ps) as *const u8;
+                    // SAFETY(provenance: base, copy, bounds: ps, page_idx):
+                    // one page of the tabled live view — frozen, so nothing
+                    // stores to it while the write lock is held — into a
+                    // resident pool page no image holds yet.
+                    unsafe { std::ptr::copy_nonoverlapping(live, copy as *mut u8, ps as usize) };
+                    copies.set(page_idx, copy);
+                    Self::bump(&self.inner.stats.user_copies);
+                } else {
+                    self.injected_failure("madvise")?;
+                    Self::bump(&self.inner.stats.populate_writes);
+                    let page = (r.map.base + page_idx as u64 * ps) as *mut _;
+                    // SAFETY(provenance: r, page_idx, bounds: ps): one page
+                    // of a tabled private view, mapped read-write (the
+                    // write lock keeps it mapped). The kernel copies the
+                    // file page into the view and changes no byte, so a
+                    // concurrent reader of the view loads the same data.
+                    if unsafe { ffi::madvise(page, ps as usize, ffi::MADV_POPULATE_WRITE) } != 0 {
+                        return Err(os_err("madvise"));
+                    }
                 }
+                // Publishes the copy (see `crate::view`).
                 r.frozen.clear(page_idx);
             }
-            Self::bump(if readers.is_empty() {
-                &self.inner.stats.cow_reclaims
+            if readers.is_empty() {
+                Self::bump(&self.inner.stats.cow_reclaims);
+                self.inner.pool.trim_if_idle();
             } else {
-                &self.inner.stats.cow_copies
-            });
+                Self::bump(&self.inner.stats.cow_copies);
+            }
         }
         area.frozen.clear(page_idx);
         Ok(())
@@ -618,23 +901,23 @@ impl OsBackend {
         Ok((base, first..last + 1))
     }
 
-    /// Map `file` — a new area, or a snapshot's destination — and table it
-    /// with the page bits `frozen`: a fresh view (`None`), or `MAP_FIXED` over the
-    /// tabled view `Some(d)` (which no [`View`] holds), which leaves the
-    /// table and its lineage first. A failed `MAP_FIXED` may already have
-    /// replaced `d`, so `d` is then torn down whole: the caller gets an
-    /// error and a dangling (`NotMapped`) destination, never another
-    /// area's bytes.
+    /// Map `file` as a view of `kind` — a new area, or a snapshot's
+    /// destination — and table it: a fresh view (`None`), or `MAP_FIXED`
+    /// over the tabled view `Some(d)` (which no [`View`] holds), which
+    /// leaves the table and its lineage first. A failed `MAP_FIXED` may
+    /// already have replaced `d`, so `d` is then torn down whole: the
+    /// caller gets an error and a dangling (`NotMapped`) destination,
+    /// never another area's bytes.
     fn map_destination(
         &self,
         st: &mut MapState,
         dst: Option<u64>,
         file: Arc<OwnedFd>,
-        private: bool,
-        frozen: PageBits,
+        kind: ViewKind,
         bytes: u64,
     ) -> Result<u64> {
-        let map = match dst {
+        let private = kind != ViewKind::Live;
+        let mut map = match dst {
             None => self.map(None, &file, bytes, private)?,
             Some(d) => {
                 let mapped = self.map(Some(d), &file, bytes, private);
@@ -653,6 +936,10 @@ impl OsBackend {
                 map
             }
         };
+        let pages = (bytes / self.inner.page_size) as usize;
+        if kind == ViewKind::ReadThrough {
+            map.aside = Some((Arc::new(Copies::new(pages)), Arc::clone(&self.inner.pool)));
+        }
         let base = map.base;
         st.insert_area(
             base,
@@ -660,9 +947,86 @@ impl OsBackend {
                 map: Arc::new(map),
                 file,
                 private,
-                frozen: Arc::new(frozen),
+                // A snapshot starts with every page read through.
+                frozen: Arc::new(PageBits::new(pages, private)),
             },
         );
+        Ok(base)
+    }
+
+    /// [`VmBackend::vm_snapshot`](crate::VmBackend::vm_snapshot) of the
+    /// area at `src`. A live source is cut into a private view of `kind`:
+    /// a zero-copy [`ViewKind::Snapshot`] drops the live view's page
+    /// tables after the cut (`MADV_DONTNEED`), so that a page both views
+    /// map is resident once in the process's accounting; a
+    /// [`ViewKind::ReadThrough`] image never maps its unsplit pages, so
+    /// it leaves them. A private source is copied physically into a new
+    /// live view, whatever `kind`.
+    fn cut(&self, dst: Option<u64>, src: u64, bytes: u64, kind: ViewKind) -> Result<u64> {
+        self.check_aligned(src)?;
+        self.check_aligned(bytes)?;
+        if bytes == 0 {
+            return Err(VmError::InvalidArgument("vm_snapshot of zero length"));
+        }
+        let mut st = self.inner.state.write();
+        // The OS backend snapshots whole areas (all the engine ever
+        // needs); sub-area snapshots remain a simulated-kernel feature.
+        let Some(src_area) = st.areas.get(&src) else {
+            return Err(VmError::NotMapped { addr: src });
+        };
+        if src_area.bytes() != bytes {
+            return Err(VmError::InvalidArgument(
+                "vm_snapshot length does not match the source area",
+            ));
+        }
+        let private_src = src_area.private;
+        if let Some(d) = dst {
+            // A destination some view still holds cannot be mapped over:
+            // the view would read the new mapping, and unmap it on drop.
+            match st.areas.get(&d) {
+                Some(a) if d != src && a.bytes() == bytes && Arc::strong_count(&a.map) == 1 => {}
+                _ => return Err(VmError::BadDestination { addr: d }),
+            }
+        }
+        let base = if private_src {
+            // A private view's pages may be its own copies, which its file
+            // does not hold: copy it physically into a new file, mapped as
+            // a new live view.
+            let file = self.create_file(bytes)?;
+            self.copy_into(&st.areas[&src], &file)?;
+            self.map_destination(&mut st, dst, file, ViewKind::Live, bytes)?
+        } else {
+            let file = Arc::clone(&st.areas[&src].file);
+            // On failure the source is untouched: not frozen, page tables
+            // kept.
+            self.map_destination(&mut st, dst, file, kind, bytes)?
+        };
+        if !private_src {
+            // Every page of the live view is frozen until the new view
+            // copied it or a write finds nobody reading it through.
+            let frozen = &st.areas[&src].frozen;
+            frozen.set_all();
+            if CHECK_STORES {
+                assert_eq!(
+                    frozen.stores_in_flight(),
+                    0,
+                    "a lock-free store raced a vm_snapshot of its area"
+                );
+            }
+        }
+        if !private_src && kind == ViewKind::Snapshot {
+            // Drop the live view's page tables: the data stays in the
+            // memfd, and a page the new view reads is resident once, not
+            // once per view. Never fails on a tabled view; the result would
+            // change nothing but memory accounting.
+            // SAFETY(provenance: src, st, bounds: bytes): the whole range
+            // is a tabled MAP_SHARED view (the write lock keeps it mapped);
+            // MADV_DONTNEED on a shared file mapping changes no byte, and a
+            // concurrent access simply faults the same file page back in.
+            unsafe { ffi::madvise(src as *mut _, bytes as usize, ffi::MADV_DONTNEED) };
+            Self::bump(&self.inner.stats.dontneed_advices);
+        }
+        Self::bump(&self.inner.stats.snapshots);
         Ok(base)
     }
 }
@@ -678,10 +1042,9 @@ impl crate::backend::VmBackend for OsBackend {
         if bytes == 0 {
             return Err(VmError::InvalidArgument("alloc of zero length"));
         }
-        let n = (bytes / self.inner.page_size) as usize;
         let mut st = self.inner.state.write();
         let file = self.create_file(bytes)?;
-        self.map_destination(&mut st, None, file, false, PageBits::new(n, false), bytes)
+        self.map_destination(&mut st, None, file, ViewKind::Live, bytes)
     }
 
     fn release(&self, addr: u64, bytes: u64) -> Result<()> {
@@ -701,70 +1064,11 @@ impl crate::backend::VmBackend for OsBackend {
     }
 
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64> {
-        self.check_aligned(src)?;
-        self.check_aligned(bytes)?;
-        if bytes == 0 {
-            return Err(VmError::InvalidArgument("vm_snapshot of zero length"));
-        }
-        let mut st = self.inner.state.write();
-        // The OS backend snapshots whole areas (all the engine ever
-        // needs); sub-area snapshots remain a simulated-kernel feature.
-        let Some(src_area) = st.areas.get(&src) else {
-            return Err(VmError::NotMapped { addr: src });
-        };
-        if src_area.bytes() != bytes {
-            return Err(VmError::InvalidArgument(
-                "vm_snapshot length does not match the source area",
-            ));
-        }
-        let n = (bytes / self.inner.page_size) as usize;
-        let private_src = src_area.private;
-        if let Some(d) = dst {
-            // A destination some view still holds cannot be mapped over:
-            // the view would read the new mapping, and unmap it on drop.
-            match st.areas.get(&d) {
-                Some(a) if d != src && a.bytes() == bytes && Arc::strong_count(&a.map) == 1 => {}
-                _ => return Err(VmError::BadDestination { addr: d }),
-            }
-        }
-        let base = if private_src {
-            // A private view's pages may be its own copies, which its file
-            // does not hold: copy it physically into a new file, mapped as
-            // a new live view.
-            let file = self.create_file(bytes)?;
-            self.copy_into(src, &file, bytes)?;
-            self.map_destination(&mut st, dst, file, false, PageBits::new(n, false), bytes)?
-        } else {
-            let file = Arc::clone(&st.areas[&src].file);
-            // On failure the source is untouched: not frozen, page tables
-            // kept.
-            self.map_destination(&mut st, dst, file, true, PageBits::new(n, true), bytes)?
-        };
-        if !private_src {
-            // Every page of the live view is frozen until the new view
-            // copied it or a write finds nobody reading it through.
-            let frozen = &st.areas[&src].frozen;
-            frozen.set_all();
-            if CHECK_STORES {
-                assert_eq!(
-                    frozen.stores_in_flight(),
-                    0,
-                    "a lock-free store raced a vm_snapshot of its area"
-                );
-            }
-            // Drop the live view's page tables: the data stays in the
-            // memfd, and a page the new view reads is resident once, not
-            // once per view. Never fails on a tabled view; the result would
-            // change nothing but memory accounting.
-            // SAFETY(provenance: src, st, bounds: bytes): the whole range
-            // is a tabled MAP_SHARED view (the write lock keeps it mapped);
-            // MADV_DONTNEED on a shared file mapping changes no byte, and a
-            // concurrent access simply faults the same file page back in.
-            unsafe { ffi::madvise(src as *mut _, bytes as usize, ffi::MADV_DONTNEED) };
-            Self::bump(&self.inner.stats.dontneed_advices);
-        }
-        Self::bump(&self.inner.stats.snapshots);
-        Ok(base)
+        self.cut(dst, src, bytes, ViewKind::Snapshot)
+    }
+
+    fn vm_snapshot_read_through(&self, src: u64, bytes: u64) -> Result<u64> {
+        self.cut(None, src, bytes, ViewKind::ReadThrough)
     }
 
     fn read_u64(&self, addr: u64) -> Result<u64> {
@@ -779,11 +1083,13 @@ impl crate::backend::VmBackend for OsBackend {
         if addr + 8 > base + area.bytes() {
             return Err(VmError::NotMapped { addr });
         }
-        // SAFETY(provenance: st, area, bounds: base, bytes): in-bounds of
-        // a live mapping (the read lock excludes rewires); the volatile
-        // word load tolerates racing word stores — the alignment checked
-        // above makes it single-copy atomic on this hardware.
-        Ok(unsafe { (addr as *const u64).read_volatile() })
+        let at = area.locate(addr - base, self.inner.page_size);
+        // SAFETY(provenance: st, area, locate, bounds: base, bytes): in
+        // bounds of a live mapping, or of the page's copy (the read lock
+        // excludes rewires and splits); the volatile word load tolerates
+        // racing word stores — the alignment checked above makes it
+        // single-copy atomic on this hardware.
+        Ok(unsafe { (at as *const u64).read_volatile() })
     }
 
     fn write_u64(&self, addr: u64, value: u64) -> Result<()> {
@@ -800,28 +1106,30 @@ impl crate::backend::VmBackend for OsBackend {
                 return Err(VmError::NotMapped { addr });
             }
             if !area.frozen.get(((addr - base) / ps) as usize) {
+                let at = area.locate(addr - base, ps);
                 // ORDERING: Release orders the split's bit clears before
                 // the store (see `crate::view`).
                 fence(Ordering::Release);
-                // SAFETY(provenance: st, area, bounds: base, bytes):
-                // in-bounds, mapped writable; the read lock keeps the
-                // mapping from being rewired underneath the store (every
-                // rewire path takes the write lock).
-                unsafe { (addr as *mut u64).write_volatile(value) };
+                // SAFETY(provenance: st, area, locate, bounds: base, bytes):
+                // in-bounds, mapped writable (or the page's copy); the read
+                // lock keeps the mapping from being rewired underneath the
+                // store (every rewire path takes the write lock).
+                unsafe { (at as *mut u64).write_volatile(value) };
                 return Ok(());
             }
         }
         // Frozen page: split it under the write lock, then store.
         let st = self.inner.state.write();
-        let (base, _) = Self::area_at(&st, addr)?;
+        let (base, area) = Self::area_at(&st, addr)?;
         self.ensure_writable(&st, base, ((addr - base) / ps) as usize)?;
+        let at = area.locate(addr - base, ps);
         // ORDERING: Release orders the bit clears just made before the
         // store (see `crate::view`).
         fence(Ordering::Release);
-        // SAFETY(provenance: st, ensure_writable, bounds: base): as above;
-        // the page was re-resolved and split under the still-held write
-        // lock.
-        unsafe { (addr as *mut u64).write_volatile(value) };
+        // SAFETY(provenance: st, area, ensure_writable, bounds: base): as
+        // above; the page was re-resolved and split under the still-held
+        // write lock.
+        unsafe { (at as *mut u64).write_volatile(value) };
         Ok(())
     }
 
@@ -833,16 +1141,18 @@ impl crate::backend::VmBackend for OsBackend {
         if buf.is_empty() {
             return Ok(());
         }
+        let ps = self.inner.page_size;
         let st = self.inner.state.read();
-        Self::page_span(&st, addr, buf.len() as u64 * 8, self.inner.page_size)?;
-        // SAFETY(provenance: st, page_span, bounds: buf): the whole range
-        // is in-bounds of one live mapping held stable by the read lock;
-        // volatile word loads tolerate racing word stores.
-        unsafe {
-            let mut p = addr as *const u64;
-            for w in buf.iter_mut() {
-                *w = p.read_volatile();
-                p = p.add(1);
+        let (base, _) = Self::page_span(&st, addr, buf.len() as u64 * 8, ps)?;
+        let area = &st.areas[&base];
+        for (run, off) in page_runs(addr - base, buf.len(), ps) {
+            let p = area.locate(off, ps) as *const u64;
+            for (i, w) in buf[run].iter_mut().enumerate() {
+                // SAFETY(provenance: st, page_span, locate, p, bounds: run):
+                // the run lies in one page of the checked range, in the
+                // mapping or the page's copy, held stable by the read lock;
+                // volatile word loads tolerate racing word stores.
+                *w = unsafe { p.add(i).read_volatile() };
             }
         }
         Ok(())
@@ -856,23 +1166,24 @@ impl crate::backend::VmBackend for OsBackend {
         if words.is_empty() {
             return Ok(());
         }
+        let ps = self.inner.page_size;
         let st = self.inner.state.write();
-        let (base, span) =
-            Self::page_span(&st, addr, words.len() as u64 * 8, self.inner.page_size)?;
+        let (base, span) = Self::page_span(&st, addr, words.len() as u64 * 8, ps)?;
         for page_idx in span {
             self.ensure_writable(&st, base, page_idx)?;
         }
+        let area = &st.areas[&base];
         // ORDERING: Release orders the bit clears before the stores (see
         // `crate::view`).
         fence(Ordering::Release);
-        // SAFETY(provenance: st, ensure_writable, bounds: span, words):
-        // in-bounds and every touched page is now privately writable;
-        // still holding the write lock.
-        unsafe {
-            let mut p = addr as *mut u64;
-            for &w in words {
-                p.write_volatile(w);
-                p = p.add(1);
+        for (run, off) in page_runs(addr - base, words.len(), ps) {
+            let p = area.locate(off, ps) as *mut u64;
+            for (i, &w) in words[run].iter().enumerate() {
+                // SAFETY(provenance: st, ensure_writable, locate, p, bounds:
+                // run, words): in one page of the checked range, now
+                // privately writable, in the mapping or the page's copy;
+                // still holding the write lock.
+                unsafe { p.add(i).write_volatile(w) };
             }
         }
         Ok(())
@@ -895,7 +1206,9 @@ impl crate::backend::VmBackend for OsBackend {
         // at the base of a tabled read-write mapping and ends inside it;
         // the view holds that mapping, whose pages `area.frozen` tracks
         // from the base, as a live or a private view's bits by
-        // `area.private` (see `Area::frozen`).
+        // `area.private` (see `Area::frozen`), and whose copies — pool
+        // pages the mapping gives back only when it drops — its copy
+        // table records.
         Some(unsafe {
             View::new(
                 addr,
@@ -903,6 +1216,7 @@ impl crate::backend::VmBackend for OsBackend {
                 self.inner.page_size.trailing_zeros(),
                 Arc::clone(&area.frozen),
                 !area.private,
+                area.copies().cloned(),
                 Arc::clone(&area.map) as _,
             )
         })
@@ -1491,5 +1805,174 @@ mod tests {
         assert_eq!(b.stats().snapshot().munmap_calls, after.munmap_calls);
         b.release(d, ps).unwrap();
         assert_eq!(b.stats().snapshot().wired_runs, 0);
+    }
+
+    /// A split of an image cut for reading through is one `memcpy` into a
+    /// resident pool page: the cut issues no `MADV_DONTNEED`, the first
+    /// split maps one populated slab, and every later split issues no
+    /// `madvise` and no `mmap` of any kind. The image's own mapping is
+    /// never touched, and the copy goes back to the pool with the image.
+    #[test]
+    fn a_read_through_split_issues_no_syscall() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(4 * ps).unwrap();
+        for p in 0..4u64 {
+            b.write_u64(a + p * ps, 10 + p).unwrap();
+        }
+        let before = b.stats().snapshot();
+        let img = b.vm_snapshot_read_through(a, 4 * ps).unwrap();
+        let cut = b.stats().snapshot();
+        assert_eq!(cut.mmap_calls - before.mmap_calls, 1, "the image's view");
+        assert_eq!(cut.madvise_calls, before.madvise_calls, "no DONTNEED");
+        assert_eq!(cut.snapshots - before.snapshots, 1);
+        b.write_u64(a, 20).unwrap();
+        let first = b.stats().snapshot();
+        assert_eq!(first.slab_maps - cut.slab_maps, 1, "the pool's first slab");
+        assert_eq!(first.user_copies - cut.user_copies, 1);
+        assert_eq!(first.madvise_calls, cut.madvise_calls);
+        for p in 1..4u64 {
+            b.write_u64(a + p * ps, 20 + p).unwrap();
+        }
+        let after = b.stats().snapshot();
+        assert_eq!(after.madvise_calls - first.madvise_calls, 0);
+        assert_eq!(after.mmap_calls - first.mmap_calls, 0);
+        assert_eq!(after.slab_maps - first.slab_maps, 0);
+        assert_eq!(after.populate_writes, 0);
+        assert_eq!(after.user_copies - first.user_copies, 3);
+        assert_eq!(after.cow_copies - cut.cow_copies, 4);
+        assert_eq!(after.copy_pages_in_use, 4);
+        assert_eq!(after.copy_pages_pooled, SLAB_PAGES - 4);
+        for p in 0..4u64 {
+            assert!(!is_frozen(&b, img, p as usize), "page {p} holds its copy");
+            assert_eq!(b.read_u64(img + p * ps).unwrap(), 10 + p);
+            assert_eq!(b.read_u64(a + p * ps).unwrap(), 20 + p);
+        }
+        b.release(img, 4 * ps).unwrap();
+        let s = b.stats().snapshot();
+        assert_eq!((s.copy_pages_in_use, s.copy_pages_pooled), (0, SLAB_PAGES));
+        assert_eq!(s.slab_unmaps, 0, "the pool stays resident");
+    }
+
+    /// Every read entry point of an image cut for reading through reads
+    /// the cut, split pages and unsplit ones alike: `read_u64`,
+    /// `read_words` across a page boundary, a [`View`]'s loads and block
+    /// reads, and a `vm_snapshot` of the image, which is a physical copy.
+    /// A store to the image lands in its copy, or privatises its mapping.
+    #[test]
+    fn every_read_of_a_read_through_image_reads_the_cut() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let pw = (ps / 8) as usize;
+        let a = b.alloc(3 * ps).unwrap();
+        let cut: Vec<u64> = (0..3 * pw as u64).collect();
+        b.write_words(a, &cut).unwrap();
+        let img = b.vm_snapshot_read_through(a, 3 * ps).unwrap();
+        let view = b.view(img, 3 * ps).unwrap();
+        assert!(!view.is_in_place());
+        assert!(b.view(a, 3 * ps).unwrap().is_in_place());
+        // Split pages 0 and 2; page 1 stays read through.
+        b.write_u64(a + 8, 1000).unwrap();
+        b.write_words(a + 2 * ps, &[2000, 2001]).unwrap();
+        assert!(!is_frozen(&b, img, 0) && is_frozen(&b, img, 1) && !is_frozen(&b, img, 2));
+        for i in [0, 1, pw - 1, pw, pw + 3, 2 * pw, 3 * pw - 1] {
+            assert_eq!(b.read_u64(img + i as u64 * 8).unwrap(), cut[i], "word {i}");
+            assert_eq!(view.load(i), cut[i], "word {i}");
+        }
+        let mut buf = vec![0; 2 * pw];
+        b.read_words(img + 8 * (pw as u64 / 2), &mut buf).unwrap();
+        assert!(buf[..] == cut[pw / 2..pw / 2 + 2 * pw]);
+        let mut all = vec![0; 3 * pw];
+        view.read_into(0, &mut all);
+        assert!(all == cut);
+        let copy = b.vm_snapshot(None, img, 3 * ps).unwrap();
+        b.read_words(copy, &mut all).unwrap();
+        assert!(all == cut, "the physical copy is the cut");
+        // A store to the image: into its copy of page 0, and into its own
+        // mapping of page 1, which the kernel privatises.
+        b.write_u64(img, 7).unwrap();
+        b.write_u64(img + ps, 8).unwrap();
+        assert_eq!([view.load(0), view.load(pw), view.load(1)], [7, 8, cut[1]]);
+        assert_eq!(b.read_u64(a).unwrap(), 0, "the live view is apart");
+        b.write_u64(a + ps + 8, 4000).unwrap();
+        assert_eq!(view.load(pw + 1), cut[pw + 1]);
+        assert_files_exact(&b);
+    }
+
+    /// A failed slab `mmap` fails the write and changes nothing: the live
+    /// page stays frozen, the image still reads it through and reads the
+    /// cut, and no copy is held; the retry splits it.
+    #[test]
+    fn a_failed_slab_mmap_leaves_the_page_frozen_and_the_image_intact() {
+        let b = OsBackend::new().unwrap();
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        b.write_u64(a, 7).unwrap();
+        let img = b.vm_snapshot_read_through(a, 2 * ps).unwrap();
+        let view = b.view(img, 2 * ps).unwrap();
+        fail_after(&b, 0);
+        assert_eq!(
+            b.write_u64(a, 8),
+            Err(VmError::Os {
+                call: "mmap",
+                errno: 12
+            })
+        );
+        fail_after(&b, u64::MAX);
+        assert!(is_frozen(&b, a, 0), "the page stays frozen");
+        assert!(view.reads_through(0), "the image copied nothing");
+        let s = b.stats().snapshot();
+        assert_eq!((s.cow_copies, s.user_copies, s.slab_maps), (0, 0, 0));
+        assert_eq!((s.copy_pages_in_use, s.copy_pages_pooled), (0, 0));
+        assert_eq!([b.read_u64(a).unwrap(), b.read_u64(img).unwrap()], [7, 7]);
+        assert_eq!(view.load(0), 7);
+        assert_files_exact(&b);
+        b.write_u64(a, 8).unwrap();
+        assert_eq!(b.stats().cow_copies.load(Ordering::Relaxed), 1);
+        assert_eq!([b.read_u64(a).unwrap(), view.load(0)], [8, 7]);
+    }
+
+    /// The copy pool unmaps its slabs on the reclaim path once no image
+    /// holds a copy and none was taken for [`POOL_IDLE`], and when the
+    /// backend drops.
+    #[test]
+    fn the_pool_unmaps_its_slabs_when_idle_and_on_drop() {
+        let b = OsBackend::new().unwrap();
+        let stats = Arc::clone(&b.inner.stats);
+        let ps = b.page_size();
+        let a = b.alloc(2 * ps).unwrap();
+        let img = b.vm_snapshot_read_through(a, 2 * ps).unwrap();
+        b.write_u64(a, 1).unwrap();
+        b.release(img, 2 * ps).unwrap();
+        // A reclaim inside the interval keeps the slab.
+        let zero_copy = b.vm_snapshot(None, a, 2 * ps).unwrap();
+        b.release(zero_copy, 2 * ps).unwrap();
+        b.write_u64(a, 2).unwrap();
+        let s = stats.snapshot();
+        assert_eq!((s.cow_reclaims, s.slab_maps, s.slab_unmaps), (1, 1, 0));
+        assert_eq!(s.copy_pages_pooled, SLAB_PAGES);
+        // One past it unmaps the slab.
+        std::thread::sleep(POOL_IDLE + Duration::from_millis(20));
+        b.write_u64(a + ps, 3).unwrap();
+        let s = stats.snapshot();
+        assert_eq!((s.cow_reclaims, s.slab_unmaps), (2, 1));
+        assert_eq!((s.copy_pages_in_use, s.copy_pages_pooled), (0, 0));
+        // A held copy keeps the pool mapped past the interval.
+        let img = b.vm_snapshot_read_through(a, 2 * ps).unwrap();
+        b.write_u64(a, 4).unwrap();
+        std::thread::sleep(POOL_IDLE + Duration::from_millis(20));
+        let c = b.alloc(ps).unwrap();
+        b.release(b.vm_snapshot(None, c, ps).unwrap(), ps).unwrap();
+        b.write_u64(c, 5).unwrap();
+        let s = stats.snapshot();
+        assert_eq!((s.slab_maps, s.slab_unmaps, s.copy_pages_in_use), (2, 1, 1));
+        assert_eq!(b.read_u64(img).unwrap(), 2);
+        // The backend drop unmaps the rest.
+        drop(b);
+        let s = stats.snapshot();
+        assert_eq!(
+            (s.slab_unmaps, s.copy_pages_in_use, s.copy_pages_pooled),
+            (2, 0, 0)
+        );
     }
 }

@@ -16,14 +16,26 @@
 //! of the page ([`View::reads_through`]): its bytes are still the file's,
 //! which are the live view's. A reader may then copy the page from the
 //! live view instead, and so never map the snapshot's page. A split
-//! clears the snapshot's bit only after the kernel copied the page into
-//! it, and every store that follows a split is fenced after the clear
+//! clears the snapshot's bit only after the page's copy is published, and
+//! every store that follows a split is fenced after the clear
 //! (`fence(Release)` in [`View::try_store`] and in the backend's locked
 //! stores). So a reader that copied a page from the live view, issued
 //! `fence(Acquire)` and found the bit still set read no store made after
-//! the snapshot was cut; a reader that finds it cleared copies the page
-//! from the snapshot again. On x86 both fences compile to nothing but a
-//! compiler barrier.
+//! the snapshot was cut; a reader that finds it cleared reads the page's
+//! copy instead. On x86 both fences compile to nothing but a compiler
+//! barrier.
+//!
+//! Where the copy lives depends on how the snapshot was cut. A zero-copy
+//! snapshot ([`VmBackend::vm_snapshot`](crate::VmBackend::vm_snapshot))
+//! gets it from the kernel, in its own mapping, which therefore reads the
+//! cut everywhere. An image cut for reading through
+//! ([`VmBackend::vm_snapshot_read_through`](crate::VmBackend::vm_snapshot_read_through))
+//! gets it from the backend in user space: one `memcpy` into a page set
+//! aside, recorded in the view's copy table before the bit clears. Its
+//! mapping keeps reading the file, so [`View::load`] and
+//! [`View::read_into`] read a split page from its copy, and an unsplit
+//! one from the mapping under the same recheck as above
+//! ([`View::is_in_place`] is `false`).
 //!
 //! **The store contract.** A lock-free store must not race a
 //! `vm_snapshot` of its area: the snapshot sets every bit, and a store
@@ -103,6 +115,69 @@ impl PageBits {
     }
 }
 
+/// Per page of an image cut for reading through: the address of the
+/// page's user-space copy once a split took one, else 0. The backend
+/// sets a slot under its write lock before it clears the page's bit
+/// (Release), so a reader that saw the bit clear with Acquire finds the
+/// slot set and the copy's bytes written.
+#[derive(Debug)]
+pub(crate) struct Copies {
+    slots: Box<[AtomicU64]>,
+}
+
+impl Copies {
+    /// A table for `pages` pages, none copied.
+    pub(crate) fn new(pages: usize) -> Copies {
+        Copies {
+            slots: (0..pages).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// The address of `page`'s copy, if a split took one. Relaxed: the
+    /// caller holds the backend's lock, or saw the page's bit clear
+    /// through [`PageBits::get`]'s Acquire, which orders this load after
+    /// the split's publish.
+    #[inline]
+    pub(crate) fn get(&self, page: usize) -> Option<u64> {
+        match self.slots[page].load(Ordering::Relaxed) {
+            0 => None,
+            addr => Some(addr),
+        }
+    }
+
+    /// Record `addr` as `page`'s copy; the caller clears the page's bit
+    /// after, which publishes it.
+    pub(crate) fn set(&self, page: usize, addr: u64) {
+        self.slots[page].store(addr, Ordering::Relaxed);
+    }
+
+    /// Every copy taken.
+    pub(crate) fn taken(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .filter(|&a| a != 0)
+    }
+}
+
+/// Copy `buf.len()` words from `p` with volatile loads, which tolerate
+/// racing word stores.
+///
+/// # Safety
+///
+/// `[p, p + buf.len())` must be readable, aligned words.
+#[inline]
+unsafe fn copy_words(mut p: *const u64, buf: &mut [u64]) {
+    for w in buf.iter_mut() {
+        // SAFETY(provenance: p, bounds: buf): every step stays inside the
+        // caller's range.
+        unsafe {
+            *w = p.read_volatile();
+            p = p.add(1);
+        }
+    }
+}
+
 /// A direct view of one mapped area (see the module docs). Cheap to
 /// clone; every clone keeps the mapping alive, so the area is unmapped
 /// only once the backend released it *and* its last view is dropped.
@@ -122,6 +197,9 @@ pub struct View {
     /// A live area's view; a snapshot view's stores always take the
     /// backend's locked path.
     live: bool,
+    /// The copy table of an image cut for reading through: its split
+    /// pages live there, not in the mapping.
+    copies: Option<Arc<Copies>>,
     /// Keeps the mapping alive.
     _mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
 }
@@ -154,13 +232,16 @@ impl View {
     /// `[ptr, ptr + words)` must be one readable and writable mapping
     /// that stays mapped while `mapping` lives, whose pages `bits` tracks
     /// from page 0 at `ptr`, in pages of `1 << page_shift` bytes — as the
-    /// bits of a live area when `live`, else of a snapshot area.
+    /// bits of a live area when `live`, else of a snapshot area. Every
+    /// copy `copies` records must be a readable page that stays mapped
+    /// while `mapping` lives.
     pub(crate) unsafe fn new(
         ptr: u64,
         words: usize,
         page_shift: u32,
         bits: Arc<PageBits>,
         live: bool,
+        copies: Option<Arc<Copies>>,
         mapping: Arc<dyn std::fmt::Debug + Send + Sync>,
     ) -> View {
         View {
@@ -169,6 +250,7 @@ impl View {
             page_shift,
             bits,
             live,
+            copies,
             _mapping: mapping,
         }
     }
@@ -185,10 +267,19 @@ impl View {
         self.words == 0
     }
 
-    /// The first word's address.
+    /// The first word's address: the base of the mapping. Word `i` lives
+    /// at `as_ptr() + i` only where [`View::is_in_place`] holds.
     #[inline]
     pub fn as_ptr(&self) -> *const u64 {
         self.ptr
+    }
+
+    /// Whether every word lives in the mapping, at [`View::as_ptr`] plus
+    /// its index. `false` for an image cut for reading through, whose
+    /// split pages are copied aside (see the module docs).
+    #[inline]
+    pub fn is_in_place(&self) -> bool {
+        self.copies.is_none()
     }
 
     /// Words per page.
@@ -218,6 +309,11 @@ impl View {
     #[inline]
     pub fn load(&self, i: usize) -> u64 {
         assert!(i < self.words, "word {i} out of a view of {}", self.words);
+        if self.copies.is_some() {
+            let mut w = [0];
+            self.read_paged(self, i, &mut w);
+            return w[0];
+        }
         // SAFETY(provenance: self, ptr, bounds: words, i): in bounds of a
         // mapping the view keeps alive; an aligned volatile word load
         // tolerates racing word stores.
@@ -231,22 +327,85 @@ impl View {
     /// If the range is out of the view.
     #[inline]
     pub fn read_into(&self, start: usize, buf: &mut [u64]) {
+        self.check_range(start, buf.len());
+        if self.copies.is_some() {
+            self.read_paged(self, start, buf);
+        } else {
+            // SAFETY(provenance: self, ptr, bounds: check_range, start,
+            // buf): the range was checked in bounds of the kept-alive
+            // mapping.
+            unsafe { copy_words(self.ptr.add(start), buf) }
+        }
+    }
+
+    /// Copy words `[start, start + buf.len())` of this snapshot view into
+    /// `buf`, reading every page it still reads through
+    /// ([`View::reads_through`]) from `live`, a live view of the same
+    /// file, so that this view's own page is never mapped; a page it holds
+    /// a copy of is read from that copy (see the module docs for why that
+    /// is exact). On a live view this is [`View::read_into`].
+    ///
+    /// # Panics
+    ///
+    /// If the range is out of the view, or `live` is shorter.
+    #[inline]
+    pub fn read_through_into(&self, live: &View, start: usize, buf: &mut [u64]) {
+        self.check_range(start, buf.len());
         assert!(
-            start <= self.words && buf.len() <= self.words - start,
-            "words {start}+{} out of a view of {}",
-            buf.len(),
+            live.words >= self.words,
+            "a live view shorter than the image"
+        );
+        self.read_paged(live, start, buf);
+    }
+
+    fn check_range(&self, start: usize, len: usize) {
+        assert!(
+            start <= self.words && len <= self.words - start,
+            "words {start}+{len} out of a view of {}",
             self.words
         );
-        // SAFETY(provenance: self, ptr, bounds: words, start, buf): the
-        // range was checked in bounds of the kept-alive mapping.
-        let mut p = unsafe { self.ptr.add(start) };
-        for w in buf.iter_mut() {
-            // SAFETY(provenance: p, bounds: buf): every step stays inside
-            // the checked range; volatile loads tolerate racing stores.
-            unsafe {
-                *w = p.read_volatile();
-                p = p.add(1);
+    }
+
+    /// Copy words `[start, start + buf.len())`, checked in bounds, page by
+    /// page: a page this view still reads through from `file`, a view of
+    /// its file at least as long (itself, or the live view); any other
+    /// page from its copy, or from this view's mapping when the kernel or
+    /// a store to this view put the copy there. A read from `file` counts
+    /// only if the page's bit is still set after it, behind
+    /// `fence(Acquire)`: a split publishes the copy and clears the bit
+    /// before any store reaches the file page (see the module docs), so a
+    /// read that may have seen such a store finds the bit clear and is
+    /// redone from the copy.
+    fn read_paged(&self, file: &View, start: usize, buf: &mut [u64]) {
+        let pw = self.page_words();
+        let mut at = 0;
+        while at < buf.len() {
+            let word = start + at;
+            let page = word / pw;
+            let take = (pw - word % pw).min(buf.len() - at);
+            let chunk = &mut buf[at..at + take];
+            at += take;
+            if self.reads_through(page) {
+                // SAFETY(provenance: file, ptr, bounds: word, chunk): the
+                // chunk lies in the caller's checked range, inside one page
+                // of `file`'s kept-alive mapping, which is at least as long.
+                unsafe { copy_words(file.ptr.add(word), chunk) };
+                // ORDERING: Acquire pairs with the writer's `fence(Release)`
+                // between a split's bit clear and its store, so a read that
+                // saw such a store sees the clear below.
+                fence(Ordering::Acquire);
+                if self.reads_through(page) {
+                    continue;
+                }
             }
+            let from = match self.copies.as_ref().and_then(|c| c.get(page)) {
+                Some(copy) => copy as *const u64,
+                None => self.ptr.cast_const().wrapping_add(page * pw),
+            };
+            // SAFETY(provenance: copies, self, bounds: word, chunk, pw): the
+            // page's copy or its page of the mapping, both kept alive by the
+            // view; the chunk stays inside that one page.
+            unsafe { copy_words(from.add(word % pw), chunk) };
         }
     }
 

@@ -24,8 +24,9 @@ enum Op {
     /// Write `value` at word `word` (modulo size) of area `sel` (modulo
     /// live-area count).
     Write { sel: usize, word: usize, value: u64 },
-    /// `vm_snapshot` area `sel` into a fresh area.
-    Snapshot { sel: usize },
+    /// `vm_snapshot` area `sel` into a fresh area, or
+    /// `vm_snapshot_read_through` it when `read_through`.
+    Snapshot { sel: usize, read_through: bool },
     /// `vm_snapshot` area `src` into the equally-sized area `dst`
     /// (§4.1.3 destination recycling); skipped when sizes differ.
     Recycle { src: usize, dst: usize },
@@ -38,7 +39,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (1..=MAX_PAGES).prop_map(|pages| Op::Alloc { pages }),
         6 => (0..MAX_AREAS, 0..4096usize, any::<u64>())
             .prop_map(|(sel, word, value)| Op::Write { sel, word, value }),
-        2 => (0..MAX_AREAS).prop_map(|sel| Op::Snapshot { sel }),
+        2 => (0..MAX_AREAS, any::<bool>())
+            .prop_map(|(sel, read_through)| Op::Snapshot { sel, read_through }),
         1 => (0..MAX_AREAS, 0..MAX_AREAS).prop_map(|(src, dst)| Op::Recycle { src, dst }),
         1 => (0..MAX_AREAS).prop_map(|sel| Op::Release { sel }),
     ]
@@ -139,14 +141,19 @@ proptest! {
                     }
                     oracle[sel][word] = value;
                 }
-                Op::Snapshot { sel } => {
+                Op::Snapshot { sel, read_through } => {
                     if oracle.is_empty() || oracle.len() >= MAX_AREAS {
                         continue;
                     }
                     let sel = sel % oracle.len();
                     for f in [&mut sim, &mut osf] {
                         let (addr, pages) = f.areas[sel];
-                        let snap = f.backend.vm_snapshot(None, addr, pages * ps).unwrap();
+                        let snap = if read_through {
+                            f.backend.vm_snapshot_read_through(addr, pages * ps)
+                        } else {
+                            f.backend.vm_snapshot(None, addr, pages * ps)
+                        }
+                        .unwrap();
                         f.areas.push((snap, pages));
                     }
                     let file = files.snapshot_of(sel);

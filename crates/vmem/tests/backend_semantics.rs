@@ -6,7 +6,8 @@
 //! kernel's complete syscall surface (`mprotect`, `fork`, file truncation,
 //! sub-area snapshots) which the OS backend intentionally does not expose;
 //! everything the *engine* relies on — allocation, word and block access,
-//! `vm_snapshot` isolation in both directions, destination recycling,
+//! `vm_snapshot` (and `vm_snapshot_read_through`) isolation in both
+//! directions, destination recycling,
 //! release/re-use — is specified here once and must hold identically on
 //! both substrates.
 
@@ -63,28 +64,41 @@ fn block_reads_and_writes_cross_pages() {
     });
 }
 
+/// Both cuts — `vm_snapshot` and `vm_snapshot_read_through` — isolate
+/// the snapshot from the source and the source from the snapshot.
 #[test]
 fn vm_snapshot_isolates_both_directions() {
     for_each_backend(|b| {
-        let ps = b.page_size();
-        let a = b.alloc(4 * ps).unwrap();
-        for p in 0..4u64 {
-            b.write_u64(a + p * ps, 100 + p).unwrap();
+        for read_through in [false, true] {
+            let ps = b.page_size();
+            let a = b.alloc(4 * ps).unwrap();
+            for p in 0..4u64 {
+                b.write_u64(a + p * ps, 100 + p).unwrap();
+            }
+            let snap = if read_through {
+                b.vm_snapshot_read_through(a, 4 * ps).unwrap()
+            } else {
+                b.vm_snapshot(None, a, 4 * ps).unwrap()
+            };
+            for p in 0..4u64 {
+                assert_eq!(b.read_u64(snap + p * ps).unwrap(), 100 + p);
+            }
+            let cut = (b.name(), read_through);
+            // Source writes do not reach the snapshot...
+            b.write_u64(a + ps, 7).unwrap();
+            assert_eq!(b.read_u64(snap + ps).unwrap(), 101, "{cut:?}");
+            assert_eq!(b.read_u64(a + ps).unwrap(), 7);
+            // ...and snapshot writes do not reach the source, before or
+            // after the source split the page.
+            b.write_u64(snap + 2 * ps, 8).unwrap();
+            b.write_u64(snap + ps + 8, 9).unwrap();
+            assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 102, "{cut:?}");
+            assert_eq!(b.read_u64(a + ps + 8).unwrap(), 0, "{cut:?}");
+            assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 8);
+            assert_eq!(b.read_u64(snap + ps).unwrap(), 101, "{cut:?}");
+            b.release(snap, 4 * ps).unwrap();
+            b.release(a, 4 * ps).unwrap();
         }
-        let snap = b.vm_snapshot(None, a, 4 * ps).unwrap();
-        for p in 0..4u64 {
-            assert_eq!(b.read_u64(snap + p * ps).unwrap(), 100 + p);
-        }
-        // Source writes do not reach the snapshot...
-        b.write_u64(a + ps, 7).unwrap();
-        assert_eq!(b.read_u64(snap + ps).unwrap(), 101, "{}", b.name());
-        assert_eq!(b.read_u64(a + ps).unwrap(), 7);
-        // ...and snapshot writes do not reach the source.
-        b.write_u64(snap + 2 * ps, 8).unwrap();
-        assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 102, "{}", b.name());
-        assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 8);
-        b.release(snap, 4 * ps).unwrap();
-        b.release(a, 4 * ps).unwrap();
     });
 }
 
