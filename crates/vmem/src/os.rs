@@ -770,7 +770,7 @@ impl OsBackend {
         Self::bump(&self.inner.stats.pwrite_calls);
         let (ps, bytes) = (self.inner.page_size, src.bytes());
         let mut staged = Vec::new();
-        if src.copies().is_some_and(|c| c.taken().next().is_some()) {
+        if src.copies().is_some() {
             staged.resize(bytes as usize, 0u8);
             for (i, page) in staged.chunks_exact_mut(ps as usize).enumerate() {
                 let from = src.locate(i as u64 * ps, ps) as *const u8;
