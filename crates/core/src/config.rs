@@ -73,8 +73,8 @@ pub struct DbConfig {
     /// `None` disables the background thread (tests drive GC manually).
     pub gc_interval: Option<Duration>,
     /// Accepted and ignored: the engine never recycles retired snapshot
-    /// areas as `vm_snapshot` destinations (§4.1.3), because on the OS
-    /// backend a fresh view is the same single `mmap` a recycled one is.
+    /// areas as `vm_snapshot` destinations (§4.1.3), and the OS backend
+    /// refuses a destination (a fresh view is one `mmap` either way).
     /// Kept so configurations that set it still build.
     pub recycle_snapshot_areas: bool,
     /// Materialise *every* column at trigger time instead of lazily on
@@ -84,11 +84,13 @@ pub struct DbConfig {
     pub eager_materialization: bool,
     /// Advise every OS-backend mapping `madvise(MADV_HUGEPAGE)` so the
     /// kernel may collapse column areas into transparent huge pages
-    /// (fewer TLB misses on large scans; whether the hint is honoured
-    /// depends on the system's shmem THP policy). Defaults to the
+    /// (fewer TLB misses on large scans). Every view is a memfd (shmem)
+    /// mapping, so the hint follows the shmem THP policy, not the
+    /// anonymous one: where `/sys/kernel/mm/transparent_hugepage/shmem_enabled`
+    /// reads `never` (a common default) it is a no-op. Defaults to the
     /// `ANKER_HUGE_PAGES=1` environment variable; ignored by the
     /// simulated backend. `os_huge_page_advices_total` counts the hints
-    /// actually issued.
+    /// issued, honoured or not.
     pub os_huge_pages: bool,
     /// Run scan predicates through the pre-vectorized row-at-a-time
     /// dispatch instead of the selection-vector kernels — the ablation

@@ -683,16 +683,11 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            let counters: [(&str, &str, u64); 13] = [
+            let counters: [(&str, &str, u64); 12] = [
                 (
                     "os_snapshots_total",
                     "vm_snapshot and vm_snapshot_read_through calls served by the OS backend",
                     os.snapshots,
-                ),
-                (
-                    "os_recycled_total",
-                    "OS-backend snapshots that reused a caller-provided destination",
-                    os.recycled,
                 ),
                 (
                     "os_cow_copies_total",

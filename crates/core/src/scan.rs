@@ -238,6 +238,26 @@ impl Scan<&mut Txn> {
     /// Run the scan, calling `f(row, words)` with the **raw 8-byte words**
     /// of the projection for every row that passes all filters — the
     /// escape hatch for hot aggregation loops that decode inline.
+    ///
+    /// `words` borrows the scan's current block (a frozen image's pages
+    /// or a staging buffer) for one call only, so the borrow checker
+    /// keeps it from outliving the scan or the epoch pin behind it; copy
+    /// what must be kept:
+    ///
+    /// ```compile_fail
+    /// use anker_core::{AnkerDb, ColumnDef, DbConfig, LogicalType, Schema, TxnKind};
+    ///
+    /// let db = AnkerDb::new(DbConfig::heterogeneous_serializable());
+    /// let schema = Schema::new(vec![ColumnDef::new("v", LogicalType::Int)]);
+    /// let t = db.create_table("t", schema, 4).unwrap();
+    /// let v = db.schema(t).col("v");
+    /// let mut olap = db.begin(TxnKind::Olap);
+    /// let mut kept: Vec<&[u64]> = Vec::new();
+    /// olap.scan_on(t)
+    ///     .project(&[v])
+    ///     .for_each(|_, words| kept.push(words))
+    ///     .unwrap();
+    /// ```
     pub fn for_each(self, mut f: impl FnMut(u32, &[u64])) -> Result<ScanStats> {
         let (_, stats) = self.execute(Some(&mut |rows| deliver(rows, &mut f)))?;
         Ok(stats)

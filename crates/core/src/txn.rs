@@ -7,10 +7,10 @@ use crate::error::{AbortReason, DbError, Result};
 use crate::snapman::{Epoch, SnapCol};
 use crate::table::{TableId, TableState};
 use anker_mvcc::{
-    ColRef, CommitRecord, IsolationLevel, LocalWrite, ScanStats, Transaction, TxnId, WriteRecord,
+    ColRef, CommitRecord, IsolationLevel, LocalWrite, RowLatch, ScanStats, Transaction, TxnId,
+    WriteRecord,
 };
 use anker_storage::{ColumnId, Value};
-use anker_util::lockcheck::{self, classes};
 use anker_util::{sched, FxHashMap};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
@@ -407,18 +407,6 @@ impl Txn {
         }
     }
 
-    /// Release every install latch in `latched` without installing
-    /// (abort path).
-    fn unlatch_rows(&mut self, latched: &[(LocalWrite, u64, u64)]) {
-        for (w, old_ts, _) in latched {
-            let state = self.table(TableId(w.col.table));
-            state
-                .col(w.col.col as usize)
-                .versioned
-                .unlock_row(w.row, *old_ts);
-        }
-    }
-
     /// One pass through the commit pipeline (stages 1–7 of [`Txn::commit`]).
     fn commit_attempt(&mut self) -> std::result::Result<u64, AttemptError> {
         let db = self.db.clone();
@@ -443,40 +431,32 @@ impl Txn {
         // (col, row) order *before* any shard lock; the global sort order
         // makes concurrent committers deadlock-free, and each latch
         // freezes the row's (ts, value) pair for the write-write check,
-        // the commit record, and the eventual install.
-        let mut writes: Vec<LocalWrite> = self.inner.writes().to_vec();
-        writes.sort_unstable_by_key(|w| (w.col, w.row));
-        let mut latched: Vec<(LocalWrite, u64, u64)> = Vec::with_capacity(writes.len());
-        // Lock-order witness tokens for the row latches (the latches are
-        // hand-rolled CAS words, so the lockcheck wrappers cannot cover
-        // them). The key mirrors the sort order above, so the ordered-class
-        // strictly-ascending rule checks exactly the deadlock-freedom
-        // argument. On the abort returns below the vector unwinds with the
-        // frame, matching `unlatch_rows`.
-        let mut latch_witness: Vec<lockcheck::Held> = Vec::with_capacity(writes.len());
-        for w in &writes {
-            let state = self.table(TableId(w.col.table));
+        // the commit record, and the eventual install. `latches` is the
+        // write set's guard: every exit below that has not installed a
+        // row drops its latch, which restores the row.
+        let mut writes: Vec<(LocalWrite, Arc<TableState>)> =
+            Vec::with_capacity(self.inner.writes().len());
+        for i in 0..self.inner.writes().len() {
+            let w = self.inner.writes()[i];
+            writes.push((w, self.table(TableId(w.col.table))));
+        }
+        writes.sort_unstable_by_key(|(w, _)| (w.col, w.row));
+        let mut latches: Vec<RowLatch<'_>> = Vec::with_capacity(writes.len());
+        for (w, state) in &writes {
             let col = state.col(w.col.col as usize);
-            let witness = lockcheck::acquire(
-                &classes::INSTALL_LATCH,
-                ((w.col.table as u64) << 48) | ((w.col.col as u64) << 32) | w.row as u64,
-            );
-            match col.versioned.lock_row(col.current_area(), w.row) {
-                Ok((old_ts, old_word)) => {
-                    if old_ts > start_ts {
-                        // First-updater-wins (§2.1).
-                        col.versioned.unlock_row(w.row, old_ts);
-                        self.unlatch_rows(&latched);
-                        return Err(AttemptError::WwConflict);
-                    }
-                    latched.push((*w, old_ts, old_word));
-                    latch_witness.push(witness);
-                }
-                Err(e) => {
-                    self.unlatch_rows(&latched);
-                    return Err(AttemptError::Hard(e.into()));
-                }
+            // The witness key mirrors the sort order above, so the
+            // ordered-class strictly-ascending rule checks exactly the
+            // deadlock-freedom argument.
+            let key = ((w.col.table as u64) << 48) | ((w.col.col as u64) << 32) | w.row as u64;
+            let latch = col
+                .versioned
+                .lock_row(col.current_area(), w.row, key)
+                .map_err(|e| AttemptError::Hard(e.into()))?;
+            if latch.old_ts() > start_ts {
+                // First-updater-wins (§2.1).
+                return Err(AttemptError::WwConflict);
             }
+            latches.push(latch);
         }
         sched::hit("commit:latched");
         obs_span.switch(&m.commit_stage_validate);
@@ -496,7 +476,7 @@ impl Txn {
         let mut guards = serializable.then(|| {
             let tables: Vec<u16> = writes
                 .iter()
-                .map(|w| w.col.table)
+                .map(|(w, _)| w.col.table)
                 .chain(self.inner.predicates().tables())
                 .collect();
             db.inner.recent.lock_tables(&tables)
@@ -520,7 +500,6 @@ impl Txn {
             if !conflicts.is_empty() {
                 db.inner.oracle.abort_commit(commit_ts);
                 drop(guards);
-                self.unlatch_rows(&latched);
                 return Err(AttemptError::Validation(
                     conflicts
                         .into_iter()
@@ -554,7 +533,7 @@ impl Txn {
                     seq: d.next_seq.fetch_add(1, Ordering::Relaxed),
                     writes: writes
                         .iter()
-                        .map(|w| anker_dura::WalWrite {
+                        .map(|(w, _)| anker_dura::WalWrite {
                             table: w.col.table,
                             col: w.col.col,
                             row: w.row,
@@ -572,7 +551,6 @@ impl Txn {
                     Err(e) => {
                         db.inner.oracle.abort_commit(commit_ts);
                         drop(guards);
-                        self.unlatch_rows(&latched);
                         return Err(AttemptError::Hard(e.into()));
                     }
                 }
@@ -580,6 +558,12 @@ impl Txn {
         }
         sched::hit("commit:logged");
         obs_span.switch(&m.commit_stage_install);
+        // The record is durable: from here a latch is released only by
+        // its install, so a fail-stop unwind leaves the rows latched
+        // rather than exposing their old values as current.
+        for latch in &mut latches {
+            latch.hold_until_install();
+        }
 
         // Publish the commit record to the write-table shards, then let
         // the shards go — validation by others proceeds while we install.
@@ -589,12 +573,13 @@ impl Txn {
         if let Some(g) = &mut guards {
             g.push(CommitRecord {
                 commit_ts,
-                writes: latched
+                writes: writes
                     .iter()
-                    .map(|(w, _, old_word)| WriteRecord {
+                    .zip(&latches)
+                    .map(|((w, _), latch)| WriteRecord {
                         col: w.col,
                         row: w.row,
-                        old: *old_word,
+                        old: latch.old_word(),
                         new: w.new_word,
                     })
                     .collect(),
@@ -613,49 +598,38 @@ impl Txn {
             // Settle the snapshot state of every column we are about to
             // write (§2.2.2): pinned epochs missing the column get it
             // materialised now; unpinned ones are damage-marked.
-            let mut seen: Vec<(u16, u16)> = Vec::with_capacity(latched.len());
-            for (w, _, _) in &latched {
+            let mut seen: Vec<(u16, u16)> = Vec::with_capacity(writes.len());
+            for (w, state) in &writes {
                 let key = (w.col.table, w.col.col);
                 if seen.contains(&key) {
                     continue;
                 }
                 seen.push(key);
-                let state = self.table(TableId(key.0));
                 // Fast path: no epoch yet, or the column is already
                 // settled (materialised or damage-marked) for the newest.
                 if db.inner.snapman.write_is_settled(state.col(key.1 as usize)) {
                     continue;
                 }
-                // PANIC-OK: fail-stop — the commit record is already
-                // durable, so a half-installed commit cannot be rolled
-                // back; dying mid-install is designed.
+                // Fail-stop: the commit record is already durable, so a
+                // half-installed commit cannot be rolled back; dying
+                // mid-install is designed.
                 db.inner
                     .snapman
-                    .note_write(cs, &state, key.0, key.1)
+                    .note_write(cs, state, key.0, key.1)
                     .expect("snapshot materialisation failed mid-commit");
             }
         }
-        for (w, old_ts, old_word) in &latched {
-            let state = self.table(TableId(w.col.table));
+        for ((w, state), latch) in writes.iter().zip(latches) {
             let col = state.col(w.col.col as usize);
-            // PANIC-OK: fail-stop after the durable commit record.
+            // Fail-stop after the durable commit record.
             col.versioned
-                .install_locked(
-                    col.current_area(),
-                    w.row,
-                    *old_ts,
-                    *old_word,
-                    w.new_word,
-                    commit_ts,
-                )
+                .install_locked(col.current_area(), latch, w.new_word, commit_ts)
                 .expect("install failed after the commit was logged");
             // ORDERING: Release pairs with the materialisation path's
             // reads — a snapshot that sees this mutation timestamp also
             // sees the installed value.
             col.last_mutation_ts.store(commit_ts, Ordering::Release);
         }
-        // Every install above released its row latch.
-        latch_witness.clear();
         sched::hit("commit:installed");
         db.inner.oracle.complete_commit(commit_ts);
 
@@ -673,7 +647,7 @@ impl Txn {
                 if db.inner.config.eager_materialization {
                     // §2.2.2's rejected eager alternative, kept as an
                     // ablation: snapshot every column right away.
-                    // PANIC-OK: fail-stop after the durable commit record.
+                    // Fail-stop after the durable commit record.
                     let tables: Vec<_> = db.inner.tables.read().clone();
                     for (tid, state) in tables.iter().enumerate() {
                         for cid in 0..state.cols.len() {
@@ -742,8 +716,8 @@ impl Txn {
             // writes are visible) and must not be reported as success
             // (the WAL page cache state is unknowable after a failed
             // sync) — fail stop is the only honest option.
-            // PANIC-OK: fail-stop by design; the unwind still closes the
-            // fsync span.
+            // Fail-stop by design; the unwind still closes the fsync
+            // span.
             dura.wal
                 .sync_to(lsn)
                 .expect("WAL fsync failed; cannot guarantee durability of an applied commit");

@@ -31,40 +31,14 @@ pub struct LockClass {
     pub allow_io: bool,
     pub acquire: Vec<Pattern>,
     pub release: Vec<Pattern>,
-    /// Drop-guard acquisition patterns: calls that take the same lock but
-    /// return a guard object whose `Drop` releases it. The latch pass
-    /// skips these (release-on-every-path holds by construction).
-    pub guards: Vec<Pattern>,
     /// Repo-relative paths (forward slashes) the patterns are scoped to.
     pub files: Vec<String>,
-}
-
-/// `[pins]` — the epoch-pin escape analysis config: `sources` are the
-/// calls that yield pin-scoped data (frozen-area slices), `files` scopes
-/// the pass.
-#[derive(Debug, Clone, Default)]
-pub struct PinConfig {
-    pub sources: Vec<Pattern>,
-    pub files: Vec<String>,
-}
-
-/// One `[[escape]]` allowlist entry: a function that is blessed to move
-/// pin-derived data out of its own scope (it transfers the pin along, or
-/// re-establishes the justification some other audited way).
-#[derive(Debug, Clone)]
-pub struct EscapeEntry {
-    /// Bare function name or `Type::name`.
-    pub fn_name: String,
-    pub file: String,
-    pub reason: String,
 }
 
 #[derive(Debug, Default)]
 pub struct Config {
     pub version: i64,
     pub classes: Vec<LockClass>,
-    pub pins: PinConfig,
-    pub escapes: Vec<EscapeEntry>,
 }
 
 impl Config {
@@ -76,20 +50,11 @@ impl Config {
             .filter(|(_, c)| c.files.iter().any(|f| f == rel_path))
             .collect()
     }
-
-    /// Is `fn_name`/`qual_name` in `file` a blessed escape point?
-    pub fn escape_allowed(&self, file: &str, fn_name: &str, qual_name: &str) -> bool {
-        self.escapes
-            .iter()
-            .any(|e| e.file == file && (e.fn_name == fn_name || e.fn_name == qual_name))
-    }
 }
 
 enum Section {
     Top,
     Class(LockClass),
-    Pins,
-    Escape(EscapeEntry),
 }
 
 pub fn parse(src: &str) -> Result<Config, String> {
@@ -111,14 +76,7 @@ pub fn parse(src: &str) -> Result<Config, String> {
                     allow_io: false,
                     acquire: Vec::new(),
                     release: Vec::new(),
-                    guards: Vec::new(),
                     files: Vec::new(),
-                }),
-                "[pins]" => Section::Pins,
-                "[[escape]]" => Section::Escape(EscapeEntry {
-                    fn_name: String::new(),
-                    file: String::new(),
-                    reason: String::new(),
                 }),
                 _ => return Err(format!("LOCKS.toml:{}: unsupported table {line}", ln + 1)),
             };
@@ -155,20 +113,8 @@ pub fn parse(src: &str) -> Result<Config, String> {
                 "allow_io" => c.allow_io = parse_bool(&val, ln)?,
                 "acquire" => c.acquire = parse_patterns(&val, ln)?,
                 "release" => c.release = parse_patterns(&val, ln)?,
-                "guards" => c.guards = parse_patterns(&val, ln)?,
                 "files" => c.files = parse_str_array(&val, ln)?,
                 other => return Err(format!("LOCKS.toml:{}: unknown class key {other}", ln + 1)),
-            },
-            Section::Pins => match key.as_str() {
-                "sources" => cfg.pins.sources = parse_patterns(&val, ln)?,
-                "files" => cfg.pins.files = parse_str_array(&val, ln)?,
-                other => return Err(format!("LOCKS.toml:{}: unknown pins key {other}", ln + 1)),
-            },
-            Section::Escape(e) => match key.as_str() {
-                "fn" => e.fn_name = parse_str(&val, ln)?,
-                "file" => e.file = parse_str(&val, ln)?,
-                "reason" => e.reason = parse_str(&val, ln)?,
-                other => return Err(format!("LOCKS.toml:{}: unknown escape key {other}", ln + 1)),
             },
         }
     }
@@ -191,17 +137,8 @@ pub fn parse(src: &str) -> Result<Config, String> {
 }
 
 fn flush(cfg: &mut Config, section: Section) -> Result<(), String> {
-    match section {
-        Section::Top | Section::Pins => {}
-        Section::Class(c) => cfg.classes.push(validate(c)?),
-        Section::Escape(e) => {
-            if e.fn_name.is_empty() || e.file.is_empty() || e.reason.is_empty() {
-                return Err(
-                    "LOCKS.toml: [[escape]] entries need `fn`, `file`, and `reason`".to_string(),
-                );
-            }
-            cfg.escapes.push(e);
-        }
+    if let Section::Class(c) = section {
+        cfg.classes.push(validate(c)?);
     }
     Ok(())
 }

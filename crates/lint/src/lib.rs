@@ -12,18 +12,18 @@
 //! 5. **sync-point-registry** — `sched::hit` points and test references
 //!    must pair up.
 //!
-//! Plus three dataflow passes over a token-tree parse and a per-function
-//! CFG approximation (see DESIGN.md, "Dataflow lint"):
+//! Plus one pass over a token-tree parse (see DESIGN.md, "Dataflow
+//! lint"):
 //!
-//! 6. **latch-leak** — manual-release classes release on *every* CFG
-//!    exit path (`?`, `return`, panic edges included);
-//! 7. **pin-escape** — frozen-area slices never escape their epoch pin;
-//! 8. **unsafe-provenance** — every `unsafe` block carries a structured
+//! 6. **unsafe-provenance** — every `unsafe` block carries a structured
 //!    `SAFETY(provenance: …, bounds: …)` tag whose symbols resolve, with
 //!    a per-crate inventory (`results/unsafe_audit.json`) diffed by CI.
 //!
-//! Tracer spans need no pass: `anker_obs::Span` records its open stage
-//! when dropped, so every exit path closes it by construction.
+//! Guards need no pass: a tracer span (`anker_obs::Span`) and a row
+//! latch (`anker_mvcc::RowLatch`) end themselves when dropped, so every
+//! exit path closes them by construction, and a frozen column's slice
+//! borrows the `SnapCol` it comes from, so the borrow checker keeps it
+//! inside its pin.
 //!
 //! Run as `cargo run -p anker-lint -- check`. The runtime complement is
 //! `anker_util::lockcheck` (`--features lockcheck`); `witness_agrees`
@@ -32,10 +32,7 @@
 // `anker-lint -- audit` (results/unsafe_audit.json records zero sites).
 #![forbid(unsafe_code)]
 
-pub mod cfg;
 pub mod config;
-pub mod escape;
-pub mod latch;
 pub mod lexer;
 pub mod locks;
 pub mod ordering;
@@ -102,10 +99,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         report.findings.extend(locks::check(rel, &lx, &cfg));
         report.findings.extend(safety::check(rel, &lx));
         report.findings.extend(ordering::check(rel, &lx, &regions));
-        report.findings.extend(latch::check(rel, &lx, &trees, &cfg));
-        report
-            .findings
-            .extend(escape::check(rel, &lx, &trees, &cfg));
         report.findings.extend(provenance::check(
             rel,
             &lx,

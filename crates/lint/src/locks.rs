@@ -10,9 +10,9 @@
 //! * an acquisition that is a block's tail expression propagates to the
 //!   statement the block belongs to (`let g = if c { x.lock() } …`);
 //! * any other acquisition is a temporary and ends with its statement;
-//! * a *manual* class (one with `release` patterns — its lock has no
-//!   guard object) holds from the acquisition to the next occurrence of
-//!   a release pattern, or to the end of the function.
+//! * a *sticky* class (one with `release` patterns — its guards outlive
+//!   the block that took them) holds from the acquisition to the next
+//!   occurrence of a release pattern, or to the end of the function.
 //!
 //! This is deliberately an under-approximation across function calls (a
 //! callee's acquisitions are checked in the callee, against whatever is
@@ -97,7 +97,7 @@ fn analyze_fn(
     // stack: acquisitions pending in the statement at each nesting depth.
     let mut scopes: Vec<Vec<Hold>> = vec![Vec::new()];
     let mut stmts: Vec<StmtState> = vec![StmtState::default()];
-    // Manual-class holds (release-pattern classes) live at fn level.
+    // Sticky-class holds (release-pattern classes) live at fn level.
     let mut sticky: Vec<Hold> = Vec::new();
 
     let mut i = open + 1;
@@ -166,7 +166,7 @@ fn analyze_fn(
                 i += 1;
             }
             _ => {
-                // Release patterns for manual classes.
+                // Release patterns for sticky classes.
                 let mut consumed = false;
                 for &(ci, class) in active {
                     if !class.release.is_empty()

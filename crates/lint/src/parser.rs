@@ -1,10 +1,9 @@
 //! A registry-free token-tree parser on top of [`crate::lexer`]: groups
 //! the flat token stream by `{}`/`()`/`[]` delimiters and extracts
-//! function items with their `impl` context. This is the substrate the
-//! dataflow passes ([`crate::latch`], [`crate::escape`],
-//! [`crate::provenance`]) and the CFG builder ([`crate::cfg`]) walk —
-//! still not a Rust parser (no expressions, no types), just enough
-//! structure to know what belongs to which function and which brace.
+//! function items. This is the substrate the unsafe-provenance pass
+//! ([`crate::provenance`]) walks — not a Rust parser (no expressions, no
+//! types), just enough structure to know which function an `unsafe`
+//! block sits in and which brace it opens.
 //!
 //! The parser is total: any token stream produces a tree. Unmatched
 //! closers become leaves, unmatched openers are closed at end of input —
@@ -24,31 +23,17 @@ pub enum Tree {
 #[derive(Debug, Clone)]
 pub struct Group {
     pub delim: char,
-    pub open_line: u32,
     pub close_line: u32,
     pub children: Vec<Tree>,
 }
 
 impl Tree {
-    pub fn line(&self) -> u32 {
-        match self {
-            Tree::Leaf(t) => t.line,
-            Tree::Group(g) => g.open_line,
-        }
-    }
-
-    /// The leaf's text, or `None` for groups.
+    /// The leaf's token, or `None` for groups.
     pub fn leaf(&self) -> Option<&Tok> {
         match self {
             Tree::Leaf(t) => Some(t),
             Tree::Group(_) => None,
         }
-    }
-
-    /// Leaf-text equality, excluding string literals (a literal `"?"`
-    /// must not read as the `?` operator).
-    pub fn is_leaf(&self, s: &str) -> bool {
-        matches!(self, Tree::Leaf(t) if t.kind != TokKind::Str && t.text == s)
     }
 
     pub fn group(&self) -> Option<&Group> {
@@ -101,7 +86,6 @@ fn parse_until(toks: &[Tok], pos: &mut usize, close: Option<char>) -> Vec<Tree> 
                 }
                 out.push(Tree::Group(Group {
                     delim: c,
-                    open_line,
                     close_line,
                     children,
                 }));
@@ -126,17 +110,12 @@ fn parse_until(toks: &[Tok], pos: &mut usize, close: Option<char>) -> Vec<Tree> 
     out
 }
 
-/// One `fn` item found in the tree: its (impl-qualified) name, the body
-/// group, and the header tokens (everything between the name and the
-/// body — parameters, return type, where clause) flattened for symbol
-/// lookups.
+/// One `fn` item found in the tree: its name, the body group, and the
+/// header tokens (everything between the name and the body — parameters,
+/// return type, where clause) flattened for symbol lookups.
 #[derive(Debug)]
 pub struct FnItem<'t> {
-    /// Bare function name.
     pub name: String,
-    /// `Type::name` when the fn sits in an `impl Type` (or `impl Trait
-    /// for Type`) block, else the bare name.
-    pub qual_name: String,
     pub line: u32,
     pub body: &'t Group,
     /// Header tokens (params + return type), flattened.
@@ -166,54 +145,18 @@ fn group_contains_ident(g: &Group, ident: &str) -> bool {
     })
 }
 
-/// Extract every `fn` item (nested ones included) with its impl context.
+/// Extract every `fn` item, nested ones and those in `impl` and `mod`
+/// blocks included.
 pub fn functions(trees: &[Tree]) -> Vec<FnItem<'_>> {
     let mut out = Vec::new();
-    collect_fns(trees, None, &mut out);
+    collect_fns(trees, &mut out);
     out
 }
 
-fn collect_fns<'t>(trees: &'t [Tree], impl_name: Option<&str>, out: &mut Vec<FnItem<'t>>) {
+fn collect_fns<'t>(trees: &'t [Tree], out: &mut Vec<FnItem<'t>>) {
     let mut i = 0usize;
     while i < trees.len() {
         match &trees[i] {
-            Tree::Leaf(t) if t.kind == TokKind::Ident && t.text == "impl" => {
-                // Scan to the impl body group, extracting the self-type
-                // name: the first ident after `for` if present, else the
-                // first ident at angle-depth 0 after `impl`.
-                let mut name: Option<String> = None;
-                let mut after_for = false;
-                let mut angle = 0i32;
-                let mut j = i + 1;
-                while j < trees.len() {
-                    match &trees[j] {
-                        Tree::Group(g) if g.delim == '{' => {
-                            collect_fns(&g.children, name.as_deref(), out);
-                            break;
-                        }
-                        Tree::Leaf(t) => match t.text.as_str() {
-                            "<" => angle += 1,
-                            ">" => angle -= 1,
-                            "for" => {
-                                after_for = true;
-                                name = None;
-                            }
-                            ";" => break, // `impl Trait for T;` — no body
-                            _ if t.kind == TokKind::Ident
-                                && angle <= 0
-                                && (name.is_none() || after_for) =>
-                            {
-                                name = Some(t.text.clone());
-                                after_for = false;
-                            }
-                            _ => {}
-                        },
-                        Tree::Group(_) => {}
-                    }
-                    j += 1;
-                }
-                i = j + 1;
-            }
             Tree::Leaf(t) if t.kind == TokKind::Ident && t.text == "fn" => {
                 // `fn NAME <generics>? ( params ) -> ret { body }`; a `;`
                 // before the body means a trait signature, and `fn(` is a
@@ -248,22 +191,18 @@ fn collect_fns<'t>(trees: &'t [Tree], impl_name: Option<&str>, out: &mut Vec<FnI
                 if let Some(body) = body {
                     out.push(FnItem {
                         name: nm.text.clone(),
-                        qual_name: match impl_name {
-                            Some(im) => format!("{im}::{}", nm.text),
-                            None => nm.text.clone(),
-                        },
                         line: t.line,
                         body,
                         header,
                     });
                     // Nested fns and closures inside this body.
-                    collect_fns(&body.children, impl_name, out);
+                    collect_fns(&body.children, out);
                 }
                 i = j + 1;
             }
             Tree::Group(g) => {
-                // mod blocks, trait blocks, etc.
-                collect_fns(&g.children, impl_name, out);
+                // impl, mod and trait blocks, etc.
+                collect_fns(&g.children, out);
                 i += 1;
             }
             Tree::Leaf(_) => i += 1,

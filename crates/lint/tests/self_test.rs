@@ -74,49 +74,6 @@ fn orphan_sync_point_is_flagged() {
 }
 
 #[test]
-fn leaked_latch_is_flagged() {
-    let report = anker_lint::run(&fixture("leaked_latch")).unwrap();
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.check == "latch-leak")
-        .expect("a `?` exit inside the hold region must be flagged");
-    assert!(f.msg.contains("row_latch"), "{}", f.msg);
-    assert!(f.msg.contains('?'), "{}", f.msg);
-}
-
-#[test]
-fn released_latch_twin_is_clean() {
-    let report = anker_lint::run(&fixture("released_latch")).unwrap();
-    assert!(
-        report.findings.is_empty(),
-        "release-on-every-path plus a PANIC-OK fail-stop site must be clean: {:#?}",
-        report.findings
-    );
-}
-
-#[test]
-fn escaped_pin_is_flagged() {
-    let report = anker_lint::run(&fixture("escaped_pin")).unwrap();
-    let f = report
-        .findings
-        .iter()
-        .find(|f| f.check == "pin-escape")
-        .expect("a tail-expression return of pin-derived data must be flagged");
-    assert!(f.msg.contains("tail-expression"), "{}", f.msg);
-}
-
-#[test]
-fn pinned_scan_twin_is_clean() {
-    let report = anker_lint::run(&fixture("pinned_scan")).unwrap();
-    assert!(
-        report.findings.is_empty(),
-        "in-scope reduction plus a blessed transfer point must be clean: {:#?}",
-        report.findings
-    );
-}
-
-#[test]
 fn untagged_unsafe_is_flagged() {
     let report = anker_lint::run(&fixture("untagged_unsafe")).unwrap();
     let untagged = report

@@ -76,7 +76,9 @@ pub use commit::{
 pub use predicate::{ColRef, Pred, PredicateSet};
 pub use timestamp::{TsOracle, PENDING};
 pub use txn::{LocalWrite, Transaction, TxnId};
-pub use version::{ChainStore, FilterSel, ScanStats, VersionedColumn, BLOCK_ROWS, TRACKED_FILTERS};
+pub use version::{
+    ChainStore, FilterSel, RowLatch, ScanStats, VersionedColumn, BLOCK_ROWS, TRACKED_FILTERS,
+};
 
 /// Isolation level of the engine, as configured in the paper's evaluation
 /// (§5.1): snapshot isolation skips commit-time read-set validation.

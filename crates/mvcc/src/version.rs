@@ -5,6 +5,7 @@
 use crate::timestamp::PENDING;
 use anker_storage::column::ColumnArea;
 use anker_storage::value::LogicalType;
+use anker_util::lockcheck::{self, classes};
 use anker_util::FxHashMap;
 use parking_lot::RwLock;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
@@ -392,6 +393,59 @@ impl ScanStats {
     }
 }
 
+/// A held install latch on one row of a [`VersionedColumn`], from
+/// [`VersionedColumn::lock_row`]: the row's pre-latch timestamp and
+/// value, and its lock-order witness.
+/// [`VersionedColumn::install_locked`] consumes it. Dropped uninstalled —
+/// an abort, a `?`, an unwind — it restores the pre-latch timestamp, so
+/// no exit path leaves the row latched, unless
+/// [`RowLatch::hold_until_install`] said otherwise.
+#[must_use = "dropping a RowLatch releases the row"]
+#[derive(Debug)]
+pub struct RowLatch<'a> {
+    col: &'a VersionedColumn,
+    row: u32,
+    old_ts: u64,
+    old_word: u64,
+    /// Whether the drop restores `old_ts`.
+    restore: bool,
+    _witness: lockcheck::Held,
+}
+
+impl RowLatch<'_> {
+    /// The row's write timestamp before the latch (no [`PENDING`]).
+    pub fn old_ts(&self) -> u64 {
+        self.old_ts
+    }
+
+    /// The row's in-place value when latched.
+    pub fn old_word(&self) -> u64 {
+        self.old_word
+    }
+
+    /// From here only [`VersionedColumn::install_locked`] releases the
+    /// row: dropped uninstalled, the latch leaves it latched. A commit
+    /// calls this once its record is durable, so a fail-stop unwind after
+    /// that point cannot expose the old value as current.
+    pub fn hold_until_install(&mut self) {
+        self.restore = false;
+    }
+}
+
+impl Drop for RowLatch<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if !self.restore {
+            return;
+        }
+        let slot = &self.col.row_ts[self.row as usize];
+        // ORDERING: Release pairs with the Acquire in `lock_row` (and the
+        // readers' timestamp brackets): everything this holder did under
+        // the latch happens-before the next holder's critical section.
+        slot.store(self.old_ts, Ordering::Release);
+    }
+}
+
 /// MVCC state of one column: per-row write timestamps, the current chain
 /// store, and frozen stores handed over to past snapshots.
 pub struct VersionedColumn {
@@ -457,8 +511,8 @@ impl VersionedColumn {
     #[inline]
     pub fn last_write_ts(&self, row: u32) -> u64 {
         // ORDERING: Acquire pairs with the Release stores in
-        // `install_locked`/`unlock_row`, so a caller that sees a commit's
-        // timestamp also sees the chain push that preceded it.
+        // `install_locked` and `RowLatch`'s drop, so a caller that sees a
+        // commit's timestamp also sees the chain push that preceded it.
         self.row_ts[row as usize].load(Ordering::Acquire)
     }
 
@@ -565,25 +619,35 @@ impl VersionedColumn {
 
     /// Acquire `row`'s **install latch**: atomically set [`PENDING`] on
     /// its write-timestamp word (spinning out a concurrent holder) and
-    /// read the current in-place value. Returns
-    /// `(old_ts, old_word)` — the pre-latch timestamp and value.
+    /// read the current in-place value. The returned [`RowLatch`] holds
+    /// the pre-latch timestamp and value, and the lock-order witness
+    /// (`key` is the latch's same-level order key).
     ///
     /// This is stage 1 of the concurrent commit pipeline: a committer
     /// latches **all** its write rows in ascending `(col, row)` order
     /// before taking any validation-shard lock, which (with the sorted
     /// order) makes the two-phase acquisition deadlock-free. The caller
-    /// decides write-write conflicts from `old_ts` and must end the latch
-    /// with either [`VersionedColumn::install_locked`] (commit) or
-    /// [`VersionedColumn::unlock_row`] (abort).
-    pub fn lock_row(&self, area: &ColumnArea, row: u32) -> anker_vmem::Result<(u64, u64)> {
+    /// decides write-write conflicts from [`RowLatch::old_ts`]. The latch
+    /// ends when [`VersionedColumn::install_locked`] consumes it (commit)
+    /// or when it is dropped (abort, on every exit path).
+    // `#[inline]` here, on `install_locked` and on the latch's drop: left
+    // out of line, a single-site `install` measured ≈ 25 % slower.
+    #[inline]
+    pub fn lock_row(
+        &self,
+        area: &ColumnArea,
+        row: u32,
+        key: u64,
+    ) -> anker_vmem::Result<RowLatch<'_>> {
+        let witness = lockcheck::acquire(&classes::INSTALL_LATCH, key);
         let slot = &self.row_ts[row as usize];
         let mut spins = 0u32;
         // ORDERING: the Acquire load + AcqRel CAS pair with the Release
-        // stores that end a latch hold (`install_locked`, `unlock_row`),
-        // so the new latch holder sees the previous holder's install; the
-        // Release half publishes nothing yet but keeps the latch word a
-        // full synchronization point for the error-path restore below.
-        let t_old = loop {
+        // stores that end a latch hold (`install_locked`, `RowLatch`'s
+        // drop), so the new latch holder sees the previous holder's
+        // install; the Release half publishes nothing yet but keeps the
+        // latch word a full synchronization point for the restore.
+        let old_ts = loop {
             let t = slot.load(Ordering::Acquire);
             if t & PENDING == 0
                 && slot
@@ -599,52 +663,42 @@ impl VersionedColumn {
                 std::hint::spin_loop();
             }
         };
+        let mut latch = RowLatch {
+            col: self,
+            row,
+            old_ts,
+            old_word: 0,
+            restore: true,
+            _witness: witness,
+        };
         // The in-place value is stable while we hold the latch: only
-        // installers mutate it, and they need the latch first.
-        match area.get(row) {
-            Ok(old) => Ok((t_old, old)),
-            Err(e) => {
-                // ORDERING: Release so the latch hand-off synchronizes
-                // with the next `lock_row`'s Acquire.
-                slot.store(t_old, Ordering::Release);
-                Err(e)
-            }
-        }
-    }
-
-    /// Release `row`'s install latch without installing anything (abort
-    /// path): restore the pre-latch timestamp returned by
-    /// [`VersionedColumn::lock_row`].
-    pub fn unlock_row(&self, row: u32, old_ts: u64) {
-        debug_assert_eq!(old_ts & PENDING, 0);
-        let slot = &self.row_ts[row as usize];
-        debug_assert_ne!(slot.load(Ordering::Relaxed) & PENDING, 0, "row not latched");
-        // ORDERING: Release pairs with the Acquire in `lock_row` (and the
-        // readers' timestamp brackets): everything this aborter did under
-        // the latch happens-before the next holder's critical section.
-        slot.store(old_ts, Ordering::Release);
+        // installers mutate it, and they need the latch first. On error
+        // the latch drops and restores `old_ts`.
+        latch.old_word = area.get(row)?;
+        Ok(latch)
     }
 
     /// Install one committed write on a row latched by
-    /// [`VersionedColumn::lock_row`]: move the old value into the version
-    /// chain, store the new value in place, and release the latch at
-    /// `commit_ts`. `area` is re-resolved by the caller at install time
-    /// (a heterogeneous snapshot may have swapped the column area since
-    /// the latch was taken; contents are identical, so `old_word` stays
-    /// valid).
+    /// [`VersionedColumn::lock_row`], consuming its latch: move the old
+    /// value into the version chain, store the new value in place, and
+    /// release the latch at `commit_ts`. `area` is re-resolved by the
+    /// caller at install time (a heterogeneous snapshot may have swapped
+    /// the column area since the latch was taken; contents are identical,
+    /// so the latched old value stays valid).
     ///
-    /// On error the row is left latched — the caller must treat a failed
-    /// install after the commit is published as fatal.
+    /// On error the latch drops: it restores the pre-latch timestamp,
+    /// unless [`RowLatch::hold_until_install`] kept the row latched.
+    #[inline]
     pub fn install_locked(
         &self,
         area: &ColumnArea,
-        row: u32,
-        old_ts: u64,
-        old_word: u64,
+        mut latch: RowLatch<'_>,
         new_word: u64,
         commit_ts: u64,
     ) -> anker_vmem::Result<()> {
-        debug_assert!(old_ts < commit_ts, "non-monotonic install");
+        debug_assert!(std::ptr::eq(latch.col, self), "latch of another column");
+        debug_assert!(latch.old_ts < commit_ts, "non-monotonic install");
+        let row = latch.row;
         // ORDERING: order matters for latch-ignoring readers (see
         // [`VersionedColumn::read`]): (1) the replaced value enters the
         // chain, (2) the word advances to `commit_ts | PENDING` so no
@@ -652,10 +706,11 @@ impl VersionedColumn {
         // value overwritten, (4) the latch releases at `commit_ts`. Both
         // stores are Release so a reader's Acquire load of the word also
         // sees the chain push (step 1) that preceded it.
-        self.current.read().push(row, old_word, old_ts);
+        self.current.read().push(row, latch.old_word, latch.old_ts);
         self.row_ts[row as usize].store(commit_ts | PENDING, Ordering::Release);
         area.set(row, new_word)?;
         self.row_ts[row as usize].store(commit_ts, Ordering::Release);
+        latch.restore = false;
         Ok(())
     }
 
@@ -663,9 +718,14 @@ impl VersionedColumn {
     /// chain and store the new value in place, with the PENDING protocol
     /// making the switch atomic for readers. Returns the replaced value
     /// (commit records need it for predicate validation). Convenience
-    /// composition of [`VersionedColumn::lock_row`] +
+    /// composition of [`VersionedColumn::lock_row`] (order key `row`) +
     /// [`VersionedColumn::install_locked`] for single-site callers; the
     /// engine's pipeline uses the split form.
+    ///
+    /// A failed install is an abort, not a fatal state: nothing is
+    /// published yet, and the only fallible step precedes the in-place
+    /// overwrite, so the dropped latch restores the pre-latch timestamp.
+    /// The chain entry already pushed is a harmless duplicate of history.
     pub fn install(
         &self,
         area: &ColumnArea,
@@ -673,22 +733,10 @@ impl VersionedColumn {
         new_word: u64,
         commit_ts: u64,
     ) -> anker_vmem::Result<u64> {
-        let (old_ts, old_word) = self.lock_row(area, row)?;
-        match self.install_locked(area, row, old_ts, old_word, new_word, commit_ts) {
-            Ok(()) => Ok(old_word),
-            Err(e) => {
-                // Unlike the pipeline's split form, nothing is published
-                // yet when a single-site install fails, and the only
-                // fallible step precedes the in-place overwrite — so this
-                // is an abort, not a fatal state: restore the pre-latch
-                // timestamp instead of leaking the latch (a leaked latch
-                // spins every later writer of the row forever). The chain
-                // entry already pushed is a harmless duplicate of history:
-                // `old_word` was the value up to `old_ts` either way.
-                self.unlock_row(row, old_ts);
-                Err(e)
-            }
-        }
+        let latch = self.lock_row(area, row, row as u64)?;
+        let old_word = latch.old_word;
+        self.install_locked(area, latch, new_word, commit_ts)?;
+        Ok(old_word)
     }
 
     /// Freeze the current chain store for a snapshot at `freeze_ts` and
@@ -977,6 +1025,41 @@ mod tests {
         assert_eq!(vc.read(&area, 3, 7).unwrap(), 999);
         assert_eq!(vc.read(&area, 3, 8).unwrap(), 1000);
         assert_eq!(vc.current_store().chain_len(3), 2);
+    }
+
+    /// A latch dropped on a `?` exit restores the row's pre-latch word,
+    /// `PENDING` clear; `install_locked` consumes its latch and ends it at
+    /// the commit timestamp; a latch held until install stays latched
+    /// when dropped.
+    #[test]
+    fn a_row_latch_releases_itself_unless_installed() {
+        let k = Kernel::default();
+        let s = k.create_space();
+        let area = ColumnArea::alloc(&s, 16).unwrap();
+        area.fill((0..16u64).map(|i| i * 10)).unwrap();
+        // More rows than the area: latching row 20 fails on its read.
+        let vc = VersionedColumn::new(32, LogicalType::Int);
+        vc.install(&area, 2, 7, 3).unwrap();
+        let attempt = || -> anker_vmem::Result<()> {
+            let a = vc.lock_row(&area, 2, 2)?;
+            let b = vc.lock_row(&area, 4, 4)?;
+            assert_eq!((a.old_ts(), a.old_word()), (3, 7));
+            assert_eq!((b.old_ts(), b.old_word()), (0, 40));
+            assert_eq!(vc.last_write_ts(2), 3 | PENDING);
+            let _past_the_area = vc.lock_row(&area, 20, 20)?;
+            Ok(())
+        };
+        assert!(attempt().is_err(), "row 20 is past the area");
+        assert_eq!([2, 4, 20].map(|r| vc.last_write_ts(r)), [3, 0, 0]);
+        let latch = vc.lock_row(&area, 4, 4).unwrap();
+        vc.install_locked(&area, latch, 41, 6).unwrap();
+        assert_eq!(vc.last_write_ts(4), 6);
+        assert_eq!(vc.read(&area, 4, 6).unwrap(), 41);
+        assert_eq!(vc.read(&area, 4, 5).unwrap(), 40);
+        let mut held = vc.lock_row(&area, 5, 5).unwrap();
+        held.hold_until_install();
+        drop(held);
+        assert_eq!(vc.last_write_ts(5), PENDING);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use anker_mvcc::{ScanStats, VersionedColumn, BLOCK_ROWS};
 use anker_storage::{ColumnArea, LogicalType};
 use anker_vmem::Kernel;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Two full skip blocks and a partial third.
 const ROWS: u32 = 2 * BLOCK_ROWS + 552;
@@ -80,7 +80,7 @@ proptest! {
         let mut oracle = Oracle::new(ROWS);
         let mut ts = 0u64;
         let mut safe_horizon = 0u64; // oldest ts reads are still guaranteed
-        let mut latched = BTreeSet::new();
+        let mut latched = BTreeMap::new();
 
         for op in &ops {
             match op {
@@ -91,7 +91,7 @@ proptest! {
                     let mut unique: Vec<u32> = rows.clone();
                     unique.sort_unstable();
                     unique.dedup();
-                    unique.retain(|row| !latched.contains(row));
+                    unique.retain(|row| !latched.contains_key(row));
                     for row in unique {
                         let value = ts * 1000 + row as u64;
                         vc.install(&area, row, value, ts).unwrap();
@@ -108,8 +108,8 @@ proptest! {
                     safe_horizon = safe_horizon.max(horizon);
                 }
                 Op::Latch { row } => {
-                    if latched.insert(*row) {
-                        vc.lock_row(&area, *row).unwrap();
+                    if !latched.contains_key(row) {
+                        latched.insert(*row, vc.lock_row(&area, *row, *row as u64).unwrap());
                     }
                 }
             }

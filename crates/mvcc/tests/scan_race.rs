@@ -121,8 +121,7 @@ fn race(backend: Arc<dyn VmBackend>) {
             // Latch and abort the next commit's row: its word moves to
             // PENDING and back while its in-place value stays put.
             let next = row_of(ts + 1);
-            let (old_ts, _) = vc.lock_row(&area, next).unwrap();
-            vc.unlock_row(next, old_ts);
+            drop(vc.lock_row(&area, next, next as u64).unwrap());
             if ts % 512 == 0 {
                 // Readers still at an older watermark now take the
                 // pre-freeze (every-row) path; nothing is released, so

@@ -51,7 +51,10 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// (`dst = None`) or into an existing equally-sized area
     /// (`dst = Some(addr)`, §4.1.3 destination recycling). Returns the
     /// destination address. After the call both views read identically;
-    /// a write through either view no longer affects the other.
+    /// a write through either view no longer affects the other. A backend
+    /// that does not recycle destinations (the OS backend) refuses
+    /// `Some(addr)` with [`VmError::BadDestination`](crate::VmError) and
+    /// changes nothing.
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64>;
 
     /// [`VmBackend::vm_snapshot`] into a fresh area, for an image whose

@@ -22,7 +22,8 @@ pub enum VmError {
     /// Access beyond the end of a main-memory file (SIGBUS).
     BeyondFileEnd { file_page: u64, file_pages: u64 },
     /// The requested destination range of `vm_snapshot` is not (entirely)
-    /// allocated, or overlaps the source.
+    /// allocated, or overlaps the source, or the backend recycles no
+    /// destination (the OS backend).
     BadDestination { addr: u64 },
     /// The simulated machine ran out of physical frames.
     OutOfMemory,

@@ -15,8 +15,9 @@
 //!   **frozen**. The live view's page tables are then dropped
 //!   (`MADV_DONTNEED`, which on a shared memfd mapping keeps the data), so
 //!   a page read through both views is not resident twice in the
-//!   process's accounting. A recycled destination (`Some(d)`) is the same
-//!   `mmap` with `MAP_FIXED` over `d`.
+//!   process's accounting. A caller-chosen destination (`Some(d)`) is
+//!   refused with [`VmError::BadDestination`]: no engine path recycles
+//!   one, so the simulated kernel alone models §4.1.3's recycling.
 //! * A private view reads the file page until it holds its own copy. So
 //!   before the first store to a frozen page of the live view, the
 //!   backend makes every private view of that page that still reads
@@ -112,7 +113,6 @@ mod ffi {
     pub const PROT_WRITE: i32 = 0x2;
     pub const MAP_SHARED: i32 = 0x01;
     pub const MAP_PRIVATE: i32 = 0x02;
-    pub const MAP_FIXED: i32 = 0x10;
     pub const MAP_ANONYMOUS: i32 = 0x20;
     /// `MAP_POPULATE`: fault the whole mapping in at `mmap` time.
     pub const MAP_POPULATE: i32 = 0x8000;
@@ -191,9 +191,6 @@ fn page_runs(off: u64, len: usize, ps: u64) -> impl Iterator<Item = (std::ops::R
 struct Mapping {
     base: u64,
     bytes: u64,
-    /// False once a `MAP_FIXED` snapshot mapped over the range, which then
-    /// belongs to the new mapping.
-    owned: bool,
     /// An image cut for reading through: its copy table, and the pool its
     /// copies go back to when the mapping drops.
     aside: Option<(Arc<Copies>, Arc<CopyPool>)>,
@@ -206,9 +203,6 @@ impl Drop for Mapping {
         // No view reads the copies any more: every view holds the mapping.
         if let Some((copies, pool)) = &self.aside {
             pool.give_back(copies.taken());
-        }
-        if !self.owned {
-            return;
         }
         OsBackend::bump(&self.stats.munmap_calls);
         self.stats.wired_runs.fetch_sub(1, Ordering::Relaxed);
@@ -452,8 +446,6 @@ impl MapState {
 pub struct OsStats {
     /// `vm_snapshot` and `vm_snapshot_read_through` calls served.
     pub snapshots: AtomicU64,
-    /// Snapshots that recycled an existing destination view (§4.1.3).
-    pub recycled: AtomicU64,
     /// Copy-on-write splits: first stores to a frozen page of a live view
     /// that some private view still read through. Each such view takes
     /// its copy: a zero-copy snapshot by [`OsStats::populate_writes`], an
@@ -473,8 +465,7 @@ pub struct OsStats {
     pub dontneed_advices: AtomicU64,
     /// `madvise(MADV_HUGEPAGE)` calls issued (huge-pages knob on).
     pub huge_page_advices: AtomicU64,
-    /// `mmap` calls issued: one per view mapped, fresh or `MAP_FIXED`
-    /// over a recycled destination.
+    /// `mmap` calls issued: one per view mapped.
     pub mmap_calls: AtomicU64,
     /// `munmap` calls issued.
     pub munmap_calls: AtomicU64,
@@ -507,7 +498,6 @@ impl OsStats {
         let huge_page_advices = self.huge_page_advices.load(Relaxed);
         OsStatsSnapshot {
             snapshots: self.snapshots.load(Relaxed),
-            recycled: self.recycled.load(Relaxed),
             cow_copies: self.cow_copies.load(Relaxed),
             cow_reclaims: self.cow_reclaims.load(Relaxed),
             populate_writes,
@@ -533,7 +523,6 @@ impl OsStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OsStatsSnapshot {
     pub snapshots: u64,
-    pub recycled: u64,
     pub cow_copies: u64,
     pub cow_reclaims: u64,
     pub populate_writes: u64,
@@ -706,29 +695,21 @@ impl OsBackend {
     }
 
     /// Map `file` whole — `MAP_PRIVATE` when `private`, else `MAP_SHARED`
-    /// — at a kernel-chosen address (`at = None`) or `MAP_FIXED` over the
-    /// tabled view `Some(d)`, replacing it.
-    fn map(&self, at: Option<u64>, file: &OwnedFd, bytes: u64, private: bool) -> Result<Mapping> {
+    /// — at a kernel-chosen address.
+    fn map(&self, file: &OwnedFd, bytes: u64, private: bool) -> Result<Mapping> {
         self.injected_failure("mmap")?;
         Self::bump(&self.inner.stats.mmap_calls);
-        let share = if private {
+        let flags = if private {
             ffi::MAP_PRIVATE
         } else {
             ffi::MAP_SHARED
         };
-        let (addr, flags) = match at {
-            Some(d) => (d as *mut _, share | ffi::MAP_FIXED),
-            None => (std::ptr::null_mut(), share),
-        };
-        // SAFETY(provenance: at, file, bounds: bytes): either a fresh
-        // mapping at a kernel-chosen address, touching no existing memory,
-        // or MAP_FIXED over one whole view this backend tabled (the
-        // caller's write lock keeps every locked reader out, and a
-        // destination some `View` holds is refused); the file is `bytes`
-        // long.
+        // SAFETY(provenance: file, bounds: bytes): a fresh mapping at a
+        // kernel-chosen address, touching no existing memory; the file is
+        // `bytes` long.
         let p = unsafe {
             ffi::mmap(
-                addr,
+                std::ptr::null_mut(),
                 bytes as usize,
                 ffi::PROT_READ | ffi::PROT_WRITE,
                 flags,
@@ -739,12 +720,9 @@ impl OsBackend {
         if p == ffi::map_failed() {
             return Err(os_err("mmap"));
         }
-        if at.is_none() {
-            Self::bump(&self.inner.stats.wired_runs);
-        }
+        Self::bump(&self.inner.stats.wired_runs);
         if self.inner.huge_pages {
-            // Each mmap replaces any previous mapping (and its advice), so
-            // every mapped view is advised here — the single point every
+            // Every mapped view is advised here — the single point every
             // view passes through.
             // SAFETY(provenance: p, bounds: bytes): advising the mapping
             // just created above; madvise on a valid range cannot corrupt
@@ -755,7 +733,6 @@ impl OsBackend {
         Ok(Mapping {
             base: p as u64,
             bytes,
-            owned: true,
             aside: None,
             stats: Arc::clone(&self.inner.stats),
         })
@@ -901,41 +878,17 @@ impl OsBackend {
         Ok((base, first..last + 1))
     }
 
-    /// Map `file` as a view of `kind` — a new area, or a snapshot's
-    /// destination — and table it: a fresh view (`None`), or `MAP_FIXED`
-    /// over the tabled view `Some(d)` (which no [`View`] holds), which
-    /// leaves the table and its lineage first. A failed `MAP_FIXED` may
-    /// already have replaced `d`, so `d` is then torn down whole: the
-    /// caller gets an error and a dangling (`NotMapped`) destination,
-    /// never another area's bytes.
-    fn map_destination(
+    /// Map `file` as a new view of `kind` — a new area, or a snapshot —
+    /// and table it.
+    fn map_view(
         &self,
         st: &mut MapState,
-        dst: Option<u64>,
         file: Arc<OwnedFd>,
         kind: ViewKind,
         bytes: u64,
     ) -> Result<u64> {
         let private = kind != ViewKind::Live;
-        let mut map = match dst {
-            None => self.map(None, &file, bytes, private)?,
-            Some(d) => {
-                let mapped = self.map(Some(d), &file, bytes, private);
-                let mut old = st.remove_area(d).expect("destination checked");
-                if mapped.is_ok() {
-                    // The range belongs to the new mapping now. On failure
-                    // the old one drops owned, and its munmap tears `d`
-                    // down whole.
-                    Arc::get_mut(&mut old.map)
-                        .expect("no view holds a destination")
-                        .owned = false;
-                }
-                drop(old);
-                let map = mapped?;
-                Self::bump(&self.inner.stats.recycled);
-                map
-            }
-        };
+        let mut map = self.map(&file, bytes, private)?;
         let pages = (bytes / self.inner.page_size) as usize;
         if kind == ViewKind::ReadThrough {
             map.aside = Some((Arc::new(Copies::new(pages)), Arc::clone(&self.inner.pool)));
@@ -962,7 +915,7 @@ impl OsBackend {
     /// [`ViewKind::ReadThrough`] image never maps its unsplit pages, so
     /// it leaves them. A private source is copied physically into a new
     /// live view, whatever `kind`.
-    fn cut(&self, dst: Option<u64>, src: u64, bytes: u64, kind: ViewKind) -> Result<u64> {
+    fn cut(&self, src: u64, bytes: u64, kind: ViewKind) -> Result<u64> {
         self.check_aligned(src)?;
         self.check_aligned(bytes)?;
         if bytes == 0 {
@@ -980,26 +933,18 @@ impl OsBackend {
             ));
         }
         let private_src = src_area.private;
-        if let Some(d) = dst {
-            // A destination some view still holds cannot be mapped over:
-            // the view would read the new mapping, and unmap it on drop.
-            match st.areas.get(&d) {
-                Some(a) if d != src && a.bytes() == bytes && Arc::strong_count(&a.map) == 1 => {}
-                _ => return Err(VmError::BadDestination { addr: d }),
-            }
-        }
         let base = if private_src {
             // A private view's pages may be its own copies, which its file
             // does not hold: copy it physically into a new file, mapped as
             // a new live view.
             let file = self.create_file(bytes)?;
             self.copy_into(&st.areas[&src], &file)?;
-            self.map_destination(&mut st, dst, file, ViewKind::Live, bytes)?
+            self.map_view(&mut st, file, ViewKind::Live, bytes)?
         } else {
             let file = Arc::clone(&st.areas[&src].file);
             // On failure the source is untouched: not frozen, page tables
             // kept.
-            self.map_destination(&mut st, dst, file, kind, bytes)?
+            self.map_view(&mut st, file, kind, bytes)?
         };
         if !private_src {
             // Every page of the live view is frozen until the new view
@@ -1044,7 +989,7 @@ impl crate::backend::VmBackend for OsBackend {
         }
         let mut st = self.inner.state.write();
         let file = self.create_file(bytes)?;
-        self.map_destination(&mut st, None, file, ViewKind::Live, bytes)
+        self.map_view(&mut st, file, ViewKind::Live, bytes)
     }
 
     fn release(&self, addr: u64, bytes: u64) -> Result<()> {
@@ -1064,11 +1009,16 @@ impl crate::backend::VmBackend for OsBackend {
     }
 
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64> {
-        self.cut(dst, src, bytes, ViewKind::Snapshot)
+        // No engine path recycles a destination (§4.1.3); the simulated
+        // kernel models it, this backend refuses it and touches nothing.
+        if let Some(d) = dst {
+            return Err(VmError::BadDestination { addr: d });
+        }
+        self.cut(src, bytes, ViewKind::Snapshot)
     }
 
     fn vm_snapshot_read_through(&self, src: u64, bytes: u64) -> Result<u64> {
-        self.cut(None, src, bytes, ViewKind::ReadThrough)
+        self.cut(src, bytes, ViewKind::ReadThrough)
     }
 
     fn read_u64(&self, addr: u64) -> Result<u64> {
@@ -1401,8 +1351,7 @@ mod tests {
     }
 
     /// The wired-runs gauge counts the views mapped: a split maps
-    /// nothing, a recycled destination stays one view, and a physical
-    /// copy is one more.
+    /// nothing, and a physical copy is one more.
     #[test]
     fn wired_runs_gauge_equals_live_views() {
         let b = OsBackend::new().unwrap();
@@ -1418,8 +1367,6 @@ mod tests {
         assert_eq!(runs(), 2, "splits map nothing");
         let snap2 = b.vm_snapshot(None, a, 8 * ps).unwrap();
         b.write_u64(a + 3 * ps, 2).unwrap();
-        assert_eq!(runs(), 3);
-        assert_eq!(b.vm_snapshot(Some(snap), a, 8 * ps).unwrap(), snap);
         assert_eq!(runs(), 3);
         let copy = b.vm_snapshot(None, snap2, 8 * ps).unwrap();
         assert_eq!(runs(), 4);
@@ -1530,16 +1477,13 @@ mod tests {
     }
 
     /// A failed private map issues nothing else and leaves the source
-    /// readable, writable and unfrozen; a failed map over a recycled
-    /// destination tears the destination down and likewise leaves the
-    /// source alone.
+    /// readable, writable and unfrozen.
     #[test]
     fn failed_private_map_leaves_the_source_untouched() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(2 * ps).unwrap();
         b.write_u64(a, 7).unwrap();
-        let d = b.alloc(2 * ps).unwrap();
         let (before, in_use) = (b.stats().snapshot(), b.file_pages_in_use());
         fail_after(&b, 0);
         assert!(b.vm_snapshot(None, a, 2 * ps).is_err());
@@ -1550,14 +1494,6 @@ mod tests {
         assert_eq!((after.snapshots, after.dontneed_advices), (0, 0));
         assert_eq!(after.wired_runs, before.wired_runs);
         assert_eq!(b.file_pages_in_use(), in_use);
-        assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
-        assert_files_exact(&b);
-
-        fail_after(&b, 0);
-        assert!(b.vm_snapshot(Some(d), a, 2 * ps).is_err());
-        fail_after(&b, u64::MAX);
-        assert_eq!(b.read_u64(d), Err(VmError::NotMapped { addr: d }));
-        assert_eq!(b.stats().snapshot().wired_runs, 1, "the source alone");
         assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
         assert_files_exact(&b);
 
@@ -1627,22 +1563,25 @@ mod tests {
         assert_eq!(b.read_u64(a).unwrap(), 6);
     }
 
+    /// A caller-chosen destination is refused before anything happens:
+    /// no syscall, no page frozen, both areas as they were.
     #[test]
-    fn recycled_destination_reads_source_content() {
+    fn a_destination_is_refused_and_nothing_changes() {
         let b = OsBackend::new().unwrap();
         let ps = b.page_size();
         let a = b.alloc(2 * ps).unwrap();
         b.write_u64(a, 1).unwrap();
         let old = b.alloc(2 * ps).unwrap();
         b.write_u64(old, 42).unwrap();
-        let d = b.vm_snapshot(Some(old), a, 2 * ps).unwrap();
-        assert_eq!(d, old);
-        assert_eq!(b.read_u64(d).unwrap(), 1, "rewired onto the source");
-        assert_eq!(b.stats().recycled.load(Ordering::Relaxed), 1);
-        // Both views split correctly afterwards.
-        b.write_u64(a, 2).unwrap();
-        assert_eq!(b.read_u64(d).unwrap(), 1);
-        assert_eq!(b.read_u64(a).unwrap(), 2);
+        let before = b.stats().snapshot();
+        assert_eq!(
+            b.vm_snapshot(Some(old), a, 2 * ps),
+            Err(VmError::BadDestination { addr: old })
+        );
+        assert_eq!(b.stats().snapshot(), before, "no syscall, no snapshot");
+        assert!(!is_frozen(&b, a, 0) && !is_frozen(&b, a, 1));
+        assert_eq!([a, old].map(|v| b.read_u64(v).unwrap()), [1, 42]);
+        assert_files_exact(&b);
     }
 
     #[test]
@@ -1675,12 +1614,9 @@ mod tests {
         // A split maps nothing, so it advises nothing.
         b.write_u64(a, 1).unwrap();
         assert_eq!(hints(), 2);
-        // Mapping over a recycled destination replaces it: re-advised.
-        b.vm_snapshot(Some(snap), a, 4 * ps).unwrap();
-        assert_eq!(hints(), 3);
         let s = b.os_stats().expect("the OS backend surfaces its stats");
         assert_eq!(s, b.stats().snapshot());
-        assert_eq!(s.madvise_calls, 3 + s.dontneed_advices + s.populate_writes);
+        assert_eq!(s.madvise_calls, 2 + s.dontneed_advices + s.populate_writes);
         b.release(snap, 4 * ps).unwrap();
         b.release(a, 4 * ps).unwrap();
         // The knob off means zero hints.
@@ -1774,8 +1710,7 @@ mod tests {
     }
 
     /// A view keeps its mapping alive past `release`: the munmap comes
-    /// with the last view, and a destination a view holds cannot be
-    /// mapped over.
+    /// with the last view, whichever area's view it is.
     #[test]
     fn a_view_defers_the_munmap_and_pins_its_destination() {
         let b = OsBackend::new().unwrap();
@@ -1784,10 +1719,6 @@ mod tests {
         b.write_u64(a, 3).unwrap();
         let d = b.alloc(ps).unwrap();
         let dv = b.view(d, ps).unwrap();
-        assert_eq!(
-            b.vm_snapshot(Some(d), a, ps),
-            Err(VmError::BadDestination { addr: d })
-        );
         let v = b.view(a, ps).unwrap();
         let before = b.stats().snapshot();
         b.release(a, ps).unwrap();

@@ -1,8 +1,10 @@
 //! Backend-equivalence property test: the same randomized sequence of
-//! area operations — alloc, word writes, `vm_snapshot` (fresh and
-//! recycling), release, reads — must produce byte-identical observable
-//! state on the simulated kernel and on the real-OS memfd backend, and
-//! both must agree with a plain-vector oracle. After every op the OS
+//! area operations — alloc, word writes, `vm_snapshot` (fresh, and
+//! recycling on the simulated kernel, which the OS backend refuses and
+//! the test replaces by a release and a fresh snapshot), release, reads
+//! — must produce byte-identical observable state on the simulated
+//! kernel and on the real-OS memfd backend, and both must agree with a
+//! plain-vector oracle. After every op the OS
 //! backend's file pages in use must also equal, exactly, the summed size
 //! of the files its live areas map, as the test tracks them.
 //!
@@ -11,7 +13,7 @@
 
 #![cfg(target_os = "linux")]
 
-use anker_vmem::{Kernel, KernelConfig, OsBackend, VmBackend};
+use anker_vmem::{Kernel, KernelConfig, OsBackend, VmBackend, VmError};
 use proptest::prelude::*;
 
 const MAX_PAGES: u64 = 3;
@@ -28,7 +30,9 @@ enum Op {
     /// `vm_snapshot_read_through` it when `read_through`.
     Snapshot { sel: usize, read_through: bool },
     /// `vm_snapshot` area `src` into the equally-sized area `dst`
-    /// (§4.1.3 destination recycling); skipped when sizes differ.
+    /// (§4.1.3 destination recycling) on the simulated kernel; on the OS
+    /// backend, which refuses a destination, release `dst` and snapshot
+    /// `src` afresh in its place. Skipped when sizes differ.
     Recycle { src: usize, dst: usize },
     /// Release area `sel`.
     Release { sel: usize },
@@ -170,12 +174,24 @@ proptest! {
                     if src == dst || oracle[src].len() != oracle[dst].len() {
                         continue;
                     }
-                    for f in [&mut sim, &mut osf] {
-                        let (saddr, pages) = f.areas[src];
-                        let daddr = f.areas[dst].0;
-                        let got = f.backend.vm_snapshot(Some(daddr), saddr, pages * ps).unwrap();
-                        prop_assert_eq!(got, daddr);
+                    let (saddr, pages) = sim.areas[src];
+                    let daddr = sim.areas[dst].0;
+                    let got = space.vm_snapshot(Some(daddr), saddr, pages * ps).unwrap();
+                    prop_assert_eq!(got, daddr);
+                    let (saddr, pages) = osf.areas[src];
+                    let daddr = osf.areas[dst].0;
+                    prop_assert_eq!(
+                        os.vm_snapshot(Some(daddr), saddr, pages * ps),
+                        Err(VmError::BadDestination { addr: daddr })
+                    );
+                    // The refusal leaves both areas readable and unchanged.
+                    for (addr, want) in [(saddr, &oracle[src]), (daddr, &oracle[dst])] {
+                        let mut buf = vec![0u64; want.len()];
+                        os.read_words(addr, &mut buf).unwrap();
+                        prop_assert_eq!(&buf, want, "after a refused destination");
                     }
+                    os.release(daddr, pages * ps).unwrap();
+                    osf.areas[dst].0 = os.vm_snapshot(None, saddr, pages * ps).unwrap();
                     files.of_area[dst] = files.snapshot_of(src);
                     oracle[dst] = oracle[src].clone();
                 }

@@ -7,9 +7,10 @@
 //! sub-area snapshots) which the OS backend intentionally does not expose;
 //! everything the *engine* relies on — allocation, word and block access,
 //! `vm_snapshot` (and `vm_snapshot_read_through`) isolation in both
-//! directions, destination recycling,
-//! release/re-use — is specified here once and must hold identically on
-//! both substrates.
+//! directions, release/re-use — is specified here once and must hold
+//! identically on both substrates. Destination recycling (§4.1.3), which
+//! no engine path uses, is the simulated kernel's alone: the OS backend
+//! refuses it and changes nothing.
 
 use anker_vmem::{Kernel, KernelConfig, OsBackend, VmBackend, VmError};
 
@@ -134,6 +135,24 @@ fn recycled_destination_matches_source_and_isolates() {
         b.write_u64(src + ps, 22).unwrap();
         let old = b.alloc(2 * ps).unwrap();
         b.write_u64(old, 99).unwrap();
+        if b.name() == "os" {
+            assert_eq!(
+                b.vm_snapshot(Some(old), src, 2 * ps),
+                Err(VmError::BadDestination { addr: old }),
+                "os: a destination is refused"
+            );
+            // Both areas stay readable, unchanged and writable.
+            assert_eq!(
+                [src, src + ps, old].map(|a| b.read_u64(a).unwrap()),
+                [11, 22, 99]
+            );
+            b.write_u64(src, 12).unwrap();
+            b.write_u64(old, 98).unwrap();
+            assert_eq!([src, old].map(|a| b.read_u64(a).unwrap()), [12, 98]);
+            b.release(old, 2 * ps).unwrap();
+            b.release(src, 2 * ps).unwrap();
+            return;
+        }
         let d = b.vm_snapshot(Some(old), src, 2 * ps).unwrap();
         assert_eq!(d, old, "{}: recycling reuses the destination", b.name());
         assert_eq!(b.read_u64(d).unwrap(), 11);
