@@ -884,10 +884,15 @@ impl AnkerDb {
     /// Run one garbage-collection pass (homogeneous mode). Takes the
     /// commit lock and — in homogeneous mode, where installs run outside
     /// it — additionally freezes commit-timestamp allocation and drains
-    /// in-flight committers first: the chain-compaction pass rewrites
-    /// skip-block ranges and must not race concurrent installs (see
-    /// [`anker_mvcc::ChainStore::gc`]). This stop-the-world window is
-    /// exactly the cost the paper attributes to classical MVCC GC.
+    /// in-flight committers first. The freeze is still needed although a
+    /// block's newest-install timestamp is never rewritten: the pass
+    /// rewrites every block's `[first, last]` range from the chains it
+    /// retains, which would erase a concurrent push, and it drops a whole
+    /// chain when the row's word names a visible timestamp, which on a
+    /// latched row mid-install could drop the version the install just
+    /// pushed (see [`anker_mvcc::ChainStore::gc`]). This stop-the-world
+    /// window is exactly the cost the paper attributes to classical MVCC
+    /// GC.
     pub fn run_gc_once(&self) -> u64 {
         // Whole-pass latency, commit-lock wait and quiesce spin included —
         // that wait is the cost OLTP actually pays for a GC pass.

@@ -88,12 +88,19 @@ impl Chain {
     }
 }
 
-/// Seqlock-protected skip-block metadata.
+/// Seqlock-protected skip-block metadata. Every field other than `seq` is
+/// written only inside the seqlock writer section, which is exclusive, so
+/// writers update them with a plain load-then-store.
 #[derive(Debug)]
 struct Block {
     seq: AtomicU32,
+    /// First and last row with a version in this store (`NO_ROW`/0 when
+    /// none); GC narrows them to the rows it retains.
     first: AtomicU32,
     last: AtomicU32,
+    /// The highest commit timestamp installed into the block: monotone,
+    /// and never rewritten by GC.
+    newest: AtomicU64,
 }
 
 impl Block {
@@ -102,6 +109,7 @@ impl Block {
             seq: AtomicU32::new(0),
             first: AtomicU32::new(NO_ROW),
             last: AtomicU32::new(0),
+            newest: AtomicU64::new(0),
         }
     }
 
@@ -200,13 +208,16 @@ impl ChainStore {
         self.version_count() == 0
     }
 
-    /// Prepend a version to `row`'s chain and widen the row's skip block.
+    /// Prepend the version `value`, written at `ts`, to `row`'s chain for
+    /// the install at `commit_ts` that replaces it; widen the row's skip
+    /// block and raise its newest-install timestamp to `commit_ts`. That
+    /// timestamp is monotone: GC never lowers it.
     ///
     /// Safe under concurrent pushers: the seqlock writer side is acquired
     /// exclusively (even → odd CAS), so pipeline installs landing in the
     /// same block serialize briefly; per-row ordering is the caller's
     /// responsibility (the commit pipeline's per-row install latch).
-    pub fn push(&self, row: u32, value: u64, ts: u64) {
+    pub fn push(&self, row: u32, value: u64, ts: u64, commit_ts: u64) {
         // Seqlock write: mark the block dirty before touching chain or
         // range so concurrent tight scans retry.
         let block = &self.blocks[(row / BLOCK_ROWS) as usize];
@@ -215,8 +226,17 @@ impl ChainStore {
             let mut shard = self.shard(row).write();
             shard.entry(row).or_default().push(value, ts);
         }
-        block.first.fetch_min(row, Ordering::Relaxed);
-        block.last.fetch_max(row, Ordering::Relaxed);
+        // The writer section is exclusive: plain stores, no locked
+        // read-modify-writes (`fetch_max` here measurably slowed commits).
+        if row < block.first.load(Ordering::Relaxed) {
+            block.first.store(row, Ordering::Relaxed);
+        }
+        if row > block.last.load(Ordering::Relaxed) {
+            block.last.store(row, Ordering::Relaxed);
+        }
+        if commit_ts > block.newest.load(Ordering::Relaxed) {
+            block.newest.store(commit_ts, Ordering::Relaxed);
+        }
         self.versions.fetch_add(1, Ordering::Relaxed);
         block.write_unlock(); // even again
     }
@@ -239,9 +259,9 @@ impl ChainStore {
             .unwrap_or(0)
     }
 
-    /// Seqlock read of block metadata: `(seq, first, last)`.
+    /// Seqlock read of block metadata: `(seq, first, last, newest)`.
     #[inline]
-    fn block_read(&self, block: usize) -> (u32, u32, u32) {
+    fn block_read(&self, block: usize) -> (u32, u32, u32, u64) {
         let b = &self.blocks[block];
         // ORDERING: Acquire on `seq` pairs with `write_unlock`'s Release —
         // if we read an even seq, the metadata loads below are at least as
@@ -249,7 +269,8 @@ impl ChainStore {
         let seq = b.seq.load(Ordering::Acquire);
         let first = b.first.load(Ordering::Relaxed);
         let last = b.last.load(Ordering::Relaxed);
-        (seq, first, last)
+        let newest = b.newest.load(Ordering::Relaxed);
+        (seq, first, last, newest)
     }
 
     /// Validate that block metadata (and thus the block's chains) did not
@@ -273,7 +294,9 @@ impl ChainStore {
     /// ([`crate::TsOracle::freeze_commits`]): the pass recomputes every
     /// block's skip range from the retained chains, and a concurrent
     /// install between the retain and the range rewrite would be erased
-    /// from the skip index (scans would then miss its version).
+    /// from the skip index (scans would then miss its version). The pass
+    /// leaves each block's newest-install timestamp as it is: it only
+    /// drops versions, and a stale-high `newest` only costs a bracket.
     pub fn gc(&self, min_active: u64, row_ts: &[AtomicU64]) -> u64 {
         let mut removed = 0u64;
         let n_blocks = self.blocks.len();
@@ -706,7 +729,9 @@ impl VersionedColumn {
         // value overwritten, (4) the latch releases at `commit_ts`. Both
         // stores are Release so a reader's Acquire load of the word also
         // sees the chain push (step 1) that preceded it.
-        self.current.read().push(row, latch.old_word, latch.old_ts);
+        self.current
+            .read()
+            .push(row, latch.old_word, latch.old_ts, commit_ts);
         self.row_ts[row as usize].store(commit_ts | PENDING, Ordering::Release);
         area.set(row, new_word)?;
         self.row_ts[row as usize].store(commit_ts, Ordering::Release);
@@ -753,11 +778,14 @@ impl VersionedColumn {
         // walk reads `current`, then `older`, so it finds the store in at
         // least one of the two whenever it runs.
         self.older.write().push((freeze_ts, Arc::clone(&frozen)));
-        *self.current.write() = fresh;
         // ORDERING: Release pairs with the Acquire in `gather_visible_block` —
         // a scanner that sees the new freeze timestamp also sees the
-        // frozen store already pushed onto `older`.
+        // frozen store already pushed onto `older`. Published before the
+        // fresh store: a gather that finds the fresh store (through the
+        // `current` lock) then sees this timestamp, so a reader older than
+        // the freeze never trusts the fresh store's empty skip index.
         self.last_freeze_ts.store(freeze_ts, Ordering::Release);
+        *self.current.write() = fresh;
         frozen
     }
 
@@ -794,11 +822,11 @@ impl VersionedColumn {
     }
 
     /// Full-column scan delivering the version of every row visible at
-    /// `start_ts`, in row order, using the block-skip optimisation:
-    /// unversioned 1024-row blocks are read in a tight loop (seqlock
-    /// validated); blocks with versioned rows check visibility inside the
-    /// `[first, last]` range only, with one timestamp bracket per block
-    /// (see [`VersionedColumn::gather_visible_block`]).
+    /// `start_ts`, in row order, using the block-skip optimisation: a
+    /// 1024-row block with nothing installed after `start_ts` is read in a
+    /// tight loop (seqlock validated); other blocks check visibility
+    /// inside the `[first, last]` versioned range only, with one timestamp
+    /// bracket per block (see [`VersionedColumn::gather_visible_block`]).
     pub fn scan_visible(
         &self,
         area: &ColumnArea,
@@ -844,12 +872,19 @@ impl VersionedColumn {
     /// (one skip block or a prefix of it) into `buf[..n]`, applying the
     /// block-skip optimisation. `block_start` must be block aligned.
     ///
-    /// The block is copied once. An unversioned block is delivered as
-    /// copied once its seqlock verifies. In a mixed block only the
-    /// `[first, last]` range is checked, and a block whose verify fails (or
-    /// a reader older than the last freeze) has every row checked; all
-    /// three check their rows with one timestamp bracket around the copy,
-    /// so [`VersionedColumn::read`] runs only for a row an install raced.
+    /// The block is copied once. A block with no versions, or whose
+    /// newest install (its monotone `newest` timestamp, which GC never
+    /// rewrites) is at or before `start_ts`, is delivered as copied once
+    /// its seqlock verifies. Otherwise only the `[first, last]` range is
+    /// checked, and a block whose verify fails (or a reader older than the
+    /// last freeze) has every row checked; both check their rows with one
+    /// timestamp bracket around the copy, so [`VersionedColumn::read`]
+    /// runs only for a row an install raced.
+    ///
+    /// The tight copy is exact because `start_ts` is a completed
+    /// watermark: every commit at or before it has installed, and any
+    /// later install pushes into the block — bumping `seq`, so the copy
+    /// fails to verify — before it stores in place.
     ///
     /// This is the building block of multi-column scans: the executor
     /// gathers one block per column, then combines rows.
@@ -865,6 +900,8 @@ impl VersionedColumn {
         debug_assert!(block_start.is_multiple_of(BLOCK_ROWS));
         debug_assert!(n <= BLOCK_ROWS && block_start + n <= self.rows);
         let buf = &mut buf[..n as usize];
+        // The store before the freeze timestamp: `freeze_epoch` publishes
+        // them in the other order.
         let store = self.current_store();
         // The skip index only knows versions of the current epoch; readers
         // older than the last freeze must check every row (cannot happen in
@@ -874,10 +911,11 @@ impl VersionedColumn {
         // seeing the freeze timestamp implies the frozen store is visible.
         let force_per_row = start_ts < self.last_freeze_ts.load(Ordering::Acquire);
         let block_idx = (block_start / BLOCK_ROWS) as usize;
-        let (seq, first, last) = store.block_read(block_idx);
+        let (seq, first, last, newest) = store.block_read(block_idx);
         let tight_ok = !force_per_row && seq % 2 == 0;
-        if tight_ok && first == NO_ROW {
-            // Fully unversioned block: copy, validate, deliver.
+        if tight_ok && (first == NO_ROW || newest <= start_ts) {
+            // Nothing in the block is newer than the reader: copy,
+            // validate, deliver.
             area.read_block_into(block_start, n, buf)?;
             if store.block_verify(block_idx, seq) && self.still_current(&store) {
                 stats.tight_rows += n as u64;
@@ -1169,6 +1207,36 @@ mod tests {
         // Checked rows = the [first,last] = [10,19] range only.
         assert_eq!(stats.checked_rows, 10);
         assert_eq!(stats.tight_rows, 2048 - 10);
+    }
+
+    #[test]
+    fn block_reads_tight_once_every_install_predates_the_reader() {
+        let (_k, area, vc) = setup(2048);
+        // Rows 10..20 of block 0 updated by commits 2..=11, one each.
+        for (r, ts) in (10..20).zip(2u64..) {
+            vc.install(&area, r, 5000 + r as u64, ts).unwrap();
+        }
+        let mut buf = vec![0u64; BLOCK_ROWS as usize];
+        // A reader at the newest install sees every row in place.
+        let mut stats = ScanStats::default();
+        vc.gather_visible_block(&area, 11, 0, BLOCK_ROWS, &mut buf, &mut stats)
+            .unwrap();
+        assert_eq!(buf[19], 5019);
+        assert_eq!(buf[20], 200);
+        assert_eq!(
+            (stats.tight_rows, stats.checked_rows, stats.chain_walks),
+            (BLOCK_ROWS as u64, 0, 0)
+        );
+        // One commit older: the [first, last] = [10, 19] bracket, and row
+        // 19 (installed at ts 11) comes from its chain.
+        let mut stats = ScanStats::default();
+        vc.gather_visible_block(&area, 10, 0, BLOCK_ROWS, &mut buf, &mut stats)
+            .unwrap();
+        assert_eq!((buf[18], buf[19]), (5018, 190));
+        assert_eq!(
+            (stats.tight_rows, stats.checked_rows, stats.chain_walks),
+            (BLOCK_ROWS as u64 - 10, 10, 1)
+        );
     }
 
     #[test]

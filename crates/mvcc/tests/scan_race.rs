@@ -3,14 +3,20 @@
 //! One writer installs serialized commits into a single hot block and
 //! publishes each commit timestamp as a watermark once its install is done;
 //! between commits it also latches-and-aborts a hot row and, now and then,
-//! freezes the epoch. Readers gather the hot block at the current watermark,
-//! so the row being installed at that moment still carries an older,
-//! visible timestamp when the reader's bracket loads it. That row's word
-//! moves during the block copy, which is the case the per-block timestamp
-//! bracket must re-read. Every gathered row must equal its value at the
-//! reader's timestamp. The writer starts only once every reader has
-//! finished one gather, so the readers are running when the installs
-//! begin even where the host has fewer CPUs than threads.
+//! freezes the epoch. Two readers gather the hot block at the current
+//! watermark. Between installs nothing in the block is newer than they
+//! are, so they copy it tight, validated only by the block's seqlock; an
+//! install that starts meanwhile must fail that validation. A third reader
+//! lags the watermark by a few commits, so its gathers of the same block
+//! bracket the versioned rows: the row being installed at that moment
+//! still carries an older, visible timestamp when the bracket loads it,
+//! and its word moves during the block copy, which is the case the
+//! per-block timestamp bracket must re-read. For a few commits after each
+//! freeze the lagging reader is older than the freeze, so it must check
+//! every row rather than trust the fresh store's empty skip index. Every
+//! gathered row must equal its value at the reader's timestamp. The writer starts only once every
+//! reader has finished one gather, so the readers are running when the
+//! installs begin even where the host has fewer CPUs than threads.
 //!
 //! Runs on the simulated kernel, and on the real-OS backend on Linux.
 
@@ -23,7 +29,10 @@ use std::sync::Arc;
 /// Two skip blocks; block 0 is the hot one.
 const ROWS: u32 = 2 * BLOCK_ROWS;
 const COMMITS: u64 = 6000;
-const READERS: usize = 2;
+/// Commits the lagging reader trails the watermark by.
+const LAG: u64 = 3;
+/// Each reader's lag behind the watermark.
+const LAGS: [u64; 3] = [0, 0, LAG];
 
 /// The hot-block row commit `ts` writes: a stride-37 walk over block 0, so
 /// consecutive commits hit different rows and every row is rewritten once
@@ -66,16 +75,19 @@ fn race(backend: Arc<dyn VmBackend>) {
     let ready = AtomicUsize::new(0);
     let first = &first_commits();
     std::thread::scope(|s| {
-        let readers: Vec<_> = (0..READERS)
-            .map(|_| {
-                s.spawn(|| {
+        let readers: Vec<_> = LAGS
+            .iter()
+            .map(|&lag| {
+                let (vc, area, watermark, stop) = (&vc, &area, &watermark, &stop);
+                let (gathers, ready) = (&gathers, &ready);
+                s.spawn(move || {
                     let mut buf = vec![0u64; BLOCK_ROWS as usize];
                     let mut stats = ScanStats::default();
                     let mut first_gather = true;
                     while !stop.load(Ordering::Acquire) {
-                        let start_ts = watermark.load(Ordering::Acquire);
+                        let start_ts = watermark.load(Ordering::Acquire).saturating_sub(lag);
                         vc.gather_visible_block(
-                            &area, start_ts, 0, BLOCK_ROWS, &mut buf, &mut stats,
+                            area, start_ts, 0, BLOCK_ROWS, &mut buf, &mut stats,
                         )
                         .unwrap();
                         for (row, &v) in (0..BLOCK_ROWS).zip(&buf) {
@@ -109,7 +121,8 @@ fn race(backend: Arc<dyn VmBackend>) {
         // Hold the writer until every reader gathered once (or one died,
         // whose panic the scope then reports).
         // ORDERING: Relaxed, as the increments.
-        while ready.load(Ordering::Relaxed) < READERS && !readers.iter().any(|r| r.is_finished()) {
+        while ready.load(Ordering::Relaxed) < LAGS.len() && !readers.iter().any(|r| r.is_finished())
+        {
             std::thread::yield_now();
         }
         for ts in 1..=COMMITS {
@@ -131,15 +144,29 @@ fn race(backend: Arc<dyn VmBackend>) {
         }
     });
     assert!(gathers.load(Ordering::Relaxed) > 0, "no reader ran");
-    // Quiesced: a full scan at the last commit sees every final value.
-    let mut stats = ScanStats::default();
-    vc.scan_visible(
-        &area,
-        COMMITS,
-        |row, v| assert_eq!(v, visible(first, row, COMMITS), "row {row}"),
-        &mut stats,
-    )
-    .unwrap();
+    // Quiesced: a full scan at the last commit reads every block tight
+    // and sees every final value; one at the lag brackets the hot block.
+    for (start_ts, tight) in [(COMMITS, true), (COMMITS - LAG, false)] {
+        let mut stats = ScanStats::default();
+        vc.scan_visible(
+            &area,
+            start_ts,
+            |row, v| {
+                assert_eq!(
+                    v,
+                    visible(first, row, start_ts),
+                    "row {row} at ts {start_ts}"
+                )
+            },
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(
+            stats.checked_rows == 0,
+            tight,
+            "at ts {start_ts}: {stats:?}"
+        );
+    }
 }
 
 #[test]
