@@ -683,7 +683,7 @@ impl AnkerDb {
             m.set_counter(name, help, v);
         }
         if let Some(os) = self.inner.backend.os_stats() {
-            let counters: [(&str, &str, u64); 12] = [
+            let counters: [(&str, &str, u64); 11] = [
                 (
                     "os_snapshots_total",
                     "vm_snapshot and vm_snapshot_read_through calls served by the OS backend",
@@ -721,7 +721,7 @@ impl AnkerDb {
                 ),
                 (
                     "os_mmap_calls_total",
-                    "mmap calls issued: one per view mapped (each alloc, snapshot and physical copy); the copy pool's slabs are not views and not counted",
+                    "mmap calls issued: one per view mapped (each alloc and snapshot); the copy pool's slabs are not views and not counted",
                     os.mmap_calls,
                 ),
                 (
@@ -730,13 +730,8 @@ impl AnkerDb {
                     os.munmap_calls,
                 ),
                 (
-                    "os_pwrite_calls_total",
-                    "pwrite calls issued: one per physical copy (a snapshot of a private view); the engine issues none",
-                    os.pwrite_calls,
-                ),
-                (
                     "os_ftruncate_calls_total",
-                    "ftruncate calls issued: one per memfd, sizing it (one per live column and per physical copy)",
+                    "ftruncate calls issued: one per memfd, sizing it (one per live column)",
                     os.ftruncate_calls,
                 ),
                 (

@@ -19,8 +19,8 @@
 //! precision locks automatically; a reader registers none. The reader
 //! never takes the commit lock on its hot path; only the *first* access
 //! to a not-yet-materialised column acquires it once, to materialise the
-//! column for the epoch (§2.2.2 lazy materialisation), exactly like an
-//! OLAP transaction's first touch.
+//! column for the epoch (§2.2.2 lazy materialisation). A heterogeneous
+//! OLAP transaction reads through a reader of its own.
 
 use crate::db::AnkerDb;
 use crate::error::{DbError, Result};
@@ -70,11 +70,11 @@ impl Drop for ReaderPin {
 /// ```
 pub struct SnapshotReader {
     pin: Arc<ReaderPin>,
-    /// Per-reader cache of resolved snapshot columns (same role as the
-    /// per-transaction cache), filled from any thread and read without a
-    /// lock: a slot per column of every table that existed when the
-    /// reader opened, the table's row of slots made on first use. A table
-    /// created later resolves through the epoch on every access.
+    /// Per-reader cache of resolved snapshot columns, filled from any
+    /// thread and read without a lock: a slot per column of every table
+    /// that existed when the reader opened, the table's row of slots made
+    /// on first use. A table created later resolves through the epoch on
+    /// every access.
     cache: Box<[OnceLock<Box<[OnceLock<Arc<SnapCol>>]>>]>,
 }
 
@@ -94,14 +94,20 @@ impl SnapshotReader {
         if db.inner.config.mode != crate::config::ProcessingMode::Heterogeneous {
             return Err(DbError::SnapshotsDisabled);
         }
+        Ok(SnapshotReader::pin(db, max_age))
+    }
+
+    /// [`SnapshotReader::open`] on a database known to be heterogeneous
+    /// (a heterogeneous OLAP [`crate::Txn`] reads through one).
+    pub(crate) fn pin(db: &AnkerDb, max_age: u64) -> SnapshotReader {
         let tables = db.inner.tables.read().len();
-        Ok(SnapshotReader {
+        SnapshotReader {
             pin: Arc::new(ReaderPin {
                 db: db.clone(),
                 epoch: db.pin_current_epoch(max_age),
             }),
             cache: (0..tables).map(|_| OnceLock::new()).collect(),
-        })
+        }
     }
 
     /// The single point in time every read of this reader observes.

@@ -336,12 +336,12 @@ impl Scan<&mut Txn> {
         let m = Arc::clone(&txn.db.inner.m);
         let obs_span = obs::Span::begin(&m.scan_morsel);
         let db = txn.db.clone();
-        let core = if txn.epoch.is_some() {
+        let core = if let Some(reader) = &txn.reader {
             // Heterogeneous OLAP: the frozen snapshot columns of the
-            // pinned epoch, materialised through the per-transaction
-            // cache; the transaction's handles keep them mapped.
+            // pinned epoch, materialised through the transaction's reader,
+            // whose pin keeps them mapped.
             ScanCore::compile(&db, state.rows, filters, &projection, |cols, filters| {
-                Source::frozen(cols, filters, None, &mut |c| txn.snapshot_col(table, c))
+                Source::frozen(cols, filters, None, &mut |c| reader.snap_col(table, c))
             })
         } else {
             let start_ts = txn.inner.start_ts();

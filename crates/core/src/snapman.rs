@@ -577,9 +577,8 @@ mod tests {
     /// maps the live column's file `MAP_PRIVATE` as the image and leaves
     /// the live column in place, and a copy-on-write split is one populate
     /// per private view. So over 2N epochs, each with writes under a
-    /// pinned reader, no `pwrite` is issued, `mmap` grows by exactly one
-    /// per `vm_snapshot`, and the mapped views gauge equals the views
-    /// alive — at any scale.
+    /// pinned reader, `mmap` grows by exactly one per `vm_snapshot`, and
+    /// the mapped views gauge equals the views alive — at any scale.
     #[cfg(target_os = "linux")]
     #[test]
     fn os_views_are_one_mmap_each_and_do_not_grow_with_epochs() {
@@ -650,7 +649,6 @@ mod tests {
             }
             drop(reader);
             db.run_gc_once();
-            assert_eq!(stat("os_pwrite_calls_total"), 0, "epoch {epoch}");
             assert_eq!(
                 stat("os_mmap_calls_total") - mmaps,
                 stat("os_snapshots_total") - snaps,

@@ -4,15 +4,14 @@
 use crate::config::ProcessingMode;
 use crate::db::AnkerDb;
 use crate::error::{AbortReason, DbError, Result};
-use crate::snapman::{Epoch, SnapCol};
+use crate::reader::SnapshotReader;
 use crate::table::{TableId, TableState};
 use anker_mvcc::{
     ColRef, CommitRecord, IsolationLevel, LocalWrite, RowLatch, ScanStats, Transaction, TxnId,
     WriteRecord,
 };
 use anker_storage::{ColumnId, Value};
-use anker_util::{sched, FxHashMap};
-use std::collections::hash_map::Entry;
+use anker_util::sched;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -59,9 +58,9 @@ pub struct Txn {
     pub(crate) db: AnkerDb,
     pub(crate) inner: Transaction,
     kind: TxnKind,
-    /// Pinned snapshot epoch (heterogeneous OLAP only).
-    pub(crate) epoch: Option<Arc<Epoch>>,
-    snap_cache: FxHashMap<(u16, u16), Arc<SnapCol>>,
+    /// The reader of the pinned snapshot epoch (heterogeneous OLAP only):
+    /// every read goes through it, and its drop unpins the epoch.
+    pub(crate) reader: Option<SnapshotReader>,
     /// Per-transaction cache of resolved table states: avoids re-taking the
     /// tables RwLock on every operation (a measurable cache-line ping-pong
     /// between cores on the OLTP hot path).
@@ -85,16 +84,13 @@ impl std::fmt::Debug for Txn {
 impl Txn {
     pub(crate) fn begin(db: AnkerDb, kind: TxnKind) -> Txn {
         let heterogeneous = db.inner.config.mode == ProcessingMode::Heterogeneous;
-        let epoch = if heterogeneous && kind == TxnKind::Olap {
-            Some(db.pin_current_epoch(db.inner.config.snapshot_every_commits))
-        } else {
-            None
-        };
+        let reader = (heterogeneous && kind == TxnKind::Olap)
+            .then(|| SnapshotReader::pin(&db, db.inner.config.snapshot_every_commits));
         // Only transactions that may read a version chain register in the
         // OLTP version horizon: a heterogeneous OLAP transaction reads its
         // pinned epoch's frozen images, which its pin keeps alive.
-        let (start_ts, active_token) = match &epoch {
-            Some(e) => (e.ts, None),
+        let (start_ts, active_token) = match &reader {
+            Some(r) => (r.epoch_ts(), None),
             None => {
                 let start_ts = db.inner.oracle.start_ts();
                 (start_ts, Some(db.inner.active.register(start_ts)))
@@ -106,8 +102,7 @@ impl Txn {
             db,
             inner: Transaction::begin(id, start_ts),
             kind,
-            epoch,
-            snap_cache: FxHashMap::default(),
+            reader,
             table_cache: Vec::new(),
             scan_stats: ScanStats::default(),
             active_token,
@@ -157,26 +152,6 @@ impl Txn {
         self.kind == TxnKind::Oltp && self.db.inner.config.isolation == IsolationLevel::Serializable
     }
 
-    /// The snapshot column for `(table, col)`, materialising it on first
-    /// access (§2.2.2 lazy materialisation; shared slow path with
-    /// [`crate::SnapshotReader`] in `snapman::resolve_snap_col`).
-    pub(crate) fn snapshot_col(&mut self, table: TableId, col: ColumnId) -> Result<Arc<SnapCol>> {
-        self.snapshot_col_ref(table, col).map(Arc::clone)
-    }
-
-    /// [`Txn::snapshot_col`] by reference, for the point-read hot path.
-    fn snapshot_col_ref(&mut self, table: TableId, col: ColumnId) -> Result<&Arc<SnapCol>> {
-        Ok(match self.snap_cache.entry((table.0, col.0 as u16)) {
-            Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(slot) => {
-                let epoch = self.epoch.as_ref().expect("snapshot access without epoch");
-                slot.insert(crate::snapman::resolve_snap_col(
-                    &self.db, epoch, table, col,
-                )?)
-            }
-        })
-    }
-
     /// Read the raw word of `(table, col, row)` under this transaction's
     /// visibility. A row past the table's last is
     /// [`DbError::RowOutOfRange`].
@@ -185,10 +160,10 @@ impl Txn {
         if let Some(own) = self.inner.own_write(cref, row) {
             return Ok(own);
         }
-        if self.epoch.is_some() {
+        if let Some(reader) = &self.reader {
             // Heterogeneous OLAP: read the frozen snapshot in place — no
             // timestamps, no chains.
-            return self.snapshot_col_ref(table, col)?.get(table, row);
+            return reader.get(table, col, row);
         }
         let start_ts = self.inner.start_ts();
         let state = self.table_ref(table);
@@ -734,9 +709,6 @@ impl Txn {
     fn release(&mut self) {
         if let Some(token) = self.active_token.take() {
             self.db.inner.active.deregister(token);
-        }
-        if let Some(e) = self.epoch.take() {
-            self.db.inner.snapman.unpin(&e);
         }
     }
 }

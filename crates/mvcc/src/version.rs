@@ -1243,43 +1243,57 @@ mod tests {
     fn concurrent_scans_and_installs_never_tear() {
         // One writer installs serialized commits; several readers scan at
         // their snapshot timestamps and must always see consistent values:
-        // every row is either old (row*10) or a committed even update.
+        // every row is either old (row*10) or a committed even update. The
+        // writer starts only once every reader has finished a scan, and
+        // every reader scans once more after the last install, so each
+        // reader's scans span the installs however the threads are run.
+        const READERS: usize = 2;
         let (_k, area, vc) = setup(4096);
-        let area = Arc::new(area);
-        let vc = Arc::new(vc);
         let stop = std::sync::atomic::AtomicBool::new(false);
+        let ready = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
-            {
-                let (vc, area) = (vc.clone(), area.clone());
-                let stop = &stop;
-                s.spawn(move || {
-                    for (ts, round) in (1u64..).zip(0..200u64) {
-                        let row = (round * 37) % 4096;
-                        vc.install(&area, row as u32, round * 2 + 1_000_000, ts)
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let (vc, area, stop, ready) = (&vc, &area, &stop, &ready);
+                    s.spawn(move || {
+                        for scans in 0u64.. {
+                            let last = stop.load(Ordering::Acquire);
+                            let mut stats = ScanStats::default();
+                            // Read at ts 0, before every update.
+                            vc.scan_visible(
+                                area,
+                                0,
+                                |r, v| {
+                                    assert_eq!(v, r as u64 * 10, "reader at ts 0 saw an update");
+                                },
+                                &mut stats,
+                            )
                             .unwrap();
-                    }
-                    stop.store(true, Ordering::Release);
-                });
+                            if scans == 0 {
+                                // ORDERING: Relaxed — the count only paces
+                                // the writer; it publishes no data.
+                                ready.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if last {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // A reader that panicked never counts itself ready: stop
+            // waiting then, and let the scope report its panic.
+            while ready.load(Ordering::Relaxed) < READERS
+                && !readers.iter().any(|r| r.is_finished())
+            {
+                std::thread::yield_now();
             }
-            for _ in 0..2 {
-                let (vc, area) = (vc.clone(), area.clone());
-                let stop = &stop;
-                s.spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        let mut stats = ScanStats::default();
-                        // Read as of "now-ish": ts 0 (before all updates).
-                        vc.scan_visible(
-                            &area,
-                            0,
-                            |r, v| {
-                                assert_eq!(v, r as u64 * 10, "reader at ts 0 saw an update");
-                            },
-                            &mut stats,
-                        )
-                        .unwrap();
-                    }
-                });
+            for (ts, round) in (1u64..).zip(0..200u64) {
+                let row = (round * 37) % 4096;
+                vc.install(&area, row as u32, round * 2 + 1_000_000, ts)
+                    .unwrap();
             }
+            stop.store(true, Ordering::Release);
         });
     }
 }

@@ -21,6 +21,8 @@
 //! `backend_semantics` and `backend_equiv` test suites: after
 //! `vm_snapshot`, the source and destination read identically, and a
 //! write through either view never changes what the other view reads.
+//! On the OS backend a snapshot is a read-only image: it takes no write
+//! and is no `vm_snapshot` source, and each refusal changes nothing.
 
 use crate::error::Result;
 
@@ -54,7 +56,10 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     /// a write through either view no longer affects the other. A backend
     /// that does not recycle destinations (the OS backend) refuses
     /// `Some(addr)` with [`VmError::BadDestination`](crate::VmError) and
-    /// changes nothing.
+    /// changes nothing. The OS backend also refuses a `src` that is itself
+    /// a snapshot with [`VmError::InvalidArgument`](crate::VmError), as it
+    /// does for [`VmBackend::vm_snapshot_read_through`], and changes
+    /// nothing.
     fn vm_snapshot(&self, dst: Option<u64>, src: u64, bytes: u64) -> Result<u64>;
 
     /// [`VmBackend::vm_snapshot`] into a fresh area, for an image whose
@@ -76,6 +81,8 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
 
     /// Store the 8-byte word at `addr` (aligned), performing any
     /// copy-on-write the backend's snapshot bookkeeping requires first.
+    /// The OS backend refuses a store into a snapshot with
+    /// [`VmError::ProtectionFault`](crate::VmError) and changes nothing.
     fn write_u64(&self, addr: u64, value: u64) -> Result<()>;
 
     /// Copy `buf.len()` words starting at `addr` into `buf` — the block
@@ -83,7 +90,8 @@ pub trait VmBackend: Send + Sync + std::fmt::Debug {
     fn read_words(&self, addr: u64, buf: &mut [u64]) -> Result<()>;
 
     /// Copy `words` into memory starting at `addr` (bulk-load path;
-    /// performs copy-on-write like [`VmBackend::write_u64`]).
+    /// performs copy-on-write, and refuses a snapshot, like
+    /// [`VmBackend::write_u64`]).
     fn write_words(&self, addr: u64, words: &[u64]) -> Result<()>;
 
     /// Monotonic counters of the real-OS backend (`vm_snapshot` calls,

@@ -17,7 +17,8 @@ pub enum VmError {
     OutOfBounds { addr: u64 },
     /// A write hit a page whose VMA forbids writing (SIGSEGV with a present
     /// mapping). Rewired snapshotting relies on catching exactly this fault
-    /// to perform its manual copy-on-write.
+    /// to perform its manual copy-on-write. The OS backend returns it for a
+    /// store into a snapshot image, which is read-only.
     ProtectionFault { addr: u64 },
     /// Access beyond the end of a main-memory file (SIGBUS).
     BeyondFileEnd { file_page: u64, file_pages: u64 },

@@ -35,7 +35,8 @@
 //! mapping keeps reading the file, so [`View::load`] and
 //! [`View::read_into`] read a split page from its copy, and an unsplit
 //! one from the mapping under the same recheck as above
-//! ([`View::is_in_place`] is `false`).
+//! ([`View::is_in_place`] is `false`). The backend's locked reads go
+//! through the image's view too, so a split page is found in one place.
 //!
 //! **The store contract.** A lock-free store must not race a
 //! `vm_snapshot` of its area: the snapshot sets every bit, and a store
@@ -194,8 +195,7 @@ pub struct View {
     page_shift: u32,
     /// The area's page bits (see [`PageBits`]).
     bits: Arc<PageBits>,
-    /// A live area's view; a snapshot view's stores always take the
-    /// backend's locked path.
+    /// A live area's view; an image is read-only.
     live: bool,
     /// The copy table of an image cut for reading through: its split
     /// pages live there, not in the mapping.
@@ -253,6 +253,34 @@ impl View {
             copies,
             _mapping: mapping,
         }
+    }
+
+    /// This view cut to its first `words` words.
+    ///
+    /// # Panics
+    ///
+    /// If `words` is longer than the view.
+    pub(crate) fn prefix(&self, words: usize) -> View {
+        assert!(words <= self.words, "a prefix longer than the view");
+        View {
+            words,
+            ..self.clone()
+        }
+    }
+
+    /// The area's page bits.
+    pub(crate) fn bits(&self) -> &PageBits {
+        &self.bits
+    }
+
+    /// The copy table of an image cut for reading through.
+    pub(crate) fn copies(&self) -> Option<&Copies> {
+        self.copies.as_deref()
+    }
+
+    /// Whether this is a live area's view, not an image's.
+    pub(crate) fn is_live(&self) -> bool {
+        self.live
     }
 
     /// Length in words.
@@ -369,13 +397,12 @@ impl View {
     /// Copy words `[start, start + buf.len())`, checked in bounds, page by
     /// page: a page this view still reads through from `file`, a view of
     /// its file at least as long (itself, or the live view); any other
-    /// page from its copy, or from this view's mapping when the kernel or
-    /// a store to this view put the copy there. A read from `file` counts
-    /// only if the page's bit is still set after it, behind
-    /// `fence(Acquire)`: a split publishes the copy and clears the bit
-    /// before any store reaches the file page (see the module docs), so a
-    /// read that may have seen such a store finds the bit clear and is
-    /// redone from the copy.
+    /// page from its copy, or from this view's mapping when the kernel put
+    /// the copy there. A read from `file` counts only if the page's bit is
+    /// still set after it, behind `fence(Acquire)`: a split publishes the
+    /// copy and clears the bit before any store reaches the file page (see
+    /// the module docs), so a read that may have seen such a store finds
+    /// the bit clear and is redone from the copy.
     fn read_paged(&self, file: &View, start: usize, buf: &mut [u64]) {
         let pw = self.page_words();
         let mut at = 0;
@@ -412,8 +439,9 @@ impl View {
     /// Store `word` at word `i` if its page is writable without a split:
     /// returns `false`, storing nothing, when the page is frozen or this
     /// is a snapshot view — the caller then takes the backend's locked
-    /// [`VmBackend::write_u64`](crate::VmBackend::write_u64). Must not
-    /// race a `vm_snapshot` of the area (see the module docs).
+    /// [`VmBackend::write_u64`](crate::VmBackend::write_u64), which splits
+    /// a frozen page and refuses a store into an image. Must not race a
+    /// `vm_snapshot` of the area (see the module docs).
     ///
     /// # Panics
     ///

@@ -4,9 +4,12 @@
 //! the test replaces by a release and a fresh snapshot), release, reads
 //! — must produce byte-identical observable state on the simulated
 //! kernel and on the real-OS memfd backend, and both must agree with a
-//! plain-vector oracle. After every op the OS
-//! backend's file pages in use must also equal, exactly, the summed size
-//! of the files its live areas map, as the test tracks them.
+//! plain-vector oracle. A snapshot is a read-only image on the OS
+//! backend: a write into one, or a snapshot of one, must be refused
+//! there, and is skipped on the simulated kernel and the oracle. After
+//! every op the OS backend's file pages in use must also equal, exactly,
+//! the summed size of the files its live areas map, as the test tracks
+//! them.
 //!
 //! The simulated kernel is booted with the *hardware* page size so the two
 //! backends have identical area geometry.
@@ -32,7 +35,8 @@ enum Op {
     /// `vm_snapshot` area `src` into the equally-sized area `dst`
     /// (§4.1.3 destination recycling) on the simulated kernel; on the OS
     /// backend, which refuses a destination, release `dst` and snapshot
-    /// `src` afresh in its place. Skipped when sizes differ.
+    /// `src` afresh in its place. Skipped when sizes differ; when `src` is
+    /// an image, only the OS backend's refusals are checked.
     Recycle { src: usize, dst: usize },
     /// Release area `sel`.
     Release { sel: usize },
@@ -64,12 +68,11 @@ impl<'a> Fleet<'a> {
 }
 
 /// The file each OS area maps, position-aligned with the oracle. An
-/// allocation, and a snapshot or recycle *of a private view* (a physical
-/// copy), start a new file; a snapshot or recycle of a live view maps the
-/// source's file privately.
+/// allocation starts a new file; a snapshot or recycle of a live view
+/// maps the source's file privately, as an image.
 #[derive(Default)]
 struct Files {
-    /// `(file id, private)` per live area.
+    /// `(file id, image)` per live area.
     of_area: Vec<(usize, bool)>,
     /// Pages of each file ever started, by id.
     pages: Vec<u64>,
@@ -81,12 +84,15 @@ impl Files {
         (self.pages.len() - 1, false)
     }
 
-    /// The file a snapshot of area `src` maps.
-    fn snapshot_of(&mut self, src: usize) -> (usize, bool) {
-        match self.of_area[src] {
-            (file, false) => (file, true),
-            (file, true) => self.start(self.pages[file]),
-        }
+    /// Whether area `sel` is an image, which the OS backend keeps
+    /// read-only.
+    fn is_image(&self, sel: usize) -> bool {
+        self.of_area[sel].1
+    }
+
+    /// The file a snapshot of the live area `src` maps.
+    fn snapshot_of(&self, src: usize) -> (usize, bool) {
+        (self.of_area[src].0, true)
     }
 
     /// Summed pages of the files some area still maps.
@@ -138,6 +144,14 @@ proptest! {
                     }
                     let sel = sel % oracle.len();
                     let word = word % oracle[sel].len();
+                    if files.is_image(sel) {
+                        let at = osf.areas[sel].0 + word as u64 * 8;
+                        prop_assert_eq!(
+                            os.write_u64(at, value),
+                            Err(VmError::ProtectionFault { addr: at })
+                        );
+                        continue;
+                    }
                     for f in [&mut sim, &mut osf] {
                         f.backend
                             .write_u64(f.areas[sel].0 + word as u64 * 8, value)
@@ -150,6 +164,20 @@ proptest! {
                         continue;
                     }
                     let sel = sel % oracle.len();
+                    if files.is_image(sel) {
+                        let (addr, pages) = osf.areas[sel];
+                        let refused = if read_through {
+                            os.vm_snapshot_read_through(addr, pages * ps)
+                        } else {
+                            os.vm_snapshot(None, addr, pages * ps)
+                        };
+                        prop_assert!(
+                            matches!(refused, Err(VmError::InvalidArgument(_))),
+                            "a snapshot of an image: {:?}",
+                            refused
+                        );
+                        continue;
+                    }
                     for f in [&mut sim, &mut osf] {
                         let (addr, pages) = f.areas[sel];
                         let snap = if read_through {
@@ -172,6 +200,23 @@ proptest! {
                     let src = src % oracle.len();
                     let dst = dst % oracle.len();
                     if src == dst || oracle[src].len() != oracle[dst].len() {
+                        continue;
+                    }
+                    if files.is_image(src) {
+                        // Refused on OS either way: a destination, and a
+                        // fresh snapshot of an image in its place.
+                        let (saddr, pages) = osf.areas[src];
+                        let daddr = osf.areas[dst].0;
+                        prop_assert_eq!(
+                            os.vm_snapshot(Some(daddr), saddr, pages * ps),
+                            Err(VmError::BadDestination { addr: daddr })
+                        );
+                        let refused = os.vm_snapshot(None, saddr, pages * ps);
+                        prop_assert!(
+                            matches!(refused, Err(VmError::InvalidArgument(_))),
+                            "a snapshot of an image: {:?}",
+                            refused
+                        );
                         continue;
                     }
                     let (saddr, pages) = sim.areas[src];

@@ -8,9 +8,10 @@
 //! everything the *engine* relies on — allocation, word and block access,
 //! `vm_snapshot` (and `vm_snapshot_read_through`) isolation in both
 //! directions, release/re-use — is specified here once and must hold
-//! identically on both substrates. Destination recycling (§4.1.3), which
-//! no engine path uses, is the simulated kernel's alone: the OS backend
-//! refuses it and changes nothing.
+//! identically on both substrates. Destination recycling (§4.1.3), stores
+//! into a snapshot and snapshots of one, which no engine path uses, are
+//! the simulated kernel's alone: on the OS backend a snapshot is a
+//! read-only image, and each refusal changes nothing.
 
 use anker_vmem::{Kernel, KernelConfig, OsBackend, VmBackend, VmError};
 
@@ -66,7 +67,8 @@ fn block_reads_and_writes_cross_pages() {
 }
 
 /// Both cuts — `vm_snapshot` and `vm_snapshot_read_through` — isolate
-/// the snapshot from the source and the source from the snapshot.
+/// the snapshot from the source and, on the simulated kernel, the source
+/// from the snapshot; the OS backend refuses a store into the snapshot.
 #[test]
 fn vm_snapshot_isolates_both_directions() {
     for_each_backend(|b| {
@@ -89,13 +91,27 @@ fn vm_snapshot_isolates_both_directions() {
             b.write_u64(a + ps, 7).unwrap();
             assert_eq!(b.read_u64(snap + ps).unwrap(), 101, "{cut:?}");
             assert_eq!(b.read_u64(a + ps).unwrap(), 7);
-            // ...and snapshot writes do not reach the source, before or
-            // after the source split the page.
-            b.write_u64(snap + 2 * ps, 8).unwrap();
-            b.write_u64(snap + ps + 8, 9).unwrap();
+            if b.name() == "os" {
+                // ...and the image takes no store, before or after the
+                // source split the page.
+                for at in [snap + 2 * ps, snap + ps + 8] {
+                    assert_eq!(
+                        b.write_u64(at, 8),
+                        Err(VmError::ProtectionFault { addr: at }),
+                        "{cut:?}"
+                    );
+                }
+                assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 102, "{cut:?}");
+                assert_eq!(b.read_u64(snap + ps + 8).unwrap(), 0, "{cut:?}");
+            } else {
+                // ...and snapshot writes do not reach the source, before
+                // or after the source split the page.
+                b.write_u64(snap + 2 * ps, 8).unwrap();
+                b.write_u64(snap + ps + 8, 9).unwrap();
+                assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 8);
+            }
             assert_eq!(b.read_u64(a + 2 * ps).unwrap(), 102, "{cut:?}");
             assert_eq!(b.read_u64(a + ps + 8).unwrap(), 0, "{cut:?}");
-            assert_eq!(b.read_u64(snap + 2 * ps).unwrap(), 8);
             assert_eq!(b.read_u64(snap + ps).unwrap(), 101, "{cut:?}");
             b.release(snap, 4 * ps).unwrap();
             b.release(a, 4 * ps).unwrap();
@@ -113,13 +129,28 @@ fn chained_snapshots_stay_frozen() {
         b.write_u64(a, 2).unwrap();
         let s2 = b.vm_snapshot(None, a, ps).unwrap();
         b.write_u64(a, 3).unwrap();
-        // A snapshot of a snapshot also works (areas are areas).
-        let s3 = b.vm_snapshot(None, s1, ps).unwrap();
+        let mut snaps = vec![s1, s2];
+        if b.name() == "os" {
+            // An image is no source, cut either way.
+            assert!(matches!(
+                b.vm_snapshot(None, s1, ps),
+                Err(VmError::InvalidArgument(_))
+            ));
+            assert!(matches!(
+                b.vm_snapshot_read_through(s1, ps),
+                Err(VmError::InvalidArgument(_))
+            ));
+        } else {
+            // On the simulated kernel a snapshot of a snapshot works
+            // (areas are areas).
+            let s3 = b.vm_snapshot(None, s1, ps).unwrap();
+            assert_eq!(b.read_u64(s3).unwrap(), 1);
+            snaps.push(s3);
+        }
         assert_eq!(b.read_u64(s1).unwrap(), 1, "{}", b.name());
         assert_eq!(b.read_u64(s2).unwrap(), 2);
-        assert_eq!(b.read_u64(s3).unwrap(), 1);
         assert_eq!(b.read_u64(a).unwrap(), 3);
-        for s in [s1, s2, s3] {
+        for s in snaps {
             b.release(s, ps).unwrap();
         }
         b.release(a, ps).unwrap();
